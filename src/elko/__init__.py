@@ -18,9 +18,11 @@ from .errors import (
 from .kinematics import (
     AngularParams,
     FourMomentum,
+    MomentumBatch,
     boost_half,
     boost_half_pair,
     boost_one,
+    make_momenta,
     make_momentum,
     parity_reflect,
 )
@@ -48,13 +50,16 @@ from .spinors import (
     TwoSpinor,
     bar_product,
     chiral_helicity_sign,
+    dirac_components,
     dirac_spinor,
     helicity_two_spinor,
     index_flip_unitary,
+    lambda_components,
     lambda_spinor,
     read_golden,
     rest_lambda,
     rest_rho,
+    rho_components,
     rho_spinor,
     write_golden,
 )

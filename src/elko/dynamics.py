@@ -2,6 +2,10 @@
 lambda/rho first-order system, the doubled Dirac system and its chi/eta
 superpositions, the two-mass equation, and the 8-component assembly with its
 axial gauge structure.
+
+``dirac_matrix``, ``coupled_system_residual``, ``eight_kinetic`` and
+``eight_component_residual`` take a FourMomentum or a MomentumBatch; on a
+batch they return one matrix or one residual per row.
 """
 
 from __future__ import annotations
@@ -14,10 +18,18 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import FourMomentum
-from .matrices import GAMMA, gamma5
+from .kinematics import FourMomentum, as_batch
+from .matrices import GAMMA, blocks, gamma5, matvec
 from .operators import chiral_gauge_transform
-from .spinors import Bispinor, bar_product, dirac_spinor, lambda_spinor, rho_spinor
+from .spinors import (
+    Bispinor,
+    bar_product,
+    dirac_spinor,
+    lambda_components,
+    lambda_spinor,
+    rho_components,
+    rho_spinor,
+)
 
 
 @dataclass(frozen=True)
@@ -64,51 +76,52 @@ class MarkovPair(NamedTuple):
     eta: np.ndarray
 
 
-def slash(e: float, px: float, py: float, pz: float) -> np.ndarray:
-    """gamma0 e - gamma1 px - gamma2 py - gamma3 pz for any four-vector."""
+def slash(e, px, py, pz) -> np.ndarray:
+    """gamma0 e - gamma1 px - gamma2 py - gamma3 pz for any four-vector, or
+    (N, 4, 4) for (N,) components."""
+    e, px, py, pz = (np.asarray(x)[..., None, None] for x in (e, px, py, pz))
     return GAMMA[0] * e - GAMMA[1] * px - GAMMA[2] * py - GAMMA[3] * pz
 
 
-def dirac_matrix(p: FourMomentum) -> np.ndarray:
+def dirac_matrix(p) -> np.ndarray:
     """gamma.p for an on-shell momentum; squares to m^2."""
     return slash(p.E, p.px, p.py, p.pz)
 
 
-def coupled_system_residual(p: FourMomentum, conv: FrequencyConvention):
-    """Norm residuals of the four coupled equations, max over both indices.
+def coupled_system_residual(p, conv: FrequencyConvention):
+    """Norm residuals of the four coupled equations, max over both indices;
+    floats at one momentum, (N,) arrays on a batch.
 
     Order: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
     rho^S -> lambda^A).  With the correct convention all four vanish; with
     the wrong one at least one is of order m at every momentum.
     """
-    gp = dirac_matrix(p)
-    m = p.m
-    s_sign = conv.sector_sign("S")
-    a_sign = conv.sector_sign("A")
-    residuals = [0.0, 0.0, 0.0, 0.0]
+    gp_t = np.swapaxes(dirac_matrix(p), -1, -2)
+    # equation k: kinetic[k] gamma.p state_k - mass[k] m partner_k
+    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
+    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
+    worst = 0.0
     for index in ("up", "down"):
-        ls = lambda_spinor(p, "S", index).components
-        ra = rho_spinor(p, "A", index).components
-        la = lambda_spinor(p, "A", index).components
-        rs = rho_spinor(p, "S", index).components
-        eqs = [
-            s_sign * gp @ ls - m * ra,
-            s_sign * gp @ ra - m * ls,
-            a_sign * gp @ la + m * rs,
-            a_sign * gp @ rs + m * la,
-        ]
-        for k, r in enumerate(eqs):
-            residuals[k] = max(residuals[k], float(np.linalg.norm(r)))
-    return tuple(residuals)
+        ls = lambda_components(p, "S", index)
+        ra = rho_components(p, "A", index)
+        la = lambda_components(p, "A", index)
+        rs = rho_components(p, "S", index)
+        eqs = np.stack([ls, ra, la, rs], axis=-2) @ gp_t
+        eqs *= kinetic
+        eqs -= mass * np.stack([ra, ls, rs, la], axis=-2)
+        worst = np.maximum(worst, np.linalg.norm(eqs, axis=-1))
+    return tuple(np.moveaxis(worst, -1, 0))
 
 
 def discover_convention(momenta) -> FrequencyConvention:
-    """Try both plane-wave assignments; exactly one must work."""
+    """Try both plane-wave assignments; exactly one must work.  ``momenta``
+    is a batch or an iterable of momenta."""
     tol = TOLERANCES["identity"]
+    batch = as_batch(momenta)
     winners = []
     for sign in (1, -1):
         conv = FrequencyConvention(sign)
-        worst = max(max(coupled_system_residual(p, conv)) for p in momenta)
+        worst = np.max(coupled_system_residual(batch, conv), initial=0.0)
         if worst <= tol:
             winners.append(conv)
     if len(winners) != 1:
@@ -186,11 +199,12 @@ def lambda5() -> np.ndarray:
     return np.block([[gamma5, _Z4], [_Z4, -gamma5]])
 
 
-def eight_kinetic(p: FourMomentum) -> np.ndarray:
+def eight_kinetic(p) -> np.ndarray:
     """Off-diagonal kinetic block [[0, gamma.p], [gamma.p, 0]]; commutes with
     the axial matrix, so the axial-coupled covariant derivative is consistent."""
     gp = dirac_matrix(p)
-    return np.block([[_Z4, gp], [gp, _Z4]])
+    z = np.zeros_like(gp)
+    return blocks(z, gp, gp, z)
 
 
 def eight_stacks(p: FourMomentum, index: str):
@@ -203,7 +217,7 @@ def eight_stacks(p: FourMomentum, index: str):
 _MASS_SIGN = {"S": 1.0, "A": -1.0}
 
 
-def eight_operator(p: FourMomentum, conv: FrequencyConvention, sector: str) -> np.ndarray:
+def eight_operator(p, conv: FrequencyConvention, sector: str) -> np.ndarray:
     """Momentum-space 8x8 operator for one sector.
 
     The coordinate-space equations carry opposite mass signs in the two
@@ -211,17 +225,27 @@ def eight_operator(p: FourMomentum, conv: FrequencyConvention, sector: str) -> n
     frequency sign to the kinetic part.
     """
     return (conv.sector_sign(sector) * eight_kinetic(p)
-            - _MASS_SIGN[sector] * p.m * np.eye(8, dtype=complex))
+            - _MASS_SIGN[sector] * np.asarray(p.m)[..., None, None] * np.eye(8, dtype=complex))
 
 
-def eight_component_residual(p: FourMomentum, conv: FrequencyConvention) -> float:
-    """Max residual of the 8-component equation over both stacks and indices."""
+def eight_component_residual(p, conv: FrequencyConvention):
+    """Max residual of the 8-component equation over both stacks and
+    indices; a float at one momentum, an (N,) array on a batch.
+
+    ``eight_operator`` is applied block by block: its kinetic part maps the
+    stack (x, y) to (gamma.p y, gamma.p x), so no 8x8 matrix is formed.
+    """
+    gp = dirac_matrix(p)
+    m = np.asarray(p.m)[..., None]
     worst = 0.0
     for index in ("up", "down"):
-        s_stack, a_stack = eight_stacks(p, index)
-        for stack, sector in ((s_stack, "S"), (a_stack, "A")):
-            op = eight_operator(p, conv, sector)
-            worst = max(worst, float(np.linalg.norm(op @ stack.components)))
+        for upper, lower, sector in (
+                (lambda_components(p, "S", index), rho_components(p, "A", index), "S"),
+                (lambda_components(p, "A", index), rho_components(p, "S", index), "A")):
+            kinetic, mass = conv.sector_sign(sector), _MASS_SIGN[sector] * m
+            r = np.concatenate([kinetic * matvec(gp, lower) - mass * upper,
+                                kinetic * matvec(gp, upper) - mass * lower], axis=-1)
+            worst = np.maximum(worst, np.linalg.norm(r, axis=-1))
     return worst
 
 

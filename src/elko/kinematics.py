@@ -3,6 +3,11 @@
 Metric signature (+,-,-,-): gamma^mu p_mu = gamma0 E - gamma . p.  Boost
 rapidity is arccosh(E/m) along n = p/|p|; at |p| = 0 every boost is the
 identity by continuity.
+
+A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
+one momentum as floats; both expose the same fields, and the spin-1/2
+kernels (derived fields, ``half_angles``, ``boost_half``, ``boost_half_pair``,
+``boost_eigenvalue``) are written once as plain arithmetic that accepts either.
 """
 
 from __future__ import annotations
@@ -12,12 +17,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DirectionUndefinedError, DomainError
-from .matrices import CMatrix, pauli_dot, spin1_dot
+from .errors import DimensionError, DirectionUndefinedError, DomainError
+from .matrices import CMatrix, block_diag2, matrix2, spin1_dot
+
+
+def _sqrt(x):
+    # both are correctly rounded; math.sqrt keeps one momentum a Python float
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _light_cone(E, pz, m, pperp2):
+    """(E + pz, E - pz); the cancelling one is formed as (m^2 + p_perp^2) /
+    (E + |pz|), the other one as E + |pz|."""
+    far = E + abs(pz)
+    near = (m * m + pperp2) / far
+    return np.where(pz < 0, near, far), np.where(pz > 0, near, far)
+
+
+class _OnShell:
+    """Derived fields of (px, py, pz, m, E): floats for one momentum, (N,)
+    arrays for a batch."""
+
+    @property
+    def p_r(self):
+        return self.px + 1j * self.py
+
+    @property
+    def p_l(self):
+        return self.px - 1j * self.py
+
+    @property
+    def p_perp2(self):
+        return self.px * self.px + self.py * self.py
+
+    @property
+    def p_abs(self):
+        return _sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz)
+
+    @property
+    def vec(self) -> np.ndarray:
+        return np.array([self.px, self.py, self.pz]).T
+
+    def direction(self) -> np.ndarray:
+        p = self.p_abs
+        if np.any(p == 0.0):
+            raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
+        return self.vec / np.asarray(p)[..., None]
 
 
 @dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(_OnShell):
     """On-shell momentum; E is derived from (px, py, pz, m)."""
 
     px: float
@@ -27,34 +76,12 @@ class FourMomentum:
     E: float
 
     @property
-    def p_r(self) -> complex:
-        return complex(self.px, self.py)
-
-    @property
-    def p_l(self) -> complex:
-        return complex(self.px, -self.py)
-
-    @property
     def p_plus(self) -> float:
-        return self.E + self.pz
+        return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[0])
 
     @property
     def p_minus(self) -> float:
-        return self.E - self.pz
-
-    @property
-    def p_abs(self) -> float:
-        return math.sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
-    def direction(self) -> np.ndarray:
-        p = self.p_abs
-        if p == 0.0:
-            raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
-        return self.vec / p
+        return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[1])
 
     def angles(self) -> "AngularParams":
         """Polar/azimuthal angles of the direction; (0, 0) at rest."""
@@ -64,6 +91,43 @@ class FourMomentum:
         theta = math.acos(max(-1.0, min(1.0, self.pz / p)))
         phi = math.atan2(self.py, self.px) % (2 * math.pi)
         return AngularParams(theta, phi)
+
+
+@dataclass(frozen=True)
+class MomentumBatch(_OnShell):
+    """N on-shell momenta as read-only (N,) float arrays.
+
+    ``len`` is N; iterating or indexing with an integer yields
+    ``FourMomentum`` rows, indexing with a slice or a boolean mask yields a
+    smaller batch.
+    """
+
+    px: np.ndarray
+    py: np.ndarray
+    pz: np.ndarray
+    m: np.ndarray
+    E: np.ndarray
+
+    @property
+    def p_plus(self) -> np.ndarray:
+        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[0]
+
+    @property
+    def p_minus(self) -> np.ndarray:
+        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[1]
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __iter__(self):
+        for row in zip(*(a.tolist() for a in (self.px, self.py, self.pz, self.m, self.E))):
+            yield FourMomentum(*row)
+
+    def __getitem__(self, i):
+        fields = (self.px[i], self.py[i], self.pz[i], self.m[i], self.E[i])
+        if np.ndim(fields[0]) == 0:
+            return FourMomentum(*(float(x) for x in fields))
+        return MomentumBatch(*fields)
 
 
 @dataclass(frozen=True)
@@ -85,20 +149,74 @@ class AngularParams:
 
 
 def make_momentum(px: float, py: float, pz: float, m: float) -> FourMomentum:
-    """On-shell four-momentum with E = sqrt(p^2 + m^2); requires m > 0."""
+    """On-shell four-momentum with E = sqrt(p^2 + m^2); requires m > 0 and
+    a finite E, which rejects NaN and infinite components and masses (and
+    |p| or m so large that E overflows)."""
     if not m > 0.0:
         raise DomainError(f"mass must be positive, got {m}")
     E = math.sqrt(px * px + py * py + pz * pz + m * m)
+    if not math.isfinite(E):
+        raise DomainError(f"momentum and mass must be finite, got ({px}, {py}, {pz}), m = {m}")
     return FourMomentum(float(px), float(py), float(pz), float(m), E)
 
 
-def parity_reflect(p: FourMomentum) -> FourMomentum:
-    """(E, p) -> (E, -p); an exact involution."""
-    return FourMomentum(-p.px, -p.py, -p.pz, p.m, p.E)
+def make_momenta(px, py, pz, m) -> MomentumBatch:
+    """N on-shell momenta from (N,) component and mass arrays (scalars
+    broadcast); the same rules and the same E, row by row, as
+    ``make_momentum``."""
+    px, py, pz, m = (np.array(x, dtype=float)
+                     for x in np.broadcast_arrays(px, py, pz, m))
+    if px.ndim != 1:
+        raise DimensionError(f"momentum batch needs 1-d arrays, got shape {px.shape}")
+    if not np.all(m > 0.0):
+        raise DomainError(f"mass must be positive, got {m[~(m > 0.0)][0]}")
+    E = np.sqrt(px * px + py * py + pz * pz + m * m)
+    if not np.all(np.isfinite(E)):
+        raise DomainError("momentum and mass must be finite")
+    for a in (px, py, pz, m, E):
+        a.flags.writeable = False
+    return MomentumBatch(px, py, pz, m, E)
 
 
-def boost_half(p: FourMomentum, side: str) -> CMatrix:
-    """Right/left-handed 2x2 boost from rest to p.
+def as_batch(momenta) -> MomentumBatch:
+    """A batch from a batch or an iterable of momenta; E is carried over,
+    not recomputed."""
+    if isinstance(momenta, MomentumBatch):
+        return momenta
+    rows = np.array([(p.px, p.py, p.pz, p.m, p.E) for p in momenta], dtype=float).reshape(-1, 5)
+    for a in rows.T:
+        a.flags.writeable = False
+    return MomentumBatch(*rows.T)
+
+
+def half_angles(p):
+    """(cos(theta/2), sin(theta/2), phi) of p's direction, phi in [0, 2 pi);
+    (1, 0, 0) at rest; floats or (N,) arrays.
+
+    The half-angle cosines are sqrt((|p| +- pz) / (2 |p|)) with the
+    cancelling sum formed as p_perp^2 / (|p| + |pz|): arccos(pz/|p|) would
+    lose digits near the z axis, where the helicity spinors must still be
+    sigma.p-hat eigenvectors to full precision.
+    """
+    pabs = p.p_abs
+    at_rest = pabs == 0.0
+    far = pabs + abs(p.pz)
+    near = p.p_perp2 / (far + at_rest)
+    two_p = 2.0 * pabs + at_rest
+    cos_half = _sqrt((np.where(p.pz < 0, near, far) + at_rest) / two_p)
+    sin_half = _sqrt(np.where(p.pz > 0, near, far) / two_p)
+    # rest rows are moved onto +x so that phi = 0
+    phi = np.arctan2(p.py, p.px + at_rest) % (2 * math.pi)
+    return cos_half, sin_half, phi
+
+
+def parity_reflect(p):
+    """(E, p) -> (E, -p); an exact involution, row by row on a batch."""
+    return type(p)(-p.px, -p.py, -p.pz, p.m, p.E)
+
+
+def boost_half(p, side: str) -> CMatrix:
+    """Right/left-handed 2x2 boost from rest to p; (N, 2, 2) on a batch.
 
     Lambda_R = (E + m + sigma.p) / sqrt(2 m (E + m)) and Lambda_L likewise
     with -sigma.p; both are Hermitian positive with det = 1, and
@@ -106,15 +224,27 @@ def boost_half(p: FourMomentum, side: str) -> CMatrix:
     """
     if side not in ("R", "L"):
         raise DomainError(f"side must be 'R' or 'L', got {side!r}")
-    sign = 1.0 if side == "R" else -1.0
-    num = (p.E + p.m) * np.eye(2, dtype=complex) + sign * pauli_dot(p.vec)
-    return num / math.sqrt(2.0 * p.m * (p.E + p.m))
+    s = 1.0 if side == "R" else -1.0
+    c = 1.0 / _sqrt(2.0 * p.m * (p.E + p.m))
+    em = p.E + p.m
+    return matrix2((em + s * p.pz) * c, s * c * p.p_l, s * c * p.p_r, (em - s * p.pz) * c)
 
 
-def boost_half_pair(p: FourMomentum) -> CMatrix:
-    """4x4 block-diagonal boost diag(Lambda_R, Lambda_L) acting on bispinors."""
-    from .matrices import block_diag2
+def boost_eigenvalue(p, s: int):
+    """Eigenvalue of Lambda_R on a sigma.p-hat eigen-2-spinor with eigenvalue
+    s = +-1; Lambda_L has the one of -s.
 
+    (E + m + s |p|) / sqrt(2 m (E + m)), with E + m - |p| formed as
+    m + m^2 / (E + |p|) so that it does not cancel at large boosts.
+    """
+    pabs = p.p_abs
+    num = p.E + p.m + pabs if s > 0 else p.m + p.m * p.m / (p.E + pabs)
+    return num / _sqrt(2.0 * p.m * (p.E + p.m))
+
+
+def boost_half_pair(p) -> CMatrix:
+    """Block-diagonal boost diag(Lambda_R, Lambda_L) acting on bispinors;
+    (N, 4, 4) on a batch."""
     return block_diag2(boost_half(p, "R"), boost_half(p, "L"))
 
 

@@ -6,6 +6,11 @@ owns the fixed matrix constants: Pauli matrices, the chiral-basis gamma
 matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner matrices
 and the spin-1 angular-momentum generators in the spherical basis
 (J_z = diag(1, 0, -1)).
+
+The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``blocks`` and
+``block_diag2`` work on one object or on a batch: a leading axis of length
+N in front of the trailing vector/matrix axes, so one kernel body serves a
+single momentum (float entries) and N momenta ((N,) array entries).
 """
 
 from __future__ import annotations
@@ -56,9 +61,34 @@ SPIN1_J = (spin1_jx, spin1_jy, spin1_jz)
 theta_one = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
 
 
+def vector(*parts) -> CVector:
+    """Complex vector from its components: (k,) for scalar parts, (N, k) for
+    (N,) parts."""
+    return np.array(parts, dtype=complex).T
+
+
+def matrix2(a, b, c, d) -> CMatrix:
+    """[[a, b], [c, d]]: (2, 2) for scalar entries, (N, 2, 2) for (N,) ones."""
+    # .T reverses every axis, so listing the entries transposed puts the
+    # batch axis first and the matrix axes back in order.
+    return np.array([[a, c], [b, d]], dtype=complex).T
+
+
+def column(x) -> np.ndarray:
+    """A scalar or (N,) factor shaped to scale (k,) or (N, k) vectors."""
+    return np.asarray(x)[..., None]
+
+
+def matvec(a, x) -> CVector:
+    """a @ x over any leading batch axes of either operand."""
+    return (a @ x[..., None])[..., 0]
+
+
 def pauli_dot(v) -> CMatrix:
-    """sigma . v for a real or complex 3-vector v."""
-    return v[0] * sigma_x + v[1] * sigma_y + v[2] * sigma_z
+    """sigma . v for a real or complex 3-vector v, or for (N, 3) rows."""
+    v = np.asarray(v)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return matrix2(z, x - 1j * y, x + 1j * y, -z)
 
 
 def spin1_dot(v) -> CMatrix:
@@ -67,9 +97,23 @@ def spin1_dot(v) -> CMatrix:
 
 
 def block_diag2(a: CMatrix, b: CMatrix) -> CMatrix:
-    za = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    zb = np.zeros((b.shape[0], a.shape[1]), dtype=complex)
-    return np.block([[a, za], [zb, b]])
+    """diag(a, b) for square blocks, over any leading batch axes."""
+    n, k = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n + k, n + k),
+                   dtype=complex)
+    out[..., :n, :n] = a
+    out[..., n:, n:] = b
+    return out
+
+
+def blocks(a, b, c, d) -> CMatrix:
+    """The block matrix [[a, b], [c, d]] of equal square blocks, over any
+    leading batch axes."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n], out[..., :n, n:] = a, b
+    out[..., n:, :n], out[..., n:, n:] = c, d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +144,8 @@ def mul(a, b) -> CMatrix:
 
 
 def adjoint(a) -> CMatrix:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
+    """Conjugate transpose of a matrix or of each matrix in a batch."""
+    return np.conj(np.swapaxes(np.asarray(a, dtype=complex), -1, -2))
 
 
 def conj(a) -> CMatrix:

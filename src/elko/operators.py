@@ -12,6 +12,10 @@ an antilinear outer factor), xors the two flags and multiplies phases
 (conjugating the inner phase under an antilinear outer factor).  The generic
 composition assumes momentum-independent matrices; momentum-dependent ones
 (helicity) are composed explicitly where needed.
+
+The momentum-dependent operators take a FourMomentum or a MomentumBatch;
+on a batch their matrices carry a leading (N,) axis, and ``apply`` acts on
+(N, 4) component rows.
 """
 
 from __future__ import annotations
@@ -29,13 +33,16 @@ from .errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from .kinematics import FourMomentum, boost_half, parity_reflect
+from .kinematics import _sqrt, boost_half, make_momenta, parity_reflect
 from .matrices import (
     CMatrix,
     block_diag2,
+    blocks,
     gamma0,
     gamma2,
     gamma5,
+    matrix2,
+    matvec,
     pauli_dot,
     sigma_x,
     sigma_y,
@@ -43,9 +50,8 @@ from .matrices import (
 )
 from .spinors import (
     PhaseConfig,
-    dirac_spinor,
-    helicity_components,
-    lambda_spinor,
+    dirac_components,
+    lambda_components,
 )
 
 
@@ -64,15 +70,16 @@ class SymmetryOperator:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
     def apply(self, components) -> np.ndarray:
-        """Act on explicit components; a reflecting operator requires the
-        caller to have evaluated them at the reflected momentum already."""
+        """Act on explicit components (one vector or (N, n) rows); a
+        reflecting operator requires the caller to have evaluated them at
+        the reflected momentum already."""
         x = np.asarray(components, dtype=complex)
         if self.antilinear:
             x = np.conj(x)
-        return self.phase * (self.matrix @ x)
+        return self.phase * matvec(self.matrix, x)
 
-    def apply_state(self, state, p: FourMomentum) -> np.ndarray:
-        """Act on a state function p -> components."""
+    def apply_state(self, state, p) -> np.ndarray:
+        """Act on a state function p -> components (p may be a batch)."""
         q = parity_reflect(p) if self.reflects_momentum else p
         return self.apply(state(q))
 
@@ -121,14 +128,14 @@ def chirality() -> SymmetryOperator:
     return SymmetryOperator(gamma5)
 
 
-def helicity_operator(p: FourMomentum) -> SymmetryOperator:
+def helicity_operator(p) -> SymmetryOperator:
     """h = (1/2) diag(sigma.n, sigma.n); spectrum {+1/2, +1/2, -1/2, -1/2}."""
     n = p.direction()
     sn = pauli_dot(n)
     return SymmetryOperator(0.5 * block_diag2(sn, sn))
 
 
-def chiral_helicity_operator(p: FourMomentum) -> SymmetryOperator:
+def chiral_helicity_operator(p) -> SymmetryOperator:
     """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n)."""
     n = p.direction()
     sn = pauli_dot(n)
@@ -139,23 +146,27 @@ def chiral_helicity_operator(p: FourMomentum) -> SymmetryOperator:
 # the unitary chain connecting helicity, chirality and chiral helicity
 # ---------------------------------------------------------------------------
 
-def u1(p: FourMomentum) -> CMatrix:
-    """Block-doubled rotation diagonalising sigma.n, normalised to det 1.
+def u1(p) -> CMatrix:
+    """Block-doubled rotation diagonalising sigma.n, normalised to det 1;
+    (N, 4, 4) on a batch.
 
     The raw 2x2 block [[1, p_l/(|p|+pz)], [-p_r/(|p|+pz), 1]] is unitary only
-    up to sqrt((|p|+pz)/(2|p|)); the factor is included.  Momentum on the -z
-    axis hits the coordinate singularity and is rejected.
+    up to sqrt((|p|+pz)/(2|p|)); the factor is included.  For pz < 0,
+    |p| + pz is formed as p_perp^2 / (|p| - pz), which does not cancel.
+    Momentum on the -z axis hits the coordinate singularity and is rejected.
     """
     pabs = p.p_abs
-    if pabs == 0.0:
+    if np.any(pabs == 0.0):
         raise DirectionUndefinedError("u1 needs a momentum direction")
-    denom = pabs + p.pz
-    if denom <= 1e-6 * pabs:
+    far = pabs + abs(p.pz)
+    denom = np.where(p.pz < 0, p.p_perp2 / far, far)
+    if np.any(denom <= 1e-6 * pabs):
         raise CoordinateSingularityError(
-            f"momentum along -z (|p|+pz = {denom:.3e}); rotate the frame first"
+            f"momentum along -z (|p|+pz = {np.min(denom):.3e}); rotate the frame first"
         )
-    block = np.array([[1.0, p.p_l / denom], [-p.p_r / denom, 1.0]], dtype=complex)
-    block *= math.sqrt(denom / (2.0 * pabs))
+    s = _sqrt(denom / (2.0 * pabs))
+    r = s / denom
+    block = matrix2(s, r * p.p_l, -r * p.p_r, s)
     return block_diag2(block, block)
 
 
@@ -177,69 +188,65 @@ def u3() -> CMatrix:
 # the 2x2 conjugation intertwiner and the bispinor transforms built from it
 # ---------------------------------------------------------------------------
 
-def helicity_frame(p: FourMomentum) -> CMatrix:
-    """Unitary whose columns are the +/- helicity 2-spinors of p's direction."""
-    a = p.angles()
-    return np.column_stack(
-        [helicity_components(a.theta, a.phi, 1), helicity_components(a.theta, a.phi, -1)]
-    )
+# Xi = (FIXED + e^{-2 i phi} TWIST) / sqrt(2)
+_XI_FIXED = np.diag([1.0, 0.0]).astype(complex)
+_XI_TWIST = np.diag([0.0, 1.0]).astype(complex)
 
 
-def xi_matrix(p: FourMomentum) -> CMatrix:
+def xi_matrix(p) -> CMatrix:
     """The 2x2 matrix intertwining both boosts with their conjugates:
-    Xi Lambda_{R,L} Xi^-1 = Lambda_{R,L}^*.
+    Xi Lambda_{R,L} Xi^-1 = Lambda_{R,L}^*; (N, 2, 2) on a batch.
 
     The intertwiner equation alone leaves a two-parameter family (any
     solution times the commutant of sigma.n), so the solution is pinned to
     the one representing complex conjugation in the helicity frame,
-    Xi0 = U* U^dagger, then normalised deterministically (unit Frobenius
-    norm, first nonzero entry real positive).  Residuals for both boost
-    pairs are asserted before returning.
+    Xi0 = U* U^dagger with the helicity 2-spinors as the columns of U.  For
+    every polar angle that product is diag(e^{i phi}, e^{-i phi}); the
+    deterministic normalisation (unit Frobenius norm, first nonzero entry
+    real positive) makes it diag(1, e^{-2 i phi}) / sqrt(2).  Residuals for
+    both boost pairs are asserted for every momentum before returning.
     """
-    if p.p_abs == 0.0:
+    if np.any(p.p_abs == 0.0):
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
-    frame = helicity_frame(p)
-    xi0 = np.conj(frame) @ frame.conj().T
-    from .matrices import normalize_intertwiner
-
-    xi = normalize_intertwiner(xi0)
+    twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
+    xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
     tol = TOLERANCES["intertwiner"]
     for side in ("R", "L"):
         lam = boost_half(p, side)
-        resid = np.linalg.norm(xi @ lam - np.conj(lam) @ xi)
-        scale = np.linalg.norm(lam) + np.linalg.norm(np.conj(lam))
-        if resid > tol * scale:
+        resid = np.linalg.norm(xi @ lam - np.conj(lam) @ xi, axis=(-2, -1))
+        scale = 2.0 * np.linalg.norm(lam, axis=(-2, -1))
+        if np.any(resid > tol * scale):
             raise AmbiguousIntertwinerError(
                 2, f"pinned intertwiner failed the {side} pair at p = {p}"
             )
     return xi
 
 
-def lambda_basis_transforms(p: FourMomentum) -> list[CMatrix]:
+def lambda_basis_transforms(p) -> list[CMatrix]:
     """The four 4x4 block matrices built from Xi that map the self-conjugate
     helicity-family lambdas onto {lambda_A*, -i lambda_S*, i gamma0 lambda_A*,
-    gamma0 lambda_S*} without leaving the self/anti-self conjugate spaces.
+    gamma0 lambda_S*} without leaving the self/anti-self conjugate spaces;
+    each (N, 4, 4) on a batch.
 
     Xi is rescaled to its unitary representative and phase-pinned so the
     first transform's coefficient is real positive (the block scale drops out
     of the intertwining relation, but the mapped-family identities fix it).
     """
     xi = math.sqrt(2.0) * xi_matrix(p)
+    z = np.zeros_like(xi)
 
-    z = np.zeros((2, 2), dtype=complex)
-    first = np.block([[xi, z], [z, xi]])
-    lam_s = lambda_spinor(p, "S", "up", basis="helicity").components
-    lam_a = lambda_spinor(p, "A", "up", basis="helicity").components
-    target = np.conj(lam_a)
-    coeff = np.vdot(target, first @ lam_s) / np.vdot(target, target)
-    if abs(coeff) > 0:
-        xi = xi * (np.conj(coeff) / abs(coeff))
+    lam_s = lambda_components(p, "S", "up", basis="helicity")
+    target = np.conj(lambda_components(p, "A", "up", basis="helicity"))
+    image = matvec(blocks(xi, z, z, xi), lam_s)
+    # |coeff| = 1 analytically: the first transform maps lam_s onto target
+    coeff = np.sum(np.conj(target) * image, axis=-1) / np.sum(np.conj(target) * target, axis=-1)
+    xi = xi * np.asarray(np.conj(coeff) / np.abs(coeff))[..., None, None]
 
     return [
-        np.block([[xi, z], [z, xi]]),
-        np.block([[1j * xi, z], [z, -1j * xi]]),
-        np.block([[z, 1j * xi], [1j * xi, z]]),
-        np.block([[z, xi], [-xi, z]]),
+        blocks(xi, z, z, xi),
+        blocks(1j * xi, z, z, -1j * xi),
+        blocks(z, 1j * xi, 1j * xi, z),
+        blocks(z, xi, -xi, z),
     ]
 
 
@@ -284,13 +291,13 @@ _INTRINSIC_PARITY = {"dirac": 1.0 + 0.0j, "elko": 1.0j}
 def _family_states(basis: str, family: str, cfg: PhaseConfig):
     if family == "dirac":
         return [
-            (lambda q, s=s, i=i: dirac_spinor(q, s, i, basis, cfg).components)
+            (lambda q, s=s, i=i: dirac_components(q, s, i, basis, cfg))
             for s in ("particle", "antiparticle")
             for i in ("up", "down")
         ]
     if family == "elko":
         return [
-            (lambda q, k=k, i=i: lambda_spinor(q, k, i, basis, cfg).components)
+            (lambda q, k=k, i=i: lambda_components(q, k, i, basis, cfg))
             for k in ("S", "A")
             for i in ("up", "down")
         ]
@@ -302,7 +309,8 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     """Probe C P +- P C on every member of the family over random momenta.
 
     Uses the family's intrinsic inversion phase; the classification is
-    independent of the conjugation phase theta_c.
+    independent of the conjugation phase theta_c.  The momenta are drawn
+    one by one and probed as one batch.
     """
     if basis not in ("spinorial", "helicity"):
         raise DomainError(f"unknown basis {basis!r}")
@@ -312,21 +320,22 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     pc = p_op.compose(c_op)
 
     rng = np.random.default_rng(seed)
-    commute = 0.0
-    anticommute = 0.0
+    rows = []
     for _ in range(n_momenta):
         m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         vec = rng.normal(size=3)
         vec *= rng.uniform(0.0, 10.0 * m) / max(np.linalg.norm(vec), 1e-300)
-        from .kinematics import make_momentum
-
-        q = make_momentum(vec[0], vec[1], vec[2], m)
-        for state in _family_states(basis, family, cfg):
-            a = cp.apply_state(state, q)
-            b = pc.apply_state(state, q)
-            scale = max(np.linalg.norm(state(q)), 1e-300)
-            commute = max(commute, float(np.linalg.norm(a - b)) / scale)
-            anticommute = max(anticommute, float(np.linalg.norm(a + b)) / scale)
+        rows.append((vec[0], vec[1], vec[2], m))
+    q = make_momenta(*np.array(rows).reshape(-1, 4).T)
+    commute = 0.0
+    anticommute = 0.0
+    for state in _family_states(basis, family, cfg):
+        a = cp.apply_state(state, q)
+        b = pc.apply_state(state, q)
+        scale = np.maximum(np.linalg.norm(state(q), axis=-1), 1e-300)
+        commute = max(commute, float(np.max(np.linalg.norm(a - b, axis=-1) / scale, initial=0.0)))
+        anticommute = max(anticommute,
+                          float(np.max(np.linalg.norm(a + b, axis=-1) / scale, initial=0.0)))
 
     tol = TOLERANCES["identity"]
     if commute <= tol:

@@ -32,8 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kinematics import AngularParams, FourMomentum, boost_half, boost_half_pair, make_momentum
-from .matrices import gamma0, theta_half
+from .kinematics import (
+    AngularParams,
+    FourMomentum,
+    _sqrt,
+    boost_eigenvalue,
+    boost_half,
+    boost_half_pair,
+    half_angles,
+    make_momentum,
+)
+from .matrices import column, gamma0, matvec, theta_half, vector
 
 FAMILIES = ("lambda", "rho", "u", "v")
 KINDS_SELF = ("S", "A")
@@ -143,11 +152,17 @@ def rest_rho(kind: str, index: str, m: float) -> Bispinor:
 # ---------------------------------------------------------------------------
 # boosted fixed-axis (spinorial) closed forms
 # ---------------------------------------------------------------------------
+#
+# Every kernel below is plain arithmetic on the momentum's fields, so it
+# returns (4,) for a FourMomentum and (N, 4) for a MomentumBatch.
 
-def _lambda_components(p: FourMomentum, kind: str, index: str) -> np.ndarray:
-    c = 1.0 / (2.0 * math.sqrt(p.E + p.m))
-    pl, pr = p.p_l, p.p_r
-    pp, pm = p.p_plus + p.m, p.p_minus + p.m
+def _spinorial_terms(p):
+    c = 1.0 / (2.0 * _sqrt(p.E + p.m))
+    return c, p.p_l, p.p_r, p.E + p.pz + p.m, p.E - p.pz + p.m
+
+
+def _lambda_spinorial(p, kind: str, index: str) -> np.ndarray:
+    c, pl, pr, pp, pm = _spinorial_terms(p)
     if kind == "S" and index == "up":
         v = [1j * pl, 1j * pm, pm, -pr]
     elif kind == "S" and index == "down":
@@ -156,13 +171,11 @@ def _lambda_components(p: FourMomentum, kind: str, index: str) -> np.ndarray:
         v = [-1j * pl, -1j * pm, pm, -pr]
     else:
         v = [1j * pp, 1j * pr, -pl, pp]
-    return c * np.array(v, dtype=complex)
+    return (c * np.array(v, dtype=complex)).T
 
 
-def _rho_components(p: FourMomentum, kind: str, index: str) -> np.ndarray:
-    c = 1.0 / (2.0 * math.sqrt(p.E + p.m))
-    pl, pr = p.p_l, p.p_r
-    pp, pm = p.p_plus + p.m, p.p_minus + p.m
+def _rho_spinorial(p, kind: str, index: str) -> np.ndarray:
+    c, pl, pr, pp, pm = _spinorial_terms(p)
     if kind == "S" and index == "up":
         v = [pp, pr, 1j * pl, -1j * pp]
     elif kind == "S" and index == "down":
@@ -171,21 +184,31 @@ def _rho_components(p: FourMomentum, kind: str, index: str) -> np.ndarray:
         v = [pp, pr, -1j * pl, 1j * pp]
     else:
         v = [pl, pm, -1j * pm, 1j * pr]
-    return c * np.array(v, dtype=complex)
+    return (c * np.array(v, dtype=complex)).T
 
 
 # ---------------------------------------------------------------------------
 # helicity 2-spinors
 # ---------------------------------------------------------------------------
 
-def helicity_components(theta: float, phi: float, h: int,
-                        theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
-    """Raw sigma.n eigen-2-spinor at arbitrary real angles (half-angle forms)."""
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    em, ep = cmath.exp(-1j * phi / 2.0), cmath.exp(1j * phi / 2.0)
+def _helicity_spinor(ct, st, phi, h: int, theta1: float, theta2: float) -> np.ndarray:
+    em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
     if h > 0:
-        return cmath.exp(1j * theta1) * np.array([ct * em, st * ep])
-    return cmath.exp(1j * theta2) * np.array([st * em, -ct * ep])
+        return np.exp(1j * theta1) * vector(ct * em, st * ep)
+    return np.exp(1j * theta2) * vector(st * em, -ct * ep)
+
+
+def helicity_components(theta, phi, h: int,
+                        theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
+    """Raw sigma.n eigen-2-spinor at arbitrary real angles (half-angle
+    forms); (2,) for float angles, (N, 2) for (N,) arrays."""
+    return _helicity_spinor(np.cos(theta / 2.0), np.sin(theta / 2.0), phi, h, theta1, theta2)
+
+
+def helicity_components_at(p, h: int, theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
+    """The sigma.p-hat eigen-2-spinor of p's direction ((1, 0) / (0, -1) at
+    rest), from the half angles of ``half_angles``; (N, 2) on a batch."""
+    return _helicity_spinor(*half_angles(p), h, theta1, theta2)
 
 
 def helicity_two_spinor(a: AngularParams, h: int, cfg: PhaseConfig = PhaseConfig()) -> TwoSpinor:
@@ -219,87 +242,115 @@ _LAMBDA_ZETA = {"S": 1j, "A": -1j}
 _RHO_ZETA = {"S": -1j, "A": 1j}
 
 
-def _helicity_rest_lambda(theta, phi, kind, h, m, cfg):
-    f = helicity_components(theta, phi, h, cfg.theta1, cfg.theta2)
-    upper = _LAMBDA_ZETA[kind] * (theta_half @ np.conj(f))
-    return math.sqrt(m / 2.0) * np.concatenate([upper, f])
+def _helicity_rest_lambda(f, kind, m):
+    upper = _LAMBDA_ZETA[kind] * (np.conj(f) @ theta_half.T)
+    return column(_sqrt(m / 2.0)) * np.concatenate([upper, f], axis=-1)
 
 
-def _helicity_rest_rho(theta, phi, kind, h, m, cfg):
-    f = helicity_components(theta, phi, h, cfg.theta1, cfg.theta2)
-    lower = _RHO_ZETA[kind] * (theta_half @ np.conj(f))
-    return math.sqrt(m / 2.0) * np.concatenate([f, lower])
+def _helicity_rest_rho(f, kind, m):
+    lower = _RHO_ZETA[kind] * (np.conj(f) @ theta_half.T)
+    return column(_sqrt(m / 2.0)) * np.concatenate([f, lower], axis=-1)
+
+
+def _check_basis(basis: str):
+    if basis not in BASES:
+        raise DomainError(f"unknown basis {basis!r}")
+
+
+def lambda_components(p, kind: str, index: str, basis: str = "spinorial",
+                      cfg: PhaseConfig = PhaseConfig()) -> np.ndarray:
+    """Components of the boosted lambda spinor: (4,) at one momentum,
+    (N, 4) on a batch.
+
+    The spinorial basis uses the fixed-axis closed forms.  The helicity
+    basis is built on the sigma.n eigen-2-spinor of p's direction (index
+    up <-> h = +1); both chiral blocks of lambda(0) then have sigma.p-hat
+    eigenvalue -h, so the boost acts on lambda(0) as the single factor
+    (E + m - h |p|) / sqrt(2 m (E + m)).
+    """
+    _check_kind_index(kind, index)
+    _check_basis(basis)
+    if basis == "spinorial":
+        return _lambda_spinorial(p, kind, index)
+    h = _INDEX_TO_H[index]
+    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
+    return column(boost_eigenvalue(p, -h)) * _helicity_rest_lambda(f, kind, p.m)
+
+
+def rho_components(p, kind: str, index: str, basis: str = "spinorial",
+                   cfg: PhaseConfig = PhaseConfig()) -> np.ndarray:
+    """Components of the boosted rho spinor; in the helicity basis both
+    blocks of rho(0) have eigenvalue +h, so the boost factor is
+    (E + m + h |p|) / sqrt(2 m (E + m))."""
+    _check_kind_index(kind, index)
+    _check_basis(basis)
+    if basis == "spinorial":
+        return _rho_spinorial(p, kind, index)
+    h = _INDEX_TO_H[index]
+    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
+    return column(boost_eigenvalue(p, h)) * _helicity_rest_rho(f, kind, p.m)
+
+
+def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
+                     cfg: PhaseConfig = PhaseConfig()) -> np.ndarray:
+    """Components of the Dirac particle/antiparticle spinor, normalised to
+    u-bar u = 2m: sqrt(m) (Lambda_R f, +-Lambda_L f).
+
+    f is a fixed-axis J_z eigenvector (spinorial; Lambda f is then a column
+    of the boost) or the sigma.n eigenvector of p's direction (helicity;
+    Lambda f is then a multiple of f).
+    """
+    if sign not in ("particle", "antiparticle"):
+        raise DomainError(f"sign must be 'particle' or 'antiparticle', got {sign!r}")
+    if index not in INDICES:
+        raise DomainError(f"index must be 'up' or 'down', got {index!r}")
+    _check_basis(basis)
+    s = 1.0 if sign == "particle" else -1.0
+    sm = _sqrt(p.m)
+    if basis == "spinorial":
+        col = 0 if index == "up" else 1
+        right, left = boost_half(p, "R")[..., col], boost_half(p, "L")[..., col]
+        return np.concatenate([column(sm) * right, column(s * sm) * left], axis=-1)
+    h = _INDEX_TO_H[index]
+    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
+    upper = column(sm * boost_eigenvalue(p, h)) * f
+    lower = column(s * sm * boost_eigenvalue(p, -h)) * f
+    return np.concatenate([upper, lower], axis=-1)
 
 
 def lambda_spinor(p: FourMomentum, kind: str, index: str,
                   basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
-    """Boosted lambda spinor.
-
-    The spinorial basis uses the fixed-axis closed forms; the helicity basis
-    boosts the self/anti-self conjugate combination built on the sigma.n
-    eigen-2-spinor of p's direction (index up <-> h = +1).
-    """
-    _check_kind_index(kind, index)
-    if basis == "spinorial":
-        comps = _lambda_components(p, kind, index)
-    elif basis == "helicity":
-        a = p.angles()
-        rest = _helicity_rest_lambda(a.theta, a.phi, kind, _INDEX_TO_H[index], p.m, cfg)
-        comps = boost_half_pair(p) @ rest
-    else:
-        raise DomainError(f"unknown basis {basis!r}")
-    return Bispinor(comps, "lambda", kind, index, basis, p)
+    """Boosted lambda spinor at one momentum (see ``lambda_components``)."""
+    return Bispinor(lambda_components(p, kind, index, basis, cfg), "lambda", kind, index,
+                    basis, p)
 
 
 def rho_spinor(p: FourMomentum, kind: str, index: str,
                basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Boosted rho spinor (second self/anti-self conjugate family)."""
-    _check_kind_index(kind, index)
-    if basis == "spinorial":
-        comps = _rho_components(p, kind, index)
-    elif basis == "helicity":
-        a = p.angles()
-        rest = _helicity_rest_rho(a.theta, a.phi, kind, _INDEX_TO_H[index], p.m, cfg)
-        comps = boost_half_pair(p) @ rest
-    else:
-        raise DomainError(f"unknown basis {basis!r}")
-    return Bispinor(comps, "rho", kind, index, basis, p)
+    return Bispinor(rho_components(p, kind, index, basis, cfg), "rho", kind, index, basis, p)
 
 
 def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: float,
                        cfg: PhaseConfig = PhaseConfig()) -> np.ndarray:
     """Helicity-family lambda with explicitly supplied (possibly unwrapped)
     angles; used by the space-inversion checks, which substitute
-    theta -> pi - theta, phi -> pi + phi without reducing mod 2 pi."""
-    rest = _helicity_rest_lambda(theta, phi, kind, h, p.m, cfg)
-    return boost_half_pair(p) @ rest
+    theta -> pi - theta, phi -> pi + phi without reducing mod 2 pi.
+
+    The angles need not be those of p, so the rest spinor is boosted with
+    the explicit 4x4 matrix rather than the eigenvalue factor.
+    """
+    f = helicity_components(theta, phi, h, cfg.theta1, cfg.theta2)
+    return boost_half_pair(p) @ _helicity_rest_lambda(f, kind, p.m)
 
 
 def dirac_spinor(p: FourMomentum, sign: str, index: str,
                  basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
-    """Dirac particle/antiparticle spinor, normalised to u-bar u = 2m.
-
-    The 2-spinor block is a fixed-axis J_z eigenvector (spinorial) or the
-    sigma.n eigenvector of p's direction (helicity).
-    """
-    if sign not in ("particle", "antiparticle"):
-        raise DomainError(f"sign must be 'particle' or 'antiparticle', got {sign!r}")
-    if index not in INDICES:
-        raise DomainError(f"index must be 'up' or 'down', got {index!r}")
-    if basis == "spinorial":
-        f = np.array([1.0, 0.0], dtype=complex) if index == "up" else np.array([0.0, 1.0], dtype=complex)
-    elif basis == "helicity":
-        a = p.angles()
-        f = helicity_components(a.theta, a.phi, _INDEX_TO_H[index], cfg.theta1, cfg.theta2)
-    else:
-        raise DomainError(f"unknown basis {basis!r}")
-    upper = boost_half(p, "R") @ f
-    lower = boost_half(p, "L") @ f
-    if sign == "antiparticle":
-        lower = -lower
-    comps = math.sqrt(p.m) * np.concatenate([upper, lower])
+    """Dirac particle/antiparticle spinor at one momentum (see
+    ``dirac_components``)."""
     family = "u" if sign == "particle" else "v"
-    return Bispinor(comps, family, sign, index, basis, p)
+    return Bispinor(dirac_components(p, sign, index, basis, cfg), family, sign, index,
+                    basis, p)
 
 
 def chiral_helicity_sign(family: str, index: str) -> int:
@@ -317,15 +368,18 @@ def chiral_helicity_sign(family: str, index: str) -> int:
     return sign if family == "lambda" else -sign
 
 
-def bar_product(a, b) -> complex:
-    """Lorentz-invariant pairing a-bar b = a^dagger gamma0 b."""
+def bar_product(a, b):
+    """Lorentz-invariant pairing a-bar b = a^dagger gamma0 b; a complex for
+    two spinors, an (N,) array for two (N, 4) batches."""
     av = a.components if isinstance(a, Bispinor) else np.asarray(a, dtype=complex)
     bv = b.components if isinstance(b, Bispinor) else np.asarray(b, dtype=complex)
     if isinstance(a, Bispinor) and isinstance(b, Bispinor):
         pa, pb = a.momentum, b.momentum
         if (pa.px, pa.py, pa.pz, pa.m) != (pb.px, pb.py, pb.pz, pb.m):
             raise DomainError("bar_product requires both spinors at the same momentum")
-    return complex(np.conj(av) @ gamma0 @ bv)
+    if av.ndim == 1:
+        return complex(np.conj(av) @ gamma0 @ bv)
+    return np.sum(np.conj(av) * matvec(gamma0, bv), axis=-1)
 
 
 # ---------------------------------------------------------------------------

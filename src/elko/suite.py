@@ -5,6 +5,11 @@ Every check is a ``CheckSpec`` with a unique descriptive anchor; a suite run
 samples momenta deterministically per check (seeded by the run seed and the
 check id), executes every check, and assembles a ``VerificationReport`` whose
 JSON serialisation is byte-stable for a fixed (suite, seed, samples).
+
+The sampler returns a ``MomentumBatch``; the checks that sample at the full
+sample count evaluate their identity as one whole-array residual over it
+and report the largest (for floors, the smallest) row.  A check that raises
+is reported with status ``error`` and counts as failed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import UsageError
+from .errors import ElkoError, UsageError
 from . import dynamics as dyn
 from . import kinematics as kin
 from . import matrices as mat
@@ -47,13 +52,15 @@ class RunContext:
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
-    def momenta(self, check_id: str, n=None, max_beta_scale: float = 10.0):
-        """n random on-shell momenta: mass log-uniform in [0.1, 10], |p|
-        uniform in [0, 10 m], direction uniform, -z axis avoided."""
+    def momenta(self, check_id: str, n=None, max_beta_scale: float = 10.0) -> kin.MomentumBatch:
+        """n random on-shell momenta as a batch: mass log-uniform in
+        [0.1, 10], |p| uniform in [0, 10 m], direction uniform, -z axis
+        avoided.  Draws are made one at a time, so every batch is the same
+        as the momenta drawn singly."""
         rng = self.rng(check_id)
-        out = []
+        rows = []
         count = self.samples if n is None else n
-        while len(out) < count:
+        while len(rows) < count:
             m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
@@ -62,8 +69,8 @@ class RunContext:
             if pabs > 0 and pabs + vec[2] < 1e-6 * pabs:
                 self.resamples += 1
                 continue
-            out.append(kin.make_momentum(vec[0], vec[1], vec[2], m))
-        return out
+            rows.append((vec[0], vec[1], vec[2], m))
+        return kin.make_momenta(*np.array(rows).reshape(-1, 4).T)
 
     def convention(self) -> dyn.FrequencyConvention:
         if self.force_convention is not None:
@@ -159,6 +166,35 @@ def _c(z: complex):
     return [round(float(np.real(z)), 9), round(float(np.imag(z)), 9)]
 
 
+def _norm(x):
+    """Row norms of (N, k) vectors or (N, k, k) matrices."""
+    x = np.asarray(x)
+    return np.linalg.norm(x, axis=-1 if x.ndim < 3 else (-2, -1))
+
+
+def _rel(r, v):
+    """Row norms of r relative to those of v."""
+    return _norm(r) / _norm(v)
+
+
+def _max(*rows) -> float:
+    return max(float(np.max(r, initial=0.0)) for r in rows)
+
+
+def _vdot(a, b):
+    """Row-wise a^dagger b."""
+    return np.sum(np.conj(a) * b, axis=-1)
+
+
+def _unit(v):
+    return v / _norm(v)[..., None]
+
+
+def _moving(momenta):
+    """The rows with a defined direction (|p| > 0)."""
+    return momenta[momenta.p_abs > 0.0]
+
+
 # ---------------------------------------------------------------------------
 # check implementations: spin-half
 # ---------------------------------------------------------------------------
@@ -172,28 +208,24 @@ def _chk_conjugacy(kind, family_fn, sign):
         momenta = ctx.momenta(f"spin-half.conjugacy-{kind}")
         rng = ctx.rng(f"spin-half.conjugacy-{kind}-phases")
         thetas = [0.0, math.pi / 2, math.pi, float(rng.uniform(0, 2 * math.pi))]
-        for p in momenta:
-            for theta_c in thetas:
-                c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
-                expected = sign * cmath.exp(1j * theta_c)
-                for index in ("up", "down"):
-                    for basis in ("spinorial", "helicity"):
-                        v = family_fn(p, index, basis)
-                        r = np.linalg.norm(c_op.apply(v) - expected * v) / np.linalg.norm(v)
-                        worst = max(worst, float(r))
+        for index in ("up", "down"):
+            for basis in ("spinorial", "helicity"):
+                v = family_fn(momenta, index, basis)
+                for theta_c in thetas:
+                    c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
+                    expected = sign * cmath.exp(1j * theta_c)
+                    worst = max(worst, _max(_rel(c_op.apply(v) - expected * v, v)))
         return worst, {"eigenvalue-sign": sign}
 
     return run
 
 
-def _lambda_of(kindname):
-    kind = kindname
-    return lambda p, index, basis: sp.lambda_spinor(p, kind, index, basis).components
+def _lambda_of(kind):
+    return lambda p, index, basis: sp.lambda_components(p, kind, index, basis)
 
 
-def _rho_of(kindname):
-    kind = kindname
-    return lambda p, index, basis: sp.rho_spinor(p, kind, index, basis).components
+def _rho_of(kind):
+    return lambda p, index, basis: sp.rho_components(p, kind, index, basis)
 
 
 def _chk_rest_forms(ctx):
@@ -212,18 +244,19 @@ def _chk_rest_forms(ctx):
 def _chk_boost_consistency(ctx):
     worst = 0.0
     phases = []
-    for p in ctx.momenta("spin-half.boost-consistency"):
-        b = kin.boost_half_pair(p)
-        for kind in ("S", "A"):
-            for index in ("up", "down"):
-                for rest_fn, boosted_fn in ((sp.rest_lambda, sp.lambda_spinor),
-                                            (sp.rest_rho, sp.rho_spinor)):
-                    boosted = b @ rest_fn(kind, index, p.m).components
-                    closed = boosted_fn(p, kind, index).components
-                    phase = np.vdot(closed, boosted) / np.vdot(closed, closed)
-                    phases.append(phase)
-                    worst = max(worst, float(np.linalg.norm(boosted - phase * closed)),
-                                abs(abs(phase) - 1.0))
+    momenta = ctx.momenta("spin-half.boost-consistency")
+    b = kin.boost_half_pair(momenta)
+    scale = mat.column(np.sqrt(momenta.m / 2.0))
+    for kind in ("S", "A"):
+        for index in ("up", "down"):
+            for patterns, closed_fn in ((sp.REST_LAMBDA_PATTERNS, sp.lambda_components),
+                                        (sp.REST_RHO_PATTERNS, sp.rho_components)):
+                boosted = mat.matvec(b, scale * patterns[(kind, index)])
+                closed = closed_fn(momenta, kind, index)
+                phase = _vdot(closed, boosted) / _vdot(closed, closed)
+                phases.append(phase)
+                worst = max(worst, _max(_norm(boosted - mat.column(phase) * closed),
+                                        np.abs(np.abs(phase) - 1.0)))
     mean_phase = complex(np.mean(phases))
     worst = max(worst, abs(mean_phase - 1.0))
     return worst, {"global-phase": _c(mean_phase)}
@@ -256,12 +289,12 @@ _PARITY_MAP = [
 
 def _chk_parity_spinorial(ctx):
     worst = 0.0
-    for p in ctx.momenta("spin-half.parity-spinorial"):
-        pr = kin.parity_reflect(p)
-        for kind, src, dst, coeff in _PARITY_MAP:
-            img = mat.gamma0 @ sp.lambda_spinor(pr, kind, src).components
-            tgt = coeff * sp.lambda_spinor(p, kind, dst).components
-            worst = max(worst, float(np.linalg.norm(img - tgt)))
+    momenta = ctx.momenta("spin-half.parity-spinorial")
+    pr = kin.parity_reflect(momenta)
+    for kind, src, dst, coeff in _PARITY_MAP:
+        img = mat.matvec(mat.gamma0, sp.lambda_components(pr, kind, src))
+        tgt = coeff * sp.lambda_components(momenta, kind, dst)
+        worst = max(worst, _max(_norm(img - tgt)))
     return worst, {"coefficients": [_c(c) for *_ , c in _PARITY_MAP]}
 
 
@@ -303,65 +336,61 @@ def _chk_index_flip_unitary(ctx):
 
 def _chk_helicity_noneigen(ctx):
     best = math.inf
-    for p in ctx.momenta("spin-half.helicity-noneigen"):
-        if p.p_abs == 0.0:
-            continue
-        h_op = ops.helicity_operator(p)
-        states = [sp.lambda_spinor(p, k, i, "helicity").components
-                  for k in ("S", "A") for i in ("up", "down")]
-        if abs(p.px) > 1e-9 and abs(p.py) > 1e-9 and abs(p.pz) > 1e-9:
-            states += [sp.lambda_spinor(p, k, i).components
-                       for k in ("S", "A") for i in ("up", "down")]
-        for v in states:
-            v = v / np.linalg.norm(v)
-            hv = h_op.apply(v)
-            mu = np.vdot(v, hv)
-            best = min(best, float(np.linalg.norm(hv - mu * v)))
+    momenta = _moving(ctx.momenta("spin-half.helicity-noneigen"))
+    h_op = ops.helicity_operator(momenta)
+    # the fixed-axis family only counts off the coordinate planes
+    generic = ((np.abs(momenta.px) > 1e-9) & (np.abs(momenta.py) > 1e-9)
+               & (np.abs(momenta.pz) > 1e-9))
+    for basis, rows in (("helicity", slice(None)), ("spinorial", generic)):
+        for k in ("S", "A"):
+            for i in ("up", "down"):
+                v = _unit(sp.lambda_components(momenta, k, i, basis))
+                hv = h_op.apply(v)
+                mu = _vdot(v, hv)
+                r = _norm(hv - mat.column(mu) * v)[rows]
+                best = min(best, float(np.min(r, initial=math.inf)))
     return best, {}
 
 
 def _chk_chiral_helicity_eigen(ctx):
     worst = 0.0
-    for p in ctx.momenta("spin-half.chiral-helicity-eigen"):
-        if p.p_abs == 0.0:
-            continue
-        eta = ops.chiral_helicity_operator(p)
-        for index in ("up", "down"):
-            for family_fn, family in ((sp.lambda_spinor, "lambda"), (sp.rho_spinor, "rho")):
-                v = family_fn(p, "S", index, "helicity").components
-                v = v / np.linalg.norm(v)
-                ev = 0.5 * sp.chiral_helicity_sign(family, index)
-                worst = max(worst, float(np.linalg.norm(eta.apply(v) - ev * v)))
+    momenta = _moving(ctx.momenta("spin-half.chiral-helicity-eigen"))
+    eta = ops.chiral_helicity_operator(momenta)
+    for index in ("up", "down"):
+        for family_fn, family in ((sp.lambda_components, "lambda"),
+                                  (sp.rho_components, "rho")):
+            v = _unit(family_fn(momenta, "S", index, "helicity"))
+            ev = 0.5 * sp.chiral_helicity_sign(family, index)
+            worst = max(worst, _max(_norm(eta.apply(v) - ev * v)))
     return worst, {"lambda-up": 0.5, "rho-up": -0.5}
 
 
 def _chk_dirac_eigen(ctx):
     worst = 0.0
-    for p in ctx.momenta("spin-half.dirac-eigen"):
-        gp = dyn.dirac_matrix(p)
-        for basis in ("spinorial", "helicity"):
-            for index in ("up", "down"):
-                u = sp.dirac_spinor(p, "particle", index, basis).components
-                v = sp.dirac_spinor(p, "antiparticle", index, basis).components
-                worst = max(worst, float(np.linalg.norm(gp @ u - p.m * u)) / np.linalg.norm(u))
-                worst = max(worst, float(np.linalg.norm(gp @ v + p.m * v)) / np.linalg.norm(v))
+    momenta = ctx.momenta("spin-half.dirac-eigen")
+    gp = dyn.dirac_matrix(momenta)
+    m = mat.column(momenta.m)
+    for basis in ("spinorial", "helicity"):
+        for index in ("up", "down"):
+            u = sp.dirac_components(momenta, "particle", index, basis)
+            v = sp.dirac_components(momenta, "antiparticle", index, basis)
+            worst = max(worst, _max(_rel(mat.matvec(gp, u) - m * u, u),
+                                    _rel(mat.matvec(gp, v) + m * v, v)))
     return worst, {}
 
 
 def _chk_bar_norms(ctx):
-    worst = 0.0
-    cross = []
-    for p in ctx.momenta("spin-half.bar-norms"):
-        lu = sp.lambda_spinor(p, "S", "up")
-        ld = sp.lambda_spinor(p, "S", "down")
-        u = sp.dirac_spinor(p, "particle", "up")
-        v = sp.dirac_spinor(p, "antiparticle", "down")
-        worst = max(worst, abs(sp.bar_product(lu, lu)) / p.m)
-        worst = max(worst, abs(sp.bar_product(u, u) - 2 * p.m) / p.m)
-        worst = max(worst, abs(sp.bar_product(v, v) + 2 * p.m) / p.m)
-        c = sp.bar_product(lu, ld) / p.m
-        cross.append(c)
-        worst = max(worst, abs(abs(c) - 1.0))
+    momenta = ctx.momenta("spin-half.bar-norms")
+    m = momenta.m
+    lu = sp.lambda_components(momenta, "S", "up")
+    ld = sp.lambda_components(momenta, "S", "down")
+    u = sp.dirac_components(momenta, "particle", "up")
+    v = sp.dirac_components(momenta, "antiparticle", "down")
+    cross = sp.bar_product(lu, ld) / m
+    worst = _max(np.abs(sp.bar_product(lu, lu)) / m,
+                 np.abs(sp.bar_product(u, u) - 2 * m) / m,
+                 np.abs(sp.bar_product(v, v) + 2 * m) / m,
+                 np.abs(np.abs(cross) - 1.0))
     mean_cross = complex(np.mean(cross))
     worst = max(worst, abs(mean_cross - (-1j)))
     return worst, {"lambda-cross-phase": _c(mean_cross)}
@@ -396,37 +425,39 @@ def _chk_c_chirality_anticommute(ctx):
     return worst, {}
 
 
+def _span_residual(basis, x):
+    """Row-wise distance of x from the column span of basis (N, 4, k),
+    relative to |x|: the least-squares residual, through a QR factor."""
+    q, _ = np.linalg.qr(basis)
+    return _rel(x - mat.matvec(q, mat.matvec(mat.adjoint(q), x)), x)
+
+
 def _chk_c_maps_dirac(ctx):
     c_op = ops.charge_conjugation()
     worst = 0.0
-    for p in ctx.momenta("symmetry.c-maps-dirac"):
-        vs = np.column_stack([sp.dirac_spinor(p, "antiparticle", i).components
-                              for i in ("up", "down")])
-        us = np.column_stack([sp.dirac_spinor(p, "particle", i).components
-                              for i in ("up", "down")])
-        for index in ("up", "down"):
-            cu = c_op.apply(sp.dirac_spinor(p, "particle", index).components)
-            fit, *_ = np.linalg.lstsq(vs, cu, rcond=None)
-            worst = max(worst, float(np.linalg.norm(cu - vs @ fit)) / np.linalg.norm(cu))
-            cv = c_op.apply(sp.dirac_spinor(p, "antiparticle", index).components)
-            fit, *_ = np.linalg.lstsq(us, cv, rcond=None)
-            worst = max(worst, float(np.linalg.norm(cv - us @ fit)) / np.linalg.norm(cv))
+    momenta = ctx.momenta("symmetry.c-maps-dirac")
+    us, vs = ([sp.dirac_components(momenta, sign, i) for i in ("up", "down")]
+              for sign in ("particle", "antiparticle"))
+    v_span, u_span = np.stack(vs, axis=-1), np.stack(us, axis=-1)
+    for u, v in zip(us, vs):
+        worst = max(worst, _max(_span_residual(v_span, c_op.apply(u)),
+                                _span_residual(u_span, c_op.apply(v))))
     return worst, {}
 
 
 def _chk_parity_dirac(ctx):
     p_op = ops.parity_operator()
+    # P^2 = +1 via double reflection
+    pp = p_op.compose(p_op)
     worst = 0.0
-    for p in ctx.momenta("symmetry.parity-dirac"):
-        for index in ("up", "down"):
-            u_state = lambda q, i=index: sp.dirac_spinor(q, "particle", i).components
-            v_state = lambda q, i=index: sp.dirac_spinor(q, "antiparticle", i).components
-            u, v = u_state(p), v_state(p)
-            worst = max(worst, float(np.linalg.norm(p_op.apply_state(u_state, p) - u)) / np.linalg.norm(u))
-            worst = max(worst, float(np.linalg.norm(p_op.apply_state(v_state, p) + v)) / np.linalg.norm(v))
-            # P^2 = +1 via double reflection
-            pp = ops.parity_operator().compose(ops.parity_operator())
-            worst = max(worst, float(np.linalg.norm(pp.apply_state(u_state, p) - u)) / np.linalg.norm(u))
+    momenta = ctx.momenta("symmetry.parity-dirac")
+    for index in ("up", "down"):
+        u_state = lambda q, i=index: sp.dirac_components(q, "particle", i)
+        v_state = lambda q, i=index: sp.dirac_components(q, "antiparticle", i)
+        u, v = u_state(momenta), v_state(momenta)
+        worst = max(worst, _max(_rel(p_op.apply_state(u_state, momenta) - u, u),
+                                _rel(p_op.apply_state(v_state, momenta) + v, v),
+                                _rel(pp.apply_state(u_state, momenta) - u, u)))
     return worst, {}
 
 
@@ -443,94 +474,71 @@ def _chk_parity_involution(ctx):
 
 
 def _chk_helicity_spectrum(ctx):
-    worst = 0.0
-    for p in ctx.momenta("symmetry.helicity-spectrum"):
-        if p.p_abs == 0.0:
-            continue
-        eigs = np.sort(np.linalg.eigvalsh(ops.helicity_operator(p).matrix))
-        worst = max(worst, float(np.linalg.norm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))))
-    return worst, {}
+    momenta = _moving(ctx.momenta("symmetry.helicity-spectrum"))
+    eigs = np.sort(np.linalg.eigvalsh(ops.helicity_operator(momenta).matrix), axis=-1)
+    return _max(_norm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))), {}
 
 
 def _chk_helicity_parity_anticommute(ctx):
     worst = 0.0
-    for p in ctx.momenta("symmetry.helicity-parity"):
-        if p.p_abs == 0.0:
-            continue
-        pr = kin.parity_reflect(p)
-        h_here = ops.helicity_operator(p).matrix
-        h_there = ops.helicity_operator(pr).matrix
-        for kind in ("S", "A"):
-            for index in ("up", "down"):
-                x = sp.lambda_spinor(pr, kind, index, "helicity").components
-                r = h_here @ (mat.gamma0 @ x) + mat.gamma0 @ (h_there @ x)
-                worst = max(worst, float(np.linalg.norm(r)) / np.linalg.norm(x))
+    momenta = _moving(ctx.momenta("symmetry.helicity-parity"))
+    pr = kin.parity_reflect(momenta)
+    h_here = ops.helicity_operator(momenta).matrix
+    h_there = ops.helicity_operator(pr).matrix
+    for kind in ("S", "A"):
+        for index in ("up", "down"):
+            x = sp.lambda_components(pr, kind, index, "helicity")
+            r = (mat.matvec(h_here, mat.matvec(mat.gamma0, x))
+                 + mat.matvec(mat.gamma0, mat.matvec(h_there, x)))
+            worst = max(worst, _max(_rel(r, x)))
     return worst, {}
 
 
 def _chk_chain_determinants(ctx):
-    worst = 0.0
-    for p in ctx.momenta("symmetry.chain-determinants"):
-        if p.p_abs == 0.0:
-            continue
-        worst = max(worst, abs(mat.det(ops.u1(p)) - 1.0))
+    u = ops.u1(_moving(ctx.momenta("symmetry.chain-determinants")))
+    worst = _max(np.abs(np.linalg.det(u) - 1.0))
     worst = max(worst, abs(mat.det(ops.u2()) + 1.0), abs(mat.det(ops.u3()) + 1.0))
     return worst, {"det-u1": 1.0, "det-u2": -1.0, "det-u3": -1.0}
 
 
 def _chk_chain_unitarity(ctx):
-    worst = 0.0
     eye = np.eye(4)
-    for p in ctx.momenta("symmetry.chain-unitarity"):
-        if p.p_abs == 0.0:
-            continue
-        u = ops.u1(p)
-        worst = max(worst, float(np.linalg.norm(u @ u.conj().T - eye)))
+    u = ops.u1(_moving(ctx.momenta("symmetry.chain-unitarity")))
+    worst = _max(_norm(u @ mat.adjoint(u) - eye))
     for u in (ops.u2(), ops.u3()):
         worst = max(worst, float(np.linalg.norm(u @ u.conj().T - eye)))
     return worst, {}
 
 
 def _chk_chain_helicity(ctx):
-    worst = 0.0
     target_half = 0.5 * mat.block_diag2(mat.sigma_z, mat.sigma_z)
     target_g5 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    for p in ctx.momenta("symmetry.chain-helicity"):
-        if p.p_abs == 0.0:
-            continue
-        u = ops.u1(p)
-        conj1 = u @ ops.helicity_operator(p).matrix @ np.linalg.inv(u)
-        worst = max(worst, float(np.linalg.norm(conj1 - target_half)))
-        worst = max(worst, float(np.linalg.norm(
-            ops.u3() @ conj1 @ np.linalg.inv(ops.u3()) - 0.5 * target_g5)))
+    momenta = _moving(ctx.momenta("symmetry.chain-helicity"))
+    u = ops.u1(momenta)
+    conj1 = u @ ops.helicity_operator(momenta).matrix @ np.linalg.inv(u)
+    worst = _max(_norm(conj1 - target_half),
+                 _norm(ops.u3() @ conj1 @ np.linalg.inv(ops.u3()) - 0.5 * target_g5))
     return worst, {}
 
 
 def _chk_chain_chiral_helicity(ctx):
-    worst = 0.0
     target = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    for p in ctx.momenta("symmetry.chain-chiral-helicity"):
-        if p.p_abs == 0.0:
-            continue
-        n = p.direction()
-        alpha_n = mat.block_diag2(mat.pauli_dot(n), -mat.pauli_dot(n))
-        u = ops.u1(p)
-        conj1 = u @ alpha_n @ np.linalg.inv(u)
-        worst = max(worst, float(np.linalg.norm(ops.u2() @ conj1 @ ops.u2().conj().T - target)))
-    return worst, {}
+    momenta = _moving(ctx.momenta("symmetry.chain-chiral-helicity"))
+    sn = mat.pauli_dot(momenta.direction())
+    alpha_n = mat.block_diag2(sn, -sn)
+    u = ops.u1(momenta)
+    conj1 = u @ alpha_n @ np.linalg.inv(u)
+    return _max(_norm(ops.u2() @ conj1 @ ops.u2().conj().T - target)), {}
 
 
 def _chk_xi_intertwines(ctx):
-    worst = 0.0
-    for p in ctx.momenta("symmetry.xi-intertwines"):
-        if p.p_abs == 0.0:
-            continue
-        xi = ops.xi_matrix(p)
-        for side in ("R", "L"):
-            lam = kin.boost_half(p, side)
-            scale = np.linalg.norm(lam) + np.linalg.norm(np.conj(lam))
-            worst = max(worst, float(np.linalg.norm(xi @ lam - np.conj(lam) @ xi)) / scale)
-        worst = max(worst, abs(np.linalg.norm(xi) - 1.0))
+    momenta = _moving(ctx.momenta("symmetry.xi-intertwines"))
+    xi = ops.xi_matrix(momenta)
+    worst = _max(np.abs(_norm(xi) - 1.0))
+    for side in ("R", "L"):
+        lam = kin.boost_half(momenta, side)
+        scale = _norm(lam) + _norm(np.conj(lam))
+        worst = max(worst, _max(_norm(xi @ lam - np.conj(lam) @ xi) / scale))
     return worst, {}
 
 
@@ -538,27 +546,25 @@ _TRANSFORM_TARGETS = "conj-anti, -i conj-self, i gamma0 conj-anti, gamma0 conj-s
 
 
 def _transform_targets(p, h):
-    ls = sp.lambda_spinor(p, "S", "up" if h > 0 else "down", "helicity").components
-    la = sp.lambda_spinor(p, "A", "up" if h > 0 else "down", "helicity").components
-    return ls, [np.conj(la), -1j * np.conj(ls), 1j * mat.gamma0 @ np.conj(la),
-                mat.gamma0 @ np.conj(ls)]
+    ls = sp.lambda_components(p, "S", "up" if h > 0 else "down", "helicity")
+    la = sp.lambda_components(p, "A", "up" if h > 0 else "down", "helicity")
+    return ls, [np.conj(la), -1j * np.conj(ls), 1j * mat.matvec(mat.gamma0, np.conj(la)),
+                mat.matvec(mat.gamma0, np.conj(ls))]
 
 
 def _chk_lambda_transforms(ctx):
     worst = 0.0
     coeffs = [[], [], [], []]
-    for p in ctx.momenta("symmetry.lambda-transforms"):
-        if p.p_abs == 0.0:
-            continue
-        transforms = ops.lambda_basis_transforms(p)
-        for h in (1, -1):
-            ls, targets = _transform_targets(p, h)
-            for k, (t, target) in enumerate(zip(transforms, targets)):
-                img = t @ ls
-                c = np.vdot(target, img) / np.vdot(target, target)
-                coeffs[k].append(c)
-                worst = max(worst, float(np.linalg.norm(img - c * target)) / np.linalg.norm(ls))
-                worst = max(worst, abs(abs(c) - 1.0))
+    momenta = _moving(ctx.momenta("symmetry.lambda-transforms"))
+    transforms = ops.lambda_basis_transforms(momenta)
+    for h in (1, -1):
+        ls, targets = _transform_targets(momenta, h)
+        for k, (t, target) in enumerate(zip(transforms, targets)):
+            img = mat.matvec(t, ls)
+            c = _vdot(target, img) / _vdot(target, target)
+            coeffs[k].append(c)
+            worst = max(worst, _max(_rel(img - mat.column(c) * target, ls),
+                                    np.abs(np.abs(c) - 1.0)))
     consts = {f"coefficient-{k+1}": _c(complex(np.mean(cs))) for k, cs in enumerate(coeffs)}
     # coefficient pattern (c, -ic, ic, c) with c real positive
     c0 = complex(np.mean(coeffs[0]))
@@ -569,26 +575,20 @@ def _chk_lambda_transforms(ctx):
 def _chk_lambda_transform_conjugacy(ctx):
     c_op = ops.charge_conjugation()
     worst = 0.0
-    for p in ctx.momenta("symmetry.lambda-transform-conjugacy"):
-        if p.p_abs == 0.0:
-            continue
-        transforms = ops.lambda_basis_transforms(p)
-        for h in (1, -1):
-            ls = sp.lambda_spinor(p, "S", "up" if h > 0 else "down", "helicity").components
-            for t in transforms:
-                img = t @ ls
-                worst = max(worst, float(np.linalg.norm(c_op.apply(img) - img)) / np.linalg.norm(img))
+    momenta = _moving(ctx.momenta("symmetry.lambda-transform-conjugacy"))
+    transforms = ops.lambda_basis_transforms(momenta)
+    for h in (1, -1):
+        ls = sp.lambda_components(momenta, "S", "up" if h > 0 else "down", "helicity")
+        for t in transforms:
+            img = mat.matvec(t, ls)
+            worst = max(worst, _max(_rel(c_op.apply(img) - img, img)))
     return worst, {}
 
 
 def _chk_lambda_transform_involution(ctx):
-    worst = 0.0
-    for p in ctx.momenta("symmetry.lambda-transform-involution"):
-        if p.p_abs == 0.0:
-            continue
-        t1 = ops.lambda_basis_transforms(p)[0]
-        worst = max(worst, float(np.linalg.norm(t1 @ np.conj(t1) - np.eye(4))))
-    return worst, {}
+    t1 = ops.lambda_basis_transforms(
+        _moving(ctx.momenta("symmetry.lambda-transform-involution")))[0]
+    return _max(_norm(t1 @ np.conj(t1) - np.eye(4))), {}
 
 
 def _chk_chiral_gauge_unitary(ctx):
@@ -722,27 +722,22 @@ def _chk_convention(ctx):
 
 def _chk_coupled(ctx):
     conv = ctx.convention()
-    worst = 0.0
-    for p in ctx.momenta("dynamics.coupled-system"):
-        worst = max(worst, max(dyn.coupled_system_residual(p, conv)))
-    return worst, {}
+    return _max(*dyn.coupled_system_residual(ctx.momenta("dynamics.coupled-system"), conv)), {}
 
 
 def _chk_wrong_convention(ctx):
     conv = ctx.convention()
     wrong = dyn.FrequencyConvention(-conv.sign)
-    margin = math.inf
-    for p in ctx.momenta("dynamics.wrong-convention"):
-        margin = min(margin, max(dyn.coupled_system_residual(p, wrong)) / p.m)
-    return margin, {}
+    momenta = ctx.momenta("dynamics.wrong-convention")
+    per_row = np.max(dyn.coupled_system_residual(momenta, wrong), axis=0) / momenta.m
+    return float(np.min(per_row, initial=math.inf)), {}
 
 
 def _chk_clifford_square(ctx):
-    worst = 0.0
-    for p in ctx.momenta("dynamics.clifford-square"):
-        gp = dyn.dirac_matrix(p)
-        worst = max(worst, float(np.linalg.norm(gp @ gp - p.m ** 2 * np.eye(4))) / p.m ** 2)
-    return worst, {}
+    momenta = ctx.momenta("dynamics.clifford-square")
+    gp = dyn.dirac_matrix(momenta)
+    m2 = momenta.m ** 2
+    return _max(_norm(gp @ gp - m2[:, None, None] * np.eye(4)) / m2), {}
 
 
 def _chk_markov(ctx):
@@ -851,13 +846,16 @@ def _chk_sen_gupta_massless(ctx):
 
 def _chk_eight_component(ctx):
     conv = ctx.convention()
-    worst = 0.0
-    for p in ctx.momenta("dynamics.eight-component"):
-        worst = max(worst, dyn.eight_component_residual(p, conv))
-        kin8 = dyn.eight_kinetic(p)
-        l5 = dyn.lambda5()
-        worst = max(worst, float(np.linalg.norm(l5 @ kin8 - kin8 @ l5)) / max(1.0, p.E))
-        worst = max(worst, float(np.linalg.norm(l5 @ l5 - np.eye(8))))
+    momenta = ctx.momenta("dynamics.eight-component")
+    gp = dyn.dirac_matrix(momenta)
+    l5 = dyn.lambda5()
+    # with l5 = diag(g5, -g5) and the kinetic block [[0, G], [G, 0]], the
+    # commutator is [[0, {g5, G}], [-{g5, G}, 0]]; its 4x4 blocks keep the
+    # batch free of 8x8 arrays
+    anti = mat.gamma5 @ gp + gp @ mat.gamma5
+    worst = _max(dyn.eight_component_residual(momenta, conv),
+                 math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E))
+    worst = max(worst, float(np.linalg.norm(l5 @ l5 - np.eye(8))))
     return worst, {}
 
 
@@ -984,8 +982,8 @@ def _chk_g5sc_squared(ctx):
 
 def _chk_zeta_minima(ctx):
     worst = 0.0
-    momenta = [kin.make_momentum(0, 0, 0, 1.3)] + ctx.momenta(
-        "spin-one.twisted-conjugacy", n=min(ctx.samples, 8))
+    momenta = [kin.make_momentum(0, 0, 0, 1.3), *ctx.momenta(
+        "spin-one.twisted-conjugacy", n=min(ctx.samples, 8))]
     for p in momenta:
         for construction in ("lambda", "rho"):
             for h in (1, 0, -1):
@@ -998,8 +996,8 @@ def _chk_zeta_minima(ctx):
 
 def _chk_bare_conjugacy_floor(ctx):
     best = math.inf
-    momenta = [kin.make_momentum(0, 0, 0, 0.9)] + ctx.momenta(
-        "spin-one.bare-conjugacy", n=min(ctx.samples, 20))
+    momenta = [kin.make_momentum(0, 0, 0, 0.9), *ctx.momenta(
+        "spin-one.bare-conjugacy", n=min(ctx.samples, 20))]
     for p in momenta:
         for construction in ("lambda", "rho"):
             for h in (1, 0, -1):
@@ -1343,14 +1341,17 @@ def run_suite(name: str, seed: int, samples: int,
 
     outcomes = []
     for check in sorted(checks, key=lambda c: c.id):
-        residual, constants = check.run(ctx)
-        status = "pass" if check.passes(residual, constants) else "fail"
+        try:
+            residual, constants = check.run(ctx)
+            status = "pass" if check.passes(residual, constants) else "fail"
+        except Exception as exc:  # one broken check must not stop the run
+            residual, constants, status = math.nan, {"error": f"{type(exc).__name__}: {exc}"}, "error"
         outcomes.append(CheckOutcome(check.id, check.anchor, status,
                                      float(residual), ctx.samples, constants))
     passed = sum(1 for o in outcomes if o.status == "pass")
     try:
         convention = "+" if ctx.convention().sign > 0 else "-"
-    except Exception:
+    except ElkoError:
         convention = "?"
     return VerificationReport(
         suite=name, seed=ctx.seed, samples=ctx.samples, convention=convention,

@@ -43,6 +43,26 @@ def test_nonpositive_mass_rejected():
         kin.make_momentum(1, 0, 0, -2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    for args in ((bad, 0, 0, 1.0), (0, bad, 0, 1.0), (0, 0, bad, 1.0), (1, 0, 0, abs(bad))):
+        with pytest.raises(DomainError):
+            kin.make_momentum(*args)
+
+
+def test_light_cone_components_do_not_cancel():
+    # E - pz at pz = 1e8, m = 1 is 1 / (E + pz) = 5e-9, not the rounded 0.0
+    p = kin.make_momentum(0, 0, 1e8, 1.0)
+    assert p.p_minus == pytest.approx(5e-9, rel=1e-15)
+    assert p.p_plus == 2 * p.E
+    q = kin.make_momentum(3e-4, 4e-4, -1e8, 1.0)
+    assert q.p_plus == pytest.approx((1.0 + 25e-8) / (q.E + 1e8), rel=1e-15)
+    # exact light-cone product p+ p- = m^2 + p_perp^2
+    for r in (p, q, kin.make_momentum(0.3, -0.2, 0.1, 0.7)):
+        assert r.p_plus * r.p_minus == pytest.approx(r.m ** 2 + r.px ** 2 + r.py ** 2,
+                                                     rel=1e-15)
+
+
 def test_parity_reflect_definition_and_involution(random_momenta):
     p = kin.make_momentum(1, 2, 3, 1.5)
     q = kin.parity_reflect(p)

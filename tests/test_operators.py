@@ -146,6 +146,18 @@ class TestUnitaryChain:
             u = ops.u1(p)
             assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
 
+    @pytest.mark.parametrize("mrad", [2.0, 3.0, 5.0])
+    def test_unitary_near_negative_z(self, mrad):
+        # |p| + pz cancels near -z unless formed as p_perp^2 / (|p| - pz)
+        for phi in np.linspace(0.0, 2 * np.pi, 7, endpoint=False):
+            for pabs, m in ((1.0, 1.0), (37.0, 4.2), (0.3, 0.1)):
+                t = np.pi - mrad * 1e-3
+                p = make_momentum(pabs * np.sin(t) * np.cos(phi), pabs * np.sin(t) * np.sin(phi),
+                                  pabs * np.cos(t), m)
+                u = ops.u1(p)
+                assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
+                assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
     def test_negative_z_axis_rejected(self):
         with pytest.raises(CoordinateSingularityError):
             ops.u1(make_momentum(0, 0, -2, 1.0))

@@ -1,15 +1,21 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from elko import suite
 from elko.errors import UsageError
 from elko.suite import (
     SUITE_NAMES,
+    CheckSpec,
     VerificationReport,
     diff_reports,
     run_suite,
     suite_checks,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_registry_anchors_unique_and_nonempty():
@@ -107,3 +113,35 @@ def test_report_schema_fields():
     for check in data["checks"]:
         assert set(check) == {"id", "anchor", "status", "residual", "samples",
                               "constants"}
+
+
+def test_raising_check_is_reported_as_error(monkeypatch):
+    def broken(ctx):
+        raise ZeroDivisionError("division by zero")
+
+    # sorts first, so every real check runs after it
+    real = suite.suite_checks("spin-half")
+    extra = CheckSpec("spin-half.aa-broken", "a check that raises", "fixed", 1e-12,
+                      "vanish", broken)
+    monkeypatch.setattr(suite, "suite_checks", lambda name: real + [extra])
+    report = run_suite("spin-half", seed=1, samples=2)
+    first = report.checks[0]
+    assert (first.id, first.status) == ("spin-half.aa-broken", "error")
+    assert math.isnan(first.residual)
+    assert first.constants == {"error": "ZeroDivisionError: division by zero"}
+    assert [c.status for c in report.checks[1:]] == ["pass"] * len(real)
+    assert report.summary == {"total": len(real) + 1, "passed": len(real), "failed": 1}
+    assert not report.all_passed
+    clone = VerificationReport.from_json(report.to_json())
+    assert clone.checks[0].status == "error"
+
+
+def test_no_drift_from_pre_batch_report():
+    """A report written before the checks moved onto the batch axis."""
+    before = VerificationReport.from_json((DATA / "report-all-seed1-n100.json").read_text())
+    now = run_suite("all", seed=1, samples=100)
+    assert diff_reports(before, now) == []
+    assert now.resamples == before.resamples
+    assert [(c.id, c.anchor, c.samples) for c in now.checks] == \
+        [(c.id, c.anchor, c.samples) for c in before.checks]
+    assert now.summary == before.summary
