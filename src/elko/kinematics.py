@@ -7,7 +7,8 @@ identity by continuity.
 A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
 one momentum as floats; both expose the same fields, and the spin-1/2
 kernels (derived fields, ``half_angles``, ``boost_half``, ``boost_half_pair``,
-``boost_eigenvalue``) are written once as plain arithmetic that accepts either.
+``boost_eigenvalue``) and the spin-1 ``boost_one`` are written once as plain
+arithmetic that accepts either.
 """
 
 from __future__ import annotations
@@ -21,9 +22,34 @@ from .errors import DimensionError, DirectionUndefinedError, DomainError
 from .matrices import CMatrix, block_diag2, matrix2, spin1_dot
 
 
+_TWO_PI = 2 * math.pi
+
+
 def _sqrt(x):
     # both are correctly rounded; math.sqrt keeps one momentum a Python float
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _fold_azimuth(phi):
+    """An atan2 angle folded onto [0, 2 pi); floats or (N,) arrays.
+
+    A tiny negative angle, e.g. atan2(-1e-17, 1), folds to a value that
+    rounds to 2 pi; the second fold maps that value onto 0.0 and leaves
+    every value below 2 pi as it is.
+    """
+    return phi % _TWO_PI % _TWO_PI
+
+
+def _polar_angles(p):
+    """(theta, phi) (N,) arrays of a batch's directions, theta in [0, pi]
+    and phi in [0, 2 pi); (0, 0) at rest.  ``FourMomentum.angles`` is the
+    one-momentum form (its math.acos/atan2 may round differently from the
+    numpy ufuncs in the last bit)."""
+    pabs = p.p_abs
+    at_rest = pabs == 0.0
+    # rest rows are moved onto +z, +x so that both angles are 0
+    theta = np.arccos(np.clip((p.pz + at_rest) / (pabs + at_rest), -1.0, 1.0))
+    return theta, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
 
 def _light_cone(E, pz, m, pperp2):
@@ -89,8 +115,7 @@ class FourMomentum(_OnShell):
         if p == 0.0:
             return AngularParams(0.0, 0.0)
         theta = math.acos(max(-1.0, min(1.0, self.pz / p)))
-        phi = math.atan2(self.py, self.px) % (2 * math.pi)
-        return AngularParams(theta, phi)
+        return AngularParams(theta, _fold_azimuth(math.atan2(self.py, self.px)))
 
 
 @dataclass(frozen=True)
@@ -189,6 +214,24 @@ def as_batch(momenta) -> MomentumBatch:
     return MomentumBatch(*rows.T)
 
 
+def _draw_attempts(rng: np.random.Generator, n: int):
+    """Raw draws of n momentum-sampler attempts as arrays u (n,), g (n, 3),
+    v (n,): per attempt one uniform in [0, 1), three standard normals and one
+    uniform, made in that order, one attempt after the other.
+
+    ``lo + (hi - lo) * u`` is ``rng.uniform(lo, hi)`` and ``g`` is
+    ``rng.normal(size=3)`` of the same attempt, bit for bit, so a caller that
+    draws through this keeps the stream of a per-attempt loop.
+    """
+    u, g, v = np.empty(n), np.empty((n, 3)), np.empty(n)
+    random, normal = rng.random, rng.normal
+    for i in range(n):
+        u[i] = random()
+        g[i] = normal(size=3)
+        v[i] = random()
+    return u, g, v
+
+
 def half_angles(p):
     """(cos(theta/2), sin(theta/2), phi) of p's direction, phi in [0, 2 pi);
     (1, 0, 0) at rest; floats or (N,) arrays.
@@ -206,8 +249,7 @@ def half_angles(p):
     cos_half = _sqrt((np.where(p.pz < 0, near, far) + at_rest) / two_p)
     sin_half = _sqrt(np.where(p.pz > 0, near, far) / two_p)
     # rest rows are moved onto +x so that phi = 0
-    phi = np.arctan2(p.py, p.px + at_rest) % (2 * math.pi)
-    return cos_half, sin_half, phi
+    return cos_half, sin_half, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
 
 def parity_reflect(p):
@@ -248,18 +290,18 @@ def boost_half_pair(p) -> CMatrix:
     return block_diag2(boost_half(p, "R"), boost_half(p, "L"))
 
 
-def _spin1_exp(k: CMatrix, x: float) -> CMatrix:
-    # (J.n)^3 = J.n closes the exponential series
-    return np.eye(3, dtype=complex) + k * math.sinh(x) + (k @ k) * (math.cosh(x) - 1.0)
+def boost_one(p, side: str) -> CMatrix:
+    """3x3 boost exp(+-(J.n) arccosh(E/m)) for the spin-1 blocks; (N, 3, 3)
+    on a batch.
 
-
-def boost_one(p: FourMomentum, side: str) -> CMatrix:
-    """3x3 boost exp(+-(J.n) arccosh(E/m)) for the spin-1 blocks."""
+    (J.n)^3 = J.n closes the series to 1 +- (J.n) sinh + (J.n)^2 (cosh - 1);
+    with sinh = |p|/m and cosh - 1 = |p|^2/(m (E + m)) that is
+    1 +- (J.p)/m + (J.p)^2/(m (E + m)), the identity at rest.
+    """
     if side not in ("R", "L"):
         raise DomainError(f"side must be 'R' or 'L', got {side!r}")
-    pabs = p.p_abs
-    if pabs == 0.0:
-        return np.eye(3, dtype=complex)
-    rapidity = math.acosh(p.E / p.m)
-    k = spin1_dot(p.vec / pabs)
-    return _spin1_exp(k, rapidity if side == "R" else -rapidity)
+    s = 1.0 if side == "R" else -1.0
+    k = spin1_dot(p.vec)
+    m = np.asarray(p.m)[..., None, None]
+    em = np.asarray(p.E + p.m)[..., None, None]
+    return np.eye(3) + k * (s / m) + (k @ k) / (m * em)

@@ -92,8 +92,10 @@ def pauli_dot(v) -> CMatrix:
 
 
 def spin1_dot(v) -> CMatrix:
-    """J . v with the spherical-basis spin-1 generators."""
-    return v[0] * spin1_jx + v[1] * spin1_jy + v[2] * spin1_jz
+    """J . v with the spherical-basis spin-1 generators, for a 3-vector or
+    for (N, 3) rows."""
+    x, y, z = (np.asarray(v)[..., k, None, None] for k in range(3))
+    return x * spin1_jx + y * spin1_jy + z * spin1_jz
 
 
 def block_diag2(a: CMatrix, b: CMatrix) -> CMatrix:

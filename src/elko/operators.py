@@ -33,7 +33,7 @@ from .errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from .kinematics import _sqrt, boost_half, make_momenta, parity_reflect
+from .kinematics import _draw_attempts, _sqrt, boost_half, make_momenta, parity_reflect
 from .matrices import (
     CMatrix,
     block_diag2,
@@ -310,7 +310,7 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
 
     Uses the family's intrinsic inversion phase; the classification is
     independent of the conjugation phase theta_c.  The momenta are drawn
-    one by one and probed as one batch.
+    attempt by attempt and probed as one batch.
     """
     if basis not in ("spinorial", "helicity"):
         raise DomainError(f"unknown basis {basis!r}")
@@ -319,14 +319,11 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     cp = c_op.compose(p_op)
     pc = p_op.compose(c_op)
 
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(n_momenta):
-        m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        vec = rng.normal(size=3)
-        vec *= rng.uniform(0.0, 10.0 * m) / max(np.linalg.norm(vec), 1e-300)
-        rows.append((vec[0], vec[1], vec[2], m))
-    q = make_momenta(*np.array(rows).reshape(-1, 4).T)
+    u, g, v = _draw_attempts(np.random.default_rng(seed), n_momenta)
+    lo, hi = np.log(0.1), np.log(10.0)
+    m = np.exp(lo + (hi - lo) * u)
+    vec = g * ((10.0 * m) * v / np.maximum(np.sqrt(np.vecdot(g, g)), 1e-300))[:, None]
+    q = make_momenta(vec[:, 0], vec[:, 1], vec[:, 2], m)
     commute = 0.0
     anticommute = 0.0
     for state in _family_states(basis, family, cfg):

@@ -20,11 +20,13 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import AngularParams, FourMomentum, boost_one
-from .matrices import CMatrix, spin1_jy, spin1_jz, theta_one
+from .kinematics import AngularParams, FourMomentum, _polar_angles, as_batch, boost_one
+from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, theta_one
 
 _I3 = np.eye(3, dtype=complex)
 _Z3 = np.zeros((3, 3), dtype=complex)
+_SC_BLOCK = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
+_G5_ONE = np.block([[_I3, _Z3], [_Z3, -_I3]])
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,7 @@ def wigner_theta_one() -> CMatrix:
 
 def sc_one(phase: float = 0.0) -> SpinOneOperator:
     """Antilinear spin-1 charge conjugation; squares to -1 for every phase."""
-    matrix = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
-    return SpinOneOperator(matrix, antilinear=True, phase=cmath.exp(1j * phase))
+    return SpinOneOperator(_SC_BLOCK.copy(), antilinear=True, phase=cmath.exp(1j * phase))
 
 
 def ss_one(phase: float = 0.0) -> SpinOneOperator:
@@ -92,7 +93,7 @@ def ss_one(phase: float = 0.0) -> SpinOneOperator:
 
 def gamma5_one() -> CMatrix:
     """Chirality of the six-component sector: diag(I3, -I3)."""
-    return np.block([[_I3, _Z3], [_Z3, -_I3]])
+    return _G5_ONE.copy()
 
 
 def gamma5_sc_one(phase: float = 0.0) -> SpinOneOperator:
@@ -105,23 +106,23 @@ def gamma5_sc_one(phase: float = 0.0) -> SpinOneOperator:
 # helicity triplet and six-spinor constructions
 # ---------------------------------------------------------------------------
 
-def _spin1_rotation(theta: float, phi: float) -> CMatrix:
-    # exp(-i phi Jz) exp(-i theta Jy); closed form via J^3 = J for unit axes
+def _spin1_rotation(theta, phi) -> CMatrix:
+    # exp(-i phi Jz) exp(-i theta Jy); closed form via J^3 = J for unit axes;
+    # (3, 3) for float angles, (N, 3, 3) for (N,) ones
     def rot(j, angle):
-        return (np.eye(3, dtype=complex) - 1j * j * math.sin(angle)
-                + (j @ j) * (math.cos(angle) - 1.0))
+        c, s = (np.asarray(f(angle))[..., None, None] for f in (np.cos, np.sin))
+        return _I3 - 1j * j * s + (j @ j) * (c - 1.0)
 
     return rot(spin1_jz, phi) @ rot(spin1_jy, theta)
 
 
-def spin1_helicity_triplet(theta: float, phi: float, h: int, phase: float = 0.0) -> np.ndarray:
-    """J.n eigen-3-spinor of eigenvalue h in {+1, 0, -1} at arbitrary angles."""
+def spin1_helicity_triplet(theta, phi, h: int, phase: float = 0.0) -> np.ndarray:
+    """J.n eigen-3-spinor of eigenvalue h in {+1, 0, -1} at arbitrary angles;
+    (N, 3) rows for (N,) angle arrays."""
     if h not in (1, 0, -1):
         raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
     basis = {1: 0, 0: 1, -1: 2}[h]
-    e = np.zeros(3, dtype=complex)
-    e[basis] = 1.0
-    return cmath.exp(1j * phase) * (_spin1_rotation(theta, phi) @ e)
+    return cmath.exp(1j * phase) * _spin1_rotation(theta, phi)[..., basis]
 
 
 def spin1_lambda(p: FourMomentum, zeta: complex, a: AngularParams, h: int = 1,
@@ -150,13 +151,17 @@ def spin1_rho(p: FourMomentum, zeta: complex, a: AngularParams, h: int = 1,
 
 @dataclass(frozen=True)
 class ZetaMinimum:
+    """Best zeta and its residual: scalars for one momentum, (N,) arrays
+    for a batch."""
+
     zeta: complex
     residual: float
 
 
 @dataclass(frozen=True)
 class ConjugacyScan:
-    """Minimal self- and anti-self-conjugacy residuals over |zeta| = 1."""
+    """Minimal self- and anti-self-conjugacy residuals over |zeta| = 1;
+    ``floor_exceeded`` is a bool, or an (N,) bool array for a batch."""
 
     operator: str                  # "sc" | "g5sc"
     construction: str              # "lambda" | "rho"
@@ -173,75 +178,96 @@ def _scan_operator(name: str, phase: float) -> SpinOneOperator:
     raise DomainError(f"operator must be 'sc' or 'g5sc', got {name!r}")
 
 
-def _golden_section(fn, lo: float, hi: float, iterations: int = 60):
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
+_REFINE_POINTS = 17   # points per refinement step; the bracket shrinks 8x
+_REFINE_STEPS = 15    # from +-1 grid step (8.7e-3 rad) down to +-2.5e-16 rad
+_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 
 
-def spin1_conjugacy_scan(p: FourMomentum, operator: str, construction: str = "lambda",
+def _boosted_pair(p, construction: str, h: int):
+    """(x, y) with s(zeta) = x + zeta y the (N, 6) six-spinor rows of the
+    construction at helicity h along each momentum's direction."""
+    f = spin1_helicity_triplet(*_polar_angles(p), h)
+    flipped = np.conj(f) @ theta_one.T
+    right, left = boost_one(p, "R"), boost_one(p, "L")
+    zero = np.zeros_like(f)
+    if construction == "lambda":
+        return (np.concatenate([zero, matvec(left, f)], axis=-1),
+                np.concatenate([matvec(right, flipped), zero], axis=-1))
+    return (np.concatenate([matvec(right, f), zero], axis=-1),
+            np.concatenate([zero, matvec(left, flipped)], axis=-1))
+
+
+def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
                          h: int = 1, op_phase: float = 0.0, samples: int = 720) -> ConjugacyScan:
-    """Sample zeta on the unit circle (then refine by golden-section search)
+    """Sample zeta on the unit circle (then refine around the best sample)
     and report the minimal residuals of Op psi(zeta) = +- psi(zeta).
 
     For the chirality-twisted operator the minima sit at zeta = +-1 and
     vanish to machine precision; for the bare conjugation both minima stay
     above the nonexistence floor for every zeta.
 
+    ``p`` is a FourMomentum or a MomentumBatch; a batch is one call over all
+    rows and gives the fields of the scan as (N,) arrays, one momentum gives
+    Python scalars.
+
     The six-spinor is linear in zeta, s(zeta) = x + zeta y with x, y fixed,
-    so Op s = a + zeta* b with a, b precomputed and the whole circle is
-    scanned with vectorised arithmetic.
+    so with zeta = e^{i t} the difference d(t) = Op s - sign s is
+    c0 + e^{-i t} c1 + e^{i t} c2 and |d(t)|^2 is a degree-2 trigonometric
+    polynomial: the grid evaluates that on all rows and both signs at once.
+    The grid only picks the best sample; the refinement narrows a bracket
+    around it by taking the best of evenly spaced points each step, on the
+    direct residual |d(t)| / |s|, whose expanded square would cancel to
+    ~1e-8 at the exact zeros.
     """
     if construction not in ("lambda", "rho"):
         raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
-    a_ang = p.angles()
     op = _scan_operator(operator, op_phase)
-    f = spin1_helicity_triplet(a_ang.theta, a_ang.phi, h)
-    zero = np.zeros(3, dtype=complex)
-    if construction == "lambda":
-        x = np.concatenate([zero, boost_one(p, "L") @ f])
-        y = np.concatenate([boost_one(p, "R") @ (theta_one @ np.conj(f)), zero])
-    else:
-        x = np.concatenate([boost_one(p, "R") @ f, zero])
-        y = np.concatenate([zero, boost_one(p, "L") @ (theta_one @ np.conj(f))])
-    a_vec = op.phase * (op.matrix @ np.conj(x))
-    b_vec = op.phase * (op.matrix @ np.conj(y))
-    norm = math.sqrt(float(np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2))
+    batch = as_batch([p]) if isinstance(p, FourMomentum) else p
+    x, y = _boosted_pair(batch, construction, h)
+    a = op.phase * (np.conj(x) @ op.matrix.T)
+    b = op.phase * (np.conj(y) @ op.matrix.T)
+    norm = np.sqrt(np.vecdot(x, x).real + np.vecdot(y, y).real)
+    signs = np.array([1.0, -1.0])[:, None, None]          # (2, 1, 1): self, anti
 
-    def residual(arg: float, sign: float) -> float:
-        z = cmath.exp(1j * arg)
-        return float(np.linalg.norm(a_vec + np.conj(z) * b_vec - sign * (x + z * y))) / norm
+    # grid: |c0 + e^{-it} c1 + e^{it} c2|^2 on (2, N) rows, c1 = b, c2 = -sign y
+    c0 = a - signs * x
+    c2 = -signs * y
+    cross1 = np.vecdot(c0, b)                              # <c0, c1>
+    cross2 = np.vecdot(c0, c2)                             # <c0, c2>
+    cross12 = np.vecdot(c2, b)                             # <c2, c1>
+    coeffs = np.stack([
+        (np.vecdot(c0, c0) + np.vecdot(b, b) + np.vecdot(c2, c2)).real,
+        2.0 * (cross1.real + cross2.real), 2.0 * (cross1.imag - cross2.imag),
+        2.0 * cross12.real, 2.0 * cross12.imag], axis=-1)  # (2, N, 5)
+    step = 2.0 * math.pi / samples
+    args = step * np.arange(samples)
+    basis = np.stack([np.ones(samples), np.cos(args), np.sin(args),
+                      np.cos(2.0 * args), np.sin(2.0 * args)])
+    best = np.argmin(coeffs @ basis, axis=-1)            # ties resolve to the smaller angle
 
-    args = 2.0 * math.pi * np.arange(samples) / samples
-    zs = np.exp(1j * args)
-    image = a_vec[None, :] + np.conj(zs)[:, None] * b_vec[None, :]
-    minima = {}
-    for sign in (1.0, -1.0):
-        diffs = image - sign * (x[None, :] + zs[:, None] * y[None, :])
-        residuals = np.linalg.norm(diffs, axis=1) / norm
-        best = int(np.argmin(residuals))  # ties resolve to the smaller angle
-        step = 2.0 * math.pi / samples
-        arg, res = _golden_section(lambda t, s=sign: residual(t, s),
-                                   args[best] - step, args[best] + step)
-        minima[sign] = ZetaMinimum(cmath.exp(1j * arg), res)
+    # refinement on the direct residual; each step keeps the best point and
+    # its two neighbours as the next bracket
+    centre, half = args[best], step
+    for _ in range(_REFINE_STEPS):
+        z = np.exp(1j * (centre[..., None] + half * _OFFSETS))[..., None]   # (2, N, R, 1)
+        d = c0[..., None, :] + np.conj(z) * b[:, None] + z * c2[..., None, :]
+        res = np.sqrt(np.vecdot(d, d).real) / norm[:, None]
+        centre = centre + half * _OFFSETS[np.argmin(res, axis=-1)]
+        half = half * 2.0 / (_REFINE_POINTS - 1)
+    residual = np.min(res, axis=-1)
+    zeta = np.exp(1j * centre)
 
     floor = TOLERANCES["floor"]
+    exceeded = (residual[0] > floor) & (residual[1] > floor)
+    if isinstance(p, FourMomentum):
+        minima = [ZetaMinimum(complex(zeta[k, 0]), float(residual[k, 0])) for k in (0, 1)]
+        exceeded = bool(exceeded[0])
+    else:
+        minima = [ZetaMinimum(zeta[k], residual[k]) for k in (0, 1)]
     return ConjugacyScan(
         operator=operator,
         construction=construction,
-        self_minimum=minima[1.0],
-        anti_minimum=minima[-1.0],
-        floor_exceeded=minima[1.0].residual > floor and minima[-1.0].residual > floor,
+        self_minimum=minima[0],
+        anti_minimum=minima[1],
+        floor_exceeded=exceeded,
     )

@@ -55,22 +55,26 @@ class RunContext:
     def momenta(self, check_id: str, n=None, max_beta_scale: float = 10.0) -> kin.MomentumBatch:
         """n random on-shell momenta as a batch: mass log-uniform in
         [0.1, 10], |p| uniform in [0, 10 m], direction uniform, -z axis
-        avoided.  Draws are made one at a time, so every batch is the same
-        as the momenta drawn singly."""
+        avoided.  Each attempt is drawn in turn and yields at most one row;
+        after rejections exactly the missing number of attempts is drawn
+        again, so the rows and ``resamples`` are those of drawing the
+        momenta one by one."""
         rng = self.rng(check_id)
-        rows = []
-        count = self.samples if n is None else n
-        while len(rows) < count:
-            m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            pabs = float(rng.uniform(0.0, max_beta_scale * m))
-            vec = pabs * direction
-            if pabs > 0 and pabs + vec[2] < 1e-6 * pabs:
-                self.resamples += 1
-                continue
-            rows.append((vec[0], vec[1], vec[2], m))
-        return kin.make_momenta(*np.array(rows).reshape(-1, 4).T)
+        lo, hi = np.log(0.1), np.log(10.0)
+        rows = [np.empty((0, 4))]
+        missing = self.samples if n is None else n
+        while missing > 0:
+            u, g, v = kin._draw_attempts(rng, missing)
+            m = np.exp(lo + (hi - lo) * u)
+            direction = g / np.sqrt(np.vecdot(g, g))[:, None]
+            pabs = (max_beta_scale * m) * v
+            vec = pabs[:, None] * direction
+            keep = ~((pabs > 0) & (pabs + vec[:, 2] < 1e-6 * pabs))
+            rows.append(np.column_stack([vec, m])[keep])
+            kept = int(np.count_nonzero(keep))
+            self.resamples += len(keep) - kept
+            missing -= kept
+        return kin.make_momenta(*np.concatenate(rows).T)
 
     def convention(self) -> dyn.FrequencyConvention:
         if self.force_convention is not None:
@@ -981,28 +985,27 @@ def _chk_g5sc_squared(ctx):
 
 
 def _chk_zeta_minima(ctx):
+    momenta = kin.as_batch([kin.make_momentum(0, 0, 0, 1.3), *ctx.momenta(
+        "spin-one.twisted-conjugacy", n=min(ctx.samples, 8))])
     worst = 0.0
-    momenta = [kin.make_momentum(0, 0, 0, 1.3), *ctx.momenta(
-        "spin-one.twisted-conjugacy", n=min(ctx.samples, 8))]
-    for p in momenta:
-        for construction in ("lambda", "rho"):
-            for h in (1, 0, -1):
-                scan = s1.spin1_conjugacy_scan(p, "g5sc", construction, h)
-                worst = max(worst, scan.self_minimum.residual, scan.anti_minimum.residual)
-                worst = max(worst, abs(scan.self_minimum.zeta - 1.0))
-                worst = max(worst, abs(scan.anti_minimum.zeta + 1.0))
+    for construction in ("lambda", "rho"):
+        for h in (1, 0, -1):
+            scan = s1.spin1_conjugacy_scan(momenta, "g5sc", construction, h)
+            worst = max(worst, _max(scan.self_minimum.residual, scan.anti_minimum.residual,
+                                    np.abs(scan.self_minimum.zeta - 1.0),
+                                    np.abs(scan.anti_minimum.zeta + 1.0)))
     return worst, {"zeta-self": 1.0, "zeta-anti": -1.0}
 
 
 def _chk_bare_conjugacy_floor(ctx):
+    momenta = kin.as_batch([kin.make_momentum(0, 0, 0, 0.9), *ctx.momenta(
+        "spin-one.bare-conjugacy", n=min(ctx.samples, 20))])
     best = math.inf
-    momenta = [kin.make_momentum(0, 0, 0, 0.9), *ctx.momenta(
-        "spin-one.bare-conjugacy", n=min(ctx.samples, 20))]
-    for p in momenta:
-        for construction in ("lambda", "rho"):
-            for h in (1, 0, -1):
-                scan = s1.spin1_conjugacy_scan(p, "sc", construction, h)
-                best = min(best, scan.self_minimum.residual, scan.anti_minimum.residual)
+    for construction in ("lambda", "rho"):
+        for h in (1, 0, -1):
+            scan = s1.spin1_conjugacy_scan(momenta, "sc", construction, h)
+            best = min(best, float(np.min(scan.self_minimum.residual)),
+                       float(np.min(scan.anti_minimum.residual)))
     return best, {}
 
 

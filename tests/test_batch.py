@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from elko import TOLERANCES
 from elko import dynamics as dyn
 from elko import kinematics as kin
 from elko import operators as ops
+from elko import spin_one as s1
 from elko import spinors as sp
 from elko.errors import DimensionError, DomainError
 from elko.matrices import theta_half
@@ -159,6 +161,51 @@ def test_helicity_closed_form_is_the_boost(ratio):
                 closed = kernels[family](p, kind, index, "helicity")
                 explicit = boost @ rest
                 assert np.linalg.norm(closed - explicit) <= 1e-14 * scale * np.linalg.norm(rest)
+
+
+SCANS = [(op, construction, h) for op in ("sc", "g5sc")
+         for construction in ("lambda", "rho") for h in (1, 0, -1)]
+
+
+class TestSpinOneKernels:
+    @pytest.fixture(scope="class")
+    def mixed(self, batch):
+        # a rest row, a row whose azimuth rounds to 2 pi, and moving rows
+        return kin.as_batch([kin.make_momentum(0, 0, 0, 0.9),
+                             kin.make_momentum(1.0, -1e-17, 0.0, 1.0), *batch[:30]])
+
+    def test_boost_one_rows(self, mixed):
+        for side in "RL":
+            assert np.array_equal(kin.boost_one(mixed, side),
+                                  [kin.boost_one(p, side) for p in mixed])
+
+    @pytest.mark.parametrize("op,construction,h", SCANS)
+    def test_scan_rows_match_single_calls(self, mixed, op, construction, h):
+        scan = s1.spin1_conjugacy_scan(mixed, op, construction, h)
+        singles = [s1.spin1_conjugacy_scan(p, op, construction, h) for p in mixed]
+        for field in ("self_minimum", "anti_minimum"):
+            batched = getattr(scan, field)
+            rows = [getattr(one, field) for one in singles]
+            assert batched.zeta.shape == batched.residual.shape == (len(mixed),)
+            assert isinstance(rows[0].zeta, complex) and isinstance(rows[0].residual, float)
+            assert np.all(np.abs(batched.zeta - [r.zeta for r in rows]) <= 1e-15)
+            assert np.all(np.abs(batched.residual - [r.residual for r in rows]) <= 1e-14)
+        assert isinstance(singles[0].floor_exceeded, bool)
+        assert list(scan.floor_exceeded) == [one.floor_exceeded for one in singles]
+        assert all(scan.floor_exceeded) == (op == "sc")
+
+    @pytest.mark.parametrize("construction", ["lambda", "rho"])
+    def test_scan_where_the_azimuth_rounds_to_two_pi(self, mixed, construction):
+        p, rows = mixed[1], mixed[:2]
+        assert p.py == -1e-17
+        for scan in (s1.spin1_conjugacy_scan(p, "g5sc", construction),
+                     s1.spin1_conjugacy_scan(rows, "g5sc", construction)):
+            worst = np.max([scan.self_minimum.residual, scan.anti_minimum.residual,
+                            np.abs(scan.self_minimum.zeta - 1.0),
+                            np.abs(scan.anti_minimum.zeta + 1.0)])
+            assert worst <= TOLERANCES["zeta_minimum"]
+        assert s1.spin1_conjugacy_scan(p, "sc", construction).floor_exceeded
+        assert s1.spin1_conjugacy_scan(rows, "sc", construction).floor_exceeded[1]
 
 
 class TestMomentumBatch:

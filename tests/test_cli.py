@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,28 @@ class TestVerify:
                                "--samples", "2", "--out", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_without_traceback(unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # standard output fails with a broken pipe: at the print when unbuffered,
+    # at the flush of the one buffered summary line otherwise
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "elko", "table", "--mass", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert "Traceback" not in child.stderr
+    assert "Exception ignored" not in child.stderr
 
 
 class TestDiff:

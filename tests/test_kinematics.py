@@ -87,6 +87,15 @@ def test_angles_of_momentum():
     assert a.phi == pytest.approx(math.pi / 4)
 
 
+def test_azimuth_that_rounds_to_two_pi_is_zero():
+    # atan2 gives -1e-17 here, which folds onto a value that rounds to 2 pi
+    p = kin.make_momentum(1.0, -1e-17, 0.0, 1.0)
+    assert p.angles() == kin.AngularParams(math.pi / 2, 0.0)
+    assert kin.half_angles(p)[2] == 0.0
+    batch = kin.make_momenta([1.0, 1.0], [-1e-17, 1e-17], 0.0, 1.0)
+    assert list(kin.half_angles(batch)[2]) == [0.0, 1e-17]
+
+
 class TestBoostHalf:
     def test_rest_is_identity(self):
         p = kin.make_momentum(0, 0, 0, 3.0)

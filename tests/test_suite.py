@@ -16,6 +16,7 @@ from elko.suite import (
 )
 
 DATA = Path(__file__).parent / "data"
+BENCHMARK_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference-all.json"
 
 
 def test_registry_anchors_unique_and_nonempty():
@@ -145,3 +146,13 @@ def test_no_drift_from_pre_batch_report():
     assert [(c.id, c.anchor, c.samples) for c in now.checks] == \
         [(c.id, c.anchor, c.samples) for c in before.checks]
     assert now.summary == before.summary
+
+
+def test_benchmark_gate_holds():
+    """The gate of the verify-all benchmark: seed 1 at 1000 samples passes
+    60/60, draws no resample and does not drift from the reference report."""
+    reference = VerificationReport.from_json(BENCHMARK_REFERENCE.read_text())
+    report = run_suite("all", seed=1, samples=1000)
+    assert report.summary == {"total": 60, "passed": 60, "failed": 0}
+    assert report.resamples == 0
+    assert diff_reports(reference, report) == []
