@@ -6,9 +6,9 @@ identity by continuity.
 
 A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
 one momentum as floats; both expose the same fields, and the spin-1/2
-kernels (derived fields, ``half_angles``, ``boost_half``, ``boost_half_pair``,
-``boost_eigenvalue``) and the spin-1 ``boost_one`` are written once as plain
-arithmetic that accepts either.
+kernels (derived fields, ``half_angles``, ``polar_angles``, ``boost_half``,
+``boost_half_pair``, ``boost_eigenvalue``) and the spin-1 ``boost_one`` are
+written once as plain arithmetic that accepts either.
 """
 
 from __future__ import annotations
@@ -38,18 +38,6 @@ def _fold_azimuth(phi):
     every value below 2 pi as it is.
     """
     return phi % _TWO_PI % _TWO_PI
-
-
-def _polar_angles(p):
-    """(theta, phi) (N,) arrays of a batch's directions, theta in [0, pi]
-    and phi in [0, 2 pi); (0, 0) at rest.  ``FourMomentum.angles`` is the
-    one-momentum form (its math.acos/atan2 may round differently from the
-    numpy ufuncs in the last bit)."""
-    pabs = p.p_abs
-    at_rest = pabs == 0.0
-    # rest rows are moved onto +z, +x so that both angles are 0
-    theta = np.arccos(np.clip((p.pz + at_rest) / (pabs + at_rest), -1.0, 1.0))
-    return theta, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
 
 def _light_cone(E, pz, m, pperp2):
@@ -110,12 +98,10 @@ class FourMomentum(_OnShell):
         return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[1])
 
     def angles(self) -> "AngularParams":
-        """Polar/azimuthal angles of the direction; (0, 0) at rest."""
-        p = self.p_abs
-        if p == 0.0:
-            return AngularParams(0.0, 0.0)
-        theta = math.acos(max(-1.0, min(1.0, self.pz / p)))
-        return AngularParams(theta, _fold_azimuth(math.atan2(self.py, self.px)))
+        """Polar/azimuthal angles of the direction; (0, 0) at rest.  The
+        one-momentum call of ``polar_angles``."""
+        theta, phi = polar_angles(self)
+        return AngularParams(float(theta), float(phi))
 
 
 @dataclass(frozen=True)
@@ -250,6 +236,18 @@ def half_angles(p):
     sin_half = _sqrt(np.where(p.pz > 0, near, far) / two_p)
     # rest rows are moved onto +x so that phi = 0
     return cos_half, sin_half, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
+
+
+def polar_angles(p):
+    """(theta, phi) of p's direction, theta in [0, pi] and phi in
+    [0, 2 pi); (0, 0) at rest; floats or (N,) arrays.
+
+    theta is 2 atan2(sin(theta/2), cos(theta/2)) from ``half_angles``, so
+    it keeps its relative precision near the z axis, where arccos(pz/|p|)
+    would round to 0 or pi.
+    """
+    cos_half, sin_half, phi = half_angles(p)
+    return 2.0 * np.arctan2(sin_half, cos_half), phi
 
 
 def parity_reflect(p):

@@ -84,6 +84,21 @@ def matvec(a, x) -> CVector:
     return (a @ x[..., None])[..., 0]
 
 
+def vdot(a, b):
+    """a^dagger b over the last axis, row by row over any leading axes."""
+    return np.sum(np.conj(a) * b, axis=-1)
+
+
+def sqnorm(x):
+    """|x|^2 over the last axis of an array, row by row over any leading
+    axes, as one real dot product per row (of the interleaved real and
+    imaginary parts for a complex x, whose last axis must be contiguous).
+    For a real row that is the dot product under ``np.linalg.norm(row)``,
+    bit for bit, which ``norm(x, axis=-1)`` is not."""
+    r = x.view(float) if x.dtype.kind == "c" else x
+    return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+
+
 def pauli_dot(v) -> CMatrix:
     """sigma . v for a real or complex 3-vector v, or for (N, 3) rows."""
     v = np.asarray(v)

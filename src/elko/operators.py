@@ -47,6 +47,8 @@ from .matrices import (
     sigma_x,
     sigma_y,
     sigma_z,
+    sqnorm,
+    vdot,
 )
 from .spinors import (
     PhaseConfig,
@@ -239,7 +241,7 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     target = np.conj(lambda_components(p, "A", "up", basis="helicity"))
     image = matvec(blocks(xi, z, z, xi), lam_s)
     # |coeff| = 1 analytically: the first transform maps lam_s onto target
-    coeff = np.sum(np.conj(target) * image, axis=-1) / np.sum(np.conj(target) * target, axis=-1)
+    coeff = vdot(target, image) / vdot(target, target)
     xi = xi * np.asarray(np.conj(coeff) / np.abs(coeff))[..., None, None]
 
     return [
@@ -322,7 +324,7 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     u, g, v = _draw_attempts(np.random.default_rng(seed), n_momenta)
     lo, hi = np.log(0.1), np.log(10.0)
     m = np.exp(lo + (hi - lo) * u)
-    vec = g * ((10.0 * m) * v / np.maximum(np.sqrt(np.vecdot(g, g)), 1e-300))[:, None]
+    vec = g * ((10.0 * m) * v / np.maximum(np.sqrt(sqnorm(g)), 1e-300))[:, None]
     q = make_momenta(vec[:, 0], vec[:, 1], vec[:, 2], m)
     commute = 0.0
     anticommute = 0.0

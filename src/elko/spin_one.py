@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import AngularParams, FourMomentum, _polar_angles, as_batch, boost_one
-from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, theta_one
+from .kinematics import AngularParams, FourMomentum, as_batch, boost_one, polar_angles
+from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, sqnorm, theta_one, vdot
 
 _I3 = np.eye(3, dtype=complex)
 _Z3 = np.zeros((3, 3), dtype=complex)
@@ -186,7 +186,7 @@ _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 def _boosted_pair(p, construction: str, h: int):
     """(x, y) with s(zeta) = x + zeta y the (N, 6) six-spinor rows of the
     construction at helicity h along each momentum's direction."""
-    f = spin1_helicity_triplet(*_polar_angles(p), h)
+    f = spin1_helicity_triplet(*polar_angles(p), h)
     flipped = np.conj(f) @ theta_one.T
     right, left = boost_one(p, "R"), boost_one(p, "L")
     zero = np.zeros_like(f)
@@ -215,9 +215,9 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     c0 + e^{-i t} c1 + e^{i t} c2 and |d(t)|^2 is a degree-2 trigonometric
     polynomial: the grid evaluates that on all rows and both signs at once.
     The grid only picks the best sample; the refinement narrows a bracket
-    around it by taking the best of evenly spaced points each step, on the
-    direct residual |d(t)| / |s|, whose expanded square would cancel to
-    ~1e-8 at the exact zeros.
+    around it by taking the best of evenly spaced points each step, on
+    |d(t)|^2 summed from the components of d: the expanded polynomial would
+    cancel there, to ~1e-8 in |d(t)| / |s| at the exact zeros.
     """
     if construction not in ("lambda", "rho"):
         raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
@@ -226,17 +226,17 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     x, y = _boosted_pair(batch, construction, h)
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
-    norm = np.sqrt(np.vecdot(x, x).real + np.vecdot(y, y).real)
+    norm = np.sqrt(sqnorm(x) + sqnorm(y))
     signs = np.array([1.0, -1.0])[:, None, None]          # (2, 1, 1): self, anti
 
     # grid: |c0 + e^{-it} c1 + e^{it} c2|^2 on (2, N) rows, c1 = b, c2 = -sign y
     c0 = a - signs * x
     c2 = -signs * y
-    cross1 = np.vecdot(c0, b)                              # <c0, c1>
-    cross2 = np.vecdot(c0, c2)                             # <c0, c2>
-    cross12 = np.vecdot(c2, b)                             # <c2, c1>
+    cross1 = vdot(c0, b)                                   # <c0, c1>
+    cross2 = vdot(c0, c2)                                  # <c0, c2>
+    cross12 = vdot(c2, b)                                  # <c2, c1>
     coeffs = np.stack([
-        (np.vecdot(c0, c0) + np.vecdot(b, b) + np.vecdot(c2, c2)).real,
+        sqnorm(c0) + sqnorm(b) + sqnorm(c2),
         2.0 * (cross1.real + cross2.real), 2.0 * (cross1.imag - cross2.imag),
         2.0 * cross12.real, 2.0 * cross12.imag], axis=-1)  # (2, N, 5)
     step = 2.0 * math.pi / samples
@@ -245,16 +245,16 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
                       np.cos(2.0 * args), np.sin(2.0 * args)])
     best = np.argmin(coeffs @ basis, axis=-1)            # ties resolve to the smaller angle
 
-    # refinement on the direct residual; each step keeps the best point and
+    # refinement on the direct |d|^2; each step keeps the best point and
     # its two neighbours as the next bracket
     centre, half = args[best], step
     for _ in range(_REFINE_STEPS):
         z = np.exp(1j * (centre[..., None] + half * _OFFSETS))[..., None]   # (2, N, R, 1)
         d = c0[..., None, :] + np.conj(z) * b[:, None] + z * c2[..., None, :]
-        res = np.sqrt(np.vecdot(d, d).real) / norm[:, None]
-        centre = centre + half * _OFFSETS[np.argmin(res, axis=-1)]
+        d2 = sqnorm(d)
+        centre = centre + half * _OFFSETS[np.argmin(d2, axis=-1)]
         half = half * 2.0 / (_REFINE_POINTS - 1)
-    residual = np.min(res, axis=-1)
+    residual = np.sqrt(np.min(d2, axis=-1)) / norm
     zeta = np.exp(1j * centre)
 
     floor = TOLERANCES["floor"]

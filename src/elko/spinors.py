@@ -42,7 +42,7 @@ from .kinematics import (
     half_angles,
     make_momentum,
 )
-from .matrices import column, gamma0, matvec, theta_half, vector
+from .matrices import column, gamma0, matvec, theta_half, vdot, vector
 
 FAMILIES = ("lambda", "rho", "u", "v")
 KINDS_SELF = ("S", "A")
@@ -379,7 +379,7 @@ def bar_product(a, b):
             raise DomainError("bar_product requires both spinors at the same momentum")
     if av.ndim == 1:
         return complex(np.conj(av) @ gamma0 @ bv)
-    return np.sum(np.conj(av) * matvec(gamma0, bv), axis=-1)
+    return vdot(av, matvec(gamma0, bv))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class RunContext:
         while missing > 0:
             u, g, v = kin._draw_attempts(rng, missing)
             m = np.exp(lo + (hi - lo) * u)
-            direction = g / np.sqrt(np.vecdot(g, g))[:, None]
+            direction = g / np.sqrt(mat.sqnorm(g))[:, None]
             pabs = (max_beta_scale * m) * v
             vec = pabs[:, None] * direction
             keep = ~((pabs > 0) & (pabs + vec[:, 2] < 1e-6 * pabs))
@@ -185,11 +185,6 @@ def _max(*rows) -> float:
     return max(float(np.max(r, initial=0.0)) for r in rows)
 
 
-def _vdot(a, b):
-    """Row-wise a^dagger b."""
-    return np.sum(np.conj(a) * b, axis=-1)
-
-
 def _unit(v):
     return v / _norm(v)[..., None]
 
@@ -257,7 +252,7 @@ def _chk_boost_consistency(ctx):
                                         (sp.REST_RHO_PATTERNS, sp.rho_components)):
                 boosted = mat.matvec(b, scale * patterns[(kind, index)])
                 closed = closed_fn(momenta, kind, index)
-                phase = _vdot(closed, boosted) / _vdot(closed, closed)
+                phase = mat.vdot(closed, boosted) / mat.vdot(closed, closed)
                 phases.append(phase)
                 worst = max(worst, _max(_norm(boosted - mat.column(phase) * closed),
                                         np.abs(np.abs(phase) - 1.0)))
@@ -350,7 +345,7 @@ def _chk_helicity_noneigen(ctx):
             for i in ("up", "down"):
                 v = _unit(sp.lambda_components(momenta, k, i, basis))
                 hv = h_op.apply(v)
-                mu = _vdot(v, hv)
+                mu = mat.vdot(v, hv)
                 r = _norm(hv - mat.column(mu) * v)[rows]
                 best = min(best, float(np.min(r, initial=math.inf)))
     return best, {}
@@ -565,7 +560,7 @@ def _chk_lambda_transforms(ctx):
         ls, targets = _transform_targets(momenta, h)
         for k, (t, target) in enumerate(zip(transforms, targets)):
             img = mat.matvec(t, ls)
-            c = _vdot(target, img) / _vdot(target, target)
+            c = mat.vdot(target, img) / mat.vdot(target, target)
             coeffs[k].append(c)
             worst = max(worst, _max(_rel(img - mat.column(c) * target, ls),
                                     np.abs(np.abs(c) - 1.0)))

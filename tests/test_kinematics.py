@@ -87,6 +87,25 @@ def test_angles_of_momentum():
     assert a.phi == pytest.approx(math.pi / 4)
 
 
+def test_polar_angle_keeps_its_digits_near_the_z_axis():
+    # pz/|p| rounds to +-1 here, where arccos would give exactly 0 or pi
+    assert kin.make_momentum(1e-9, 0.0, 1.0, 1.0).angles().theta == pytest.approx(1e-9, rel=1e-15)
+    assert kin.make_momentum(0.0, 1e-9, -1.0, 1.0).angles().theta == pytest.approx(
+        math.pi - 1e-9, rel=0, abs=1e-15)
+    assert kin.make_momentum(0.0, 0.0, -2.0, 1.0).angles() == kin.AngularParams(math.pi, 0.0)
+
+
+def test_batch_angles_are_the_row_angles():
+    # one theta per momentum, whether it is asked for alone or in a batch
+    rng = np.random.default_rng(7)
+    batch = kin.make_momenta(*rng.normal(size=(3, 200)), 1.0)
+    batch = kin.as_batch([kin.make_momentum(0, 0, 0, 1.0), kin.make_momentum(0, 0, -1, 1.0),
+                          kin.make_momentum(1e-9, 0, 1, 1.0), *batch])
+    theta, phi = kin.polar_angles(batch)
+    for i, p in enumerate(batch):
+        assert p.angles() == kin.AngularParams(theta[i], phi[i])
+
+
 def test_azimuth_that_rounds_to_two_pi_is_zero():
     # atan2 gives -1e-17 here, which folds onto a value that rounds to 2 pi
     p = kin.make_momentum(1.0, -1e-17, 0.0, 1.0)

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elko import suite
@@ -135,6 +136,22 @@ def test_raising_check_is_reported_as_error(monkeypatch):
     assert not report.all_passed
     clone = VerificationReport.from_json(report.to_json())
     assert clone.checks[0].status == "error"
+
+
+# functions numpy gained in 2.x; the package declares numpy >= 1.24
+_NUMPY_2_ONLY = ("vecdot", "matvec", "vecmat", "unstack", "permute_dims", "concat",
+                 "matrix_transpose", "cumulative_sum", "cumulative_prod", "astype",
+                 "isdtype", "acos", "asin", "atan", "atan2", "pow")
+_NUMPY_2_ONLY_LINALG = ("vecdot", "matrix_norm", "vector_norm", "matrix_transpose")
+
+
+def test_suite_runs_without_numpy_2_functions(monkeypatch):
+    for name in _NUMPY_2_ONLY:
+        monkeypatch.delattr(np, name, raising=False)
+    for name in _NUMPY_2_ONLY_LINALG:
+        monkeypatch.delattr(np.linalg, name, raising=False)
+    report = run_suite("all", seed=1, samples=20)
+    assert report.summary == {"total": 60, "passed": 60, "failed": 0}
 
 
 def test_no_drift_from_pre_batch_report():
