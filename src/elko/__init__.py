@@ -12,7 +12,6 @@ from .errors import (
     DirectionUndefinedError,
     DomainError,
     ElkoError,
-    NoIntertwinerError,
     UsageError,
 )
 from .kinematics import (
@@ -28,19 +27,15 @@ from .kinematics import (
 )
 from .matrices import (
     adjoint,
-    conj,
     det,
     gamma0,
     gamma1,
     gamma2,
     gamma3,
     gamma5,
-    intertwiner_null_space,
-    mul,
     sigma_x,
     sigma_y,
     sigma_z,
-    solve_intertwiner,
     theta_half,
     theta_one,
 )
@@ -96,7 +91,6 @@ from .dynamics import (
 from .spin_one import (
     ConjugacyScan,
     SixSpinor,
-    SpinOneOperator,
     gamma5_one,
     gamma5_sc_one,
     sc_one,

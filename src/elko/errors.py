@@ -21,10 +21,6 @@ class CoordinateSingularityError(DomainError):
     """Momentum points along the -z axis where the helicity rotation is singular."""
 
 
-class NoIntertwinerError(ElkoError):
-    """The intertwiner equation X A = B X has no nonzero solution."""
-
-
 class AmbiguousIntertwinerError(ElkoError):
     """The intertwiner solution space has dimension > 1; the caller must constrain."""
 

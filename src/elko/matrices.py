@@ -1,11 +1,10 @@
 """Dense complex matrix arithmetic for the small fixed shapes used everywhere.
 
 A ``CMatrix`` is a 2-d ``numpy.ndarray`` of ``complex128``; a ``CVector`` is the
-1-d analog.  Supported square shapes are 2, 3, 4, 6 and 8.  This module also
-owns the fixed matrix constants: Pauli matrices, the chiral-basis gamma
-matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner matrices
-and the spin-1 angular-momentum generators in the spherical basis
-(J_z = diag(1, 0, -1)).
+1-d analog.  This module owns the fixed matrix constants: Pauli matrices,
+the chiral-basis gamma matrices (right-handed block on top), the spin-1/2
+and spin-1 Wigner matrices and the spin-1 angular-momentum generators in the
+spherical basis (J_z = diag(1, 0, -1)).
 
 The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``blocks`` and
 ``block_diag2`` work on one object or on a batch: a leading axis of length
@@ -17,12 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbiguousIntertwinerError, DimensionError, NoIntertwinerError
+from .errors import DimensionError
 
 CMatrix = np.ndarray
 CVector = np.ndarray
-
-SUPPORTED_DIMS = (2, 3, 4, 6, 8)
 
 # ---------------------------------------------------------------------------
 # fixed matrices
@@ -31,7 +28,6 @@ SUPPORTED_DIMS = (2, 3, 4, 6, 8)
 sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
 sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (sigma_x, sigma_y, sigma_z)
 
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
@@ -44,9 +40,6 @@ gamma2 = np.block([[_Z2, -sigma_y], [sigma_y, _Z2]])
 gamma3 = np.block([[_Z2, -sigma_z], [sigma_z, _Z2]])
 gamma5 = np.block([[_I2, _Z2], [_Z2, -_I2]])
 GAMMA = (gamma0, gamma1, gamma2, gamma3)
-
-# alpha_i = gamma0 gamma_i = diag(sigma_i, -sigma_i) in this basis
-ALPHA = tuple(gamma0 @ g for g in (gamma1, gamma2, gamma3))
 
 # Wigner time-reversal matrix for spin 1/2: Theta sigma Theta^-1 = -sigma*.
 theta_half = -1j * sigma_y
@@ -133,96 +126,14 @@ def blocks(a, b, c, d) -> CMatrix:
     return out
 
 
-# ---------------------------------------------------------------------------
-# arithmetic with shape validation
-# ---------------------------------------------------------------------------
-
-def _as_matrix(a) -> CMatrix:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    return m
-
-
-def _require_square(a: CMatrix) -> CMatrix:
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def mul(a, b) -> CMatrix:
-    """Matrix product a . b (also accepts a vector as the right factor)."""
-    am = _as_matrix(a)
-    bm = np.asarray(b, dtype=complex)
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {am.shape} and {bm.shape}")
-    return am @ bm
-
-
 def adjoint(a) -> CMatrix:
     """Conjugate transpose of a matrix or of each matrix in a batch."""
     return np.conj(np.swapaxes(np.asarray(a, dtype=complex), -1, -2))
 
 
-def conj(a) -> CMatrix:
-    """Entrywise complex conjugate."""
-    return np.conj(np.asarray(a, dtype=complex))
-
-
 def det(a) -> complex:
     """Determinant (LU based), square input required."""
-    return complex(np.linalg.det(_require_square(a)))
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-# ---------------------------------------------------------------------------
-# intertwiner solver
-# ---------------------------------------------------------------------------
-
-def intertwiner_null_space(a, b, rcond: float = 1e-10) -> list[CMatrix]:
-    """All X with X a - b X = 0, as an orthonormal basis of matrices.
-
-    The map X -> X a - b X is vectorised column-major into an n^2 x n^2
-    system whose null space is extracted with a dense SVD.
-    """
-    am = _require_square(a)
-    bm = _require_square(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
-    n = am.shape[0]
-    # vec(X a) = (a^T (x) I) vec(X),  vec(b X) = (I (x) b) vec(X), column-major
-    system = np.kron(am.T, np.eye(n)) - np.kron(np.eye(n), bm)
-    _, svals, vh = np.linalg.svd(system)
-    cutoff = rcond * max(1.0, float(svals[0])) if svals.size else rcond
-    null_rows = vh[svals < cutoff].conj()
-    return [row.reshape((n, n), order="F") for row in null_rows]
-
-
-def normalize_intertwiner(x: CMatrix) -> CMatrix:
-    """Unit Frobenius norm, first nonzero entry rotated to be real positive."""
-    y = np.asarray(x, dtype=complex) / frobenius(x)
-    flat = y.reshape(-1)
-    for entry in flat:
-        if abs(entry) > 1e-12:
-            y = y * (np.conj(entry) / abs(entry))
-            break
-    return y
-
-
-def solve_intertwiner(a, b) -> CMatrix:
-    """The unique (up to scale) nonzero X with X a = b X.
-
-    Raises ``NoIntertwinerError`` when only X = 0 solves the equation and
-    ``AmbiguousIntertwinerError`` when the solution space has dimension > 1;
-    in the ambiguous case the caller must supply extra constraints.
-    """
-    basis = intertwiner_null_space(a, b)
-    if len(basis) == 0:
-        raise NoIntertwinerError("intertwiner equation has only the zero solution")
-    if len(basis) > 1:
-        raise AmbiguousIntertwinerError(len(basis))
-    return normalize_intertwiner(basis[0])
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return complex(np.linalg.det(m))

@@ -6,7 +6,9 @@ A ``SymmetryOperator`` acts on a momentum-space state function psi as
     (O psi)(p) = phase * M * K^a [ psi(p') ]
 
 where p' = parity_reflect(p) when the operator reflects momentum (else p),
-K is complex conjugation applied a = 0/1 times, and M is a fixed matrix.
+K is complex conjugation applied a = 0/1 times, and M is a fixed n x n
+matrix: n = 4 for the spin-1/2 operators here, n = 6 for the spin-1 ones in
+``spin_one``.
 Composition therefore multiplies matrices (conjugating the inner one under
 an antilinear outer factor), xors the two flags and multiplies phases
 (conjugating the inner phase under an antilinear outer factor).  The generic

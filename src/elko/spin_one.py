@@ -22,6 +22,7 @@ from .config import TOLERANCES
 from .errors import DomainError
 from .kinematics import AngularParams, FourMomentum, as_batch, boost_one, polar_angles
 from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, sqnorm, theta_one, vdot
+from .operators import SymmetryOperator
 
 _I3 = np.eye(3, dtype=complex)
 _Z3 = np.zeros((3, 3), dtype=complex)
@@ -54,41 +55,21 @@ class SixSpinor:
         return float(np.linalg.norm(self.components))
 
 
-@dataclass(frozen=True)
-class SpinOneOperator:
-    """6x6 matrix part + antilinearity flag + unimodular phase."""
-
-    matrix: CMatrix
-    antilinear: bool = False
-    phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > TOLERANCES["on_shell"]:
-            raise DomainError(f"operator phase must be unimodular, got {self.phase}")
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    def apply(self, components) -> np.ndarray:
-        x = np.asarray(components, dtype=complex)
-        if self.antilinear:
-            x = np.conj(x)
-        return self.phase * (self.matrix @ x)
-
-
 def wigner_theta_one() -> CMatrix:
     """3x3 Wigner matrix: real, orthogonal, symmetric, squares to +1, and
     Theta J Theta^-1 = -J* for all three spin-1 generators."""
     return theta_one.copy()
 
 
-def sc_one(phase: float = 0.0) -> SpinOneOperator:
+def sc_one(phase: float = 0.0) -> SymmetryOperator:
     """Antilinear spin-1 charge conjugation; squares to -1 for every phase."""
-    return SpinOneOperator(_SC_BLOCK.copy(), antilinear=True, phase=cmath.exp(1j * phase))
+    return SymmetryOperator(_SC_BLOCK.copy(), antilinear=True, phase=cmath.exp(1j * phase))
 
 
-def ss_one(phase: float = 0.0) -> SpinOneOperator:
+def ss_one(phase: float = 0.0) -> SymmetryOperator:
     """Linear block-swap e^{i phase} [[0, 1], [1, 0]] (squares to +1 at 0)."""
     matrix = np.block([[_Z3, _I3], [_I3, _Z3]])
-    return SpinOneOperator(matrix, antilinear=False, phase=cmath.exp(1j * phase))
+    return SymmetryOperator(matrix, antilinear=False, phase=cmath.exp(1j * phase))
 
 
 def gamma5_one() -> CMatrix:
@@ -96,10 +77,10 @@ def gamma5_one() -> CMatrix:
     return _G5_ONE.copy()
 
 
-def gamma5_sc_one(phase: float = 0.0) -> SpinOneOperator:
+def gamma5_sc_one(phase: float = 0.0) -> SymmetryOperator:
     """The chirality-twisted conjugation; squares to +1."""
     base = sc_one(phase)
-    return SpinOneOperator(gamma5_one() @ base.matrix, antilinear=True, phase=base.phase)
+    return SymmetryOperator(gamma5_one() @ base.matrix, antilinear=True, phase=base.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +151,7 @@ class ConjugacyScan:
     floor_exceeded: bool           # True when neither sign admits a solution
 
 
-def _scan_operator(name: str, phase: float) -> SpinOneOperator:
+def _scan_operator(name: str, phase: float) -> SymmetryOperator:
     if name == "sc":
         return sc_one(phase)
     if name == "g5sc":
@@ -178,6 +159,7 @@ def _scan_operator(name: str, phase: float) -> SpinOneOperator:
     raise DomainError(f"operator must be 'sc' or 'g5sc', got {name!r}")
 
 
+_GRID_POINTS = 720   # the unit circle in steps of 0.5 degree
 _REFINE_POINTS = 17   # points per refinement step; the bracket shrinks 8x
 _REFINE_STEPS = 15    # from +-1 grid step (8.7e-3 rad) down to +-2.5e-16 rad
 _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
@@ -198,7 +180,7 @@ def _boosted_pair(p, construction: str, h: int):
 
 
 def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
-                         h: int = 1, op_phase: float = 0.0, samples: int = 720) -> ConjugacyScan:
+                         h: int = 1, op_phase: float = 0.0) -> ConjugacyScan:
     """Sample zeta on the unit circle (then refine around the best sample)
     and report the minimal residuals of Op psi(zeta) = +- psi(zeta).
 
@@ -239,9 +221,9 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
         sqnorm(c0) + sqnorm(b) + sqnorm(c2),
         2.0 * (cross1.real + cross2.real), 2.0 * (cross1.imag - cross2.imag),
         2.0 * cross12.real, 2.0 * cross12.imag], axis=-1)  # (2, N, 5)
-    step = 2.0 * math.pi / samples
-    args = step * np.arange(samples)
-    basis = np.stack([np.ones(samples), np.cos(args), np.sin(args),
+    step = 2.0 * math.pi / _GRID_POINTS
+    args = step * np.arange(_GRID_POINTS)
+    basis = np.stack([np.ones(_GRID_POINTS), np.cos(args), np.sin(args),
                       np.cos(2.0 * args), np.sin(2.0 * args)])
     best = np.argmin(coeffs @ basis, axis=-1)            # ties resolve to the smaller angle
 

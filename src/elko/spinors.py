@@ -25,7 +25,6 @@ Conventions, fixed once here and relied on by the whole verification suite:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .kinematics import (
     half_angles,
     make_momentum,
 )
-from .matrices import column, gamma0, matvec, theta_half, vdot, vector
+from .matrices import column, gamma0, matrix2, matvec, theta_half, vdot, vector
 
 FAMILIES = ("lambda", "rho", "u", "v")
 KINDS_SELF = ("S", "A")
@@ -55,15 +54,12 @@ class PhaseConfig:
     """Free phases of the construction; all default to zero.
 
     theta_c is the charge-conjugation phase; theta1/theta2 dress the +/-
-    helicity 2-spinors; alpha/beta are the phases of the two 2-spinors
-    entering the index-flip unitary.
+    helicity 2-spinors.
     """
 
     theta_c: float = 0.0
     theta1: float = 0.0
     theta2: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -191,17 +187,18 @@ def _rho_spinorial(p, kind: str, index: str) -> np.ndarray:
 # helicity 2-spinors
 # ---------------------------------------------------------------------------
 
-def _helicity_spinor(ct, st, phi, h: int, theta1: float, theta2: float) -> np.ndarray:
+def _helicity_spinor(ct, st, phi, h: int, theta1, theta2) -> np.ndarray:
     em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
     if h > 0:
-        return np.exp(1j * theta1) * vector(ct * em, st * ep)
-    return np.exp(1j * theta2) * vector(st * em, -ct * ep)
+        e = np.exp(1j * theta1)
+        return vector(e * (ct * em), e * (st * ep))
+    e = np.exp(1j * theta2)
+    return vector(e * (st * em), e * (-ct * ep))
 
 
-def helicity_components(theta, phi, h: int,
-                        theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
+def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
     """Raw sigma.n eigen-2-spinor at arbitrary real angles (half-angle
-    forms); (2,) for float angles, (N, 2) for (N,) arrays."""
+    forms); (2,) for float angles and phases, (N, 2) for (N,) arrays."""
     return _helicity_spinor(np.cos(theta / 2.0), np.sin(theta / 2.0), phi, h, theta1, theta2)
 
 
@@ -219,15 +216,16 @@ def helicity_two_spinor(a: AngularParams, h: int, cfg: PhaseConfig = PhaseConfig
     return TwoSpinor(comps, h, cfg.theta1, cfg.theta2)
 
 
-def index_flip_unitary(phi: float, alpha: float, beta: float) -> np.ndarray:
-    """The unitary connecting the two helicity 2-spinors.
+def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
+    """The unitary connecting the two helicity 2-spinors; (2, 2) for float
+    angles, (N, 2, 2) for (N,) arrays.
 
     U maps the +1 spinor (phase alpha) onto the -1 spinor (phase beta);
     its adjoint maps back.
     """
-    return cmath.exp(1j * (beta - alpha)) * np.array(
-        [[0, cmath.exp(-1j * phi)], [-cmath.exp(1j * phi), 0]], dtype=complex
-    )
+    zero = np.zeros_like(phi)
+    flip = matrix2(zero, np.exp(-1j * phi), -np.exp(1j * phi), zero)
+    return np.asarray(np.exp(1j * (beta - alpha)))[..., None, None] * flip
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,22 @@ class TestXiMatrix:
         with pytest.raises(DirectionUndefinedError):
             ops.xi_matrix(make_momentum(0, 0, 0, 1.0))
 
+    def test_boost_intertwiner_equation_has_two_dim_solution_space(self):
+        # the commutant of sigma.n always contributes a second solution, so
+        # the equation alone does not fix Xi and xi_matrix pins one element
+        p = make_momentum(1.0, 2.0, 3.0, 2.0)
+        lam = boost_half(p, "R")
+        # vec(X lam - lam* X) = (lam^T (x) I - I (x) lam*) vec(X), column-major
+        system = np.kron(lam.T, np.eye(2)) - np.kron(np.eye(2), np.conj(lam))
+        _, svals, vh = np.linalg.svd(system)
+        null = vh[svals < 1e-10 * max(1.0, svals[0])].conj()
+        assert len(null) == 2
+        for row in null:
+            x = row.reshape((2, 2), order="F")
+            assert np.linalg.norm(x @ lam - np.conj(lam) @ x) <= 1e-10
+        xi = ops.xi_matrix(p).reshape(-1, order="F")
+        assert np.linalg.norm(xi - null.T @ (null.conj() @ xi)) <= 1e-12
+
 
 class TestLambdaBasisTransforms:
     def _targets(self, p, h):

@@ -20,6 +20,42 @@ DATA = Path(__file__).parent / "data"
 BENCHMARK_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference-all.json"
 
 
+def test_registry_matches_the_frozen_rows():
+    """The id, anchor, tolerance and expectation of all 60 checks are
+    pinned in check-specs.json, so no row loosens a tolerance or changes
+    what a check id means unnoticed."""
+    frozen = {row["id"]: row for row in json.loads((DATA / "check-specs.json").read_text())}
+    now = {c.id: {"id": c.id, "anchor": c.anchor, "tolerance": c.tolerance,
+                  "expectation": c.expectation, "expected_relation": c.expected_relation}
+           for c in suite_checks("all")}
+    assert len(frozen) == 60
+    assert now == frozen
+
+
+def test_every_registered_check_runs_once_through_its_run_attribute():
+    """The benchmark's tracer times each check by rebinding ``run`` on the
+    frozen spec in ``_REGISTRY``; a check called some other way would read
+    as 0 s."""
+    calls = {}
+    originals = [(spec, spec.run) for specs in suite._REGISTRY.values() for spec in specs]
+
+    def counting(spec, run):
+        def wrapped(ctx):
+            calls[spec.id] = calls.get(spec.id, 0) + 1
+            return run(ctx)
+        return wrapped
+
+    try:
+        for spec, run in originals:
+            object.__setattr__(spec, "run", counting(spec, run))
+        report = run_suite("all", seed=1, samples=2)
+    finally:
+        for spec, run in originals:
+            object.__setattr__(spec, "run", run)
+    assert len(originals) == 60
+    assert calls == {c.id: 1 for c in report.checks}
+
+
 def test_registry_anchors_unique_and_nonempty():
     checks = suite_checks("all")
     anchors = [c.anchor for c in checks]
@@ -92,6 +128,13 @@ class TestDiffReports:
         with pytest.raises(UsageError):
             diff_reports(a, b)
 
+    def test_nested_constant_drift_detected(self):
+        a = run_suite("spin-half", seed=1, samples=3)
+        mutated = VerificationReport.from_json(a.to_json())
+        check = next(c for c in mutated.checks if c.id == "spin-half.parity-spinorial")
+        check.constants["coefficients"][0][1] = -1.0
+        assert diff_reports(a, mutated) == ["spin-half.parity-spinorial"]
+
     def test_status_drift_detected(self):
         a = run_suite("spin-half", seed=1, samples=3)
         mutated = VerificationReport.from_json(a.to_json())
@@ -123,8 +166,7 @@ def test_raising_check_is_reported_as_error(monkeypatch):
 
     # sorts first, so every real check runs after it
     real = suite.suite_checks("spin-half")
-    extra = CheckSpec("spin-half.aa-broken", "a check that raises", "fixed", 1e-12,
-                      "vanish", broken)
+    extra = CheckSpec("spin-half.aa-broken", "a check that raises", 1e-12, "vanish", broken)
     monkeypatch.setattr(suite, "suite_checks", lambda name: real + [extra])
     report = run_suite("spin-half", seed=1, samples=2)
     first = report.checks[0]
