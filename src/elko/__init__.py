@@ -42,12 +42,10 @@ from .matrices import (
 from .spinors import (
     Bispinor,
     PhaseConfig,
-    TwoSpinor,
     bar_product,
     chiral_helicity_sign,
     dirac_components,
     dirac_spinor,
-    helicity_two_spinor,
     index_flip_unitary,
     lambda_components,
     lambda_spinor,
@@ -76,8 +74,8 @@ from .operators import (
     xi_matrix,
 )
 from .dynamics import (
-    EightSpinor,
     FrequencyConvention,
+    coupled_equations,
     coupled_system_residual,
     dirac_matrix,
     discover_convention,
@@ -90,14 +88,12 @@ from .dynamics import (
 )
 from .spin_one import (
     ConjugacyScan,
-    SixSpinor,
     gamma5_one,
     gamma5_sc_one,
     sc_one,
     spin1_conjugacy_scan,
     spin1_helicity_triplet,
-    spin1_lambda,
-    spin1_rho,
+    spin1_pair,
     ss_one,
     wigner_theta_one,
 )

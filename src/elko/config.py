@@ -15,8 +15,6 @@ TOLERANCES = {
     "intertwiner": 1e-12,
     # zeta-scan minima for the spin-1 chirality-twisted conjugation
     "zeta_minimum": 1e-10,
-    # optimal zeta against e^{i phase} when the conjugation phase is shifted
-    "zeta_rotation": 1e-3,
     # floors: residuals that must stay LARGE for nonexistence/separation claims
     "floor": 0.1,
     # wrong frequency convention must leave residuals above  floor_mass * m

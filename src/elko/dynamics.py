@@ -1,11 +1,13 @@
 """Momentum-space residual checks for the wave equations: the coupled
 lambda/rho first-order system, the doubled Dirac system and its chi/eta
-superpositions, the two-mass equation, and the 8-component assembly with its
-axial gauge structure.
+superpositions, the two-mass equation, and the mass terms of the Lagrangian.
 
-``dirac_matrix``, ``coupled_system_residual``, ``eight_kinetic`` and
-``eight_component_residual`` take a FourMomentum or a MomentumBatch; on a
-batch they return one matrix or one residual per row.
+The eight-component equation is the coupled system written as the stacks
+(lambda^S, rho^A) and (lambda^A, rho^S): ``coupled_equations`` gives the
+four equation rows for any four states, and both residuals reduce them over
+the physical states.  ``dirac_matrix``, ``coupled_equations`` and both
+residuals take a FourMomentum or a MomentumBatch; on a batch they return
+one matrix or one residual per row.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import DomainError
 from .kinematics import FourMomentum, as_batch
-from .matrices import GAMMA, blocks, gamma5, matvec
-from .operators import chiral_gauge_transform
-from .spinors import (
-    Bispinor,
-    bar_product,
-    dirac_spinor,
-    lambda_components,
-    lambda_spinor,
-    rho_components,
-    rho_spinor,
-)
+from .matrices import GAMMA, gamma5, matvec
+from .spinors import Bispinor, bar_product, dirac_spinor, lambda_components, rho_components
 
 
 @dataclass(frozen=True)
@@ -54,23 +47,6 @@ class FrequencyConvention:
         return self.sign if sector == "S" else -self.sign
 
 
-@dataclass(frozen=True)
-class EightSpinor:
-    """(lambda-sector, rho-sector) stack sharing one momentum."""
-
-    upper: Bispinor
-    lower: Bispinor
-
-    def __post_init__(self):
-        pu, pl = self.upper.momentum, self.lower.momentum
-        if (pu.px, pu.py, pu.pz, pu.m) != (pl.px, pl.py, pl.pz, pl.m):
-            raise DomainError("both sectors of an EightSpinor share one momentum")
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.concatenate([self.upper.components, self.lower.components])
-
-
 class MarkovPair(NamedTuple):
     chi: np.ndarray
     eta: np.ndarray
@@ -88,27 +64,49 @@ def dirac_matrix(p) -> np.ndarray:
     return slash(p.E, p.px, p.py, p.pz)
 
 
+def physical_quartet(p, index: str):
+    """(lambda^S, rho^A, lambda^A, rho^S) at one index: (4,) components at
+    one momentum, (N, 4) rows on a batch."""
+    return (lambda_components(p, "S", index), rho_components(p, "A", index),
+            lambda_components(p, "A", index), rho_components(p, "S", index))
+
+
+def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
+    """The four coupled equations evaluated on the given states, one row
+    each: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
+    rho^S -> lambda^A).
+
+    Row k is kinetic_k gamma.p state_k - mass_k m partner_k: the
+    coordinate-space equations carry opposite mass signs in the two
+    sectors, and the plane-wave substitution contributes the convention's
+    frequency sign to the kinetic part.  The states are (..., 4) at one
+    momentum or (..., N, 4) on a batch, any leading axes broadcast, and the
+    result is (..., 4, 4) or (..., N, 4, 4).  Rows 1 and 0 stacked are the
+    eight-component equation of the stack (lambda^S, rho^A), rows 3 and 2
+    that of (lambda^A, rho^S).
+    """
+    gp = dirac_matrix(p)[..., None, :, :]
+    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
+    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
+    eqs = matvec(gp, np.stack([ls, ra, la, rs], axis=-2))
+    eqs *= kinetic
+    partners = np.stack([ra, ls, rs, la], axis=-2)
+    partners *= mass   # in place: a batch holds one (N, 4, 4) temporary fewer
+    eqs -= partners
+    return eqs
+
+
 def coupled_system_residual(p, conv: FrequencyConvention):
     """Norm residuals of the four coupled equations, max over both indices;
     floats at one momentum, (N,) arrays on a batch.
 
-    Order: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
-    rho^S -> lambda^A).  With the correct convention all four vanish; with
-    the wrong one at least one is of order m at every momentum.
+    Order as in ``coupled_equations``.  With the correct convention all
+    four vanish; with the wrong one at least one is of order m at every
+    momentum.
     """
-    gp_t = np.swapaxes(dirac_matrix(p), -1, -2)
-    # equation k: kinetic[k] gamma.p state_k - mass[k] m partner_k
-    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
-    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
     worst = 0.0
     for index in ("up", "down"):
-        ls = lambda_components(p, "S", index)
-        ra = rho_components(p, "A", index)
-        la = lambda_components(p, "A", index)
-        rs = rho_components(p, "S", index)
-        eqs = np.stack([ls, ra, la, rs], axis=-2) @ gp_t
-        eqs *= kinetic
-        eqs -= mass * np.stack([ra, ls, rs, la], axis=-2)
+        eqs = coupled_equations(p, conv, *physical_quartet(p, index))
         worst = np.maximum(worst, np.linalg.norm(eqs, axis=-1))
     return tuple(np.moveaxis(worst, -1, 0))
 
@@ -188,73 +186,25 @@ def sen_gupta_equivalence(m1: float, m2: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 8-component assembly
+# 8-component equation
 # ---------------------------------------------------------------------------
-
-_Z4 = np.zeros((4, 4), dtype=complex)
-
-
-def lambda5() -> np.ndarray:
-    """diag(gamma5, -gamma5): the axial charge matrix of the doubled system."""
-    return np.block([[gamma5, _Z4], [_Z4, -gamma5]])
-
-
-def eight_kinetic(p) -> np.ndarray:
-    """Off-diagonal kinetic block [[0, gamma.p], [gamma.p, 0]]; commutes with
-    the axial matrix, so the axial-coupled covariant derivative is consistent."""
-    gp = dirac_matrix(p)
-    z = np.zeros_like(gp)
-    return blocks(z, gp, gp, z)
-
-
-def eight_stacks(p: FourMomentum, index: str):
-    """The (lambda^S, rho^A) and (lambda^A, rho^S) stacks at one index."""
-    s_stack = EightSpinor(lambda_spinor(p, "S", index), rho_spinor(p, "A", index))
-    a_stack = EightSpinor(lambda_spinor(p, "A", index), rho_spinor(p, "S", index))
-    return s_stack, a_stack
-
-
-_MASS_SIGN = {"S": 1.0, "A": -1.0}
-
-
-def eight_operator(p, conv: FrequencyConvention, sector: str) -> np.ndarray:
-    """Momentum-space 8x8 operator for one sector.
-
-    The coordinate-space equations carry opposite mass signs in the two
-    sectors; the plane-wave substitution contributes the convention's
-    frequency sign to the kinetic part.
-    """
-    return (conv.sector_sign(sector) * eight_kinetic(p)
-            - _MASS_SIGN[sector] * np.asarray(p.m)[..., None, None] * np.eye(8, dtype=complex))
-
 
 def eight_component_residual(p, conv: FrequencyConvention):
     """Max residual of the 8-component equation over both stacks and
     indices; a float at one momentum, an (N,) array on a batch.
 
-    ``eight_operator`` is applied block by block: its kinetic part maps the
-    stack (x, y) to (gamma.p y, gamma.p x), so no 8x8 matrix is formed.
+    Its kinetic block [[0, gamma.p], [gamma.p, 0]] maps the stack (x, y) to
+    (gamma.p y, gamma.p x), so each stack's residual is the norm of its
+    pair of coupled equations and no 8x8 matrix is formed.  The block
+    commutes with the axial matrix diag(gamma5, -gamma5), so the
+    axial-coupled covariant derivative is consistent.
     """
-    gp = dirac_matrix(p)
-    m = np.asarray(p.m)[..., None]
     worst = 0.0
     for index in ("up", "down"):
-        for upper, lower, sector in (
-                (lambda_components(p, "S", index), rho_components(p, "A", index), "S"),
-                (lambda_components(p, "A", index), rho_components(p, "S", index), "A")):
-            kinetic, mass = conv.sector_sign(sector), _MASS_SIGN[sector] * m
-            r = np.concatenate([kinetic * matvec(gp, lower) - mass * upper,
-                                kinetic * matvec(gp, upper) - mass * lower], axis=-1)
-            worst = np.maximum(worst, np.linalg.norm(r, axis=-1))
+        eqs = coupled_equations(p, conv, *physical_quartet(p, index))
+        pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
+        worst = np.maximum(worst, np.max(np.linalg.norm(pairs, axis=-1), axis=-1))
     return worst
-
-
-def eight_gauge_transform(alpha: float) -> np.ndarray:
-    """diag(G_lambda(alpha), G_rho(alpha)) acting on an 8-component stack."""
-    return np.block(
-        [[chiral_gauge_transform(alpha, "lambda"), _Z4],
-         [_Z4, chiral_gauge_transform(alpha, "rho")]]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DirectionUndefinedError, DomainError
-from .matrices import CMatrix, block_diag2, matrix2, spin1_dot
+from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm
 
 
 _TWO_PI = 2 * math.pi
@@ -216,6 +216,34 @@ def _draw_attempts(rng: np.random.Generator, n: int):
         g[i] = normal(size=3)
         v[i] = random()
     return u, g, v
+
+
+def sample_momenta(rng: np.random.Generator, n: int):
+    """n random on-shell momenta and the number of rejected attempts: mass
+    log-uniform in [0.1, 10], |p| uniform in [0, 10 m], direction uniform,
+    the -z axis avoided.
+
+    Each attempt is drawn in turn (``_draw_attempts``) and yields at most
+    one row; after rejections exactly the missing number of attempts is
+    drawn again, so the rows and the rejection count are those of drawing
+    the momenta one by one.
+    """
+    lo, hi = np.log(0.1), np.log(10.0)
+    rows = [np.empty((0, 4))]
+    rejected = 0
+    missing = n
+    while missing > 0:
+        u, g, v = _draw_attempts(rng, missing)
+        m = np.exp(lo + (hi - lo) * u)
+        direction = g / np.sqrt(sqnorm(g))[:, None]
+        pabs = (10.0 * m) * v
+        vec = pabs[:, None] * direction
+        keep = ~((pabs > 0) & (pabs + vec[:, 2] < 1e-6 * pabs))
+        rows.append(np.column_stack([vec, m])[keep])
+        kept = int(np.count_nonzero(keep))
+        rejected += len(keep) - kept
+        missing -= kept
+    return make_momenta(*np.concatenate(rows).T), rejected
 
 
 def half_angles(p):

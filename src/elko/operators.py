@@ -35,7 +35,7 @@ from .errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from .kinematics import _draw_attempts, _sqrt, boost_half, make_momenta, parity_reflect
+from .kinematics import _sqrt, boost_half, parity_reflect, sample_momenta
 from .matrices import (
     CMatrix,
     block_diag2,
@@ -49,7 +49,6 @@ from .matrices import (
     sigma_x,
     sigma_y,
     sigma_z,
-    sqnorm,
     vdot,
 )
 from .spinors import (
@@ -258,13 +257,15 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
 # continuous phase transforms
 # ---------------------------------------------------------------------------
 
-def chiral_gauge_transform(alpha: float, family: str) -> CMatrix:
+def chiral_gauge_transform(alpha, family: str) -> CMatrix:
     """cos(alpha) - i gamma5 sin(alpha) on the lambda family, conjugate sign
-    on the rho family; unitary, preserves conjugacy and the mass pairing."""
+    on the rho family; unitary, preserves conjugacy and the mass pairing.
+    (4, 4) for a float angle, (..., 4, 4) for an array of angles."""
     if family not in ("lambda", "rho"):
         raise DomainError(f"family must be 'lambda' or 'rho', got {family!r}")
     sign = -1.0 if family == "lambda" else 1.0
-    return math.cos(alpha) * np.eye(4, dtype=complex) + sign * 1j * math.sin(alpha) * gamma5
+    cos, sin = (np.asarray(f(alpha))[..., None, None] for f in (np.cos, np.sin))
+    return cos * np.eye(4, dtype=complex) + sign * 1j * sin * gamma5
 
 
 def su2_phase_transform(c0: float, c) -> CMatrix:
@@ -313,8 +314,8 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     """Probe C P +- P C on every member of the family over random momenta.
 
     Uses the family's intrinsic inversion phase; the classification is
-    independent of the conjugation phase theta_c.  The momenta are drawn
-    attempt by attempt and probed as one batch.
+    independent of the conjugation phase theta_c.  The momenta come from
+    the suite's sampler and are probed as one batch.
     """
     if basis not in ("spinorial", "helicity"):
         raise DomainError(f"unknown basis {basis!r}")
@@ -323,11 +324,7 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     cp = c_op.compose(p_op)
     pc = p_op.compose(c_op)
 
-    u, g, v = _draw_attempts(np.random.default_rng(seed), n_momenta)
-    lo, hi = np.log(0.1), np.log(10.0)
-    m = np.exp(lo + (hi - lo) * u)
-    vec = g * ((10.0 * m) * v / np.maximum(np.sqrt(sqnorm(g)), 1e-300))[:, None]
-    q = make_momenta(vec[:, 0], vec[:, 1], vec[:, 2], m)
+    q, _ = sample_momenta(np.random.default_rng(seed), n_momenta)
     commute = 0.0
     anticommute = 0.0
     for state in _family_states(basis, family, cfg):

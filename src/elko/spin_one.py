@@ -1,5 +1,5 @@
 """The six-component (spin-1) sector: Wigner matrix, conjugation operators,
-chirality, helicity triplets, the lambda/rho six-spinors and the zeta-scan
+chirality, helicity triplets, the lambda/rho six-spinor pairs and the zeta-scan
 that quantifies which conjugation requirement can be satisfied.
 
 Key algebra: with Theta the antidiagonal (1, -1, 1) flip one has
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import AngularParams, FourMomentum, as_batch, boost_one, polar_angles
+from .kinematics import FourMomentum, as_batch, boost_one, polar_angles
 from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
 
@@ -28,31 +28,6 @@ _I3 = np.eye(3, dtype=complex)
 _Z3 = np.zeros((3, 3), dtype=complex)
 _SC_BLOCK = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
 _G5_ONE = np.block([[_I3, _Z3], [_Z3, -_I3]])
-
-
-@dataclass(frozen=True)
-class SixSpinor:
-    """Six components; upper three right-handed, lower three left-handed."""
-
-    components: np.ndarray
-    zeta: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
-        if self.components.shape != (6,):
-            raise DomainError("a SixSpinor has exactly 6 components")
-
-    @property
-    def right_block(self) -> np.ndarray:
-        return self.components[:3]
-
-    @property
-    def left_block(self) -> np.ndarray:
-        return self.components[3:]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
 
 
 def wigner_theta_one() -> CMatrix:
@@ -66,10 +41,9 @@ def sc_one(phase: float = 0.0) -> SymmetryOperator:
     return SymmetryOperator(_SC_BLOCK.copy(), antilinear=True, phase=cmath.exp(1j * phase))
 
 
-def ss_one(phase: float = 0.0) -> SymmetryOperator:
-    """Linear block-swap e^{i phase} [[0, 1], [1, 0]] (squares to +1 at 0)."""
-    matrix = np.block([[_Z3, _I3], [_I3, _Z3]])
-    return SymmetryOperator(matrix, antilinear=False, phase=cmath.exp(1j * phase))
+def ss_one() -> SymmetryOperator:
+    """Linear block-swap [[0, 1], [1, 0]]; squares to +1."""
+    return SymmetryOperator(np.block([[_Z3, _I3], [_I3, _Z3]]))
 
 
 def gamma5_one() -> CMatrix:
@@ -97,33 +71,35 @@ def _spin1_rotation(theta, phi) -> CMatrix:
     return rot(spin1_jz, phi) @ rot(spin1_jy, theta)
 
 
-def spin1_helicity_triplet(theta, phi, h: int, phase: float = 0.0) -> np.ndarray:
+def spin1_helicity_triplet(theta, phi, h: int) -> np.ndarray:
     """J.n eigen-3-spinor of eigenvalue h in {+1, 0, -1} at arbitrary angles;
     (N, 3) rows for (N,) angle arrays."""
     if h not in (1, 0, -1):
         raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
     basis = {1: 0, 0: 1, -1: 2}[h]
-    return cmath.exp(1j * phase) * _spin1_rotation(theta, phi)[..., basis]
+    return _spin1_rotation(theta, phi)[..., basis]
 
 
-def spin1_lambda(p: FourMomentum, zeta: complex, a: AngularParams, h: int = 1,
-                 phase: float = 0.0) -> SixSpinor:
-    """lambda-type six-spinor: boost((zeta Theta phi_L*, phi_L)) with the
-    left 3-spinor taken from the helicity triplet at the given angles."""
-    f = spin1_helicity_triplet(a.theta, a.phi, h, phase)
-    upper = boost_one(p, "R") @ (zeta * (theta_one @ np.conj(f)))
-    lower = boost_one(p, "L") @ f
-    return SixSpinor(np.concatenate([upper, lower]), zeta)
+def spin1_pair(p, construction: str, h: int):
+    """(x, y) with psi(zeta) = x + zeta y the six-spinor of the construction
+    at helicity h along p's direction: (6,) each at one momentum, (N, 6)
+    rows on a batch; the upper three components are right-handed, the lower
+    three left-handed.
 
-
-def spin1_rho(p: FourMomentum, zeta: complex, a: AngularParams, h: int = 1,
-              phase: float = 0.0) -> SixSpinor:
-    """rho-type six-spinor: built from a right-handed triplet,
-    boost((phi_R, zeta Theta phi_R*))."""
-    f = spin1_helicity_triplet(a.theta, a.phi, h, phase)
-    upper = boost_one(p, "R") @ f
-    lower = boost_one(p, "L") @ (zeta * (theta_one @ np.conj(f)))
-    return SixSpinor(np.concatenate([upper, lower]), zeta)
+    lambda is boost((zeta Theta phi*, phi)) built from a left-handed triplet
+    phi, rho is boost((phi, zeta Theta phi*)) built from a right-handed one.
+    """
+    if construction not in ("lambda", "rho"):
+        raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
+    f = spin1_helicity_triplet(*polar_angles(p), h)
+    flipped = np.conj(f) @ theta_one.T
+    right, left = boost_one(p, "R"), boost_one(p, "L")
+    zero = np.zeros_like(f)
+    if construction == "lambda":
+        return (np.concatenate([zero, matvec(left, f)], axis=-1),
+                np.concatenate([matvec(right, flipped), zero], axis=-1))
+    return (np.concatenate([matvec(right, f), zero], axis=-1),
+            np.concatenate([zero, matvec(left, flipped)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +141,6 @@ _REFINE_STEPS = 15    # from +-1 grid step (8.7e-3 rad) down to +-2.5e-16 rad
 _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 
 
-def _boosted_pair(p, construction: str, h: int):
-    """(x, y) with s(zeta) = x + zeta y the (N, 6) six-spinor rows of the
-    construction at helicity h along each momentum's direction."""
-    f = spin1_helicity_triplet(*polar_angles(p), h)
-    flipped = np.conj(f) @ theta_one.T
-    right, left = boost_one(p, "R"), boost_one(p, "L")
-    zero = np.zeros_like(f)
-    if construction == "lambda":
-        return (np.concatenate([zero, matvec(left, f)], axis=-1),
-                np.concatenate([matvec(right, flipped), zero], axis=-1))
-    return (np.concatenate([matvec(right, f), zero], axis=-1),
-            np.concatenate([zero, matvec(left, flipped)], axis=-1))
-
-
 def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
                          h: int = 1, op_phase: float = 0.0) -> ConjugacyScan:
     """Sample zeta on the unit circle (then refine around the best sample)
@@ -201,11 +163,9 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     |d(t)|^2 summed from the components of d: the expanded polynomial would
     cancel there, to ~1e-8 in |d(t)| / |s| at the exact zeros.
     """
-    if construction not in ("lambda", "rho"):
-        raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
     op = _scan_operator(operator, op_phase)
     batch = as_batch([p]) if isinstance(p, FourMomentum) else p
-    x, y = _boosted_pair(batch, construction, h)
+    x, y = spin1_pair(batch, construction, h)
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
     norm = np.sqrt(sqnorm(x) + sqnorm(y))

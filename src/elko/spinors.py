@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError
 from .kinematics import (
-    AngularParams,
     FourMomentum,
     _sqrt,
     boost_eigenvalue,
@@ -85,16 +84,6 @@ class Bispinor:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
-
-
-@dataclass(frozen=True)
-class TwoSpinor:
-    """Unit-norm helicity eigen-2-spinor with its phase bookkeeping."""
-
-    components: np.ndarray
-    helicity: int          # +1 | -1
-    theta1: float = 0.0
-    theta2: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +186,11 @@ def _helicity_spinor(ct, st, phi, h: int, theta1, theta2) -> np.ndarray:
 
 
 def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
-    """Raw sigma.n eigen-2-spinor at arbitrary real angles (half-angle
-    forms); (2,) for float angles and phases, (N, 2) for (N,) arrays."""
+    """Unit-norm sigma.n eigen-2-spinor of eigenvalue h = +-1 at arbitrary
+    real angles (half-angle forms) with the phases theta1/theta2; (2,) for
+    float angles and phases, (N, 2) for (N,) arrays."""
+    if h not in (1, -1):
+        raise DomainError(f"helicity must be +1 or -1, got {h}")
     return _helicity_spinor(np.cos(theta / 2.0), np.sin(theta / 2.0), phi, h, theta1, theta2)
 
 
@@ -206,14 +198,6 @@ def helicity_components_at(p, h: int, theta1: float = 0.0, theta2: float = 0.0) 
     """The sigma.p-hat eigen-2-spinor of p's direction ((1, 0) / (0, -1) at
     rest), from the half angles of ``half_angles``; (N, 2) on a batch."""
     return _helicity_spinor(*half_angles(p), h, theta1, theta2)
-
-
-def helicity_two_spinor(a: AngularParams, h: int, cfg: PhaseConfig = PhaseConfig()) -> TwoSpinor:
-    """sigma.n eigenstate with eigenvalue h = +-1 and the configured phases."""
-    if h not in (1, -1):
-        raise DomainError(f"helicity must be +1 or -1, got {h}")
-    comps = helicity_components(a.theta, a.phi, h, cfg.theta1, cfg.theta2)
-    return TwoSpinor(comps, h, cfg.theta1, cfg.theta2)
 
 
 def index_flip_unitary(phi, alpha, beta) -> np.ndarray:

@@ -57,28 +57,12 @@ class RunContext:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
     def momenta(self, check_id: str, n=None) -> kin.MomentumBatch:
-        """n random on-shell momenta as a batch: mass log-uniform in
-        [0.1, 10], |p| uniform in [0, 10 m], direction uniform, -z axis
-        avoided.  Each attempt is drawn in turn and yields at most one row;
-        after rejections exactly the missing number of attempts is drawn
-        again, so the rows and ``resamples`` are those of drawing the
-        momenta one by one."""
-        rng = self.rng(check_id)
-        lo, hi = np.log(0.1), np.log(10.0)
-        rows = [np.empty((0, 4))]
-        missing = self.samples if n is None else n
-        while missing > 0:
-            u, g, v = kin._draw_attempts(rng, missing)
-            m = np.exp(lo + (hi - lo) * u)
-            direction = g / np.sqrt(mat.sqnorm(g))[:, None]
-            pabs = (10.0 * m) * v
-            vec = pabs[:, None] * direction
-            keep = ~((pabs > 0) & (pabs + vec[:, 2] < 1e-6 * pabs))
-            rows.append(np.column_stack([vec, m])[keep])
-            kept = int(np.count_nonzero(keep))
-            self.resamples += len(keep) - kept
-            missing -= kept
-        return kin.make_momenta(*np.concatenate(rows).T)
+        """n (default: the sample count) random on-shell momenta from the
+        check's stream, as ``kinematics.sample_momenta`` draws them; its
+        rejections add to ``resamples``."""
+        batch, rejected = kin.sample_momenta(self.rng(check_id), self.samples if n is None else n)
+        self.resamples += rejected
+        return batch
 
     def convention(self) -> dyn.FrequencyConvention:
         if self.force_convention is not None:
@@ -600,18 +584,18 @@ def _chiral_gauge_unitary(ctx, key):
 @check("symmetry.chiral-gauge-conjugacy", "axial phase transforms preserve self/anti-self "
        "conjugacy of both families")
 def _chiral_gauge_conjugacy(ctx, key):
-    rng = ctx.rng(key)
     c_op = ops.charge_conjugation()
-    worst = 0.0
-    for p in ctx.momenta(key, n=min(ctx.samples, 20)):
-        for alpha, (family, components, kind, sign) in itertools.product(
-                rng.uniform(0, 2 * math.pi, 5),
-                (("lambda", sp.lambda_components, "S", 1), ("rho", sp.rho_components, "A", -1))):
-            gauge = ops.chiral_gauge_transform(float(alpha), family)
-            for v in (gauge @ components(p, kind, index) for index in sp.INDICES):
-                worst = max(worst, float(np.linalg.norm(c_op.apply(v) - sign * v))
-                            / np.linalg.norm(v))
-    return worst, {}
+    momenta = ctx.momenta(key, n=min(ctx.samples, 20))
+    # (5, n): row k holds every momentum's k-th angle, drawn momentum by momentum
+    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (len(momenta), 5)).T
+    rows = []
+    for family, components, kind, sign in (("lambda", sp.lambda_components, "S", 1),
+                                           ("rho", sp.rho_components, "A", -1)):
+        gauge = ops.chiral_gauge_transform(alphas, family)
+        for index in sp.INDICES:
+            v = mat.matvec(gauge, components(momenta, kind, index)).reshape(-1, 4)
+            rows.append(_rel(c_op.apply(v) - sign * v, v))
+    return _max(*rows), {}
 
 
 @check("symmetry.su2-closure", "the doublet phase transforms close under composition "
@@ -837,30 +821,32 @@ def _eight_component(ctx, key):
     conv = ctx.convention()
     momenta = ctx.momenta(key)
     gp = dyn.dirac_matrix(momenta)
-    l5 = dyn.lambda5()
     # with l5 = diag(g5, -g5) and the kinetic block [[0, G], [G, 0]], the
-    # commutator is [[0, {g5, G}], [-{g5, G}, 0]]; its 4x4 blocks keep the
-    # batch free of 8x8 arrays
+    # commutator is [[0, {g5, G}], [-{g5, G}, 0]] and l5^2 = diag(g5^2, g5^2);
+    # their 4x4 blocks keep the batch free of 8x8 arrays
     anti = mat.gamma5 @ gp + gp @ mat.gamma5
-    worst = _max(dyn.eight_component_residual(momenta, conv),
-                 math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E))
-    return max(worst, float(np.linalg.norm(l5 @ l5 - np.eye(8)))), {}
+    square = math.sqrt(2.0) * float(np.linalg.norm(mat.gamma5 @ mat.gamma5 - np.eye(4)))
+    return max(square, _max(dyn.eight_component_residual(momenta, conv),
+                            math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E))), {}
 
 
 @check("dynamics.eight-gauge", "axial gauge transforms map eight-component solutions to "
        "solutions")
 def _eight_gauge(ctx, key):
     conv = ctx.convention()
-    rng = ctx.rng(key)
-    worst = 0.0
-    for p in ctx.momenta(key, n=min(ctx.samples, 10)):
-        solutions = [(dyn.eight_operator(p, conv, sector), stack.components)
-                     for index in sp.INDICES
-                     for sector, stack in zip(sp.KINDS_SELF, dyn.eight_stacks(p, index))]
-        for alpha in rng.uniform(0, 2 * math.pi, 20):
-            g8 = dyn.eight_gauge_transform(float(alpha))
-            worst = max(worst, *(float(np.linalg.norm(op @ (g8 @ x))) for op, x in solutions))
-    return worst, {}
+    momenta = ctx.momenta(key, n=min(ctx.samples, 10))
+    # (20, n): row k holds every momentum's k-th angle, drawn momentum by momentum
+    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (len(momenta), 20)).T
+    # G_lambda on the lambda block and G_rho on the rho block of each stack
+    gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")] * 2
+    rows = []
+    for index in sp.INDICES:
+        quartet = dyn.physical_quartet(momenta, index)
+        eqs = dyn.coupled_equations(momenta, conv,
+                                    *(mat.matvec(g, x) for g, x in zip(gauges, quartet)))
+        # rows 0-1 and 2-3 of each (4, 4) block are the two stacks' equations
+        rows.append(_norm(eqs.reshape(-1, 8)))
+    return _max(*rows), {}
 
 
 @check("dynamics.mass-term-chiral", "the mass pairing is invariant under axial phase "
@@ -870,9 +856,7 @@ def _mass_term_chiral(ctx, key):
     worst = 0.0
     physical = 0.0
     for p in ctx.momenta(key, n=min(ctx.samples, 10)):
-        quartet = [components(p, kind, "up") for components, kind in (
-            (sp.lambda_components, "S"), (sp.rho_components, "A"),
-            (sp.lambda_components, "A"), (sp.rho_components, "S"))]
+        quartet = dyn.physical_quartet(p, "up")
         base_phys = dyn.lagrangian_mass_term(*quartet, p.m)
         physical = max(physical, abs(base_phys))
         for alpha in rng.uniform(0, 2 * math.pi, 5):
@@ -934,7 +918,7 @@ def _sc_squared(ctx, key):
 @check("spin-one.block-swap-squared", "the linear block swap squares to +1 at zero phase",
        "tight")
 def _ss_squared(ctx, key):
-    return _square_residual(ctx.rng(key), s1.ss_one(0.0), 1.0), {}
+    return _square_residual(ctx.rng(key), s1.ss_one(), 1.0), {}
 
 
 @check("spin-one.twist-squared", "the chirality-twisted conjugation squares to +1 and the "
@@ -982,18 +966,16 @@ def _bare_conjugacy_floor(ctx, key):
        "conjugacy at every boosted momentum", stream="spin-one.zeta-persistence")
 def _zeta_boost_persistence(ctx, key):
     op = s1.gamma5_sc_one()
-    worst = 0.0
-    for p in ctx.momenta(key, n=min(ctx.samples, 20)):
-        a = p.angles()
-        for zeta, h in itertools.product((1.0, -1.0), (1, 0, -1)):
-            v = s1.spin1_lambda(p, zeta, a, h)
-            worst = max(worst, float(
-                np.linalg.norm(op.apply(v.components) - zeta * v.components)) / v.norm)
-    return worst, {}
+    momenta = ctx.momenta(key, n=min(ctx.samples, 20))
+    rows = []
+    for h in (1, 0, -1):
+        x, y = s1.spin1_pair(momenta, "lambda", h)
+        rows += [_rel(op.apply(v) - zeta * v, v) for zeta, v in ((1.0, x + y), (-1.0, x - y))]
+    return _max(*rows), {}
 
 
 @check("spin-one.scan-phase-covariance", "shifting the conjugation phase rotates the optimal "
-       "zeta by the same phase", "zeta_rotation")
+       "zeta by the same phase", "zeta_minimum")
 def _scan_phase_covariance(ctx, key):
     p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
     scans = [(phase, s1.spin1_conjugacy_scan(p, "g5sc", "lambda", 1, op_phase=phase).self_minimum)

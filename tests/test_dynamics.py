@@ -6,8 +6,8 @@ import pytest
 from elko import dynamics as dyn
 from elko import spinors as sp
 from elko.errors import DomainError
-from elko.kinematics import make_momentum
-from elko.matrices import block_diag2, gamma0, pauli_dot
+from elko.kinematics import make_momentum, sample_momenta
+from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot
 from elko.operators import chiral_gauge_transform, su2_phase_transform
 
 
@@ -168,29 +168,57 @@ class TestEightComponent:
             assert dyn.eight_component_residual(p, conv) <= 1e-12
 
     def test_axial_matrix_squares_to_identity(self):
-        l5 = dyn.lambda5()
-        assert np.array_equal(l5 @ l5, np.eye(8))
+        # diag(g5, -g5)^2 = diag(g5^2, g5^2)
+        assert np.array_equal(gamma5 @ gamma5, np.eye(4))
 
     def test_axial_matrix_commutes_with_kinetic_block(self, random_momenta):
-        l5 = dyn.lambda5()
+        z = np.zeros((4, 4))
+        l5 = np.block([[gamma5, z], [z, -gamma5]])
         for p in random_momenta(5):
-            kin = dyn.eight_kinetic(p)
+            gp = dyn.dirac_matrix(p)
+            kin = np.block([[z, gp], [gp, z]])
             assert np.linalg.norm(l5 @ kin - kin @ l5) <= 1e-12 * max(1.0, p.E)
 
     def test_gauge_transform_maps_solutions_to_solutions(self, random_momenta):
+        # G_lambda on the lambda block and G_rho on the rho block of each stack
         conv = dyn.FrequencyConvention(1)
         for p in random_momenta(5):
-            g8 = dyn.eight_gauge_transform(0.7)
+            gauges = [chiral_gauge_transform(0.7, f) for f in ("lambda", "rho")] * 2
             for index in ("up", "down"):
-                for stack, sector in zip(dyn.eight_stacks(p, index), ("S", "A")):
-                    op = dyn.eight_operator(p, conv, sector)
-                    assert np.linalg.norm(op @ (g8 @ stack.components)) <= 1e-12
+                states = (g @ x for g, x in zip(gauges, dyn.physical_quartet(p, index)))
+                assert np.linalg.norm(dyn.coupled_equations(p, conv, *states)) <= 1e-12
 
-    def test_eight_spinor_momentum_consistency(self):
-        a = sp.lambda_spinor(make_momentum(1, 0, 0, 1.0), "S", "up")
-        b = sp.rho_spinor(make_momentum(0, 1, 0, 1.0), "A", "up")
-        with pytest.raises(DomainError):
-            dyn.EightSpinor(a, b)
+    def test_rows_are_the_eight_by_eight_operator_on_the_stacks(self, random_momenta):
+        # sector operator sign_k [[0, gamma.p], [gamma.p, 0]] -+ m on (lambda, rho)
+        z = np.zeros((4, 4))
+        for sign in (1, -1):
+            conv = dyn.FrequencyConvention(sign)
+            for p in random_momenta(5):
+                gp = dyn.dirac_matrix(p)
+                for index in ("up", "down"):
+                    ls, ra, la, rs = dyn.physical_quartet(p, index)
+                    eqs = dyn.coupled_equations(p, conv, ls, ra, la, rs)
+                    for rows, stack, sector, mass in ((eqs[:2], (ls, ra), "S", 1.0),
+                                                      (eqs[2:], (la, rs), "A", -1.0)):
+                        op = (conv.sector_sign(sector) * np.block([[z, gp], [gp, z]])
+                              - mass * p.m * np.eye(8))
+                        direct = op @ np.concatenate(stack)
+                        assert np.allclose(np.concatenate(rows[::-1]), direct,
+                                           rtol=0, atol=1e-14 * p.E * p.E)
+
+    def test_residual_is_the_stacked_pair_norm_of_the_coupled_rows(self, rng):
+        # rows 0-1 and 2-3 of the coupled equations are the eight-component
+        # equation of the stacks (lambda^S, rho^A) and (lambda^A, rho^S)
+        batch, _ = sample_momenta(rng, 1000)
+        for sign in (1, -1):
+            conv = dyn.FrequencyConvention(sign)
+            pair_norms = []
+            for index in ("up", "down"):
+                eqs = dyn.coupled_equations(batch, conv, *dyn.physical_quartet(batch, index))
+                pair_norms += [np.linalg.norm(np.concatenate([eqs[:, k], eqs[:, k + 1]], axis=-1),
+                                              axis=-1) for k in (0, 2)]
+            expected = np.max(pair_norms, axis=0)
+            assert np.array_equal(dyn.eight_component_residual(batch, conv), expected)
 
 
 class TestMassTerm:

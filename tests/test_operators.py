@@ -11,7 +11,7 @@ from elko.errors import (
     DomainError,
 )
 from elko.kinematics import boost_half, make_momentum, parity_reflect
-from elko.matrices import block_diag2, gamma0, pauli_dot, sigma_z
+from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot, sigma_z
 
 
 class TestChargeConjugation:
@@ -256,6 +256,17 @@ class TestChiralGauge:
             for family in ("lambda", "rho"):
                 g = ops.chiral_gauge_transform(alpha, family)
                 assert np.linalg.norm(g @ g.conj().T - np.eye(4)) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["lambda", "rho"])
+    def test_array_angles_stack_the_float_ones(self, rng, family):
+        alphas = rng.uniform(0, 2 * math.pi, (3, 4))
+        stacked = ops.chiral_gauge_transform(alphas, family)
+        assert stacked.shape == (3, 4, 4, 4)
+        sign = -1.0 if family == "lambda" else 1.0
+        for (i, j), alpha in np.ndenumerate(alphas):
+            assert np.array_equal(stacked[i, j], ops.chiral_gauge_transform(float(alpha), family))
+            closed = math.cos(alpha) * np.eye(4) + sign * 1j * math.sin(alpha) * gamma5
+            assert np.allclose(stacked[i, j], closed, rtol=0, atol=1e-15)
 
     def test_preserves_conjugacy(self, random_momenta, rng):
         c = ops.charge_conjugation()

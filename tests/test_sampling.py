@@ -1,15 +1,17 @@
-"""The array samplers against a frozen copy of the per-draw loops they
+"""The array sampler against a frozen copy of the per-draw loop it
 replaced.
 
-``RunContext.momenta`` and ``classify_cp_action`` draw their attempts
-through one helper and do the arithmetic on whole arrays.  The stream of
-draws, every field of every momentum and the resample count must stay what
-the loops below give, bit for bit.
+``kinematics.sample_momenta`` draws its attempts through one helper and does
+the arithmetic on whole arrays; ``RunContext.momenta`` and
+``classify_cp_action`` both sample through it.  The stream of draws, every
+field of every momentum and the resample count must stay what the loop
+below gives, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from elko import kinematics as kin
 from elko import operators as ops
 from elko.kinematics import make_momenta
 from elko.suite import RunContext
@@ -29,18 +31,6 @@ def _loop_momenta(rng, count, max_beta_scale=10.0):
             continue
         rows.append((vec[0], vec[1], vec[2], m))
     return make_momenta(*np.array(rows).reshape(-1, 4).T), resamples
-
-
-def _loop_cp_momenta(seed, n_momenta):
-    """The momenta ``classify_cp_action`` probed, as it drew them."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(n_momenta):
-        m = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        vec = rng.normal(size=3)
-        vec *= rng.uniform(0.0, 10.0 * m) / max(np.linalg.norm(vec), 1e-300)
-        rows.append((vec[0], vec[1], vec[2], m))
-    return make_momenta(*np.array(rows).reshape(-1, 4).T)
 
 
 class _MinusZ:
@@ -104,10 +94,13 @@ def test_suite_sampler_resamples_like_the_loop(monkeypatch, n, chosen):
 def test_cp_classification_probes_the_loop_momenta(monkeypatch, seed, n_momenta):
     probed = []
 
-    def recording(*args):
-        probed.append(make_momenta(*args))
-        return probed[-1]
+    def recording(rng, n):
+        batch, rejected = kin.sample_momenta(rng, n)
+        probed.append(batch)
+        return batch, rejected
 
-    monkeypatch.setattr(ops, "make_momenta", recording)
+    monkeypatch.setattr(ops, "sample_momenta", recording)
     ops.classify_cp_action("helicity", "elko", seed=seed, n_momenta=n_momenta)
-    _assert_bit_identical(probed[0], _loop_cp_momenta(seed, n_momenta))
+    assert len(probed) == 1
+    expected, _ = _loop_momenta(np.random.default_rng(seed), n_momenta)
+    _assert_bit_identical(probed[0], expected)

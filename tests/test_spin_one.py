@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import AngularParams, make_momentum
+from elko.kinematics import as_batch, boost_one, make_momentum
 from elko.matrices import SPIN1_J, spin1_dot, spin1_jz
 
 
@@ -40,7 +41,7 @@ class TestConjugationOperators:
                 assert np.linalg.norm(op.apply(op.apply(v)) + v) <= 1e-13 * np.linalg.norm(v)
 
     def test_block_swap_squares_to_identity(self, rng):
-        op = s1.ss_one(0.0)
+        op = s1.ss_one()
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         assert np.linalg.norm(op.apply(op.apply(v)) - v) <= 1e-13 * np.linalg.norm(v)
 
@@ -77,29 +78,55 @@ class TestHelicityTriplet:
             s1.spin1_helicity_triplet(0.0, 0.0, 2)
 
 
+def _frozen_six_spinor(p, construction, zeta, h):
+    """The six-spinor builders spin1_lambda / spin1_rho as they were, at p's
+    own angles: boost((zeta Theta f*, f)) and boost((f, zeta Theta f*))."""
+    a = p.angles()
+    f = s1.spin1_helicity_triplet(a.theta, a.phi, h)
+    flipped = zeta * (s1.wigner_theta_one() @ np.conj(f))
+    if construction == "lambda":
+        return np.concatenate([boost_one(p, "R") @ flipped, boost_one(p, "L") @ f])
+    return np.concatenate([boost_one(p, "R") @ f, boost_one(p, "L") @ flipped])
+
+
 class TestSixSpinors:
     def test_rest_frame_blocks(self):
         p = make_momentum(0, 0, 0, 1.0)
-        a = AngularParams(0.7, 1.1)
-        f = s1.spin1_helicity_triplet(a.theta, a.phi, 1)
-        lam = s1.spin1_lambda(p, 1.0, a, 1)
-        assert np.allclose(lam.right_block, s1.wigner_theta_one() @ np.conj(f))
-        assert np.allclose(lam.left_block, f)
+        f = s1.spin1_helicity_triplet(0.0, 0.0, 1)
+        x, y = s1.spin1_pair(p, "lambda", 1)
+        assert np.array_equal(x, np.concatenate([np.zeros(3), f]))
+        assert np.array_equal(y, np.concatenate([s1.wigner_theta_one() @ np.conj(f), np.zeros(3)]))
 
-    def test_component_count_enforced(self):
+    @pytest.mark.parametrize("construction", ["lambda", "rho"])
+    def test_pair_matches_the_frozen_builders(self, random_momenta, construction):
+        momenta = [make_momentum(0, 0, 0, 1.3), make_momentum(1e-9, 0, 1, 1),
+                   make_momentum(0.2, -0.3, -4.0, 0.5), *random_momenta(20)]
+        for p, h in itertools.product(momenta, (1, 0, -1)):
+            x, y = s1.spin1_pair(p, construction, h)
+            for zeta in (1.0, -1.0, 1j, cmath.exp(0.4j)):
+                frozen = _frozen_six_spinor(p, construction, zeta, h)
+                assert np.linalg.norm(x + zeta * y - frozen) <= 1e-14 * np.linalg.norm(frozen)
+
+    def test_batch_rows_match_single_momenta(self, random_momenta):
+        rows = random_momenta(8)
+        x, y = s1.spin1_pair(as_batch(rows), "rho", 0)
+        for k, p in enumerate(rows):
+            xp, yp = s1.spin1_pair(p, "rho", 0)
+            assert np.allclose(x[k], xp, rtol=0, atol=1e-14)
+            assert np.allclose(y[k], yp, rtol=0, atol=1e-14)
+
+    def test_unknown_construction_rejected(self):
         with pytest.raises(DomainError):
-            s1.SixSpinor(np.zeros(4), 1.0)
+            s1.spin1_pair(make_momentum(0, 0, 0, 1.0), "sigma", 1)
 
     def test_twisted_conjugacy_at_unit_zetas(self, random_momenta):
         op = s1.gamma5_sc_one()
         for p in random_momenta(5):
-            a = p.angles()
-            for h in (1, 0, -1):
-                for builder in (s1.spin1_lambda, s1.spin1_rho):
-                    for zeta, sign in ((1.0, 1.0), (-1.0, -1.0)):
-                        v = builder(p, zeta, a, h)
-                        resid = np.linalg.norm(op.apply(v.components) - sign * v.components)
-                        assert resid <= 1e-12 * v.norm
+            for h, construction in itertools.product((1, 0, -1), ("lambda", "rho")):
+                x, y = s1.spin1_pair(p, construction, h)
+                for zeta in (1.0, -1.0):
+                    v = x + zeta * y
+                    assert np.linalg.norm(op.apply(v) - zeta * v) <= 1e-12 * np.linalg.norm(v)
 
 
 class TestZetaScan:
@@ -139,23 +166,18 @@ class TestBoostInteraction:
         # the zeta values found at rest keep working at every boosted momentum
         op = s1.gamma5_sc_one()
         for p in random_momenta(10):
-            a = p.angles()
-            for zeta, sign in ((1.0, 1.0), (-1.0, -1.0)):
-                v = s1.spin1_lambda(p, zeta, a, 1)
-                resid = np.linalg.norm(op.apply(v.components) - sign * v.components)
-                assert resid <= 1e-12 * v.norm
+            x, y = s1.spin1_pair(p, "lambda", 1)
+            for zeta in (1.0, -1.0):
+                v = x + zeta * y
+                assert np.linalg.norm(op.apply(v) - zeta * v) <= 1e-12 * np.linalg.norm(v)
 
     def test_measured_lambda_rho_relation(self):
         # the independently built rho equals the block swap of lambda at rest
         # (same zeta); record the structure
-        from elko.kinematics import boost_one
-
         p = make_momentum(0.2, 0.1, 0.5, 1.0)
-        a = p.angles()
-        lam = s1.spin1_lambda(p, 1.0, a, 1)
-        rho = s1.spin1_rho(p, 1.0, a, 1)
+        lam, rho = (sum(s1.spin1_pair(p, construction, 1)) for construction in ("lambda", "rho"))
         unboost = lambda s: np.concatenate([
-            np.linalg.inv(boost_one(p, "R")) @ s.components[:3],
-            np.linalg.inv(boost_one(p, "L")) @ s.components[3:]])
-        swap = s1.ss_one(0.0).matrix
+            np.linalg.inv(boost_one(p, "R")) @ s[:3],
+            np.linalg.inv(boost_one(p, "L")) @ s[3:]])
+        swap = s1.ss_one().matrix
         assert np.allclose(swap @ unboost(lam), unboost(rho))

@@ -7,7 +7,7 @@ import pytest
 
 from elko import spinors as sp
 from elko.errors import DomainError
-from elko.kinematics import AngularParams, boost_half_pair, make_momentum, parity_reflect
+from elko.kinematics import boost_half_pair, make_momentum, parity_reflect
 from elko.matrices import gamma0, theta_half
 from elko.operators import charge_conjugation, chiral_helicity_operator, helicity_operator
 
@@ -114,8 +114,7 @@ class TestConjugacy:
 
 class TestHelicityTwoSpinors:
     def test_z_axis_plus(self):
-        ts = sp.helicity_two_spinor(AngularParams(0.0, 0.0), 1)
-        assert np.allclose(ts.components, [1, 0])
+        assert np.allclose(sp.helicity_components(0.0, 0.0, 1), [1, 0])
 
     def test_unit_norm_and_eigenrelation(self, rng):
         for _ in range(25):
@@ -127,9 +126,14 @@ class TestHelicityTwoSpinors:
             from elko.matrices import pauli_dot
 
             for h in (1, -1):
-                f = sp.helicity_two_spinor(AngularParams(th, ph), h, cfg).components
+                f = sp.helicity_components(th, ph, h, cfg.theta1, cfg.theta2)
                 assert abs(np.linalg.norm(f) - 1) <= 1e-14
                 assert np.linalg.norm(pauli_dot(n) @ f - h * f) <= 1e-13
+
+    @pytest.mark.parametrize("h", [2, 0])
+    def test_invalid_helicity_rejected(self, h):
+        with pytest.raises(DomainError):
+            sp.helicity_components(0.3, 0.2, h)
 
     def test_reflection_relations(self, rng):
         for _ in range(50):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 
 from elko import suite
 from elko.errors import UsageError
+from elko.spinors import BASES
 from elko.suite import (
     SUITE_NAMES,
     CheckSpec,
@@ -18,6 +21,7 @@ from elko.suite import (
 
 DATA = Path(__file__).parent / "data"
 BENCHMARK_REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference-all.json"
+BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
 
 
 def test_registry_matches_the_frozen_rows():
@@ -215,3 +219,32 @@ def test_benchmark_gate_holds():
     assert report.summary == {"total": 60, "passed": 60, "failed": 0}
     assert report.resamples == 0
     assert diff_reports(reference, report) == []
+
+
+# Deleted from the library with no caller left; its metric is dropped at the
+# next change to the benchmark.
+_STALE_METRICS = {"matrices.normalize_intertwiner"}
+
+
+def test_benchmark_metrics_name_live_code():
+    """Each ``<module>.<function>[.<basis>].calls`` metric of the benchmark
+    names a function or method of ``elko`` and each ``suite.check.<id>.s``
+    metric a registered check: the tracer reads a deleted target as 0
+    calls or 0 s, not as an error."""
+    names = [metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]]
+    functions = {n.removesuffix(".calls") for n in names if n.endswith(".calls")}
+    checks = {n.removeprefix("suite.check.").removesuffix(".s")
+              for n in names if n.startswith("suite.check.")}
+    assert functions and checks
+    unresolved = []
+    for name in sorted(functions - _STALE_METRICS):
+        module, *path = name.split(".")
+        if path[-1] in BASES:  # one factory traced per basis
+            path.pop()
+        target = importlib.import_module(f"elko.{module}")
+        for attr in path:
+            target = getattr(target, attr, None)
+        if not inspect.isroutine(target):
+            unresolved.append(name)
+    assert unresolved == []
+    assert checks - {c.id for c in suite_checks("all")} == set()
