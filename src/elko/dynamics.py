@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import FourMomentum, as_batch
+from .kinematics import as_batch
 from .matrices import GAMMA, gamma5, matvec
-from .spinors import Bispinor, bar_product, dirac_spinor, lambda_components, rho_components
+from .spinors import Bispinor, bar_product, dirac_components, lambda_components, rho_components
 
 
 @dataclass(frozen=True)
@@ -113,34 +113,42 @@ def coupled_system_residual(p, conv: FrequencyConvention):
 
 def discover_convention(momenta) -> FrequencyConvention:
     """Try both plane-wave assignments; exactly one must work.  ``momenta``
-    is a batch or an iterable of momenta."""
+    is a batch or an iterable of momenta.
+
+    Each row's residual is taken relative to E max|psi| over the physical
+    states, the scale of gamma.p psi, so the decision holds at any mass and
+    boost.  The wrong assignment leaves a relative residual of about 2m/|p|;
+    where that reaches rounding level both pass, and the call raises.
+    """
     tol = TOLERANCES["identity"]
     batch = as_batch(momenta)
-    winners = []
-    for sign in (1, -1):
-        conv = FrequencyConvention(sign)
-        worst = np.max(coupled_system_residual(batch, conv), initial=0.0)
-        if worst <= tol:
-            winners.append(conv)
+    states = [x for index in ("up", "down") for x in physical_quartet(batch, index)]
+    scale = batch.E * np.max(np.linalg.norm(states, axis=-1), axis=0)
+    winners = [conv for conv in (FrequencyConvention(1), FrequencyConvention(-1))
+               if np.all(np.max(coupled_system_residual(batch, conv), axis=0) <= tol * scale)]
+    if len(winners) == 2 and len(batch):
+        raise DomainError("both conventions solve the coupled equations: in the "
+                          "ultra-relativistic limit 2m/|p| is at rounding level")
     if len(winners) != 1:
         raise DomainError(f"expected exactly one working convention, found {len(winners)}")
     return winners[0]
 
 
-def markov_superposition(p: FourMomentum, particle_weights=(1.0, 0.0),
+def markov_superposition(p, particle_weights=(1.0, 0.0),
                          antiparticle_weights=(1.0, 0.0)) -> MarkovPair:
     """chi = (psi1 + psi2)/sqrt(2), eta = (psi1 - psi2)/sqrt(2) from a
     positive-mass solution psi1 and a negative-mass solution psi2.
 
-    The pair satisfies the cross-coupled system gamma.p chi = m eta,
-    gamma.p eta = m chi, and the map (psi1, psi2) -> (chi, eta) is an
-    isometry of the stacked norm.
+    Each weight is a number at one momentum, or an (N,) array on a batch,
+    where chi and eta are (N, 4) rows.  The pair satisfies the
+    cross-coupled system gamma.p chi = m eta, gamma.p eta = m chi, and the
+    map (psi1, psi2) -> (chi, eta) is an isometry of the stacked norm.
     """
-    w1, w2 = particle_weights, antiparticle_weights
-    psi1 = (w1[0] * dirac_spinor(p, "particle", "up").components
-            + w1[1] * dirac_spinor(p, "particle", "down").components)
-    psi2 = (w2[0] * dirac_spinor(p, "antiparticle", "up").components
-            + w2[1] * dirac_spinor(p, "antiparticle", "down").components)
+    w1, w2 = (np.asarray(w)[..., None] for w in (particle_weights, antiparticle_weights))
+    psi1 = (w1[0] * dirac_components(p, "particle", "up")
+            + w1[1] * dirac_components(p, "particle", "down"))
+    psi2 = (w2[0] * dirac_components(p, "antiparticle", "up")
+            + w2[1] * dirac_components(p, "antiparticle", "down"))
     return MarkovPair((psi1 + psi2) / math.sqrt(2.0), (psi1 - psi2) / math.sqrt(2.0))
 
 
@@ -149,14 +157,18 @@ def markov_superposition(p: FourMomentum, particle_weights=(1.0, 0.0),
 # ---------------------------------------------------------------------------
 
 def sen_gupta_operator(e, px, py, pz, m1, m2) -> np.ndarray:
-    """gamma.p - m1 - m2 gamma5 for an arbitrary four-vector."""
+    """gamma.p - m1 - m2 gamma5 for an arbitrary four-vector, or (N, 4, 4)
+    when any argument is an (N,) array."""
+    m1, m2 = (np.asarray(x)[..., None, None] for x in (m1, m2))
     return slash(e, px, py, pz) - m1 * np.eye(4, dtype=complex) - m2 * gamma5
 
 
-def sen_gupta_residual(p: FourMomentum, m1: float, m2: float, psi) -> float:
-    """Norm of (gamma.p - m1 - m2 gamma5) psi at an on-shell momentum."""
+def sen_gupta_residual(p, m1, m2, psi):
+    """Norm of (gamma.p - m1 - m2 gamma5) psi at an on-shell momentum; an
+    (N,) array on a batch, with (N,) masses or floats and (N, 4) psi."""
     vec = psi.components if isinstance(psi, Bispinor) else np.asarray(psi, dtype=complex)
-    return float(np.linalg.norm(sen_gupta_operator(p.E, p.px, p.py, p.pz, m1, m2) @ vec))
+    op = sen_gupta_operator(p.E, p.px, p.py, p.pz, m1, m2)
+    return np.linalg.norm(matvec(op, vec), axis=-1)
 
 
 def sen_gupta_null_space(e, px, py, pz, m1, m2, rcond: float = 1e-9):
@@ -169,9 +181,10 @@ def sen_gupta_null_space(e, px, py, pz, m1, m2, rcond: float = 1e-9):
     return [row for row in null]
 
 
-def sen_gupta_equivalence(m1: float, m2: float) -> np.ndarray:
+def sen_gupta_equivalence(m1, m2) -> np.ndarray:
     """Invertible E with E (gamma.p - m1 - m2 gamma5) E = gamma.p - mu,
-    mu = sqrt(m1^2 - m2^2); valid for |m2| < |m1|.
+    mu = sqrt(m1^2 - m2^2); valid for |m2| < |m1|.  (N, 4, 4) for (N,)
+    masses.
 
     E = exp(b gamma5) with tanh(2b) = -m2/m1: conjugating the kinetic term
     through gamma5 flips its sign twice while the mass matrix picks up
@@ -179,10 +192,10 @@ def sen_gupta_equivalence(m1: float, m2: float) -> np.ndarray:
     solution psi of the two-mass equation maps to the Dirac solution
     E^-1 psi of mass mu.
     """
-    if not abs(m2) < abs(m1):
+    if not np.all(np.abs(m2) < np.abs(m1)):
         raise DomainError(f"equivalence transform needs |m2| < |m1|, got {m1}, {m2}")
-    b = -0.5 * math.atanh(m2 / m1)
-    return math.cosh(b) * np.eye(4, dtype=complex) + math.sinh(b) * gamma5
+    b = -0.5 * np.arctanh(np.asarray(m2 / m1))[..., None, None]
+    return np.cosh(b) * np.eye(4, dtype=complex) + np.sinh(b) * gamma5
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +252,8 @@ def doublet_mass_term(d, r, m: float) -> complex:
 
 
 def rotate_doublet(u, doublet):
-    """Apply a 2x2 phase-transformation matrix across a doublet of fields."""
-    a = doublet[0].components if isinstance(doublet[0], Bispinor) else np.asarray(doublet[0])
-    b = doublet[1].components if isinstance(doublet[1], Bispinor) else np.asarray(doublet[1])
-    return (u[0, 0] * a + u[0, 1] * b, u[1, 0] * a + u[1, 1] * b)
+    """Apply a 2x2 phase-transformation matrix across a doublet of fields;
+    an (N, 2, 2) stack acts row by row on (N, 4) fields."""
+    a, b = (x.components if isinstance(x, Bispinor) else np.asarray(x) for x in doublet)
+    u = np.asarray(u)[..., None]
+    return (u[..., 0, 0, :] * a + u[..., 0, 1, :] * b, u[..., 1, 0, :] * a + u[..., 1, 1, :] * b)

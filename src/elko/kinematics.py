@@ -200,40 +200,22 @@ def as_batch(momenta) -> MomentumBatch:
     return MomentumBatch(*rows.T)
 
 
-def _draw_attempts(rng: np.random.Generator, n: int):
-    """Raw draws of n momentum-sampler attempts as arrays u (n,), g (n, 3),
-    v (n,): per attempt one uniform in [0, 1), three standard normals and one
-    uniform, made in that order, one attempt after the other.
-
-    ``lo + (hi - lo) * u`` is ``rng.uniform(lo, hi)`` and ``g`` is
-    ``rng.normal(size=3)`` of the same attempt, bit for bit, so a caller that
-    draws through this keeps the stream of a per-attempt loop.
-    """
-    u, g, v = np.empty(n), np.empty((n, 3)), np.empty(n)
-    random, normal = rng.random, rng.normal
-    for i in range(n):
-        u[i] = random()
-        g[i] = normal(size=3)
-        v[i] = random()
-    return u, g, v
-
-
 def sample_momenta(rng: np.random.Generator, n: int):
     """n random on-shell momenta and the number of rejected attempts: mass
     log-uniform in [0.1, 10], |p| uniform in [0, 10 m], direction uniform,
     the -z axis avoided.
 
-    Each attempt is drawn in turn (``_draw_attempts``) and yields at most
-    one row; after rejections exactly the missing number of attempts is
-    drawn again, so the rows and the rejection count are those of drawing
-    the momenta one by one.
+    k attempts are drawn as one block: ``rng.random(k)`` for the masses,
+    ``rng.normal(size=(k, 3))`` for the directions and ``rng.random(k)``
+    for |p|.  The rows a block rejects are refilled by one more block of
+    the missing size.
     """
     lo, hi = np.log(0.1), np.log(10.0)
     rows = [np.empty((0, 4))]
     rejected = 0
     missing = n
     while missing > 0:
-        u, g, v = _draw_attempts(rng, missing)
+        u, g, v = rng.random(missing), rng.normal(size=(missing, 3)), rng.random(missing)
         m = np.exp(lo + (hi - lo) * u)
         direction = g / np.sqrt(sqnorm(g))[:, None]
         pabs = (10.0 * m) * v

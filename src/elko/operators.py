@@ -46,9 +46,6 @@ from .matrices import (
     matrix2,
     matvec,
     pauli_dot,
-    sigma_x,
-    sigma_y,
-    sigma_z,
     vdot,
 )
 from .spinors import (
@@ -268,19 +265,20 @@ def chiral_gauge_transform(alpha, family: str) -> CMatrix:
     return cos * np.eye(4, dtype=complex) + sign * 1j * sin * gamma5
 
 
-def su2_phase_transform(c0: float, c) -> CMatrix:
-    """c0 + i tau.c acting on a doublet of neutral field components.
+def su2_phase_transform(c0, c) -> CMatrix:
+    """c0 + i tau.c acting on a doublet of neutral field components; (2, 2)
+    for a float c0 and a 3-vector c, (N, 2, 2) for (N,) and (N, 3) rows.
 
-    Requires c0^2 + |c|^2 = 1 (parametrise c0 = cos(phi), c = n sin(phi));
-    the resulting matrices form the SU(2) phase-transformation group.
+    Requires c0^2 + |c|^2 = 1 (parametrise c0 = cos(phi), c = n sin(phi))
+    on every row; the resulting matrices form the SU(2) phase-transformation
+    group.
     """
-    c = np.asarray(c, dtype=float)
-    norm = c0 * c0 + float(c @ c)
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"(c0, c) must satisfy c0^2 + |c|^2 = 1, got {norm}")
-    return c0 * np.eye(2, dtype=complex) + 1j * (
-        c[0] * sigma_x + c[1] * sigma_y + c[2] * sigma_z
-    )
+    c0, c = np.asarray(c0, dtype=float), np.asarray(c, dtype=float)
+    norm = c0 * c0 + np.sum(c * c, axis=-1)
+    off = ~(np.abs(norm - 1.0) <= 1e-12)  # NaN is off the sphere too
+    if np.any(off):
+        raise DomainError(f"(c0, c) must satisfy c0^2 + |c|^2 = 1, got {np.extract(off, norm)[0]}")
+    return c0[..., None, None] * np.eye(2, dtype=complex) + 1j * pauli_dot(c)
 
 
 # ---------------------------------------------------------------------------

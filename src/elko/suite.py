@@ -2,8 +2,8 @@
 report they produce.
 
 Each check is one row written beside the measurement it runs (``@check``).
-A suite run seeds each check's draws by the run seed and the check's stream
-key, executes every check, and assembles a ``VerificationReport`` whose JSON
+A suite run seeds each check's draws by the run seed and the check's id,
+executes every check, and assembles a ``VerificationReport`` whose JSON
 serialisation is byte-stable for a fixed (suite, seed, samples).  Checks
 evaluate their identity as whole-array residuals over a ``MomentumBatch``
 and report the largest (for floors, the smallest) row.  A check that raises
@@ -143,20 +143,19 @@ def suite_checks(name: str):
 
 
 def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish",
-          relation: str | None = None, stream: str | None = None, **params):
+          relation: str | None = None, **params):
     """Register the decorated measurement as one row of the suite named by
     the id's prefix.  It is called as ``fn(ctx, key, **params)`` and returns
-    (residual, constants); ``key`` names the random stream it draws from,
-    the id unless ``stream`` gives another.  ``tol`` is a key of
-    ``TOLERANCES``; ``relation`` is the expected relation of a ``classify``
-    row.  Rows stacked on one measurement differ in their ``params``."""
+    (residual, constants); ``key`` is the id, which names the random stream
+    it draws from.  ``tol`` is a key of ``TOLERANCES``; ``relation`` is the
+    expected relation of a ``classify`` row.  Rows stacked on one
+    measurement differ in their ``params``."""
     def register(fn):
-        key = id_ if stream is None else stream
         # anti-drift guard: ids and anchors are nonempty and unique across the board
         if not anchor or any(s.id == id_ or s.anchor == anchor for s in suite_checks("all")):
             raise UsageError(f"check {id_!r}: ids and anchors must be nonempty and unique")
         _REGISTRY[id_.partition(".")[0]].append(CheckSpec(
-            id_, anchor, TOLERANCES[tol], expect, lambda ctx: fn(ctx, key, **params),
+            id_, anchor, TOLERANCES[tol], expect, lambda ctx: fn(ctx, id_, **params),
             relation))
         return fn
 
@@ -197,18 +196,18 @@ def _moving(momenta):
 
 
 def _gaussian(rng, count: int, n: int):
-    """(count, n) complex rows: the draws of ``rng.normal(size=n) + 1j *
-    rng.normal(size=n)`` repeated count times."""
+    """(count, n) standard complex Gaussian rows from one normal draw of
+    shape (count, 2, n)."""
     g = rng.normal(size=(count, 2, n))
     return g[:, 0] + 1j * g[:, 1]
 
 
-def _su2_element(rng):
-    """A random doublet phase transform cos(phi) + i sin(phi) tau.n."""
-    phi = float(rng.uniform(0, 2 * math.pi))
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    return ops.su2_phase_transform(math.cos(phi), n * math.sin(phi))
+def _su2_elements(rng, k: int):
+    """k random doublet phase transforms cos(phi) + i sin(phi) tau.n, as
+    (k, 2, 2)."""
+    phi = rng.uniform(0, 2 * math.pi, k)
+    n = _unit(rng.normal(size=(k, 3)))
+    return ops.su2_phase_transform(np.cos(phi), n * np.sin(phi)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def _parity_helicity(ctx, key):
 
 
 @check("spin-half.index-flip-unitary", "the unitary connection maps the up helicity 2-spinor "
-       "to the down one and back via its adjoint", stream="spin-half.index-flip")
+       "to the down one and back via its adjoint")
 def _index_flip_unitary(ctx, key):
     th, ph, al, be = _angles_and_phases(ctx, key)
     up = sp.helicity_components(th, ph, 1, theta1=al)
@@ -403,7 +402,7 @@ def _c_squared(ctx, key):
 
 
 @check("symmetry.c-chirality-anticommute", "charge conjugation anticommutes with chirality "
-       "including the antilinear bookkeeping", "tight", stream="symmetry.c-chirality")
+       "including the antilinear bookkeeping", "tight")
 def _c_chirality_anticommute(ctx, key):
     c_op, g5_op = ops.charge_conjugation(), ops.chirality()
     v = _gaussian(ctx.rng(key), max(8, ctx.samples), 4)
@@ -418,7 +417,7 @@ def _span_residual(basis, x):
 
 
 @check("symmetry.c-maps-dirac-across", "charge conjugation maps particle spinors into the "
-       "antiparticle span and back", stream="symmetry.c-maps-dirac")
+       "antiparticle span and back")
 def _c_maps_dirac(ctx, key):
     c_op = ops.charge_conjugation()
     momenta = ctx.momenta(key)
@@ -464,7 +463,7 @@ def _helicity_spectrum(ctx, key):
 
 
 @check("symmetry.helicity-parity-anticommute", "helicity anticommutes with space inversion on "
-       "helicity-basis states", stream="symmetry.helicity-parity")
+       "helicity-basis states")
 def _helicity_parity_anticommute(ctx, key):
     momenta = _moving(ctx.momenta(key))
     pr = kin.parity_reflect(momenta)
@@ -575,10 +574,9 @@ def _lambda_transform_involution(ctx, key):
        "the identity at zero angle")
 def _chiral_gauge_unitary(ctx, key):
     alphas = ctx.rng(key).uniform(0, 2 * math.pi, 20)
-    gauges = [ops.chiral_gauge_transform(float(alpha), family)
-              for alpha, family in itertools.product(alphas, ("lambda", "rho"))]
+    gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")]
     return max(float(np.linalg.norm(ops.chiral_gauge_transform(0.0, "lambda") - np.eye(4))),
-               *(float(np.linalg.norm(g @ g.conj().T - np.eye(4))) for g in gauges)), {}
+               _max(*(_norm(g @ mat.adjoint(g) - np.eye(4)) for g in gauges))), {}
 
 
 @check("symmetry.chiral-gauge-conjugacy", "axial phase transforms preserve self/anti-self "
@@ -586,8 +584,7 @@ def _chiral_gauge_unitary(ctx, key):
 def _chiral_gauge_conjugacy(ctx, key):
     c_op = ops.charge_conjugation()
     momenta = ctx.momenta(key, n=min(ctx.samples, 20))
-    # (5, n): row k holds every momentum's k-th angle, drawn momentum by momentum
-    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (len(momenta), 5)).T
+    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (5, len(momenta)))
     rows = []
     for family, components, kind, sign in (("lambda", sp.lambda_components, "S", 1),
                                            ("rho", sp.rho_components, "A", -1)):
@@ -602,18 +599,15 @@ def _chiral_gauge_conjugacy(ctx, key):
        "(abelian subgroup law and generic unitary products)", "tight")
 def _su2_closure(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
     # abelian subgroup composition law
-    for a, b in rng.uniform(0, 2 * math.pi, (10, 2)):
-        za, zb, zab = (ops.su2_phase_transform(math.cos(t), [0, 0, math.sin(t)])
-                       for t in (a, b, a + b))
-        worst = max(worst, float(np.linalg.norm(za @ zb - zab)))
+    a, b = rng.uniform(0, 2 * math.pi, (2, 10))
+    za, zb, zab = (ops.su2_phase_transform(np.cos(t), np.outer(np.sin(t), [0, 0, 1]))
+                   for t in (a, b, a + b))
     # generic closure: products stay unitary with unit-modulus determinant
-    for _ in range(max(10, ctx.samples // 5)):
-        prod = _su2_element(rng) @ _su2_element(rng)
-        worst = max(worst, float(np.linalg.norm(prod @ prod.conj().T - np.eye(2))),
-                    abs(abs(np.linalg.det(prod)) - 1.0))
-    return worst, {}
+    k = max(10, ctx.samples // 5)
+    prod = _su2_elements(rng, k) @ _su2_elements(rng, k)
+    return _max(_norm(za @ zb - zab), _norm(prod @ mat.adjoint(prod) - np.eye(2)),
+                np.abs(np.abs(np.linalg.det(prod)) - 1.0)), {}
 
 
 @check("symmetry.cp-dirac", "conjugation and inversion anticommute on particle/antiparticle "
@@ -659,19 +653,17 @@ def _composition_associativity(ctx, key):
             ops.SymmetryOperator(ops.chiral_gauge_transform(0.7, "lambda")),
             ops.charge_conjugation(sp.PhaseConfig(theta_c=1.1))]
     worst = 0.0
-    momenta = ctx.momenta(key, n=min(ctx.samples, 10))
-    for _ in range(12):
-        a, b, c = (pool[int(k)] for k in rng.integers(0, len(pool), 3))
+    momenta = ctx.momenta(key, n=min(ctx.samples, 3))
+    state = functools.partial(sp.lambda_components, kind="S", index="up")
+    for triple in rng.integers(0, len(pool), (12, 3)):
+        a, b, c = (pool[k] for k in triple)
         left = a.compose(b).compose(c)
         right = a.compose(b.compose(c))
+        images = [op.apply_state(state, momenta) for op in (left, right)]
         worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)),
-                    abs(left.phase - right.phase))
+                    abs(left.phase - right.phase), _max(_norm(images[0] - images[1])))
         if left.antilinear != right.antilinear or left.reflects_momentum != right.reflects_momentum:
             worst = 1.0
-        for p in momenta[:3]:
-            state = lambda q: sp.lambda_components(q, "S", "up")
-            worst = max(worst, float(np.linalg.norm(
-                left.apply_state(state, p) - right.apply_state(state, p))))
     # antilinear composed with antilinear is linear
     return (1.0 if pool[0].compose(pool[4]).antilinear else worst), {}
 
@@ -714,104 +706,91 @@ def _clifford_square(ctx, key):
        "satisfy the cross-coupled pair, lie in the particle/antiparticle span, and the map is "
        "an isometry")
 def _markov(ctx, key):
-    worst = 0.0
     momenta = ctx.momenta(key, n=min(ctx.samples, 25))
-    for p, w in zip(momenta, _gaussian(ctx.rng(key), len(momenta), 4)):
-        pair = dyn.markov_superposition(p, (w[0], w[1]), (w[2], w[3]))
-        gp = dyn.dirac_matrix(p)
-        scale = max(np.linalg.norm(pair.chi), np.linalg.norm(pair.eta), 1e-12)
-        # u/v span and isometry
-        basis = np.column_stack([sp.dirac_components(p, s, i)
-                                 for s in ("particle", "antiparticle") for i in sp.INDICES])
-        off_span = [vec - basis @ np.linalg.lstsq(basis, vec, rcond=None)[0] for vec in pair]
-        worst = max(worst, float(np.linalg.norm(gp @ pair.chi - p.m * pair.eta)) / scale,
-                    float(np.linalg.norm(gp @ pair.eta - p.m * pair.chi)) / scale,
-                    *(float(np.linalg.norm(r)) / scale for r in off_span))
-        psi1 = w[0] * basis[:, 0] + w[1] * basis[:, 1]
-        psi2 = w[2] * basis[:, 2] + w[3] * basis[:, 3]
-        before = np.linalg.norm(psi1) ** 2 + np.linalg.norm(psi2) ** 2
-        after = np.linalg.norm(pair.chi) ** 2 + np.linalg.norm(pair.eta) ** 2
-        worst = max(worst, abs(before - after) / before)
-    return worst, {}
+    w = _gaussian(ctx.rng(key), len(momenta), 4).T
+    chi, eta = dyn.markov_superposition(momenta, w[:2], w[2:])
+    gp, m = dyn.dirac_matrix(momenta), mat.column(momenta.m)
+    scale = np.maximum(np.maximum(_norm(chi), _norm(eta)), 1e-12)
+    # u/v span and isometry
+    basis = np.stack([sp.dirac_components(momenta, s, i)
+                      for s in ("particle", "antiparticle") for i in sp.INDICES], axis=-1)
+    psi1 = mat.matvec(basis[..., :2], w[:2].T)
+    psi2 = mat.matvec(basis[..., 2:], w[2:].T)
+    before = _norm(psi1) ** 2 + _norm(psi2) ** 2
+    after = _norm(chi) ** 2 + _norm(eta) ** 2
+    return _max(_norm(mat.matvec(gp, chi) - m * eta) / scale,
+                _norm(mat.matvec(gp, eta) - m * chi) / scale,
+                _span_residual(basis, chi), _span_residual(basis, eta),
+                np.abs(before - after) / before), {}
 
 
 @check("dynamics.sen-gupta-dirac-limit", "the two-mass operator reduces to the standard one at "
        "zero pseudoscalar mass")
 def _sen_gupta_dirac_limit(ctx, key):
-    spinors = ((p, sp.dirac_components(p, "particle", "up"))
-               for p in ctx.momenta(key, n=min(ctx.samples, 25)))
-    return max(dyn.sen_gupta_residual(p, p.m, 0.0, u) / np.linalg.norm(u)
-               for p, u in spinors), {}
+    momenta = ctx.momenta(key, n=min(ctx.samples, 25))
+    u = sp.dirac_components(momenta, "particle", "up")
+    return _max(dyn.sen_gupta_residual(momenta, momenta.m, 0.0, u) / _norm(u)), {}
 
 
 @check("dynamics.sen-gupta-null-dim", "on the generalised shell p^2 = m1^2 - m2^2 the two-mass "
        "operator has a two-dimensional solution space")
 def _sen_gupta_null_dim(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
-    for _ in range(10):
-        m1 = float(rng.uniform(0.5, 3.0))
-        m2 = float(rng.uniform(0.0, 0.9)) * m1
-        vec = rng.normal(size=3)
-        e = math.sqrt(m1 ** 2 - m2 ** 2 + float(vec @ vec))
-        null = dyn.sen_gupta_null_space(e, *vec, m1, m2)
-        op = dyn.sen_gupta_operator(e, *vec, m1, m2)
-        for v in null:
-            worst = max(worst, float(np.linalg.norm(op @ v)))
-        if len(null) != 2:
-            worst = 1.0
-    return worst, {"null-dimension": 2}
+    m1 = rng.uniform(0.5, 3.0, 10)
+    m2 = rng.uniform(0.0, 0.9, 10) * m1
+    vec = rng.normal(size=(10, 3))
+    e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec))
+    nulls = [dyn.sen_gupta_null_space(*row) for row in zip(e, *vec.T, m1, m2)]
+    if any(len(null) != 2 for null in nulls):
+        return 1.0, {"null-dimension": 2}
+    op = dyn.sen_gupta_operator(e, *vec.T, m1, m2)
+    return _max(_norm(mat.matvec(op[:, None], np.array(nulls)))), {"null-dimension": 2}
 
 
 @check("dynamics.sen-gupta-off-shell", "off the generalised shell the two-mass operator has an "
        "empty null space")
 def _sen_gupta_off_shell(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
-    for _ in range(10):
-        m1, m2 = 2.0, 1.0
-        vec = rng.normal(size=3)
-        e = math.sqrt(m1 ** 2 - m2 ** 2 + float(vec @ vec)) * float(rng.uniform(1.1, 2.0))
-        worst = max(worst, float(len(dyn.sen_gupta_null_space(e, *vec, m1, m2))))
-    return worst, {}
+    m1, m2 = 2.0, 1.0
+    vec = rng.normal(size=(10, 3))
+    e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec)) * rng.uniform(1.1, 2.0, 10)
+    return max(float(len(dyn.sen_gupta_null_space(*row, m1, m2))) for row in zip(e, *vec.T)), {}
 
 
 @check("dynamics.sen-gupta-equivalence", "the axial equivalence transform carries two-mass "
        "solutions to standard solutions of mass sqrt(m1^2 - m2^2)")
 def _sen_gupta_equivalence(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
-    for _ in range(10):
-        m1 = float(rng.uniform(0.5, 3.0))
-        m2 = float(rng.uniform(0.1, 0.9)) * m1
-        mu = math.sqrt(m1 ** 2 - m2 ** 2)
-        vec = rng.normal(size=3)
-        e = math.sqrt(mu ** 2 + float(vec @ vec))
-        inverse = np.linalg.inv(dyn.sen_gupta_equivalence(m1, m2))
-        dirac = dyn.slash(e, *vec) - mu * np.eye(4)
-        for mapped in (inverse @ v for v in dyn.sen_gupta_null_space(e, *vec, m1, m2)):
-            worst = max(worst, float(np.linalg.norm(dirac @ mapped)) / np.linalg.norm(mapped))
-    return worst, {}
+    m1 = rng.uniform(0.5, 3.0, 10)
+    m2 = rng.uniform(0.1, 0.9, 10) * m1
+    mu = np.sqrt(m1 ** 2 - m2 ** 2)
+    vec = rng.normal(size=(10, 3))
+    e = np.sqrt(mu ** 2 + mat.sqnorm(vec))
+    inverse = np.linalg.inv(dyn.sen_gupta_equivalence(m1, m2))
+    dirac = dyn.slash(e, *vec.T) - mu[:, None, None] * np.eye(4)
+    mapped = [mat.matvec(inv, np.reshape(dyn.sen_gupta_null_space(*row), (-1, 4)))
+              for inv, row in zip(inverse, zip(e, *vec.T, m1, m2))]
+    return _max(*(_rel(mat.matvec(d, x), x) for d, x in zip(dirac, mapped))), {}
 
 
 @check("dynamics.sen-gupta-massless", "with vanishing scalar mass the null vectors are not "
        "eigenstates of the doubled sigma.n matrix", "floor", "exceed-floor")
 def _sen_gupta_massless(ctx, key):
     rng = ctx.rng(key)
+    m2 = rng.uniform(0.3, 2.0, 10)
+    vec = _unit(rng.normal(size=(10, 3)))
+    pabs = m2 * rng.uniform(1.2, 3.0, 10)
+    e = np.sqrt(pabs ** 2 - m2 ** 2)
+    sn = mat.pauli_dot(vec)
+    chiral_h = mat.block_diag2(sn, -sn)
     best = math.inf
-    for _ in range(10):
-        m2 = float(rng.uniform(0.3, 2.0))
-        vec = rng.normal(size=3)
-        vec *= (m2 * float(rng.uniform(1.2, 3.0))) / np.linalg.norm(vec)
-        e = math.sqrt(float(vec @ vec) - m2 ** 2)
-        null = dyn.sen_gupta_null_space(e, *vec, 0.0, m2)
+    for row, h in zip(zip(e, *(pabs * vec.T), np.zeros(10), m2), chiral_h):
+        null = dyn.sen_gupta_null_space(*row)
         if not null:
             return 0.0, {"note": "no null vectors found"}
-        sn = mat.pauli_dot(vec / np.linalg.norm(vec))
-        chiral_h = mat.block_diag2(sn, -sn)
-        for v in (v / np.linalg.norm(v) for v in null):
-            av = chiral_h @ v
-            best = min(best, float(np.linalg.norm(av - np.vdot(v, av) * v)))
+        v = _unit(np.array(null))
+        av = mat.matvec(h, v)
+        best = min(best, float(np.min(_norm(av - mat.column(mat.vdot(v, av)) * v))))
     return best, {}
 
 
@@ -835,8 +814,7 @@ def _eight_component(ctx, key):
 def _eight_gauge(ctx, key):
     conv = ctx.convention()
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
-    # (20, n): row k holds every momentum's k-th angle, drawn momentum by momentum
-    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (len(momenta), 20)).T
+    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (20, len(momenta)))
     # G_lambda on the lambda block and G_rho on the rho block of each stack
     gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")] * 2
     rows = []
@@ -853,43 +831,39 @@ def _eight_gauge(ctx, key):
        "transforms and vanishes on the physical quartet")
 def _mass_term_chiral(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
-    physical = 0.0
-    for p in ctx.momenta(key, n=min(ctx.samples, 10)):
-        quartet = dyn.physical_quartet(p, "up")
-        base_phys = dyn.lagrangian_mass_term(*quartet, p.m)
-        physical = max(physical, abs(base_phys))
-        for alpha in rng.uniform(0, 2 * math.pi, 5):
-            gauges = [ops.chiral_gauge_transform(float(alpha), f) for f in ("lambda", "rho")] * 2
-            fields = _gaussian(rng, 4, 4)
-            before = dyn.lagrangian_mass_term(*fields, p.m)
-            after = dyn.lagrangian_mass_term(*(g @ f for g, f in zip(gauges, fields)), p.m)
-            moved = dyn.lagrangian_mass_term(*(g @ f for g, f in zip(gauges, quartet)), p.m)
-            worst = max(worst, abs(before - after) / max(1.0, abs(before)),
-                        abs(moved - base_phys))
-    return max(worst, physical), {"physical-value": round(physical, 12)}
+    momenta = ctx.momenta(key, n=min(ctx.samples, 10))
+    quartet = dyn.physical_quartet(momenta, "up")
+    base_phys = dyn.lagrangian_mass_term(*quartet, momenta.m)
+    # (5, n): five angles and four random fields per momentum
+    alphas = rng.uniform(0, 2 * math.pi, (5, len(momenta)))
+    fields = _gaussian(rng, 4 * alphas.size, 4).reshape((4,) + alphas.shape + (4,))
+    gauges = [ops.chiral_gauge_transform(alphas, f) for f in ("lambda", "rho")] * 2
+    before = dyn.lagrangian_mass_term(*fields, momenta.m)
+    after = dyn.lagrangian_mass_term(*map(mat.matvec, gauges, fields), momenta.m)
+    moved = dyn.lagrangian_mass_term(*map(mat.matvec, gauges, quartet), momenta.m)
+    physical = _max(np.abs(base_phys))
+    return max(physical, _max(np.abs(before - after) / np.maximum(1.0, np.abs(before)),
+                              np.abs(moved - base_phys))), {"physical-value": round(physical, 12)}
 
 
 @check("dynamics.mass-term-su2", "the doublet mass pairing is invariant under common SU(2) "
        "phase rotations")
 def _mass_term_su2(ctx, key):
     rng = ctx.rng(key)
-    worst = 0.0
-    for p, _ in itertools.product(ctx.momenta(key, n=min(ctx.samples, 10)), range(5)):
-        u = _su2_element(rng)
-        d0, d1, r0, r1 = _gaussian(rng, 4, 4)
-        before = dyn.doublet_mass_term((d0, d1), (r0, r1), p.m)
-        after = dyn.doublet_mass_term(dyn.rotate_doublet(u, (d0, d1)),
-                                      dyn.rotate_doublet(u, (r0, r1)), p.m)
-        worst = max(worst, abs(before - after) / max(1.0, abs(before)))
-    return worst, {}
+    # five rotations and four random fields per momentum
+    m = np.repeat(ctx.momenta(key, n=min(ctx.samples, 10)).m, 5)
+    u = _su2_elements(rng, len(m))
+    d0, d1, r0, r1 = _gaussian(rng, 4 * len(m), 4).reshape(4, len(m), 4)
+    before = dyn.doublet_mass_term((d0, d1), (r0, r1), m)
+    after = dyn.doublet_mass_term(dyn.rotate_doublet(u, (d0, d1)),
+                                  dyn.rotate_doublet(u, (r0, r1)), m)
+    return _max(np.abs(before - after) / np.maximum(1.0, np.abs(before))), {}
 
 
 @check("dynamics.mass-term-real", "the mass pairing is real for arbitrary field configurations")
 def _mass_term_real(ctx, key):
-    values = (dyn.lagrangian_mass_term(*fields, 1.7)
-              for fields in _gaussian(ctx.rng(key), 20 * 4, 4).reshape(20, 4, 4))
-    return max(abs(val.imag) / max(1.0, abs(val)) for val in values), {}
+    values = dyn.lagrangian_mass_term(*_gaussian(ctx.rng(key), 4 * 20, 4).reshape(4, 20, 4), 1.7)
+    return _max(np.abs(values.imag) / np.maximum(1.0, np.abs(values))), {}
 
 
 @check("spin-one.wigner-property", "the 3x3 Wigner matrix is real orthogonal symmetric, squares "
@@ -945,8 +919,7 @@ def _scans(ctx, key, rest_mass, n, operator):
 
 @check("spin-one.twisted-conjugacy-zeta", "the chirality-twisted conjugacy requirement is "
        "satisfied exactly at zeta = +1 (self) and zeta = -1 (anti-self) for all helicities, "
-       "both constructions, at rest and boosted", "zeta_minimum",
-       stream="spin-one.twisted-conjugacy")
+       "both constructions, at rest and boosted", "zeta_minimum")
 def _zeta_minima(ctx, key):
     rows = [row for scan in _scans(ctx, key, 1.3, 8, "g5sc") for row in (
         scan.self_minimum.residual, scan.anti_minimum.residual,
@@ -955,15 +928,14 @@ def _zeta_minima(ctx, key):
 
 
 @check("spin-one.bare-conjugacy-floor", "no unit-circle zeta makes a six-spinor self or "
-       "anti-self conjugate under the bare conjugation", "floor", "exceed-floor",
-       stream="spin-one.bare-conjugacy")
+       "anti-self conjugate under the bare conjugation", "floor", "exceed-floor")
 def _bare_conjugacy_floor(ctx, key):
     return min(float(np.min(minimum.residual)) for scan in _scans(ctx, key, 0.9, 20, "sc")
                for minimum in (scan.self_minimum, scan.anti_minimum)), {}
 
 
 @check("spin-one.zeta-boost-persistence", "the rest-frame zeta values keep solving the twisted "
-       "conjugacy at every boosted momentum", stream="spin-one.zeta-persistence")
+       "conjugacy at every boosted momentum")
 def _zeta_boost_persistence(ctx, key):
     op = s1.gamma5_sc_one()
     momenta = ctx.momenta(key, n=min(ctx.samples, 20))
@@ -987,22 +959,21 @@ def _scan_phase_covariance(ctx, key):
 @check("spin-one.boost-closed-form", "the closed-form spin-1 boost equals its 20-term "
        "exponential series")
 def _boost_one_closed_form(ctx, key):
-    worst = 0.0
-    for p in _moving(ctx.momenta(key, n=min(ctx.samples, 20))):
-        x = math.acosh(p.E / p.m)
-        # 20-term series oracle with scaling and squaring so the truncation
-        # stays far below tolerance up to E/m ~ 10
-        halvings = max(0, math.ceil(math.log2(max(x, 1e-12) / 0.5)))
-        arg = mat.spin1_dot(p.vec / p.p_abs) * (x / 2 ** halvings)
-        series = np.zeros((3, 3), dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for order in range(20):
-            series += term
-            term = term @ arg / (order + 1)
-        for _ in range(halvings):
-            series = series @ series
-        worst = max(worst, float(np.linalg.norm(series - kin.boost_one(p, "R"))))
-    return worst, {}
+    momenta = _moving(ctx.momenta(key, n=min(ctx.samples, 20)))
+    x = np.arccosh(momenta.E / momenta.m)
+    # 20-term series oracle with scaling and squaring so the truncation
+    # stays far below tolerance up to E/m ~ 10; each row squares its own
+    # number of times
+    halvings = np.maximum(0, np.ceil(np.log2(np.maximum(x, 1e-12) / 0.5))).astype(int)
+    arg = mat.spin1_dot(momenta.direction()) * (x / 2.0 ** halvings)[:, None, None]
+    series = np.zeros_like(arg)
+    term = np.broadcast_to(np.eye(3, dtype=complex), arg.shape)
+    for order in range(20):
+        series = series + term
+        term = term @ arg / (order + 1)
+    for k in range(np.max(halvings, initial=0)):
+        series = np.where((k < halvings)[:, None, None], series @ series, series)
+    return _max(_norm(series - kin.boost_one(momenta, "R"))), {}
 
 
 @check("spin-one.boost-z-eigen", "a z boost with E/m = 2 acts diagonally with factors "

@@ -6,7 +6,7 @@ import pytest
 from elko import dynamics as dyn
 from elko import spinors as sp
 from elko.errors import DomainError
-from elko.kinematics import make_momentum, sample_momenta
+from elko.kinematics import as_batch, make_momentum, sample_momenta
 from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot
 from elko.operators import chiral_gauge_transform, su2_phase_transform
 
@@ -47,6 +47,27 @@ class TestCoupledSystem:
         conv = dyn.discover_convention(random_momenta(8))
         assert conv.sign == 1
 
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 1e6])
+    def test_discovery_across_masses_and_boosts(self, m):
+        """Each row is judged relative to E |psi|: the right convention
+        stays at rounding level, the wrong one at about 2m/|p| >= 2e-12."""
+        tilt = 1e-8
+        directions = [(0.3, -0.4, 0.5), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                      (math.sin(tilt), 0.0, -math.cos(tilt)), (math.sin(tilt), 0.0, math.cos(tilt))]
+        momenta = [make_momentum(*(ratio * m * np.array(d) / np.linalg.norm(d)), m)
+                   for ratio in (0.0, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12) for d in directions]
+        for p in momenta:
+            assert dyn.discover_convention([p]).sign == 1
+        assert dyn.discover_convention(momenta).sign == 1
+
+    def test_discovery_outside_the_sampled_box(self):
+        assert dyn.discover_convention([make_momentum(300, -400, 500, 100)]).sign == 1
+
+    def test_ultra_relativistic_limit_raises(self):
+        # |p|/m = 1e14: the wrong convention's 2m/|p| is below the tolerance
+        with pytest.raises(DomainError, match="ultra-relativistic"):
+            dyn.discover_convention([make_momentum(0.6e14, 0.0, -0.8e14, 1.0)])
+
     def test_invalid_sign_rejected(self):
         with pytest.raises(DomainError):
             dyn.FrequencyConvention(0)
@@ -63,13 +84,21 @@ class TestMarkov:
         assert np.linalg.norm(gp @ pair.chi - p.m * pair.eta) <= 1e-12
 
     def test_cross_coupled_equations(self, random_momenta, rng):
-        for p in random_momenta(10):
+        momenta, weights, pairs = random_momenta(10), [], []
+        for p in momenta:
             w = rng.normal(size=4) + 1j * rng.normal(size=4)
             pair = dyn.markov_superposition(p, (w[0], w[1]), (w[2], w[3]))
             gp = dyn.dirac_matrix(p)
             scale = max(np.linalg.norm(pair.chi), np.linalg.norm(pair.eta))
             assert np.linalg.norm(gp @ pair.chi - p.m * pair.eta) <= 1e-12 * max(scale, 1)
             assert np.linalg.norm(gp @ pair.eta - p.m * pair.chi) <= 1e-12 * max(scale, 1)
+            weights.append(w)
+            pairs.append(pair)
+        # a batch with (N,) weights is its rows' single calls
+        w = np.array(weights).T
+        batched = dyn.markov_superposition(as_batch(momenta), w[:2], w[2:])
+        assert np.array_equal(batched.chi, [pair.chi for pair in pairs])
+        assert np.array_equal(batched.eta, [pair.eta for pair in pairs])
 
     def test_solutions_lie_in_uv_span(self, random_momenta, rng):
         p = random_momenta(1)[0]
@@ -97,9 +126,15 @@ class TestMarkov:
 
 class TestSenGupta:
     def test_reduces_to_dirac_at_zero_pseudoscalar_mass(self, random_momenta):
-        for p in random_momenta(5):
+        momenta = random_momenta(5)
+        for p in momenta:
             u = sp.dirac_spinor(p, "particle", "up")
             assert dyn.sen_gupta_residual(p, p.m, 0.0, u) <= 1e-12 * np.linalg.norm(u.components)
+        # a batch with (N,) masses is its rows' single calls
+        batch = as_batch(momenta)
+        u = sp.dirac_components(batch, "particle", "up")
+        assert np.array_equal(dyn.sen_gupta_residual(batch, batch.m, 0.0, u),
+                              [dyn.sen_gupta_residual(p, p.m, 0.0, x) for p, x in zip(momenta, u)])
 
     def test_null_dimension_on_generalised_shell(self):
         m1, m2 = 2.0, 1.0
@@ -125,6 +160,9 @@ class TestSenGupta:
         for v in dyn.sen_gupta_null_space(e, *vec, m1, m2):
             mapped = np.linalg.inv(emat) @ v
             assert np.linalg.norm(dirac @ mapped) <= 1e-12 * np.linalg.norm(mapped)
+        # (N,) masses give one transform per row
+        batch = dyn.sen_gupta_equivalence(np.array([m1, 3.0]), np.array([m2, -0.5]))
+        assert np.array_equal(batch, [emat, dyn.sen_gupta_equivalence(3.0, -0.5)])
 
     def test_massless_limit_not_chiral_helicity_eigen(self):
         m2 = 1.0
@@ -245,6 +283,7 @@ class TestMassTerm:
             assert after == pytest.approx(before, abs=1e-12 * max(1, abs(before)))
 
     def test_su2_doublet_invariance(self, rng):
+        us, ds, rotated = [], [], []
         for _ in range(10):
             phi = float(rng.uniform(0, 2 * math.pi))
             n = rng.normal(size=3)
@@ -256,6 +295,12 @@ class TestMassTerm:
             after = dyn.doublet_mass_term(dyn.rotate_doublet(u, d),
                                           dyn.rotate_doublet(u, r), 1.0)
             assert after == pytest.approx(before, abs=1e-12 * max(1, abs(before)))
+            us.append(u)
+            ds.append(d)
+            rotated.append(dyn.rotate_doublet(u, d))
+        # an (N, 2, 2) stack rotates (N, 4) doublets row by row
+        batched = dyn.rotate_doublet(np.array(us), tuple(np.array(ds).transpose(1, 0, 2)))
+        assert np.array_equal(np.array(batched), np.array(rotated).transpose(1, 0, 2))
 
     def test_doublet_form_matches_lagrangian_pairing(self, random_momenta):
         p = random_momenta(1)[0]

@@ -293,12 +293,14 @@ class TestSu2PhaseTransform:
 
     def test_group_closure(self, rng):
         for _ in range(10):
-            mats = []
-            for _ in range(2):
-                phi = rng.uniform(0, 2 * math.pi)
-                n = rng.normal(size=3)
-                n /= np.linalg.norm(n)
-                mats.append(ops.su2_phase_transform(math.cos(phi), n * math.sin(phi)))
+            phi = rng.uniform(0, 2 * math.pi, 2)
+            n = rng.normal(size=(2, 3))
+            n /= np.linalg.norm(n, axis=-1, keepdims=True)
+            c0, c = np.cos(phi), n * np.sin(phi)[:, None]
+            mats = ops.su2_phase_transform(c0, c)
+            # a batch is its rows' single calls
+            assert np.array_equal(mats, [ops.su2_phase_transform(float(a), b)
+                                         for a, b in zip(c0, c)])
             prod = mats[0] @ mats[1]
             assert np.linalg.norm(prod @ prod.conj().T - np.eye(2)) <= 1e-13
             assert abs(abs(np.linalg.det(prod)) - 1.0) <= 1e-13
@@ -306,6 +308,11 @@ class TestSu2PhaseTransform:
     def test_unnormalised_parameters_rejected(self):
         with pytest.raises(DomainError):
             ops.su2_phase_transform(1.0, [0.5, 0, 0])
+        # one row of a batch off the unit sphere
+        with pytest.raises(DomainError):
+            ops.su2_phase_transform([1.0, 0.6, 1.0], [[0, 0, 0], [0, 0.8, 0], [0.5, 0, 0]])
+        with pytest.raises(DomainError):
+            ops.su2_phase_transform(math.nan, [0, 0, 0])
 
 
 class TestCPClassification:

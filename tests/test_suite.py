@@ -221,6 +221,15 @@ def test_benchmark_gate_holds():
     assert diff_reports(reference, report) == []
 
 
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
+def test_other_seeds_report_the_reference_constants(seed):
+    """No report constant depends on which momenta are drawn."""
+    reference = VerificationReport.from_json(BENCHMARK_REFERENCE.read_text())
+    report = run_suite("all", seed=seed, samples=200)
+    assert report.summary == {"total": 60, "passed": 60, "failed": 0}
+    assert diff_reports(reference, report) == []
+
+
 # Deleted from the library with no caller left; its metric is dropped at the
 # next change to the benchmark.
 _STALE_METRICS = {"matrices.normalize_intertwiner"}
