@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ElkoError, UsageError
-from .kinematics import make_momentum
+from .kinematics import boost_half, make_momentum
 from .operators import (
     charge_conjugation,
     chiral_helicity_operator,
@@ -28,7 +28,6 @@ from .operators import (
     u3,
     xi_matrix,
 )
-from .kinematics import boost_half
 from .spinors import (
     REST_LAMBDA_PATTERNS,
     REST_RHO_PATTERNS,
@@ -66,9 +65,7 @@ def _complex_json(z) -> list:
 
 def _array_json(arr) -> list:
     a = np.asarray(arr)
-    if a.ndim == 1:
-        return [_complex_json(z) for z in a]
-    return [[_complex_json(z) for z in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _parse_momentum(text: str):
@@ -90,27 +87,47 @@ def _write_output(text: str, out_path):
 # eval
 # ---------------------------------------------------------------------------
 
-_SPINOR_FAMILIES = ("lambda", "rho", "u", "v")
-_OPERATOR_FAMILIES = ("helicity-operator", "chiral-helicity-operator", "xi",
-                      "charge-conjugation", "parity", "chirality",
-                      "u1", "u2", "u3", "boost-right", "boost-left")
+def _xi_with_residual(p):
+    xi = xi_matrix(p)
+    lam_r = boost_half(p, "R")
+    resid = np.linalg.norm(xi @ lam_r - np.conj(lam_r) @ xi)
+    return xi, [f"  intertwiner residual: {resid:.3e}"]
+
+
+# --family -> the spinor at (momentum, parsed arguments), or -> the operator's
+# (matrix, note lines) at a momentum
+_SPINORS = {
+    "lambda": lambda p, a: lambda_spinor(p, a.kind, a.index, a.basis),
+    "rho": lambda p, a: rho_spinor(p, a.kind, a.index, a.basis),
+    "u": lambda p, a: dirac_spinor(p, "particle", a.index, a.basis),
+    "v": lambda p, a: dirac_spinor(p, "antiparticle", a.index, a.basis),
+}
+_OPERATORS = {
+    "helicity-operator": lambda p: (helicity_operator(p).matrix, []),
+    "chiral-helicity-operator": lambda p: (chiral_helicity_operator(p).matrix, []),
+    "xi": _xi_with_residual,
+    "charge-conjugation": lambda p: (charge_conjugation().matrix,
+                                     ["  antilinear: conjugates its operand"]),
+    "parity": lambda p: (parity_operator().matrix,
+                         ["  reflects momentum: evaluate the operand at (E, -p)"]),
+    "chirality": lambda p: (chirality().matrix, []),
+    "u1": lambda p: (u1(p), []),
+    "u2": lambda p: (u2(), []),
+    "u3": lambda p: (u3(), []),
+    "boost-right": lambda p: (boost_half(p, "R"), []),
+    "boost-left": lambda p: (boost_half(p, "L"), []),
+}
+_SPINOR_FAMILIES = tuple(_SPINORS)
+_OPERATOR_FAMILIES = tuple(_OPERATORS)
 
 
 def cmd_eval(args) -> int:
     p = make_momentum(*_parse_momentum(args.momentum), args.mass)
-    derived = {
-        "p_r": _complex_json(p.p_r), "p_l": _complex_json(p.p_l),
-        "p_plus": p.p_plus, "p_minus": p.p_minus, "E": p.E,
-    }
+    derived = {"p_r": _complex_json(p.p_r), "p_l": _complex_json(p.p_l),
+               "p_plus": p.p_plus, "p_minus": p.p_minus, "E": p.E}
 
     if args.family in _SPINOR_FAMILIES:
-        if args.family == "lambda":
-            obj = lambda_spinor(p, args.kind, args.index, args.basis)
-        elif args.family == "rho":
-            obj = rho_spinor(p, args.kind, args.index, args.basis)
-        else:
-            sign = "particle" if args.family == "u" else "antiparticle"
-            obj = dirac_spinor(p, sign, args.index, args.basis)
+        obj = _SPINORS[args.family](p, args)
         if args.format == "json":
             payload = {"family": args.family, "kind": obj.kind, "index": obj.index,
                        "basis": obj.basis, "momentum": [p.px, p.py, p.pz],
@@ -128,34 +145,7 @@ def cmd_eval(args) -> int:
         return 0
 
     if args.family in _OPERATOR_FAMILIES:
-        extra = []
-        if args.family == "helicity-operator":
-            matrix = helicity_operator(p).matrix
-        elif args.family == "chiral-helicity-operator":
-            matrix = chiral_helicity_operator(p).matrix
-        elif args.family == "xi":
-            matrix = xi_matrix(p)
-            lam_r = boost_half(p, "R")
-            resid = np.linalg.norm(matrix @ lam_r - np.conj(lam_r) @ matrix)
-            extra.append(f"  intertwiner residual: {resid:.3e}")
-        elif args.family == "charge-conjugation":
-            matrix = charge_conjugation().matrix
-            extra.append("  antilinear: conjugates its operand")
-        elif args.family == "parity":
-            matrix = parity_operator().matrix
-            extra.append("  reflects momentum: evaluate the operand at (E, -p)")
-        elif args.family == "chirality":
-            matrix = chirality().matrix
-        elif args.family == "u1":
-            matrix = u1(p)
-        elif args.family == "u2":
-            matrix = u2()
-        elif args.family == "u3":
-            matrix = u3()
-        elif args.family == "boost-right":
-            matrix = boost_half(p, "R")
-        else:
-            matrix = boost_half(p, "L")
+        matrix, extra = _OPERATORS[args.family](p)
         if args.format == "json":
             payload = {"operator": args.family, "momentum": [p.px, p.py, p.pz],
                        "mass": p.m, "derived": derived, "matrix": _array_json(matrix)}

@@ -17,8 +17,8 @@ TOLERANCES = {
     "zeta_minimum": 1e-10,
     # floors: residuals that must stay LARGE for nonexistence/separation claims
     "floor": 0.1,
-    # wrong frequency convention must leave residuals above  floor_mass * m
-    "floor_mass": 0.5,
+    # wrong convention must leave residuals above  floor_mass * m max|psi|
+    "floor_mass": 1.6,
     # rest-limit agreement of the closed-form spinors
     "rest_limit": 1e-7,
 }

@@ -71,6 +71,13 @@ def physical_quartet(p, index: str):
             lambda_components(p, "A", index), rho_components(p, "S", index))
 
 
+def physical_state_scale(p):
+    """max |psi| over the physical states of both indices, per row; E or m
+    times it is the scale of a coupled-equation residual."""
+    states = [x for index in ("up", "down") for x in physical_quartet(p, index)]
+    return np.max(np.linalg.norm(states, axis=-1), axis=0)
+
+
 def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
     """The four coupled equations evaluated on the given states, one row
     each: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
@@ -122,8 +129,7 @@ def discover_convention(momenta) -> FrequencyConvention:
     """
     tol = TOLERANCES["identity"]
     batch = as_batch(momenta)
-    states = [x for index in ("up", "down") for x in physical_quartet(batch, index)]
-    scale = batch.E * np.max(np.linalg.norm(states, axis=-1), axis=0)
+    scale = batch.E * physical_state_scale(batch)
     winners = [conv for conv in (FrequencyConvention(1), FrequencyConvention(-1))
                if np.all(np.max(coupled_system_residual(batch, conv), axis=0) <= tol * scale)]
     if len(winners) == 2 and len(batch):
@@ -171,12 +177,15 @@ def sen_gupta_residual(p, m1, m2, psi):
     return np.linalg.norm(matvec(op, vec), axis=-1)
 
 
-def sen_gupta_null_space(e, px, py, pz, m1, m2, rcond: float = 1e-9):
+_NULL_RCOND = 1e-9   # zero singular values: below this times max(1, the largest)
+
+
+def sen_gupta_null_space(e, px, py, pz, m1, m2):
     """Null-space basis of the two-mass operator; empty off the generalised
     shell p^2 = m1^2 - m2^2 (no exception)."""
     op = sen_gupta_operator(e, px, py, pz, m1, m2)
     _, svals, vh = np.linalg.svd(op)
-    cutoff = rcond * max(1.0, float(svals[0]))
+    cutoff = _NULL_RCOND * max(1.0, float(svals[0]))
     null = vh[svals < cutoff].conj()
     return [row for row in null]
 

@@ -46,13 +46,8 @@ from .matrices import (
     matrix2,
     matvec,
     pauli_dot,
-    vdot,
 )
-from .spinors import (
-    PhaseConfig,
-    dirac_components,
-    lambda_components,
-)
+from .spinors import PhaseConfig, dirac_components, lambda_components
 
 
 @dataclass(frozen=True)
@@ -232,15 +227,10 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     first transform's coefficient is real positive (the block scale drops out
     of the intertwining relation, but the mapped-family identities fix it).
     """
-    xi = math.sqrt(2.0) * xi_matrix(p)
+    # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1
+    phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
+    xi = math.sqrt(2.0) * phase * xi_matrix(p)
     z = np.zeros_like(xi)
-
-    lam_s = lambda_components(p, "S", "up", basis="helicity")
-    target = np.conj(lambda_components(p, "A", "up", basis="helicity"))
-    image = matvec(blocks(xi, z, z, xi), lam_s)
-    # |coeff| = 1 analytically: the first transform maps lam_s onto target
-    coeff = vdot(target, image) / vdot(target, target)
-    xi = xi * np.asarray(np.conj(coeff) / np.abs(coeff))[..., None, None]
 
     return [
         blocks(xi, z, z, xi),

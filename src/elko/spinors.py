@@ -6,9 +6,9 @@ helicity-adapted), Dirac particle/antiparticle spinors, and helicity
 Conventions, fixed once here and relied on by the whole verification suite:
 
 * chiral basis with the right-handed block on top (see ``matrices``);
-* fixed-axis ("spinorial") family: the closed forms below in terms of
-  p_l, p_r, p+ = E + pz, p- = E - pz, equal to diag(Lambda_R, Lambda_L)
-  applied to the rest spinors with global phase exactly 1;
+* fixed-axis ("spinorial") family: diag(Lambda_R, Lambda_L) applied to the
+  rest patterns with global phase exactly 1, read off as one column of
+  E + m +- sigma.p per chiral block, in p_l, p_r and E +- pz + m;
 * helicity family: lambda = boost((zeta Theta phi*, phi)) with zeta = +i for
   the self-conjugate kind and -i for the anti-self one; rho is built from a
   right-handed 2-spinor the same way with the opposite zeta;
@@ -75,15 +75,10 @@ class Bispinor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if self.basis not in BASES:
-            raise DomainError(f"unknown basis {self.basis!r}")
+        _check_basis(self.basis)
         if self.index not in INDICES:
             raise DomainError(f"unknown index {self.index!r}")
         object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +103,8 @@ REST_RHO_PATTERNS = {
     ("A", "down"): -1j * REST_LAMBDA_PATTERNS[("S", "up")],
 }
 
+_REST_PATTERNS = {"lambda": REST_LAMBDA_PATTERNS, "rho": REST_RHO_PATTERNS}
+
 
 def _check_kind_index(kind: str, index: str):
     if kind not in KINDS_SELF:
@@ -116,60 +113,57 @@ def _check_kind_index(kind: str, index: str):
         raise DomainError(f"index must be 'up' or 'down', got {index!r}")
 
 
-def rest_lambda(kind: str, index: str, m: float) -> Bispinor:
-    """Rest-frame lambda spinor, sqrt(m/2) times an exact 0/±1/±i pattern."""
+def _check_basis(basis: str):
+    if basis not in BASES:
+        raise DomainError(f"unknown basis {basis!r}")
+
+
+def _rest(family: str, kind: str, index: str, m: float) -> Bispinor:
     _check_kind_index(kind, index)
     if not m > 0.0:
         raise DomainError(f"mass must be positive, got {m}")
-    comps = math.sqrt(m / 2.0) * REST_LAMBDA_PATTERNS[(kind, index)]
-    return Bispinor(comps, "lambda", kind, index, "spinorial", make_momentum(0, 0, 0, m))
+    comps = math.sqrt(m / 2.0) * _REST_PATTERNS[family][(kind, index)]
+    return Bispinor(comps, family, kind, index, "spinorial", make_momentum(0, 0, 0, m))
+
+
+def rest_lambda(kind: str, index: str, m: float) -> Bispinor:
+    """Rest-frame lambda spinor, sqrt(m/2) times an exact 0/±1/±i pattern."""
+    return _rest("lambda", kind, index, m)
 
 
 def rest_rho(kind: str, index: str, m: float) -> Bispinor:
     """Rest-frame rho spinor, defined through the rest lambdas."""
-    _check_kind_index(kind, index)
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
-    comps = math.sqrt(m / 2.0) * REST_RHO_PATTERNS[(kind, index)]
-    return Bispinor(comps, "rho", kind, index, "spinorial", make_momentum(0, 0, 0, m))
+    return _rest("rho", kind, index, m)
 
 
 # ---------------------------------------------------------------------------
-# boosted fixed-axis (spinorial) closed forms
+# boosted fixed-axis (spinorial) spinors, read off the rest patterns
 # ---------------------------------------------------------------------------
 #
-# Every kernel below is plain arithmetic on the momentum's fields, so it
-# returns (4,) for a FourMomentum and (N, 4) for a MomentumBatch.
+# Each chiral block of a rest pattern has one nonzero entry, a e_j above and
+# b e_k below.  As sqrt(m/2) Lambda_{R,L} = c (E + m +- sigma.p) with
+# c = 1/(2 sqrt(E + m)), the boosted spinor is c (a column j of E + m + sigma.p,
+# b column k of E + m - sigma.p), (4,) or (N, 4).  a and b are exact unit
+# literals and a unit 1 multiplies nothing: a complex product can flip the
+# sign of a zero part, which ``elko eval`` prints.
 
-def _spinorial_terms(p):
+def _block_axis(block):
+    (j,) = np.flatnonzero(block)
+    return j, next(unit for unit in (1, 1j, -1, -1j) if unit == block[j])
+
+
+_PATTERN_AXES = {(family, *key): (*_block_axis(pattern[:2]), *_block_axis(pattern[2:]))
+                 for family, patterns in _REST_PATTERNS.items()
+                 for key, pattern in patterns.items()}
+
+
+def _boosted_pattern(p, j, a, k, b) -> np.ndarray:
+    pp, pm = p.E + p.pz + p.m, p.E - p.pz + p.m
+    right = ((pp, p.p_r), (p.p_l, pm))[j]
+    left = ((pm, -p.p_r), (-p.p_l, pp))[k]
     c = 1.0 / (2.0 * _sqrt(p.E + p.m))
-    return c, p.p_l, p.p_r, p.E + p.pz + p.m, p.E - p.pz + p.m
-
-
-def _lambda_spinorial(p, kind: str, index: str) -> np.ndarray:
-    c, pl, pr, pp, pm = _spinorial_terms(p)
-    if kind == "S" and index == "up":
-        v = [1j * pl, 1j * pm, pm, -pr]
-    elif kind == "S" and index == "down":
-        v = [-1j * pp, -1j * pr, -pl, pp]
-    elif kind == "A" and index == "up":
-        v = [-1j * pl, -1j * pm, pm, -pr]
-    else:
-        v = [1j * pp, 1j * pr, -pl, pp]
-    return (c * np.array(v, dtype=complex)).T
-
-
-def _rho_spinorial(p, kind: str, index: str) -> np.ndarray:
-    c, pl, pr, pp, pm = _spinorial_terms(p)
-    if kind == "S" and index == "up":
-        v = [pp, pr, 1j * pl, -1j * pp]
-    elif kind == "S" and index == "down":
-        v = [pl, pm, 1j * pm, -1j * pr]
-    elif kind == "A" and index == "up":
-        v = [pp, pr, -1j * pl, 1j * pp]
-    else:
-        v = [pl, pm, -1j * pm, 1j * pr]
-    return (c * np.array(v, dtype=complex)).T
+    entries = [x if a == 1 else a * x for x in right] + [x if b == 1 else b * x for x in left]
+    return (c * np.array(entries, dtype=complex)).T
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +214,24 @@ _INDEX_TO_H = {"up": 1, "down": -1}
 
 # zeta phases making boost((zeta Theta phi*, phi)) self (S) / anti-self (A)
 # charge conjugate; rho uses the right-handed block and the opposite phases.
-_LAMBDA_ZETA = {"S": 1j, "A": -1j}
-_RHO_ZETA = {"S": -1j, "A": 1j}
+_ZETA = {"lambda": {"S": 1j, "A": -1j}, "rho": {"S": -1j, "A": 1j}}
 
 
-def _helicity_rest_lambda(f, kind, m):
-    upper = _LAMBDA_ZETA[kind] * (np.conj(f) @ theta_half.T)
-    return column(_sqrt(m / 2.0)) * np.concatenate([upper, f], axis=-1)
+def _helicity_rest(f, family, kind, m):
+    dressed = _ZETA[family][kind] * (np.conj(f) @ theta_half.T)
+    pair = [dressed, f] if family == "lambda" else [f, dressed]
+    return column(_sqrt(m / 2.0)) * np.concatenate(pair, axis=-1)
 
 
-def _helicity_rest_rho(f, kind, m):
-    lower = _RHO_ZETA[kind] * (np.conj(f) @ theta_half.T)
-    return column(_sqrt(m / 2.0)) * np.concatenate([f, lower], axis=-1)
-
-
-def _check_basis(basis: str):
-    if basis not in BASES:
-        raise DomainError(f"unknown basis {basis!r}")
+def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
+    _check_kind_index(kind, index)
+    _check_basis(basis)
+    if basis == "spinorial":
+        return _boosted_pattern(p, *_PATTERN_AXES[family, kind, index])
+    h = _INDEX_TO_H[index]
+    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
+    s = -h if family == "lambda" else h   # the blocks' sigma.p-hat eigenvalue
+    return column(boost_eigenvalue(p, s)) * _helicity_rest(f, family, kind, p.m)
 
 
 def lambda_components(p, kind: str, index: str, basis: str = "spinorial",
@@ -250,13 +245,7 @@ def lambda_components(p, kind: str, index: str, basis: str = "spinorial",
     eigenvalue -h, so the boost acts on lambda(0) as the single factor
     (E + m - h |p|) / sqrt(2 m (E + m)).
     """
-    _check_kind_index(kind, index)
-    _check_basis(basis)
-    if basis == "spinorial":
-        return _lambda_spinorial(p, kind, index)
-    h = _INDEX_TO_H[index]
-    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
-    return column(boost_eigenvalue(p, -h)) * _helicity_rest_lambda(f, kind, p.m)
+    return _components("lambda", p, kind, index, basis, cfg)
 
 
 def rho_components(p, kind: str, index: str, basis: str = "spinorial",
@@ -264,13 +253,7 @@ def rho_components(p, kind: str, index: str, basis: str = "spinorial",
     """Components of the boosted rho spinor; in the helicity basis both
     blocks of rho(0) have eigenvalue +h, so the boost factor is
     (E + m + h |p|) / sqrt(2 m (E + m))."""
-    _check_kind_index(kind, index)
-    _check_basis(basis)
-    if basis == "spinorial":
-        return _rho_spinorial(p, kind, index)
-    h = _INDEX_TO_H[index]
-    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
-    return column(boost_eigenvalue(p, h)) * _helicity_rest_rho(f, kind, p.m)
+    return _components("rho", p, kind, index, basis, cfg)
 
 
 def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
@@ -303,8 +286,7 @@ def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
 def lambda_spinor(p: FourMomentum, kind: str, index: str,
                   basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Boosted lambda spinor at one momentum (see ``lambda_components``)."""
-    return Bispinor(lambda_components(p, kind, index, basis, cfg), "lambda", kind, index,
-                    basis, p)
+    return Bispinor(lambda_components(p, kind, index, basis, cfg), "lambda", kind, index, basis, p)
 
 
 def rho_spinor(p: FourMomentum, kind: str, index: str,
@@ -323,7 +305,7 @@ def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: fl
     the explicit 4x4 matrix rather than the eigenvalue factor.
     """
     f = helicity_components(theta, phi, h, cfg.theta1, cfg.theta2)
-    return boost_half_pair(p) @ _helicity_rest_lambda(f, kind, p.m)
+    return boost_half_pair(p) @ _helicity_rest(f, "lambda", kind, p.m)
 
 
 def dirac_spinor(p: FourMomentum, sign: str, index: str,
@@ -331,8 +313,7 @@ def dirac_spinor(p: FourMomentum, sign: str, index: str,
     """Dirac particle/antiparticle spinor at one momentum (see
     ``dirac_components``)."""
     family = "u" if sign == "particle" else "v"
-    return Bispinor(dirac_components(p, sign, index, basis, cfg), family, sign, index,
-                    basis, p)
+    return Bispinor(dirac_components(p, sign, index, basis, cfg), family, sign, index, basis, p)
 
 
 def chiral_helicity_sign(family: str, index: str) -> int:
@@ -359,9 +340,8 @@ def bar_product(a, b):
         pa, pb = a.momentum, b.momentum
         if (pa.px, pa.py, pa.pz, pa.m) != (pb.px, pb.py, pb.pz, pb.m):
             raise DomainError("bar_product requires both spinors at the same momentum")
-    if av.ndim == 1:
-        return complex(np.conj(av) @ gamma0 @ bv)
-    return vdot(av, matvec(gamma0, bv))
+    pairing = vdot(av, matvec(gamma0, bv))
+    return complex(pairing) if av.ndim == 1 else pairing
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +387,6 @@ def read_golden(path):
             parts = line.split()
             family, kind, index = parts[0], parts[1], parts[2]
             px, py, pz, m = (float(x) for x in parts[3:7])
-            reals = [float(x) for x in parts[7:15]]
-            comps = np.array([complex(reals[2 * i], reals[2 * i + 1]) for i in range(4)])
+            comps = np.array([float(x) for x in parts[7:15]]).view(complex)
             out.append((family, kind, index, make_momentum(px, py, pz, m), comps))
         return out

@@ -37,6 +37,7 @@ SUITE_NAMES = ("spin-half", "symmetry", "dynamics", "spin-one")
 # The convention check's id: the run's convention probe draws from this
 # stream, and a changed convention shows up in a diff under this id.
 _CONVENTION = "dynamics.convention"
+_DRIFT_TOL = 1e-6   # measured constants further apart than this have drifted
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +691,8 @@ def _coupled(ctx, key):
 def _wrong_convention(ctx, key):
     wrong = dyn.FrequencyConvention(-ctx.convention().sign)
     momenta = ctx.momenta(key)
-    per_row = np.max(dyn.coupled_system_residual(momenta, wrong), axis=0) / momenta.m
+    scale = momenta.m * dyn.physical_state_scale(momenta)
+    per_row = np.max(dyn.coupled_system_residual(momenta, wrong), axis=0) / scale
     return float(np.min(per_row, initial=math.inf)), {}
 
 
@@ -1021,7 +1023,7 @@ def run_suite(name: str, seed: int, samples: int,
                               outcomes, summary)
 
 
-def diff_reports(a: VerificationReport, b: VerificationReport, tol: float = 1e-6):
+def diff_reports(a: VerificationReport, b: VerificationReport):
     """Ids whose status or measured constants differ beyond tolerance.
 
     Residual magnitudes are deliberately not compared, so reports from
@@ -1031,20 +1033,20 @@ def diff_reports(a: VerificationReport, b: VerificationReport, tol: float = 1e-6
         raise UsageError(f"cannot diff reports of suites {a.suite!r} and {b.suite!r}")
     by_id_a, by_id_b = ({c.id: [c.status, c.constants] for c in r.checks} for r in (a, b))
     drifted = {cid for cid in by_id_a.keys() | by_id_b.keys()
-               if _differ(by_id_a.get(cid), by_id_b.get(cid), tol)}
+               if _differ(by_id_a.get(cid), by_id_b.get(cid))}
     if a.convention != b.convention:
         drifted.add(_CONVENTION)
     return sorted(drifted)
 
 
-def _differ(a, b, tol: float) -> bool:
-    """Whether two measured values differ: numbers by more than tol, lists
-    entry by entry, dicts key by key, anything else (statuses, a check
-    missing from one report) by equality."""
+def _differ(a, b) -> bool:
+    """Whether two measured values differ: numbers by more than _DRIFT_TOL,
+    lists entry by entry, dicts key by key, anything else (statuses, a
+    check missing from one report) by equality."""
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(a - b) > tol
+        return abs(a - b) > _DRIFT_TOL
     if isinstance(a, list) and isinstance(b, list):
-        return len(a) != len(b) or any(_differ(x, y, tol) for x, y in zip(a, b))
+        return len(a) != len(b) or any(_differ(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() != b.keys() or any(_differ(a[k], b[k], tol) for k in a)
+        return a.keys() != b.keys() or any(_differ(a[k], b[k]) for k in a)
     return a != b

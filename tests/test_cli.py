@@ -9,6 +9,8 @@ import pytest
 
 from elko.cli import main
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -54,6 +56,19 @@ class TestEval:
         residual_lines = [l for l in out.splitlines() if "intertwiner residual" in l]
         assert len(residual_lines) == 1
         assert float(residual_lines[0].split(":")[1]) <= 1e-12
+
+    def test_every_family_prints_the_recorded_output(self, capsys):
+        """All 15 families, text and JSON, at a generic momentum and at one
+        with zero components (whose signs the text prints), with
+        non-default --kind/--index/--basis; eval-families.json was recorded
+        from the branch-per-family CLI that the eval tables replaced."""
+        cases = json.loads((DATA / "eval-families.json").read_text())
+        families = {case["argv"][case["argv"].index("--family") + 1] for case in cases}
+        assert len(families) == 15
+        for case in cases:
+            code, out, _ = run_cli(capsys, *case["argv"])
+            assert code == 0
+            assert out == case["stdout"], case["argv"]
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--family", "bogus",

@@ -10,8 +10,8 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import boost_half, make_momentum, parity_reflect
-from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot, sigma_z
+from elko.kinematics import boost_half, make_momentum, parity_reflect, sample_momenta
+from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, sigma_z, vdot
 
 
 class TestChargeConjugation:
@@ -227,6 +227,30 @@ class TestLambdaBasisTransforms:
                     c = np.vdot(target, img) / np.vdot(target, target)
                     assert np.linalg.norm(img - c * target) <= 1e-12 * np.linalg.norm(ls)
                     assert c == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("row", [
+        (1.0, -1e-300, 0.3),         # phi rounds to 2 pi and folds onto 0
+        (1e-9, 1e-9, 1.0),           # near +z
+        (1e-9, -2e-9, -1.0),         # near -z
+        (3e-8, 1e-9, -1.0),
+        (0.0, 0.0, 1.0),             # on +z
+    ])
+    def test_first_coefficient_is_one(self, row):
+        """Xi's phase is e^{i phi} in closed form: the first transform maps
+        lambda_S up onto lambda_A up* with coefficient 1 to rounding."""
+        p = make_momentum(*row, 1.0)
+        ls, targets = self._targets(p, 1)
+        img = ops.lambda_basis_transforms(p)[0] @ ls
+        c = np.vdot(targets[0], img) / np.vdot(targets[0], targets[0])
+        assert abs(c - 1.0) <= 1e-15
+
+    def test_first_coefficient_is_one_on_a_batch(self):
+        batch, _ = sample_momenta(np.random.default_rng(3), 1000)
+        ls = sp.lambda_components(batch, "S", "up", "helicity")
+        target = np.conj(sp.lambda_components(batch, "A", "up", "helicity"))
+        img = matvec(ops.lambda_basis_transforms(batch)[0], ls)
+        c = vdot(target, img) / vdot(target, target)
+        assert np.max(np.abs(c - 1.0)) <= 1e-15
 
     def test_images_stay_self_conjugate(self, random_momenta):
         c_op = ops.charge_conjugation()

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elko import suite
+from elko import make_momentum, suite
+from elko.dynamics import FrequencyConvention
 from elko.errors import UsageError
+from elko.kinematics import as_batch
 from elko.spinors import BASES
 from elko.suite import (
     SUITE_NAMES,
@@ -152,6 +154,32 @@ def test_forced_wrong_convention_fails_dynamics():
     assert "dynamics.coupled-system" in failed
     assert not report.all_passed
     assert report.convention == "-"
+
+
+class _OneMomentum:
+    """A run context that draws the one given momentum for every stream."""
+
+    def __init__(self, p):
+        self.batch = as_batch([p])
+
+    def momenta(self, key, n=None):
+        return self.batch
+
+    def convention(self):
+        return FrequencyConvention(1)
+
+
+@pytest.mark.parametrize("m", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("boost", [0.0, 10.0])
+def test_wrong_convention_is_scale_free(m, boost):
+    """The wrong-convention residual has mass dimension 3/2, so the row
+    divides it by m max|psi|: 2 at every mass, at rest and at |p| = 10 m.
+    Over m alone it is 2 sqrt(m) at rest, below a 0.5 floor for m < 1/16."""
+    spec = next(c for c in suite_checks("dynamics") if c.id == "dynamics.wrong-convention")
+    p = make_momentum(*(boost * m * np.array([0.36, -0.48, 0.8])), m)
+    residual, _ = spec.run(_OneMomentum(p))
+    assert spec.passes(residual, {})
+    assert residual == pytest.approx(2.0, rel=1e-12)
 
 
 def test_report_schema_fields():
