@@ -200,32 +200,20 @@ def as_batch(momenta) -> MomentumBatch:
     return MomentumBatch(*rows.T)
 
 
-def sample_momenta(rng: np.random.Generator, n: int):
-    """n random on-shell momenta and the number of rejected attempts: mass
-    log-uniform in [0.1, 10], |p| uniform in [0, 10 m], direction uniform,
-    the -z axis avoided.
+def sample_momenta(rng: np.random.Generator, n: int) -> MomentumBatch:
+    """n random on-shell momenta: mass log-uniform in [0.1, 10], |p|
+    uniform in [0, 10 m], direction uniform over the whole sphere.
 
-    k attempts are drawn as one block: ``rng.random(k)`` for the masses,
-    ``rng.normal(size=(k, 3))`` for the directions and ``rng.random(k)``
-    for |p|.  The rows a block rejects are refilled by one more block of
-    the missing size.
+    The n rows are drawn as one block: ``rng.random(n)`` for the masses,
+    ``rng.normal(size=(n, 3))`` for the directions and ``rng.random(n)``
+    for |p|.
     """
     lo, hi = np.log(0.1), np.log(10.0)
-    rows = [np.empty((0, 4))]
-    rejected = 0
-    missing = n
-    while missing > 0:
-        u, g, v = rng.random(missing), rng.normal(size=(missing, 3)), rng.random(missing)
-        m = np.exp(lo + (hi - lo) * u)
-        direction = g / np.sqrt(sqnorm(g))[:, None]
-        pabs = (10.0 * m) * v
-        vec = pabs[:, None] * direction
-        keep = ~((pabs > 0) & (pabs + vec[:, 2] < 1e-6 * pabs))
-        rows.append(np.column_stack([vec, m])[keep])
-        kept = int(np.count_nonzero(keep))
-        rejected += len(keep) - kept
-        missing -= kept
-    return make_momenta(*np.concatenate(rows).T), rejected
+    u, g, v = rng.random(n), rng.normal(size=(n, 3)), rng.random(n)
+    m = np.exp(lo + (hi - lo) * u)
+    direction = g / np.sqrt(sqnorm(g))[:, None]
+    vec = ((10.0 * m) * v)[:, None] * direction
+    return make_momenta(*vec.T, m)
 
 
 def half_angles(p):

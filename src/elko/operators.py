@@ -95,7 +95,6 @@ class ActionClassification:
     """Outcome of probing whether two operators (anti)commute on a family."""
 
     relation: str             # commute | anticommute | neither
-    max_residual: float       # residual of the winning relation
     commute_residual: float
     anticommute_residual: float
 
@@ -148,18 +147,19 @@ def u1(p) -> CMatrix:
     The raw 2x2 block [[1, p_l/(|p|+pz)], [-p_r/(|p|+pz), 1]] is unitary only
     up to sqrt((|p|+pz)/(2|p|)); the factor is included.  For pz < 0,
     |p| + pz is formed as p_perp^2 / (|p| - pz), which does not cancel.
-    Momentum on the -z axis hits the coordinate singularity and is rejected.
+    Momentum on the -z axis hits the coordinate singularity and is rejected;
+    so is momentum where p_perp^2, |p|+pz or cos^2(theta/2) is subnormal.
     """
     pabs = p.p_abs
     if np.any(pabs == 0.0):
         raise DirectionUndefinedError("u1 needs a momentum direction")
     far = pabs + abs(p.pz)
     denom = np.where(p.pz < 0, p.p_perp2 / far, far)
-    if np.any(denom <= 1e-6 * pabs):
+    cos2 = denom / (2.0 * pabs)
+    if np.any((p.pz < 0) & (np.min([p.p_perp2, denom, cos2], axis=0) < np.finfo(float).tiny)):
         raise CoordinateSingularityError(
-            f"momentum along -z (|p|+pz = {np.min(denom):.3e}); rotate the frame first"
-        )
-    s = _sqrt(denom / (2.0 * pabs))
+            f"momentum along -z (|p|+pz = {np.min(denom):.3e}); rotate the frame first")
+    s = _sqrt(cos2)
     r = s / denom
     block = matrix2(s, r * p.p_l, -r * p.p_r, s)
     return block_diag2(block, block)
@@ -312,7 +312,7 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     cp = c_op.compose(p_op)
     pc = p_op.compose(c_op)
 
-    q, _ = sample_momenta(np.random.default_rng(seed), n_momenta)
+    q = sample_momenta(np.random.default_rng(seed), n_momenta)
     commute = 0.0
     anticommute = 0.0
     for state in _family_states(basis, family, cfg):
@@ -325,9 +325,9 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
 
     tol = TOLERANCES["identity"]
     if commute <= tol:
-        relation, residual = "commute", commute
+        relation = "commute"
     elif anticommute <= tol:
-        relation, residual = "anticommute", anticommute
+        relation = "anticommute"
     else:
-        relation, residual = "neither", min(commute, anticommute)
-    return ActionClassification(relation, residual, commute, anticommute)
+        relation = "neither"
+    return ActionClassification(relation, commute, anticommute)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import FourMomentum, as_batch, boost_one, polar_angles
-from .matrices import CMatrix, matvec, spin1_jy, spin1_jz, sqnorm, theta_one, vdot
+from .kinematics import FourMomentum, as_batch, polar_angles
+from .matrices import CMatrix, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
 
 _I3 = np.eye(3, dtype=complex)
@@ -61,23 +61,21 @@ def gamma5_sc_one(phase: float = 0.0) -> SymmetryOperator:
 # helicity triplet and six-spinor constructions
 # ---------------------------------------------------------------------------
 
-def _spin1_rotation(theta, phi) -> CMatrix:
-    # exp(-i phi Jz) exp(-i theta Jy); closed form via J^3 = J for unit axes;
-    # (3, 3) for float angles, (N, 3, 3) for (N,) ones
-    def rot(j, angle):
-        c, s = (np.asarray(f(angle))[..., None, None] for f in (np.cos, np.sin))
-        return _I3 - 1j * j * s + (j @ j) * (c - 1.0)
-
-    return rot(spin1_jz, phi) @ rot(spin1_jy, theta)
-
-
 def spin1_helicity_triplet(theta, phi, h: int) -> np.ndarray:
     """J.n eigen-3-spinor of eigenvalue h in {+1, 0, -1} at arbitrary angles;
-    (N, 3) rows for (N,) angle arrays."""
+    (N, 3) rows for (N,) angle arrays.  The symmetric products of the
+    spin-1/2 helicity 2-spinors in c = cos(theta/2) and s = sin(theta/2):
+    the columns of exp(-i phi Jz) exp(-i theta Jy).
+    """
     if h not in (1, 0, -1):
         raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
-    basis = {1: 0, 0: 1, -1: 2}[h]
-    return _spin1_rotation(theta, phi)[..., basis]
+    c, s = np.cos(0.5 * np.asarray(theta)), np.sin(0.5 * np.asarray(theta))
+    e = np.exp(1j * np.asarray(phi))
+    cs = math.sqrt(2.0) * c * s
+    components = {1: (np.conj(e) * (c * c), cs, e * (s * s)),
+                  0: (-np.conj(e) * cs, c * c - s * s, e * cs),
+                  -1: (np.conj(e) * (s * s), -cs, e * (c * c))}[h]
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
 def spin1_pair(p, construction: str, h: int):
@@ -88,18 +86,20 @@ def spin1_pair(p, construction: str, h: int):
 
     lambda is boost((zeta Theta phi*, phi)) built from a left-handed triplet
     phi, rho is boost((phi, zeta Theta phi*)) built from a right-handed one.
+    phi and Theta phi* have J.p-hat eigenvalues h and -h, so both boosts act
+    on them as the scalar ((E + |p|)/m)^(-+h): - for lambda, + for rho.
     """
     if construction not in ("lambda", "rho"):
         raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
     f = spin1_helicity_triplet(*polar_angles(p), h)
     flipped = np.conj(f) @ theta_one.T
-    right, left = boost_one(p, "R"), boost_one(p, "L")
+    k = np.asarray(((p.E + p.p_abs) / p.m) ** (-h if construction == "lambda" else h))[..., None]
     zero = np.zeros_like(f)
     if construction == "lambda":
-        return (np.concatenate([zero, matvec(left, f)], axis=-1),
-                np.concatenate([matvec(right, flipped), zero], axis=-1))
-    return (np.concatenate([matvec(right, f), zero], axis=-1),
-            np.concatenate([zero, matvec(left, flipped)], axis=-1))
+        return (np.concatenate([zero, k * f], axis=-1),
+                np.concatenate([k * flipped, zero], axis=-1))
+    return (np.concatenate([k * f, zero], axis=-1),
+            np.concatenate([zero, k * flipped], axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ _DRIFT_TOL = 1e-6   # measured constants further apart than this have drifted
 # ---------------------------------------------------------------------------
 
 class RunContext:
-    """Per-run state: seed, sample count, convention, resample counter."""
+    """Per-run state: seed, sample count, convention, resample counter (0:
+    the sampler keeps every row it draws; the report still carries it)."""
 
     def __init__(self, seed: int, samples: int, force_convention=None):
         self.seed = int(seed)
@@ -59,11 +60,8 @@ class RunContext:
 
     def momenta(self, check_id: str, n=None) -> kin.MomentumBatch:
         """n (default: the sample count) random on-shell momenta from the
-        check's stream, as ``kinematics.sample_momenta`` draws them; its
-        rejections add to ``resamples``."""
-        batch, rejected = kin.sample_momenta(self.rng(check_id), self.samples if n is None else n)
-        self.resamples += rejected
-        return batch
+        check's stream, as ``kinematics.sample_momenta`` draws them."""
+        return kin.sample_momenta(self.rng(check_id), self.samples if n is None else n)
 
     def convention(self) -> dyn.FrequencyConvention:
         if self.force_convention is not None:
@@ -941,9 +939,14 @@ def _bare_conjugacy_floor(ctx, key):
 def _zeta_boost_persistence(ctx, key):
     op = s1.gamma5_sc_one()
     momenta = ctx.momenta(key, n=min(ctx.samples, 20))
+    boost = mat.block_diag2(kin.boost_one(momenta, "R"), kin.boost_one(momenta, "L"))
     rows = []
     for h in (1, 0, -1):
-        x, y = s1.spin1_pair(momenta, "lambda", h)
+        # the rest-frame lambda pair along each momentum's direction, boosted
+        f = s1.spin1_helicity_triplet(*kin.polar_angles(momenta), h)
+        zero = np.zeros_like(f)
+        x = mat.matvec(boost, np.concatenate([zero, f], axis=-1))
+        y = mat.matvec(boost, np.concatenate([np.conj(f) @ mat.theta_one.T, zero], axis=-1))
         rows += [_rel(op.apply(v) - zeta * v, v) for zeta, v in ((1.0, x + y), (-1.0, x - y))]
     return _max(*rows), {}
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from elko import TOLERANCES
 from elko import dynamics as dyn
 from elko import spinors as sp
 from elko.errors import DomainError
@@ -34,9 +35,13 @@ class TestCoupledSystem:
         assert max(dyn.coupled_system_residual(p, dyn.FrequencyConvention(1))) <= 1e-12
 
     def test_wrong_convention_leaves_mass_scale_residual(self, random_momenta):
+        # over m max|psi|, since the residual has mass dimension 3/2: over m
+        # alone it is 2 sqrt(m) at rest, below 0.5 for the light rest momenta
         wrong = dyn.FrequencyConvention(-1)
-        for p in random_momenta(20):
-            assert max(dyn.coupled_system_residual(p, wrong)) > 0.5 * p.m
+        light = [make_momentum(0, 0, 0, m) for m in (1e-4, 1e-2)]
+        for p in random_momenta(20) + light:
+            scale = p.m * dyn.physical_state_scale(p)
+            assert max(dyn.coupled_system_residual(p, wrong)) > TOLERANCES["floor_mass"] * scale
 
     def test_random_momenta_all_four_equations(self, random_momenta):
         conv = dyn.FrequencyConvention(1)
@@ -247,7 +252,7 @@ class TestEightComponent:
     def test_residual_is_the_stacked_pair_norm_of_the_coupled_rows(self, rng):
         # rows 0-1 and 2-3 of the coupled equations are the eight-component
         # equation of the stacks (lambda^S, rho^A) and (lambda^A, rho^S)
-        batch, _ = sample_momenta(rng, 1000)
+        batch = sample_momenta(rng, 1000)
         for sign in (1, -1):
             conv = dyn.FrequencyConvention(sign)
             pair_norms = []

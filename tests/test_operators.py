@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestUnitaryChain:
             u = ops.u1(p)
             assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
 
-    @pytest.mark.parametrize("mrad", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("mrad", [2.0, 3.0, 5.0, 1e-3, 1e-6, 1e-9])
     def test_unitary_near_negative_z(self, mrad):
         # |p| + pz cancels near -z unless formed as p_perp^2 / (|p| - pz)
         for phi in np.linspace(0.0, 2 * np.pi, 7, endpoint=False):
@@ -157,6 +159,40 @@ class TestUnitaryChain:
                 u = ops.u1(p)
                 assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= 1e-12
                 assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+    def test_matches_a_40_digit_reference_up_to_the_negative_z_axis(self):
+        """|p| from 1e-150 to 1e150 and pi - theta from 1 rad down to
+        1e-170 rad, and the axis itself: where u1 returns, it is within
+        1e-15 of the block computed to 40 digits from the same components;
+        it raises only where p_perp^2, |p| + pz or cos^2(theta/2) is
+        subnormal."""
+        tiny = np.finfo(float).tiny
+        raised = returned = 0
+        for exponent, offset, phi in itertools.product(
+                range(-150, 151, 25), [0.0] + [10.0 ** -k for k in range(0, 171, 5)], (0.4, 2.9)):
+            pabs = 10.0 ** exponent
+            p = make_momentum(pabs * math.sin(offset) * math.cos(phi),
+                              pabs * math.sin(offset) * math.sin(phi), -pabs * math.cos(offset), 1.0)
+            with mpmath.workdps(40):
+                px, py, pz = (mpmath.mpf(x) for x in (p.px, p.py, p.pz))
+                pperp2 = px * px + py * py
+                exact_abs = mpmath.sqrt(pperp2 + pz * pz)
+                denom = pperp2 / (exact_abs - pz)   # |p| + pz without the cancellation
+                s = mpmath.sqrt(denom / (2 * exact_abs))
+                r = s / denom if denom else mpmath.mpf(0)
+                block = [[s, r * (px - 1j * py)], [-r * (px + 1j * py), s]]
+                expected = np.array([[complex(v) for v in row] for row in block])
+                smallest = float(min(pperp2, denom, denom / (2 * exact_abs)))
+            try:
+                u = ops.u1(p)
+            except CoordinateSingularityError:
+                assert smallest < 2 * tiny, (exponent, offset, phi)
+                raised += 1
+                continue
+            returned += 1
+            assert np.max(np.abs(u[:2, :2] - expected)) <= 1e-15, (exponent, offset, phi)
+            assert np.array_equal(u[2:, 2:], u[:2, :2])
+        assert returned > raised > 0
 
     def test_negative_z_axis_rejected(self):
         with pytest.raises(CoordinateSingularityError):
@@ -245,7 +281,7 @@ class TestLambdaBasisTransforms:
         assert abs(c - 1.0) <= 1e-15
 
     def test_first_coefficient_is_one_on_a_batch(self):
-        batch, _ = sample_momenta(np.random.default_rng(3), 1000)
+        batch = sample_momenta(np.random.default_rng(3), 1000)
         ls = sp.lambda_components(batch, "S", "up", "helicity")
         target = np.conj(sp.lambda_components(batch, "A", "up", "helicity"))
         img = matvec(ops.lambda_basis_transforms(batch)[0], ls)

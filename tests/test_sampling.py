@@ -1,11 +1,10 @@
 """The momentum sampler: its block layout, pinned byte for byte, and its
 array arithmetic against a row-by-row loop over the same draws.
 
-``kinematics.sample_momenta`` draws k attempts as ``random(k)``,
-``normal(size=(k, 3))`` and ``random(k)`` and refills the rows it rejects
-with one more block of the missing size; ``RunContext.momenta`` and
-``classify_cp_action`` both sample through it.  A suite run makes the same
-number of generator calls at any sample count.
+``kinematics.sample_momenta`` draws n rows as ``random(n)``,
+``normal(size=(n, 3))`` and ``random(n)`` and keeps every row, along -z too;
+``RunContext.momenta`` and ``classify_cp_action`` both sample through it.  A
+suite run makes the same number of generator calls at any sample count.
 """
 
 from collections import Counter
@@ -20,32 +19,27 @@ from elko.suite import RunContext, run_suite
 
 
 def _loop_momenta(rng, count, max_beta_scale=10.0):
-    """The sampler row by row: each block is drawn as the sampler draws it,
-    then every attempt in it is accepted or rejected in turn."""
-    rows, resamples = [], 0
-    while len(rows) < count:
-        k = count - len(rows)
-        for u, direction, v in zip(rng.random(k), rng.normal(size=(k, 3)), rng.random(k)):
-            m = float(np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * u))
-            direction /= np.linalg.norm(direction)
-            pabs = float(max_beta_scale * m * v)
-            vec = pabs * direction
-            if pabs > 0 and pabs + vec[2] < 1e-6 * pabs:
-                resamples += 1
-                continue
-            rows.append((vec[0], vec[1], vec[2], m))
-    return make_momenta(*np.array(rows).reshape(-1, 4).T), resamples
+    """The sampler row by row over one block drawn as the sampler draws it."""
+    rows = []
+    for u, direction, v in zip(rng.random(count), rng.normal(size=(count, 3)),
+                               rng.random(count)):
+        m = float(np.exp(np.log(0.1) + (np.log(10.0) - np.log(0.1)) * u))
+        direction /= np.linalg.norm(direction)
+        vec = float(max_beta_scale * m * v) * direction
+        rows.append((vec[0], vec[1], vec[2], m))
+    return make_momenta(*np.array(rows).reshape(-1, 4).T)
 
 
 class _MinusZ:
-    """A generator whose chosen attempts (numbered over all its normal
-    draws) point along or within 1e-4 rad of -z; every block is still drawn
-    from the underlying stream."""
+    """A generator whose chosen rows (numbered over all its normal draws)
+    point along -z (even numbers) or 1e-4 rad from it (odd ones); every
+    block is still drawn from the underlying generator."""
 
-    def __init__(self, seed, chosen):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, rng, chosen, tilt=1e-4):
+        self._rng = rng
         self._chosen = set(chosen)
-        self._attempts = 0
+        self._tilt = tilt
+        self._rows = 0
 
     def random(self, n):
         return self._rng.random(n)
@@ -53,10 +47,10 @@ class _MinusZ:
     def normal(self, size):
         g = self._rng.normal(size=size)
         for i in range(len(g)):
-            attempt = self._attempts + i
-            if attempt in self._chosen:
-                g[i] = [1e-4 * (attempt % 2), 0.0, -1.0]
-        self._attempts += len(g)
+            row = self._rows + i
+            if row in self._chosen:
+                g[i] = [self._tilt * (row % 2), 0.0, -1.0]
+        self._rows += len(g)
         return g
 
 
@@ -75,22 +69,50 @@ def _assert_bit_identical(a, b):
 ])
 def test_suite_sampler_matches_the_loop(seed, check_id, n):
     ctx = RunContext(seed=seed, samples=1000)
-    expected, resamples = _loop_momenta(ctx.rng(check_id), n)
+    expected = _loop_momenta(ctx.rng(check_id), n)
     _assert_bit_identical(ctx.momenta(check_id, n=n), expected)
-    assert ctx.resamples == resamples
+    assert ctx.resamples == 0
 
 
 @pytest.mark.parametrize("n,chosen", [
     (50, {0, 7, 8, 9, 49}),
-    # the refill block itself hits -z, so it takes three blocks
-    (30, {3, 4, 30, 31}),
+    (30, {3, 4, 28, 29}),
 ])
-def test_suite_sampler_resamples_like_the_loop(monkeypatch, n, chosen):
+def test_suite_sampler_keeps_minus_z_rows_like_the_loop(monkeypatch, n, chosen):
     ctx = RunContext(seed=9, samples=n)
-    expected, resamples = _loop_momenta(_MinusZ(123, chosen), n)
-    monkeypatch.setattr(ctx, "rng", lambda check_id: _MinusZ(123, chosen))
-    _assert_bit_identical(ctx.momenta("any"), expected)
-    assert ctx.resamples == resamples == len(chosen)
+    expected = _loop_momenta(_MinusZ(np.random.default_rng(123), chosen), n)
+    monkeypatch.setattr(ctx, "rng", lambda check_id: _MinusZ(np.random.default_rng(123), chosen))
+    batch = ctx.momenta("any")
+    _assert_bit_identical(batch, expected)
+    assert ctx.resamples == 0
+    rows = sorted(chosen)
+    off_axis = np.arctan2(np.hypot(batch.px, batch.py), -batch.pz)[rows]
+    np.testing.assert_allclose(off_axis, np.arctan([1e-4 * (row % 2) for row in rows]),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("tilt", [1e-4, 1e-9])
+def test_suite_passes_with_rows_next_to_minus_z(monkeypatch, tilt):
+    """Rows inside the 1.4 mrad cone the sampler once rejected: rows 1 and
+    3 of every momentum draw lie tilt rad from -z.  (Rows on the axis itself
+    are kept as well, but there ``u1`` meets its coordinate singularity by
+    design.)"""
+    sample = kin.sample_momenta
+    kept = []
+
+    def near_minus_z(rng, n):
+        batch = sample(_MinusZ(rng, {1, 3}, tilt), n)
+        off_axis = np.arctan2(np.hypot(batch.px, batch.py), -batch.pz)
+        kept.append((int(np.count_nonzero(off_axis < 2 * tilt)), len({1, 3} & set(range(n)))))
+        return batch
+
+    monkeypatch.setattr(kin, "sample_momenta", near_minus_z)
+    monkeypatch.setattr(ops, "sample_momenta", near_minus_z)
+    report = run_suite("all", 1, 100)
+    assert report.summary == {"total": 60, "passed": 60, "failed": 0}, [
+        (c.id, c.status, c.residual) for c in report.checks if c.status != "passed"]
+    assert all(found == planted for found, planted in kept)
+    assert sum(found for found, _ in kept) > 0
 
 
 @pytest.mark.parametrize("seed,n_momenta", [(1, 1000), (3, 40), (5, 10)])
@@ -98,14 +120,14 @@ def test_cp_classification_probes_the_loop_momenta(monkeypatch, seed, n_momenta)
     probed = []
 
     def recording(rng, n):
-        batch, rejected = kin.sample_momenta(rng, n)
+        batch = kin.sample_momenta(rng, n)
         probed.append(batch)
-        return batch, rejected
+        return batch
 
     monkeypatch.setattr(ops, "sample_momenta", recording)
     ops.classify_cp_action("helicity", "elko", seed=seed, n_momenta=n_momenta)
     assert len(probed) == 1
-    expected, _ = _loop_momenta(np.random.default_rng(seed), n_momenta)
+    expected = _loop_momenta(np.random.default_rng(seed), n_momenta)
     _assert_bit_identical(probed[0], expected)
 
 
@@ -130,39 +152,9 @@ _FROZEN_ROWS = {
 def test_block_layout_is_frozen(seed):
     """Changing how the sampler draws changes every suite residual; this
     pins the layout so that such a change is made on purpose."""
-    batch, rejected = kin.sample_momenta(np.random.default_rng(seed), 5)
+    batch = kin.sample_momenta(np.random.default_rng(seed), 5)
     rows = [tuple(float(x).hex() for x in (p.px, p.py, p.pz, p.m)) for p in batch[:3]]
     assert rows == _FROZEN_ROWS[seed]
-    assert rejected == 0
-
-
-class _Blocks:
-    """A generator stub that hands out fixed blocks in turn and records the
-    size asked for each."""
-
-    def __init__(self, *blocks):
-        self._blocks = iter(blocks)
-        self.calls = []
-
-    def random(self, n):
-        self.calls.append(("random", n))
-        return next(self._blocks)
-
-    def normal(self, size):
-        self.calls.append(("normal", size))
-        return next(self._blocks)
-
-
-def test_rejected_row_is_refilled_by_one_more_block():
-    half = np.full(3, 0.5)  # m = 1 and |p| = 5
-    stub = _Blocks(half, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -2.0], [3.0, 0.0, 0.0]]), half,
-                   half[:1], np.array([[0.0, 0.5, 0.0]]), half[:1])
-    batch, rejected = kin.sample_momenta(stub, 3)
-    assert stub.calls == [("random", 3), ("normal", (3, 3)), ("random", 3),
-                          ("random", 1), ("normal", (1, 3)), ("random", 1)]
-    assert rejected == 1
-    np.testing.assert_allclose(batch.m, 1.0, rtol=1e-15)
-    np.testing.assert_allclose(batch.vec, [[0, 0, 5], [5, 0, 0], [0, 5, 0]], rtol=1e-15)
 
 
 def test_suite_generator_calls_do_not_grow_with_samples(monkeypatch):

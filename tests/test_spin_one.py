@@ -2,13 +2,16 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import as_batch, boost_one, make_momentum
-from elko.matrices import SPIN1_J, spin1_dot, spin1_jz
+from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum
+from elko.matrices import SPIN1_J, spin1_dot, spin1_jy, spin1_jz, theta_one
+
+_I3 = np.eye(3, dtype=complex)
 
 
 class TestWignerMatrix:
@@ -77,16 +80,56 @@ class TestHelicityTriplet:
         with pytest.raises(DomainError):
             s1.spin1_helicity_triplet(0.0, 0.0, 2)
 
+    def test_closed_forms_match_the_frozen_rotation_columns(self, rng):
+        theta = np.concatenate([rng.uniform(0, math.pi, 1000), [0.0, math.pi, 1e-9, math.pi - 1e-9]])
+        phi = np.concatenate([rng.uniform(0, 2 * math.pi, 1000), [0.0, 1.0, 2.0, 6.0]])
+        rotation = _frozen_rotation(theta, phi)
+        for h, column in ((1, 0), (0, 1), (-1, 2)):
+            assert np.max(np.abs(s1.spin1_helicity_triplet(theta, phi, h)
+                                 - rotation[..., column])) <= 1e-15
+            for k in (0, 1000, 1001):   # one angle pair: a (3,) vector
+                f = s1.spin1_helicity_triplet(float(theta[k]), float(phi[k]), h)
+                assert np.max(np.abs(f - rotation[k, :, column])) <= 1e-15
 
-def _frozen_six_spinor(p, construction, zeta, h):
-    """The six-spinor builders spin1_lambda / spin1_rho as they were, at p's
-    own angles: boost((zeta Theta f*, f)) and boost((f, zeta Theta f*))."""
-    a = p.angles()
-    f = s1.spin1_helicity_triplet(a.theta, a.phi, h)
-    flipped = zeta * (s1.wigner_theta_one() @ np.conj(f))
-    if construction == "lambda":
-        return np.concatenate([boost_one(p, "R") @ flipped, boost_one(p, "L") @ f])
-    return np.concatenate([boost_one(p, "R") @ f, boost_one(p, "L") @ flipped])
+
+def _frozen_rotation(theta, phi):
+    """The rotation the triplets were once read off: exp(-i phi Jz)
+    exp(-i theta Jy) in closed form via J^3 = J; (N, 3, 3)."""
+    def rot(j, angle):
+        c, s = (np.asarray(f(angle))[..., None, None] for f in (np.cos, np.sin))
+        return _I3 - 1j * j * s + (j @ j) * (c - 1.0)
+
+    return rot(spin1_jz, phi) @ rot(spin1_jy, theta)
+
+
+def _reference_pair(p, construction, h):
+    """(x, y) to 50 digits from the recipe of the old matrix builders: the
+    triplet as a column of exp(-i phi Jz) exp(-i theta Jy), then the blocks
+    boosted by exp(+-(J.n) rapidity), all in mpmath; each exponential is
+    summed in closed form through (J.n)^3 = J.n."""
+    with mpmath.workdps(50):
+        px, py, pz, m = (mpmath.mpf(x) for x in (p.px, p.py, p.pz, p.m))
+        pabs = mpmath.sqrt(px * px + py * py + pz * pz)
+        theta = mpmath.acos(pz / pabs) if pabs else mpmath.mpf(0)
+        phi = mpmath.atan2(py, px) if pabs else mpmath.mpf(0)
+        r = 1 / mpmath.sqrt(2)   # the generators of SPIN1_J, at 50 digits
+        j = [mpmath.matrix([[0, r, 0], [r, 0, r], [0, r, 0]]),
+             mpmath.matrix([[0, -1j * r, 0], [1j * r, 0, -1j * r], [0, 1j * r, 0]]),
+             mpmath.diag([1, 0, -1])]
+        jn = (px * j[0] + py * j[1] + pz * j[2]) / pabs if pabs else mpmath.zeros(3)
+        sinh, cosh = pabs / m, mpmath.sqrt(pabs * pabs + m * m) / m
+        right = mpmath.eye(3) + jn * sinh + jn * jn * (cosh - 1)
+        left = mpmath.eye(3) - jn * sinh + jn * jn * (cosh - 1)
+        rotation = [mpmath.eye(3) - 1j * jk * mpmath.sin(a) + jk * jk * (mpmath.cos(a) - 1)
+                    for jk, a in ((j[2], phi), (j[1], theta))]
+        f = (rotation[0] * rotation[1])[:, 1 - h]
+        flipped = mpmath.matrix(theta_one.tolist()) * f.conjugate()
+        zero = mpmath.zeros(3, 1)
+        if construction == "lambda":
+            blocks = (zero, left * f), (right * flipped, zero)
+        else:
+            blocks = (right * f, zero), (zero, left * flipped)
+        return tuple(np.array([complex(v) for part in pair for v in part]) for pair in blocks)
 
 
 class TestSixSpinors:
@@ -98,14 +141,19 @@ class TestSixSpinors:
         assert np.array_equal(y, np.concatenate([s1.wigner_theta_one() @ np.conj(f), np.zeros(3)]))
 
     @pytest.mark.parametrize("construction", ["lambda", "rho"])
-    def test_pair_matches_the_frozen_builders(self, random_momenta, construction):
-        momenta = [make_momentum(0, 0, 0, 1.3), make_momentum(1e-9, 0, 1, 1),
-                   make_momentum(0.2, -0.3, -4.0, 0.5), *random_momenta(20)]
+    def test_pair_matches_the_frozen_builders(self, construction):
+        """The old builders' recipe, evaluated to 50 digits, at every boost
+        from rest to |p| = 1e6 m and along, near and off the z axis."""
+        directions = [(0.2, -0.3, -0.9), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1e-9, 0.0, 1.0),
+                      (1e-9, 0.0, -1.0), (0.6, 0.8, 0.0)]
+        momenta = [make_momentum(*(ratio * 0.7 * np.array(d) / np.linalg.norm(d)), 0.7)
+                   for ratio in (0.0, 1e-3, 1.0, 10.0, 1e3, 1e6) for d in directions]
         for p, h in itertools.product(momenta, (1, 0, -1)):
             x, y = s1.spin1_pair(p, construction, h)
+            xr, yr = _reference_pair(p, construction, h)
             for zeta in (1.0, -1.0, 1j, cmath.exp(0.4j)):
-                frozen = _frozen_six_spinor(p, construction, zeta, h)
-                assert np.linalg.norm(x + zeta * y - frozen) <= 1e-14 * np.linalg.norm(frozen)
+                reference = xr + zeta * yr
+                assert np.linalg.norm(x + zeta * y - reference) <= 1e-15 * np.linalg.norm(reference)
 
     def test_batch_rows_match_single_momenta(self, random_momenta):
         rows = random_momenta(8)
@@ -138,6 +186,17 @@ class TestZetaScan:
                 assert scan.self_minimum.residual > 0.1
                 assert scan.anti_minimum.residual > 0.1
 
+    def test_twisted_minima_hold_up_to_large_boosts(self):
+        m = 1.3
+        ratios = np.repeat([1.0, 1e2, 1e4, 1e6], 2)
+        d = np.array([[0.36, -0.48, 0.8], [0.0, 0.6, -0.8]] * 4)
+        batch = make_momenta(*(ratios[:, None] * m * d).T, m)
+        for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
+            scan = s1.spin1_conjugacy_scan(batch, "g5sc", construction, h)
+            for best, zeta in ((scan.self_minimum, 1.0), (scan.anti_minimum, -1.0)):
+                assert np.max(best.residual) <= 1e-10
+                assert np.max(np.abs(best.zeta - zeta)) <= 1e-10
+
     def test_twisted_conjugation_minima_at_unit_zetas(self):
         p = make_momentum(0.4, 0.2, -0.7, 1.3)
         for construction in ("lambda", "rho"):
@@ -162,6 +221,19 @@ class TestZetaScan:
 
 
 class TestBoostInteraction:
+    def test_wigner_conjugate_of_the_right_boost_is_the_left_one(self):
+        # Theta conj(Lambda_R) Theta = Lambda_L, the identity behind the
+        # persistence of the rest-frame zetas
+        rng = np.random.default_rng(5)
+        ratios = np.concatenate([[0.0, 1e-3, 1.0, 10.0, 1e3, 1e6], rng.uniform(0, 10, 20)])
+        d = rng.normal(size=(len(ratios), 3))
+        m = np.exp(rng.uniform(np.log(0.1), np.log(10.0), len(ratios)))
+        vec = (ratios * m)[:, None] * d / np.linalg.norm(d, axis=-1)[:, None]
+        batch = make_momenta(*vec.T, m)
+        right, left = boost_one(batch, "R"), boost_one(batch, "L")
+        residual = np.linalg.norm(theta_one @ np.conj(right) @ theta_one - left, axis=(-2, -1))
+        assert np.all(residual <= 1e-15 * np.linalg.norm(left, axis=(-2, -1)))
+
     def test_conjugacy_persists_under_boosts(self, random_momenta):
         # the zeta values found at rest keep working at every boosted momentum
         op = s1.gamma5_sc_one()

@@ -142,7 +142,7 @@ class TestPatternKernel:
     @pytest.mark.parametrize("family", ["lambda", "rho"])
     def test_batch(self, family):
         fn = sp.lambda_components if family == "lambda" else sp.rho_components
-        batch, _ = sample_momenta(np.random.default_rng(11), 1000)
+        batch = sample_momenta(np.random.default_rng(11), 1000)
         for kind in "SA":
             for index in ("up", "down"):
                 got = fn(batch, kind, index)
