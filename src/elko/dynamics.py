@@ -21,8 +21,9 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import DomainError
 from .kinematics import as_batch
-from .matrices import GAMMA, gamma5, matvec
-from .spinors import Bispinor, bar_product, dirac_components, lambda_components, rho_components
+from .matrices import blocks, gamma5, matrix2, matvec, rownorm
+from .spinors import (INDICES, Bispinor, bar_product, dirac_components, lambda_components,
+                      rho_components)
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,14 @@ class MarkovPair(NamedTuple):
 
 def slash(e, px, py, pz) -> np.ndarray:
     """gamma0 e - gamma1 px - gamma2 py - gamma3 pz for any four-vector, or
-    (N, 4, 4) for (N,) components."""
-    e, px, py, pz = (np.asarray(x)[..., None, None] for x in (e, px, py, pz))
-    return GAMMA[0] * e - GAMMA[1] * px - GAMMA[2] * py - GAMMA[3] * pz
+    (N, 4, 4) for (N,) components (all four of one shape).  In the chiral
+    basis that is the block matrix [[0, e + sigma.p], [e - sigma.p, 0]],
+    built from its blocks; its entries equal those of the four-gamma sum."""
+    pl, pr, ep, em = px - 1j * py, px + 1j * py, e + pz, e - pz
+    # sigma.p = [[pz, pl], [pr, -pz]]
+    plus, minus = matrix2(ep, pl, pr, em), matrix2(em, -pl, -pr, ep)
+    zero = np.zeros_like(plus)
+    return blocks(zero, plus, minus, zero)
 
 
 def dirac_matrix(p) -> np.ndarray:
@@ -74,8 +80,8 @@ def physical_quartet(p, index: str):
 def physical_state_scale(p):
     """max |psi| over the physical states of both indices, per row; E or m
     times it is the scale of a coupled-equation residual."""
-    states = [x for index in ("up", "down") for x in physical_quartet(p, index)]
-    return np.max(np.linalg.norm(states, axis=-1), axis=0)
+    states = [x for index in INDICES for x in physical_quartet(p, index)]
+    return np.max(rownorm(np.array(states)), axis=0)
 
 
 def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
@@ -111,11 +117,15 @@ def coupled_system_residual(p, conv: FrequencyConvention):
     four vanish; with the wrong one at least one is of order m at every
     momentum.
     """
-    worst = 0.0
-    for index in ("up", "down"):
-        eqs = coupled_equations(p, conv, *physical_quartet(p, index))
-        worst = np.maximum(worst, np.linalg.norm(eqs, axis=-1))
+    worst = np.max(rownorm(_both_indices(p, conv)), axis=0)
     return tuple(np.moveaxis(worst, -1, 0))
+
+
+def _both_indices(p, conv: FrequencyConvention) -> np.ndarray:
+    """``coupled_equations`` on the physical quartets of both indices in one
+    call, the indices stacked on a leading axis of length 2."""
+    quartets = [physical_quartet(p, index) for index in INDICES]
+    return coupled_equations(p, conv, *(np.array(states) for states in zip(*quartets)))
 
 
 def discover_convention(momenta) -> FrequencyConvention:
@@ -174,7 +184,7 @@ def sen_gupta_residual(p, m1, m2, psi):
     (N,) array on a batch, with (N,) masses or floats and (N, 4) psi."""
     vec = psi.components if isinstance(psi, Bispinor) else np.asarray(psi, dtype=complex)
     op = sen_gupta_operator(p.E, p.px, p.py, p.pz, m1, m2)
-    return np.linalg.norm(matvec(op, vec), axis=-1)
+    return rownorm(matvec(op, vec))
 
 
 _NULL_RCOND = 1e-9   # zero singular values: below this times max(1, the largest)
@@ -221,12 +231,9 @@ def eight_component_residual(p, conv: FrequencyConvention):
     commutes with the axial matrix diag(gamma5, -gamma5), so the
     axial-coupled covariant derivative is consistent.
     """
-    worst = 0.0
-    for index in ("up", "down"):
-        eqs = coupled_equations(p, conv, *physical_quartet(p, index))
-        pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
-        worst = np.maximum(worst, np.max(np.linalg.norm(pairs, axis=-1), axis=-1))
-    return worst
+    eqs = _both_indices(p, conv)
+    pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
+    return np.max(rownorm(pairs), axis=(0, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ the chiral-basis gamma matrices (right-handed block on top), the spin-1/2
 and spin-1 Wigner matrices and the spin-1 angular-momentum generators in the
 spherical basis (J_z = diag(1, 0, -1)).
 
-The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``blocks`` and
-``block_diag2`` work on one object or on a batch: a leading axis of length
+The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``rownorm``,
+``blocks`` and ``block_diag2`` work on one object or on a batch: a leading axis of length
 N in front of the trailing vector/matrix axes, so one kernel body serves a
 single momentum (float entries) and N momenta ((N,) array entries).
 """
@@ -73,7 +73,11 @@ def column(x) -> np.ndarray:
 
 
 def matvec(a, x) -> CVector:
-    """a @ x over any leading batch axes of either operand."""
+    """a @ x over any leading batch axes of either operand.  A fixed (k, k)
+    matrix acts on all rows of x as one product x @ a.T; a stack of
+    matrices acts row by row."""
+    if np.ndim(a) == 2:
+        return x @ np.transpose(a)
     return (a @ x[..., None])[..., 0]
 
 
@@ -90,6 +94,19 @@ def sqnorm(x):
     bit for bit, which ``norm(x, axis=-1)`` is not."""
     r = x.view(float) if x.dtype.kind == "c" else x
     return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
+
+
+def rownorm(x, matrix: bool = False):
+    """|x| over the last axis of a vector array, or the Frobenius norm over
+    the last two of a matrix array (``matrix=True``), row by row over the
+    leading axes: one real dot per row over the interleaved real and
+    imaginary parts."""
+    r = np.ascontiguousarray(x)
+    if r.dtype.kind == "c":
+        r = r.view(float)
+    if matrix:
+        r = r.reshape(r.shape[:-2] + (-1,))
+    return np.sqrt(np.einsum("...i,...i->...", r, r))
 
 
 def pauli_dot(v) -> CMatrix:

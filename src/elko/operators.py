@@ -46,6 +46,7 @@ from .matrices import (
     matrix2,
     matvec,
     pauli_dot,
+    rownorm,
 )
 from .spinors import PhaseConfig, dirac_components, lambda_components
 
@@ -208,13 +209,20 @@ def xi_matrix(p) -> CMatrix:
     tol = TOLERANCES["intertwiner"]
     for side in ("R", "L"):
         lam = boost_half(p, side)
-        resid = np.linalg.norm(xi @ lam - np.conj(lam) @ xi, axis=(-2, -1))
-        scale = 2.0 * np.linalg.norm(lam, axis=(-2, -1))
-        if np.any(resid > tol * scale):
+        scale = 2.0 * rownorm(lam, matrix=True)
+        if np.any(xi_residual(xi, lam) > tol * scale):
             raise AmbiguousIntertwinerError(
                 2, f"pinned intertwiner failed the {side} pair at p = {p}"
             )
     return xi
+
+
+def xi_residual(xi, lam):
+    """Frobenius norm of Xi Lambda - Lambda^* Xi for a diagonal Xi, row by
+    row over any leading axes: with d = diag(Xi) its entries are
+    d_i Lambda_ij - Lambda^*_ij d_j, formed elementwise."""
+    d = np.diagonal(xi, axis1=-2, axis2=-1)
+    return rownorm(d[..., :, None] * lam - np.conj(lam) * d[..., None, :], matrix=True)
 
 
 def lambda_basis_transforms(p) -> list[CMatrix]:
@@ -313,15 +321,15 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     pc = p_op.compose(c_op)
 
     q = sample_momenta(np.random.default_rng(seed), n_momenta)
+    reflected = parity_reflect(q)   # C P and P C both reflect the momentum once
     commute = 0.0
     anticommute = 0.0
     for state in _family_states(basis, family, cfg):
-        a = cp.apply_state(state, q)
-        b = pc.apply_state(state, q)
-        scale = np.maximum(np.linalg.norm(state(q), axis=-1), 1e-300)
-        commute = max(commute, float(np.max(np.linalg.norm(a - b, axis=-1) / scale, initial=0.0)))
-        anticommute = max(anticommute,
-                          float(np.max(np.linalg.norm(a + b, axis=-1) / scale, initial=0.0)))
+        x = state(reflected)
+        a, b = cp.apply(x), pc.apply(x)
+        scale = np.maximum(rownorm(state(q)), 1e-300)
+        commute = max(commute, float(np.max(rownorm(a - b) / scale, initial=0.0)))
+        anticommute = max(anticommute, float(np.max(rownorm(a + b) / scale, initial=0.0)))
 
     tol = TOLERANCES["identity"]
     if commute <= tol:

@@ -152,10 +152,37 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
 
     ``p`` is a FourMomentum or a MomentumBatch; a batch is one call over all
     rows and gives the fields of the scan as (N,) arrays, one momentum gives
-    Python scalars.
+    Python scalars.  The pair comes from ``spin1_pair`` and the scan itself
+    is ``scan_pairs``.
+    """
+    op = _scan_operator(operator, op_phase)
+    batch = as_batch([p]) if isinstance(p, FourMomentum) else p
+    zeta, residual = scan_pairs(*spin1_pair(batch, construction, h), op)
 
-    The six-spinor is linear in zeta, s(zeta) = x + zeta y with x, y fixed,
-    so with zeta = e^{i t} the difference d(t) = Op s - sign s is
+    floor = TOLERANCES["floor"]
+    exceeded = (residual[0] > floor) & (residual[1] > floor)
+    if isinstance(p, FourMomentum):
+        minima = [ZetaMinimum(complex(zeta[k, 0]), float(residual[k, 0])) for k in (0, 1)]
+        exceeded = bool(exceeded[0])
+    else:
+        minima = [ZetaMinimum(zeta[k], residual[k]) for k in (0, 1)]
+    return ConjugacyScan(
+        operator=operator,
+        construction=construction,
+        self_minimum=minima[0],
+        anti_minimum=minima[1],
+        floor_exceeded=exceeded,
+    )
+
+
+def scan_pairs(x, y, op: SymmetryOperator):
+    """The zeta-scan of s(zeta) = x + zeta y under ``op`` for (N, 6) rows x
+    and y, each row on its own: (zeta, residual), each (2, N), row 0 the
+    self and row 1 the anti-self minimum, the residual relative to
+    sqrt(|x|^2 + |y|^2).  Rows from any mix of momenta, constructions and
+    helicities scan together in one call.
+
+    With zeta = e^{i t} the difference d(t) = Op s - sign s is
     c0 + e^{-i t} c1 + e^{i t} c2 and |d(t)|^2 is a degree-2 trigonometric
     polynomial: the grid evaluates that on all rows and both signs at once.
     The grid only picks the best sample; the refinement narrows a bracket
@@ -163,9 +190,6 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     |d(t)|^2 summed from the components of d: the expanded polynomial would
     cancel there, to ~1e-8 in |d(t)| / |s| at the exact zeros.
     """
-    op = _scan_operator(operator, op_phase)
-    batch = as_batch([p]) if isinstance(p, FourMomentum) else p
-    x, y = spin1_pair(batch, construction, h)
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
     norm = np.sqrt(sqnorm(x) + sqnorm(y))
@@ -196,20 +220,4 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
         d2 = sqnorm(d)
         centre = centre + half * _OFFSETS[np.argmin(d2, axis=-1)]
         half = half * 2.0 / (_REFINE_POINTS - 1)
-    residual = np.sqrt(np.min(d2, axis=-1)) / norm
-    zeta = np.exp(1j * centre)
-
-    floor = TOLERANCES["floor"]
-    exceeded = (residual[0] > floor) & (residual[1] > floor)
-    if isinstance(p, FourMomentum):
-        minima = [ZetaMinimum(complex(zeta[k, 0]), float(residual[k, 0])) for k in (0, 1)]
-        exceeded = bool(exceeded[0])
-    else:
-        minima = [ZetaMinimum(zeta[k], residual[k]) for k in (0, 1)]
-    return ConjugacyScan(
-        operator=operator,
-        construction=construction,
-        self_minimum=minima[0],
-        anti_minimum=minima[1],
-        floor_exceeded=exceeded,
-    )
+    return np.exp(1j * centre), np.sqrt(np.min(d2, axis=-1)) / norm

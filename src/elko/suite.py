@@ -173,7 +173,7 @@ def _c(z: complex):
 def _norm(x):
     """Row norms of (N, k) vectors or (N, k, k) matrices."""
     x = np.asarray(x)
-    return np.linalg.norm(x, axis=-1 if x.ndim < 3 else (-2, -1))
+    return mat.rownorm(x, matrix=x.ndim >= 3)
 
 
 def _rel(r, v):
@@ -409,10 +409,18 @@ def _c_chirality_anticommute(ctx, key):
 
 
 def _span_residual(basis, x):
-    """Row-wise distance of x from the column span of basis (N, 4, k),
-    relative to |x|: the least-squares residual, through a QR factor."""
-    q, _ = np.linalg.qr(basis)
-    return _rel(x - mat.matvec(q, mat.matvec(mat.adjoint(q), x)), x)
+    """Row-wise distance of x, (N, 4) or stacked (..., N, 4), from the column
+    span of basis (N, 4, k), relative to |x|: each column is made
+    orthonormal to the ones before it and projected out of x in turn
+    (modified Gram-Schmidt), as whole-array operations."""
+    r, done = x, []
+    for q in np.moveaxis(basis, -1, 0):
+        for prev in done:
+            q = q - mat.column(mat.vdot(prev, q)) * prev
+        q = q / mat.column(mat.rownorm(q))
+        r = r - mat.column(mat.vdot(q, r)) * q
+        done.append(q)
+    return mat.rownorm(r) / mat.rownorm(x)
 
 
 @check("symmetry.c-maps-dirac-across", "charge conjugation maps particle spinors into the "
@@ -422,9 +430,8 @@ def _c_maps_dirac(ctx, key):
     momenta = ctx.momenta(key)
     us, vs = ([sp.dirac_components(momenta, sign, i) for i in sp.INDICES]
               for sign in ("particle", "antiparticle"))
-    v_span, u_span = np.stack(vs, axis=-1), np.stack(us, axis=-1)
-    return _max(*(_span_residual(v_span, c_op.apply(u)) for u in us),
-                *(_span_residual(u_span, c_op.apply(v)) for v in vs)), {}
+    return _max(_span_residual(np.stack(vs, axis=-1), c_op.apply(np.stack(us))),
+                _span_residual(np.stack(us, axis=-1), c_op.apply(np.stack(vs)))), {}
 
 
 @check("symmetry.parity-dirac", "space inversion fixes particle spinors, negates antiparticle "
@@ -523,8 +530,7 @@ def _xi_intertwines(ctx, key):
     xi = ops.xi_matrix(momenta)
     rows = [np.abs(_norm(xi) - 1.0)]
     for lam in (kin.boost_half(momenta, side) for side in ("R", "L")):
-        scale = _norm(lam) + _norm(np.conj(lam))
-        rows.append(_norm(xi @ lam - np.conj(lam) @ xi) / scale)
+        rows.append(ops.xi_residual(xi, lam) / (2.0 * _norm(lam)))
     return _max(*rows), {}
 
 
@@ -720,7 +726,7 @@ def _markov(ctx, key):
     after = _norm(chi) ** 2 + _norm(eta) ** 2
     return _max(_norm(mat.matvec(gp, chi) - m * eta) / scale,
                 _norm(mat.matvec(gp, eta) - m * chi) / scale,
-                _span_residual(basis, chi), _span_residual(basis, eta),
+                _span_residual(basis, np.stack([chi, eta])),
                 np.abs(before - after) / before), {}
 
 
@@ -908,30 +914,30 @@ def _g5sc_squared(ctx, key):
 _CONSTRUCTIONS = tuple(itertools.product(("lambda", "rho"), (1, 0, -1)))
 
 
-def _scans(ctx, key, rest_mass, n, operator):
-    """One zeta-scan per (construction, h) over a rest momentum and n drawn
-    ones."""
+def _scans(ctx, key, rest_mass, n, op):
+    """(zeta, residual), each (2, rows): the self and anti-self minima of
+    every (construction, h) pair over a rest momentum and n drawn ones, all
+    in one zeta-scan."""
     momenta = kin.as_batch([kin.make_momentum(0, 0, 0, rest_mass),
                             *ctx.momenta(key, n=min(ctx.samples, n))])
-    return [s1.spin1_conjugacy_scan(momenta, operator, construction, h)
-            for construction, h in _CONSTRUCTIONS]
+    pairs = [s1.spin1_pair(momenta, construction, h) for construction, h in _CONSTRUCTIONS]
+    x, y = (np.concatenate(part) for part in zip(*pairs))
+    return s1.scan_pairs(x, y, op)
 
 
 @check("spin-one.twisted-conjugacy-zeta", "the chirality-twisted conjugacy requirement is "
        "satisfied exactly at zeta = +1 (self) and zeta = -1 (anti-self) for all helicities, "
        "both constructions, at rest and boosted", "zeta_minimum")
 def _zeta_minima(ctx, key):
-    rows = [row for scan in _scans(ctx, key, 1.3, 8, "g5sc") for row in (
-        scan.self_minimum.residual, scan.anti_minimum.residual,
-        np.abs(scan.self_minimum.zeta - 1.0), np.abs(scan.anti_minimum.zeta + 1.0))]
-    return _max(*rows), {"zeta-self": 1.0, "zeta-anti": -1.0}
+    zeta, residual = _scans(ctx, key, 1.3, 8, s1.gamma5_sc_one())
+    target = np.array([[1.0], [-1.0]])   # self, anti
+    return _max(residual, np.abs(zeta - target)), {"zeta-self": 1.0, "zeta-anti": -1.0}
 
 
 @check("spin-one.bare-conjugacy-floor", "no unit-circle zeta makes a six-spinor self or "
        "anti-self conjugate under the bare conjugation", "floor", "exceed-floor")
 def _bare_conjugacy_floor(ctx, key):
-    return min(float(np.min(minimum.residual)) for scan in _scans(ctx, key, 0.9, 20, "sc")
-               for minimum in (scan.self_minimum, scan.anti_minimum)), {}
+    return float(np.min(_scans(ctx, key, 0.9, 20, s1.sc_one())[1])), {}
 
 
 @check("spin-one.zeta-boost-persistence", "the rest-frame zeta values keep solving the twisted "

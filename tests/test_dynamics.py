@@ -8,7 +8,7 @@ from elko import dynamics as dyn
 from elko import spinors as sp
 from elko.errors import DomainError
 from elko.kinematics import as_batch, make_momentum, sample_momenta
-from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot
+from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot, rownorm
 from elko.operators import chiral_gauge_transform, su2_phase_transform
 
 
@@ -258,8 +258,8 @@ class TestEightComponent:
             pair_norms = []
             for index in ("up", "down"):
                 eqs = dyn.coupled_equations(batch, conv, *dyn.physical_quartet(batch, index))
-                pair_norms += [np.linalg.norm(np.concatenate([eqs[:, k], eqs[:, k + 1]], axis=-1),
-                                              axis=-1) for k in (0, 2)]
+                pair_norms += [rownorm(np.concatenate([eqs[:, k], eqs[:, k + 1]], axis=-1))
+                               for k in (0, 2)]
             expected = np.max(pair_norms, axis=0)
             assert np.array_equal(dyn.eight_component_residual(batch, conv), expected)
 
