@@ -146,7 +146,10 @@ def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish",
     """Register the decorated measurement as one row of the suite named by
     the id's prefix.  It is called as ``fn(ctx, key, **params)`` and returns
     (residual, constants); ``key`` is the id, which names the random stream
-    it draws from.  ``tol`` is a key of ``TOLERANCES``; ``relation`` is the
+    it draws from.  ``ctx.rng(key)`` and ``ctx.momenta(key)`` start from the
+    same bits, so a check that draws parameters beside its momenta draws
+    them from a derived key such as ``key + "-angles"``.  ``tol`` is a key
+    of ``TOLERANCES``; ``relation`` is the
     expected relation of a ``classify`` row.  Rows stacked on one
     measurement differ in their ``params``."""
     def register(fn):
@@ -589,7 +592,7 @@ def _chiral_gauge_unitary(ctx, key):
 def _chiral_gauge_conjugacy(ctx, key):
     c_op = ops.charge_conjugation()
     momenta = ctx.momenta(key, n=min(ctx.samples, 20))
-    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (5, len(momenta)))
+    alphas = ctx.rng(key + "-angles").uniform(0, 2 * math.pi, (5, len(momenta)))
     rows = []
     for family, components, kind, sign in (("lambda", sp.lambda_components, "S", 1),
                                            ("rho", sp.rho_components, "A", -1)):
@@ -653,7 +656,7 @@ def _cp_elko(ctx, key):
 @check("symmetry.composition-associativity", "operator composition is associative and the "
        "antilinear flag xors", "tight")
 def _composition_associativity(ctx, key):
-    rng = ctx.rng(key)
+    rng = ctx.rng(key + "-picks")
     pool = [ops.charge_conjugation(), ops.parity_operator(), ops.chirality(),
             ops.SymmetryOperator(ops.chiral_gauge_transform(0.7, "lambda")),
             ops.charge_conjugation(sp.PhaseConfig(theta_c=1.1))]
@@ -713,7 +716,7 @@ def _clifford_square(ctx, key):
        "an isometry")
 def _markov(ctx, key):
     momenta = ctx.momenta(key, n=min(ctx.samples, 25))
-    w = _gaussian(ctx.rng(key), len(momenta), 4).T
+    w = _gaussian(ctx.rng(key + "-weights"), len(momenta), 4).T
     chi, eta = dyn.markov_superposition(momenta, w[:2], w[2:])
     gp, m = dyn.dirac_matrix(momenta), mat.column(momenta.m)
     scale = np.maximum(np.maximum(_norm(chi), _norm(eta)), 1e-12)
@@ -820,7 +823,7 @@ def _eight_component(ctx, key):
 def _eight_gauge(ctx, key):
     conv = ctx.convention()
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
-    alphas = ctx.rng(key).uniform(0, 2 * math.pi, (20, len(momenta)))
+    alphas = ctx.rng(key + "-angles").uniform(0, 2 * math.pi, (20, len(momenta)))
     # G_lambda on the lambda block and G_rho on the rho block of each stack
     gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")] * 2
     rows = []
@@ -836,7 +839,7 @@ def _eight_gauge(ctx, key):
 @check("dynamics.mass-term-chiral", "the mass pairing is invariant under axial phase "
        "transforms and vanishes on the physical quartet")
 def _mass_term_chiral(ctx, key):
-    rng = ctx.rng(key)
+    rng = ctx.rng(key + "-fields")
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
     quartet = dyn.physical_quartet(momenta, "up")
     base_phys = dyn.lagrangian_mass_term(*quartet, momenta.m)
@@ -855,7 +858,7 @@ def _mass_term_chiral(ctx, key):
 @check("dynamics.mass-term-su2", "the doublet mass pairing is invariant under common SU(2) "
        "phase rotations")
 def _mass_term_su2(ctx, key):
-    rng = ctx.rng(key)
+    rng = ctx.rng(key + "-fields")
     # five rotations and four random fields per momentum
     m = np.repeat(ctx.momenta(key, n=min(ctx.samples, 10)).m, 5)
     u = _su2_elements(rng, len(m))
