@@ -76,14 +76,9 @@ def test_fixed_operators_apply_exactly(batch):
                ops.charge_conjugation().compose(ops.parity_operator())):
         for index in sp.INDICES:
             x = sp.lambda_components(batch, "S", index, "helicity")
-            stacked = op.phase * (op.matrix @ (np.conj(x) if op.antilinear else x)[..., None])[..., 0]
+            operand = np.conj(x) if op.antilinear else x
+            stacked = op.phase * (op.matrix @ operand[..., None])[..., 0]
             assert np.array_equal(op.apply(x), stacked)
-
-
-def test_stacked_matvec_keeps_the_row_by_row_path(rng):
-    a = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
-    x = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
-    assert np.array_equal(mat.matvec(a, x), np.array([ai @ xi for ai, xi in zip(a, x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +225,6 @@ def test_stacked_scan_slices_match_their_own_scans(batch, operator):
         for sign, minimum in enumerate((own.self_minimum, own.anti_minimum)):
             assert np.max(np.abs(residual[sign, rows] - minimum.residual)) <= 1e-14
             assert np.max(np.abs(zeta[sign, rows] - minimum.zeta)) <= 1e-15
-
-
-def test_one_momentum_scan_is_the_pair_kernel_at_n_1():
-    p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
-    scan = s1.spin1_conjugacy_scan(p, "g5sc", "rho", -1)
-    zeta, residual = s1.scan_pairs(*s1.spin1_pair(kin.as_batch([p]), "rho", -1),
-                                   s1.gamma5_sc_one())
-    assert scan.self_minimum.zeta == complex(zeta[0, 0])
-    assert scan.anti_minimum.residual == float(residual[1, 0])
 
 
 def test_scan_kernel_calls_per_pass_do_not_grow_with_samples(monkeypatch):
