@@ -77,11 +77,19 @@ def physical_quartet(p, index: str):
             lambda_components(p, "A", index), rho_components(p, "S", index))
 
 
-def physical_state_scale(p):
-    """max |psi| over the physical states of both indices, per row; E or m
-    times it is the scale of a coupled-equation residual."""
-    states = [x for index in INDICES for x in physical_quartet(p, index)]
-    return np.max(rownorm(np.array(states)), axis=0)
+def physical_states(p):
+    """The physical quartets of both indices, built once: (lambda^S, rho^A,
+    lambda^A, rho^S), each state with the indices up and down stacked on a
+    leading axis of length 2, so (2, 4) at one momentum and (2, N, 4) on a
+    batch."""
+    quartets = [physical_quartet(p, index) for index in INDICES]
+    return tuple(np.array(states) for states in zip(*quartets))
+
+
+def physical_state_scale(states):
+    """max |psi| per row over the eight ``physical_states``; E or m times it
+    is the scale of a coupled-equation residual."""
+    return np.max(rownorm(np.array(states)), axis=(0, 1))
 
 
 def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
@@ -97,16 +105,32 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     result is (..., 4, 4) or (..., N, 4, 4).  Rows 1 and 0 stacked are the
     eight-component equation of the stack (lambda^S, rho^A), rows 3 and 2
     that of (lambda^A, rho^S).
+
+    gamma.p psi is applied by its blocks, ((E + sigma.p) psi_L,
+    (E - sigma.p) psi_R), elementwise over all rows; no 4x4 matrix is
+    formed.
     """
-    gp = dirac_matrix(p)[..., None, :, :]
-    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
-    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
-    eqs = matvec(gp, np.stack([ls, ra, la, rs], axis=-2))
-    eqs *= kinetic
+    psi = np.stack([ls, ra, la, rs], axis=-2)
+    ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
+    r0, r1, l0, l1 = (psi[..., k] for k in range(4))
+    eqs = np.empty_like(psi)
+    # sigma.p = [[pz, pl], [pr, -pz]]
+    eqs[..., 0] = ep * l0 + pl * l1
+    eqs[..., 1] = pr * l0 + em * l1
+    eqs[..., 2] = em * r0 - pl * r1
+    eqs[..., 3] = ep * r1 - pr * r0
+    eqs *= np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
     partners = np.stack([ra, ls, rs, la], axis=-2)
-    partners *= mass   # in place: a batch holds one (N, 4, 4) temporary fewer
+    partners *= np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
     eqs -= partners
     return eqs
+
+
+def worst_coupled_residual(p, conv: FrequencyConvention, states):
+    """Per row, the largest norm over the four coupled equations and both
+    indices of ``physical_states`` ``states``; a float at one momentum, an
+    (N,) array on a batch."""
+    return np.max(rownorm(coupled_equations(p, conv, *states)), axis=(0, -1))
 
 
 def coupled_system_residual(p, conv: FrequencyConvention):
@@ -117,15 +141,8 @@ def coupled_system_residual(p, conv: FrequencyConvention):
     four vanish; with the wrong one at least one is of order m at every
     momentum.
     """
-    worst = np.max(rownorm(_both_indices(p, conv)), axis=0)
-    return tuple(np.moveaxis(worst, -1, 0))
-
-
-def _both_indices(p, conv: FrequencyConvention) -> np.ndarray:
-    """``coupled_equations`` on the physical quartets of both indices in one
-    call, the indices stacked on a leading axis of length 2."""
-    quartets = [physical_quartet(p, index) for index in INDICES]
-    return coupled_equations(p, conv, *(np.array(states) for states in zip(*quartets)))
+    eqs = coupled_equations(p, conv, *physical_states(p))
+    return tuple(np.moveaxis(np.max(rownorm(eqs), axis=0), -1, 0))
 
 
 def discover_convention(momenta) -> FrequencyConvention:
@@ -135,13 +152,15 @@ def discover_convention(momenta) -> FrequencyConvention:
     Each row's residual is taken relative to E max|psi| over the physical
     states, the scale of gamma.p psi, so the decision holds at any mass and
     boost.  The wrong assignment leaves a relative residual of about 2m/|p|;
-    where that reaches rounding level both pass, and the call raises.
+    where that reaches rounding level both pass, and the call raises.  The
+    physical states are built once for both assignments.
     """
     tol = TOLERANCES["identity"]
     batch = as_batch(momenta)
-    scale = batch.E * physical_state_scale(batch)
+    states = physical_states(batch)
+    scale = batch.E * physical_state_scale(states)
     winners = [conv for conv in (FrequencyConvention(1), FrequencyConvention(-1))
-               if np.all(np.max(coupled_system_residual(batch, conv), axis=0) <= tol * scale)]
+               if np.all(worst_coupled_residual(batch, conv, states) <= tol * scale)]
     if len(winners) == 2 and len(batch):
         raise DomainError("both conventions solve the coupled equations: in the "
                           "ultra-relativistic limit 2m/|p| is at rounding level")
@@ -231,7 +250,7 @@ def eight_component_residual(p, conv: FrequencyConvention):
     commutes with the axial matrix diag(gamma5, -gamma5), so the
     axial-coupled covariant derivative is consistent.
     """
-    eqs = _both_indices(p, conv)
+    eqs = coupled_equations(p, conv, *physical_states(p))
     pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
     return np.max(rownorm(pairs), axis=(0, -1))
 

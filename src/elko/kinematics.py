@@ -8,13 +8,16 @@ A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
 one momentum as floats; both expose the same fields, and the spin-1/2
 kernels (derived fields, ``half_angles``, ``polar_angles``, ``boost_half``,
 ``boost_half_pair``, ``boost_eigenvalue``) and the spin-1 ``boost_one`` are
-written once as plain arithmetic that accepts either.
+written once as plain arithmetic that accepts either.  A momentum's derived
+fields are computed once, on first use, and kept with the immutable
+momentum object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,25 +51,54 @@ def _light_cone(E, pz, m, pperp2):
     return np.where(pz < 0, near, far), np.where(pz > 0, near, far)
 
 
+def _read_only(*fields):
+    """The fields with every array among them made read-only, like a
+    batch's own arrays; one field is returned bare."""
+    for x in fields:
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return fields[0] if len(fields) == 1 else fields
+
+
 class _OnShell:
-    """Derived fields of (px, py, pz, m, E): floats for one momentum, (N,)
-    arrays for a batch."""
+    """Derived fields of (px, py, pz, m, E): floats for one momentum,
+    read-only (N,) arrays for a batch.  Each is computed on first use and
+    kept with the momentum object, which is immutable, so a slice, a mask or
+    a reflection (a new object) computes its own."""
 
-    @property
+    @cached_property
     def p_r(self):
-        return self.px + 1j * self.py
+        return _read_only(self.px + 1j * self.py)
 
-    @property
+    @cached_property
     def p_l(self):
-        return self.px - 1j * self.py
+        return _read_only(self.px - 1j * self.py)
 
-    @property
+    @cached_property
     def p_perp2(self):
-        return self.px * self.px + self.py * self.py
+        return _read_only(self.px * self.px + self.py * self.py)
 
-    @property
+    @cached_property
     def p_abs(self):
-        return _sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz)
+        return _read_only(_sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz))
+
+    @cached_property
+    def half_angles(self):
+        """(cos(theta/2), sin(theta/2), phi); see ``half_angles``."""
+        return _read_only(*_half_angles(self))
+
+    @cached_property
+    def boost_norm(self):
+        """sqrt(2 m (E + m)), the denominator of the spin-1/2 boosts."""
+        return _read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
+
+    @cached_property
+    def pattern_diagonal(self):
+        """(E + pz + m, E - pz + m, c = 1 / (2 sqrt(E + m))): the diagonal
+        of E + m + sigma.p and the scale c with sqrt(m/2) Lambda_{R,L} =
+        c (E + m +- sigma.p), from which the spinorial closed forms are read."""
+        return _read_only(self.E + self.pz + self.m, self.E - self.pz + self.m,
+                          1.0 / (2.0 * _sqrt(self.E + self.m)))
 
     @property
     def vec(self) -> np.ndarray:
@@ -218,13 +250,18 @@ def sample_momenta(rng: np.random.Generator, n: int) -> MomentumBatch:
 
 def half_angles(p):
     """(cos(theta/2), sin(theta/2), phi) of p's direction, phi in [0, 2 pi);
-    (1, 0, 0) at rest; floats or (N,) arrays.
+    (1, 0, 0) at rest; floats or read-only (N,) arrays, computed once per
+    momentum object.
 
     The half-angle cosines are sqrt((|p| +- pz) / (2 |p|)) with the
     cancelling sum formed as p_perp^2 / (|p| + |pz|): arccos(pz/|p|) would
     lose digits near the z axis, where the helicity spinors must still be
     sigma.p-hat eigenvectors to full precision.
     """
+    return p.half_angles
+
+
+def _half_angles(p):
     pabs = p.p_abs
     at_rest = pabs == 0.0
     far = pabs + abs(p.pz)
@@ -263,7 +300,7 @@ def boost_half(p, side: str) -> CMatrix:
     if side not in ("R", "L"):
         raise DomainError(f"side must be 'R' or 'L', got {side!r}")
     s = 1.0 if side == "R" else -1.0
-    c = 1.0 / _sqrt(2.0 * p.m * (p.E + p.m))
+    c = 1.0 / p.boost_norm
     em = p.E + p.m
     return matrix2((em + s * p.pz) * c, s * c * p.p_l, s * c * p.p_r, (em - s * p.pz) * c)
 
@@ -277,7 +314,7 @@ def boost_eigenvalue(p, s: int):
     """
     pabs = p.p_abs
     num = p.E + p.m + pabs if s > 0 else p.m + p.m * p.m / (p.E + pabs)
-    return num / _sqrt(2.0 * p.m * (p.E + p.m))
+    return num / p.boost_norm
 
 
 def boost_half_pair(p) -> CMatrix:

@@ -158,10 +158,9 @@ _PATTERN_AXES = {(family, *key): (*_block_axis(pattern[:2]), *_block_axis(patter
 
 
 def _boosted_pattern(p, j, a, k, b) -> np.ndarray:
-    pp, pm = p.E + p.pz + p.m, p.E - p.pz + p.m
+    pp, pm, c = p.pattern_diagonal
     right = ((pp, p.p_r), (p.p_l, pm))[j]
     left = ((pm, -p.p_r), (-p.p_l, pp))[k]
-    c = 1.0 / (2.0 * _sqrt(p.E + p.m))
     entries = [x if a == 1 else a * x for x in right] + [x if b == 1 else b * x for x in left]
     return (c * np.array(entries, dtype=complex)).T
 
@@ -171,7 +170,10 @@ def _boosted_pattern(p, j, a, k, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _helicity_spinor(ct, st, phi, h: int, theta1, theta2) -> np.ndarray:
-    em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
+    ep = np.exp(0.5j * phi)
+    # e^{-i phi/2}, bit for bit but for the sign of a zero imaginary part
+    # at phi = -0.0, which half_angles never returns
+    em = np.conj(ep)
     if h > 0:
         e = np.exp(1j * theta1)
         return vector(e * (ct * em), e * (st * ep))

@@ -698,8 +698,9 @@ def _coupled(ctx, key):
 def _wrong_convention(ctx, key):
     wrong = dyn.FrequencyConvention(-ctx.convention().sign)
     momenta = ctx.momenta(key)
-    scale = momenta.m * dyn.physical_state_scale(momenta)
-    per_row = np.max(dyn.coupled_system_residual(momenta, wrong), axis=0) / scale
+    states = dyn.physical_states(momenta)
+    scale = momenta.m * dyn.physical_state_scale(states)
+    per_row = dyn.worst_coupled_residual(momenta, wrong, states) / scale
     return float(np.min(per_row, initial=math.inf)), {}
 
 

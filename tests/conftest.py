@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,15 @@ def random_momenta(rng):
         return out
 
     return sample
+
+
+@pytest.fixture(scope="session")
+def edge_rows():
+    """(px, py, pz, m) rows at the edges of the domain: a rest row, rows
+    along +-z, a row 1e-8 rad off -z and |p|/m from 1e3 to 1e12."""
+    off = 1e-8   # rad off -z
+    rows = [(0.0, 0.0, 0.0, 1.3), (0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7),
+            (3.0 * math.sin(off), 0.0, -3.0 * math.cos(off), 1.1)]
+    for boost in (1e3, 1e6, 1e9, 1e12):
+        rows.append((0.48 * boost, -0.6 * boost, 0.64 * boost, 1.0))
+    return rows

@@ -99,7 +99,7 @@ def test_criterion_03_coupled_dynamics_convention():
     light = [make_momentum(0, 0, 0, m) for m in (1e-4, 1e-2)]
     for p in momenta + light:
         worst_good = max(worst_good, max(dyn.coupled_system_residual(p, conv)))
-        scale = p.m * dyn.physical_state_scale(p)
+        scale = p.m * dyn.physical_state_scale(dyn.physical_states(p))
         worst_wrong = min(worst_wrong, max(dyn.coupled_system_residual(p, wrong)) / scale)
     assert worst_good <= 1e-12
     assert worst_wrong > TOLERANCES["floor_mass"]

@@ -40,7 +40,7 @@ class TestCoupledSystem:
         wrong = dyn.FrequencyConvention(-1)
         light = [make_momentum(0, 0, 0, m) for m in (1e-4, 1e-2)]
         for p in random_momenta(20) + light:
-            scale = p.m * dyn.physical_state_scale(p)
+            scale = p.m * dyn.physical_state_scale(dyn.physical_states(p))
             assert max(dyn.coupled_system_residual(p, wrong)) > TOLERANCES["floor_mass"] * scale
 
     def test_random_momenta_all_four_equations(self, random_momenta):

@@ -1,8 +1,8 @@
 """Each structured kernel against the dense form it replaces.
 
 A fixed matrix acts on all rows as one product, the intertwiner residual is
-formed from Xi's diagonal, gamma.p is built from its sigma.p blocks, the
-coupled rows of both indices come from one call, the span residual
+formed from Xi's diagonal, gamma.p is built from its sigma.p blocks and
+applied by them, the coupled rows of both indices come from one call, the span residual
 projects by Gram-Schmidt and the spin-1 checks scan every (construction,
 h) pair at once.  Each is compared with the dense or per-call form on
 generic rows and on the edges of the domain: a rest row, rows along +-z, a
@@ -25,20 +25,10 @@ from elko import suite
 from elko.suite import run_suite
 
 
-def _edge_rows():
-    """(px, py, pz, m) rows at the edges of the domain."""
-    off = 1e-8   # rad off -z
-    rows = [(0.0, 0.0, 0.0, 1.3), (0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7),
-            (3.0 * math.sin(off), 0.0, -3.0 * math.cos(off), 1.1)]
-    for boost in (1e3, 1e6, 1e9, 1e12):
-        rows.append((0.48 * boost, -0.6 * boost, 0.64 * boost, 1.0))
-    return rows
-
-
 @pytest.fixture(scope="module")
-def batch():
+def batch(edge_rows):
     generic = kin.sample_momenta(np.random.default_rng(9), 200)
-    edges = np.array(_edge_rows()).T
+    edges = np.array(edge_rows).T
     return kin.make_momenta(*(np.concatenate([g, e]) for g, e in zip(
         (generic.px, generic.py, generic.pz, generic.m), edges)))
 
@@ -126,6 +116,33 @@ def test_slash_is_the_four_gamma_sum_off_shell(rng):
     assert np.array_equal(dyn.slash(5.0, 0.4, -0.3, 0.9), _four_gamma_sum(5.0, 0.4, -0.3, 0.9))
 
 
+def _dense_coupled_equations(p, conv, ls, ra, la, rs):
+    """The coupled rows with gamma.p psi as the stacked (..., N, 4, 4)
+    product, the dense form the block product replaces."""
+    gp = dyn.dirac_matrix(p)[..., None, :, :]
+    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
+    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
+    eqs = kinetic * mat.matvec(gp, np.stack([ls, ra, la, rs], axis=-2))
+    return eqs - mass * np.stack([ra, ls, rs, la], axis=-2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_block_slash_product_matches_the_dense_matvec(batch, rng, sign):
+    """gamma.p psi by its blocks, ((E + sigma.p) psi_L, (E - sigma.p) psi_R),
+    against matvec(dirac_matrix(p), psi), on the physical states and on
+    random ones, to rounding in E |psi|."""
+    conv = dyn.FrequencyConvention(sign)
+    for p in (batch, batch[5], batch[-1], batch[len(batch) - 8]):
+        n = (len(p),) if isinstance(p, kin.MomentumBatch) else ()
+        noise = rng.normal(size=(4, 2) + n + (4,)) + 1j * rng.normal(size=(4, 2) + n + (4,))
+        for states in (dyn.physical_states(p), tuple(noise)):
+            block = dyn.coupled_equations(p, conv, *states)
+            dense = _dense_coupled_equations(p, conv, *states)
+            assert block.shape == dense.shape
+            scale = np.asarray(p.E)[..., None] * mat.rownorm(np.stack(states, axis=-2))
+            assert np.all(mat.rownorm(block - dense) <= 1e-15 * scale)
+
+
 def _per_index_residual(p, conv):
     """The coupled residual as two calls, one per index (the frozen loop the
     one-call form replaces)."""
@@ -145,7 +162,7 @@ def test_coupled_residual_in_one_call_matches_the_per_index_loop(batch, sign):
         assert type(one[0]) is type(loop[0])
         dense = np.max([np.linalg.norm(dyn.coupled_equations(
             p, conv, *dyn.physical_quartet(p, index)), axis=-1) for index in sp.INDICES], axis=0)
-        scale = p.E * dyn.physical_state_scale(p)
+        scale = p.E * dyn.physical_state_scale(dyn.physical_states(p))
         assert np.all(np.abs(np.moveaxis(np.array(one), 0, -1) - dense)
                       <= 1e-15 * np.asarray(scale)[..., None])
 
