@@ -110,6 +110,8 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     (E - sigma.p) psi_R), elementwise over all rows; no 4x4 matrix is
     formed.
     """
+    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
+    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
     psi = np.stack([ls, ra, la, rs], axis=-2)
     ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
     r0, r1, l0, l1 = (psi[..., k] for k in range(4))
@@ -119,9 +121,9 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     eqs[..., 1] = pr * l0 + em * l1
     eqs[..., 2] = em * r0 - pl * r1
     eqs[..., 3] = ep * r1 - pr * r0
-    eqs *= np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
+    eqs *= kinetic
     partners = np.stack([ra, ls, rs, la], axis=-2)
-    partners *= np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
+    partners *= mass   # in place: a batch holds one (N, 4, 4) temporary fewer
     eqs -= partners
     return eqs
 

@@ -56,7 +56,7 @@ def _read_only(*fields):
     batch's own arrays; one field is returned bare."""
     for x in fields:
         if isinstance(x, np.ndarray):
-            x.flags.writeable = False
+            x.setflags(write=False)
     return fields[0] if len(fields) == 1 else fields
 
 
