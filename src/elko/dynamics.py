@@ -129,9 +129,9 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
 
 
 def worst_coupled_residual(p, conv: FrequencyConvention, states):
-    """Per row, the largest norm over the four coupled equations and both
-    indices of ``physical_states`` ``states``; a float at one momentum, an
-    (N,) array on a batch."""
+    """Per row, the largest residual norm over the four coupled equations
+    and both indices, for states from ``physical_states``; a float at one
+    momentum, an (N,) array on a batch."""
     return np.max(rownorm(coupled_equations(p, conv, *states)), axis=(0, -1))
 
 
