@@ -22,7 +22,8 @@ from .config import TOLERANCES
 from .errors import DomainError
 from .kinematics import as_batch
 from .matrices import blocks, gamma5, matrix2, matvec, rownorm
-from .spinors import (INDICES, Bispinor, bar_product, dirac_components, lambda_components,
+from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
+                      boosted_patterns, dirac_components, lambda_components, pattern_gather,
                       rho_components)
 
 
@@ -77,13 +78,20 @@ def physical_quartet(p, index: str):
             lambda_components(p, "A", index), rho_components(p, "S", index))
 
 
+_PHYSICAL_GATHER = pattern_gather(
+    [[patterns[kind, index] for index in INDICES]
+     for patterns, kind in ((REST_LAMBDA_PATTERNS, "S"), (REST_RHO_PATTERNS, "A"),
+                            (REST_LAMBDA_PATTERNS, "A"), (REST_RHO_PATTERNS, "S"))])
+
+
 def physical_states(p):
     """The physical quartets of both indices, built once: (lambda^S, rho^A,
     lambda^A, rho^S), each state with the indices up and down stacked on a
     leading axis of length 2, so (2, 4) at one momentum and (2, N, 4) on a
-    batch."""
-    quartets = [physical_quartet(p, index) for index in INDICES]
-    return tuple(np.array(states) for states in zip(*quartets))
+    batch.  All eight are one gather from the spinorial pattern table, the
+    same entries ``physical_quartet`` reads one state at a time."""
+    # row-major copies: the rows stacked from them keep a contiguous layout
+    return tuple(np.ascontiguousarray(states) for states in boosted_patterns(p, _PHYSICAL_GATHER))
 
 
 def physical_state_scale(states):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DirectionUndefinedError, DomainError
-from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm
+from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm, vector
 
 
 _TWO_PI = 2 * math.pi
@@ -86,6 +86,13 @@ class _OnShell:
     def half_angles(self):
         """(cos(theta/2), sin(theta/2), phi); see ``half_angles``."""
         return _read_only(*_half_angles(self))
+
+    @cached_property
+    def helicity_pair(self):
+        """(phi_+, phi_-): the sigma.p-hat eigen-2-spinors of eigenvalue
+        +-1 at zero phases, read off ``half_angles``; (2,) each at one
+        momentum, (N, 2) on a batch."""
+        return _read_only(*_helicity_pair(*self.half_angles))
 
     @cached_property
     def boost_norm(self):
@@ -273,6 +280,23 @@ def _half_angles(p):
     return cos_half, sin_half, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
 
+def _helicity_pair(cos_half, sin_half, phi):
+    """(phi_+, phi_-) of the direction (theta, phi) from cos(theta/2),
+    sin(theta/2) and phi, at zero phases:
+
+        phi_+ = (cos(t/2) e^{-i f/2},  sin(t/2) e^{i f/2})
+        phi_- = (sin(t/2) e^{-i f/2}, -cos(t/2) e^{i f/2})
+
+    (2,) each for floats, (N, 2) for (N,) arrays.  Their Wigner images are
+    Theta phi_+* = -phi_- and Theta phi_-* = phi_+.
+    """
+    ep = np.exp(0.5j * phi)
+    # e^{-i phi/2}, bit for bit but for the sign of a zero imaginary part
+    # at phi = -0.0, which half_angles never returns
+    em = np.conj(ep)
+    return vector(cos_half * em, sin_half * ep), vector(sin_half * em, -cos_half * ep)
+
+
 def polar_angles(p):
     """(theta, phi) of p's direction, theta in [0, pi] and phi in
     [0, 2 pi); (0, 0) at rest; floats or (N,) arrays.
@@ -297,12 +321,20 @@ def boost_half(p, side: str) -> CMatrix:
     with -sigma.p; both are Hermitian positive with det = 1, and
     Lambda_L = Lambda_R^-1.
     """
+    (a, c), (b, d) = _boost_columns(p, side)
+    return matrix2(a, b, c, d)
+
+
+def _boost_columns(p, side: str):
+    """The two columns of ``boost_half(p, side)``, each as its pair of
+    entries (floats and complexes, or (N,) arrays): a spinor that keeps one
+    column reads it here, without the 2x2 matrix."""
     if side not in ("R", "L"):
         raise DomainError(f"side must be 'R' or 'L', got {side!r}")
     s = 1.0 if side == "R" else -1.0
     c = 1.0 / p.boost_norm
     em = p.E + p.m
-    return matrix2((em + s * p.pz) * c, s * c * p.p_l, s * c * p.p_r, (em - s * p.pz) * c)
+    return ((em + s * p.pz) * c, s * c * p.p_r), (s * c * p.p_l, (em - s * p.pz) * c)
 
 
 def boost_eigenvalue(p, s: int):

@@ -68,9 +68,10 @@ def matrix2(a, b, c, d) -> CMatrix:
     return np.array([[a, c], [b, d]], dtype=complex).T
 
 
-def column(x) -> np.ndarray:
-    """A scalar or (N,) factor shaped to scale (k,) or (N, k) vectors."""
-    return np.asarray(x)[..., None]
+def column(x):
+    """A scalar or (N,) factor shaped to scale (k,) or (N, k) vectors: an
+    array gains a trailing axis, a scalar scales as it is."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 def matvec(a, x) -> CVector:

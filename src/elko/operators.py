@@ -206,14 +206,13 @@ def xi_matrix(p) -> CMatrix:
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
     twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
     xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
-    tol = TOLERANCES["intertwiner"]
-    for side in ("R", "L"):
-        lam = boost_half(p, side)
-        scale = 2.0 * rownorm(lam, matrix=True)
-        if np.any(xi_residual(xi, lam) > tol * scale):
-            raise AmbiguousIntertwinerError(
-                2, f"pinned intertwiner failed the {side} pair at p = {p}"
-            )
+    # both boosts stacked on an axis of length 2 before the matrix axes
+    lam = np.stack([boost_half(p, "R"), boost_half(p, "L")], axis=-3)
+    failed = (xi_residual(xi[..., None, :, :], lam)
+              > TOLERANCES["intertwiner"] * 2.0 * rownorm(lam, matrix=True))
+    if np.any(failed):
+        side = "R" if np.any(failed[..., 0]) else "L"
+        raise AmbiguousIntertwinerError(2, f"pinned intertwiner failed the {side} pair at p = {p}")
     return xi
 
 

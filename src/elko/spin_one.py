@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import DomainError
-from .kinematics import FourMomentum, as_batch, polar_angles
+from .kinematics import FourMomentum, as_batch
 from .matrices import CMatrix, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
 
@@ -67,9 +67,20 @@ def spin1_helicity_triplet(theta, phi, h: int) -> np.ndarray:
     spin-1/2 helicity 2-spinors in c = cos(theta/2) and s = sin(theta/2):
     the columns of exp(-i phi Jz) exp(-i theta Jy).
     """
+    theta = np.asarray(theta)
+    return _triplet(np.cos(0.5 * theta), np.sin(0.5 * theta), phi, h)
+
+
+def spin1_helicity_triplet_at(p, h: int) -> np.ndarray:
+    """The J.p-hat eigen-3-spinor of eigenvalue h along p's direction, read
+    off the momentum's half-angle frame ``half_angles``; (3,) at one
+    momentum, (N, 3) on a batch."""
+    return _triplet(*p.half_angles, h)
+
+
+def _triplet(c, s, phi, h: int) -> np.ndarray:
     if h not in (1, 0, -1):
         raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
-    c, s = np.cos(0.5 * np.asarray(theta)), np.sin(0.5 * np.asarray(theta))
     e = np.exp(1j * np.asarray(phi))
     cs = math.sqrt(2.0) * c * s
     components = {1: (np.conj(e) * (c * c), cs, e * (s * s)),
@@ -91,7 +102,7 @@ def spin1_pair(p, construction: str, h: int):
     """
     if construction not in ("lambda", "rho"):
         raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
-    f = spin1_helicity_triplet(*polar_angles(p), h)
+    f = spin1_helicity_triplet_at(p, h)
     flipped = np.conj(f) @ theta_one.T
     k = np.asarray(((p.E + p.p_abs) / p.m) ** (-h if construction == "lambda" else h))[..., None]
     zero = np.zeros_like(f)

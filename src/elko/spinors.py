@@ -27,20 +27,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .kinematics import (
     FourMomentum,
+    _boost_columns,
+    _helicity_pair,
     _sqrt,
     boost_eigenvalue,
-    boost_half,
     boost_half_pair,
-    half_angles,
     make_momentum,
 )
-from .matrices import column, gamma0, matrix2, matvec, theta_half, vdot, vector
+from .matrices import column, gamma0, matrix2, matvec, vdot, vector
 
 FAMILIES = ("lambda", "rho", "u", "v")
 KINDS_SELF = ("S", "A")
@@ -59,6 +60,11 @@ class PhaseConfig:
     theta_c: float = 0.0
     theta1: float = 0.0
     theta2: float = 0.0
+
+    @cached_property
+    def factors(self):
+        """(e^{i theta1}, e^{i theta2}), computed once per configuration."""
+        return np.exp(1j * self.theta1), np.exp(1j * self.theta2)
 
 
 @dataclass(frozen=True)
@@ -143,42 +149,81 @@ def rest_rho(kind: str, index: str, m: float) -> Bispinor:
 # Each chiral block of a rest pattern has one nonzero entry, a e_j above and
 # b e_k below.  As sqrt(m/2) Lambda_{R,L} = c (E + m +- sigma.p) with
 # c = 1/(2 sqrt(E + m)), the boosted spinor is c (a column j of E + m + sigma.p,
-# b column k of E + m - sigma.p), (4,) or (N, 4).  a and b are exact unit
-# literals and a unit 1 multiplies nothing: a complex product can flip the
-# sign of a zero part, which ``elko eval`` prints.
+# b column k of E + m - sigma.p).  a and b are exact unit literals and a unit
+# 1 multiplies nothing: a complex product can flip the sign of a zero part,
+# which ``elko eval`` prints.  Any number of spinors is c times one gather
+# from a table of the (unit, column entry) products that they read.
+
+_UNITS = (1, 1j, -1j)
+# The six column entries of E + m +- sigma.p, (pp, p_r, p_l, pm, -p_r, -p_l):
+# column j of E + m + sigma.p holds entries _COLUMNS[0][j], column k of
+# E + m - sigma.p entries _COLUMNS[1][k].
+_COLUMNS = (((0, 1), (2, 3)), ((3, 4), (5, 0)))
+
 
 def _block_axis(block):
     (j,) = np.flatnonzero(block)
-    return j, next(unit for unit in (1, 1j, -1, -1j) if unit == block[j])
+    return j, next(unit for unit in _UNITS if unit == block[j])
 
 
-_PATTERN_AXES = {(family, *key): (*_block_axis(pattern[:2]), *_block_axis(pattern[2:]))
-                 for family, patterns in _REST_PATTERNS.items()
-                 for key, pattern in patterns.items()}
+def pattern_gather(patterns):
+    """For rest patterns stacked as (..., 4): the distinct (unit, entry)
+    products that their boosted spinors read, and each spinor's four
+    positions among them, (..., 4), or a full slice where the products are
+    the components in order (one pattern)."""
+    patterns = np.asarray(patterns)
+    products, positions = [], []
+    for pattern in patterns.reshape(-1, 4):
+        (j, a), (k, b) = _block_axis(pattern[:2]), _block_axis(pattern[2:])
+        for product in [(a, e) for e in _COLUMNS[0][j]] + [(b, e) for e in _COLUMNS[1][k]]:
+            if product not in products:
+                products.append(product)
+            positions.append(products.index(product))
+    positions = np.array(positions).reshape(patterns.shape)
+    if np.array_equal(positions, np.arange(len(products))):
+        positions = slice(None)   # the products are the components in order
+    return tuple(products), positions
 
 
-def _boosted_pattern(p, j, a, k, b) -> np.ndarray:
+_GATHER = {(family, *key): pattern_gather(pattern)
+           for family, patterns in _REST_PATTERNS.items()
+           for key, pattern in patterns.items()}
+
+
+def boosted_patterns(p, gather) -> np.ndarray:
+    """The boosted spinors of a ``pattern_gather``: c times the gathered
+    products, (..., 4) or (..., N, 4) with the positions' leading axes in
+    front."""
+    products, positions = gather
     pp, pm, c = p.pattern_diagonal
-    right = ((pp, p.p_r), (p.p_l, pm))[j]
-    left = ((pm, -p.p_r), (-p.p_l, pp))[k]
-    entries = [x if a == 1 else a * x for x in right] + [x if b == 1 else b * x for x in left]
-    return (c * np.array(entries, dtype=complex)).T
+    entries = (pp, p.p_r, p.p_l, pm, -p.p_r, -p.p_l)
+    table = np.array([entries[e] if unit == 1 else unit * entries[e] for unit, e in products],
+                     dtype=complex)
+    table *= c
+    spinors = table[positions]
+    return np.swapaxes(spinors, -1, -2) if isinstance(c, np.ndarray) else spinors
 
 
 # ---------------------------------------------------------------------------
 # helicity 2-spinors
 # ---------------------------------------------------------------------------
+#
+# The momentum's zero-phase pair (phi_+, phi_-) (``helicity_pair``) carries
+# every helicity 2-spinor: phi_h with its phase is e^{i theta_h} phi_h, and
+# its Wigner image is Theta (e^{i theta_h} phi_h)* = -h e^{-i theta_h}
+# phi_{-h}, so the phases enter as scalars and no spinor takes a sine, a
+# cosine or a matrix product of its own.
 
-def _helicity_spinor(ct, st, phi, h: int, theta1, theta2) -> np.ndarray:
-    ep = np.exp(0.5j * phi)
-    # e^{-i phi/2}, bit for bit but for the sign of a zero imaginary part
-    # at phi = -0.0, which half_angles never returns
-    em = np.conj(ep)
-    if h > 0:
-        e = np.exp(1j * theta1)
-        return vector(e * (ct * em), e * (st * ep))
-    e = np.exp(1j * theta2)
-    return vector(e * (st * em), e * (-ct * ep))
+def _dressed(pair, h: int, e):
+    """e phi_h, the helicity-h 2-spinor with its phase factor e (a complex,
+    or an (N, 1) column)."""
+    return e * pair[h < 0]
+
+
+def _wigner_image(pair, h: int, e, zeta):
+    """zeta Theta (e phi_h)* = -h zeta e* phi_{-h}; (-zeta) y is zeta (-y)
+    bit for bit, so the sign rides on zeta."""
+    return (-zeta if h > 0 else zeta) * (e.conjugate() * pair[h > 0])
 
 
 def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
@@ -187,13 +232,14 @@ def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarra
     float angles and phases, (N, 2) for (N,) arrays."""
     if h not in (1, -1):
         raise DomainError(f"helicity must be +1 or -1, got {h}")
-    return _helicity_spinor(np.cos(theta / 2.0), np.sin(theta / 2.0), phi, h, theta1, theta2)
+    pair = _helicity_pair(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
+    return _dressed(pair, h, column(np.exp(1j * (theta1 if h > 0 else theta2))))
 
 
 def helicity_components_at(p, h: int, theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
     """The sigma.p-hat eigen-2-spinor of p's direction ((1, 0) / (0, -1) at
-    rest), from the half angles of ``half_angles``; (N, 2) on a batch."""
-    return _helicity_spinor(*half_angles(p), h, theta1, theta2)
+    rest), read off the momentum's ``helicity_pair``; (N, 2) on a batch."""
+    return _dressed(p.helicity_pair, h, np.exp(1j * (theta1 if h > 0 else theta2)))
 
 
 def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
@@ -219,21 +265,24 @@ _INDEX_TO_H = {"up": 1, "down": -1}
 _ZETA = {"lambda": {"S": 1j, "A": -1j}, "rho": {"S": -1j, "A": 1j}}
 
 
-def _helicity_rest(f, family, kind, m):
-    dressed = _ZETA[family][kind] * (np.conj(f) @ theta_half.T)
-    pair = [dressed, f] if family == "lambda" else [f, dressed]
-    return column(_sqrt(m / 2.0)) * np.concatenate(pair, axis=-1)
+def _helicity_rest(pair, family, kind, h, cfg, m):
+    """The rest spinor sqrt(m/2) (zeta Theta f*, f) (lambda) or
+    sqrt(m/2) (f, zeta Theta f*) (rho) for f = e^{i theta_h} phi_h."""
+    e = cfg.factors[h < 0]
+    f, image = _dressed(pair, h, e), _wigner_image(pair, h, e, _ZETA[family][kind])
+    halves = [image, f] if family == "lambda" else [f, image]
+    return column(_sqrt(m / 2.0)) * np.concatenate(halves, axis=-1)
 
 
 def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
     _check_kind_index(kind, index)
     _check_basis(basis)
     if basis == "spinorial":
-        return _boosted_pattern(p, *_PATTERN_AXES[family, kind, index])
+        return boosted_patterns(p, _GATHER[family, kind, index])
     h = _INDEX_TO_H[index]
-    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
     s = -h if family == "lambda" else h   # the blocks' sigma.p-hat eigenvalue
-    return column(boost_eigenvalue(p, s)) * _helicity_rest(f, family, kind, p.m)
+    return column(boost_eigenvalue(p, s)) * _helicity_rest(p.helicity_pair, family, kind, h,
+                                                           cfg, p.m)
 
 
 def lambda_components(p, kind: str, index: str, basis: str = "spinorial",
@@ -276,13 +325,12 @@ def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
     sm = _sqrt(p.m)
     if basis == "spinorial":
         col = 0 if index == "up" else 1
-        right, left = boost_half(p, "R")[..., col], boost_half(p, "L")[..., col]
-        return np.concatenate([column(sm) * right, column(s * sm) * left], axis=-1)
+        right, left = _boost_columns(p, "R")[col], _boost_columns(p, "L")[col]
+        return vector(*right, *left) * np.array([sm, sm, s * sm, s * sm]).T
     h = _INDEX_TO_H[index]
-    f = helicity_components_at(p, h, cfg.theta1, cfg.theta2)
-    upper = column(sm * boost_eigenvalue(p, h)) * f
-    lower = column(s * sm * boost_eigenvalue(p, -h)) * f
-    return np.concatenate([upper, lower], axis=-1)
+    f = _dressed(p.helicity_pair, h, cfg.factors[h < 0])
+    upper, lower = sm * boost_eigenvalue(p, h), s * sm * boost_eigenvalue(p, -h)
+    return np.concatenate([f, f], axis=-1) * np.array([upper, upper, lower, lower]).T
 
 
 def lambda_spinor(p: FourMomentum, kind: str, index: str,
@@ -306,8 +354,8 @@ def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: fl
     The angles need not be those of p, so the rest spinor is boosted with
     the explicit 4x4 matrix rather than the eigenvalue factor.
     """
-    f = helicity_components(theta, phi, h, cfg.theta1, cfg.theta2)
-    return boost_half_pair(p) @ _helicity_rest(f, "lambda", kind, p.m)
+    pair = _helicity_pair(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
+    return boost_half_pair(p) @ _helicity_rest(pair, "lambda", kind, h, cfg, p.m)
 
 
 def dirac_spinor(p: FourMomentum, sign: str, index: str,

@@ -953,7 +953,7 @@ def _zeta_boost_persistence(ctx, key):
     rows = []
     for h in (1, 0, -1):
         # the rest-frame lambda pair along each momentum's direction, boosted
-        f = s1.spin1_helicity_triplet(*kin.polar_angles(momenta), h)
+        f = s1.spin1_helicity_triplet_at(momenta, h)
         zero = np.zeros_like(f)
         x = mat.matvec(boost, np.concatenate([zero, f], axis=-1))
         y = mat.matvec(boost, np.concatenate([np.conj(f) @ mat.theta_one.T, zero], axis=-1))

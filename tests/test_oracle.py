@@ -1,19 +1,32 @@
-"""Exact symbolic proofs (sympy) of two identities the kernels build on.
+"""Exact symbolic proofs (sympy) of the identities the kernels build on.
 
 * In the chiral basis gamma0 E - gamma.p equals [[0, E + sigma.p],
   [E - sigma.p, 0]], the block form ``dynamics.slash`` assembles.
 * Xi = diag(1, e^{-2 i phi}) / sqrt(2) intertwines both half boosts with
   their conjugates, Xi Lambda_{R,L} = Lambda*_{R,L} Xi, for
   Lambda = (E + m +- sigma.p) / sqrt(2 m (E + m)) and p in polar form.
+* The Wigner images of the phased helicity pair are the other member of the
+  pair, Theta (e^{i theta1} phi_+)* = -e^{-i(theta1 + theta2)} (e^{i theta2} phi_-)
+  and Theta (e^{i theta2} phi_-)* = e^{-i(theta1 + theta2)} (e^{i theta1} phi_+),
+  which the helicity kernel reads off the momentum's pair.
+* The spinorial read-offs are the boosted rest spinors: sqrt(m) times the
+  columns of ``kinematics._boost_columns`` is sqrt(m) diag(Lambda_R,
+  +-Lambda_L) (e_j, e_j), and the pattern table's gathered products times
+  c = 1/(2 sqrt(E + m)) are sqrt(m/2) diag(Lambda_R, Lambda_L) on each
+  lambda/rho rest pattern, with global phase 1.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 import sympy
 
 from elko import dynamics as dyn
 from elko import kinematics as kin
 from elko import matrices as mat
 from elko import operators as ops
+from elko import spinors as sp
 
 I = sympy.I
 SIGMA = (sympy.Matrix([[0, 1], [1, 0]]), sympy.Matrix([[0, -I], [I, 0]]),
@@ -68,3 +81,112 @@ def test_xi_intertwines_both_half_boosts_exactly():
     phi_p = float(np.arctan2(p.py, p.px))
     exact = np.array(xi.subs(phi, phi_p).evalf(20), dtype=complex)
     assert np.allclose(ops.xi_matrix(p), exact, rtol=0, atol=4e-16)
+
+
+# ---------------------------------------------------------------------------
+# the helicity pair and its Wigner images
+# ---------------------------------------------------------------------------
+
+THETA_HALF = sympy.Matrix([[0, -1], [1, 0]])   # -i sigma_y
+
+
+def _helicity_pair(theta, phi):
+    c, s = sympy.cos(theta / 2), sympy.sin(theta / 2)
+    em, ep = sympy.exp(-I * phi / 2), sympy.exp(I * phi / 2)
+    return sympy.Matrix([c * em, s * ep]), sympy.Matrix([s * em, -c * ep])
+
+
+def _vanishes(matrix):
+    return matrix.applyfunc(lambda z: sympy.simplify(z.rewrite(sympy.exp))) == sympy.zeros(
+        *matrix.shape)
+
+
+def test_symbolic_theta_is_the_library_theta():
+    assert np.array_equal(np.array(THETA_HALF, dtype=complex), mat.theta_half)
+
+
+def test_wigner_images_of_the_phased_helicity_pair_exactly():
+    theta, phi, t1, t2 = sympy.symbols("theta phi theta1 theta2", real=True)
+    plus, minus = _helicity_pair(theta, phi)
+    dressed_plus, dressed_minus = sympy.exp(I * t1) * plus, sympy.exp(I * t2) * minus
+    both = sympy.exp(-I * (t1 + t2))
+    assert _vanishes(THETA_HALF * dressed_plus.conjugate() + both * dressed_minus)
+    assert _vanishes(THETA_HALF * dressed_minus.conjugate() - both * dressed_plus)
+    # both are sigma.n eigenvectors, eigenvalues +1 and -1, of unit norm
+    n = (sympy.sin(theta) * sympy.cos(phi), sympy.sin(theta) * sympy.sin(phi), sympy.cos(theta))
+    assert _vanishes(_sigma_dot(n) * plus - plus)
+    assert _vanishes(_sigma_dot(n) * minus + minus)
+    assert sympy.simplify((plus.H * plus)[0]) == 1
+
+
+@pytest.mark.parametrize("h", [1, -1])
+def test_library_pair_and_image_are_the_symbolic_ones(h):
+    theta, phi, t1, t2 = sympy.symbols("theta phi theta1 theta2", real=True)
+    plus, minus = _helicity_pair(theta, phi)
+    p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
+    angles = p.angles()
+    cfg = sp.PhaseConfig(theta1=0.9, theta2=-2.3)
+    point = {theta: angles.theta, phi: angles.phi, t1: cfg.theta1, t2: cfg.theta2}
+    for got, exact in zip(p.helicity_pair, (plus, minus)):
+        assert np.allclose(got, np.array(exact.subs(point).evalf(20), dtype=complex)[:, 0],
+                           rtol=0, atol=4e-16)
+    own = sympy.exp(I * (t1 if h > 0 else t2)) * (plus if h > 0 else minus)
+    exact_image = I * THETA_HALF * own.conjugate()
+    e = cfg.factors[h < 0]
+    got = sp._wigner_image(p.helicity_pair, h, e, 1j)
+    assert np.allclose(got, np.array(exact_image.subs(point).evalf(20), dtype=complex)[:, 0],
+                       rtol=0, atol=4e-16)
+
+
+# ---------------------------------------------------------------------------
+# the spinorial read-offs
+# ---------------------------------------------------------------------------
+
+def _symbolic_momentum():
+    m = sympy.symbols("m", positive=True)
+    px, py, pz = sympy.symbols("p_x p_y p_z", real=True)
+    energy = sympy.sqrt(px ** 2 + py ** 2 + pz ** 2 + m ** 2)
+    p = SimpleNamespace(E=energy, m=m, pz=pz, p_r=px + I * py, p_l=px - I * py,
+                        boost_norm=sympy.sqrt(2 * m * (energy + m)))
+    boosts = [((energy + m) * EYE2 + sign * _sigma_dot((px, py, pz)))
+              / sympy.sqrt(2 * m * (energy + m)) for sign in (1, -1)]
+    return p, boosts, (px, py, pz, m)
+
+
+def _exact(expr):
+    """The library's float literals (1.0, -1.0) as integers."""
+    return sympy.nsimplify(expr)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_dirac_column_read_off_is_the_boosted_rest_spinor(sign):
+    p, (lam_r, lam_l), (px, py, pz, m) = _symbolic_momentum()
+    columns = {side: kin._boost_columns(p, side) for side in ("R", "L")}
+    for j in (0, 1):
+        read_off = sympy.sqrt(m) * sympy.Matrix(
+            [*(_exact(x) for x in columns["R"][j]), *(sign * _exact(x) for x in columns["L"][j])])
+        e_j = sympy.Matrix([int(j == 0), int(j == 1)])
+        boosted = sympy.sqrt(m) * sympy.Matrix.vstack(lam_r * e_j, sign * lam_l * e_j)
+        assert sympy.simplify(read_off - boosted) == sympy.zeros(4, 1)
+    # and the library's Dirac spinor is this read-off at a point
+    q = kin.make_momentum(0.3, -0.4, 0.5, 1.1)
+    point = {px: q.px, py: q.py, pz: q.pz, m: q.m}
+    for j, index in enumerate(sp.INDICES):
+        e_j = sympy.Matrix([int(j == 0), int(j == 1)])
+        exact = (sympy.sqrt(m) * sympy.Matrix.vstack(lam_r * e_j, sign * lam_l * e_j)).subs(point)
+        got = sp.dirac_components(q, "particle" if sign > 0 else "antiparticle", index)
+        assert np.allclose(got, np.array(exact.evalf(20), dtype=complex)[:, 0], rtol=0,
+                           atol=1e-15)
+
+
+def test_pattern_table_read_off_is_the_boosted_rest_pattern():
+    p, (lam_r, lam_l), _ = _symbolic_momentum()
+    entries = (p.E + p.pz + p.m, p.p_r, p.p_l, p.E - p.pz + p.m, -p.p_r, -p.p_l)
+    c = 1 / (2 * sympy.sqrt(p.E + p.m))
+    boost = sympy.diag(lam_r, lam_l)
+    for (family, kind, index), (products, positions) in sp._GATHER.items():
+        table = [unit * entries[e] for unit, e in products]
+        read_off = sympy.Matrix([c * _exact(x) for x in np.array(table, dtype=object)[positions]])
+        pattern = sympy.Matrix([_exact(complex(z)) for z in sp._REST_PATTERNS[family][kind, index]])
+        boosted = sympy.sqrt(p.m / 2) * boost * pattern
+        assert sympy.simplify(read_off - boosted) == sympy.zeros(4, 1), (family, kind, index)

@@ -4,11 +4,15 @@ A fixed matrix acts on all rows as one product, the intertwiner residual is
 formed from Xi's diagonal, gamma.p is built from its sigma.p blocks and
 applied by them, the coupled rows of both indices come from one call, the span residual
 projects by Gram-Schmidt and the spin-1 checks scan every (construction,
-h) pair at once.  Each is compared with the dense or per-call form on
-generic rows and on the edges of the domain: a rest row, rows along +-z, a
-row 1e-8 rad off -z and |p|/m up to 1e12.
+h) pair at once.  Every spin-1/2 spinor is read off its momentum's frame:
+the spinorial ones from one table of column entries, the helicity ones from
+the cached pair (phi_+, phi_-), against frozen copies of the boost columns,
+Wigner products and per-state quartets they replace.  Each is compared with
+the dense or per-call form on generic rows and on the edges of the domain:
+a rest row, rows along +-z, a row 1e-8 rad off -z and |p|/m up to 1e12.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -22,6 +26,7 @@ from elko import operators as ops
 from elko import spin_one as s1
 from elko import spinors as sp
 from elko import suite
+from elko.errors import AmbiguousIntertwinerError
 from elko.suite import run_suite
 
 
@@ -263,3 +268,259 @@ def test_scan_kernel_calls_per_pass_do_not_grow_with_samples(monkeypatch):
         assert report.all_passed
         counts.append(calls["scan_pairs"])
     assert counts == [4, 4]
+
+
+# ---------------------------------------------------------------------------
+# every spin-1/2 spinor read off the momentum's frame
+# ---------------------------------------------------------------------------
+#
+# Frozen copies of the expressions the frame kernels replace: the 2x2 boost
+# of which a Dirac spinor kept one column, the helicity 2-spinor from its own
+# sines and cosines, its Wigner image as the product conj(f) @ Theta^T, the
+# per-state fixed-axis pattern and the quartets stacked state by state.
+
+def _frozen_boost_half(p, side):
+    s = 1.0 if side == "R" else -1.0
+    c = 1.0 / p.boost_norm
+    em = p.E + p.m
+    return mat.matrix2((em + s * p.pz) * c, s * c * p.p_l, s * c * p.p_r, (em - s * p.pz) * c)
+
+
+def _frozen_helicity_spinor(ct, st, phi, h, theta1, theta2):
+    ep = np.exp(0.5j * phi)
+    em = np.conj(ep)
+    if h > 0:
+        e = np.exp(1j * theta1)
+        return mat.vector(e * (ct * em), e * (st * ep))
+    e = np.exp(1j * theta2)
+    return mat.vector(e * (st * em), e * (-ct * ep))
+
+
+def _frozen_wigner_image(f):
+    return np.conj(f) @ mat.theta_half.T
+
+
+def _frozen_helicity_rest(f, family, kind, m):
+    dressed = sp._ZETA[family][kind] * _frozen_wigner_image(f)
+    pair = [dressed, f] if family == "lambda" else [f, dressed]
+    return np.asarray(kin._sqrt(m / 2.0))[..., None] * np.concatenate(pair, axis=-1)
+
+
+def _frozen_boosted_pattern(p, family, kind, index):
+    pattern = sp._REST_PATTERNS[family][kind, index]
+    (j, a), (k, b) = sp._block_axis(pattern[:2]), sp._block_axis(pattern[2:])
+    pp, pm, c = p.pattern_diagonal
+    right = ((pp, p.p_r), (p.p_l, pm))[j]
+    left = ((pm, -p.p_r), (-p.p_l, pp))[k]
+    entries = [x if a == 1 else a * x for x in right] + [x if b == 1 else b * x for x in left]
+    return (c * np.array(entries, dtype=complex)).T
+
+
+def _frozen_components(family, p, kind, index, basis, cfg):
+    col = lambda x: np.asarray(x)[..., None]
+    h = 1 if index == "up" else -1
+    if family in ("u", "v"):
+        s, sm = (1.0 if family == "u" else -1.0), kin._sqrt(p.m)
+        if basis == "spinorial":
+            j = 0 if index == "up" else 1
+            right, left = _frozen_boost_half(p, "R")[..., j], _frozen_boost_half(p, "L")[..., j]
+            return np.concatenate([col(sm) * right, col(s * sm) * left], axis=-1)
+        f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+        return np.concatenate([col(sm * kin.boost_eigenvalue(p, h)) * f,
+                               col(s * sm * kin.boost_eigenvalue(p, -h)) * f], axis=-1)
+    if basis == "spinorial":
+        return _frozen_boosted_pattern(p, family, kind, index)
+    f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+    s = -h if family == "lambda" else h
+    return col(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(f, family, kind, p.m)
+
+
+def _frozen_physical_states(p):
+    quartets = [[_frozen_boosted_pattern(p, family, kind, index)
+                 for family, kind in (("lambda", "S"), ("rho", "A"), ("lambda", "A"), ("rho", "S"))]
+                for index in sp.INDICES]
+    return tuple(np.array(states) for states in zip(*quartets))
+
+
+def _live_components(family, p, kind, index, basis, cfg):
+    if family == "lambda":
+        return sp.lambda_components(p, kind, index, basis, cfg)
+    if family == "rho":
+        return sp.rho_components(p, kind, index, basis, cfg)
+    return sp.dirac_components(p, kind, index, basis, cfg)
+
+
+_LABELS = [("lambda", "S"), ("lambda", "A"), ("rho", "S"), ("rho", "A"),
+           ("u", "particle"), ("v", "antiparticle")]
+_SPINORS = [(family, kind, index, basis) for (family, kind), index, basis
+            in itertools.product(_LABELS, sp.INDICES, sp.BASES)]
+_PHASES = sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta2=-2.3)
+
+
+def _assert_same_bits(got, want):
+    """Equal values and equal signs of every real and imaginary part, zeros
+    included: ``elko eval`` prints a negative zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def _assert_close(got, want, rel=4e-16):
+    """Per spinor, within rel of the largest component."""
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+@pytest.mark.parametrize("family,kind,index,basis", _SPINORS)
+def test_spinor_keeps_its_bits_at_default_phases(batch, family, kind, index, basis):
+    """At N = 1, bit for bit, on every row.  On the batch the values are
+    those of the stacked expression and the zero signs those of its rows:
+    numpy's matmul takes a one-row product for one momentum and a stacked one
+    for a batch, and on the exact z-axis rows these round a zero part of
+    conj(f) @ Theta^T to opposite signs, where the elementwise frame kernel
+    gives the one-row answer for both."""
+    cfg = sp.PhaseConfig()
+    rows = []
+    for row in batch:
+        rows.append(_frozen_components(family, row, kind, index, basis, cfg))
+        _assert_same_bits(_live_components(family, row, kind, index, basis, cfg), rows[-1])
+    live = _live_components(family, batch, kind, index, basis, cfg)
+    _assert_same_bits(live, np.array(rows))
+    assert np.array_equal(live, _frozen_components(family, batch, kind, index, basis, cfg))
+
+
+@pytest.mark.parametrize("family,kind,index,basis", _SPINORS)
+def test_spinor_agrees_at_other_phases(batch, family, kind, index, basis):
+    """Away from the default phases the phase factors enter as scalars, so
+    the products associate differently: within 4e-16 of the largest
+    component."""
+    for p in (batch, batch[5], batch[-1], batch[len(batch) - 8]):
+        _assert_close(_live_components(family, p, kind, index, basis, _PHASES),
+                      _frozen_components(family, p, kind, index, basis, _PHASES))
+
+
+def test_dirac_columns_are_the_boost_columns(batch):
+    for p in (batch, *batch):
+        for side in ("R", "L"):
+            frozen = _frozen_boost_half(p, side)
+            _assert_same_bits(kin.boost_half(p, side), frozen)
+            for j, column in enumerate(kin._boost_columns(p, side)):
+                _assert_same_bits(mat.vector(*column), frozen[..., j])
+
+
+def _helicity_pieces(p, h, zeta, cfg):
+    """(f, zeta Theta f*) from the frame and from the frozen expressions."""
+    e = cfg.factors[h < 0]
+    live = sp._dressed(p.helicity_pair, h, e), sp._wigner_image(p.helicity_pair, h, e, zeta)
+    f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+    return live, (f, zeta * _frozen_wigner_image(f))
+
+
+@pytest.mark.parametrize("h,zeta", itertools.product([1, -1], [1j, -1j]))
+def test_helicity_pair_and_its_wigner_image(batch, h, zeta):
+    """f = e phi_h and zeta Theta f* = -h zeta e* phi_{-h} against the
+    trigonometric 2-spinor and zeta conj(f) @ Theta^T, at N = 1 and on the
+    batch: f bit for bit and the image equal in value at default phases,
+    both within 4e-16 at others.  The signs of the image's zero parts are
+    the matmul's own (its one-row product makes every zero +0); they are
+    compared where they become spinor parts, in the rest spinor below."""
+    for p in (*batch, batch):
+        (f, image), (frozen_f, frozen_image) = _helicity_pieces(p, h, zeta, sp.PhaseConfig())
+        _assert_same_bits(f, frozen_f)
+        assert np.array_equal(image, frozen_image)
+        for got, want in zip(*_helicity_pieces(p, h, zeta, _PHASES)):
+            _assert_close(got, want)
+
+
+@pytest.mark.parametrize("family,kind", _LABELS[:4])
+def test_helicity_rest_spinor(batch, family, kind):
+    for h, cfg in itertools.product((1, -1), (sp.PhaseConfig(), _PHASES)):
+        for p in (*batch, batch):
+            f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+            got = sp._helicity_rest(p.helicity_pair, family, kind, h, cfg, p.m)
+            want = _frozen_helicity_rest(f, family, kind, p.m)
+            if cfg == _PHASES:
+                _assert_close(got, want)
+            elif isinstance(p, kin.FourMomentum):
+                _assert_same_bits(got, want)
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_physical_states_are_the_per_state_quartets(batch):
+    for p in (*batch, batch):
+        states, frozen = dyn.physical_states(p), _frozen_physical_states(p)
+        assert len(states) == len(frozen) == 4
+        for got, want in zip(states, frozen):
+            _assert_same_bits(got, want)
+
+
+def test_physical_states_are_one_gather(monkeypatch, batch):
+    calls = Counter()
+    kernel = dyn.boosted_patterns
+
+    def counted(*args):
+        calls["gather"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(dyn, "boosted_patterns", counted)
+    for p in (batch, batch[3]):
+        calls.clear()
+        dyn.physical_states(p)
+        assert calls["gather"] == 1
+
+
+def test_helicity_frame_is_derived_once_for_every_spinor(monkeypatch, batch):
+    """All helicity spinors at one momentum read one cached pair: no spinor
+    takes the 2-spinors' sines and cosines again."""
+    calls = Counter()
+    body = kin._helicity_pair
+
+    def counted(*args):
+        calls["pair"] += 1
+        return body(*args)
+
+    monkeypatch.setattr(kin, "_helicity_pair", counted)
+    for p in (kin.make_momentum(0.3, -0.4, 0.5, 1.0), batch[2:40]):
+        calls.clear()
+        for family, kind, index, basis in _SPINORS:
+            _live_components(family, p, kind, index, "helicity", _PHASES)
+        assert calls["pair"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Xi asserted on both boosts in one pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("side", ["R", "L"])
+def test_xi_matrix_names_the_failing_boost(monkeypatch, moving, side):
+    """A boost that Xi no longer intertwines raises, naming its side; the
+    other side still passes."""
+    boost = kin.boost_half
+
+    def corrupted(p, which):
+        lam = boost(p, which)
+        return lam + 0.1 * mat.sigma_x if which == side else lam
+
+    monkeypatch.setattr(ops, "boost_half", corrupted)
+    for p in (moving, moving[4]):
+        with pytest.raises(AmbiguousIntertwinerError, match=f"failed the {side} pair"):
+            ops.xi_matrix(p)
+
+
+def test_xi_matrix_raises_for_one_failing_row(monkeypatch, moving):
+    boost = kin.boost_half
+    bad = np.zeros(len(moving), dtype=bool)
+    bad[17] = True
+
+    def corrupted(p, which):
+        lam = boost(p, which)
+        return np.where(bad[:, None, None], lam + 0.1 * mat.sigma_x, lam) if which == "L" else lam
+
+    monkeypatch.setattr(ops, "boost_half", corrupted)
+    with pytest.raises(AmbiguousIntertwinerError, match="failed the L pair"):
+        ops.xi_matrix(moving)
+    monkeypatch.setattr(ops, "boost_half", boost)
+    assert ops.xi_matrix(moving).shape == (len(moving), 2, 2)
