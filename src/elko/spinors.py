@@ -154,7 +154,7 @@ def rest_rho(kind: str, index: str, m: float) -> Bispinor:
 # which ``elko eval`` prints.  Any number of spinors is c times one gather
 # from a table of the (unit, column entry) products that they read.
 
-_UNITS = (1, 1j, -1j)
+_UNITS = (1, 1j, -1, -1j)
 # The six column entries of E + m +- sigma.p, (pp, p_r, p_l, pm, -p_r, -p_l):
 # column j of E + m + sigma.p holds entries _COLUMNS[0][j], column k of
 # E + m - sigma.p entries _COLUMNS[1][k].
