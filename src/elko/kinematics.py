@@ -10,7 +10,8 @@ kernels (derived fields, ``half_angles``, ``polar_angles``, ``boost_half``,
 ``boost_half_pair``, ``boost_eigenvalue``) and the spin-1 ``boost_one`` are
 written once as plain arithmetic that accepts either.  A momentum's derived
 fields are computed once, on first use, and kept with the immutable
-momentum object.
+momentum object; so is the conjugation intertwiner Xi of its two boosts
+(``operators.xi_matrix``), which is asserted when it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DirectionUndefinedError, DomainError
+from .config import TOLERANCES
+from .errors import AmbiguousIntertwinerError, DimensionError, DirectionUndefinedError, DomainError
 from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm, vector
 
 
@@ -93,6 +95,13 @@ class _OnShell:
         +-1 at zero phases, read off ``half_angles``; (2,) each at one
         momentum, (N, 2) on a batch."""
         return _read_only(*_helicity_pair(*self.half_angles))
+
+    @cached_property
+    def xi(self):
+        """Xi = diag(1, e^{-2 i phi}) / sqrt(2), asserted against both
+        boosts; (2, 2) at one momentum, (N, 2, 2) on a batch.  See
+        ``operators.xi_matrix``."""
+        return _read_only(_xi(self))
 
     @cached_property
     def boost_norm(self):
@@ -335,6 +344,43 @@ def _boost_columns(p, side: str):
     c = 1.0 / p.boost_norm
     em = p.E + p.m
     return ((em + s * p.pz) * c, s * c * p.p_r), (s * c * p.p_l, (em - s * p.pz) * c)
+
+
+# Xi = (FIXED + e^{-2 i phi} TWIST) / sqrt(2)
+_XI_FIXED = np.diag([1.0, 0.0]).astype(complex)
+_XI_TWIST = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _xi(p):
+    """The pinned intertwiner of ``operators.xi_matrix``, with its residual
+    asserted on every row for both boosts."""
+    if np.count_nonzero(p.p_abs == 0.0):
+        raise DirectionUndefinedError("xi_matrix needs a momentum direction")
+    twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
+    xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
+    # Python complexes at one momentum, like its other fields: numpy scalar
+    # arithmetic would cost more than the check itself
+    d = (xi[..., 0, 0], xi[..., 1, 1]) if xi.ndim > 2 else (complex(xi[0, 0]), complex(xi[1, 1]))
+    for side in ("R", "L"):
+        resid, norm = _intertwiner_residual(d, _boost_columns(p, side))
+        if np.count_nonzero(resid > TOLERANCES["intertwiner"] * 2.0 * norm):
+            raise AmbiguousIntertwinerError(
+                2, f"pinned intertwiner failed the {side} pair at p = {p}")
+    return xi
+
+
+def _intertwiner_residual(d, columns):
+    """(|Xi Lambda - Lambda^* Xi|, |Lambda|), Frobenius norms row by row,
+    for Xi = diag(d) and Lambda given by its ``_boost_columns``.
+
+    The residual's entries are d_i Lambda_ij - Lambda^*_ij d_j.  The
+    diagonal of a boost is real, so its two terms cancel exactly, and two
+    off-diagonal terms remain.
+    """
+    (d0, d1), ((a, c), (b, e)) = d, columns
+    upper, lower = d0 * b - b.conjugate() * d1, d1 * c - c.conjugate() * d0
+    return (np.sqrt(abs(upper) ** 2 + abs(lower) ** 2),
+            np.sqrt(a * a + e * e + abs(b) ** 2 + abs(c) ** 2))
 
 
 def boost_eigenvalue(p, s: int):

@@ -30,16 +30,14 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import (
-    AmbiguousIntertwinerError,
     CoordinateSingularityError,
     DirectionUndefinedError,
     DomainError,
 )
-from .kinematics import _sqrt, boost_half, parity_reflect, sample_momenta
+from .kinematics import _sqrt, parity_reflect, sample_momenta
 from .matrices import (
     CMatrix,
     block_diag2,
-    blocks,
     gamma0,
     gamma2,
     gamma5,
@@ -184,14 +182,9 @@ def u3() -> CMatrix:
 # the 2x2 conjugation intertwiner and the bispinor transforms built from it
 # ---------------------------------------------------------------------------
 
-# Xi = (FIXED + e^{-2 i phi} TWIST) / sqrt(2)
-_XI_FIXED = np.diag([1.0, 0.0]).astype(complex)
-_XI_TWIST = np.diag([0.0, 1.0]).astype(complex)
-
-
 def xi_matrix(p) -> CMatrix:
     """The 2x2 matrix intertwining both boosts with their conjugates:
-    Xi Lambda_{R,L} Xi^-1 = Lambda_{R,L}^*; (N, 2, 2) on a batch.
+    Xi Lambda_{R,L} Xi^-1 = Lambda_{R,L}^*; read-only, (N, 2, 2) on a batch.
 
     The intertwiner equation alone leaves a two-parameter family (any
     solution times the commutant of sigma.n), so the solution is pinned to
@@ -199,21 +192,16 @@ def xi_matrix(p) -> CMatrix:
     Xi0 = U* U^dagger with the helicity 2-spinors as the columns of U.  For
     every polar angle that product is diag(e^{i phi}, e^{-i phi}); the
     deterministic normalisation (unit Frobenius norm, first nonzero entry
-    real positive) makes it diag(1, e^{-2 i phi}) / sqrt(2).  Residuals for
-    both boost pairs are asserted for every momentum before returning.
+    real positive) makes it diag(1, e^{-2 i phi}) / sqrt(2).
+
+    Xi is built and asserted once per momentum object and kept with it, like
+    its half-angle frame: the residual for both boost pairs is checked on
+    every row, formed from the boosts' column entries
+    (``kinematics._boost_columns``), and a failing side raises
+    ``AmbiguousIntertwinerError`` naming it.  A slice, a mask or a
+    reflection of a batch is a new object and asserts its own Xi.
     """
-    if np.any(p.p_abs == 0.0):
-        raise DirectionUndefinedError("xi_matrix needs a momentum direction")
-    twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
-    xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
-    # both boosts stacked on an axis of length 2 before the matrix axes
-    lam = np.stack([boost_half(p, "R"), boost_half(p, "L")], axis=-3)
-    failed = (xi_residual(xi[..., None, :, :], lam)
-              > TOLERANCES["intertwiner"] * 2.0 * rownorm(lam, matrix=True))
-    if np.any(failed):
-        side = "R" if np.any(failed[..., 0]) else "L"
-        raise AmbiguousIntertwinerError(2, f"pinned intertwiner failed the {side} pair at p = {p}")
-    return xi
+    return p.xi
 
 
 def xi_residual(xi, lam):
@@ -222,6 +210,24 @@ def xi_residual(xi, lam):
     d_i Lambda_ij - Lambda^*_ij d_j, formed elementwise."""
     d = np.diagonal(xi, axis1=-2, axis2=-1)
     return rownorm(d[..., :, None] * lam - np.conj(lam) * d[..., None, :], matrix=True)
+
+
+# The four transforms as blocks of the unitary xu = sqrt(2) e^{i phi} Xi:
+# x, i x, -i x and -x stand for xu and its multiples, 0 for a zero block.
+_TRANSFORM_BLOCKS = (("x", "0", "0", "x"), ("ix", "0", "0", "-ix"),
+                     ("0", "ix", "ix", "0"), ("0", "x", "-x", "0"))
+# xu's four entries and each multiple's fill slots 0-15 of the gather
+# table, in this order; slot 16 holds the zero of the zero blocks
+_BLOCK_SLOT = {"x": 0, "ix": 4, "-ix": 8, "-x": 12}
+
+
+def _transform_index(quad):
+    entries = np.arange(4).reshape(2, 2)
+    grid = [entries + _BLOCK_SLOT[b] if b != "0" else np.full((2, 2), 16) for b in quad]
+    return np.block([grid[:2], grid[2:]])
+
+
+_TRANSFORM_INDEX = np.array([_transform_index(quad) for quad in _TRANSFORM_BLOCKS])
 
 
 def lambda_basis_transforms(p) -> list[CMatrix]:
@@ -233,18 +239,17 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     Xi is rescaled to its unitary representative and phase-pinned so the
     first transform's coefficient is real positive (the block scale drops out
     of the intertwining relation, but the mapped-family identities fix it).
+    The momentum's cached Xi is read, not rebuilt, and the four matrices are
+    one gather from a table of xu's entries and their multiples by i, -i and
+    -1: the bits of the block forms blocks(xu, 0, 0, xu), ..., zero signs
+    included.
     """
     # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1
     phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
-    xi = math.sqrt(2.0) * phase * xi_matrix(p)
-    z = np.zeros_like(xi)
-
-    return [
-        blocks(xi, z, z, xi),
-        blocks(1j * xi, z, z, -1j * xi),
-        blocks(z, 1j * xi, 1j * xi, z),
-        blocks(z, xi, -xi, z),
-    ]
+    xu = (math.sqrt(2.0) * phase * xi_matrix(p)).reshape(phase.shape[:-2] + (4,))
+    table = np.concatenate([xu, 1j * xu, -1j * xu, -xu, np.zeros_like(xu[..., :1])], axis=-1)
+    out = table.take(_TRANSFORM_INDEX, axis=-1)
+    return [out[..., k, :, :] for k in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elko import operators as ops
 from elko import spinors as sp
+from elko.config import TOLERANCES
 from elko.errors import (
     CoordinateSingularityError,
     DirectionUndefinedError,
     DomainError,
 )
 from elko.kinematics import boost_half, make_momentum, parity_reflect, sample_momenta
-from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, sigma_z, vdot
+from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, rownorm, sigma_z, vdot
 
 
 class TestChargeConjugation:
@@ -223,6 +226,25 @@ class TestXiMatrix:
     def test_rest_rejected(self):
         with pytest.raises(DirectionUndefinedError):
             ops.xi_matrix(make_momentum(0, 0, 0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_m=st.floats(-6.0, 6.0), log_ratio=st.floats(-12.0, 12.0),
+           log_angle=st.floats(-8.0, -2.0), azimuth=st.floats(0.0, 2.0 * math.pi),
+           south=st.booleans())
+    def test_intertwines_near_the_z_axis_over_the_whole_domain(self, log_m, log_ratio, log_angle,
+                                                               azimuth, south):
+        """m in [1e-6, 1e6], |p|/m up to 1e12, directions 1e-8 to 1e-2 rad
+        from +z or -z: Xi is built without raising and intertwines both
+        boosts within the tolerance that xi_matrix asserts."""
+        m, angle = 10.0 ** log_m, 10.0 ** log_angle
+        pabs = m * 10.0 ** log_ratio
+        polar = math.pi - angle if south else angle
+        p = make_momentum(pabs * math.sin(polar) * math.cos(azimuth),
+                          pabs * math.sin(polar) * math.sin(azimuth), pabs * math.cos(polar), m)
+        xi = ops.xi_matrix(p)
+        for side in "RL":
+            lam = boost_half(p, side)
+            assert ops.xi_residual(xi, lam) <= TOLERANCES["intertwiner"] * 2.0 * rownorm(lam, matrix=True)
 
     def test_boost_intertwiner_equation_has_two_dim_solution_space(self):
         # the commutant of sigma.n always contributes a second solution, so

@@ -491,36 +491,139 @@ def test_helicity_frame_is_derived_once_for_every_spinor(monkeypatch, batch):
 
 
 # ---------------------------------------------------------------------------
-# Xi asserted on both boosts in one pass
+# Xi built and asserted once per momentum, from the boost columns
 # ---------------------------------------------------------------------------
+
+def _fresh(p):
+    """A new momentum object with p's components, none of its fields cached."""
+    if isinstance(p, kin.MomentumBatch):
+        return kin.make_momenta(p.px, p.py, p.pz, p.m)
+    return kin.make_momentum(p.px, p.py, p.pz, p.m)
+
+
+def _corrupt_boost(monkeypatch, side, rows=True):
+    """Make the Xi assertion read Lambda + 0.1 sigma_x for the `side` boost,
+    on the rows where `rows` is true, by shifting both off-diagonal column
+    entries."""
+    columns = kin._boost_columns
+
+    def corrupted(p, which):
+        (a, c), (b, d) = columns(p, which)
+        if which != side:
+            return (a, c), (b, d)
+        shift = np.where(rows, 0.1, 0.0)
+        return (a, c + shift), (b + shift, d)
+
+    monkeypatch.setattr(kin, "_boost_columns", corrupted)
+
+
+def _count_boost_columns(monkeypatch):
+    calls = Counter()
+    columns = kin._boost_columns
+
+    def counted(p, which):
+        calls[which] += 1
+        return columns(p, which)
+
+    monkeypatch.setattr(kin, "_boost_columns", counted)
+    return calls
+
 
 @pytest.mark.parametrize("side", ["R", "L"])
 def test_xi_matrix_names_the_failing_boost(monkeypatch, moving, side):
     """A boost that Xi no longer intertwines raises, naming its side; the
     other side still passes."""
-    boost = kin.boost_half
-
-    def corrupted(p, which):
-        lam = boost(p, which)
-        return lam + 0.1 * mat.sigma_x if which == side else lam
-
-    monkeypatch.setattr(ops, "boost_half", corrupted)
-    for p in (moving, moving[4]):
+    _corrupt_boost(monkeypatch, side)
+    for p in (_fresh(moving), _fresh(moving[4])):
         with pytest.raises(AmbiguousIntertwinerError, match=f"failed the {side} pair"):
             ops.xi_matrix(p)
 
 
 def test_xi_matrix_raises_for_one_failing_row(monkeypatch, moving):
-    boost = kin.boost_half
     bad = np.zeros(len(moving), dtype=bool)
     bad[17] = True
-
-    def corrupted(p, which):
-        lam = boost(p, which)
-        return np.where(bad[:, None, None], lam + 0.1 * mat.sigma_x, lam) if which == "L" else lam
-
-    monkeypatch.setattr(ops, "boost_half", corrupted)
+    _corrupt_boost(monkeypatch, "L", bad)
     with pytest.raises(AmbiguousIntertwinerError, match="failed the L pair"):
-        ops.xi_matrix(moving)
-    monkeypatch.setattr(ops, "boost_half", boost)
-    assert ops.xi_matrix(moving).shape == (len(moving), 2, 2)
+        ops.xi_matrix(_fresh(moving))
+    monkeypatch.undo()
+    assert ops.xi_matrix(_fresh(moving)).shape == (len(moving), 2, 2)
+
+
+def test_xi_column_residual_matches_the_dense_products(moving):
+    """The assertion's residual, formed from the boost columns, is
+    xi_residual on the 2x2 boost, and its scale is the boost's norm."""
+    xi = ops.xi_matrix(moving)
+    d = xi[:, 0, 0], xi[:, 1, 1]
+    for side in ("R", "L"):
+        lam = kin.boost_half(moving, side)
+        resid, norm = kin._intertwiner_residual(d, kin._boost_columns(moving, side))
+        assert np.all(np.abs(resid - ops.xi_residual(xi, lam)) <= 1e-15 * norm)
+        assert np.allclose(norm, mat.rownorm(lam, matrix=True), rtol=1e-15, atol=0)
+
+
+def test_xi_is_asserted_once_per_momentum(monkeypatch, moving):
+    calls = _count_boost_columns(monkeypatch)
+    for p in (_fresh(moving[3]), _fresh(moving)):
+        calls.clear()
+        first = ops.xi_matrix(p)
+        assert calls == {"R": 1, "L": 1}
+        second = ops.xi_matrix(p)
+        ops.lambda_basis_transforms(p)
+        assert calls == {"R": 1, "L": 1}
+        assert second is first and second.tobytes() == first.tobytes()
+        assert first.tobytes() == ops.xi_matrix(_fresh(p)).tobytes()
+
+
+def test_xi_is_read_only(moving):
+    for p in (moving[3], moving):
+        xi = ops.xi_matrix(p)
+        with pytest.raises(ValueError):
+            xi[..., 0, 0] = 0.0
+
+
+def test_slices_masks_and_reflections_assert_their_own_xi(monkeypatch, moving):
+    """Each new momentum object builds and asserts Xi itself: once the
+    boost is corrupted, every one raises although its parent's Xi is
+    already cached."""
+    p = _fresh(moving)
+    xi = ops.xi_matrix(p)
+    mask = np.arange(len(p)) % 3 == 0
+    for part, rows in ((p[2:9], slice(2, 9)), (p[mask], mask)):
+        assert ops.xi_matrix(part).tobytes() == np.ascontiguousarray(xi[rows]).tobytes()
+    calls = _count_boost_columns(monkeypatch)
+    for q in (p[2:9], p[mask], kin.parity_reflect(p)):
+        calls.clear()
+        ops.xi_matrix(q)
+        assert calls == {"R": 1, "L": 1}
+    monkeypatch.undo()
+    _corrupt_boost(monkeypatch, "R")
+    assert ops.xi_matrix(p) is xi
+    for q in (p[2:9], p[mask], kin.parity_reflect(p)):
+        with pytest.raises(AmbiguousIntertwinerError, match="failed the R pair"):
+            ops.xi_matrix(q)
+
+
+def _block_transforms(p):
+    """The four transforms as the block forms the gather replaced."""
+    phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
+    xi = math.sqrt(2.0) * phase * ops.xi_matrix(p)
+    z = np.zeros_like(xi)
+    return [mat.blocks(xi, z, z, xi), mat.blocks(1j * xi, z, z, -1j * xi),
+            mat.blocks(z, 1j * xi, 1j * xi, z), mat.blocks(z, xi, -xi, z)]
+
+
+def test_lambda_basis_transforms_keep_the_block_bits(moving):
+    """One gather gives the bits of the block forms, zero signs included, at
+    one momentum and on a batch with rows on the axes (+-z among them)."""
+    axes = [(0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7), (-0.0, -0.0, 3.0, 1.0),
+            (2.0, 0.0, 0.0, 1.0), (-2.0, 0.0, 0.0, 1.0), (0.0, 2.0, 0.0, 1.0),
+            (0.0, -2.0, 0.0, 1.0), (-1.0, -0.0, 0.5, 1.0), (-1.0, 1e-300, 0.0, 1.0)]
+    extra = np.array(axes).T
+    batch = kin.make_momenta(*(np.concatenate([g, e]) for g, e in zip(
+        (moving.px, moving.py, moving.pz, moving.m), extra)))
+    assert np.count_nonzero(batch.p_perp2 == 0.0) >= 4
+    for p in [batch, batch[-len(axes):]] + list(batch[::7]) + list(batch[-len(axes):]):
+        got, want = ops.lambda_basis_transforms(p), _block_transforms(p)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == np.ascontiguousarray(w).tobytes()
