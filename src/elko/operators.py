@@ -212,22 +212,15 @@ def xi_residual(xi, lam):
     return rownorm(d[..., :, None] * lam - np.conj(lam) * d[..., None, :], matrix=True)
 
 
-# The four transforms as blocks of the unitary xu = sqrt(2) e^{i phi} Xi:
-# x, i x, -i x and -x stand for xu and its multiples, 0 for a zero block.
-_TRANSFORM_BLOCKS = (("x", "0", "0", "x"), ("ix", "0", "0", "-ix"),
-                     ("0", "ix", "ix", "0"), ("0", "x", "-x", "0"))
-# xu's four entries and each multiple's fill slots 0-15 of the gather
-# table, in this order; slot 16 holds the zero of the zero blocks
-_BLOCK_SLOT = {"x": 0, "ix": 4, "-ix": 8, "-x": 12}
-
-
-def _transform_index(quad):
-    entries = np.arange(4).reshape(2, 2)
-    grid = [entries + _BLOCK_SLOT[b] if b != "0" else np.full((2, 2), 16) for b in quad]
-    return np.block([grid[:2], grid[2:]])
-
-
-_TRANSFORM_INDEX = np.array([_transform_index(quad) for quad in _TRANSFORM_BLOCKS])
+# Where the four transforms' entries sit in the gather table: slots 0-15
+# hold the entries of xu, i xu, -i xu and -xu (xu = sqrt(2) e^{i phi} Xi,
+# row-major), slot 16 a zero; the blocks are those of the block forms.
+_X, _IX, _MIX, _MX = np.arange(16).reshape(4, 2, 2)
+_ZERO = np.full((2, 2), 16)
+_TRANSFORM_INDEX = np.array([np.block([[_X, _ZERO], [_ZERO, _X]]),
+                             np.block([[_IX, _ZERO], [_ZERO, _MIX]]),
+                             np.block([[_ZERO, _IX], [_IX, _ZERO]]),
+                             np.block([[_ZERO, _X], [_MX, _ZERO]])])
 
 
 def lambda_basis_transforms(p) -> list[CMatrix]:
@@ -239,10 +232,11 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     Xi is rescaled to its unitary representative and phase-pinned so the
     first transform's coefficient is real positive (the block scale drops out
     of the intertwining relation, but the mapped-family identities fix it).
-    The momentum's cached Xi is read, not rebuilt, and the four matrices are
-    one gather from a table of xu's entries and their multiples by i, -i and
-    -1: the bits of the block forms blocks(xu, 0, 0, xu), ..., zero signs
-    included.
+    The momentum's cached Xi is read, not rebuilt.  With xu = sqrt(2)
+    e^{i phi} Xi, the four matrices are one gather from a table of xu's
+    entries and their multiples by i, -i and -1, bit for bit the block forms
+    blocks(xu, 0, 0, xu), blocks(i xu, 0, 0, -i xu), blocks(0, i xu, i xu, 0)
+    and blocks(0, xu, -xu, 0), zero signs included.
     """
     # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1
     phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
