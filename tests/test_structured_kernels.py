@@ -1,7 +1,9 @@
 """Each structured kernel against the dense form it replaces.
 
 A fixed matrix acts on all rows as one product, the intertwiner residual is
-formed from Xi's diagonal, gamma.p is built from its sigma.p blocks and
+formed from Xi's diagonal, Xi is built and asserted once per momentum from
+the boost columns and the lambda-basis transforms are one gather from it,
+gamma.p is built from its sigma.p blocks and
 applied by them, the coupled rows of both indices come from one call, the span residual
 projects by Gram-Schmidt and the spin-1 checks scan every (construction,
 h) pair at once.  Every spin-1/2 spinor is read off its momentum's frame:
