@@ -100,6 +100,14 @@ def physical_state_scale(states):
     return np.max(rownorm(np.array(states)), axis=(0, 1))
 
 
+# The sign columns of the four coupled equations (sectors S, S, A, A): the
+# mass signs, and the kinetic signs (``sector_sign``) under either convention.
+_MASS_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+_KINETIC_SIGNS = {sign: sign * _MASS_SIGNS for sign in (1, -1)}
+# each row's partner among (lambda^S, rho^A, lambda^A, rho^S)
+_PARTNERS = np.array([1, 0, 3, 2])
+
+
 def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
     """The four coupled equations evaluated on the given states, one row
     each: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
@@ -118,8 +126,6 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     (E - sigma.p) psi_R), elementwise over all rows; no 4x4 matrix is
     formed.
     """
-    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
-    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
     psi = np.stack([ls, ra, la, rs], axis=-2)
     ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
     r0, r1, l0, l1 = (psi[..., k] for k in range(4))
@@ -129,9 +135,10 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     eqs[..., 1] = pr * l0 + em * l1
     eqs[..., 2] = em * r0 - pl * r1
     eqs[..., 3] = ep * r1 - pr * r0
-    eqs *= kinetic
-    partners = np.stack([ra, ls, rs, la], axis=-2)
-    partners *= mass   # in place: a batch holds one (N, 4, 4) temporary fewer
+    eqs *= _KINETIC_SIGNS[conv.sign]
+    partners = psi.take(_PARTNERS, axis=-2)
+    # in place: a batch holds one (N, 4, 4) temporary fewer
+    partners *= _MASS_SIGNS * np.asarray(p.m)[..., None, None]
     eqs -= partners
     return eqs
 
@@ -152,7 +159,7 @@ def coupled_system_residual(p, conv: FrequencyConvention):
     momentum.
     """
     eqs = coupled_equations(p, conv, *physical_states(p))
-    return tuple(np.moveaxis(np.max(rownorm(eqs), axis=0), -1, 0))
+    return tuple(rownorm(eqs).max(axis=0).T)
 
 
 def discover_convention(momenta) -> FrequencyConvention:

@@ -121,10 +121,7 @@ class _OnShell:
         return np.array([self.px, self.py, self.pz]).T
 
     def direction(self) -> np.ndarray:
-        p = self.p_abs
-        if np.any(p == 0.0):
-            raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
-        return self.vec / np.asarray(p)[..., None]
+        return np.array(_unit(self)).T
 
 
 @dataclass(frozen=True)
@@ -277,6 +274,15 @@ def half_angles(p):
     return p.half_angles
 
 
+def _unit(p):
+    """The components of p's direction, floats or (N,) arrays; raises at
+    rest."""
+    pabs = p.p_abs
+    if np.count_nonzero(pabs == 0.0):
+        raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
+    return p.px / pabs, p.py / pabs, p.pz / pabs
+
+
 def _half_angles(p):
     pabs = p.p_abs
     at_rest = pabs == 0.0
@@ -379,8 +385,8 @@ def _intertwiner_residual(d, columns):
     """
     (d0, d1), ((a, c), (b, e)) = d, columns
     upper, lower = d0 * b - b.conjugate() * d1, d1 * c - c.conjugate() * d0
-    return (np.sqrt(abs(upper) ** 2 + abs(lower) ** 2),
-            np.sqrt(a * a + e * e + abs(b) ** 2 + abs(c) ** 2))
+    return (_sqrt(abs(upper) ** 2 + abs(lower) ** 2),
+            _sqrt(a * a + e * e + abs(b) ** 2 + abs(c) ** 2))
 
 
 def boost_eigenvalue(p, s: int):

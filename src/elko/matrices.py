@@ -78,8 +78,8 @@ def matvec(a, x) -> CVector:
     """a @ x over any leading batch axes of either operand.  A fixed (k, k)
     matrix acts on all rows of x as one product x @ a.T; a stack of
     matrices acts row by row."""
-    if np.ndim(a) == 2:
-        return x @ np.transpose(a)
+    if a.ndim == 2:
+        return x @ a.T
     return (a @ x[..., None])[..., 0]
 
 

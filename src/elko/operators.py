@@ -34,18 +34,8 @@ from .errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from .kinematics import _sqrt, parity_reflect, sample_momenta
-from .matrices import (
-    CMatrix,
-    block_diag2,
-    gamma0,
-    gamma2,
-    gamma5,
-    matrix2,
-    matvec,
-    pauli_dot,
-    rownorm,
-)
+from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
+from .matrices import CMatrix, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
 from .spinors import PhaseConfig, dirac_components, lambda_components
 
 
@@ -67,9 +57,7 @@ class SymmetryOperator:
         """Act on explicit components (one vector or (N, n) rows); a
         reflecting operator requires the caller to have evaluated them at
         the reflected momentum already."""
-        x = np.asarray(components, dtype=complex)
-        if self.antilinear:
-            x = np.conj(x)
+        x = np.conj(components) if self.antilinear else components
         return self.phase * matvec(self.matrix, x)
 
     def apply_state(self, state, p) -> np.ndarray:
@@ -122,22 +110,41 @@ def chirality() -> SymmetryOperator:
 
 
 def helicity_operator(p) -> SymmetryOperator:
-    """h = (1/2) diag(sigma.n, sigma.n); spectrum {+1/2, +1/2, -1/2, -1/2}."""
-    n = p.direction()
-    sn = pauli_dot(n)
-    return SymmetryOperator(0.5 * block_diag2(sn, sn))
+    """h = (1/2) diag(sigma.n, sigma.n); spectrum {+1/2, +1/2, -1/2, -1/2}.
+    One gather from the entries of sigma.n, then one product with 1/2."""
+    return SymmetryOperator(0.5 * _sigma_n_entries(p).take(_DOUBLED_INDEX, axis=-1))
 
 
 def chiral_helicity_operator(p) -> SymmetryOperator:
-    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n)."""
-    n = p.direction()
-    sn = pauli_dot(n)
-    return SymmetryOperator(-0.5 * block_diag2(sn, -sn))
+    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n); one gather from the
+    entries of sigma.n and their negatives, then one product with -1/2."""
+    entries = _sigma_n_entries(p)
+    signed = np.concatenate([entries, -entries], axis=-1)
+    return SymmetryOperator(-0.5 * signed.take(_CHIRAL_INDEX, axis=-1))
+
+
+# Slots 0-3 hold the entries of sigma.n (row-major), 4 a zero, 5-8 the
+# negated entries.  The gathered matrix is scaled by one numpy product, whose
+# fused multiply-add keeps the bits of the old block_diag2 forms, zero signs
+# included; Python's complex product, entry by entry, would not.
+_DOUBLED_INDEX = np.array([[0, 1, 4, 4], [2, 3, 4, 4], [4, 4, 0, 1], [4, 4, 2, 3]])
+_CHIRAL_INDEX = np.array([[0, 1, 4, 4], [2, 3, 4, 4], [4, 4, 5, 6], [4, 4, 7, 8]])
+
+
+def _sigma_n_entries(p):
+    """(n_z, n_x - i n_y, n_x + i n_y, -n_z, 0): (5,), or (N, 5) on a batch."""
+    x, y, z = _unit(p)
+    return np.array([z, x - 1j * y, x + 1j * y, -z, 0.0 * abs(z)], dtype=complex).T
 
 
 # ---------------------------------------------------------------------------
 # the unitary chain connecting helicity, chirality and chiral helicity
 # ---------------------------------------------------------------------------
+
+_TINY = np.finfo(float).tiny
+# slots 0-2 hold the block's entries s, r p_l and -r p_r, slot 3 a zero
+_U1_INDEX = np.array([[0, 1, 3, 3], [2, 0, 3, 3], [3, 3, 0, 1], [3, 3, 2, 0]])
+
 
 def u1(p) -> CMatrix:
     """Block-doubled rotation diagonalising sigma.n, normalised to det 1;
@@ -148,20 +155,26 @@ def u1(p) -> CMatrix:
     |p| + pz is formed as p_perp^2 / (|p| - pz), which does not cancel.
     Momentum on the -z axis hits the coordinate singularity and is rejected;
     so is momentum where p_perp^2, |p|+pz or cos^2(theta/2) is subnormal.
+    Both guards count elementwise comparisons and the matrix is one gather
+    from (s, r p_l, -r p_r, 0): one body for floats and (N,) arrays.
     """
-    pabs = p.p_abs
-    if np.any(pabs == 0.0):
+    pabs, pz = p.p_abs, p.pz
+    if np.count_nonzero(pabs == 0.0):
         raise DirectionUndefinedError("u1 needs a momentum direction")
-    far = pabs + abs(p.pz)
-    denom = np.where(p.pz < 0, p.p_perp2 / far, far)
+    far, below = pabs + abs(pz), pz < 0
+    # np.where(below, p_perp^2 / far, far) in plain arithmetic, so that one
+    # momentum stays in Python floats; both are >= +0, so the zero term adds exactly
+    denom = p.p_perp2 / far * below + far * (1 - below)
     cos2 = denom / (2.0 * pabs)
-    if np.any((p.pz < 0) & (np.min([p.p_perp2, denom, cos2], axis=0) < np.finfo(float).tiny)):
+    if np.count_nonzero(below & ((p.p_perp2 < _TINY) | (denom < _TINY) | (cos2 < _TINY))):
         raise CoordinateSingularityError(
             f"momentum along -z (|p|+pz = {np.min(denom):.3e}); rotate the frame first")
     s = _sqrt(cos2)
     r = s / denom
-    block = matrix2(s, r * p.p_l, -r * p.p_r, s)
-    return block_diag2(block, block)
+    # numpy's complex product, which fuses its multiply-add, unlike Python's
+    upper, lower = np.multiply((r, -r), (p.p_l, p.p_r))
+    table = np.array([s, upper, lower, 0.0 * s], dtype=complex)   # s >= 0: 0 s = +0
+    return table.T.take(_U1_INDEX, axis=-1)
 
 
 def u2() -> CMatrix:

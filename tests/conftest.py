@@ -6,6 +6,17 @@ import pytest
 from elko import make_momentum
 
 
+def assert_same_bits(got, want):
+    """Equal shapes, equal values and equal signs of every real and
+    imaginary part, zeros included: ``elko eval`` prints a negative zero.
+    Test modules import it from here."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

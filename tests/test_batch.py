@@ -2,9 +2,11 @@
 
 Every scalar factory is the N = 1 call of the same kernel body, so a batch
 of N momenta must reproduce the N scalar calls: exactly for the fixed-axis
-closed forms and the boosts (the same real arithmetic in the same order),
-and to 1e-15 relative for the helicity forms, whose trigonometric and
-exponential ufuncs may round differently on arrays and on scalars.
+closed forms, the boosts, u1 and the helicity operators (the same real
+arithmetic in the same order; the operators down to their zero signs), and
+to 1e-15 relative for the helicity forms, Xi and the transforms, whose
+trigonometric and exponential ufuncs may round differently on arrays and on
+scalars.
 """
 
 import math
@@ -21,6 +23,8 @@ from elko import spinors as sp
 from elko.errors import DimensionError, DomainError
 from elko.matrices import theta_half
 from elko.suite import RunContext
+
+from conftest import assert_same_bits
 
 N = 1000
 HELICITY_RTOL = 1e-15
@@ -87,11 +91,16 @@ class TestSpinorKernels:
 
 
 class TestOperatorKernels:
+    @pytest.mark.parametrize("kernel", [ops.u1, lambda p: ops.helicity_operator(p).matrix,
+                                        lambda p: ops.chiral_helicity_operator(p).matrix],
+                             ids=["u1", "helicity", "chiral-helicity"])
+    def test_square_root_operators_bit_identical(self, batch, rows, kernel):
+        """Square roots, divisions and numpy products only, no exp or trig:
+        each row is its N = 1 call, values and zero signs."""
+        assert_same_bits(kernel(batch), [kernel(p) for p in rows])
+
     def test_momentum_dependent_operators(self, batch, rows):
-        _rows_close(ops.u1(batch), [ops.u1(p) for p in rows], HELICITY_RTOL)
         _rows_close(ops.xi_matrix(batch), [ops.xi_matrix(p) for p in rows], HELICITY_RTOL)
-        _rows_close(ops.helicity_operator(batch).matrix,
-                    [ops.helicity_operator(p).matrix for p in rows], HELICITY_RTOL)
         scalar = [ops.lambda_basis_transforms(p) for p in rows]
         for k, t in enumerate(ops.lambda_basis_transforms(batch)):
             _rows_close(t, [ts[k] for ts in scalar], HELICITY_RTOL)

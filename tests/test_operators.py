@@ -15,8 +15,12 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import boost_half, make_momentum, parity_reflect, sample_momenta
-from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, rownorm, sigma_z, vdot
+from elko.kinematics import (_sqrt, boost_half, make_momenta, make_momentum, parity_reflect,
+                             sample_momenta)
+from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot, rownorm,
+                           sigma_z, vdot)
+
+from conftest import assert_same_bits
 
 
 class TestChargeConjugation:
@@ -202,6 +206,105 @@ class TestUnitaryChain:
             ops.u1(make_momentum(0, 0, -2, 1.0))
         with pytest.raises(DirectionUndefinedError):
             ops.u1(make_momentum(0, 0, 0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the numpy forms of u1, direction() and the helicity operators, frozen
+# ---------------------------------------------------------------------------
+#
+# The operators now build their 4x4 matrices from their entries and guard
+# with np.count_nonzero; these are the np.any guards, matrix2 and
+# block_diag2 they replaced, kept as the reference for which momenta raise
+# and for the bits of what returns.
+
+def _frozen_direction(p):
+    pabs = p.p_abs
+    if np.any(pabs == 0.0):
+        raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
+    return p.vec / np.asarray(pabs)[..., None]
+
+
+def _frozen_u1(p):
+    pabs = p.p_abs
+    if np.any(pabs == 0.0):
+        raise DirectionUndefinedError("u1 needs a momentum direction")
+    far = pabs + abs(p.pz)
+    denom = np.where(p.pz < 0, p.p_perp2 / far, far)
+    cos2 = denom / (2.0 * pabs)
+    if np.any((p.pz < 0) & (np.min([p.p_perp2, denom, cos2], axis=0) < np.finfo(float).tiny)):
+        raise CoordinateSingularityError("momentum along -z")
+    s = _sqrt(cos2)
+    r = s / denom
+    block = matrix2(s, r * p.p_l, -r * p.p_r, s)
+    return block_diag2(block, block)
+
+
+def _frozen_helicity(p):
+    sn = pauli_dot(_frozen_direction(p))
+    return 0.5 * block_diag2(sn, sn)
+
+
+def _frozen_chiral_helicity(p):
+    sn = pauli_dot(_frozen_direction(p))
+    return -0.5 * block_diag2(sn, -sn)
+
+
+_FROZEN = {
+    "u1": (_frozen_u1, ops.u1),
+    "direction": (_frozen_direction, lambda p: p.direction()),
+    "helicity": (_frozen_helicity, lambda p: ops.helicity_operator(p).matrix),
+    "chiral-helicity": (_frozen_chiral_helicity,
+                        lambda p: ops.chiral_helicity_operator(p).matrix),
+}
+
+
+def _guard_rows(edge_rows):
+    """(px, py, pz, m): pi - theta from 1 rad down through the subnormal
+    band to the axis, in half decades at three magnitudes and two
+    azimuths, then the exact -z axis (both zero signs), rest, the domain's
+    edge rows and rows of signed zeros, the smallest subnormal, 1e-160 and
+    1.5, where a product that underflows shows how it was rounded and
+    p_perp^2 is subnormal off the -z half-space."""
+    rows = []
+    for pabs, phi, k in itertools.product((1e-150, 3.0, 1e150), (0.4, 2.9), range(661)):
+        offset = 10.0 ** (-k / 2)
+        rows.append((pabs * math.sin(offset) * math.cos(phi),
+                     pabs * math.sin(offset) * math.sin(phi), -pabs * math.cos(offset), 1.0))
+    rows += [(0.0, 0.0, -2.0, 1.0), (-0.0, -0.0, -2.0, 1.0), (0.0, 0.0, 0.0, 1.0)]
+    components = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 1.5, -1.5)
+    rows += [(*vec, 1.0) for vec in itertools.product(components, repeat=3)]
+    return rows + list(edge_rows)
+
+
+def _outcome(kernel, p):
+    try:
+        return kernel(p)
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", list(_FROZEN))
+def test_guards_and_bits_match_the_frozen_numpy_forms(edge_rows, name):
+    """Each row raises the same exception class as the frozen form, or
+    returns its bits, zero signs included; a batch of all rows raises as
+    the frozen form does, and the batch of the rows that return matches
+    the frozen form on it bit for bit."""
+    frozen, live = _FROZEN[name]
+    rows = _guard_rows(edge_rows)
+    returned = []
+    for row in rows:
+        p = make_momentum(*row)
+        want, got = _outcome(frozen, p), _outcome(live, p)
+        if isinstance(want, type):
+            assert got is want, row
+        else:
+            assert_same_bits(got, want)
+            returned.append(row)
+    assert 0 < len(returned) < len(rows)
+    everything = make_momenta(*np.array(rows).T)
+    assert _outcome(live, everything) is _outcome(frozen, everything)
+    moving = make_momenta(*np.array(returned).T)
+    assert_same_bits(live(moving), frozen(moving))
 
 
 class TestXiMatrix:

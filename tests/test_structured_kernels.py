@@ -31,6 +31,8 @@ from elko import suite
 from elko.errors import AmbiguousIntertwinerError
 from elko.suite import run_suite
 
+from conftest import assert_same_bits
+
 
 @pytest.fixture(scope="module")
 def batch(edge_rows):
@@ -110,8 +112,7 @@ def test_dirac_matrix_is_the_four_gamma_sum_bit_for_bit(batch):
     for p in (generic, generic[0], kin.make_momentum(0.3, -0.4, 0.5, 1.0)):
         blocks = dyn.dirac_matrix(p)
         dense = _four_gamma_sum(p.E, p.px, p.py, p.pz)
-        assert blocks.shape == dense.shape
-        assert np.array_equal(blocks.view(np.uint64), dense.view(np.uint64))
+        assert_same_bits(blocks, dense)
     # on the axes a component is exactly 0 and only the sign of a zero
     # entry may differ
     assert np.array_equal(dyn.dirac_matrix(batch), _four_gamma_sum(batch.E, *batch.vec.T))
@@ -359,16 +360,6 @@ _SPINORS = [(family, kind, index, basis) for (family, kind), index, basis
 _PHASES = sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta2=-2.3)
 
 
-def _assert_same_bits(got, want):
-    """Equal values and equal signs of every real and imaginary part, zeros
-    included: ``elko eval`` prints a negative zero."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-
-
 def _assert_close(got, want, rel=4e-16):
     """Per spinor, within rel of the largest component."""
     scale = np.max(np.abs(want), axis=-1, keepdims=True)
@@ -387,9 +378,9 @@ def test_spinor_keeps_its_bits_at_default_phases(batch, family, kind, index, bas
     rows = []
     for row in batch:
         rows.append(_frozen_components(family, row, kind, index, basis, cfg))
-        _assert_same_bits(_live_components(family, row, kind, index, basis, cfg), rows[-1])
+        assert_same_bits(_live_components(family, row, kind, index, basis, cfg), rows[-1])
     live = _live_components(family, batch, kind, index, basis, cfg)
-    _assert_same_bits(live, np.array(rows))
+    assert_same_bits(live, np.array(rows))
     assert np.array_equal(live, _frozen_components(family, batch, kind, index, basis, cfg))
 
 
@@ -407,9 +398,9 @@ def test_dirac_columns_are_the_boost_columns(batch):
     for p in (batch, *batch):
         for side in ("R", "L"):
             frozen = _frozen_boost_half(p, side)
-            _assert_same_bits(kin.boost_half(p, side), frozen)
+            assert_same_bits(kin.boost_half(p, side), frozen)
             for j, column in enumerate(kin._boost_columns(p, side)):
-                _assert_same_bits(mat.vector(*column), frozen[..., j])
+                assert_same_bits(mat.vector(*column), frozen[..., j])
 
 
 def _helicity_pieces(p, h, zeta, cfg):
@@ -430,7 +421,7 @@ def test_helicity_pair_and_its_wigner_image(batch, h, zeta):
     compared where they become spinor parts, in the rest spinor below."""
     for p in (*batch, batch):
         (f, image), (frozen_f, frozen_image) = _helicity_pieces(p, h, zeta, sp.PhaseConfig())
-        _assert_same_bits(f, frozen_f)
+        assert_same_bits(f, frozen_f)
         assert np.array_equal(image, frozen_image)
         for got, want in zip(*_helicity_pieces(p, h, zeta, _PHASES)):
             _assert_close(got, want)
@@ -446,7 +437,7 @@ def test_helicity_rest_spinor(batch, family, kind):
             if cfg == _PHASES:
                 _assert_close(got, want)
             elif isinstance(p, kin.FourMomentum):
-                _assert_same_bits(got, want)
+                assert_same_bits(got, want)
             else:
                 assert np.array_equal(got, want)
 
@@ -456,7 +447,7 @@ def test_physical_states_are_the_per_state_quartets(batch):
         states, frozen = dyn.physical_states(p), _frozen_physical_states(p)
         assert len(states) == len(frozen) == 4
         for got, want in zip(states, frozen):
-            _assert_same_bits(got, want)
+            assert_same_bits(got, want)
 
 
 def test_physical_states_are_one_gather(monkeypatch, batch):

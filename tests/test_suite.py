@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -7,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elko import make_momentum, suite
+from elko import TOLERANCES, make_momentum, suite
+from elko import dynamics as dyn
+from elko import operators as ops
+from elko import spinors as sp
 from elko.dynamics import FrequencyConvention
 from elko.errors import UsageError
 from elko.kinematics import as_batch
+from elko.matrices import gamma5
 from elko.spinors import BASES
 from elko.suite import (
     SUITE_NAMES,
@@ -219,13 +224,44 @@ _NUMPY_2_ONLY = ("vecdot", "matvec", "vecmat", "unstack", "permute_dims", "conca
 _NUMPY_2_ONLY_LINALG = ("vecdot", "matrix_norm", "vector_norm", "matrix_transpose")
 
 
-def test_suite_runs_without_numpy_2_functions(monkeypatch):
+@pytest.fixture
+def numpy_floor(monkeypatch):
+    """numpy with the names it gained in 2.x deleted."""
     for name in _NUMPY_2_ONLY:
         monkeypatch.delattr(np, name, raising=False)
     for name in _NUMPY_2_ONLY_LINALG:
         monkeypatch.delattr(np.linalg, name, raising=False)
+
+
+def test_suite_runs_without_numpy_2_functions(numpy_floor):
     report = run_suite("all", seed=1, samples=20)
     assert report.summary == {"total": 60, "passed": 60, "failed": 0}
+
+
+def test_one_momentum_request_runs_without_numpy_2_functions(numpy_floor):
+    """The scalar paths of one point-eval request at a fresh momentum, so
+    its frame is derived under the floor too: all 24 spinor factories, C on
+    each lambda and rho, Xi, the transforms, u1, both helicity operators
+    and the coupled residual."""
+    p = make_momentum(0.3, -0.4, 0.5, 1.2)
+    tol = TOLERANCES["identity"]
+    c_op = ops.charge_conjugation()
+    for factory, kind, index, basis in itertools.product(
+            (sp.lambda_spinor, sp.rho_spinor), ("S", "A"), sp.INDICES, BASES):
+        v = factory(p, kind, index, basis).components
+        sign = 1.0 if kind == "S" else -1.0
+        assert np.linalg.norm(c_op.apply(v) - sign * v) <= tol * np.linalg.norm(v)
+    dirac = [sp.dirac_spinor(p, sign, index, basis).components for sign, index, basis
+             in itertools.product(("particle", "antiparticle"), sp.INDICES, BASES)]
+    assert np.all(np.isfinite(dirac)) and len(dirac) == 8
+    assert ops.xi_matrix(p).shape == (2, 2)
+    assert [t.shape for t in ops.lambda_basis_transforms(p)] == [(4, 4)] * 4
+    u = ops.u1(p)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(4)) <= tol
+    h = ops.helicity_operator(p).matrix
+    assert np.linalg.norm(h @ h - 0.25 * np.eye(4)) <= tol
+    assert np.array_equal(ops.chiral_helicity_operator(p).matrix, -gamma5 @ h)
+    assert max(dyn.coupled_system_residual(p, FrequencyConvention(1))) <= tol
 
 
 def test_no_drift_from_pre_batch_report():
