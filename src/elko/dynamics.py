@@ -23,8 +23,7 @@ from .errors import DomainError
 from .kinematics import as_batch
 from .matrices import blocks, gamma5, matrix2, matvec, rownorm
 from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
-                      boosted_patterns, dirac_components, lambda_components, pattern_gather,
-                      rho_components)
+                      boosted_patterns, dirac_components, pattern_gather)
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,6 @@ def dirac_matrix(p) -> np.ndarray:
     return slash(p.E, p.px, p.py, p.pz)
 
 
-def physical_quartet(p, index: str):
-    """(lambda^S, rho^A, lambda^A, rho^S) at one index: (4,) components at
-    one momentum, (N, 4) rows on a batch."""
-    return (lambda_components(p, "S", index), rho_components(p, "A", index),
-            lambda_components(p, "A", index), rho_components(p, "S", index))
-
-
 _PHYSICAL_GATHER = pattern_gather(
     [[patterns[kind, index] for index in INDICES]
      for patterns, kind in ((REST_LAMBDA_PATTERNS, "S"), (REST_RHO_PATTERNS, "A"),
@@ -89,7 +81,8 @@ def physical_states(p):
     lambda^A, rho^S), each state with the indices up and down stacked on a
     leading axis of length 2, so (2, 4) at one momentum and (2, N, 4) on a
     batch.  All eight are one gather from the spinorial pattern table, the
-    same entries ``physical_quartet`` reads one state at a time."""
+    same entries the spinorial ``lambda_components`` and ``rho_components``
+    read one state at a time."""
     # row-major copies: the rows stacked from them keep a contiguous layout
     return tuple(np.ascontiguousarray(states) for states in boosted_patterns(p, _PHYSICAL_GATHER))
 

@@ -333,14 +333,14 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
 
     q = sample_momenta(np.random.default_rng(seed), n_momenta)
     reflected = parity_reflect(q)   # C P and P C both reflect the momentum once
-    commute = 0.0
-    anticommute = 0.0
+    rows = []   # per state: |CP x - PC x| and |CP x + PC x| relative to |x|
     for state in _family_states(basis, family, cfg):
         x = state(reflected)
         a, b = cp.apply(x), pc.apply(x)
         scale = np.maximum(rownorm(state(q)), 1e-300)
-        commute = max(commute, float(np.max(rownorm(a - b) / scale, initial=0.0)))
-        anticommute = max(anticommute, float(np.max(rownorm(a + b) / scale, initial=0.0)))
+        rows.append([rownorm(a - b) / scale, rownorm(a + b) / scale])
+    # one reduction over every row: a NaN row gives NaN, which classifies as neither
+    commute, anticommute = np.max(rows, axis=(0, 2), initial=0.0).tolist()
 
     tol = TOLERANCES["identity"]
     if commute <= tol:

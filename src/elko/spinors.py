@@ -236,12 +236,6 @@ def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarra
     return _dressed(pair, h, column(np.exp(1j * (theta1 if h > 0 else theta2))))
 
 
-def helicity_components_at(p, h: int, theta1: float = 0.0, theta2: float = 0.0) -> np.ndarray:
-    """The sigma.p-hat eigen-2-spinor of p's direction ((1, 0) / (0, -1) at
-    rest), read off the momentum's ``helicity_pair``; (N, 2) on a batch."""
-    return _dressed(p.helicity_pair, h, np.exp(1j * (theta1 if h > 0 else theta2)))
-
-
 def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
     """The unitary connecting the two helicity 2-spinors; (2, 2) for float
     angles, (N, 2, 2) for (N,) arrays.

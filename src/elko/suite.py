@@ -6,8 +6,9 @@ A suite run seeds each check's draws by the run seed and the check's id,
 executes every check, and assembles a ``VerificationReport`` whose JSON
 serialisation is byte-stable for a fixed (suite, seed, samples).  Checks
 evaluate their identity as whole-array residuals over a ``MomentumBatch``
-and report the largest (for floors, the smallest) row.  A check that raises
-is reported with status ``error`` and counts as failed.
+and return the rows; ``CheckSpec.reduce`` takes the largest entry (for
+floors, the smallest), and a NaN entry gives a NaN residual, which fails.
+A check that raises is reported with status ``error`` and counts as failed.
 """
 
 from __future__ import annotations
@@ -81,8 +82,17 @@ class CheckSpec:
     anchor: str
     tolerance: float
     expectation: str                     # vanish | exceed-floor | classify
-    run: Callable[[RunContext], tuple]   # ctx -> (residual, constants)
+    run: Callable[[RunContext], tuple]   # ctx -> (rows, constants), one call per check
     expected_relation: str | None = None
+
+    def reduce(self, rows) -> float:
+        """The residual of the check's rows (arrays or scalars): the largest
+        entry, or the smallest for a floor; 0.0 (+inf for a floor) without
+        entries.  NaN anywhere gives NaN."""
+        fold, empty = ((np.minimum, math.inf) if self.expectation == "exceed-floor"
+                       else (np.maximum, 0.0))
+        return float(fold.reduce([fold.reduce(r, axis=None, initial=empty) for r in rows],
+                                 initial=empty))
 
     def passes(self, residual: float, constants: dict) -> bool:
         if self.expectation == "vanish":
@@ -143,15 +153,17 @@ def suite_checks(name: str):
 
 def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish",
           relation: str | None = None, **params):
-    """Register the decorated measurement as one row of the suite named by
-    the id's prefix.  It is called as ``fn(ctx, key, **params)`` and returns
-    (residual, constants); ``key`` is the id, which names the random stream
-    it draws from.  ``ctx.rng(key)`` and ``ctx.momenta(key)`` start from the
-    same bits, so a check that draws parameters beside its momenta draws
-    them from a derived key such as ``key + "-angles"``.  ``tol`` is a key
-    of ``TOLERANCES``; ``relation`` is the
-    expected relation of a ``classify`` row.  Rows stacked on one
-    measurement differ in their ``params``."""
+    """Register the decorated measurement as one check of the suite named
+    by the id's prefix.  It is called as ``fn(ctx, key, **params)`` and
+    returns (rows, constants): a list of residual rows (arrays or scalars;
+    a 0/1 row for a condition that must hold) for ``CheckSpec.reduce``, and
+    a dict of measured constants.  ``key`` is the id, which names the random
+    stream it draws from.  ``ctx.rng(key)`` and ``ctx.momenta(key)`` start
+    from the same bits, so a check that draws parameters beside its momenta
+    draws them from a derived key such as ``key + "-angles"``.  ``tol`` is a
+    key of ``TOLERANCES``; ``relation`` is the expected relation of a
+    ``classify`` check.  Checks stacked on one measurement differ in their
+    ``params``."""
     def register(fn):
         # anti-drift guard: ids and anchors are nonempty and unique across the board
         if not anchor or any(s.id == id_ or s.anchor == anchor for s in suite_checks("all")):
@@ -182,10 +194,6 @@ def _norm(x):
 def _rel(r, v):
     """Row norms of r relative to those of v."""
     return _norm(r) / _norm(v)
-
-
-def _max(*rows) -> float:
-    return max(float(np.max(r, initial=0.0)) for r in rows)
 
 
 def _unit(v):
@@ -233,7 +241,7 @@ _FAMILIES = ((sp.rest_lambda, sp.lambda_components, sp.REST_LAMBDA_PATTERNS),
        "rho family", family=sp.rho_components, kind="A")
 def _conjugacy(ctx, key, family, kind):
     sign = 1 if kind == "S" else -1
-    worst = 0.0
+    rows = []
     momenta = ctx.momenta(key)
     rng = ctx.rng(key + "-phases")
     thetas = [0.0, math.pi / 2, math.pi, float(rng.uniform(0, 2 * math.pi))]
@@ -242,24 +250,22 @@ def _conjugacy(ctx, key, family, kind):
         for theta_c in thetas:
             c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
             expected = sign * cmath.exp(1j * theta_c)
-            worst = max(worst, _max(_rel(c_op.apply(v) - expected * v, v)))
-    return worst, {"eigenvalue-sign": sign}
+            rows.append(_rel(c_op.apply(v) - expected * v, v))
+    return rows, {"eigenvalue-sign": sign}
 
 
 @check("spin-half.rest-forms", "rest-frame lambda/rho components equal the exact 0/+-1/+-i "
        "patterns times sqrt(m/2)")
 def _rest_forms(ctx, key):
-    return max(float(np.linalg.norm(
-        rest(kind, index, m).components - math.sqrt(m / 2.0) * pattern))
-        for m, (rest, _, patterns) in itertools.product((0.5, 1.0, 2.0, 8.0), _FAMILIES)
-        for (kind, index), pattern in patterns.items()), {}
+    return [np.linalg.norm(rest(kind, index, m).components - math.sqrt(m / 2.0) * pattern)
+            for m, (rest, _, patterns) in itertools.product((0.5, 1.0, 2.0, 8.0), _FAMILIES)
+            for (kind, index), pattern in patterns.items()], {}
 
 
 @check("spin-half.boost-consistency", "block-diagonal half boosts applied to the rest spinors "
        "reproduce the closed-form boosted family with global phase exactly one")
 def _boost_consistency(ctx, key):
-    worst = 0.0
-    phases = []
+    rows, phases = [], []
     momenta = ctx.momenta(key)
     b = kin.boost_half_pair(momenta)
     scale = mat.column(np.sqrt(momenta.m / 2.0))
@@ -269,20 +275,18 @@ def _boost_consistency(ctx, key):
         closed = closed_fn(momenta, kind, index)
         phase = mat.vdot(closed, boosted) / mat.vdot(closed, closed)
         phases.append(phase)
-        worst = max(worst, _max(_norm(boosted - mat.column(phase) * closed),
-                                np.abs(np.abs(phase) - 1.0)))
+        rows += [_norm(boosted - mat.column(phase) * closed), np.abs(np.abs(phase) - 1.0)]
     mean_phase = complex(np.mean(phases))
-    return max(worst, abs(mean_phase - 1.0)), {"global-phase": _c(mean_phase)}
+    return rows + [abs(mean_phase - 1.0)], {"global-phase": _c(mean_phase)}
 
 
 @check("spin-half.rest-limit", "closed-form spinors at |p| <= 1e-8 m agree with the rest forms",
        "rest_limit")
 def _rest_limit(ctx, key):
     near_rest = [kin.make_momentum(0.4e-8 * m, -0.6e-8 * m, 0.3e-8 * m, m) for m in (0.5, 1.0, 3.0)]
-    return max(float(np.linalg.norm(
-        components(p, kind, index) - rest(kind, index, p.m).components))
-        for p, kind, index, (rest, components, _) in itertools.product(
-            near_rest, sp.KINDS_SELF, sp.INDICES, _FAMILIES)), {}
+    return [np.linalg.norm(components(p, kind, index) - rest(kind, index, p.m).components)
+            for p, kind, index, (rest, components, _) in itertools.product(
+                near_rest, sp.KINDS_SELF, sp.INDICES, _FAMILIES)], {}
 
 
 # Space-inversion phases of the fixed-axis family: lambda^S picks +i on
@@ -299,7 +303,7 @@ def _parity_spinorial(ctx, key):
     rows = [_norm(mat.matvec(mat.gamma0, sp.lambda_components(pr, kind, src))
                   - coeff * sp.lambda_components(momenta, kind, dst))
             for kind, src, dst, coeff in _PARITY_MAP]
-    return _max(*rows), {"coefficients": [_c(c) for *_, c in _PARITY_MAP]}
+    return rows, {"coefficients": [_c(c) for *_, c in _PARITY_MAP]}
 
 
 def _angles_and_phases(ctx, key):
@@ -315,10 +319,10 @@ def _parity_helicity(ctx, key):
     fp, fm = (sp.helicity_components(th, ph, h, t1, t2) for h in (1, -1))
     rfp, rfm = (sp.helicity_components(math.pi - th, math.pi + ph, h, t1, t2) for h in (1, -1))
     wrfp, wrfm = (mat.matvec(mat.theta_half, np.conj(f)) for f in (rfp, rfm))
-    return _max(_norm(rfm - (-1j) * mat.column(np.exp(1j * (t2 - t1))) * fp),
-                _norm(rfp - (-1j) * mat.column(np.exp(1j * (t1 - t2))) * fm),
-                _norm(wrfm - (-1j) * mat.column(np.exp(-2j * t2)) * fm),
-                _norm(wrfp - (1j) * mat.column(np.exp(-2j * t1)) * fp)), {}
+    return [_norm(rfm - (-1j) * mat.column(np.exp(1j * (t2 - t1))) * fp),
+            _norm(rfp - (-1j) * mat.column(np.exp(1j * (t1 - t2))) * fm),
+            _norm(wrfm - (-1j) * mat.column(np.exp(-2j * t2)) * fm),
+            _norm(wrfp - (1j) * mat.column(np.exp(-2j * t1)) * fp)], {}
 
 
 @check("spin-half.index-flip-unitary", "the unitary connection maps the up helicity 2-spinor "
@@ -328,25 +332,24 @@ def _index_flip_unitary(ctx, key):
     up = sp.helicity_components(th, ph, 1, theta1=al)
     down = sp.helicity_components(th, ph, -1, theta2=be)
     u = sp.index_flip_unitary(ph, al, be)
-    return _max(_norm(mat.matvec(u, up) - down), _norm(mat.matvec(mat.adjoint(u), down) - up),
-                _norm(u @ mat.adjoint(u) - np.eye(2))), {}
+    return [_norm(mat.matvec(u, up) - down), _norm(mat.matvec(mat.adjoint(u), down) - up),
+            _norm(u @ mat.adjoint(u) - np.eye(2))], {}
 
 
 @check("spin-half.helicity-noneigen", "no lambda spinor is a helicity eigenstate at generic "
        "momentum", "floor", "exceed-floor")
 def _helicity_noneigen(ctx, key):
-    best = math.inf
+    rows = []
     momenta = _moving(ctx.momenta(key))
     h_op = ops.helicity_operator(momenta)
     # the fixed-axis family only counts off the coordinate planes
     generic = np.all(np.abs(momenta.vec) > 1e-9, axis=-1)
-    for (basis, rows), k, i in itertools.product(
+    for (basis, counted), k, i in itertools.product(
             (("helicity", slice(None)), ("spinorial", generic)), sp.KINDS_SELF, sp.INDICES):
         v = _unit(sp.lambda_components(momenta, k, i, basis))
         hv = h_op.apply(v)
-        r = _norm(hv - mat.column(mat.vdot(v, hv)) * v)[rows]
-        best = min(best, float(np.min(r, initial=math.inf)))
-    return best, {}
+        rows.append(_norm(hv - mat.column(mat.vdot(v, hv)) * v)[counted])
+    return rows, {}
 
 
 @check("spin-half.chiral-helicity-eigen", "every helicity-family lambda/rho spinor is a "
@@ -359,7 +362,7 @@ def _chiral_helicity_eigen(ctx, key):
             sp.INDICES, zip(("lambda", "rho"), _FAMILIES)):
         v = _unit(components(momenta, "S", index, "helicity"))
         rows.append(_norm(eta.apply(v) - 0.5 * sp.chiral_helicity_sign(family, index) * v))
-    return _max(*rows), {"lambda-up": 0.5, "rho-up": -0.5}
+    return rows, {"lambda-up": 0.5, "rho-up": -0.5}
 
 
 @check("spin-half.dirac-eigen", "particle/antiparticle spinors solve their first-order "
@@ -373,7 +376,7 @@ def _dirac_eigen(ctx, key):
         u = sp.dirac_components(momenta, "particle", index, basis)
         v = sp.dirac_components(momenta, "antiparticle", index, basis)
         rows += [_rel(mat.matvec(gp, u) - m * u, u), _rel(mat.matvec(gp, v) + m * v, v)]
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("spin-half.bar-norms", "invariant pairings: lambda self-pairings vanish, Dirac norms "
@@ -385,10 +388,10 @@ def _bar_norms(ctx, key):
     u = sp.dirac_components(momenta, "particle", "up")
     v = sp.dirac_components(momenta, "antiparticle", "down")
     cross = sp.bar_product(lu, ld) / m
-    worst = _max(np.abs(sp.bar_product(lu, lu)) / m, np.abs(sp.bar_product(u, u) - 2 * m) / m,
-                 np.abs(sp.bar_product(v, v) + 2 * m) / m, np.abs(np.abs(cross) - 1.0))
     mean_cross = complex(np.mean(cross))
-    return max(worst, abs(mean_cross - (-1j))), {"lambda-cross-phase": _c(mean_cross)}
+    return [np.abs(sp.bar_product(lu, lu)) / m, np.abs(sp.bar_product(u, u) - 2 * m) / m,
+            np.abs(sp.bar_product(v, v) + 2 * m) / m, np.abs(np.abs(cross) - 1.0),
+            abs(mean_cross - (-1j))], {"lambda-cross-phase": _c(mean_cross)}
 
 
 @check("symmetry.c-squared", "charge conjugation squares to +1 on four-spinors for every "
@@ -400,7 +403,7 @@ def _c_squared(ctx, key):
         c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
         v = _gaussian(rng, 8, 4)
         rows.append(_rel(c_op.compose(c_op).apply(v) - v, v))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("symmetry.c-chirality-anticommute", "charge conjugation anticommutes with chirality "
@@ -408,7 +411,7 @@ def _c_squared(ctx, key):
 def _c_chirality_anticommute(ctx, key):
     c_op, g5_op = ops.charge_conjugation(), ops.chirality()
     v = _gaussian(ctx.rng(key), max(8, ctx.samples), 4)
-    return _max(_rel(c_op.compose(g5_op).apply(v) + g5_op.compose(c_op).apply(v), v)), {}
+    return [_rel(c_op.compose(g5_op).apply(v) + g5_op.compose(c_op).apply(v), v)], {}
 
 
 def _span_residual(basis, x):
@@ -433,8 +436,8 @@ def _c_maps_dirac(ctx, key):
     momenta = ctx.momenta(key)
     us, vs = ([sp.dirac_components(momenta, sign, i) for i in sp.INDICES]
               for sign in ("particle", "antiparticle"))
-    return _max(_span_residual(np.stack(vs, axis=-1), c_op.apply(np.stack(us))),
-                _span_residual(np.stack(us, axis=-1), c_op.apply(np.stack(vs)))), {}
+    return [_span_residual(np.stack(vs, axis=-1), c_op.apply(np.stack(us))),
+            _span_residual(np.stack(us, axis=-1), c_op.apply(np.stack(vs)))], {}
 
 
 @check("symmetry.parity-dirac", "space inversion fixes particle spinors, negates antiparticle "
@@ -450,7 +453,7 @@ def _parity_dirac(ctx, key):
         state = functools.partial(sp.dirac_components, sign=sign, index=index)
         x = state(momenta)
         rows.append(_rel(op.apply_state(state, momenta) - eigenvalue * x, x))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("symmetry.parity-involution", "momentum reflection is an exact involution and maps the "
@@ -458,9 +461,9 @@ def _parity_dirac(ctx, key):
 def _parity_involution(ctx, key):
     p = ctx.momenta(key)
     q = kin.parity_reflect(kin.parity_reflect(p))
-    worst = _max(np.abs(q.vec - p.vec), np.abs(q.E - p.E))
     r = kin.AngularParams(math.pi / 3, math.pi / 4).reflected()
-    return max(worst, abs(r.theta - 2 * math.pi / 3), abs(r.phi - 5 * math.pi / 4)), {}
+    return [np.abs(q.vec - p.vec), np.abs(q.E - p.E),
+            abs(r.theta - 2 * math.pi / 3), abs(r.phi - 5 * math.pi / 4)], {}
 
 
 @check("symmetry.helicity-spectrum", "the helicity operator has eigenvalues "
@@ -468,7 +471,7 @@ def _parity_involution(ctx, key):
 def _helicity_spectrum(ctx, key):
     momenta = _moving(ctx.momenta(key))
     eigs = np.sort(np.linalg.eigvalsh(ops.helicity_operator(momenta).matrix), axis=-1)
-    return _max(_norm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))), {}
+    return [_norm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))], {}
 
 
 @check("symmetry.helicity-parity-anticommute", "helicity anticommutes with space inversion on "
@@ -483,16 +486,15 @@ def _helicity_parity_anticommute(ctx, key):
         x = sp.lambda_components(pr, kind, index, "helicity")
         rows.append(_rel(mat.matvec(h_here, mat.matvec(mat.gamma0, x))
                          + mat.matvec(mat.gamma0, mat.matvec(h_there, x)), x))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("symmetry.chain-determinants", "the diagonalising rotation has determinant +1 and the "
        "two permutations have determinant -1")
 def _chain_determinants(ctx, key):
     u = ops.u1(_moving(ctx.momenta(key)))
-    worst = _max(np.abs(np.linalg.det(u) - 1.0))
-    worst = max(worst, abs(mat.det(ops.u2()) + 1.0), abs(mat.det(ops.u3()) + 1.0))
-    return worst, {"det-u1": 1.0, "det-u2": -1.0, "det-u3": -1.0}
+    return ([np.abs(np.linalg.det(u) - 1.0), abs(mat.det(ops.u2()) + 1.0),
+             abs(mat.det(ops.u3()) + 1.0)], {"det-u1": 1.0, "det-u2": -1.0, "det-u3": -1.0})
 
 
 @check("symmetry.chain-unitarity", "all three basis-rotation matrices are unitary after "
@@ -500,9 +502,8 @@ def _chain_determinants(ctx, key):
 def _chain_unitarity(ctx, key):
     eye = np.eye(4)
     u = ops.u1(_moving(ctx.momenta(key)))
-    worst = _max(_norm(u @ mat.adjoint(u) - eye))
-    return max(worst, *(float(np.linalg.norm(u @ u.conj().T - eye))
-                        for u in (ops.u2(), ops.u3()))), {}
+    return [_norm(u @ mat.adjoint(u) - eye),
+            *(np.linalg.norm(u @ u.conj().T - eye) for u in (ops.u2(), ops.u3()))], {}
 
 
 @check("symmetry.chain-helicity", "conjugating helicity by the rotation diagonalises it, and "
@@ -512,8 +513,8 @@ def _chain_helicity(ctx, key):
     momenta = _moving(ctx.momenta(key))
     u = ops.u1(momenta)
     conj1 = u @ ops.helicity_operator(momenta).matrix @ np.linalg.inv(u)
-    return _max(_norm(conj1 - target_half),
-                _norm(ops.u3() @ conj1 @ np.linalg.inv(ops.u3()) - 0.5 * mat.gamma5)), {}
+    return [_norm(conj1 - target_half),
+            _norm(ops.u3() @ conj1 @ np.linalg.inv(ops.u3()) - 0.5 * mat.gamma5)], {}
 
 
 @check("symmetry.chain-chiral-helicity", "conjugating the doubled sigma.n by the rotation and "
@@ -523,7 +524,7 @@ def _chain_chiral_helicity(ctx, key):
     sn = mat.pauli_dot(momenta.direction())
     u = ops.u1(momenta)
     conj1 = u @ mat.block_diag2(sn, -sn) @ np.linalg.inv(u)
-    return _max(_norm(ops.u2() @ conj1 @ ops.u2().conj().T - mat.gamma5)), {}
+    return [_norm(ops.u2() @ conj1 @ ops.u2().conj().T - mat.gamma5)], {}
 
 
 @check("symmetry.xi-intertwines", "the 2x2 conjugation intertwiner relates both half boosts to "
@@ -534,14 +535,14 @@ def _xi_intertwines(ctx, key):
     rows = [np.abs(_norm(xi) - 1.0)]
     for lam in (kin.boost_half(momenta, side) for side in ("R", "L")):
         rows.append(ops.xi_residual(xi, lam) / (2.0 * _norm(lam)))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("symmetry.lambda-transforms", "the four block transforms built from the intertwiner map "
        "the self-conjugate lambdas onto conj-anti, -i conj-self, i gamma0 conj-anti, gamma0 "
        "conj-self")
 def _lambda_transforms(ctx, key):
-    worst = 0.0
+    rows = []
     coeffs = [[], [], [], []]
     momenta = _moving(ctx.momenta(key))
     transforms = ops.lambda_basis_transforms(momenta)
@@ -553,11 +554,10 @@ def _lambda_transforms(ctx, key):
             img = mat.matvec(t, ls)
             c = mat.vdot(target, img) / mat.vdot(target, target)
             coeffs[k].append(c)
-            worst = max(worst, _max(_rel(img - mat.column(c) * target, ls),
-                                    np.abs(np.abs(c) - 1.0)))
+            rows += [_rel(img - mat.column(c) * target, ls), np.abs(np.abs(c) - 1.0)]
     consts = {f"coefficient-{k+1}": _c(complex(np.mean(cs))) for k, cs in enumerate(coeffs)}
     # coefficient pattern (c, -ic, ic, c) with c real positive
-    return max(worst, abs(complex(np.mean(coeffs[0])) - 1.0)), consts
+    return rows + [abs(complex(np.mean(coeffs[0])) - 1.0)], consts
 
 
 @check("symmetry.lambda-transform-conjugacy", "the four block transforms keep their images "
@@ -568,14 +568,14 @@ def _lambda_transform_conjugacy(ctx, key):
     transforms = ops.lambda_basis_transforms(momenta)
     images = [mat.matvec(t, ls) for ls in (sp.lambda_components(momenta, "S", index, "helicity")
                                            for index in sp.INDICES) for t in transforms]
-    return _max(*(_rel(c_op.apply(img) - img, img) for img in images)), {}
+    return [_rel(c_op.apply(img) - img, img) for img in images], {}
 
 
 @check("symmetry.lambda-transform-involution", "the first block transform composed with its "
        "conjugate is the identity")
 def _lambda_transform_involution(ctx, key):
     t1 = ops.lambda_basis_transforms(_moving(ctx.momenta(key)))[0]
-    return _max(_norm(t1 @ np.conj(t1) - np.eye(4))), {}
+    return [_norm(t1 @ np.conj(t1) - np.eye(4))], {}
 
 
 @check("symmetry.chiral-gauge-unitary", "the axial phase transforms are unitary and reduce to "
@@ -583,8 +583,8 @@ def _lambda_transform_involution(ctx, key):
 def _chiral_gauge_unitary(ctx, key):
     alphas = ctx.rng(key).uniform(0, 2 * math.pi, 20)
     gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")]
-    return max(float(np.linalg.norm(ops.chiral_gauge_transform(0.0, "lambda") - np.eye(4))),
-               _max(*(_norm(g @ mat.adjoint(g) - np.eye(4)) for g in gauges))), {}
+    return [np.linalg.norm(ops.chiral_gauge_transform(0.0, "lambda") - np.eye(4)),
+            *(_norm(g @ mat.adjoint(g) - np.eye(4)) for g in gauges)], {}
 
 
 @check("symmetry.chiral-gauge-conjugacy", "axial phase transforms preserve self/anti-self "
@@ -600,7 +600,7 @@ def _chiral_gauge_conjugacy(ctx, key):
         for index in sp.INDICES:
             v = mat.matvec(gauge, components(momenta, kind, index)).reshape(-1, 4)
             rows.append(_rel(c_op.apply(v) - sign * v, v))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("symmetry.su2-closure", "the doublet phase transforms close under composition "
@@ -614,8 +614,8 @@ def _su2_closure(ctx, key):
     # generic closure: products stay unitary with unit-modulus determinant
     k = max(10, ctx.samples // 5)
     prod = _su2_elements(rng, k) @ _su2_elements(rng, k)
-    return _max(_norm(za @ zb - zab), _norm(prod @ mat.adjoint(prod) - np.eye(2)),
-                np.abs(np.abs(np.linalg.det(prod)) - 1.0)), {}
+    return [_norm(za @ zb - zab), _norm(prod @ mat.adjoint(prod) - np.eye(2)),
+            np.abs(np.abs(np.linalg.det(prod)) - 1.0)], {}
 
 
 @check("symmetry.cp-dirac", "conjugation and inversion anticommute on particle/antiparticle "
@@ -625,8 +625,8 @@ def _cp_dirac(ctx, key):
     constants = {"relation": res.relation,
                  "commute-residual": round(res.commute_residual, 6),
                  "anticommute-residual": round(res.anticommute_residual, 9)}
-    separated = min(res.commute_residual, 1.0) > TOLERANCES["floor"]
-    return (res.anticommute_residual if separated else 1.0), constants
+    separated = res.commute_residual > TOLERANCES["floor"]
+    return [res.anticommute_residual, float(not separated)], constants
 
 
 @check("symmetry.cp-elko", "conjugation and inversion commute on the self/anti-self conjugate "
@@ -637,7 +637,7 @@ def _cp_elko(ctx, key):
     constants = {"relation": res.relation,
                  "commute-residual": round(res.commute_residual, 9),
                  "anticommute-residual": round(res.anticommute_residual, 6)}
-    residual = res.commute_residual
+    rows = [res.commute_residual]
     # measured inversion images (i gamma0 R) lambda^S_h = -+ i lambda^A_h
     p = ctx.momenta(key + "-image", n=1)[0]
     if p.p_abs > 0:
@@ -647,10 +647,10 @@ def _cp_elko(ctx, key):
             img = 1j * mat.gamma0 @ sp.helicity_lambda_at(
                 pr, "S", h, math.pi - a.theta, math.pi + a.phi)
             tgt = coeff * sp.helicity_lambda_at(p, "A", h, a.theta, a.phi)
-            residual = max(residual, float(np.linalg.norm(img - tgt)) / np.linalg.norm(img))
+            rows.append(np.linalg.norm(img - tgt) / np.linalg.norm(img))
             constants[f"image-coefficient-{index}"] = _c(coeff)
-    separated = min(res.anticommute_residual, 1.0) > TOLERANCES["floor"]
-    return (residual if separated else 1.0), constants
+    separated = res.anticommute_residual > TOLERANCES["floor"]
+    return rows + [float(not separated)], constants
 
 
 @check("symmetry.composition-associativity", "operator composition is associative and the "
@@ -660,7 +660,7 @@ def _composition_associativity(ctx, key):
     pool = [ops.charge_conjugation(), ops.parity_operator(), ops.chirality(),
             ops.SymmetryOperator(ops.chiral_gauge_transform(0.7, "lambda")),
             ops.charge_conjugation(sp.PhaseConfig(theta_c=1.1))]
-    worst = 0.0
+    rows = []
     momenta = ctx.momenta(key, n=min(ctx.samples, 3))
     state = functools.partial(sp.lambda_components, kind="S", index="up")
     for triple in rng.integers(0, len(pool), (12, 3)):
@@ -668,12 +668,12 @@ def _composition_associativity(ctx, key):
         left = a.compose(b).compose(c)
         right = a.compose(b.compose(c))
         images = [op.apply_state(state, momenta) for op in (left, right)]
-        worst = max(worst, float(np.linalg.norm(left.matrix - right.matrix)),
-                    abs(left.phase - right.phase), _max(_norm(images[0] - images[1])))
-        if left.antilinear != right.antilinear or left.reflects_momentum != right.reflects_momentum:
-            worst = 1.0
+        rows += [np.linalg.norm(left.matrix - right.matrix), abs(left.phase - right.phase),
+                 _norm(images[0] - images[1]),
+                 float(left.antilinear != right.antilinear
+                       or left.reflects_momentum != right.reflects_momentum)]
     # antilinear composed with antilinear is linear
-    return (1.0 if pool[0].compose(pool[4]).antilinear else worst), {}
+    return rows + [float(pool[0].compose(pool[4]).antilinear)], {}
 
 
 @check(_CONVENTION, "exactly one plane-wave frequency assignment solves all four coupled "
@@ -682,15 +682,15 @@ def _convention(ctx, key):
     conv = ctx.convention()
     # stability: rediscover on a fresh batch
     other = dyn.discover_convention(ctx.momenta(key + "-probe", n=4))
-    residual = 0.0 if (ctx.force_convention is not None or other.sign == conv.sign) else 1.0
-    return residual, {"sign": "+" if conv.sign > 0 else "-"}
+    stable = ctx.force_convention is not None or other.sign == conv.sign
+    return [float(not stable)], {"sign": "+" if conv.sign > 0 else "-"}
 
 
 @check("dynamics.coupled-system", "all four coupled first-order equations vanish under the "
        "discovered convention at every sampled momentum")
 def _coupled(ctx, key):
     conv = ctx.convention()
-    return _max(*dyn.coupled_system_residual(ctx.momenta(key), conv)), {}
+    return list(dyn.coupled_system_residual(ctx.momenta(key), conv)), {}
 
 
 @check("dynamics.wrong-convention", "flipping the frequency assignment leaves a residual above "
@@ -700,8 +700,7 @@ def _wrong_convention(ctx, key):
     momenta = ctx.momenta(key)
     states = dyn.physical_states(momenta)
     scale = momenta.m * dyn.physical_state_scale(states)
-    per_row = dyn.worst_coupled_residual(momenta, wrong, states) / scale
-    return float(np.min(per_row, initial=math.inf)), {}
+    return [dyn.worst_coupled_residual(momenta, wrong, states) / scale], {}
 
 
 @check("dynamics.clifford-square", "the momentum-space kinetic matrix squares to m^2")
@@ -709,7 +708,7 @@ def _clifford_square(ctx, key):
     momenta = ctx.momenta(key)
     gp = dyn.dirac_matrix(momenta)
     m2 = momenta.m ** 2
-    return _max(_norm(gp @ gp - m2[:, None, None] * np.eye(4)) / m2), {}
+    return [_norm(gp @ gp - m2[:, None, None] * np.eye(4)) / m2], {}
 
 
 @check("dynamics.markov", "sum/difference superpositions of opposite-mass-sign solutions "
@@ -728,10 +727,10 @@ def _markov(ctx, key):
     psi2 = mat.matvec(basis[..., 2:], w[2:].T)
     before = _norm(psi1) ** 2 + _norm(psi2) ** 2
     after = _norm(chi) ** 2 + _norm(eta) ** 2
-    return _max(_norm(mat.matvec(gp, chi) - m * eta) / scale,
-                _norm(mat.matvec(gp, eta) - m * chi) / scale,
-                _span_residual(basis, np.stack([chi, eta])),
-                np.abs(before - after) / before), {}
+    return [_norm(mat.matvec(gp, chi) - m * eta) / scale,
+            _norm(mat.matvec(gp, eta) - m * chi) / scale,
+            _span_residual(basis, np.stack([chi, eta])),
+            np.abs(before - after) / before], {}
 
 
 @check("dynamics.sen-gupta-dirac-limit", "the two-mass operator reduces to the standard one at "
@@ -739,7 +738,7 @@ def _markov(ctx, key):
 def _sen_gupta_dirac_limit(ctx, key):
     momenta = ctx.momenta(key, n=min(ctx.samples, 25))
     u = sp.dirac_components(momenta, "particle", "up")
-    return _max(dyn.sen_gupta_residual(momenta, momenta.m, 0.0, u) / _norm(u)), {}
+    return [dyn.sen_gupta_residual(momenta, momenta.m, 0.0, u) / _norm(u)], {}
 
 
 @check("dynamics.sen-gupta-null-dim", "on the generalised shell p^2 = m1^2 - m2^2 the two-mass "
@@ -752,9 +751,9 @@ def _sen_gupta_null_dim(ctx, key):
     e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec))
     nulls = [dyn.sen_gupta_null_space(*row) for row in zip(e, *vec.T, m1, m2)]
     if any(len(null) != 2 for null in nulls):
-        return 1.0, {"null-dimension": 2}
+        return [1.0], {"null-dimension": 2}
     op = dyn.sen_gupta_operator(e, *vec.T, m1, m2)
-    return _max(_norm(mat.matvec(op[:, None], np.array(nulls)))), {"null-dimension": 2}
+    return [_norm(mat.matvec(op[:, None], np.array(nulls)))], {"null-dimension": 2}
 
 
 @check("dynamics.sen-gupta-off-shell", "off the generalised shell the two-mass operator has an "
@@ -764,7 +763,7 @@ def _sen_gupta_off_shell(ctx, key):
     m1, m2 = 2.0, 1.0
     vec = rng.normal(size=(10, 3))
     e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec)) * rng.uniform(1.1, 2.0, 10)
-    return max(float(len(dyn.sen_gupta_null_space(*row, m1, m2))) for row in zip(e, *vec.T)), {}
+    return [len(dyn.sen_gupta_null_space(*row, m1, m2)) for row in zip(e, *vec.T)], {}
 
 
 @check("dynamics.sen-gupta-equivalence", "the axial equivalence transform carries two-mass "
@@ -780,7 +779,7 @@ def _sen_gupta_equivalence(ctx, key):
     dirac = dyn.slash(e, *vec.T) - mu[:, None, None] * np.eye(4)
     mapped = [mat.matvec(inv, np.reshape(dyn.sen_gupta_null_space(*row), (-1, 4)))
               for inv, row in zip(inverse, zip(e, *vec.T, m1, m2))]
-    return _max(*(_rel(mat.matvec(d, x), x) for d, x in zip(dirac, mapped))), {}
+    return [_rel(mat.matvec(d, x), x) for d, x in zip(dirac, mapped)], {}
 
 
 @check("dynamics.sen-gupta-massless", "with vanishing scalar mass the null vectors are not "
@@ -793,15 +792,15 @@ def _sen_gupta_massless(ctx, key):
     e = np.sqrt(pabs ** 2 - m2 ** 2)
     sn = mat.pauli_dot(vec)
     chiral_h = mat.block_diag2(sn, -sn)
-    best = math.inf
+    rows = []
     for row, h in zip(zip(e, *(pabs * vec.T), np.zeros(10), m2), chiral_h):
         null = dyn.sen_gupta_null_space(*row)
         if not null:
-            return 0.0, {"note": "no null vectors found"}
+            return [0.0], {"note": "no null vectors found"}
         v = _unit(np.array(null))
         av = mat.matvec(h, v)
-        best = min(best, float(np.min(_norm(av - mat.column(mat.vdot(v, av)) * v))))
-    return best, {}
+        rows.append(_norm(av - mat.column(mat.vdot(v, av)) * v))
+    return rows, {}
 
 
 @check("dynamics.eight-component", "the eight-component operator annihilates both stacks, its "
@@ -815,8 +814,8 @@ def _eight_component(ctx, key):
     # their 4x4 blocks keep the batch free of 8x8 arrays
     anti = mat.gamma5 @ gp + gp @ mat.gamma5
     square = math.sqrt(2.0) * float(np.linalg.norm(mat.gamma5 @ mat.gamma5 - np.eye(4)))
-    return max(square, _max(dyn.eight_component_residual(momenta, conv),
-                            math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E))), {}
+    return [square, dyn.eight_component_residual(momenta, conv),
+            math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E)], {}
 
 
 @check("dynamics.eight-gauge", "axial gauge transforms map eight-component solutions to "
@@ -828,13 +827,12 @@ def _eight_gauge(ctx, key):
     # G_lambda on the lambda block and G_rho on the rho block of each stack
     gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")] * 2
     rows = []
-    for index in sp.INDICES:
-        quartet = dyn.physical_quartet(momenta, index)
+    for quartet in zip(*dyn.physical_states(momenta)):   # index up, then down
         eqs = dyn.coupled_equations(momenta, conv,
                                     *(mat.matvec(g, x) for g, x in zip(gauges, quartet)))
         # rows 0-1 and 2-3 of each (4, 4) block are the two stacks' equations
         rows.append(_norm(eqs.reshape(-1, 8)))
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("dynamics.mass-term-chiral", "the mass pairing is invariant under axial phase "
@@ -842,7 +840,7 @@ def _eight_gauge(ctx, key):
 def _mass_term_chiral(ctx, key):
     rng = ctx.rng(key + "-fields")
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
-    quartet = dyn.physical_quartet(momenta, "up")
+    quartet = [states[0] for states in dyn.physical_states(momenta)]   # index up
     base_phys = dyn.lagrangian_mass_term(*quartet, momenta.m)
     # (5, n): five angles and four random fields per momentum
     alphas = rng.uniform(0, 2 * math.pi, (5, len(momenta)))
@@ -851,9 +849,9 @@ def _mass_term_chiral(ctx, key):
     before = dyn.lagrangian_mass_term(*fields, momenta.m)
     after = dyn.lagrangian_mass_term(*map(mat.matvec, gauges, fields), momenta.m)
     moved = dyn.lagrangian_mass_term(*map(mat.matvec, gauges, quartet), momenta.m)
-    physical = _max(np.abs(base_phys))
-    return max(physical, _max(np.abs(before - after) / np.maximum(1.0, np.abs(before)),
-                              np.abs(moved - base_phys))), {"physical-value": round(physical, 12)}
+    physical = np.abs(base_phys)
+    return ([physical, np.abs(before - after) / np.maximum(1.0, np.abs(before)),
+             np.abs(moved - base_phys)], {"physical-value": round(float(np.max(physical)), 12)})
 
 
 @check("dynamics.mass-term-su2", "the doublet mass pairing is invariant under common SU(2) "
@@ -867,28 +865,28 @@ def _mass_term_su2(ctx, key):
     before = dyn.doublet_mass_term((d0, d1), (r0, r1), m)
     after = dyn.doublet_mass_term(dyn.rotate_doublet(u, (d0, d1)),
                                   dyn.rotate_doublet(u, (r0, r1)), m)
-    return _max(np.abs(before - after) / np.maximum(1.0, np.abs(before))), {}
+    return [np.abs(before - after) / np.maximum(1.0, np.abs(before))], {}
 
 
 @check("dynamics.mass-term-real", "the mass pairing is real for arbitrary field configurations")
 def _mass_term_real(ctx, key):
     values = dyn.lagrangian_mass_term(*_gaussian(ctx.rng(key), 4 * 20, 4).reshape(4, 20, 4), 1.7)
-    return _max(np.abs(values.imag) / np.maximum(1.0, np.abs(values))), {}
+    return [np.abs(values.imag) / np.maximum(1.0, np.abs(values))], {}
 
 
 @check("spin-one.wigner-property", "the 3x3 Wigner matrix is real orthogonal symmetric, squares "
        "to +1 and conjugates every generator to minus its conjugate", "tight")
 def _wigner_one(ctx, key):
     th = s1.wigner_theta_one()
-    return max(float(np.linalg.norm(x)) for x in (
+    return [np.linalg.norm(x) for x in (
         th.imag, th - th.T, th @ th.conj().T - np.eye(3), th @ th - np.eye(3),
-        *(th @ j @ np.linalg.inv(th) + np.conj(j) for j in mat.SPIN1_J))), {}
+        *(th @ j @ np.linalg.inv(th) + np.conj(j) for j in mat.SPIN1_J))], {}
 
 
-def _square_residual(rng, op, sign: float) -> float:
-    """Largest |op(op(v)) - sign v| / |v| over 8 random six-vectors."""
+def _square_residual(rng, op, sign: float):
+    """|op(op(v)) - sign v| / |v| for 8 random six-vectors, (8,)."""
     v = _gaussian(rng, 8, 6)
-    return _max(_rel(op.apply(op.apply(v)) - sign * v, v))
+    return _rel(op.apply(op.apply(v)) - sign * v, v)
 
 
 @check("spin-one.c-squared-minus-one", "the six-component conjugation squares to -1 for every "
@@ -896,23 +894,23 @@ def _square_residual(rng, op, sign: float) -> float:
 def _sc_squared(ctx, key):
     rng = ctx.rng(key)
     phases = (0.0, math.pi / 2, float(rng.uniform(0, 2 * math.pi)))
-    return max(_square_residual(rng, s1.sc_one(phase), -1.0) for phase in phases), {}
+    return [_square_residual(rng, s1.sc_one(phase), -1.0) for phase in phases], {}
 
 
 @check("spin-one.block-swap-squared", "the linear block swap squares to +1 at zero phase",
        "tight")
 def _ss_squared(ctx, key):
-    return _square_residual(ctx.rng(key), s1.ss_one(), 1.0), {}
+    return [_square_residual(ctx.rng(key), s1.ss_one(), 1.0)], {}
 
 
 @check("spin-one.twist-squared", "the chirality-twisted conjugation squares to +1 and the "
        "chirality matrix anticommutes with the conjugation block", "tight")
 def _g5sc_squared(ctx, key):
     rng = ctx.rng(key)
-    worst = max(_square_residual(rng, s1.gamma5_sc_one(phase), 1.0) for phase in (0.0, 0.9))
+    rows = [_square_residual(rng, s1.gamma5_sc_one(phase), 1.0) for phase in (0.0, 0.9)]
     # Gamma5 anticommutes with the conjugation block
     cm, g5 = s1.sc_one().matrix, s1.gamma5_one()
-    return max(worst, float(np.linalg.norm(g5 @ cm + cm @ g5))), {}
+    return rows + [np.linalg.norm(g5 @ cm + cm @ g5)], {}
 
 
 _CONSTRUCTIONS = tuple(itertools.product(("lambda", "rho"), (1, 0, -1)))
@@ -935,13 +933,13 @@ def _scans(ctx, key, rest_mass, n, op):
 def _zeta_minima(ctx, key):
     zeta, residual = _scans(ctx, key, 1.3, 8, s1.gamma5_sc_one())
     target = np.array([[1.0], [-1.0]])   # self, anti
-    return _max(residual, np.abs(zeta - target)), {"zeta-self": 1.0, "zeta-anti": -1.0}
+    return [residual, np.abs(zeta - target)], {"zeta-self": 1.0, "zeta-anti": -1.0}
 
 
 @check("spin-one.bare-conjugacy-floor", "no unit-circle zeta makes a six-spinor self or "
        "anti-self conjugate under the bare conjugation", "floor", "exceed-floor")
 def _bare_conjugacy_floor(ctx, key):
-    return float(np.min(_scans(ctx, key, 0.9, 20, s1.sc_one())[1])), {}
+    return [_scans(ctx, key, 0.9, 20, s1.sc_one())[1]], {}
 
 
 @check("spin-one.zeta-boost-persistence", "the rest-frame zeta values keep solving the twisted "
@@ -958,7 +956,7 @@ def _zeta_boost_persistence(ctx, key):
         x = mat.matvec(boost, np.concatenate([zero, f], axis=-1))
         y = mat.matvec(boost, np.concatenate([np.conj(f) @ mat.theta_one.T, zero], axis=-1))
         rows += [_rel(op.apply(v) - zeta * v, v) for zeta, v in ((1.0, x + y), (-1.0, x - y))]
-    return _max(*rows), {}
+    return rows, {}
 
 
 @check("spin-one.scan-phase-covariance", "shifting the conjugation phase rotates the optimal "
@@ -967,8 +965,8 @@ def _scan_phase_covariance(ctx, key):
     p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
     scans = [(phase, s1.spin1_conjugacy_scan(p, "g5sc", "lambda", 1, op_phase=phase).self_minimum)
              for phase in (0.7, 2.1)]
-    return max(max(abs(best.zeta - cmath.exp(1j * phase)), best.residual)
-               for phase, best in scans), {"optimal-zeta-rotation": "e^(i phase)"}
+    return ([abs(best.zeta - cmath.exp(1j * phase)) for phase, best in scans]
+            + [best.residual for _, best in scans], {"optimal-zeta-rotation": "e^(i phase)"})
 
 
 @check("spin-one.boost-closed-form", "the closed-form spin-1 boost equals its 20-term "
@@ -988,7 +986,7 @@ def _boost_one_closed_form(ctx, key):
         term = term @ arg / (order + 1)
     for k in range(np.max(halvings, initial=0)):
         series = np.where((k < halvings)[:, None, None], series @ series, series)
-    return _max(_norm(series - kin.boost_one(momenta, "R"))), {}
+    return [_norm(series - kin.boost_one(momenta, "R"))], {}
 
 
 @check("spin-one.boost-z-eigen", "a z boost with E/m = 2 acts diagonally with factors "
@@ -997,8 +995,8 @@ def _boost_one_z_eigen(ctx, key):
     p = kin.make_momentum(0, 0, math.sqrt(3.0), 1.0)  # E/m = 2
     target = np.diag([2 + math.sqrt(3.0), 1.0, 2 - math.sqrt(3.0)]).astype(complex)
     rest = kin.make_momentum(0, 0, 0, 2.0)
-    return max(float(np.linalg.norm(kin.boost_one(p, "R") - target)),
-               float(np.linalg.norm(kin.boost_one(rest, "R") - np.eye(3)))), {}
+    return [np.linalg.norm(kin.boost_one(p, "R") - target),
+            np.linalg.norm(kin.boost_one(rest, "R") - np.eye(3))], {}
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +1017,8 @@ def run_suite(name: str, seed: int, samples: int,
     outcomes = []
     for spec in sorted(checks, key=lambda c: c.id):
         try:
-            residual, constants = spec.run(ctx)
+            rows, constants = spec.run(ctx)
+            residual = spec.reduce(rows)
             status = "pass" if spec.passes(residual, constants) else "fail"
         except Exception as exc:  # one broken check must not stop the run
             residual, status = math.nan, "error"

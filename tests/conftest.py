@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elko import make_momentum
+from elko import spinors as sp
 
 
 def assert_same_bits(got, want):
@@ -36,6 +37,25 @@ def random_momenta(rng):
         return out
 
     return sample
+
+
+@pytest.fixture
+def nan_lambda_anti(monkeypatch):
+    """NaN in the first row of every batched lambda^A spinor.  Patched at
+    ``spinors._components``, the kernel every lambda factory calls, because
+    the suite's conjugacy checks hold ``lambda_components`` itself from
+    registration.  Arithmetic on the NaN row warns, so callers run under
+    ``np.errstate(invalid="ignore", divide="ignore")``."""
+    real = sp._components
+
+    def nan_row(family, p, kind, index, basis, cfg):
+        out = real(family, p, kind, index, basis, cfg)
+        if family == "lambda" and kind == "A" and out.ndim == 2:
+            out = out.copy()
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(sp, "_components", nan_row)
 
 
 @pytest.fixture(scope="session")

@@ -227,8 +227,8 @@ class TestEightComponent:
         conv = dyn.FrequencyConvention(1)
         for p in random_momenta(5):
             gauges = [chiral_gauge_transform(0.7, f) for f in ("lambda", "rho")] * 2
-            for index in ("up", "down"):
-                states = (g @ x for g, x in zip(gauges, dyn.physical_quartet(p, index)))
+            for quartet in zip(*dyn.physical_states(p)):   # index up, then down
+                states = (g @ x for g, x in zip(gauges, quartet))
                 assert np.linalg.norm(dyn.coupled_equations(p, conv, *states)) <= 1e-12
 
     def test_rows_are_the_eight_by_eight_operator_on_the_stacks(self, random_momenta):
@@ -238,8 +238,7 @@ class TestEightComponent:
             conv = dyn.FrequencyConvention(sign)
             for p in random_momenta(5):
                 gp = dyn.dirac_matrix(p)
-                for index in ("up", "down"):
-                    ls, ra, la, rs = dyn.physical_quartet(p, index)
+                for ls, ra, la, rs in zip(*dyn.physical_states(p)):
                     eqs = dyn.coupled_equations(p, conv, ls, ra, la, rs)
                     for rows, stack, sector, mass in ((eqs[:2], (ls, ra), "S", 1.0),
                                                       (eqs[2:], (la, rs), "A", -1.0)):
@@ -256,8 +255,8 @@ class TestEightComponent:
         for sign in (1, -1):
             conv = dyn.FrequencyConvention(sign)
             pair_norms = []
-            for index in ("up", "down"):
-                eqs = dyn.coupled_equations(batch, conv, *dyn.physical_quartet(batch, index))
+            for quartet in zip(*dyn.physical_states(batch)):
+                eqs = dyn.coupled_equations(batch, conv, *quartet)
                 pair_norms += [rownorm(np.concatenate([eqs[:, k], eqs[:, k + 1]], axis=-1))
                                for k in (0, 2)]
             expected = np.max(pair_norms, axis=0)

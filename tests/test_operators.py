@@ -513,6 +513,16 @@ class TestCPClassification:
         assert res.commute_residual <= 1e-12
         assert res.anticommute_residual > 0.1
 
+    def test_a_nan_row_classifies_as_neither(self, nan_lambda_anti):
+        """The residuals are one reduction over every state's rows, so a NaN
+        row reads as NaN and classifies as neither; a fold by Python's
+        ``max`` dropped it (``max(0.0, nan)`` is 0.0) and read commute."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            res = ops.classify_cp_action("helicity", "elko", seed=3, n_momenta=40)
+        assert res.relation == "neither"
+        assert math.isnan(res.commute_residual)
+        assert math.isnan(res.anticommute_residual)
+
     def test_classification_is_phase_independent(self):
         for theta in (0.0, math.pi / 2, 2.1):
             cfg = sp.PhaseConfig(theta_c=theta)

@@ -155,8 +155,8 @@ def _per_index_residual(p, conv):
     """The coupled residual as two calls, one per index (the frozen loop the
     one-call form replaces)."""
     worst = 0.0
-    for index in sp.INDICES:
-        eqs = dyn.coupled_equations(p, conv, *dyn.physical_quartet(p, index))
+    for quartet in zip(*_frozen_physical_states(p)):   # index up, then down
+        eqs = dyn.coupled_equations(p, conv, *quartet)
         worst = np.maximum(worst, mat.rownorm(eqs))
     return tuple(np.moveaxis(worst, -1, 0))
 
@@ -168,8 +168,8 @@ def test_coupled_residual_in_one_call_matches_the_per_index_loop(batch, sign):
         one, loop = dyn.coupled_system_residual(p, conv), _per_index_residual(p, conv)
         assert np.array_equal(np.array(one), np.array(loop))
         assert type(one[0]) is type(loop[0])
-        dense = np.max([np.linalg.norm(dyn.coupled_equations(
-            p, conv, *dyn.physical_quartet(p, index)), axis=-1) for index in sp.INDICES], axis=0)
+        dense = np.max([np.linalg.norm(dyn.coupled_equations(p, conv, *quartet), axis=-1)
+                        for quartet in zip(*_frozen_physical_states(p))], axis=0)
         scale = p.E * dyn.physical_state_scale(dyn.physical_states(p))
         assert np.all(np.abs(np.moveaxis(np.array(one), 0, -1) - dense)
                       <= 1e-15 * np.asarray(scale)[..., None])

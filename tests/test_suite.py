@@ -182,9 +182,50 @@ def test_wrong_convention_is_scale_free(m, boost):
     Over m alone it is 2 sqrt(m) at rest, below a 0.5 floor for m < 1/16."""
     spec = next(c for c in suite_checks("dynamics") if c.id == "dynamics.wrong-convention")
     p = make_momentum(*(boost * m * np.array([0.36, -0.48, 0.8])), m)
-    residual, _ = spec.run(_OneMomentum(p))
+    rows, _ = spec.run(_OneMomentum(p))
+    residual = spec.reduce(rows)
     assert spec.passes(residual, {})
     assert residual == pytest.approx(2.0, rel=1e-12)
+
+
+def test_every_check_returns_its_rows_and_constants():
+    """A measurement returns its residual rows unreduced, as a list or a
+    tuple, and its constants as a dict; ``CheckSpec.reduce`` folds them."""
+    ctx = suite.RunContext(seed=1, samples=2)
+    for spec in suite_checks("all"):
+        rows, constants = spec.run(ctx)
+        assert isinstance(rows, (list, tuple)), spec.id
+        assert isinstance(constants, dict), spec.id
+        assert isinstance(spec.reduce(rows), float), spec.id
+
+
+@pytest.mark.parametrize("expect, empty, folded", [
+    ("vanish", 0.0, 3.0), ("classify", 0.0, 3.0), ("exceed-floor", math.inf, 0.5)])
+def test_reduce_takes_the_largest_entry_or_the_smallest_for_a_floor(expect, empty, folded):
+    spec = CheckSpec("spin-half.probe", "a probe", 1.0, expect, None)
+    assert spec.reduce([]) == spec.reduce([np.array([])]) == empty
+    assert spec.reduce([np.array([1.0, 3.0]), 0.5, [[2.0], [1.5]]]) == folded
+    for rows in ([np.array([1.0, math.nan]), 0.5], [0.5, math.nan], [[math.nan], 3.0]):
+        residual = spec.reduce(rows)
+        assert math.isnan(residual)
+        assert not spec.passes(residual, {"relation": None})
+
+
+# checks that read lambda^A on a batch
+_NAN_ROW_CHECKS = ("spin-half.boost-consistency", "spin-half.conjugacy-lambda-anti",
+                   "spin-half.helicity-noneigen", "spin-half.parity-spinorial")
+
+
+def test_a_nan_row_fails_its_checks(nan_lambda_anti):
+    """One NaN row fails each check that reads it, the floor
+    helicity-noneigen included: a fold by Python's ``max`` or ``min``
+    dropped it (``max(0.0, nan)`` is 0.0) and all four passed."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        report = run_suite("spin-half", seed=1, samples=50)
+    outcomes = {c.id: c for c in report.checks}
+    for cid in _NAN_ROW_CHECKS:
+        assert outcomes[cid].status == "fail", cid
+        assert math.isnan(outcomes[cid].residual), cid
 
 
 def test_report_schema_fields():
