@@ -21,7 +21,7 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import DomainError
 from .kinematics import as_batch
-from .matrices import blocks, gamma5, matrix2, matvec, rownorm
+from .matrices import blocks, column, gamma5, matrix2, matvec, rownorm
 from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
                       boosted_patterns, dirac_components, pattern_gather)
 
@@ -70,21 +70,42 @@ def dirac_matrix(p) -> np.ndarray:
     return slash(p.E, p.px, p.py, p.pz)
 
 
-_PHYSICAL_GATHER = pattern_gather(
-    [[patterns[kind, index] for index in INDICES]
-     for patterns, kind in ((REST_LAMBDA_PATTERNS, "S"), (REST_RHO_PATTERNS, "A"),
-                            (REST_LAMBDA_PATTERNS, "A"), (REST_RHO_PATTERNS, "S"))])
+# The eight physical states as one (index, state, component) block: for
+# each index, the quartet (lambda^S, rho^A, lambda^A, rho^S) as one row of 16
+# positions among the spinorial pattern table's products.
+_BLOCK_PRODUCTS, _BLOCK_POSITIONS = pattern_gather(
+    [[patterns[kind, index] for patterns, kind in ((REST_LAMBDA_PATTERNS, "S"),
+                                                   (REST_RHO_PATTERNS, "A"),
+                                                   (REST_LAMBDA_PATTERNS, "A"),
+                                                   (REST_RHO_PATTERNS, "S"))]
+     for index in INDICES])
+_BLOCK_GATHER = (_BLOCK_PRODUCTS, _BLOCK_POSITIONS.reshape(len(INDICES), 16))
+
+
+def _gathered_block(p):
+    """The physical states as an (index, state, component) block, (2, 4, 4)
+    at one momentum and (2, N, 4, 4) on a batch: one gather from the
+    spinorial pattern table, the entries that the spinorial
+    ``lambda_components`` and ``rho_components`` read one state at a time.
+    On a batch it is a view with the batch axis innermost in memory."""
+    rows = boosted_patterns(p, _BLOCK_GATHER)   # (2, 16) or (2, N, 16)
+    return rows.reshape(rows.shape[:-1] + (4, 4))
 
 
 def physical_states(p):
     """The physical quartets of both indices, built once: (lambda^S, rho^A,
     lambda^A, rho^S), each state with the indices up and down stacked on a
     leading axis of length 2, so (2, 4) at one momentum and (2, N, 4) on a
-    batch.  All eight are one gather from the spinorial pattern table, the
-    same entries the spinorial ``lambda_components`` and ``rho_components``
-    read one state at a time."""
+    batch.  All eight are one gather (``_gathered_block``)."""
+    block = _gathered_block(p)
     # row-major copies: the rows stacked from them keep a contiguous layout
-    return tuple(np.ascontiguousarray(states) for states in boosted_patterns(p, _PHYSICAL_GATHER))
+    return tuple(np.ascontiguousarray(block[..., k, :]) for k in range(4))
+
+
+def _physical_block(p):
+    """The physical states stacked as ``coupled_equations`` stacks them, in
+    one gather and a row-major copy (the rows read it faster on a batch)."""
+    return np.ascontiguousarray(_gathered_block(p))
 
 
 def physical_state_scale(states):
@@ -119,10 +140,15 @@ def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarra
     (E - sigma.p) psi_R), elementwise over all rows; no 4x4 matrix is
     formed.
     """
-    psi = np.stack([ls, ra, la, rs], axis=-2)
-    ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
+    return _coupled_rows(p, conv, np.stack([ls, ra, la, rs], axis=-2))
+
+
+def _coupled_rows(p, conv: FrequencyConvention, psi) -> np.ndarray:
+    """``coupled_equations`` of the states stacked as psi, (..., 4, 4) or
+    (..., N, 4, 4) with the four states on the last axis but one."""
+    ep, em, pl, pr = (column(x) for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
     r0, r1, l0, l1 = (psi[..., k] for k in range(4))
-    eqs = np.empty_like(psi)
+    eqs = np.empty(psi.shape, dtype=complex)
     # sigma.p = [[pz, pl], [pr, -pz]]
     eqs[..., 0] = ep * l0 + pl * l1
     eqs[..., 1] = pr * l0 + em * l1
@@ -151,7 +177,7 @@ def coupled_system_residual(p, conv: FrequencyConvention):
     four vanish; with the wrong one at least one is of order m at every
     momentum.
     """
-    eqs = coupled_equations(p, conv, *physical_states(p))
+    eqs = _coupled_rows(p, conv, _physical_block(p))
     return tuple(rownorm(eqs).max(axis=0).T)
 
 
@@ -260,7 +286,7 @@ def eight_component_residual(p, conv: FrequencyConvention):
     commutes with the axial matrix diag(gamma5, -gamma5), so the
     axial-coupled covariant derivative is consistent.
     """
-    eqs = coupled_equations(p, conv, *physical_states(p))
+    eqs = _coupled_rows(p, conv, _physical_block(p))
     pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
     return np.max(rownorm(pairs), axis=(0, -1))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,53 +61,88 @@ def _read_only(*fields):
     return fields[0] if len(fields) == 1 else fields
 
 
+class _field:
+    """A derived field, computed on first read and stored in the instance
+    ``__dict__`` under its own name.  As a non-data descriptor it is found
+    only while that entry is missing, so every later read is a plain
+    attribute lookup.  ``functools.cached_property`` does the same, but up
+    to Python 3.11 it takes a lock on each first read, which costs more than
+    many of the fields themselves.  Without the lock, threads that read a
+    missing field at once may each compute it; the computation is a pure
+    function of the immutable object, so the values stored are equal, bit
+    for bit."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _OnShell:
     """Derived fields of (px, py, pz, m, E): floats for one momentum,
-    read-only (N,) arrays for a batch.  Each is computed on first use and
-    kept with the momentum object, which is immutable, so a slice, a mask or
-    a reflection (a new object) computes its own."""
+    read-only (N,) arrays for a batch.  Each is a ``_field``: computed on
+    first use and kept in the momentum object's ``__dict__``.  The momentum
+    is immutable, so a field cannot go stale, and a slice, a mask or a
+    reflection (a new object) computes its own."""
 
-    @cached_property
+    @_field
     def p_r(self):
         return _read_only(self.px + 1j * self.py)
 
-    @cached_property
+    @_field
     def p_l(self):
         return _read_only(self.px - 1j * self.py)
 
-    @cached_property
+    @_field
     def p_perp2(self):
         return _read_only(self.px * self.px + self.py * self.py)
 
-    @cached_property
+    @_field
     def p_abs(self):
         return _read_only(_sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz))
 
-    @cached_property
+    @_field
     def half_angles(self):
         """(cos(theta/2), sin(theta/2), phi); see ``half_angles``."""
         return _read_only(*_half_angles(self))
 
-    @cached_property
+    @_field
     def helicity_pair(self):
         """(phi_+, phi_-): the sigma.p-hat eigen-2-spinors of eigenvalue
         +-1 at zero phases, read off ``half_angles``; (2,) each at one
-        momentum, (N, 2) on a batch."""
-        return _read_only(*_helicity_pair(*self.half_angles))
+        momentum, (N, 2) on a batch; views of ``helicity_ring``."""
+        ring = self.helicity_ring
+        return ring[..., 0:2], ring[..., 4:6]
 
-    @cached_property
+    @_field
+    def helicity_ring(self):
+        """(phi_+, phi_+, phi_-, phi_-, phi_+) in one array, (10,) at one
+        momentum, (N, 10) on a batch: each concatenation (phi_a, phi_b)
+        that a helicity spinor reads is one window of it
+        (``_ring_window``)."""
+        return _read_only(_helicity_ring(*self.half_angles))
+
+    @_field
     def xi(self):
         """Xi = diag(1, e^{-2 i phi}) / sqrt(2), asserted against both
         boosts; (2, 2) at one momentum, (N, 2, 2) on a batch.  See
         ``operators.xi_matrix``."""
         return _read_only(_xi(self))
 
-    @cached_property
+    @_field
     def boost_norm(self):
         """sqrt(2 m (E + m)), the denominator of the spin-1/2 boosts."""
         return _read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
 
-    @cached_property
+    @_field
     def pattern_diagonal(self):
         """(E + pz + m, E - pz + m, c = 1 / (2 sqrt(E + m))): the diagonal
         of E + m + sigma.p and the scale c with sqrt(m/2) Lambda_{R,L} =
@@ -302,14 +336,32 @@ def _helicity_pair(cos_half, sin_half, phi):
         phi_+ = (cos(t/2) e^{-i f/2},  sin(t/2) e^{i f/2})
         phi_- = (sin(t/2) e^{-i f/2}, -cos(t/2) e^{i f/2})
 
-    (2,) each for floats, (N, 2) for (N,) arrays.  Their Wigner images are
-    Theta phi_+* = -phi_- and Theta phi_-* = phi_+.
+    (2,) each for floats, (N, 2) for (N,) arrays, as views of
+    ``_helicity_ring``.  Their Wigner images are Theta phi_+* = -phi_- and
+    Theta phi_-* = phi_+.
     """
+    ring = _helicity_ring(cos_half, sin_half, phi)
+    return ring[..., 0:2], ring[..., 4:6]
+
+
+def _helicity_ring(cos_half, sin_half, phi):
+    """The pair (phi_+, phi_-) of ``_helicity_pair`` laid out as
+    (phi_+, phi_+, phi_-, phi_-, phi_+): (10,) for floats, (N, 10) for (N,)
+    arrays.  Its windows of four entries are the four concatenations
+    (phi_a, phi_b), see ``_ring_window``."""
     ep = np.exp(0.5j * phi)
     # e^{-i phi/2}, bit for bit but for the sign of a zero imaginary part
     # at phi = -0.0, which half_angles never returns
     em = np.conj(ep)
-    return vector(cos_half * em, sin_half * ep), vector(sin_half * em, -cos_half * ep)
+    plus, minus = (cos_half * em, sin_half * ep), (sin_half * em, -cos_half * ep)
+    return vector(*plus, *plus, *minus, *minus, *plus)
+
+
+def _ring_window(ring, a: int, b: int):
+    """(phi_a, phi_b) for a, b = +-1, a view of four entries of a
+    ``_helicity_ring``: ++ starts at 0, +- at 2, -- at 4 and -+ at 6."""
+    start = 4 * (a < 0) + 2 * (a != b)
+    return ring[..., start:start + 4]
 
 
 def polar_angles(p):

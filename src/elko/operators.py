@@ -49,7 +49,8 @@ class SymmetryOperator:
     phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if abs(abs(self.phase) - 1.0) > TOLERANCES["on_shell"]:
+        # written so that a NaN phase fails the comparison
+        if not abs(abs(self.phase) - 1.0) <= TOLERANCES["on_shell"]:
             raise DomainError(f"operator phase must be unimodular, got {self.phase}")
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 

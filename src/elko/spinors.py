@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +34,11 @@ from .errors import DomainError
 from .kinematics import (
     FourMomentum,
     _boost_columns,
+    _field,
     _helicity_pair,
+    _helicity_ring,
+    _read_only,
+    _ring_window,
     _sqrt,
     boost_eigenvalue,
     boost_half_pair,
@@ -51,29 +54,60 @@ BASES = ("spinorial", "helicity")
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Free phases of the construction; all default to zero.
+    """Free phases of the construction; all default to zero, and each must
+    be finite (``DomainError`` otherwise).
 
     theta_c is the charge-conjugation phase; theta1/theta2 dress the +/-
-    helicity 2-spinors.
+    helicity 2-spinors.  The phase factors are derived fields (like a
+    momentum's, see ``kinematics._field``): computed on first use and kept
+    with the configuration, which is immutable.
     """
 
     theta_c: float = 0.0
     theta1: float = 0.0
     theta2: float = 0.0
 
-    @cached_property
+    def __post_init__(self):
+        for name in ("theta_c", "theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"phase {name} must be finite, got {getattr(self, name)}")
+
+    @_field
     def factors(self):
-        """(e^{i theta1}, e^{i theta2}), computed once per configuration."""
+        """(e^{i theta1}, e^{i theta2})."""
         return np.exp(1j * self.theta1), np.exp(1j * self.theta2)
+
+    @_field
+    def conjugates(self):
+        """(e^{-i theta1}, e^{-i theta2}), the conjugates of ``factors``
+        that dress the Wigner images."""
+        return tuple(np.conj(e) for e in self.factors)
+
+    @_field
+    def dressings(self):
+        """For h = +1 and -1, the factors of a helicity rest spinor's four
+        components with e = e^{i theta_h}: (e*, e*, e, e), the Wigner image
+        on top (lambda), and (e, e, e*, e*), the image below (rho);
+        read-only (4,) arrays."""
+        return tuple(_read_only(np.array([c, c, e, e]), np.array([e, e, c, c]))
+                     for e, c in zip(self.factors, self.conjugates))
+
+
+# The kinds each family admits: a Dirac spinor's kind is its sign.
+_FAMILY_KINDS = {"lambda": ("S", "A"), "rho": ("S", "A"), "u": ("particle",),
+                 "v": ("antiparticle",)}
 
 
 @dataclass(frozen=True)
 class Bispinor:
-    """Four complex components tagged with their construction labels."""
+    """Four complex components tagged with their construction labels.
+
+    A public construction checks every label.  The factories build theirs
+    with ``_labelled``, after checking the labels once themselves."""
 
     components: np.ndarray
     family: str            # lambda | rho | u | v
-    kind: str              # S | A for lambda/rho, particle | antiparticle for u/v
+    kind: str              # S | A for lambda/rho, particle for u, antiparticle for v
     index: str             # up | down
     basis: str             # spinorial | helicity
     momentum: FourMomentum
@@ -81,10 +115,28 @@ class Bispinor:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+        if self.kind not in _FAMILY_KINDS[self.family]:
+            raise DomainError(f"kind of a {self.family} spinor must be one of "
+                              f"{_FAMILY_KINDS[self.family]}, got {self.kind!r}")
         _check_basis(self.basis)
         if self.index not in INDICES:
             raise DomainError(f"unknown index {self.index!r}")
         object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
+
+
+def _labelled(components, family, kind, index, basis, momentum) -> Bispinor:
+    """A factory's ``Bispinor``: its complex components and labels set
+    directly, without the dataclass ``__init__`` and the checks, which the
+    factory has made already."""
+    spinor = object.__new__(Bispinor)
+    fields = spinor.__dict__
+    fields["components"] = components
+    fields["family"] = family
+    fields["kind"] = kind
+    fields["index"] = index
+    fields["basis"] = basis
+    fields["momentum"] = momentum
+    return spinor
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +264,9 @@ def boosted_patterns(p, gather) -> np.ndarray:
 # every helicity 2-spinor: phi_h with its phase is e^{i theta_h} phi_h, and
 # its Wigner image is Theta (e^{i theta_h} phi_h)* = -h e^{-i theta_h}
 # phi_{-h}, so the phases enter as scalars and no spinor takes a sine, a
-# cosine or a matrix product of its own.
-
-def _dressed(pair, h: int, e):
-    """e phi_h, the helicity-h 2-spinor with its phase factor e (a complex,
-    or an (N, 1) column)."""
-    return e * pair[h < 0]
-
-
-def _wigner_image(pair, h: int, e, zeta):
-    """zeta Theta (e phi_h)* = -h zeta e* phi_{-h}; (-zeta) y is zeta (-y)
-    bit for bit, so the sign rides on zeta."""
-    return (-zeta if h > 0 else zeta) * (e.conjugate() * pair[h > 0])
+# cosine or a matrix product of its own.  A rest spinor's two halves are
+# one product of a window (phi_a, phi_b) of the momentum's
+# ``helicity_ring`` with the configuration's ``dressings``.
 
 
 def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
@@ -233,7 +276,7 @@ def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarra
     if h not in (1, -1):
         raise DomainError(f"helicity must be +1 or -1, got {h}")
     pair = _helicity_pair(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
-    return _dressed(pair, h, column(np.exp(1j * (theta1 if h > 0 else theta2))))
+    return column(np.exp(1j * (theta1 if h > 0 else theta2))) * pair[h < 0]
 
 
 def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
@@ -259,13 +302,31 @@ _INDEX_TO_H = {"up": 1, "down": -1}
 _ZETA = {"lambda": {"S": 1j, "A": -1j}, "rho": {"S": -1j, "A": 1j}}
 
 
-def _helicity_rest(pair, family, kind, h, cfg, m):
+def _dressed_halves(ring, family, kind, h, cfg):
+    """(zeta Theta f*, f) (lambda) or (f, zeta Theta f*) (rho) for
+    f = e^{i theta_h} phi_h, as one 4-vector (or (N, 4) rows), from a
+    ``helicity_ring``.
+
+    zeta Theta f* = -h zeta e* phi_{-h}: one product of the window
+    (phi_{-h}, phi_h) or (phi_h, phi_{-h}) with the dressing (e*, e*, e, e)
+    or (e, e, e*, e*), then -h zeta on the image half.  (-zeta) y is
+    zeta (-y) bit for bit, so the sign rides on zeta."""
+    lam = family == "lambda"
+    top = -h if lam else h
+    halves = cfg.dressings[h < 0][not lam] * _ring_window(ring, top, -top)
+    zeta = _ZETA[family][kind]
+    image = halves[..., :2] if lam else halves[..., 2:]
+    image *= -zeta if h > 0 else zeta
+    return halves
+
+
+def _helicity_rest(ring, family, kind, h, cfg, m):
     """The rest spinor sqrt(m/2) (zeta Theta f*, f) (lambda) or
-    sqrt(m/2) (f, zeta Theta f*) (rho) for f = e^{i theta_h} phi_h."""
-    e = cfg.factors[h < 0]
-    f, image = _dressed(pair, h, e), _wigner_image(pair, h, e, _ZETA[family][kind])
-    halves = [image, f] if family == "lambda" else [f, image]
-    return column(_sqrt(m / 2.0)) * np.concatenate(halves, axis=-1)
+    sqrt(m/2) (f, zeta Theta f*) (rho) for f = e^{i theta_h} phi_h, from a
+    ``helicity_ring``."""
+    rest = _dressed_halves(ring, family, kind, h, cfg)
+    rest *= column(_sqrt(m / 2.0))
+    return rest
 
 
 def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
@@ -275,8 +336,9 @@ def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
         return boosted_patterns(p, _GATHER[family, kind, index])
     h = _INDEX_TO_H[index]
     s = -h if family == "lambda" else h   # the blocks' sigma.p-hat eigenvalue
-    return column(boost_eigenvalue(p, s)) * _helicity_rest(p.helicity_pair, family, kind, h,
-                                                           cfg, p.m)
+    spinor = _helicity_rest(p.helicity_ring, family, kind, h, cfg, p.m)
+    spinor *= column(boost_eigenvalue(p, s))
+    return spinor
 
 
 def lambda_components(p, kind: str, index: str, basis: str = "spinorial",
@@ -320,23 +382,28 @@ def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
     if basis == "spinorial":
         col = 0 if index == "up" else 1
         right, left = _boost_columns(p, "R")[col], _boost_columns(p, "L")[col]
-        return vector(*right, *left) * np.array([sm, sm, s * sm, s * sm]).T
+        # the column entries and their scales in one array, multiplied half by half
+        parts = vector(*right, *left, sm, sm, s * sm, s * sm)
+        return parts[..., :4] * parts[..., 4:]
     h = _INDEX_TO_H[index]
-    f = _dressed(p.helicity_pair, h, cfg.factors[h < 0])
     upper, lower = sm * boost_eigenvalue(p, h), s * sm * boost_eigenvalue(p, -h)
-    return np.concatenate([f, f], axis=-1) * np.array([upper, upper, lower, lower]).T
+    spinor = cfg.factors[h < 0] * _ring_window(p.helicity_ring, h, h)   # (f, f)
+    spinor *= np.array([upper, upper, lower, lower]).T
+    return spinor
 
 
 def lambda_spinor(p: FourMomentum, kind: str, index: str,
                   basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Boosted lambda spinor at one momentum (see ``lambda_components``)."""
-    return Bispinor(lambda_components(p, kind, index, basis, cfg), "lambda", kind, index, basis, p)
+    return _labelled(_components("lambda", p, kind, index, basis, cfg),
+                     "lambda", kind, index, basis, p)
 
 
 def rho_spinor(p: FourMomentum, kind: str, index: str,
                basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Boosted rho spinor (second self/anti-self conjugate family)."""
-    return Bispinor(rho_components(p, kind, index, basis, cfg), "rho", kind, index, basis, p)
+    return _labelled(_components("rho", p, kind, index, basis, cfg),
+                     "rho", kind, index, basis, p)
 
 
 def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: float,
@@ -348,16 +415,16 @@ def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: fl
     The angles need not be those of p, so the rest spinor is boosted with
     the explicit 4x4 matrix rather than the eigenvalue factor.
     """
-    pair = _helicity_pair(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
-    return boost_half_pair(p) @ _helicity_rest(pair, "lambda", kind, h, cfg, p.m)
+    ring = _helicity_ring(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
+    return boost_half_pair(p) @ _helicity_rest(ring, "lambda", kind, h, cfg, p.m)
 
 
 def dirac_spinor(p: FourMomentum, sign: str, index: str,
                  basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Dirac particle/antiparticle spinor at one momentum (see
     ``dirac_components``)."""
-    family = "u" if sign == "particle" else "v"
-    return Bispinor(dirac_components(p, sign, index, basis, cfg), family, sign, index, basis, p)
+    spinor = dirac_components(p, sign, index, basis, cfg)
+    return _labelled(spinor, "u" if sign == "particle" else "v", sign, index, basis, p)
 
 
 def chiral_helicity_sign(family: str, index: str) -> int:

@@ -7,6 +7,8 @@ the half-angle frame once per momentum object.
 """
 
 import dataclasses
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -16,7 +18,7 @@ from elko import kinematics as kin
 from elko.suite import run_suite
 
 FIELDS = ("p_r", "p_l", "p_perp2", "p_abs", "half_angles", "boost_norm", "pattern_diagonal",
-          "helicity_pair")
+          "helicity_pair", "helicity_ring")
 
 
 def _fresh(p):
@@ -33,6 +35,7 @@ def _fresh(p):
         "boost_norm": kin._sqrt(2.0 * m * (E + m)),
         "pattern_diagonal": (E + pz + m, E - pz + m, 1.0 / (2.0 * kin._sqrt(E + m))),
         "helicity_pair": kin._helicity_pair(*kin._half_angles(q)),
+        "helicity_ring": kin._helicity_ring(*kin._half_angles(q)),
     }
 
 
@@ -106,6 +109,34 @@ def test_new_momentum_objects_get_their_own_fields(batch):
     assert np.array_equal(reflected.p_r, -batch.p_r)
     assert np.array_equal(reflected.p_abs, batch.p_abs)
     assert kin.as_batch(batch) is batch
+
+
+def test_concurrent_first_reads_agree(batch):
+    """The fields take no lock: threads that read a missing field at once
+    may each compute it, and each stores an equal value.  Eight threads
+    read every field of fresh momenta, with a short switch interval; every
+    value read is the field's expression, bit for bit."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in (0, 7, 100, 103, 107):
+            p = kin.make_momentum(*(float(x[k]) for x in (batch.px, batch.py, batch.pz, batch.m)))
+            reads = []
+            threads = [threading.Thread(target=lambda: reads.append(
+                [getattr(p, name) for name in FIELDS])) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(reads) == len(threads)
+            fresh = _fresh(p)
+            for values in reads:
+                for name, value in zip(FIELDS, values):
+                    for got, want in zip(_parts(value), _parts(fresh[name])):
+                        assert _same_bits(got, want), (name, k)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_half_angle_frame_is_computed_once_per_momentum_in_a_suite_pass(monkeypatch):

@@ -23,6 +23,18 @@ from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_d
 from conftest import assert_same_bits
 
 
+@pytest.mark.parametrize("phase", [complex("nan"), complex(1.0, float("nan")),
+                                   complex(float("nan"), float("nan")), complex("inf"), 1.1])
+def test_non_unimodular_phase_rejected(phase):
+    """A NaN phase fails the unimodular check like any other non-unit one:
+    |nan| - 1 compares False both ways, so the check is written as the
+    comparison that holds for a unit phase."""
+    with pytest.raises(DomainError):
+        ops.SymmetryOperator(np.eye(4), phase=phase)
+    with pytest.raises(DomainError):
+        ops.parity_operator(phase)
+
+
 class TestChargeConjugation:
     def test_squares_to_plus_one(self, rng):
         for theta in (0.0, 0.7, math.pi):

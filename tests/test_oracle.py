@@ -14,6 +14,10 @@
   +-Lambda_L) (e_j, e_j), and the pattern table's gathered products times
   c = 1/(2 sqrt(E + m)) are sqrt(m/2) diag(Lambda_R, Lambda_L) on each
   lambda/rho rest pattern, with global phase 1.
+* For a spin-1 six-spinor s = x + zeta y with x and y in opposite chiral
+  blocks, |Op s -+ s|^2 = 2 (|x|^2 + |y|^2) -+ 2 Re(conj(zeta) w) with
+  w = <x, b> + <y, a>, a = Op x and b = Op y, under both ``sc_one`` and
+  ``gamma5_sc_one``: the conjugacy residual is one harmonic in zeta.
 """
 
 from types import SimpleNamespace
@@ -26,6 +30,7 @@ from elko import dynamics as dyn
 from elko import kinematics as kin
 from elko import matrices as mat
 from elko import operators as ops
+from elko import spin_one as s1
 from elko import spinors as sp
 
 I = sympy.I
@@ -132,10 +137,10 @@ def test_library_pair_and_image_are_the_symbolic_ones(h):
                            rtol=0, atol=4e-16)
     own = sympy.exp(I * (t1 if h > 0 else t2)) * (plus if h > 0 else minus)
     exact_image = I * THETA_HALF * own.conjugate()
-    e = cfg.factors[h < 0]
-    got = sp._wigner_image(p.helicity_pair, h, e, 1j)
-    assert np.allclose(got, np.array(exact_image.subs(point).evalf(20), dtype=complex)[:, 0],
-                       rtol=0, atol=4e-16)
+    halves = sp._dressed_halves(p.helicity_ring, "lambda", "S", h, cfg)   # zeta = +i
+    for got, exact in ((halves[:2], exact_image), (halves[2:], own)):
+        assert np.allclose(got, np.array(exact.subs(point).evalf(20), dtype=complex)[:, 0],
+                           rtol=0, atol=4e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +195,53 @@ def test_pattern_table_read_off_is_the_boosted_rest_pattern():
         pattern = sympy.Matrix([_exact(complex(z)) for z in sp._REST_PATTERNS[family][kind, index]])
         boosted = sympy.sqrt(p.m / 2) * boost * pattern
         assert sympy.simplify(read_off - boosted) == sympy.zeros(4, 1), (family, kind, index)
+
+
+# ---------------------------------------------------------------------------
+# the spin-1 conjugacy residual as one harmonic in zeta
+# ---------------------------------------------------------------------------
+
+def _complex_triplet(name):
+    re, im = sympy.symbols(f"{name}_re0:3", real=True), sympy.symbols(f"{name}_im0:3", real=True)
+    return sympy.Matrix([r + I * i for r, i in zip(re, im)])
+
+
+def _sqnorm(v):
+    return sum(sympy.expand(z * sympy.conjugate(z)) for z in v)
+
+
+def _inner(u, v):
+    return sum(sympy.conjugate(a) * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("operator", [s1.sc_one, s1.gamma5_sc_one])
+@pytest.mark.parametrize("construction", ["lambda", "rho"])
+def test_spin_one_residual_is_one_harmonic_in_zeta(operator, construction):
+    """The exact ground of a closed-form zeta minimiser: with the operator's
+    matrix taken from the library and a free unit phase e^{i phi}, the
+    identity holds for every zeta = e^{i t} and both signs.  lambda has x in
+    the left-handed block and y in the right-handed one, rho the reverse
+    (``spin1_pair``, checked at one momentum)."""
+    matrix = operator().matrix
+    exact = sympy.Matrix(matrix.real.astype(int))
+    assert np.array_equal(np.array(exact, dtype=complex), matrix)
+    t, phi = sympy.symbols("t phi", real=True)
+    zeta, zero = sympy.exp(I * t), sympy.zeros(3, 1)
+    f, g = _complex_triplet("f"), _complex_triplet("g")
+    if construction == "lambda":
+        x, y = sympy.Matrix.vstack(zero, f), sympy.Matrix.vstack(g, zero)
+    else:
+        x, y = sympy.Matrix.vstack(f, zero), sympy.Matrix.vstack(zero, g)
+    x_num, y_num = s1.spin1_pair(kin.make_momentum(0.3, -0.4, 0.5, 1.1), construction, 1)
+    for exact_part, numeric in ((x, x_num), (y, y_num)):
+        assert np.all((numeric == 0) == [z == 0 for z in exact_part])
+
+    def act(v):   # Op v = phase M conj(v), as scan_pairs applies it
+        return sympy.exp(I * phi) * exact * v.conjugate()
+
+    s = x + zeta * y
+    w = _inner(x, act(y)) + _inner(y, act(x))
+    for sign in (1, -1):
+        residual = _sqnorm(act(s) - sign * s)
+        harmonic = 2 * (_sqnorm(x) + _sqnorm(y)) - 2 * sign * sympy.re(sympy.conjugate(zeta) * w)
+        assert sympy.simplify(sympy.expand(sympy.expand_complex(residual - harmonic))) == 0

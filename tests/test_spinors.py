@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import math
 import pathlib
 
@@ -322,6 +324,49 @@ class TestBarProducts:
         b = sp.lambda_spinor(make_momentum(0, 1, 0, 1.0), "S", "up")
         with pytest.raises(DomainError):
             sp.bar_product(a, b)
+
+
+class TestLabelsAndPhases:
+    @pytest.mark.parametrize("name", ["theta_c", "theta1", "theta2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            sp.PhaseConfig(**{name: value})
+
+    def test_finite_phases_accepted(self):
+        cfg = sp.PhaseConfig(theta_c=-1e300, theta1=5e-324, theta2=2 * math.pi)
+        assert cfg.conjugates == tuple(e.conjugate() for e in cfg.factors)
+
+    @pytest.mark.parametrize("family,kind", [
+        ("lambda", "X"), ("rho", "particle"), ("lambda", "antiparticle"), ("u", "S"),
+        ("u", "antiparticle"), ("v", "particle"), ("v", "A")])
+    def test_public_construction_checks_the_kind(self, family, kind):
+        p = make_momentum(0.3, -0.4, 1.2, 0.9)
+        with pytest.raises(DomainError, match="kind"):
+            sp.Bispinor(np.zeros(4, dtype=complex), family, kind, "up", "spinorial", p)
+
+    def test_every_factory_spinor_passes_the_public_checks(self):
+        """The factories label their spinors without the dataclass checks;
+        each label set they produce is one the public construction accepts,
+        and the public construction gives the same spinor."""
+        p = make_momentum(0.3, -0.4, 1.2, 0.9)
+        factories = [(fn, kind) for fn in (sp.lambda_spinor, sp.rho_spinor) for kind in "SA"]
+        factories += [(sp.dirac_spinor, sign) for sign in ("particle", "antiparticle")]
+        for (fn, kind), index, basis in itertools.product(factories, sp.INDICES, sp.BASES):
+            made = fn(p, kind, index, basis)
+            public = sp.Bispinor(made.components, made.family, made.kind, made.index,
+                                 made.basis, made.momentum)
+            for field in dataclasses.fields(sp.Bispinor):
+                assert getattr(public, field.name) is getattr(made, field.name), field.name
+
+    @pytest.mark.parametrize("call", [
+        lambda p: sp.lambda_spinor(p, "X", "up"), lambda p: sp.rho_spinor(p, "S", "sideways"),
+        lambda p: sp.lambda_spinor(p, "S", "up", "fixed"),
+        lambda p: sp.dirac_spinor(p, "S", "up"), lambda p: sp.dirac_spinor(p, "particle", "left"),
+        lambda p: sp.dirac_spinor(p, "particle", "up", "fixed")])
+    def test_factories_check_their_labels(self, call):
+        with pytest.raises(DomainError):
+            call(make_momentum(0.3, -0.4, 1.2, 0.9))
 
 
 class TestGoldenFile:

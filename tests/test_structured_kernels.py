@@ -405,8 +405,9 @@ def test_dirac_columns_are_the_boost_columns(batch):
 
 def _helicity_pieces(p, h, zeta, cfg):
     """(f, zeta Theta f*) from the frame and from the frozen expressions."""
-    e = cfg.factors[h < 0]
-    live = sp._dressed(p.helicity_pair, h, e), sp._wigner_image(p.helicity_pair, h, e, zeta)
+    kind = "S" if zeta == 1j else "A"   # lambda's zeta
+    halves = sp._dressed_halves(p.helicity_ring, "lambda", kind, h, cfg)
+    live = halves[..., 2:], halves[..., :2]
     f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
     return live, (f, zeta * _frozen_wigner_image(f))
 
@@ -432,7 +433,7 @@ def test_helicity_rest_spinor(batch, family, kind):
     for h, cfg in itertools.product((1, -1), (sp.PhaseConfig(), _PHASES)):
         for p in (*batch, batch):
             f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
-            got = sp._helicity_rest(p.helicity_pair, family, kind, h, cfg, p.m)
+            got = sp._helicity_rest(p.helicity_ring, family, kind, h, cfg, p.m)
             want = _frozen_helicity_rest(f, family, kind, p.m)
             if cfg == _PHASES:
                 _assert_close(got, want)
@@ -466,21 +467,21 @@ def test_physical_states_are_one_gather(monkeypatch, batch):
 
 
 def test_helicity_frame_is_derived_once_for_every_spinor(monkeypatch, batch):
-    """All helicity spinors at one momentum read one cached pair: no spinor
-    takes the 2-spinors' sines and cosines again."""
+    """All helicity spinors at one momentum read one cached ring of the
+    pair: no spinor takes the 2-spinors' sines and cosines again."""
     calls = Counter()
-    body = kin._helicity_pair
+    body = kin._helicity_ring
 
     def counted(*args):
-        calls["pair"] += 1
+        calls["ring"] += 1
         return body(*args)
 
-    monkeypatch.setattr(kin, "_helicity_pair", counted)
+    monkeypatch.setattr(kin, "_helicity_ring", counted)
     for p in (kin.make_momentum(0.3, -0.4, 0.5, 1.0), batch[2:40]):
         calls.clear()
         for family, kind, index, basis in _SPINORS:
             _live_components(family, p, kind, index, "helicity", _PHASES)
-        assert calls["pair"] == 1
+        assert calls["ring"] == 1
 
 
 # ---------------------------------------------------------------------------
