@@ -49,12 +49,10 @@ from .spinors import (
     index_flip_unitary,
     lambda_components,
     lambda_spinor,
-    read_golden,
     rest_lambda,
     rest_rho,
     rho_components,
     rho_spinor,
-    write_golden,
 )
 from .operators import (
     ActionClassification,
@@ -92,7 +90,6 @@ from .spin_one import (
     gamma5_sc_one,
     sc_one,
     spin1_conjugacy_scan,
-    spin1_helicity_triplet,
     spin1_pair,
     ss_one,
     wigner_theta_one,

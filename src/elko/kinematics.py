@@ -115,19 +115,12 @@ class _OnShell:
         return _read_only(*_half_angles(self))
 
     @_field
-    def helicity_pair(self):
-        """(phi_+, phi_-): the sigma.p-hat eigen-2-spinors of eigenvalue
-        +-1 at zero phases, read off ``half_angles``; (2,) each at one
-        momentum, (N, 2) on a batch; views of ``helicity_ring``."""
-        ring = self.helicity_ring
-        return ring[..., 0:2], ring[..., 4:6]
-
-    @_field
     def helicity_ring(self):
         """(phi_+, phi_+, phi_-, phi_-, phi_+) in one array, (10,) at one
-        momentum, (N, 10) on a batch: each concatenation (phi_a, phi_b)
-        that a helicity spinor reads is one window of it
-        (``_ring_window``)."""
+        momentum, (N, 10) on a batch, for the sigma.p-hat eigen-2-spinors
+        phi_+- of eigenvalue +-1 at zero phases, read off ``half_angles``:
+        each concatenation (phi_a, phi_b) that a helicity spinor reads is
+        one window of it (``_ring_window``)."""
         return _read_only(_helicity_ring(*self.half_angles))
 
     @_field
@@ -329,26 +322,18 @@ def _half_angles(p):
     return cos_half, sin_half, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
 
-def _helicity_pair(cos_half, sin_half, phi):
-    """(phi_+, phi_-) of the direction (theta, phi) from cos(theta/2),
-    sin(theta/2) and phi, at zero phases:
+def _helicity_ring(cos_half, sin_half, phi):
+    """The pair (phi_+, phi_-) of the direction (theta, phi) from
+    cos(theta/2), sin(theta/2) and phi, at zero phases:
 
         phi_+ = (cos(t/2) e^{-i f/2},  sin(t/2) e^{i f/2})
         phi_- = (sin(t/2) e^{-i f/2}, -cos(t/2) e^{i f/2})
 
-    (2,) each for floats, (N, 2) for (N,) arrays, as views of
-    ``_helicity_ring``.  Their Wigner images are Theta phi_+* = -phi_- and
-    Theta phi_-* = phi_+.
+    laid out as (phi_+, phi_+, phi_-, phi_-, phi_+): (10,) for floats,
+    (N, 10) for (N,) arrays.  Its windows of four entries are the four
+    concatenations (phi_a, phi_b), see ``_ring_window``.  The Wigner images
+    of the pair are Theta phi_+* = -phi_- and Theta phi_-* = phi_+.
     """
-    ring = _helicity_ring(cos_half, sin_half, phi)
-    return ring[..., 0:2], ring[..., 4:6]
-
-
-def _helicity_ring(cos_half, sin_half, phi):
-    """The pair (phi_+, phi_-) of ``_helicity_pair`` laid out as
-    (phi_+, phi_+, phi_-, phi_-, phi_+): (10,) for floats, (N, 10) for (N,)
-    arrays.  Its windows of four entries are the four concatenations
-    (phi_a, phi_b), see ``_ring_window``."""
     ep = np.exp(0.5j * phi)
     # e^{-i phi/2}, bit for bit but for the sign of a zero imaginary part
     # at phi = -0.0, which half_angles never returns

@@ -61,26 +61,16 @@ def gamma5_sc_one(phase: float = 0.0) -> SymmetryOperator:
 # helicity triplet and six-spinor constructions
 # ---------------------------------------------------------------------------
 
-def spin1_helicity_triplet(theta, phi, h: int) -> np.ndarray:
-    """J.n eigen-3-spinor of eigenvalue h in {+1, 0, -1} at arbitrary angles;
-    (N, 3) rows for (N,) angle arrays.  The symmetric products of the
-    spin-1/2 helicity 2-spinors in c = cos(theta/2) and s = sin(theta/2):
-    the columns of exp(-i phi Jz) exp(-i theta Jy).
-    """
-    theta = np.asarray(theta)
-    return _triplet(np.cos(0.5 * theta), np.sin(0.5 * theta), phi, h)
-
-
 def spin1_helicity_triplet_at(p, h: int) -> np.ndarray:
-    """The J.p-hat eigen-3-spinor of eigenvalue h along p's direction, read
-    off the momentum's half-angle frame ``half_angles``; (3,) at one
-    momentum, (N, 3) on a batch."""
-    return _triplet(*p.half_angles, h)
-
-
-def _triplet(c, s, phi, h: int) -> np.ndarray:
+    """The J.p-hat eigen-3-spinor of eigenvalue h in {+1, 0, -1} along p's
+    direction; (3,) at one momentum, (N, 3) on a batch.  The symmetric
+    products of the spin-1/2 helicity 2-spinors in c = cos(theta/2) and
+    s = sin(theta/2), read off the momentum's half-angle frame
+    ``half_angles``: the columns of exp(-i phi Jz) exp(-i theta Jy).
+    """
     if h not in (1, 0, -1):
         raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
+    c, s, phi = p.half_angles
     e = np.exp(1j * np.asarray(phi))
     cs = math.sqrt(2.0) * c * s
     components = {1: (np.conj(e) * (c * c), cs, e * (s * s)),

@@ -35,13 +35,11 @@ from .kinematics import (
     FourMomentum,
     _boost_columns,
     _field,
-    _helicity_pair,
     _helicity_ring,
     _read_only,
     _ring_window,
     _sqrt,
     boost_eigenvalue,
-    boost_half_pair,
     make_momentum,
 )
 from .matrices import column, gamma0, matrix2, matvec, vdot, vector
@@ -100,10 +98,12 @@ _FAMILY_KINDS = {"lambda": ("S", "A"), "rho": ("S", "A"), "u": ("particle",),
 
 @dataclass(frozen=True)
 class Bispinor:
-    """Four complex components tagged with their construction labels.
+    """Four complex components tagged with their construction labels:
+    (4,) at a ``FourMomentum``, (N, 4) on a batch of N.
 
-    A public construction checks every label.  The factories build theirs
-    with ``_labelled``, after checking the labels once themselves."""
+    A public construction checks every label and the components' shape.
+    The factories build theirs with ``_labelled``, after checking the labels
+    once themselves."""
 
     components: np.ndarray
     family: str            # lambda | rho | u | v
@@ -121,7 +121,12 @@ class Bispinor:
         _check_basis(self.basis)
         if self.index not in INDICES:
             raise DomainError(f"unknown index {self.index!r}")
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=complex))
+        components = np.asarray(self.components, dtype=complex)
+        shape = np.shape(self.momentum.m) + (4,)
+        if components.shape != shape:
+            raise DomainError(f"components of a spinor at this momentum must have shape "
+                              f"{shape}, got {components.shape}")
+        object.__setattr__(self, "components", components)
 
 
 def _labelled(components, family, kind, index, basis, momentum) -> Bispinor:
@@ -260,32 +265,41 @@ def boosted_patterns(p, gather) -> np.ndarray:
 # helicity 2-spinors
 # ---------------------------------------------------------------------------
 #
-# The momentum's zero-phase pair (phi_+, phi_-) (``helicity_pair``) carries
-# every helicity 2-spinor: phi_h with its phase is e^{i theta_h} phi_h, and
-# its Wigner image is Theta (e^{i theta_h} phi_h)* = -h e^{-i theta_h}
-# phi_{-h}, so the phases enter as scalars and no spinor takes a sine, a
-# cosine or a matrix product of its own.  A rest spinor's two halves are
-# one product of a window (phi_a, phi_b) of the momentum's
-# ``helicity_ring`` with the configuration's ``dressings``.
+# The momentum's zero-phase pair (phi_+, phi_-), held in its
+# ``helicity_ring``, carries every helicity 2-spinor: phi_h with its phase
+# is e^{i theta_h} phi_h, and its Wigner image is
+# Theta (e^{i theta_h} phi_h)* = -h e^{-i theta_h} phi_{-h}, so the phases
+# enter as scalars and no spinor takes a sine, a cosine or a matrix product
+# of its own.  A rest spinor's two halves are one product of a window
+# (phi_a, phi_b) of the momentum's ``helicity_ring`` with the
+# configuration's ``dressings``.
+
+
+def _check_finite(**angles):
+    for name, value in angles.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"angle {name} must be finite")
 
 
 def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
     """Unit-norm sigma.n eigen-2-spinor of eigenvalue h = +-1 at arbitrary
-    real angles (half-angle forms) with the phases theta1/theta2; (2,) for
-    float angles and phases, (N, 2) for (N,) arrays."""
+    finite angles (half-angle forms) with the finite phases theta1/theta2;
+    (2,) for float angles and phases, (N, 2) for (N,) arrays."""
     if h not in (1, -1):
         raise DomainError(f"helicity must be +1 or -1, got {h}")
-    pair = _helicity_pair(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
-    return column(np.exp(1j * (theta1 if h > 0 else theta2))) * pair[h < 0]
+    _check_finite(theta=theta, phi=phi, theta1=theta1, theta2=theta2)
+    ring = _helicity_ring(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
+    return column(np.exp(1j * (theta1 if h > 0 else theta2))) * _ring_window(ring, h, h)[..., :2]
 
 
 def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
     """The unitary connecting the two helicity 2-spinors; (2, 2) for float
-    angles, (N, 2, 2) for (N,) arrays.
+    angles, (N, 2, 2) for (N,) arrays; every angle must be finite.
 
     U maps the +1 spinor (phase alpha) onto the -1 spinor (phase beta);
     its adjoint maps back.
     """
+    _check_finite(phi=phi, alpha=alpha, beta=beta)
     zero = np.zeros_like(phi)
     flip = matrix2(zero, np.exp(-1j * phi), -np.exp(1j * phi), zero)
     return np.asarray(np.exp(1j * (beta - alpha)))[..., None, None] * flip
@@ -406,19 +420,6 @@ def rho_spinor(p: FourMomentum, kind: str, index: str,
                      "rho", kind, index, basis, p)
 
 
-def helicity_lambda_at(p: FourMomentum, kind: str, h: int, theta: float, phi: float,
-                       cfg: PhaseConfig = PhaseConfig()) -> np.ndarray:
-    """Helicity-family lambda with explicitly supplied (possibly unwrapped)
-    angles; used by the space-inversion checks, which substitute
-    theta -> pi - theta, phi -> pi + phi without reducing mod 2 pi.
-
-    The angles need not be those of p, so the rest spinor is boosted with
-    the explicit 4x4 matrix rather than the eigenvalue factor.
-    """
-    ring = _helicity_ring(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
-    return boost_half_pair(p) @ _helicity_rest(ring, "lambda", kind, h, cfg, p.m)
-
-
 def dirac_spinor(p: FourMomentum, sign: str, index: str,
                  basis: str = "spinorial", cfg: PhaseConfig = PhaseConfig()) -> Bispinor:
     """Dirac particle/antiparticle spinor at one momentum (see
@@ -453,51 +454,3 @@ def bar_product(a, b):
             raise DomainError("bar_product requires both spinors at the same momentum")
     pairing = vdot(av, matvec(gamma0, bv))
     return complex(pairing) if av.ndim == 1 else pairing
-
-
-# ---------------------------------------------------------------------------
-# golden-value file (regression anchor for the closed forms)
-# ---------------------------------------------------------------------------
-
-GOLDEN_HEADER = "spinor-golden v1"
-
-
-def golden_records(momenta) -> list[str]:
-    """One text record per fixed-axis spinor at each momentum."""
-    lines = []
-    for p in momenta:
-        for family, fn in (("lambda", lambda_spinor), ("rho", rho_spinor)):
-            for kind in KINDS_SELF:
-                for index in INDICES:
-                    comps = fn(p, kind, index).components
-                    nums = " ".join(f"{x:.17g}" for c in comps for x in (c.real, c.imag))
-                    lines.append(
-                        f"{family} {kind} {index} "
-                        f"{p.px:.17g} {p.py:.17g} {p.pz:.17g} {p.m:.17g} {nums}"
-                    )
-    return lines
-
-
-def write_golden(path, momenta):
-    with open(path, "w") as fh:
-        fh.write(GOLDEN_HEADER + "\n")
-        for line in golden_records(momenta):
-            fh.write(line + "\n")
-
-
-def read_golden(path):
-    """Yields (family, kind, index, momentum, components) tuples."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != GOLDEN_HEADER:
-            raise DomainError(f"unsupported golden file header {header!r}")
-        out = []
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split()
-            family, kind, index = parts[0], parts[1], parts[2]
-            px, py, pz, m = (float(x) for x in parts[3:7])
-            comps = np.array([float(x) for x in parts[7:15]]).view(complex)
-            out.append((family, kind, index, make_momentum(px, py, pz, m), comps))
-        return out

@@ -629,6 +629,16 @@ def _cp_dirac(ctx, key):
     return [res.anticommute_residual, float(not separated)], constants
 
 
+# The inversion image substitutes (theta, phi) -> (pi - theta, pi + phi)
+# into lambda^S.  The factory at Pp reads Pp's own frame instead, whose
+# azimuth is folded onto [0, 2 pi) and is 0 on the exact z axis.  The two
+# frames differ by a rotation about z through delta = phi(Pp) - (pi + phi),
+# k half turns with k in {0, -1, -2}: the substituted spinor is the
+# factory's times diag(e^{i delta/2}, e^{-i delta/2}) on both chiral
+# blocks, here in exact units keyed by k.
+_Z_HALF_TURNS = {0: np.ones(4), -1: np.array([-1j, 1j, -1j, 1j]), -2: -np.ones(4)}
+
+
 @check("symmetry.cp-elko", "conjugation and inversion commute on the self/anti-self conjugate "
        "states (imaginary intrinsic inversion phase; inversion image is -+i times the opposite "
        "kind)", expect="classify", relation="commute")
@@ -641,12 +651,13 @@ def _cp_elko(ctx, key):
     # measured inversion images (i gamma0 R) lambda^S_h = -+ i lambda^A_h
     p = ctx.momenta(key + "-image", n=1)[0]
     if p.p_abs > 0:
-        a = p.angles()
         pr = kin.parity_reflect(p)
-        for h, index, coeff in ((1, "up", -1j), (-1, "down", 1j)):
-            img = 1j * mat.gamma0 @ sp.helicity_lambda_at(
-                pr, "S", h, math.pi - a.theta, math.pi + a.phi)
-            tgt = coeff * sp.helicity_lambda_at(p, "A", h, a.theta, a.phi)
+        delta = kin.half_angles(pr)[2] - math.pi - kin.half_angles(p)[2]
+        rotation = _Z_HALF_TURNS[int(round(delta / math.pi))]
+        for index, coeff in (("up", -1j), ("down", 1j)):
+            img = 1j * mat.gamma0 @ (rotation * sp.lambda_spinor(pr, "S", index,
+                                                                  "helicity").components)
+            tgt = coeff * sp.lambda_spinor(p, "A", index, "helicity").components
             rows.append(np.linalg.norm(img - tgt) / np.linalg.norm(img))
             constants[f"image-coefficient-{index}"] = _c(coeff)
     separated = res.anticommute_residual > TOLERANCES["floor"]

@@ -138,7 +138,7 @@ class TestDynamicsKernels:
 
 def _rest_spinors(p, h):
     """The helicity rest spinors on p's direction, built by hand."""
-    f = p.helicity_pair[h < 0]
+    f = kin._ring_window(p.helicity_ring, h, h)[..., :2]
     tf = np.conj(f) @ theta_half.T
     half = math.sqrt(p.m / 2.0)
     return {

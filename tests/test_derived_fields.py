@@ -18,7 +18,7 @@ from elko import kinematics as kin
 from elko.suite import run_suite
 
 FIELDS = ("p_r", "p_l", "p_perp2", "p_abs", "half_angles", "boost_norm", "pattern_diagonal",
-          "helicity_pair", "helicity_ring")
+          "helicity_ring")
 
 
 def _fresh(p):
@@ -34,7 +34,6 @@ def _fresh(p):
         "half_angles": kin._half_angles(q),
         "boost_norm": kin._sqrt(2.0 * m * (E + m)),
         "pattern_diagonal": (E + pz + m, E - pz + m, 1.0 / (2.0 * kin._sqrt(E + m))),
-        "helicity_pair": kin._helicity_pair(*kin._half_angles(q)),
         "helicity_ring": kin._helicity_ring(*kin._half_angles(q)),
     }
 

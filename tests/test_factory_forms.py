@@ -53,6 +53,13 @@ def rows(edge_rows):
 # frozen forms
 # ---------------------------------------------------------------------------
 
+def _frozen_pair(p):
+    """(phi_+, phi_-) as the momentum once held them: two views of its
+    ``helicity_ring``."""
+    ring = p.helicity_ring
+    return ring[..., 0:2], ring[..., 4:6]
+
+
 def _frozen_helicity_rest(pair, family, kind, h, cfg, m):
     e = cfg.factors[h < 0]
     zeta = sp._ZETA[family][kind]
@@ -70,13 +77,13 @@ def _frozen_components(family, p, kind, index, basis, cfg):
             col = 0 if index == "up" else 1
             right, left = kin._boost_columns(p, "R")[col], kin._boost_columns(p, "L")[col]
             return vector(*right, *left) * np.array([sm, sm, s * sm, s * sm]).T
-        f = cfg.factors[h < 0] * p.helicity_pair[h < 0]
+        f = cfg.factors[h < 0] * _frozen_pair(p)[h < 0]
         upper, lower = sm * kin.boost_eigenvalue(p, h), s * sm * kin.boost_eigenvalue(p, -h)
         return np.concatenate([f, f], axis=-1) * np.array([upper, upper, lower, lower]).T
     if basis == "spinorial":
         return sp.boosted_patterns(p, sp._GATHER[family, kind, index])
     s = -h if family == "lambda" else h
-    return column(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(p.helicity_pair, family,
+    return column(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(_frozen_pair(p), family,
                                                                       kind, h, cfg, p.m)
 
 

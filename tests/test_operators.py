@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -15,8 +16,8 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import (_sqrt, boost_half, make_momenta, make_momentum, parity_reflect,
-                             sample_momenta)
+from elko.kinematics import (_sqrt, boost_half, half_angles, make_momenta, make_momentum,
+                             parity_reflect, sample_momenta)
 from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot, rownorm,
                            sigma_z, vdot)
 
@@ -543,19 +544,39 @@ class TestCPClassification:
             assert ops.classify_cp_action("helicity", "elko", seed=5, n_momenta=10,
                                           cfg=cfg).relation == "commute"
 
-    def test_elko_inversion_images(self, random_momenta):
-        # with the imaginary intrinsic phase the inversion image of the self
-        # kind is -+i times the anti kind at the same helicity
-        for p in random_momenta(5):
-            if p.p_abs == 0:
-                continue
-            a = p.angles()
+    def test_elko_inversion_images(self, random_momenta, edge_rows, rng):
+        """With the imaginary intrinsic phase the inversion image of the self
+        kind is -+i times the anti kind at the same helicity, both read off
+        the helicity factories.  The factory at Pp reads Pp's own azimuth,
+        folded onto [0, 2 pi) and 0 on the exact z axis, where the image
+        substitutes pi + phi; the two frames differ by a rotation about z
+        through delta = phi(Pp) - (pi + phi), a multiple of pi.  Every
+        multiple occurs: 0, -2 pi where pi + phi passes 2 pi, and -pi on
+        the exact +-z axis, with every sign of its zero components."""
+        momenta = [p for p in random_momenta(5) if p.p_abs > 0]
+        momenta += [make_momentum(*row) for row in edge_rows if any(row[:3])]
+        momenta += [make_momentum(x, y, z, 0.8)
+                    for x, y, z in itertools.product((0.0, -0.0), (0.0, -0.0), (1e-3, -4.0))]
+        for ratio in (1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):   # |p|/m
+            for direction in rng.normal(size=(4, 3)):
+                momenta.append(make_momentum(*(ratio * 0.6 * direction
+                                               / np.linalg.norm(direction)), 0.6))
+        half_turns = set()
+        for p in momenta:
             pr = parity_reflect(p)
-            for h, coeff in ((1, -1j), (-1, 1j)):
-                img = 1j * gamma0 @ sp.helicity_lambda_at(
-                    pr, "S", h, math.pi - a.theta, math.pi + a.phi)
-                tgt = coeff * sp.helicity_lambda_at(p, "A", h, a.theta, a.phi)
-                assert np.linalg.norm(img - tgt) <= 1e-12 * np.linalg.norm(img)
+            phi, phi_r = half_angles(p)[2], half_angles(pr)[2]
+            k = round((phi_r - math.pi - phi) / math.pi)
+            assert abs(phi_r - math.pi - phi - k * math.pi) <= 1e-14
+            assert (k == -1) == (p.px == 0.0 and p.py == 0.0), p   # the half turn: the z axis
+            half_turns.add(k)
+            e = cmath.exp(0.5j * k * math.pi)
+            rotation = np.array([e, e.conjugate(), e, e.conjugate()])
+            for index, coeff in (("up", -1j), ("down", 1j)):
+                img = 1j * gamma0 @ (rotation * sp.lambda_spinor(pr, "S", index,
+                                                                 "helicity").components)
+                tgt = coeff * sp.lambda_spinor(p, "A", index, "helicity").components
+                assert np.linalg.norm(img - tgt) <= 1e-12 * np.linalg.norm(img), (p, index)
+        assert half_turns == {0, -1, -2}
 
 
 class TestComposition:

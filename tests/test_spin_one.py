@@ -8,7 +8,7 @@ import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum
+from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, polar_angles
 from elko.matrices import SPIN1_J, spin1_dot, spin1_jy, spin1_jz, theta_one
 
 _I3 = np.eye(3, dtype=complex)
@@ -60,35 +60,46 @@ class TestConjugationOperators:
         assert np.linalg.norm(g5 @ cm + cm @ g5) <= 1e-14
 
 
+def _along(theta, phi, pabs=2.0, m=0.5):
+    """On-shell momenta of magnitude pabs along the directions (theta, phi),
+    one momentum for float angles, a batch for (N,) arrays."""
+    st = np.sin(theta)
+    vec = (pabs * st * np.cos(phi), pabs * st * np.sin(phi), pabs * np.cos(theta))
+    return make_momenta(*vec, m) if np.ndim(theta) else make_momentum(*vec, m)
+
+
 class TestHelicityTriplet:
     def test_z_axis_eigenvectors(self):
-        for h, col in ((1, [1, 0, 0]), (0, [0, 1, 0]), (-1, [0, 0, 1])):
-            assert np.allclose(s1.spin1_helicity_triplet(0.0, 0.0, h), col)
+        for p in (make_momentum(0.0, 0.0, 0.0, 1.0), make_momentum(0.0, 0.0, 2.0, 1.0)):
+            for h, col in ((1, [1, 0, 0]), (0, [0, 1, 0]), (-1, [0, 0, 1])):
+                assert np.allclose(s1.spin1_helicity_triplet_at(p, h), col)
 
     def test_eigenrelation_generic_angles(self, rng):
         for _ in range(10):
-            th = rng.uniform(0, math.pi)
-            ph = rng.uniform(0, 2 * math.pi)
-            n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
-                          math.cos(th)])
-            jn = spin1_dot(n)
+            p = _along(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            jn = spin1_dot(p.direction())
             for h in (1, 0, -1):
-                f = s1.spin1_helicity_triplet(th, ph, h)
+                f = s1.spin1_helicity_triplet_at(p, h)
                 assert np.linalg.norm(jn @ f - h * f) <= 1e-13
 
     def test_invalid_helicity_rejected(self):
         with pytest.raises(DomainError):
-            s1.spin1_helicity_triplet(0.0, 0.0, 2)
+            s1.spin1_helicity_triplet_at(make_momentum(0.0, 0.0, 0.0, 1.0), 2)
 
     def test_closed_forms_match_the_frozen_rotation_columns(self, rng):
+        """The triplets of a batch and of its rows against the rotation
+        columns at the momenta's own angles (``polar_angles``), on and
+        near both ends of the z axis."""
         theta = np.concatenate([rng.uniform(0, math.pi, 1000), [0.0, math.pi, 1e-9, math.pi - 1e-9]])
         phi = np.concatenate([rng.uniform(0, 2 * math.pi, 1000), [0.0, 1.0, 2.0, 6.0]])
-        rotation = _frozen_rotation(theta, phi)
+        batch = _along(theta, phi)
+        rotation = _frozen_rotation(*polar_angles(batch))
         for h, column in ((1, 0), (0, 1), (-1, 2)):
-            assert np.max(np.abs(s1.spin1_helicity_triplet(theta, phi, h)
+            assert np.max(np.abs(s1.spin1_helicity_triplet_at(batch, h)
                                  - rotation[..., column])) <= 1e-15
-            for k in (0, 1000, 1001):   # one angle pair: a (3,) vector
-                f = s1.spin1_helicity_triplet(float(theta[k]), float(phi[k]), h)
+            for k in (0, 1000, 1001, 1003):   # one momentum: a (3,) vector
+                f = s1.spin1_helicity_triplet_at(batch[k], h)
+                assert f.shape == (3,)
                 assert np.max(np.abs(f - rotation[k, :, column])) <= 1e-15
 
 
@@ -135,7 +146,8 @@ def _reference_pair(p, construction, h):
 class TestSixSpinors:
     def test_rest_frame_blocks(self):
         p = make_momentum(0, 0, 0, 1.0)
-        f = s1.spin1_helicity_triplet(0.0, 0.0, 1)
+        f = s1.spin1_helicity_triplet_at(p, 1)
+        assert np.array_equal(f, [1, 0, 0])
         x, y = s1.spin1_pair(p, "lambda", 1)
         assert np.array_equal(x, np.concatenate([np.zeros(3), f]))
         assert np.array_equal(y, np.concatenate([s1.wigner_theta_one() @ np.conj(f), np.zeros(3)]))

@@ -13,6 +13,8 @@ from elko.kinematics import boost_half_pair, make_momentum, parity_reflect, samp
 from elko.matrices import gamma0, theta_half
 from elko.operators import charge_conjugation, chiral_helicity_operator, helicity_operator
 
+import golden
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -223,6 +225,21 @@ class TestHelicityTwoSpinors:
             assert np.linalg.norm(u.conj().T @ down - up) <= 1e-13
             assert np.linalg.norm(u @ u.conj().T - np.eye(2)) <= 1e-14
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_angle_or_phase_rejected(self, value, slot):
+        """A NaN or infinite angle or phase raises instead of returning NaN
+        components, for floats and inside an (N,) array."""
+        for batch in (False, True):
+            args = [0.3, 1.2, 0.4, -0.7]
+            args[slot] = np.array([0.5, value]) if batch else value
+            theta, phi, t1, t2 = args
+            with pytest.raises(DomainError, match="finite"):
+                sp.helicity_components(theta, phi, 1, t1, t2)
+            if slot > 0:   # (phi, alpha, beta)
+                with pytest.raises(DomainError, match="finite"):
+                    sp.index_flip_unitary(*args[1:])
+
 
 class TestDiracSpinors:
     def test_rest_parity_eigenvalue(self):
@@ -345,6 +362,25 @@ class TestLabelsAndPhases:
         with pytest.raises(DomainError, match="kind"):
             sp.Bispinor(np.zeros(4, dtype=complex), family, kind, "up", "spinorial", p)
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 4), (1, 4), (4, 1), ()])
+    def test_public_construction_checks_the_shape_at_one_momentum(self, shape):
+        """A spinor at one momentum has four components: a (3,) array or a
+        (2, 4) stack raises, not later inside ``bar_product``."""
+        p = make_momentum(0.3, -0.4, 1.2, 0.9)
+        with pytest.raises(DomainError, match="shape"):
+            sp.Bispinor(np.zeros(shape), "lambda", "S", "up", "spinorial", p)
+
+    def test_public_construction_checks_the_shape_on_a_batch(self):
+        """On a batch of N the components are (N, 4) rows."""
+        batch = sample_momenta(np.random.default_rng(3), 3)
+        rows = sp.lambda_components(batch, "S", "up")
+        spinor = sp.Bispinor(rows, "lambda", "S", "up", "spinorial", batch)
+        assert spinor.components is rows
+        assert sp.bar_product(spinor, spinor).shape == (3,)
+        for bad in (rows[:2], rows[0], rows[:, :3], rows[None]):
+            with pytest.raises(DomainError, match="shape"):
+                sp.Bispinor(bad, "lambda", "S", "up", "spinorial", batch)
+
     def test_every_factory_spinor_passes_the_public_checks(self):
         """The factories label their spinors without the dataclass checks;
         each label set they produce is one the public construction accepts,
@@ -370,19 +406,11 @@ class TestLabelsAndPhases:
 
 
 class TestGoldenFile:
-    MOMENTA = [
-        (0.0, 0.0, 0.0, 2.0),
-        (1.0, 2.0, 3.0, 2.0),
-        (0.0, 0.0, 1.0, 1.0),
-        (3.0, 4.0, 0.0, 0.5),
-        (0.0, 0.0, -2.0, 1.0),
-    ]
-
     def test_round_trip(self, tmp_path):
-        momenta = [make_momentum(*m) for m in self.MOMENTA]
+        momenta = [make_momentum(*m) for m in golden.MOMENTA]
         path = tmp_path / "golden.txt"
-        sp.write_golden(path, momenta)
-        records = sp.read_golden(path)
+        golden.write_golden(path, momenta)
+        records = golden.read_golden(path)
         assert len(records) == len(momenta) * 8
         for family, kind, index, p, comps in records:
             fn = sp.lambda_spinor if family == "lambda" else sp.rho_spinor
@@ -391,9 +419,9 @@ class TestGoldenFile:
     def test_checked_in_regression(self):
         # text against text, so a last bit or the sign of a zero part shows
         lines = (DATA / "spinors_golden.txt").read_text().splitlines()
-        assert lines[0] == sp.GOLDEN_HEADER
-        records = sp.golden_records([make_momentum(*m) for m in self.MOMENTA])
-        assert len(records) == len(self.MOMENTA) * 8
+        assert lines[0] == golden.GOLDEN_HEADER
+        records = golden.golden_records([make_momentum(*m) for m in golden.MOMENTA])
+        assert len(records) == len(golden.MOMENTA) * 8
         for line, record in zip(lines[1:], records, strict=True):
             assert line == record
 
@@ -401,4 +429,4 @@ class TestGoldenFile:
         path = tmp_path / "bad.txt"
         path.write_text("not-a-golden-file\n")
         with pytest.raises(DomainError):
-            sp.read_golden(path)
+            golden.read_golden(path)

@@ -162,7 +162,10 @@ def test_forced_wrong_convention_fails_dynamics():
 
 
 class _OneMomentum:
-    """A run context that draws the one given momentum for every stream."""
+    """A run context that draws the one given momentum for every stream;
+    a check that samples on its own (``classify_cp_action``) draws 10."""
+
+    seed, samples = 1, 10
 
     def __init__(self, p):
         self.batch = as_batch([p])
@@ -186,6 +189,24 @@ def test_wrong_convention_is_scale_free(m, boost):
     residual = spec.reduce(rows)
     assert spec.passes(residual, {})
     assert residual == pytest.approx(2.0, rel=1e-12)
+
+
+_AXIS_ROWS = [(x, y, z, 0.9) for x, y, z in itertools.product((0.0, -0.0), (0.0, -0.0),
+                                                                (2.0, -2.0))]
+_BOOSTED_ROWS = [(*(ratio * 0.7 * np.array(d)), 0.7) for ratio in (1e-3, 1e3, 1e6, 1e12)
+                 for d in ((0.48, -0.6, 0.64), (-0.48, 0.6, -0.64), (-0.6, -0.48, 0.64))]
+
+
+@pytest.mark.parametrize("row", _AXIS_ROWS + _BOOSTED_ROWS)
+def test_cp_elko_holds_outside_the_sampled_box(row):
+    """The inversion-image rows of ``symmetry.cp-elko`` read both images off
+    the helicity factories, so they hold at the check's tolerance on the
+    exact +-z axis, with every sign of its zero components, and at
+    |p|/m up to 1e12 in both azimuthal half-planes."""
+    spec = next(c for c in suite_checks("symmetry") if c.id == "symmetry.cp-elko")
+    rows, constants = spec.run(_OneMomentum(make_momentum(*row)))
+    assert len(rows) == 4   # commute residual, the two images, separation
+    assert spec.passes(spec.reduce(rows), constants)
 
 
 def test_every_check_returns_its_rows_and_constants():
@@ -335,9 +356,9 @@ def test_other_seeds_report_the_reference_constants(seed):
     assert diff_reports(reference, report) == []
 
 
-# Deleted from the library with no caller left; its metric is dropped at the
-# next change to the benchmark.
-_STALE_METRICS = {"matrices.normalize_intertwiner"}
+# Deleted from the library with no caller left; their metrics are dropped
+# at the next change to the benchmark.
+_STALE_METRICS = {"matrices.normalize_intertwiner", "spinors.helicity_lambda_at"}
 
 
 def test_benchmark_metrics_name_live_code():
