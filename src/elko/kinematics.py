@@ -6,7 +6,7 @@ identity by continuity.
 
 A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
 one momentum as floats; both expose the same fields, and the spin-1/2
-kernels (derived fields, ``half_angles``, ``polar_angles``, ``boost_half``,
+kernels (derived fields, ``half_angles``, ``boost_half``,
 ``boost_half_pair``, ``boost_eigenvalue``) and the spin-1 ``boost_one`` are
 written once as plain arithmetic that accepts either.  A momentum's derived
 fields are computed once, on first use, and kept with the immutable
@@ -168,12 +168,6 @@ class FourMomentum(_OnShell):
     @property
     def p_minus(self) -> float:
         return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[1])
-
-    def angles(self) -> "AngularParams":
-        """Polar/azimuthal angles of the direction; (0, 0) at rest.  The
-        one-momentum call of ``polar_angles``."""
-        theta, phi = polar_angles(self)
-        return AngularParams(float(theta), float(phi))
 
 
 @dataclass(frozen=True)
@@ -349,18 +343,6 @@ def _ring_window(ring, a: int, b: int):
     return ring[..., start:start + 4]
 
 
-def polar_angles(p):
-    """(theta, phi) of p's direction, theta in [0, pi] and phi in
-    [0, 2 pi); (0, 0) at rest; floats or (N,) arrays.
-
-    theta is 2 atan2(sin(theta/2), cos(theta/2)) from ``half_angles``, so
-    it keeps its relative precision near the z axis, where arccos(pz/|p|)
-    would round to 0 or pi.
-    """
-    cos_half, sin_half, phi = half_angles(p)
-    return 2.0 * np.arctan2(sin_half, cos_half), phi
-
-
 def parity_reflect(p):
     """(E, p) -> (E, -p); an exact involution, row by row on a batch."""
     return type(p)(-p.px, -p.py, -p.pz, p.m, p.E)
@@ -401,9 +383,7 @@ def _xi(p):
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
     twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
     xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
-    # Python complexes at one momentum, like its other fields: numpy scalar
-    # arithmetic would cost more than the check itself
-    d = (xi[..., 0, 0], xi[..., 1, 1]) if xi.ndim > 2 else (complex(xi[0, 0]), complex(xi[1, 1]))
+    d = (xi[..., 0, 0], xi[..., 1, 1])
     for side in ("R", "L"):
         resid, norm = _intertwiner_residual(d, _boost_columns(p, side))
         if np.count_nonzero(resid > TOLERANCES["intertwiner"] * 2.0 * norm):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     DomainError,
 )
 from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
-from .matrices import CMatrix, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
+from .matrices import CMatrix, blocks, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
 from .spinors import PhaseConfig, dirac_components, lambda_components
 
 
@@ -163,9 +164,7 @@ def u1(p) -> CMatrix:
     if np.count_nonzero(pabs == 0.0):
         raise DirectionUndefinedError("u1 needs a momentum direction")
     far, below = pabs + abs(pz), pz < 0
-    # np.where(below, p_perp^2 / far, far) in plain arithmetic, so that one
-    # momentum stays in Python floats; both are >= +0, so the zero term adds exactly
-    denom = p.p_perp2 / far * below + far * (1 - below)
+    denom = np.where(below, p.p_perp2 / far, far)
     cos2 = denom / (2.0 * pabs)
     if np.count_nonzero(below & ((p.p_perp2 < _TINY) | (denom < _TINY) | (cos2 < _TINY))):
         raise CoordinateSingularityError(
@@ -226,17 +225,6 @@ def xi_residual(xi, lam):
     return rownorm(d[..., :, None] * lam - np.conj(lam) * d[..., None, :], matrix=True)
 
 
-# Where the four transforms' entries sit in the gather table: slots 0-15
-# hold the entries of xu, i xu, -i xu and -xu (xu = sqrt(2) e^{i phi} Xi,
-# row-major), slot 16 a zero; the blocks are those of the block forms.
-_X, _IX, _MIX, _MX = np.arange(16).reshape(4, 2, 2)
-_ZERO = np.full((2, 2), 16)
-_TRANSFORM_INDEX = np.array([np.block([[_X, _ZERO], [_ZERO, _X]]),
-                             np.block([[_IX, _ZERO], [_ZERO, _MIX]]),
-                             np.block([[_ZERO, _IX], [_IX, _ZERO]]),
-                             np.block([[_ZERO, _X], [_MX, _ZERO]])])
-
-
 def lambda_basis_transforms(p) -> list[CMatrix]:
     """The four 4x4 block matrices built from Xi that map the self-conjugate
     helicity-family lambdas onto {lambda_A*, -i lambda_S*, i gamma0 lambda_A*,
@@ -246,18 +234,14 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     Xi is rescaled to its unitary representative and phase-pinned so the
     first transform's coefficient is real positive (the block scale drops out
     of the intertwining relation, but the mapped-family identities fix it).
-    The momentum's cached Xi is read, not rebuilt.  With xu = sqrt(2)
-    e^{i phi} Xi, the four matrices are one gather from a table of xu's
-    entries and their multiples by i, -i and -1, bit for bit the block forms
-    blocks(xu, 0, 0, xu), blocks(i xu, 0, 0, -i xu), blocks(0, i xu, i xu, 0)
-    and blocks(0, xu, -xu, 0), zero signs included.
+    The momentum's cached Xi is read, not rebuilt.
     """
     # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1
     phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
-    xu = (math.sqrt(2.0) * phase * xi_matrix(p)).reshape(phase.shape[:-2] + (4,))
-    table = np.concatenate([xu, 1j * xu, -1j * xu, -xu, np.zeros_like(xu[..., :1])], axis=-1)
-    out = table.take(_TRANSFORM_INDEX, axis=-1)
-    return [out[..., k, :, :] for k in range(4)]
+    xu = math.sqrt(2.0) * phase * xi_matrix(p)
+    z = np.zeros_like(xu)
+    return [blocks(xu, z, z, xu), blocks(1j * xu, z, z, -1j * xu),
+            blocks(z, 1j * xu, 1j * xu, z), blocks(z, xu, -xu, z)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +292,11 @@ def _family_states(basis: str, family: str, cfg: PhaseConfig):
             for s in ("particle", "antiparticle")
             for i in ("up", "down")
         ]
-    if family == "elko":
-        return [
-            (lambda q, k=k, i=i: lambda_components(q, k, i, basis, cfg))
-            for k in ("S", "A")
-            for i in ("up", "down")
-        ]
-    raise DomainError(f"family must be 'dirac' or 'elko', got {family!r}")
+    return [
+        (lambda q, k=k, i=i: lambda_components(q, k, i, basis, cfg))
+        for k in ("S", "A")
+        for i in ("up", "down")
+    ]
 
 
 def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 100,
@@ -323,10 +305,16 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
 
     Uses the family's intrinsic inversion phase; the classification is
     independent of the conjugation phase theta_c.  The momenta come from
-    the suite's sampler and are probed as one batch.
+    the suite's sampler and are probed as one batch.  An unknown basis or
+    family, or a momentum count that is not an integer of at least 1,
+    raises ``DomainError``.
     """
     if basis not in ("spinorial", "helicity"):
         raise DomainError(f"unknown basis {basis!r}")
+    if family not in _INTRINSIC_PARITY:
+        raise DomainError(f"family must be 'dirac' or 'elko', got {family!r}")
+    if isinstance(n_momenta, bool) or not isinstance(n_momenta, Integral) or n_momenta < 1:
+        raise DomainError(f"n_momenta must be an integer of at least 1, got {n_momenta!r}")
     c_op = charge_conjugation(cfg)
     p_op = parity_operator(_INTRINSIC_PARITY[family])
     cp = c_op.compose(p_op)
@@ -341,7 +329,7 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
         scale = np.maximum(rownorm(state(q)), 1e-300)
         rows.append([rownorm(a - b) / scale, rownorm(a + b) / scale])
     # one reduction over every row: a NaN row gives NaN, which classifies as neither
-    commute, anticommute = np.max(rows, axis=(0, 2), initial=0.0).tolist()
+    commute, anticommute = np.max(rows, axis=(0, 2)).tolist()
 
     tol = TOLERANCES["identity"]
     if commute <= tol:

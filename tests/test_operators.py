@@ -526,6 +526,20 @@ class TestCPClassification:
         assert res.commute_residual <= 1e-12
         assert res.anticommute_residual > 0.1
 
+    @pytest.mark.parametrize("family", ["dirac", "elko"])
+    @pytest.mark.parametrize("n_momenta", [0, -1, 2.5, True])
+    def test_fewer_than_one_momentum_rejected(self, family, n_momenta):
+        """With no momenta both residuals would read 0.0, and ``dirac``
+        would classify as commuting; a negative, fractional or boolean
+        count reached numpy."""
+        with pytest.raises(DomainError, match="n_momenta"):
+            ops.classify_cp_action("spinorial", family, seed=3, n_momenta=n_momenta)
+
+    @pytest.mark.parametrize("family", ["lambda", "rho", "u", "", None])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(DomainError, match="family"):
+            ops.classify_cp_action("helicity", family, seed=3, n_momenta=4)
+
     def test_a_nan_row_classifies_as_neither(self, nan_lambda_anti):
         """The residuals are one reduction over every state's rows, so a NaN
         row reads as NaN and classifies as neither; a fold by Python's

@@ -20,6 +20,7 @@
   ``gamma5_sc_one``: the conjugacy residual is one harmonic in zeta.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,9 +130,10 @@ def test_library_pair_and_image_are_the_symbolic_ones(h):
     theta, phi, t1, t2 = sympy.symbols("theta phi theta1 theta2", real=True)
     plus, minus = _helicity_pair(theta, phi)
     p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
-    angles = p.angles()
+    cos_half, sin_half, azimuth = kin.half_angles(p)
     cfg = sp.PhaseConfig(theta1=0.9, theta2=-2.3)
-    point = {theta: angles.theta, phi: angles.phi, t1: cfg.theta1, t2: cfg.theta2}
+    point = {theta: 2.0 * math.atan2(sin_half, cos_half), phi: azimuth, t1: cfg.theta1,
+             t2: cfg.theta2}
     ring = p.helicity_ring   # (phi_+, phi_+, phi_-, phi_-, phi_+)
     for got, exact in zip((ring[0:2], ring[4:6]), (plus, minus)):
         assert np.allclose(got, np.array(exact.subs(point).evalf(20), dtype=complex)[:, 0],

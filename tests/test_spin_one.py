@@ -8,7 +8,7 @@ import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, polar_angles
+from elko.kinematics import as_batch, boost_one, half_angles, make_momenta, make_momentum
 from elko.matrices import SPIN1_J, spin1_dot, spin1_jy, spin1_jz, theta_one
 
 _I3 = np.eye(3, dtype=complex)
@@ -88,12 +88,13 @@ class TestHelicityTriplet:
 
     def test_closed_forms_match_the_frozen_rotation_columns(self, rng):
         """The triplets of a batch and of its rows against the rotation
-        columns at the momenta's own angles (``polar_angles``), on and
-        near both ends of the z axis."""
+        columns at the momenta's own angles (theta read off ``half_angles``),
+        on and near both ends of the z axis."""
         theta = np.concatenate([rng.uniform(0, math.pi, 1000), [0.0, math.pi, 1e-9, math.pi - 1e-9]])
         phi = np.concatenate([rng.uniform(0, 2 * math.pi, 1000), [0.0, 1.0, 2.0, 6.0]])
         batch = _along(theta, phi)
-        rotation = _frozen_rotation(*polar_angles(batch))
+        cos_half, sin_half, azimuth = half_angles(batch)
+        rotation = _frozen_rotation(2.0 * np.arctan2(sin_half, cos_half), azimuth)
         for h, column in ((1, 0), (0, 1), (-1, 2)):
             assert np.max(np.abs(s1.spin1_helicity_triplet_at(batch, h)
                                  - rotation[..., column])) <= 1e-15

@@ -6,10 +6,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elko import spinors as sp
+from elko.config import TOLERANCES
 from elko.errors import DomainError
-from elko.kinematics import boost_half_pair, make_momentum, parity_reflect, sample_momenta
+from elko.kinematics import (boost_half_pair, make_momenta, make_momentum, parity_reflect,
+                             sample_momenta)
 from elko.matrices import gamma0, theta_half
 from elko.operators import charge_conjugation, chiral_helicity_operator, helicity_operator
 
@@ -283,6 +287,36 @@ class TestEigenstructure:
                     v = v / np.linalg.norm(v)
                     ev = 0.5 * sp.chiral_helicity_sign(family, index)
                     assert np.linalg.norm(eta.apply(v) - ev * v) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_m=st.floats(-6.0, 6.0), log_ratio=st.floats(-12.0, 12.0),
+           log_angle=st.floats(-8.0, -2.0), azimuth=st.floats(0.0, 2.0 * math.pi),
+           south=st.booleans(), theta1=st.floats(-math.pi, math.pi),
+           theta2=st.floats(-math.pi, math.pi))
+    def test_chiral_helicity_eigen_near_the_z_axis_over_the_whole_domain(
+            self, log_m, log_ratio, log_angle, azimuth, south, theta1, theta2):
+        """m in [1e-6, 1e6], |p|/m from 1e-12 to 1e12 (at rest there is no
+        direction), directions 1e-8 to 1e-2 rad from +z or -z: every
+        helicity-basis lambda and rho, S and A, up and down, is a
+        chiral-helicity eigenstate with eigenvalue +-1/2 to the identity
+        tolerance relative to its norm, at one momentum and on a batch that
+        also holds the mirror direction and three more azimuths."""
+        m, angle = 10.0 ** log_m, 10.0 ** log_angle
+        pabs = m * 10.0 ** log_ratio
+        polar = np.array([math.pi - angle if south else angle] * 4 + [angle, math.pi - angle] * 2)
+        phi = azimuth + np.array([0.0, 0.5, 1.0, 1.5, 0.0, 0.0, 1.0, 1.0]) * math.pi
+        batch = make_momenta(pabs * np.sin(polar) * np.cos(phi), pabs * np.sin(polar) * np.sin(phi),
+                             pabs * np.cos(polar), m)
+        cfg = sp.PhaseConfig(theta1=theta1, theta2=theta2)
+        tol = TOLERANCES["identity"]
+        for p in (batch[0], batch):
+            eta = chiral_helicity_operator(p)
+            for fn, family in ((sp.lambda_components, "lambda"), (sp.rho_components, "rho")):
+                for kind, index in itertools.product(sp.KINDS_SELF, sp.INDICES):
+                    v = fn(p, kind, index, "helicity", cfg)
+                    ev = 0.5 * sp.chiral_helicity_sign(family, index)
+                    residual = np.linalg.norm(eta.apply(v) - ev * v, axis=-1)
+                    assert np.all(residual <= tol * np.linalg.norm(v, axis=-1))
 
     def test_not_helicity_eigen_generic_momentum(self):
         p = make_momentum(1.0, 2.0, 3.0, 1.5)
