@@ -69,16 +69,26 @@ def _array_json(arr) -> list:
 
 
 def _parse_momentum(text: str):
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise UsageError("--momentum expects three comma-separated numbers px,py,pz")
     return parts
 
 
+def _write_file(path, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_output(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        _write_file(out_path, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -169,8 +179,8 @@ _PATTERN_SYMBOL = {0j: "0", 1 + 0j: "1", -1 + 0j: "-1", 1j: "i", -1j: "-i"}
 
 
 def cmd_table(args) -> int:
-    if not args.mass > 0:
-        raise UsageError(f"mass must be positive, got {args.mass}")
+    if not (args.mass > 0 and math.isfinite(args.mass)):
+        raise UsageError(f"mass must be positive and finite, got {args.mass}")
     prefactor = math.sqrt(args.mass / 2.0)
     rows = []
     for label, patterns in (("lambda", REST_LAMBDA_PATTERNS), ("rho", REST_RHO_PATTERNS)):
@@ -201,8 +211,7 @@ def cmd_verify(args) -> int:
                        force_convention=args.force_convention)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     if args.format == "json" and not args.out:
         print(text)
     summary = report.summary
@@ -214,12 +223,19 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _read_report(path) -> VerificationReport:
+    try:
+        with open(path) as fh:
+            return VerificationReport.from_json(fh.read())
+    except OSError as exc:
+        raise UsageError(f"cannot read report {path}: {exc.strerror or exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a verification report: "
+                         f"{type(exc).__name__}: {exc}") from None
+
+
 def cmd_diff(args) -> int:
-    with open(args.report_a) as fh:
-        a = VerificationReport.from_json(fh.read())
-    with open(args.report_b) as fh:
-        b = VerificationReport.from_json(fh.read())
-    drifted = diff_reports(a, b)
+    drifted = diff_reports(_read_report(args.report_a), _read_report(args.report_b))
     if args.format == "json":
         print(json.dumps({"drifted": drifted}))
     else:

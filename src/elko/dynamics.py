@@ -41,12 +41,6 @@ class FrequencyConvention:
         if self.sign not in (1, -1):
             raise DomainError(f"convention sign must be +-1, got {self.sign}")
 
-    def sector_sign(self, sector: str) -> int:
-        """Momentum-space sign of i gamma.d for the S or A sector."""
-        if sector not in ("S", "A"):
-            raise DomainError(f"sector must be 'S' or 'A', got {sector!r}")
-        return self.sign if sector == "S" else -self.sign
-
 
 class MarkovPair(NamedTuple):
     chi: np.ndarray
@@ -82,70 +76,51 @@ _BLOCK_PRODUCTS, _BLOCK_POSITIONS = pattern_gather(
 _BLOCK_GATHER = (_BLOCK_PRODUCTS, _BLOCK_POSITIONS.reshape(len(INDICES), 16))
 
 
-def _gathered_block(p):
-    """The physical states as an (index, state, component) block, (2, 4, 4)
-    at one momentum and (2, N, 4, 4) on a batch: one gather from the
-    spinorial pattern table, the entries that the spinorial
-    ``lambda_components`` and ``rho_components`` read one state at a time.
-    On a batch it is a view with the batch axis innermost in memory."""
-    rows = boosted_patterns(p, _BLOCK_GATHER)   # (2, 16) or (2, N, 16)
-    return rows.reshape(rows.shape[:-1] + (4, 4))
-
-
 def physical_states(p):
-    """The physical quartets of both indices, built once: (lambda^S, rho^A,
-    lambda^A, rho^S), each state with the indices up and down stacked on a
-    leading axis of length 2, so (2, 4) at one momentum and (2, N, 4) on a
-    batch.  All eight are one gather (``_gathered_block``)."""
-    block = _gathered_block(p)
-    # row-major copies: the rows stacked from them keep a contiguous layout
-    return tuple(np.ascontiguousarray(block[..., k, :]) for k in range(4))
-
-
-def _physical_block(p):
-    """The physical states stacked as ``coupled_equations`` stacks them, in
-    one gather and a row-major copy (the rows read it faster on a batch)."""
-    return np.ascontiguousarray(_gathered_block(p))
+    """The eight physical states as one (index, state, component) block:
+    index up then down, the quartet (lambda^S, rho^A, lambda^A, rho^S), the
+    four components; (2, 4, 4) at one momentum and (2, N, 4, 4) on a batch,
+    the states stacked as ``coupled_equations`` takes them.  One gather from
+    the spinorial pattern table, the entries that the spinorial
+    ``lambda_components`` and ``rho_components`` read one state at a time,
+    copied row-major (the coupled rows read it faster on a batch)."""
+    rows = boosted_patterns(p, _BLOCK_GATHER)   # (2, 16) or (2, N, 16)
+    return np.ascontiguousarray(rows.reshape(rows.shape[:-1] + (4, 4)))
 
 
 def physical_state_scale(states):
     """max |psi| per row over the eight ``physical_states``; E or m times it
     is the scale of a coupled-equation residual."""
-    return np.max(rownorm(np.array(states)), axis=(0, 1))
+    return np.max(rownorm(states), axis=(0, -1))
 
 
 # The sign columns of the four coupled equations (sectors S, S, A, A): the
-# mass signs, and the kinetic signs (``sector_sign``) under either convention.
+# mass signs, and the kinetic signs under either convention.
 _MASS_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 _KINETIC_SIGNS = {sign: sign * _MASS_SIGNS for sign in (1, -1)}
 # each row's partner among (lambda^S, rho^A, lambda^A, rho^S)
 _PARTNERS = np.array([1, 0, 3, 2])
 
 
-def coupled_equations(p, conv: FrequencyConvention, ls, ra, la, rs) -> np.ndarray:
-    """The four coupled equations evaluated on the given states, one row
-    each: (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
+def coupled_equations(p, conv: FrequencyConvention, psi) -> np.ndarray:
+    """The four coupled equations evaluated on four states, one row each:
+    (lambda^S -> rho^A, rho^A -> lambda^S, lambda^A -> rho^S,
     rho^S -> lambda^A).
 
     Row k is kinetic_k gamma.p state_k - mass_k m partner_k: the
     coordinate-space equations carry opposite mass signs in the two
     sectors, and the plane-wave substitution contributes the convention's
-    frequency sign to the kinetic part.  The states are (..., 4) at one
-    momentum or (..., N, 4) on a batch, any leading axes broadcast, and the
-    result is (..., 4, 4) or (..., N, 4, 4).  Rows 1 and 0 stacked are the
-    eight-component equation of the stack (lambda^S, rho^A), rows 3 and 2
-    that of (lambda^A, rho^S).
+    frequency sign to the kinetic part.  psi holds the states (lambda^S,
+    rho^A, lambda^A, rho^S) on its last axis but one, (..., 4, 4) at one
+    momentum or (..., N, 4, 4) on a batch, any leading axes broadcast, as
+    ``physical_states`` returns them; the result has the same shape.  Rows 1
+    and 0 stacked are the eight-component equation of the stack
+    (lambda^S, rho^A), rows 3 and 2 that of (lambda^A, rho^S).
 
     gamma.p psi is applied by its blocks, ((E + sigma.p) psi_L,
     (E - sigma.p) psi_R), elementwise over all rows; no 4x4 matrix is
     formed.
     """
-    return _coupled_rows(p, conv, np.stack([ls, ra, la, rs], axis=-2))
-
-
-def _coupled_rows(p, conv: FrequencyConvention, psi) -> np.ndarray:
-    """``coupled_equations`` of the states stacked as psi, (..., 4, 4) or
-    (..., N, 4, 4) with the four states on the last axis but one."""
     ep, em, pl, pr = (column(x) for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
     r0, r1, l0, l1 = (psi[..., k] for k in range(4))
     eqs = np.empty(psi.shape, dtype=complex)
@@ -164,9 +139,9 @@ def _coupled_rows(p, conv: FrequencyConvention, psi) -> np.ndarray:
 
 def worst_coupled_residual(p, conv: FrequencyConvention, states):
     """Per row, the largest residual norm over the four coupled equations
-    and both indices, for states from ``physical_states``; a float at one
+    and both indices, for the block from ``physical_states``; a float at one
     momentum, an (N,) array on a batch."""
-    return np.max(rownorm(coupled_equations(p, conv, *states)), axis=(0, -1))
+    return np.max(rownorm(coupled_equations(p, conv, states)), axis=(0, -1))
 
 
 def coupled_system_residual(p, conv: FrequencyConvention):
@@ -177,7 +152,7 @@ def coupled_system_residual(p, conv: FrequencyConvention):
     four vanish; with the wrong one at least one is of order m at every
     momentum.
     """
-    eqs = _coupled_rows(p, conv, _physical_block(p))
+    eqs = coupled_equations(p, conv, physical_states(p))
     return tuple(rownorm(eqs).max(axis=0).T)
 
 
@@ -286,7 +261,7 @@ def eight_component_residual(p, conv: FrequencyConvention):
     commutes with the axial matrix diag(gamma5, -gamma5), so the
     axial-coupled covariant derivative is consistent.
     """
-    eqs = _coupled_rows(p, conv, _physical_block(p))
+    eqs = coupled_equations(p, conv, physical_states(p))
     pairs = eqs.reshape(eqs.shape[:-2] + (2, 8))
     return np.max(rownorm(pairs), axis=(0, -1))
 

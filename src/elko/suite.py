@@ -836,14 +836,13 @@ def _eight_gauge(ctx, key):
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
     alphas = ctx.rng(key + "-angles").uniform(0, 2 * math.pi, (20, len(momenta)))
     # G_lambda on the lambda block and G_rho on the rho block of each stack
-    gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")] * 2
-    rows = []
-    for quartet in zip(*dyn.physical_states(momenta)):   # index up, then down
-        eqs = dyn.coupled_equations(momenta, conv,
-                                    *(mat.matvec(g, x) for g, x in zip(gauges, quartet)))
-        # rows 0-1 and 2-3 of each (4, 4) block are the two stacks' equations
-        rows.append(_norm(eqs.reshape(-1, 8)))
-    return rows, {}
+    gauges = np.stack([ops.chiral_gauge_transform(alphas, family)
+                       for family in ("lambda", "rho")] * 2, axis=-3)
+    # both indices at once: (index, angle, momentum, state, component)
+    states = dyn.physical_states(momenta)[:, None]
+    eqs = dyn.coupled_equations(momenta, conv, mat.matvec(gauges, states))
+    # rows 0-1 and 2-3 of each (4, 4) block are the two stacks' equations
+    return [_norm(eqs.reshape(-1, 8))], {}
 
 
 @check("dynamics.mass-term-chiral", "the mass pairing is invariant under axial phase "
@@ -851,7 +850,7 @@ def _eight_gauge(ctx, key):
 def _mass_term_chiral(ctx, key):
     rng = ctx.rng(key + "-fields")
     momenta = ctx.momenta(key, n=min(ctx.samples, 10))
-    quartet = [states[0] for states in dyn.physical_states(momenta)]   # index up
+    quartet = np.moveaxis(dyn.physical_states(momenta)[0], -2, 0)   # index up
     base_phys = dyn.lagrangian_mass_term(*quartet, momenta.m)
     # (5, n): five angles and four random fields per momentum
     alphas = rng.uniform(0, 2 * math.pi, (5, len(momenta)))
@@ -1019,6 +1018,8 @@ def run_suite(name: str, seed: int, samples: int,
     """Execute every check of the named suite deterministically."""
     if samples < 1:
         raise UsageError("samples must be >= 1")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     checks = suite_checks(name)
     if force_convention not in (None, "+", "-"):
         raise UsageError("force_convention must be '+' or '-'")

@@ -212,3 +212,41 @@ class TestDiff:
         code, _, err = run_cli(capsys, "diff", str(a), str(other))
         assert code == 2
         assert "cannot diff" in err
+
+
+def _report_not_json(tmp_path):
+    path = tmp_path / "notes.json"
+    path.write_text("not a report\n")
+    return str(path)
+
+
+def _report_without_checks(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text('{"suite": "all"}\n')
+    return str(path)
+
+
+_REFERENCE = str(DATA / "report-all-seed1-n100.json")
+# each argv as a function of a scratch directory
+_BAD_INPUTS = {
+    "verify-negative-seed": lambda d: ["verify", "--suite", "all", "--seed", "-1"],
+    "diff-missing-report": lambda d: ["diff", str(d / "missing.json"), _REFERENCE],
+    "diff-report-not-json": lambda d: ["diff", _REFERENCE, _report_not_json(d)],
+    "diff-report-without-checks": lambda d: ["diff", _report_without_checks(d), _REFERENCE],
+    "eval-momentum-not-numbers": lambda d: ["eval", "--family", "lambda",
+                                            "--momentum", "a,b,c", "--mass", "1"],
+    "table-infinite-mass": lambda d: ["table", "--mass", "inf", "--format", "json"],
+    "verify-out-unwritable": lambda d: ["verify", "--suite", "spin-half", "--samples", "2",
+                                        "--out", str(d / "missing" / "x.json")],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(capsys, tmp_path, case):
+    """Usage and domain errors exit 2 with one ``error:`` line and no
+    traceback, and print nothing on standard output."""
+    code, out, err = run_cli(capsys, *_BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ from elko import dynamics as dyn
 from elko import spinors as sp
 from elko.errors import DomainError
 from elko.kinematics import as_batch, make_momentum, sample_momenta
-from elko.matrices import block_diag2, gamma0, gamma5, pauli_dot, rownorm
+from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, rownorm
 from elko.operators import chiral_gauge_transform, su2_phase_transform
 
 
@@ -226,24 +226,25 @@ class TestEightComponent:
         # G_lambda on the lambda block and G_rho on the rho block of each stack
         conv = dyn.FrequencyConvention(1)
         for p in random_momenta(5):
-            gauges = [chiral_gauge_transform(0.7, f) for f in ("lambda", "rho")] * 2
-            for quartet in zip(*dyn.physical_states(p)):   # index up, then down
-                states = (g @ x for g, x in zip(gauges, quartet))
-                assert np.linalg.norm(dyn.coupled_equations(p, conv, *states)) <= 1e-12
+            gauges = np.array([chiral_gauge_transform(0.7, f) for f in ("lambda", "rho")] * 2)
+            for states in dyn.physical_states(p):   # index up, then down
+                moved = matvec(gauges, states)
+                assert np.linalg.norm(dyn.coupled_equations(p, conv, moved)) <= 1e-12
 
     def test_rows_are_the_eight_by_eight_operator_on_the_stacks(self, random_momenta):
-        # sector operator sign_k [[0, gamma.p], [gamma.p, 0]] -+ m on (lambda, rho)
+        # sector operator s (sign [[0, gamma.p], [gamma.p, 0]] - m) on (lambda, rho),
+        # s = +1 on the stack (lambda^S, rho^A) and -1 on (lambda^A, rho^S)
         z = np.zeros((4, 4))
         for sign in (1, -1):
             conv = dyn.FrequencyConvention(sign)
             for p in random_momenta(5):
                 gp = dyn.dirac_matrix(p)
-                for ls, ra, la, rs in zip(*dyn.physical_states(p)):
-                    eqs = dyn.coupled_equations(p, conv, ls, ra, la, rs)
-                    for rows, stack, sector, mass in ((eqs[:2], (ls, ra), "S", 1.0),
-                                                      (eqs[2:], (la, rs), "A", -1.0)):
-                        op = (conv.sector_sign(sector) * np.block([[z, gp], [gp, z]])
-                              - mass * p.m * np.eye(8))
+                for states in dyn.physical_states(p):   # index up, then down
+                    ls, ra, la, rs = states
+                    eqs = dyn.coupled_equations(p, conv, states)
+                    for rows, stack, sector in ((eqs[:2], (ls, ra), 1.0),
+                                                (eqs[2:], (la, rs), -1.0)):
+                        op = sector * (sign * np.block([[z, gp], [gp, z]]) - p.m * np.eye(8))
                         direct = op @ np.concatenate(stack)
                         assert np.allclose(np.concatenate(rows[::-1]), direct,
                                            rtol=0, atol=1e-14 * p.E * p.E)
@@ -255,8 +256,8 @@ class TestEightComponent:
         for sign in (1, -1):
             conv = dyn.FrequencyConvention(sign)
             pair_norms = []
-            for quartet in zip(*dyn.physical_states(batch)):
-                eqs = dyn.coupled_equations(batch, conv, *quartet)
+            for states in dyn.physical_states(batch):
+                eqs = dyn.coupled_equations(batch, conv, states)
                 pair_norms += [rownorm(np.concatenate([eqs[:, k], eqs[:, k + 1]], axis=-1))
                                for k in (0, 2)]
             expected = np.max(pair_norms, axis=0)

@@ -5,7 +5,7 @@ The frozen forms wrap each spinor through the public ``Bispinor``
 construction, form the Wigner image with the conjugate of a numpy phase
 factor and join the rest spinor's halves with ``np.concatenate``, scale the
 Dirac columns by a separate factor array, and stack the four physical
-states, each gathered on its own, before the coupled rows.  The live
+states, each from its own factory call, before the coupled rows.  The live
 kernels read windows of the momentum's ``helicity_ring``, the
 configuration's ``dressings`` and one gather of the physical states
 instead.  Every one of the 24 factory outputs is compared at the default
@@ -87,8 +87,7 @@ def _frozen_components(family, p, kind, index, basis, cfg):
                                                                       kind, h, cfg, p.m)
 
 
-def _frozen_coupled_equations(p, conv, states):
-    psi = np.stack(states, axis=-2)
+def _frozen_coupled_equations(p, conv, psi):
     ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
     r0, r1, l0, l1 = (psi[..., k] for k in range(4))
     eqs = np.empty_like(psi)
@@ -104,21 +103,25 @@ def _frozen_coupled_equations(p, conv, states):
     return eqs
 
 
-def _frozen_physical_states(p):
-    """(lambda^S, rho^A, lambda^A, rho^S), each with both indices stacked
-    first, from one pattern gather per state."""
-    return [np.array([sp.boosted_patterns(p, sp._GATHER[family, kind, index])
-                      for index in sp.INDICES])
-            for family, kind in (("lambda", "S"), ("rho", "A"), ("lambda", "A"), ("rho", "S"))]
+def _factory_states(p):
+    """The physical states from the per-state spinorial factories, stacked
+    as (index, state, component): (lambda^S, rho^A, lambda^A, rho^S) for
+    each index."""
+    return np.stack([np.stack([components(p, kind, index, "spinorial")
+                               for components, kind in ((sp.lambda_components, "S"),
+                                                        (sp.rho_components, "A"),
+                                                        (sp.lambda_components, "A"),
+                                                        (sp.rho_components, "S"))], axis=-2)
+                     for index in sp.INDICES])
 
 
 def _frozen_coupled_residual(p, conv):
-    eqs = _frozen_coupled_equations(p, conv, _frozen_physical_states(p))
+    eqs = _frozen_coupled_equations(p, conv, _factory_states(p))
     return tuple(rownorm(eqs).max(axis=0).T)
 
 
 def _frozen_eight_component_residual(p, conv):
-    eqs = _frozen_coupled_equations(p, conv, _frozen_physical_states(p))
+    eqs = _frozen_coupled_equations(p, conv, _factory_states(p))
     return np.max(rownorm(eqs.reshape(eqs.shape[:-2] + (2, 8))), axis=(0, -1))
 
 
@@ -169,15 +172,15 @@ def test_coupled_residuals_keep_their_bits(rows, sign):
 
 
 def test_physical_states_and_coupled_rows_keep_their_bits(rows):
-    """``physical_states`` are the frozen per-state gathers, row-major, and
-    ``coupled_equations`` the frozen rows, under both conventions."""
+    """``physical_states`` is one row-major block of the per-state factory
+    outputs, bit for bit, and ``coupled_equations`` on it the frozen rows,
+    under both conventions."""
     batch = kin.make_momenta(*np.array(rows).T)
     for p in (*(kin.make_momentum(*row) for row in rows), batch):
-        states, frozen = dyn.physical_states(p), _frozen_physical_states(p)
-        for got, want in zip(states, frozen):
-            assert got.flags.c_contiguous
-            assert_same_bits(got, want)
+        states, want = dyn.physical_states(p), _factory_states(p)
+        assert states.flags.c_contiguous
+        assert_same_bits(states, want)
         for sign in (1, -1):
             conv = dyn.FrequencyConvention(sign)
-            assert_same_bits(dyn.coupled_equations(p, conv, *states),
-                             _frozen_coupled_equations(p, conv, frozen))
+            assert_same_bits(dyn.coupled_equations(p, conv, states),
+                             _frozen_coupled_equations(p, conv, want))

@@ -18,8 +18,11 @@
   blocks, |Op s -+ s|^2 = 2 (|x|^2 + |y|^2) -+ 2 Re(conj(zeta) w) with
   w = <x, b> + <y, a>, a = Op x and b = Op y, under both ``sc_one`` and
   ``gamma5_sc_one``: the conjugacy residual is one harmonic in zeta.
+* The spin-1 conjugations square to (Sc)^2 = -1 and (Gamma5 Sc)^2 = +1 as
+  antilinear maps v -> e^{i phi} M conj(v), for every operator phase phi.
 """
 
+import cmath
 import math
 from types import SimpleNamespace
 
@@ -248,3 +251,26 @@ def test_spin_one_residual_is_one_harmonic_in_zeta(operator, construction):
         residual = _sqnorm(act(s) - sign * s)
         harmonic = 2 * (_sqnorm(x) + _sqnorm(y)) - 2 * sign * sympy.re(sympy.conjugate(zeta) * w)
         assert sympy.simplify(sympy.expand(sympy.expand_complex(residual - harmonic))) == 0
+
+
+@pytest.mark.parametrize("operator,square", [(s1.sc_one, -1), (s1.gamma5_sc_one, 1)])
+def test_spin_one_conjugations_square_to_their_sign_exactly(operator, square):
+    """Op v = e^{i phi} M conj(v) applied twice is M conj(M) v: the phase
+    cancels against its conjugate, so (Sc)^2 = -1 and (Gamma5 Sc)^2 = +1
+    hold for a free phase phi on a generic six-vector.  M is the library's
+    matrix, which the phase leaves alone (checked at phases 0, 0.9 and
+    pi/2, where the library's phase factor is e^{i phi})."""
+    matrix = operator().matrix
+    exact = sympy.Matrix(matrix.real.astype(int))
+    assert np.array_equal(np.array(exact, dtype=complex), matrix)
+    for phase in (0.0, 0.9, math.pi / 2):
+        op = operator(phase)
+        assert op.antilinear and np.array_equal(op.matrix, matrix)
+        assert op.phase == cmath.exp(1j * phase)
+    phi = sympy.symbols("phi", real=True)
+    v = sympy.Matrix.vstack(_complex_triplet("f"), _complex_triplet("g"))
+
+    def act(u):   # as SymmetryOperator.apply acts, conjugation first
+        return sympy.exp(I * phi) * exact * u.conjugate()
+
+    assert sympy.simplify(sympy.expand(act(act(v)) - square * v)) == sympy.zeros(6, 1)

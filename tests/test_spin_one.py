@@ -8,8 +8,10 @@ import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import as_batch, boost_one, half_angles, make_momenta, make_momentum
-from elko.matrices import SPIN1_J, spin1_dot, spin1_jy, spin1_jz, theta_one
+from elko.kinematics import (as_batch, boost_one, half_angles, make_momenta, make_momentum,
+                             sample_momenta)
+from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
+                           theta_one, vdot)
 
 _I3 = np.eye(3, dtype=complex)
 
@@ -231,6 +233,39 @@ class TestZetaScan:
     def test_unknown_operator_rejected(self):
         with pytest.raises(DomainError):
             s1.spin1_conjugacy_scan(make_momentum(0, 0, 0, 1.0), "nope")
+
+    @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("g5sc", 0.0), ("g5sc", 0.7)])
+    def test_grid_minima_are_the_closed_form_zetas(self, operator, phase):
+        """x and y sit in opposite chiral blocks, so with a and b the
+        operator's images of x and y as ``scan_pairs`` forms them,
+        |Op s -+ s|^2 = 2|s|^2 -+ 2 Re(conj(zeta) w), w = <x, b> + <y, a>:
+        the minima sit at zeta = +-w/|w|.  The residual evaluated directly
+        there matches the grid scan's for every (construction, h) pair, and
+        so does zeta under the twisted operator, where the minima vanish.
+        Where w = 0 (the bare conjugation at h = 0) every zeta is a
+        minimum and zeta = 1 stands in."""
+        off = 1e-9   # rad off -z
+        edges = [(0.0, 0.0, 0.0, 1.3), (0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7),
+                 (3.0 * math.sin(off), 0.0, -3.0 * math.cos(off), 1.1)]
+        sampled = sample_momenta(np.random.default_rng(18), 1000)
+        batch = make_momenta(*np.concatenate(
+            [np.stack([sampled.px, sampled.py, sampled.pz, sampled.m]), np.array(edges).T],
+            axis=1))
+        op = {"sc": s1.sc_one, "g5sc": s1.gamma5_sc_one}[operator](phase)
+        signs = np.array([1.0, -1.0])[:, None, None]   # self, anti
+        for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
+            x, y = s1.spin1_pair(batch, construction, h)
+            zeta, residual = s1.scan_pairs(x, y, op)
+            a, b = (op.phase * (np.conj(v) @ op.matrix.T) for v in (x, y))
+            w = vdot(x, b) + vdot(y, a)
+            modulus = np.abs(w)
+            unit = np.divide(w, modulus, out=np.ones_like(w), where=modulus > 0)
+            closed = np.stack([unit, -unit])[..., None]
+            d = a + np.conj(closed) * b - signs * (x + closed * y)
+            direct = rownorm(d) / np.sqrt(sqnorm(x) + sqnorm(y))
+            assert np.max(np.abs(direct - residual)) <= 1e-14, (construction, h)
+            if operator == "g5sc":
+                assert np.max(np.abs(closed[..., 0] - zeta)) <= 1e-14, (construction, h)
 
 
 class TestBoostInteraction:

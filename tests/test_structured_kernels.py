@@ -8,8 +8,8 @@ applied by them, the coupled rows of both indices come from one call, the span r
 projects by Gram-Schmidt and the spin-1 checks scan every (construction,
 h) pair at once.  Every spin-1/2 spinor is read off its momentum's frame:
 the spinorial ones from one table of column entries, the helicity ones from
-the cached pair (phi_+, phi_-), against frozen copies of the boost columns,
-Wigner products and per-state quartets they replace.  Each is compared with
+the cached pair (phi_+, phi_-), against frozen copies of the boost columns
+and Wigner products they replace.  Each is compared with
 the dense or per-call form on generic rows and on the edges of the domain:
 a rest row, rows along +-z, a row 1e-8 rad off -z and |p|/m up to 1e12.
 """
@@ -124,14 +124,14 @@ def test_slash_is_the_four_gamma_sum_off_shell(rng):
     assert np.array_equal(dyn.slash(5.0, 0.4, -0.3, 0.9), _four_gamma_sum(5.0, 0.4, -0.3, 0.9))
 
 
-def _dense_coupled_equations(p, conv, ls, ra, la, rs):
+def _dense_coupled_equations(p, conv, psi):
     """The coupled rows with gamma.p psi as the stacked (..., N, 4, 4)
     product, the dense form the block product replaces."""
     gp = dyn.dirac_matrix(p)[..., None, :, :]
-    kinetic = np.array([conv.sector_sign(s) for s in "SSAA"], dtype=float)[:, None]
-    mass = np.array([1.0, 1.0, -1.0, -1.0])[:, None] * np.asarray(p.m)[..., None, None]
-    eqs = kinetic * mat.matvec(gp, np.stack([ls, ra, la, rs], axis=-2))
-    return eqs - mass * np.stack([ra, ls, rs, la], axis=-2)
+    sectors = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+    mass = sectors * np.asarray(p.m)[..., None, None]
+    eqs = conv.sign * sectors * mat.matvec(gp, psi)
+    return eqs - mass * psi.take([1, 0, 3, 2], axis=-2)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -142,22 +142,22 @@ def test_block_slash_product_matches_the_dense_matvec(batch, rng, sign):
     conv = dyn.FrequencyConvention(sign)
     for p in (batch, batch[5], batch[-1], batch[len(batch) - 8]):
         n = (len(p),) if isinstance(p, kin.MomentumBatch) else ()
-        noise = rng.normal(size=(4, 2) + n + (4,)) + 1j * rng.normal(size=(4, 2) + n + (4,))
-        for states in (dyn.physical_states(p), tuple(noise)):
-            block = dyn.coupled_equations(p, conv, *states)
-            dense = _dense_coupled_equations(p, conv, *states)
+        shape = (2,) + n + (4, 4)
+        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for states in (dyn.physical_states(p), noise):
+            block = dyn.coupled_equations(p, conv, states)
+            dense = _dense_coupled_equations(p, conv, states)
             assert block.shape == dense.shape
-            scale = np.asarray(p.E)[..., None] * mat.rownorm(np.stack(states, axis=-2))
+            scale = np.asarray(p.E)[..., None] * mat.rownorm(states)
             assert np.all(mat.rownorm(block - dense) <= 1e-15 * scale)
 
 
 def _per_index_residual(p, conv):
-    """The coupled residual as two calls, one per index (the frozen loop the
+    """The coupled residual as two calls, one per index (the loop the
     one-call form replaces)."""
     worst = 0.0
-    for quartet in zip(*_frozen_physical_states(p)):   # index up, then down
-        eqs = dyn.coupled_equations(p, conv, *quartet)
-        worst = np.maximum(worst, mat.rownorm(eqs))
+    for states in dyn.physical_states(p):   # index up, then down
+        worst = np.maximum(worst, mat.rownorm(dyn.coupled_equations(p, conv, states)))
     return tuple(np.moveaxis(worst, -1, 0))
 
 
@@ -168,9 +168,10 @@ def test_coupled_residual_in_one_call_matches_the_per_index_loop(batch, sign):
         one, loop = dyn.coupled_system_residual(p, conv), _per_index_residual(p, conv)
         assert np.array_equal(np.array(one), np.array(loop))
         assert type(one[0]) is type(loop[0])
-        dense = np.max([np.linalg.norm(dyn.coupled_equations(p, conv, *quartet), axis=-1)
-                        for quartet in zip(*_frozen_physical_states(p))], axis=0)
-        scale = p.E * dyn.physical_state_scale(dyn.physical_states(p))
+        states = dyn.physical_states(p)
+        dense = np.max([np.linalg.norm(dyn.coupled_equations(p, conv, quartet), axis=-1)
+                        for quartet in states], axis=0)
+        scale = p.E * dyn.physical_state_scale(states)
         assert np.all(np.abs(np.moveaxis(np.array(one), 0, -1) - dense)
                       <= 1e-15 * np.asarray(scale)[..., None])
 
@@ -338,13 +339,6 @@ def _frozen_components(family, p, kind, index, basis, cfg):
     return col(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(f, family, kind, p.m)
 
 
-def _frozen_physical_states(p):
-    quartets = [[_frozen_boosted_pattern(p, family, kind, index)
-                 for family, kind in (("lambda", "S"), ("rho", "A"), ("lambda", "A"), ("rho", "S"))]
-                for index in sp.INDICES]
-    return tuple(np.array(states) for states in zip(*quartets))
-
-
 def _live_components(family, p, kind, index, basis, cfg):
     if family == "lambda":
         return sp.lambda_components(p, kind, index, basis, cfg)
@@ -441,14 +435,6 @@ def test_helicity_rest_spinor(batch, family, kind):
                 assert_same_bits(got, want)
             else:
                 assert np.array_equal(got, want)
-
-
-def test_physical_states_are_the_per_state_quartets(batch):
-    for p in (*batch, batch):
-        states, frozen = dyn.physical_states(p), _frozen_physical_states(p)
-        assert len(states) == len(frozen) == 4
-        for got, want in zip(states, frozen):
-            assert_same_bits(got, want)
 
 
 def test_physical_states_are_one_gather(monkeypatch, batch):
