@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ElkoError, UsageError
-from .kinematics import boost_half, make_momentum
+from .kinematics import _intertwiner_residual, boost_half, make_momentum
 from .operators import (
     charge_conjugation,
     chiral_helicity_operator,
@@ -86,9 +86,12 @@ def _write_file(path, text: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_output(text: str, out_path):
-    if out_path:
-        _write_file(out_path, text if text.endswith("\n") else text + "\n")
+def _emit(args, payload: dict, lines: list):
+    """Write the payload as sorted JSON (``--format json``) or the lines as
+    text, to ``--out`` or to standard output, ending in one newline."""
+    text = json.dumps(payload, sort_keys=True) if args.format == "json" else "\n".join(lines)
+    if args.out:
+        _write_file(args.out, text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -99,8 +102,7 @@ def _write_output(text: str, out_path):
 
 def _xi_with_residual(p):
     xi = xi_matrix(p)
-    lam_r = boost_half(p, "R")
-    resid = np.linalg.norm(xi @ lam_r - np.conj(lam_r) @ xi)
+    resid = _intertwiner_residual(xi, p, "R")[0]
     return xi, [f"  intertwiner residual: {resid:.3e}"]
 
 
@@ -138,32 +140,23 @@ def cmd_eval(args) -> int:
 
     if args.family in _SPINOR_FAMILIES:
         obj = _SPINORS[args.family](p, args)
-        if args.format == "json":
-            payload = {"family": args.family, "kind": obj.kind, "index": obj.index,
-                       "basis": obj.basis, "momentum": [p.px, p.py, p.pz],
-                       "mass": p.m, "derived": derived,
-                       "components": _array_json(obj.components)}
-            _write_output(json.dumps(payload, sort_keys=True), args.out)
-        else:
-            head = (f"{args.family} kind={obj.kind} index={obj.index} basis={obj.basis} "
-                    f"p=({_fmt(p.px)}, {_fmt(p.py)}, {_fmt(p.pz)}) m={_fmt(p.m)}")
-            scalars = (f"  E={_fmt(p.E)}  p_r={_fmt(p.p_r.real)}{p.p_r.imag:+.12g}i  "
-                       f"p_l={_fmt(p.p_l.real)}{p.p_l.imag:+.12g}i  "
-                       f"p+={_fmt(p.p_plus)}  p-={_fmt(p.p_minus)}")
-            _write_output("\n".join([head, scalars, _render_vector_text(obj.components)]),
-                          args.out)
+        payload = {"family": args.family, "kind": obj.kind, "index": obj.index,
+                   "basis": obj.basis, "momentum": [p.px, p.py, p.pz], "mass": p.m,
+                   "derived": derived, "components": _array_json(obj.components)}
+        head = (f"{args.family} kind={obj.kind} index={obj.index} basis={obj.basis} "
+                f"p=({_fmt(p.px)}, {_fmt(p.py)}, {_fmt(p.pz)}) m={_fmt(p.m)}")
+        scalars = (f"  E={_fmt(p.E)}  p_r={_fmt(p.p_r.real)}{p.p_r.imag:+.12g}i  "
+                   f"p_l={_fmt(p.p_l.real)}{p.p_l.imag:+.12g}i  "
+                   f"p+={_fmt(p.p_plus)}  p-={_fmt(p.p_minus)}")
+        _emit(args, payload, [head, scalars, _render_vector_text(obj.components)])
         return 0
 
     if args.family in _OPERATOR_FAMILIES:
         matrix, extra = _OPERATORS[args.family](p)
-        if args.format == "json":
-            payload = {"operator": args.family, "momentum": [p.px, p.py, p.pz],
-                       "mass": p.m, "derived": derived, "matrix": _array_json(matrix)}
-            _write_output(json.dumps(payload, sort_keys=True), args.out)
-        else:
-            head = (f"{args.family} at p=({_fmt(p.px)}, {_fmt(p.py)}, {_fmt(p.pz)}) "
-                    f"m={_fmt(p.m)}")
-            _write_output("\n".join([head, _render_matrix_text(matrix)] + extra), args.out)
+        payload = {"operator": args.family, "momentum": [p.px, p.py, p.pz], "mass": p.m,
+                   "derived": derived, "matrix": _array_json(matrix)}
+        head = f"{args.family} at p=({_fmt(p.px)}, {_fmt(p.py)}, {_fmt(p.pz)}) m={_fmt(p.m)}"
+        _emit(args, payload, [head, _render_matrix_text(matrix)] + extra)
         return 0
 
     raise UsageError(
@@ -187,18 +180,13 @@ def cmd_table(args) -> int:
         for (kind, index), pattern in patterns.items():
             symbols = [_PATTERN_SYMBOL[complex(z)] for z in pattern]
             rows.append((f"{label}^{kind}_{index}", symbols))
-    if args.format == "json":
-        payload = {"mass": args.mass, "prefactor": prefactor,
-                   "spinors": [{"name": name, "components": comps}
-                               for name, comps in rows]}
-        _write_output(json.dumps(payload, sort_keys=True), args.out)
-    else:
-        lines = [f"rest-frame spinors for m = {_fmt(args.mass)}",
-                 f"prefactor sqrt(m/2) = {_fmt(prefactor)}",
-                 "  (components listed times the prefactor)"]
-        for name, comps in rows:
-            lines.append(f"  {name:<14} ({', '.join(f'{c:>2}' for c in comps)})")
-        _write_output("\n".join(lines), args.out)
+    payload = {"mass": args.mass, "prefactor": prefactor,
+               "spinors": [{"name": name, "components": comps} for name, comps in rows]}
+    lines = [f"rest-frame spinors for m = {_fmt(args.mass)}",
+             f"prefactor sqrt(m/2) = {_fmt(prefactor)}",
+             "  (components listed times the prefactor)"]
+    lines += [f"  {name:<14} ({', '.join(f'{c:>2}' for c in comps)})" for name, comps in rows]
+    _emit(args, payload, lines)
     return 0
 
 
@@ -215,8 +203,10 @@ def cmd_verify(args) -> int:
     if args.format == "json" and not args.out:
         print(text)
     summary = report.summary
+    # a JSON report on standard output stays one document: the summary goes beside it
     print(f"suite={report.suite} seed={report.seed} samples={report.samples} "
-          f"convention={report.convention} passed={summary['passed']}/{summary['total']}")
+          f"convention={report.convention} passed={summary['passed']}/{summary['total']}",
+          file=sys.stderr if args.format == "json" and not args.out else sys.stdout)
     if args.format == "text":
         for check in report.checks:
             print(f"  [{check.status.upper():4}] {check.id}  residual={check.residual:.3e}")

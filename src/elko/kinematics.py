@@ -175,8 +175,8 @@ class MomentumBatch(_OnShell):
     """N on-shell momenta as read-only (N,) float arrays.
 
     ``len`` is N; iterating or indexing with an integer yields
-    ``FourMomentum`` rows, indexing with a slice or a boolean mask yields a
-    smaller batch.
+    ``FourMomentum`` rows, indexing with a slice or a mask yields a smaller
+    batch.  Every batch makes its five arrays read-only when it is built.
     """
 
     px: np.ndarray
@@ -184,6 +184,9 @@ class MomentumBatch(_OnShell):
     pz: np.ndarray
     m: np.ndarray
     E: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.px, self.py, self.pz, self.m, self.E)
 
     @property
     def p_plus(self) -> np.ndarray:
@@ -250,8 +253,6 @@ def make_momenta(px, py, pz, m) -> MomentumBatch:
     E = np.sqrt(px * px + py * py + pz * pz + m * m)
     if not np.all(np.isfinite(E)):
         raise DomainError("momentum and mass must be finite")
-    for a in (px, py, pz, m, E):
-        a.flags.writeable = False
     return MomentumBatch(px, py, pz, m, E)
 
 
@@ -261,8 +262,6 @@ def as_batch(momenta) -> MomentumBatch:
     if isinstance(momenta, MomentumBatch):
         return momenta
     rows = np.array([(p.px, p.py, p.pz, p.m, p.E) for p in momenta], dtype=float).reshape(-1, 5)
-    for a in rows.T:
-        a.flags.writeable = False
     return MomentumBatch(*rows.T)
 
 
@@ -383,24 +382,24 @@ def _xi(p):
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
     twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
     xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
-    d = (xi[..., 0, 0], xi[..., 1, 1])
     for side in ("R", "L"):
-        resid, norm = _intertwiner_residual(d, _boost_columns(p, side))
+        resid, norm = _intertwiner_residual(xi, p, side)
         if np.count_nonzero(resid > TOLERANCES["intertwiner"] * 2.0 * norm):
             raise AmbiguousIntertwinerError(
                 2, f"pinned intertwiner failed the {side} pair at p = {p}")
     return xi
 
 
-def _intertwiner_residual(d, columns):
+def _intertwiner_residual(xi, p, side: str):
     """(|Xi Lambda - Lambda^* Xi|, |Lambda|), Frobenius norms row by row,
-    for Xi = diag(d) and Lambda given by its ``_boost_columns``.
+    for a diagonal Xi and the ``_boost_columns`` of Lambda = boost_half(p, side).
 
-    The residual's entries are d_i Lambda_ij - Lambda^*_ij d_j.  The
-    diagonal of a boost is real, so its two terms cancel exactly, and two
-    off-diagonal terms remain.
+    The residual's entries are d_i Lambda_ij - Lambda^*_ij d_j, d = diag(Xi).
+    The diagonal of a boost is real, so its two terms cancel exactly, and
+    two off-diagonal terms remain.
     """
-    (d0, d1), ((a, c), (b, e)) = d, columns
+    d0, d1 = xi[..., 0, 0], xi[..., 1, 1]
+    (a, c), (b, e) = _boost_columns(p, side)
     upper, lower = d0 * b - b.conjugate() * d1, d1 * c - c.conjugate() * d0
     return (_sqrt(abs(upper) ** 2 + abs(lower) ** 2),
             _sqrt(a * a + e * e + abs(b) ** 2 + abs(c) ** 2))

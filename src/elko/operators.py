@@ -209,20 +209,12 @@ def xi_matrix(p) -> CMatrix:
 
     Xi is built and asserted once per momentum object and kept with it, like
     its half-angle frame: the residual for both boost pairs is checked on
-    every row, formed from the boosts' column entries
-    (``kinematics._boost_columns``), and a failing side raises
+    every row by ``kinematics._intertwiner_residual``, the one form of that
+    residual, from the boosts' column entries, and a failing side raises
     ``AmbiguousIntertwinerError`` naming it.  A slice, a mask or a
     reflection of a batch is a new object and asserts its own Xi.
     """
     return p.xi
-
-
-def xi_residual(xi, lam):
-    """Frobenius norm of Xi Lambda - Lambda^* Xi for a diagonal Xi, row by
-    row over any leading axes: with d = diag(Xi) its entries are
-    d_i Lambda_ij - Lambda^*_ij d_j, formed elementwise."""
-    d = np.diagonal(xi, axis1=-2, axis2=-1)
-    return rownorm(d[..., :, None] * lam - np.conj(lam) * d[..., None, :], matrix=True)
 
 
 def lambda_basis_transforms(p) -> list[CMatrix]:

@@ -76,19 +76,13 @@ class PhaseConfig:
         return np.exp(1j * self.theta1), np.exp(1j * self.theta2)
 
     @_field
-    def conjugates(self):
-        """(e^{-i theta1}, e^{-i theta2}), the conjugates of ``factors``
-        that dress the Wigner images."""
-        return tuple(np.conj(e) for e in self.factors)
-
-    @_field
     def dressings(self):
         """For h = +1 and -1, the factors of a helicity rest spinor's four
         components with e = e^{i theta_h}: (e*, e*, e, e), the Wigner image
         on top (lambda), and (e, e, e*, e*), the image below (rho);
         read-only (4,) arrays."""
         return tuple(_read_only(np.array([c, c, e, e]), np.array([e, e, c, c]))
-                     for e, c in zip(self.factors, self.conjugates))
+                     for e, c in ((e, np.conj(e)) for e in self.factors))
 
 
 # The kinds each family admits: a Dirac spinor's kind is its sign.

@@ -81,9 +81,8 @@ class CheckSpec:
     id: str
     anchor: str
     tolerance: float
-    expectation: str                     # vanish | exceed-floor | classify
+    expectation: str                     # vanish | exceed-floor
     run: Callable[[RunContext], tuple]   # ctx -> (rows, constants), one call per check
-    expected_relation: str | None = None
 
     def reduce(self, rows) -> float:
         """The residual of the check's rows (arrays or scalars): the largest
@@ -94,15 +93,9 @@ class CheckSpec:
         return float(fold.reduce([fold.reduce(r, axis=None, initial=empty) for r in rows],
                                  initial=empty))
 
-    def passes(self, residual: float, constants: dict) -> bool:
-        if self.expectation == "vanish":
-            return residual <= self.tolerance
-        if self.expectation == "exceed-floor":
-            return residual > self.tolerance
-        if self.expectation == "classify":
-            return (constants.get("relation") == self.expected_relation
-                    and residual <= self.tolerance)
-        raise UsageError(f"unknown expectation {self.expectation!r}")
+    def passes(self, residual: float) -> bool:
+        floor = self.expectation == "exceed-floor"
+        return residual > self.tolerance if floor else residual <= self.tolerance
 
 
 @dataclass
@@ -151,8 +144,7 @@ def suite_checks(name: str):
     return list(_REGISTRY[name])
 
 
-def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish",
-          relation: str | None = None, **params):
+def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish", **params):
     """Register the decorated measurement as one check of the suite named
     by the id's prefix.  It is called as ``fn(ctx, key, **params)`` and
     returns (rows, constants): a list of residual rows (arrays or scalars;
@@ -161,16 +153,18 @@ def check(id_: str, anchor: str, tol: str = "identity", expect: str = "vanish",
     stream it draws from.  ``ctx.rng(key)`` and ``ctx.momenta(key)`` start
     from the same bits, so a check that draws parameters beside its momenta
     draws them from a derived key such as ``key + "-angles"``.  ``tol`` is a
-    key of ``TOLERANCES``; ``relation`` is the expected relation of a
-    ``classify`` check.  Checks stacked on one measurement differ in their
-    ``params``."""
+    key of ``TOLERANCES``; ``expect`` is ``vanish`` (pass at or below it)
+    or ``exceed-floor`` (pass above it).  Checks stacked on one measurement
+    differ in their ``params``."""
+    if expect not in ("vanish", "exceed-floor"):
+        raise UsageError(f"check {id_!r}: unknown expectation {expect!r}")
+
     def register(fn):
         # anti-drift guard: ids and anchors are nonempty and unique across the board
         if not anchor or any(s.id == id_ or s.anchor == anchor for s in suite_checks("all")):
             raise UsageError(f"check {id_!r}: ids and anchors must be nonempty and unique")
         _REGISTRY[id_.partition(".")[0]].append(CheckSpec(
-            id_, anchor, TOLERANCES[tol], expect, lambda ctx: fn(ctx, id_, **params),
-            relation))
+            id_, anchor, TOLERANCES[tol], expect, lambda ctx: fn(ctx, id_, **params)))
         return fn
 
     return register
@@ -533,8 +527,9 @@ def _xi_intertwines(ctx, key):
     momenta = _moving(ctx.momenta(key))
     xi = ops.xi_matrix(momenta)
     rows = [np.abs(_norm(xi) - 1.0)]
-    for lam in (kin.boost_half(momenta, side) for side in ("R", "L")):
-        rows.append(ops.xi_residual(xi, lam) / (2.0 * _norm(lam)))
+    for side in ("R", "L"):
+        resid, norm = kin._intertwiner_residual(xi, momenta, side)
+        rows.append(resid / (2.0 * norm))
     return rows, {}
 
 
@@ -619,14 +614,15 @@ def _su2_closure(ctx, key):
 
 
 @check("symmetry.cp-dirac", "conjugation and inversion anticommute on particle/antiparticle "
-       "states (real intrinsic inversion phase)", expect="classify", relation="anticommute")
+       "states (real intrinsic inversion phase)")
 def _cp_dirac(ctx, key):
     res = ops.classify_cp_action("spinorial", "dirac", seed=ctx.seed, n_momenta=ctx.samples)
     constants = {"relation": res.relation,
                  "commute-residual": round(res.commute_residual, 6),
                  "anticommute-residual": round(res.anticommute_residual, 9)}
     separated = res.commute_residual > TOLERANCES["floor"]
-    return [res.anticommute_residual, float(not separated)], constants
+    return [res.anticommute_residual, float(not separated),
+            float(res.relation != "anticommute")], constants
 
 
 # The inversion image substitutes (theta, phi) -> (pi - theta, pi + phi)
@@ -641,7 +637,7 @@ _Z_HALF_TURNS = {0: np.ones(4), -1: np.array([-1j, 1j, -1j, 1j]), -2: -np.ones(4
 
 @check("symmetry.cp-elko", "conjugation and inversion commute on the self/anti-self conjugate "
        "states (imaginary intrinsic inversion phase; inversion image is -+i times the opposite "
-       "kind)", expect="classify", relation="commute")
+       "kind)")
 def _cp_elko(ctx, key):
     res = ops.classify_cp_action("helicity", "elko", seed=ctx.seed, n_momenta=ctx.samples)
     constants = {"relation": res.relation,
@@ -661,7 +657,7 @@ def _cp_elko(ctx, key):
             rows.append(np.linalg.norm(img - tgt) / np.linalg.norm(img))
             constants[f"image-coefficient-{index}"] = _c(coeff)
     separated = res.anticommute_residual > TOLERANCES["floor"]
-    return rows + [float(not separated)], constants
+    return rows + [float(not separated), float(res.relation != "commute")], constants
 
 
 @check("symmetry.composition-associativity", "operator composition is associative and the "
@@ -1031,7 +1027,7 @@ def run_suite(name: str, seed: int, samples: int,
         try:
             rows, constants = spec.run(ctx)
             residual = spec.reduce(rows)
-            status = "pass" if spec.passes(residual, constants) else "fail"
+            status = "pass" if spec.passes(residual) else "fail"
         except Exception as exc:  # one broken check must not stop the run
             residual, status = math.nan, "error"
             constants = {"error": f"{type(exc).__name__}: {exc}"}

@@ -146,6 +146,22 @@ class TestVerify:
         assert len(data["checks"]) >= 30
         assert any(c["id"] == "spin-one.c-squared-minus-one" for c in data["checks"])
 
+    def test_json_report_on_stdout_is_one_document(self, capsys, tmp_path):
+        """Without --out, --format json prints the report alone on standard
+        output and the summary line on standard error, so the captured
+        output is one JSON document that ``elko diff`` reads."""
+        argv = ["verify", "--suite", "symmetry", "--seed", "2", "--samples", "3"]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["suite"] == "symmetry"
+        assert err.startswith("suite=symmetry seed=2 samples=3") and "passed=" in err
+        captured, written = tmp_path / "captured.json", tmp_path / "written.json"
+        captured.write_text(out)
+        run_cli(capsys, *argv, "--out", str(written))
+        assert out == written.read_text() + "\n"
+        code, out, _ = run_cli(capsys, "diff", str(written), str(captured))
+        assert code == 0 and out == "no drift\n"
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

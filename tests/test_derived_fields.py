@@ -94,6 +94,25 @@ def test_fields_are_read_only(batch):
             p.p_abs = 1.0
 
 
+def test_every_batch_has_read_only_arrays(batch):
+    """However a batch is built (either constructor, a slice, a boolean
+    mask, an integer array, a parity reflection or the class itself on
+    writable arrays), its five arrays are read-only, so no write can leave a
+    cached field stale."""
+    arrays = [np.array(x) for x in (batch.px, batch.py, batch.pz, batch.m, batch.E)]
+    built = [batch, kin.sample_momenta(np.random.default_rng(3), 5),
+             kin.as_batch([batch[0], batch[1]]), batch[3:9], batch[batch.pz > 0.0],
+             batch[np.array([4, 2, 4])], kin.parity_reflect(batch[3:9]),
+             kin.MomentumBatch(*arrays)]
+    for p in built:
+        assert isinstance(p, kin.MomentumBatch)
+        for name in ("px", "py", "pz", "m", "E"):
+            x = getattr(p, name)
+            assert not x.flags.writeable, name
+            with pytest.raises(ValueError):
+                x[0] = 100.0
+
+
 def test_new_momentum_objects_get_their_own_fields(batch):
     for name in FIELDS:   # fill the batch's cache first
         getattr(batch, name)

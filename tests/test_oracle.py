@@ -20,6 +20,13 @@
   ``gamma5_sc_one``: the conjugacy residual is one harmonic in zeta.
 * The spin-1 conjugations square to (Sc)^2 = -1 and (Gamma5 Sc)^2 = +1 as
   antilinear maps v -> e^{i phi} M conj(v), for every operator phase phi.
+* Charge conjugation C v = -gamma2 conj(v) has eigenvalue +1 on lambda^S
+  and rho^S and -1 on lambda^A and rho^A: on the spinorial read-offs at a
+  symbolic momentum, and on the helicity family at symbolic angles and
+  phases theta1, theta2.
+* The coupled lambda/rho equations vanish on the spinorial read-offs under
+  exactly one frequency convention; under the other, each row is
+  -2 (mass sign) m times its partner state.
 """
 
 import cmath
@@ -190,14 +197,21 @@ def test_dirac_column_read_off_is_the_boosted_rest_spinor(sign):
                            atol=1e-15)
 
 
-def test_pattern_table_read_off_is_the_boosted_rest_pattern():
-    p, (lam_r, lam_l), _ = _symbolic_momentum()
+def _spinorial_read_off(p, key):
+    """The pattern table's gathered products for one (family, kind, index)
+    times c = 1/(2 sqrt(E + m)), at a ``_symbolic_momentum``."""
     entries = (p.E + p.pz + p.m, p.p_r, p.p_l, p.E - p.pz + p.m, -p.p_r, -p.p_l)
     c = 1 / (2 * sympy.sqrt(p.E + p.m))
+    products, positions = sp._GATHER[key]
+    table = [unit * entries[e] for unit, e in products]
+    return sympy.Matrix([c * _exact(x) for x in np.array(table, dtype=object)[positions]])
+
+
+def test_pattern_table_read_off_is_the_boosted_rest_pattern():
+    p, (lam_r, lam_l), _ = _symbolic_momentum()
     boost = sympy.diag(lam_r, lam_l)
-    for (family, kind, index), (products, positions) in sp._GATHER.items():
-        table = [unit * entries[e] for unit, e in products]
-        read_off = sympy.Matrix([c * _exact(x) for x in np.array(table, dtype=object)[positions]])
+    for family, kind, index in sp._GATHER:
+        read_off = _spinorial_read_off(p, (family, kind, index))
         pattern = sympy.Matrix([_exact(complex(z)) for z in sp._REST_PATTERNS[family][kind, index]])
         boosted = sympy.sqrt(p.m / 2) * boost * pattern
         assert sympy.simplify(read_off - boosted) == sympy.zeros(4, 1), (family, kind, index)
@@ -274,3 +288,89 @@ def test_spin_one_conjugations_square_to_their_sign_exactly(operator, square):
         return sympy.exp(I * phi) * exact * u.conjugate()
 
     assert sympy.simplify(sympy.expand(act(act(v)) - square * v)) == sympy.zeros(6, 1)
+
+
+# ---------------------------------------------------------------------------
+# the C eigenvalues of the four families
+# ---------------------------------------------------------------------------
+
+# the eigenvalue of C on each kind, at zero conjugation phase
+_C_EIGENVALUE = {"S": 1, "A": -1}
+
+
+def _charge_conjugate(v):
+    """C v = -gamma2 conj(v), checked against the library's operator."""
+    c_op = ops.charge_conjugation()
+    assert c_op.antilinear and c_op.phase == 1
+    assert np.array_equal(np.array(-GAMMA[2], dtype=complex), c_op.matrix)
+    return -GAMMA[2] * v.conjugate()
+
+
+def test_spinorial_read_offs_are_charge_conjugation_eigenstates_exactly():
+    p, _, _ = _symbolic_momentum()
+    for family, kind, index in sp._GATHER:
+        read_off = _spinorial_read_off(p, (family, kind, index))
+        defect = _charge_conjugate(read_off) - _C_EIGENVALUE[kind] * read_off
+        assert sympy.simplify(defect) == sympy.zeros(4, 1), (family, kind, index)
+
+
+@pytest.mark.parametrize("family", ["lambda", "rho"])
+def test_helicity_family_is_a_charge_conjugation_eigenstate_exactly(family):
+    """lambda = b (zeta Theta f*, f) and rho = b (f, zeta Theta f*) for
+    f = e^{i theta_h} phi_h, with b > 0 standing for sqrt(m/2) times the
+    boost's real eigenvalue; the library's halves are these at a point."""
+    theta, phi, t1, t2 = sympy.symbols("theta phi theta1 theta2", real=True)
+    b = sympy.symbols("b", positive=True)
+    plus, minus = _helicity_pair(theta, phi)
+    p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
+    cos_half, sin_half, azimuth = kin.half_angles(p)
+    cfg = sp.PhaseConfig(theta1=0.9, theta2=-2.3)
+    point = {theta: 2.0 * math.atan2(sin_half, cos_half), phi: azimuth, t1: cfg.theta1,
+             t2: cfg.theta2, b: 1}
+    for kind in ("S", "A"):
+        zeta = _exact(sp._ZETA[family][kind])
+        for h, phase, pair in ((1, t1, plus), (-1, t2, minus)):
+            f = sympy.exp(I * phase) * pair
+            image = zeta * THETA_HALF * f.conjugate()
+            v = b * (sympy.Matrix.vstack(image, f) if family == "lambda"
+                     else sympy.Matrix.vstack(f, image))
+            assert _vanishes(_charge_conjugate(v) - _C_EIGENVALUE[kind] * v), (kind, h)
+            halves = sp._dressed_halves(p.helicity_ring, family, kind, h, cfg)
+            assert np.allclose(halves, np.array(v.subs(point).evalf(20), dtype=complex)[:, 0],
+                               rtol=0, atol=4e-16), (kind, h)
+
+
+# ---------------------------------------------------------------------------
+# the coupled lambda/rho system and its one convention
+# ---------------------------------------------------------------------------
+
+def test_coupled_system_vanishes_under_exactly_one_convention():
+    """Row k is kinetic_k gamma.p psi_k - mass_k m partner_k over the
+    quartet (lambda^S, rho^A, lambda^A, rho^S), with kinetic = sign * mass
+    and mass = (+1, +1, -1, -1), as ``coupled_equations`` forms it."""
+    p, _, (px, py, pz, m) = _symbolic_momentum()
+    slash = GAMMA[0] * p.E - GAMMA[1] * px - GAMMA[2] * py - GAMMA[3] * pz
+    mass_signs = [int(s) for s in dyn._MASS_SIGNS[:, 0]]
+    partners = [int(k) for k in dyn._PARTNERS]
+    unscale = 2 * sympy.sqrt(p.E + m)
+    working = []
+    for sign in (1, -1):
+        vanishes = True
+        for index in sp.INDICES:
+            quartet = [_spinorial_read_off(p, (family, kind, index))
+                       for family, kind in (("lambda", "S"), ("rho", "A"), ("lambda", "A"),
+                                            ("rho", "S"))]
+            for k, (psi, mass) in enumerate(zip(quartet, mass_signs)):
+                partner = quartet[partners[k]]
+                row = sign * mass * slash * psi - mass * m * partner
+                # times 1/c = 2 sqrt(E + m), a polynomial in E, p and m with E^2 = p^2 + m^2
+                if sympy.expand(row * unscale) != sympy.zeros(4, 1):
+                    vanishes = False
+                    # the wrong convention leaves -2 mass m times the partner
+                    left = sympy.expand((row + 2 * mass * m * partner) * unscale)
+                    assert left == sympy.zeros(4, 1)
+                    assert partner.subs({px: 0, py: 0, pz: 0}) != sympy.zeros(4, 1)
+        working += [sign] if vanishes else []
+    assert len(working) == 1
+    q = kin.make_momentum(0.3, -0.4, 0.5, 1.1)
+    assert dyn.discover_convention([q]).sign == working[0]

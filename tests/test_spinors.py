@@ -386,7 +386,9 @@ class TestLabelsAndPhases:
 
     def test_finite_phases_accepted(self):
         cfg = sp.PhaseConfig(theta_c=-1e300, theta1=5e-324, theta2=2 * math.pi)
-        assert cfg.conjugates == tuple(e.conjugate() for e in cfg.factors)
+        for e, (lam, rho) in zip(cfg.factors, cfg.dressings):
+            c = e.conjugate()
+            assert lam.tolist() == [c, c, e, e] and rho.tolist() == [e, e, c, c]
 
     @pytest.mark.parametrize("family,kind", [
         ("lambda", "X"), ("rho", "particle"), ("lambda", "antiparticle"), ("u", "S"),

@@ -181,20 +181,28 @@ def test_coupled_residual_in_one_call_matches_the_per_index_loop(batch, sign):
 # ---------------------------------------------------------------------------
 
 def test_xi_residual_matches_the_dense_products(moving):
+    """The one intertwiner residual, formed from the boost columns, is the
+    norm of the dense Xi Lambda - Lambda^* Xi, and its scale is the boost's
+    norm, row by row and at one momentum."""
     xi = ops.xi_matrix(moving)
     assert xi.shape == (len(moving), 2, 2)
     for side in ("R", "L"):
         lam = kin.boost_half(moving, side)
         dense = np.linalg.norm(xi @ lam - np.conj(lam) @ xi, axis=(-2, -1))
         scale = np.linalg.norm(lam, axis=(-2, -1))
-        assert np.all(np.abs(ops.xi_residual(xi, lam) - dense) <= 1e-15 * scale)
+        resid, norm = kin._intertwiner_residual(xi, moving, side)
+        assert np.all(np.abs(resid - dense) <= 1e-15 * scale)
+        assert np.allclose(norm, scale, rtol=1e-15, atol=0)
+        one = kin._intertwiner_residual(xi[4], moving[4], side)
+        assert abs(one[0] - dense[4]) <= 1e-15 * scale[4] and one[1] == pytest.approx(scale[4])
 
 
 def test_xi_residual_sees_a_wrong_intertwiner(moving):
     lam = kin.boost_half(moving, "R")
     wrong = np.broadcast_to(np.diag([1.0, 1.0]).astype(complex) / math.sqrt(2.0), lam.shape)
     dense = np.linalg.norm(wrong @ lam - np.conj(lam) @ wrong, axis=(-2, -1))
-    assert np.allclose(ops.xi_residual(wrong, lam), dense, rtol=1e-14, atol=0)
+    assert np.allclose(kin._intertwiner_residual(wrong, moving, "R")[0], dense, rtol=1e-14,
+                       atol=0)
     assert np.max(dense) > 1.0
 
 
@@ -527,18 +535,6 @@ def test_xi_matrix_raises_for_one_failing_row(monkeypatch, moving):
         ops.xi_matrix(_fresh(moving))
     monkeypatch.undo()
     assert ops.xi_matrix(_fresh(moving)).shape == (len(moving), 2, 2)
-
-
-def test_xi_column_residual_matches_the_dense_products(moving):
-    """The assertion's residual, formed from the boost columns, is
-    xi_residual on the 2x2 boost, and its scale is the boost's norm."""
-    xi = ops.xi_matrix(moving)
-    d = xi[:, 0, 0], xi[:, 1, 1]
-    for side in ("R", "L"):
-        lam = kin.boost_half(moving, side)
-        resid, norm = kin._intertwiner_residual(d, kin._boost_columns(moving, side))
-        assert np.all(np.abs(resid - ops.xi_residual(xi, lam)) <= 1e-15 * norm)
-        assert np.allclose(norm, mat.rownorm(lam, matrix=True), rtol=1e-15, atol=0)
 
 
 def test_xi_is_asserted_once_per_momentum(monkeypatch, moving):

@@ -37,7 +37,7 @@ def test_registry_matches_the_frozen_rows():
     what a check id means unnoticed."""
     frozen = {row["id"]: row for row in json.loads((DATA / "check-specs.json").read_text())}
     now = {c.id: {"id": c.id, "anchor": c.anchor, "tolerance": c.tolerance,
-                  "expectation": c.expectation, "expected_relation": c.expected_relation}
+                  "expectation": c.expectation}
            for c in suite_checks("all")}
     assert len(frozen) == 60
     assert now == frozen
@@ -187,7 +187,7 @@ def test_wrong_convention_is_scale_free(m, boost):
     p = make_momentum(*(boost * m * np.array([0.36, -0.48, 0.8])), m)
     rows, _ = spec.run(_OneMomentum(p))
     residual = spec.reduce(rows)
-    assert spec.passes(residual, {})
+    assert spec.passes(residual)
     assert residual == pytest.approx(2.0, rel=1e-12)
 
 
@@ -205,8 +205,9 @@ def test_cp_elko_holds_outside_the_sampled_box(row):
     |p|/m up to 1e12 in both azimuthal half-planes."""
     spec = next(c for c in suite_checks("symmetry") if c.id == "symmetry.cp-elko")
     rows, constants = spec.run(_OneMomentum(make_momentum(*row)))
-    assert len(rows) == 4   # commute residual, the two images, separation
-    assert spec.passes(spec.reduce(rows), constants)
+    assert len(rows) == 5   # commute residual, the two images, separation, relation
+    assert constants["relation"] == "commute"
+    assert spec.passes(spec.reduce(rows))
 
 
 def test_every_check_returns_its_rows_and_constants():
@@ -221,7 +222,7 @@ def test_every_check_returns_its_rows_and_constants():
 
 
 @pytest.mark.parametrize("expect, empty, folded", [
-    ("vanish", 0.0, 3.0), ("classify", 0.0, 3.0), ("exceed-floor", math.inf, 0.5)])
+    ("vanish", 0.0, 3.0), ("exceed-floor", math.inf, 0.5)])
 def test_reduce_takes_the_largest_entry_or_the_smallest_for_a_floor(expect, empty, folded):
     spec = CheckSpec("spin-half.probe", "a probe", 1.0, expect, None)
     assert spec.reduce([]) == spec.reduce([np.array([])]) == empty
@@ -229,7 +230,27 @@ def test_reduce_takes_the_largest_entry_or_the_smallest_for_a_floor(expect, empt
     for rows in ([np.array([1.0, math.nan]), 0.5], [0.5, math.nan], [[math.nan], 3.0]):
         residual = spec.reduce(rows)
         assert math.isnan(residual)
-        assert not spec.passes(residual, {"relation": None})
+        assert not spec.passes(residual)
+
+
+def test_check_rejects_an_unknown_expectation_when_registered():
+    with pytest.raises(UsageError, match="unknown expectation 'classify'"):
+        suite.check("spin-half.probe", "a probe", expect="classify")
+    assert all(c.expectation in ("vanish", "exceed-floor") for c in suite_checks("all"))
+
+
+@pytest.mark.parametrize("check_id, probe", [
+    ("symmetry.cp-dirac", ("neither", 1.0, 0.0)), ("symmetry.cp-elko", ("neither", 0.0, 1.0))])
+def test_a_wrong_relation_fails_its_cp_check(monkeypatch, check_id, probe):
+    """The relation is a 0/1 row of its check: with the expected residual 0
+    and the other one separated from it, a probe that reads ``neither``
+    still fails."""
+    monkeypatch.setattr(ops, "classify_cp_action",
+                        lambda *args, **kwargs: ops.ActionClassification(*probe))
+    outcome = next(c for c in run_suite("symmetry", seed=1, samples=4).checks
+                   if c.id == check_id)
+    assert outcome.constants["relation"] == "neither"
+    assert outcome.status == "fail" and outcome.residual == 1.0
 
 
 # checks that read lambda^A on a batch
