@@ -181,20 +181,28 @@ def test_coupled_residual_in_one_call_matches_the_per_index_loop(batch, sign):
 # ---------------------------------------------------------------------------
 
 def test_xi_residual_matches_the_dense_products(moving):
-    """The one intertwiner residual, formed from the boost columns, is the
-    norm of the dense Xi Lambda - Lambda^* Xi, and its scale is the boost's
-    norm, row by row and at one momentum."""
+    """The one intertwiner residual at one momentum is the norm of the dense
+    Xi Lambda - Lambda^* Xi, and its scale is the boost's norm."""
     xi = ops.xi_matrix(moving)
     assert xi.shape == (len(moving), 2, 2)
     for side in ("R", "L"):
         lam = kin.boost_half(moving, side)
         dense = np.linalg.norm(xi @ lam - np.conj(lam) @ xi, axis=(-2, -1))
         scale = np.linalg.norm(lam, axis=(-2, -1))
-        resid, norm = kin._intertwiner_residual(xi, moving, side)
-        assert np.all(np.abs(resid - dense) <= 1e-15 * scale)
-        assert np.allclose(norm, scale, rtol=1e-15, atol=0)
         one = kin._intertwiner_residual(xi[4], moving[4], side)
         assert abs(one[0] - dense[4]) <= 1e-15 * scale[4] and one[1] == pytest.approx(scale[4])
+
+
+def test_xi_column_residual_matches_the_dense_products(moving):
+    """The residual formed from the boost columns is the norm of the dense
+    Xi Lambda - Lambda^* Xi, and its scale is the boost's norm, row by row."""
+    xi = ops.xi_matrix(moving)
+    for side in ("R", "L"):
+        lam = kin.boost_half(moving, side)
+        dense = np.linalg.norm(xi @ lam - np.conj(lam) @ xi, axis=(-2, -1))
+        resid, norm = kin._intertwiner_residual(xi, moving, side)
+        assert np.all(np.abs(resid - dense) <= 1e-15 * norm)
+        assert np.allclose(norm, mat.rownorm(lam, matrix=True), rtol=1e-15, atol=0)
 
 
 def test_xi_residual_sees_a_wrong_intertwiner(moving):
