@@ -204,7 +204,9 @@ def markov_superposition(p, particle_weights=(1.0, 0.0),
 
 def sen_gupta_operator(e, px, py, pz, m1, m2) -> np.ndarray:
     """gamma.p - m1 - m2 gamma5 for an arbitrary four-vector, or (N, 4, 4)
-    when any argument is an (N,) array."""
+    when any argument is an (N,) array; raises on a non-finite argument."""
+    if not all(np.isfinite(x).all() for x in (e, px, py, pz, m1, m2)):
+        raise DomainError("two-mass operator needs a finite four-vector and masses")
     m1, m2 = (np.asarray(x)[..., None, None] for x in (m1, m2))
     return slash(e, px, py, pz) - m1 * np.eye(4, dtype=complex) - m2 * gamma5
 
@@ -221,13 +223,15 @@ _NULL_RCOND = 1e-9   # zero singular values: below this times max(1, the largest
 
 
 def sen_gupta_null_space(e, px, py, pz, m1, m2):
-    """Null-space basis of the two-mass operator; empty off the generalised
-    shell p^2 = m1^2 - m2^2 (no exception)."""
+    """Null-space basis of the two-mass operator as a list of (4,) rows;
+    empty off the generalised shell p^2 = m1^2 - m2^2 (no exception).  With
+    (N,) arguments (scalars broadcast), one such list per row, from one SVD
+    of the (N, 4, 4) operators."""
     op = sen_gupta_operator(e, px, py, pz, m1, m2)
     _, svals, vh = np.linalg.svd(op)
-    cutoff = _NULL_RCOND * max(1.0, float(svals[0]))
-    null = vh[svals < cutoff].conj()
-    return [row for row in null]
+    zero = svals < _NULL_RCOND * np.maximum(1.0, svals[..., :1])
+    nulls = [list(v[keep]) for v, keep in zip(vh.conj().reshape(-1, 4, 4), zero.reshape(-1, 4))]
+    return nulls if op.ndim == 3 else nulls[0]
 
 
 def sen_gupta_equivalence(m1, m2) -> np.ndarray:

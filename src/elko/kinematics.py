@@ -248,6 +248,12 @@ def make_momenta(px, py, pz, m) -> MomentumBatch:
                      for x in np.broadcast_arrays(px, py, pz, m))
     if px.ndim != 1:
         raise DimensionError(f"momentum batch needs 1-d arrays, got shape {px.shape}")
+    return _validated(px, py, pz, m)
+
+
+def _validated(px, py, pz, m) -> MomentumBatch:
+    """The batch of (N,) float arrays that it takes over without copying,
+    after the mass and finiteness checks of ``make_momenta``."""
     if not np.all(m > 0.0):
         raise DomainError(f"mass must be positive, got {m[~(m > 0.0)][0]}")
     E = np.sqrt(px * px + py * py + pz * pz + m * m)
@@ -277,8 +283,9 @@ def sample_momenta(rng: np.random.Generator, n: int) -> MomentumBatch:
     u, g, v = rng.random(n), rng.normal(size=(n, 3)), rng.random(n)
     m = np.exp(lo + (hi - lo) * u)
     direction = g / np.sqrt(sqnorm(g))[:, None]
-    vec = ((10.0 * m) * v)[:, None] * direction
-    return make_momenta(*vec.T, m)
+    # (3, n) C-ordered: three fresh contiguous rows for the batch to keep
+    px, py, pz = np.multiply(direction.T, (10.0 * m) * v, order="C")
+    return _validated(px, py, pz, m)
 
 
 def half_angles(p):

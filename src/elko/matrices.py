@@ -6,11 +6,11 @@ the chiral-basis gamma matrices (right-handed block on top), the spin-1/2
 and spin-1 Wigner matrices and the spin-1 angular-momentum generators in the
 spherical basis (J_z = diag(1, 0, -1)).
 
-The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``rownorm``,
-``blocks`` and ``block_diag2`` work on one object or on a batch: a leading
-axis of length N in front of the trailing vector/matrix axes, so one kernel
-body serves a single momentum (float entries) and N momenta ((N,) array
-entries).
+The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``matmat``,
+``rownorm``, ``blocks`` and ``block_diag2`` work on one object or on a
+batch: a leading axis of length N in front of the trailing vector/matrix
+axes, so one kernel body serves a single momentum (float entries) and N
+momenta ((N,) array entries).
 """
 
 from __future__ import annotations
@@ -81,6 +81,19 @@ def matvec(a, x) -> CVector:
     if a.ndim == 2:
         return x @ a.T
     return (a @ x[..., None])[..., 0]
+
+
+def matmat(a, b) -> CMatrix:
+    """a @ b over any leading batch axes of either operand.  A fixed 2-d
+    matrix times a stack, on either side, is one 2-d product over all the
+    stack's rows or columns; two stacks multiply matrix by matrix."""
+    if a.ndim == 2 and b.ndim > 2:
+        cols = np.moveaxis(b, -2, 0)
+        out = a @ cols.reshape(len(cols), -1)
+        return np.moveaxis(out.reshape(a.shape[:1] + cols.shape[1:]), 0, -2)
+    if b.ndim == 2 and a.ndim > 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    return a @ b
 
 
 def vdot(a, b):

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,9 +118,11 @@ class VerificationReport:
     checks: list
     summary: dict
 
-    # the field names of this class and of CheckOutcome are the JSON schema
+    # the field names of this class and of CheckOutcome are the JSON schema;
+    # json.dumps reads the fields in place, without asdict's deep copy
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        fields = {**vars(self), "checks": [vars(c) for c in self.checks]}
+        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":
@@ -241,10 +243,11 @@ def _conjugacy(ctx, key, family, kind):
     thetas = [0.0, math.pi / 2, math.pi, float(rng.uniform(0, 2 * math.pi))]
     for index, basis in itertools.product(sp.INDICES, sp.BASES):
         v = family(momenta, kind, index, basis)
+        scale = _norm(v)
         for theta_c in thetas:
             c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
             expected = sign * cmath.exp(1j * theta_c)
-            rows.append(_rel(c_op.apply(v) - expected * v, v))
+            rows.append(_norm(c_op.apply(v) - expected * v) / scale)
     return rows, {"eigenvalue-sign": sign}
 
 
@@ -508,7 +511,8 @@ def _chain_helicity(ctx, key):
     u = ops.u1(momenta)
     conj1 = u @ ops.helicity_operator(momenta).matrix @ np.linalg.inv(u)
     return [_norm(conj1 - target_half),
-            _norm(ops.u3() @ conj1 @ np.linalg.inv(ops.u3()) - 0.5 * mat.gamma5)], {}
+            _norm(mat.matmat(mat.matmat(ops.u3(), conj1), np.linalg.inv(ops.u3()))
+                  - 0.5 * mat.gamma5)], {}
 
 
 @check("symmetry.chain-chiral-helicity", "conjugating the doubled sigma.n by the rotation and "
@@ -518,7 +522,7 @@ def _chain_chiral_helicity(ctx, key):
     sn = mat.pauli_dot(momenta.direction())
     u = ops.u1(momenta)
     conj1 = u @ mat.block_diag2(sn, -sn) @ np.linalg.inv(u)
-    return [_norm(ops.u2() @ conj1 @ ops.u2().conj().T - mat.gamma5)], {}
+    return [_norm(mat.matmat(mat.matmat(ops.u2(), conj1), ops.u2().conj().T) - mat.gamma5)], {}
 
 
 @check("symmetry.xi-intertwines", "the 2x2 conjugation intertwiner relates both half boosts to "
@@ -756,11 +760,13 @@ def _sen_gupta_null_dim(ctx, key):
     m2 = rng.uniform(0.0, 0.9, 10) * m1
     vec = rng.normal(size=(10, 3))
     e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec))
-    nulls = [dyn.sen_gupta_null_space(*row) for row in zip(e, *vec.T, m1, m2)]
-    if any(len(null) != 2 for null in nulls):
-        return [1.0], {"null-dimension": 2}
+    nulls = dyn.sen_gupta_null_space(e, *vec.T, m1, m2)
+    # the first measured dimension other than 2, else 2
+    dim = next((len(null) for null in nulls if len(null) != 2), 2)
+    if dim != 2:
+        return [1.0], {"null-dimension": dim}
     op = dyn.sen_gupta_operator(e, *vec.T, m1, m2)
-    return [_norm(mat.matvec(op[:, None], np.array(nulls)))], {"null-dimension": 2}
+    return [_norm(mat.matvec(op[:, None], np.array(nulls)))], {"null-dimension": dim}
 
 
 @check("dynamics.sen-gupta-off-shell", "off the generalised shell the two-mass operator has an "
@@ -770,7 +776,7 @@ def _sen_gupta_off_shell(ctx, key):
     m1, m2 = 2.0, 1.0
     vec = rng.normal(size=(10, 3))
     e = np.sqrt(m1 ** 2 - m2 ** 2 + mat.sqnorm(vec)) * rng.uniform(1.1, 2.0, 10)
-    return [len(dyn.sen_gupta_null_space(*row, m1, m2)) for row in zip(e, *vec.T)], {}
+    return [len(null) for null in dyn.sen_gupta_null_space(e, *vec.T, m1, m2)], {}
 
 
 @check("dynamics.sen-gupta-equivalence", "the axial equivalence transform carries two-mass "
@@ -784,8 +790,8 @@ def _sen_gupta_equivalence(ctx, key):
     e = np.sqrt(mu ** 2 + mat.sqnorm(vec))
     inverse = np.linalg.inv(dyn.sen_gupta_equivalence(m1, m2))
     dirac = dyn.slash(e, *vec.T) - mu[:, None, None] * np.eye(4)
-    mapped = [mat.matvec(inv, np.reshape(dyn.sen_gupta_null_space(*row), (-1, 4)))
-              for inv, row in zip(inverse, zip(e, *vec.T, m1, m2))]
+    mapped = [mat.matvec(inv, np.reshape(null, (-1, 4)))
+              for inv, null in zip(inverse, dyn.sen_gupta_null_space(e, *vec.T, m1, m2))]
     return [_rel(mat.matvec(d, x), x) for d, x in zip(dirac, mapped)], {}
 
 
@@ -800,8 +806,7 @@ def _sen_gupta_massless(ctx, key):
     sn = mat.pauli_dot(vec)
     chiral_h = mat.block_diag2(sn, -sn)
     rows = []
-    for row, h in zip(zip(e, *(pabs * vec.T), np.zeros(10), m2), chiral_h):
-        null = dyn.sen_gupta_null_space(*row)
+    for null, h in zip(dyn.sen_gupta_null_space(e, *(pabs * vec.T), 0.0, m2), chiral_h):
         if not null:
             return [0.0], {"note": "no null vectors found"}
         v = _unit(np.array(null))
@@ -819,7 +824,7 @@ def _eight_component(ctx, key):
     # with l5 = diag(g5, -g5) and the kinetic block [[0, G], [G, 0]], the
     # commutator is [[0, {g5, G}], [-{g5, G}, 0]] and l5^2 = diag(g5^2, g5^2);
     # their 4x4 blocks keep the batch free of 8x8 arrays
-    anti = mat.gamma5 @ gp + gp @ mat.gamma5
+    anti = mat.matmat(mat.gamma5, gp) + mat.matmat(gp, mat.gamma5)
     square = math.sqrt(2.0) * float(np.linalg.norm(mat.gamma5 @ mat.gamma5 - np.eye(4)))
     return [square, dyn.eight_component_residual(momenta, conv),
             math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E)], {}

@@ -183,6 +183,67 @@ class TestSenGupta:
             fit = np.vdot(v, image)
             assert np.linalg.norm(image - fit * v) > 0.1
 
+    @staticmethod
+    def _rows(rng, n, shell):
+        """n rows (e, px, py, pz, m1, m2): on the generalised shell, off it
+        (no null space) or on it with m1 = 0."""
+        vec = rng.normal(size=(n, 3))
+        m1 = np.zeros(n) if shell == "massless" else rng.uniform(0.5, 3.0, n)
+        m2 = rng.uniform(0.3, 0.9, n) * (1.0 if shell == "massless" else m1)
+        if shell == "massless":   # p^2 = -m2^2 needs |p| > m2
+            vec *= (2.0 * m2 / np.sqrt(np.sum(vec * vec, axis=1)))[:, None]
+        e = np.sqrt(np.abs(m1 ** 2 - m2 ** 2 + np.sum(vec * vec, axis=1)))
+        if shell == "off":
+            e *= rng.uniform(1.1, 2.0, n)
+        return e, *vec.T, m1, m2
+
+    @staticmethod
+    def _same_bits(batch, single):
+        return (len(batch) == len(single)
+                and all(len(a) == len(b) and all(x.tobytes() == y.tobytes()
+                                                  for x, y in zip(a, b))
+                        for a, b in zip(batch, single)))
+
+    def test_null_space_batch_rows_are_the_single_calls(self):
+        """One basis list per row, bit for bit the list of the row's own
+        call: on-shell rows (two vectors), off-shell rows (none), rows with
+        m1 = 0, and scalar masses broadcast against (N,) e as the off-shell
+        check passes them."""
+        rng = np.random.default_rng(20)
+        rows = [self._rows(rng, 7, shell) for shell in ("on", "off", "massless")]
+        mixed = tuple(np.concatenate(parts) for parts in zip(*rows))
+        for args in rows + [mixed]:
+            batch = dyn.sen_gupta_null_space(*args)
+            single = [dyn.sen_gupta_null_space(*row) for row in zip(*args)]
+            assert self._same_bits(batch, single)
+        dims = [len(null) for null in dyn.sen_gupta_null_space(*mixed)]
+        assert dims == [2] * 7 + [0] * 7 + [2] * 7
+        px, py, pz = rng.normal(size=(3, 10))
+        shell = np.sqrt(3.0 + px * px + py * py + pz * pz)   # m1^2 - m2^2 = 3
+        e = np.where(np.arange(10) < 3, shell, shell * rng.uniform(0.5, 2.0, 10))
+        batch = dyn.sen_gupta_null_space(e, px, py, pz, 2.0, 1.0)
+        assert self._same_bits(batch, [dyn.sen_gupta_null_space(*row, 2.0, 1.0)
+                                       for row in zip(e, px, py, pz)])
+        assert [len(null) for null in batch[:3]] == [2, 2, 2]
+        # one momentum still gives a list of (4,) rows
+        single = dyn.sen_gupta_null_space(*(x[0] for x in rows[0]))
+        assert isinstance(single, list) and [v.shape for v in single] == [(4,), (4,)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        row = [2.0, 0.1, 0.2, 0.3, 1.0, 0.5]
+        for k in range(6):
+            args = row[:k] + [bad] + row[k + 1:]
+            with pytest.raises(DomainError):
+                dyn.sen_gupta_null_space(*args)
+            with pytest.raises(DomainError):
+                dyn.sen_gupta_operator(*args)
+            # a batch with one bad row
+            batch = [np.array([x, x, x]) for x in row]
+            batch[k][1] = bad
+            with pytest.raises(DomainError):
+                dyn.sen_gupta_null_space(*batch)
+
     def test_degenerate_masses_rejected_by_equivalence(self):
         with pytest.raises(DomainError):
             dyn.sen_gupta_equivalence(1.0, 1.0)

@@ -57,3 +57,18 @@ def test_gamma_algebra_signature(seed):
 
 def test_gamma5_product_identity():
     assert np.allclose(1j * mat.gamma0 @ mat.gamma1 @ mat.gamma2 @ mat.gamma3, mat.gamma5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_matmat_is_matmul_bit_for_bit(rng, n, lead):
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    fixed, other = complex_normal(4, 4), complex_normal(4, 4)
+    stack, stack2 = complex_normal(*lead, n, 4, 4), complex_normal(*lead, n, 4, 4)
+    for a, b in ((fixed, stack), (stack, fixed), (stack, stack2), (fixed, other),
+                 (fixed.conj().T, stack), (stack, fixed.conj().T), (mat.gamma5, stack)):
+        got, want = mat.matmat(a, b), a @ b
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -298,6 +299,37 @@ def test_raising_check_is_reported_as_error(monkeypatch):
     assert not report.all_passed
     clone = VerificationReport.from_json(report.to_json())
     assert clone.checks[0].status == "error"
+
+
+def test_to_json_is_the_asdict_dump(monkeypatch):
+    """The report serialises byte for byte as ``asdict`` of it would, on a
+    report with list-valued constants and an ``error`` outcome (NaN
+    residual, ``error`` constant)."""
+    def broken(ctx):
+        raise ValueError("no rows")
+
+    real = suite.suite_checks("spin-half")
+    extra = CheckSpec("spin-half.aa-broken", "a check that raises", 1e-12, "vanish", broken)
+    monkeypatch.setattr(suite, "suite_checks", lambda name: real + [extra])
+    report = run_suite("spin-half", seed=2, samples=5)
+    assert report.checks[0].status == "error" and math.isnan(report.checks[0].residual)
+    assert any(isinstance(v, list) for c in report.checks for v in c.constants.values())
+    want = json.dumps(dataclasses.asdict(report), sort_keys=True, separators=(",", ":"))
+    assert report.to_json() == want
+
+
+def test_null_dimension_reports_the_measured_dimension(monkeypatch):
+    """With one null vector per row the check fails and says 1, not 2."""
+    real = dyn.sen_gupta_null_space
+    monkeypatch.setattr(dyn, "sen_gupta_null_space",
+                        lambda *args: [null[:1] for null in real(*args)])
+    outcome = {c.id: c for c in run_suite("dynamics", seed=1, samples=10).checks}[
+        "dynamics.sen-gupta-null-dim"]
+    assert (outcome.status, outcome.constants) == ("fail", {"null-dimension": 1})
+    monkeypatch.undo()
+    outcome = {c.id: c for c in run_suite("dynamics", seed=1, samples=10).checks}[
+        "dynamics.sen-gupta-null-dim"]
+    assert (outcome.status, outcome.constants) == ("pass", {"null-dimension": 2})
 
 
 # functions numpy gained in 2.x; the package declares numpy >= 1.24
