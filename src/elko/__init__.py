@@ -15,7 +15,6 @@ from .errors import (
     UsageError,
 )
 from .kinematics import (
-    AngularParams,
     FourMomentum,
     MomentumBatch,
     boost_half,
@@ -27,7 +26,6 @@ from .kinematics import (
 )
 from .matrices import (
     adjoint,
-    det,
     gamma0,
     gamma1,
     gamma2,
@@ -92,6 +90,5 @@ from .spin_one import (
     spin1_conjugacy_scan,
     spin1_pair,
     ss_one,
-    wigner_theta_one,
 )
 from .suite import VerificationReport, diff_reports, run_suite

@@ -6,11 +6,12 @@ identity by continuity.
 
 A ``MomentumBatch`` holds N momenta as (N,) arrays and a ``FourMomentum``
 one momentum as floats; both expose the same fields, and the spin-1/2
-kernels (derived fields, ``half_angles``, ``boost_half``,
-``boost_half_pair``, ``boost_eigenvalue``) and the spin-1 ``boost_one`` are
-written once as plain arithmetic that accepts either.  A momentum's derived
-fields are computed once, on first use, and kept with the immutable
-momentum object; so is the conjugation intertwiner Xi of its two boosts
+kernels (derived fields, ``boost_half``, ``boost_half_pair``,
+``boost_eigenvalue``) and the spin-1 ``boost_one`` are written once as
+plain arithmetic that accepts either.  A momentum's derived fields are
+computed once, on first use, and kept with the immutable momentum object.
+Among them are the helicity frame ``half_angles``, (cos(theta/2),
+sin(theta/2), phi), and the conjugation intertwiner Xi of its two boosts
 (``operators.xi_matrix``), which is asserted when it is built.
 """
 
@@ -111,7 +112,13 @@ class _OnShell:
 
     @_field
     def half_angles(self):
-        """(cos(theta/2), sin(theta/2), phi); see ``half_angles``."""
+        """(cos(theta/2), sin(theta/2), phi) of the direction, phi in
+        [0, 2 pi); (1, 0, 0) at rest.
+
+        The half-angle cosines are sqrt((|p| +- pz) / (2 |p|)) with the
+        cancelling sum formed as p_perp^2 / (|p| + |pz|): arccos(pz/|p|)
+        would lose digits near the z axis, where the helicity spinors must
+        still be sigma.p-hat eigenvectors to full precision."""
         return _read_only(*_half_angles(self))
 
     @_field
@@ -210,24 +217,6 @@ class MomentumBatch(_OnShell):
         return MomentumBatch(*fields)
 
 
-@dataclass(frozen=True)
-class AngularParams:
-    """A point on the sphere: theta in [0, pi], phi in [0, 2 pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise DomainError(f"theta = {self.theta} outside [0, pi]")
-        if not (0.0 <= self.phi < 2 * math.pi):
-            raise DomainError(f"phi = {self.phi} outside [0, 2 pi)")
-
-    def reflected(self) -> "AngularParams":
-        """Image under space inversion: theta -> pi - theta, phi -> pi + phi."""
-        return AngularParams(math.pi - self.theta, (math.pi + self.phi) % (2 * math.pi))
-
-
 def make_momentum(px: float, py: float, pz: float, m: float) -> FourMomentum:
     """On-shell four-momentum with E = sqrt(p^2 + m^2); requires m > 0 and
     a finite E, which rejects NaN and infinite components and masses (and
@@ -286,19 +275,6 @@ def sample_momenta(rng: np.random.Generator, n: int) -> MomentumBatch:
     # (3, n) C-ordered: three fresh contiguous rows for the batch to keep
     px, py, pz = np.multiply(direction.T, (10.0 * m) * v, order="C")
     return _validated(px, py, pz, m)
-
-
-def half_angles(p):
-    """(cos(theta/2), sin(theta/2), phi) of p's direction, phi in [0, 2 pi);
-    (1, 0, 0) at rest; floats or read-only (N,) arrays, computed once per
-    momentum object.
-
-    The half-angle cosines are sqrt((|p| +- pz) / (2 |p|)) with the
-    cancelling sum formed as p_perp^2 / (|p| + |pz|): arccos(pz/|p|) would
-    lose digits near the z axis, where the helicity spinors must still be
-    sigma.p-hat eigenvectors to full precision.
-    """
-    return p.half_angles
 
 
 def _unit(p):

@@ -1,26 +1,23 @@
 """Dense complex matrix arithmetic for the small fixed shapes used everywhere.
 
-A ``CMatrix`` is a 2-d ``numpy.ndarray`` of ``complex128``; a ``CVector`` is the
-1-d analog.  This module owns the fixed matrix constants: Pauli matrices,
-the chiral-basis gamma matrices (right-handed block on top), the spin-1/2
-and spin-1 Wigner matrices and the spin-1 angular-momentum generators in the
-spherical basis (J_z = diag(1, 0, -1)).
+A ``CMatrix`` is a 2-d ``numpy.ndarray`` of ``complex128``.  This module
+owns the fixed matrix constants: Pauli matrices, the chiral-basis gamma
+matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner
+matrices and the spin-1 angular-momentum generators in the spherical basis
+(J_z = diag(1, 0, -1)).
 
 The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``matmat``,
-``rownorm``, ``blocks`` and ``block_diag2`` work on one object or on a
-batch: a leading axis of length N in front of the trailing vector/matrix
-axes, so one kernel body serves a single momentum (float entries) and N
-momenta ((N,) array entries).
+``rownorm``, ``blocks``, ``block_diag2`` and ``adjoint`` (the inverse of a
+unitary) work on one object or on a batch: a leading axis of length N in
+front of the trailing vector/matrix axes, so one kernel body serves a
+single momentum (float entries) and N momenta ((N,) array entries).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-
 CMatrix = np.ndarray
-CVector = np.ndarray
 
 # ---------------------------------------------------------------------------
 # fixed matrices
@@ -51,11 +48,12 @@ spin1_jy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np
 spin1_jz = np.diag([1.0, 0.0, -1.0]).astype(complex)
 SPIN1_J = (spin1_jx, spin1_jy, spin1_jz)
 
-# Spin-1 Wigner matrix: antidiagonal (1, -1, 1) flip; Theta J Theta^-1 = -J*.
+# Spin-1 Wigner matrix: antidiagonal (1, -1, 1) flip, real orthogonal
+# symmetric, squares to +1; Theta J Theta^-1 = -J*.
 theta_one = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
 
 
-def vector(*parts) -> CVector:
+def vector(*parts) -> np.ndarray:
     """Complex vector from its components: (k,) for scalar parts, (N, k) for
     (N,) parts."""
     return np.array(parts, dtype=complex).T
@@ -74,7 +72,7 @@ def column(x):
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
-def matvec(a, x) -> CVector:
+def matvec(a, x) -> np.ndarray:
     """a @ x over any leading batch axes of either operand.  A fixed (k, k)
     matrix acts on all rows of x as one product x @ a.T; a stack of
     matrices acts row by row."""
@@ -163,11 +161,3 @@ def blocks(a, b, c, d) -> CMatrix:
 def adjoint(a) -> CMatrix:
     """Conjugate transpose of a matrix or of each matrix in a batch."""
     return np.conj(np.swapaxes(np.asarray(a, dtype=complex), -1, -2))
-
-
-def det(a) -> complex:
-    """Determinant (LU based), square input required."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return complex(np.linalg.det(m))

@@ -1,6 +1,7 @@
-"""The six-component (spin-1) sector: Wigner matrix, conjugation operators,
-chirality, helicity triplets, the lambda/rho six-spinor pairs and the zeta-scan
-that quantifies which conjugation requirement can be satisfied.
+"""The six-component (spin-1) sector: conjugation operators built on the
+Wigner matrix ``matrices.theta_one``, chirality, helicity triplets, the
+lambda/rho six-spinor pairs and the zeta-scan that quantifies which
+conjugation requirement can be satisfied.
 
 Key algebra: with Theta the antidiagonal (1, -1, 1) flip one has
 Theta^2 = +1, so the antilinear block operator Sc = [[0, Theta],
@@ -28,12 +29,6 @@ _I3 = np.eye(3, dtype=complex)
 _Z3 = np.zeros((3, 3), dtype=complex)
 _SC_BLOCK = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
 _G5_ONE = np.block([[_I3, _Z3], [_Z3, -_I3]])
-
-
-def wigner_theta_one() -> CMatrix:
-    """3x3 Wigner matrix: real, orthogonal, symmetric, squares to +1, and
-    Theta J Theta^-1 = -J* for all three spin-1 generators."""
-    return theta_one.copy()
 
 
 def sc_one(phase: float = 0.0) -> SymmetryOperator:

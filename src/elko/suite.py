@@ -181,19 +181,13 @@ def _c(z: complex):
     return [round(float(np.real(z)), 9), round(float(np.imag(z)), 9)]
 
 
-def _norm(x):
-    """Row norms of (N, k) vectors or (N, k, k) matrices."""
-    x = np.asarray(x)
-    return mat.rownorm(x, matrix=x.ndim >= 3)
-
-
 def _rel(r, v):
-    """Row norms of r relative to those of v."""
-    return _norm(r) / _norm(v)
+    """Row norms of (N, k) vectors r relative to those of v."""
+    return mat.rownorm(r) / mat.rownorm(v)
 
 
 def _unit(v):
-    return v / _norm(v)[..., None]
+    return v / mat.rownorm(v)[..., None]
 
 
 def _moving(momenta):
@@ -243,11 +237,11 @@ def _conjugacy(ctx, key, family, kind):
     thetas = [0.0, math.pi / 2, math.pi, float(rng.uniform(0, 2 * math.pi))]
     for index, basis in itertools.product(sp.INDICES, sp.BASES):
         v = family(momenta, kind, index, basis)
-        scale = _norm(v)
+        scale = mat.rownorm(v)
         for theta_c in thetas:
             c_op = ops.charge_conjugation(sp.PhaseConfig(theta_c=theta_c))
             expected = sign * cmath.exp(1j * theta_c)
-            rows.append(_norm(c_op.apply(v) - expected * v) / scale)
+            rows.append(mat.rownorm(c_op.apply(v) - expected * v) / scale)
     return rows, {"eigenvalue-sign": sign}
 
 
@@ -272,7 +266,7 @@ def _boost_consistency(ctx, key):
         closed = closed_fn(momenta, kind, index)
         phase = mat.vdot(closed, boosted) / mat.vdot(closed, closed)
         phases.append(phase)
-        rows += [_norm(boosted - mat.column(phase) * closed), np.abs(np.abs(phase) - 1.0)]
+        rows += [mat.rownorm(boosted - mat.column(phase) * closed), np.abs(np.abs(phase) - 1.0)]
     mean_phase = complex(np.mean(phases))
     return rows + [abs(mean_phase - 1.0)], {"global-phase": _c(mean_phase)}
 
@@ -297,8 +291,8 @@ _PARITY_MAP = [("S", "up", "down", 1j), ("S", "down", "up", -1j),
 def _parity_spinorial(ctx, key):
     momenta = ctx.momenta(key)
     pr = kin.parity_reflect(momenta)
-    rows = [_norm(mat.matvec(mat.gamma0, sp.lambda_components(pr, kind, src))
-                  - coeff * sp.lambda_components(momenta, kind, dst))
+    rows = [mat.rownorm(mat.matvec(mat.gamma0, sp.lambda_components(pr, kind, src))
+                        - coeff * sp.lambda_components(momenta, kind, dst))
             for kind, src, dst, coeff in _PARITY_MAP]
     return rows, {"coefficients": [_c(c) for *_, c in _PARITY_MAP]}
 
@@ -316,10 +310,10 @@ def _parity_helicity(ctx, key):
     fp, fm = (sp.helicity_components(th, ph, h, t1, t2) for h in (1, -1))
     rfp, rfm = (sp.helicity_components(math.pi - th, math.pi + ph, h, t1, t2) for h in (1, -1))
     wrfp, wrfm = (mat.matvec(mat.theta_half, np.conj(f)) for f in (rfp, rfm))
-    return [_norm(rfm - (-1j) * mat.column(np.exp(1j * (t2 - t1))) * fp),
-            _norm(rfp - (-1j) * mat.column(np.exp(1j * (t1 - t2))) * fm),
-            _norm(wrfm - (-1j) * mat.column(np.exp(-2j * t2)) * fm),
-            _norm(wrfp - (1j) * mat.column(np.exp(-2j * t1)) * fp)], {}
+    return [mat.rownorm(rfm - (-1j) * mat.column(np.exp(1j * (t2 - t1))) * fp),
+            mat.rownorm(rfp - (-1j) * mat.column(np.exp(1j * (t1 - t2))) * fm),
+            mat.rownorm(wrfm - (-1j) * mat.column(np.exp(-2j * t2)) * fm),
+            mat.rownorm(wrfp - (1j) * mat.column(np.exp(-2j * t1)) * fp)], {}
 
 
 @check("spin-half.index-flip-unitary", "the unitary connection maps the up helicity 2-spinor "
@@ -329,8 +323,9 @@ def _index_flip_unitary(ctx, key):
     up = sp.helicity_components(th, ph, 1, theta1=al)
     down = sp.helicity_components(th, ph, -1, theta2=be)
     u = sp.index_flip_unitary(ph, al, be)
-    return [_norm(mat.matvec(u, up) - down), _norm(mat.matvec(mat.adjoint(u), down) - up),
-            _norm(u @ mat.adjoint(u) - np.eye(2))], {}
+    return [mat.rownorm(mat.matvec(u, up) - down),
+            mat.rownorm(mat.matvec(mat.adjoint(u), down) - up),
+            mat.rownorm(u @ mat.adjoint(u) - np.eye(2), matrix=True)], {}
 
 
 @check("spin-half.helicity-noneigen", "no lambda spinor is a helicity eigenstate at generic "
@@ -345,7 +340,7 @@ def _helicity_noneigen(ctx, key):
             (("helicity", slice(None)), ("spinorial", generic)), sp.KINDS_SELF, sp.INDICES):
         v = _unit(sp.lambda_components(momenta, k, i, basis))
         hv = h_op.apply(v)
-        rows.append(_norm(hv - mat.column(mat.vdot(v, hv)) * v)[counted])
+        rows.append(mat.rownorm(hv - mat.column(mat.vdot(v, hv)) * v)[counted])
     return rows, {}
 
 
@@ -358,7 +353,7 @@ def _chiral_helicity_eigen(ctx, key):
     for index, (family, (_, components, _)) in itertools.product(
             sp.INDICES, zip(("lambda", "rho"), _FAMILIES)):
         v = _unit(components(momenta, "S", index, "helicity"))
-        rows.append(_norm(eta.apply(v) - 0.5 * sp.chiral_helicity_sign(family, index) * v))
+        rows.append(mat.rownorm(eta.apply(v) - 0.5 * sp.chiral_helicity_sign(family, index) * v))
     return rows, {"lambda-up": 0.5, "rho-up": -0.5}
 
 
@@ -458,9 +453,11 @@ def _parity_dirac(ctx, key):
 def _parity_involution(ctx, key):
     p = ctx.momenta(key)
     q = kin.parity_reflect(kin.parity_reflect(p))
-    r = kin.AngularParams(math.pi / 3, math.pi / 4).reflected()
-    return [np.abs(q.vec - p.vec), np.abs(q.E - p.E),
-            abs(r.theta - 2 * math.pi / 3), abs(r.phi - 5 * math.pi / 4)], {}
+    moving = _moving(p)
+    (c, s, phi), (cr, sr, phir) = moving.half_angles, kin.parity_reflect(moving).half_angles
+    # on the frames the factories read, cos(theta/2) and sin(theta/2) swap, phi turns by pi
+    return [np.abs(q.vec - p.vec), np.abs(q.E - p.E), np.abs(cr - s), np.abs(sr - c),
+            np.abs((phir - phi) % (2 * math.pi) - math.pi)], {}
 
 
 @check("symmetry.helicity-spectrum", "the helicity operator has eigenvalues "
@@ -468,7 +465,7 @@ def _parity_involution(ctx, key):
 def _helicity_spectrum(ctx, key):
     momenta = _moving(ctx.momenta(key))
     eigs = np.sort(np.linalg.eigvalsh(ops.helicity_operator(momenta).matrix), axis=-1)
-    return [_norm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))], {}
+    return [mat.rownorm(eigs - np.array([-0.5, -0.5, 0.5, 0.5]))], {}
 
 
 @check("symmetry.helicity-parity-anticommute", "helicity anticommutes with space inversion on "
@@ -490,8 +487,8 @@ def _helicity_parity_anticommute(ctx, key):
        "two permutations have determinant -1")
 def _chain_determinants(ctx, key):
     u = ops.u1(_moving(ctx.momenta(key)))
-    return ([np.abs(np.linalg.det(u) - 1.0), abs(mat.det(ops.u2()) + 1.0),
-             abs(mat.det(ops.u3()) + 1.0)], {"det-u1": 1.0, "det-u2": -1.0, "det-u3": -1.0})
+    return ([np.abs(np.linalg.det(u) - 1.0), abs(np.linalg.det(ops.u2()) + 1.0),
+             abs(np.linalg.det(ops.u3()) + 1.0)], {"det-u1": 1.0, "det-u2": -1.0, "det-u3": -1.0})
 
 
 @check("symmetry.chain-unitarity", "all three basis-rotation matrices are unitary after "
@@ -499,8 +496,8 @@ def _chain_determinants(ctx, key):
 def _chain_unitarity(ctx, key):
     eye = np.eye(4)
     u = ops.u1(_moving(ctx.momenta(key)))
-    return [_norm(u @ mat.adjoint(u) - eye),
-            *(np.linalg.norm(u @ u.conj().T - eye) for u in (ops.u2(), ops.u3()))], {}
+    return [mat.rownorm(u @ mat.adjoint(u) - eye, matrix=True),
+            *(np.linalg.norm(u @ mat.adjoint(u) - eye) for u in (ops.u2(), ops.u3()))], {}
 
 
 @check("symmetry.chain-helicity", "conjugating helicity by the rotation diagonalises it, and "
@@ -509,10 +506,10 @@ def _chain_helicity(ctx, key):
     target_half = 0.5 * mat.block_diag2(mat.sigma_z, mat.sigma_z)
     momenta = _moving(ctx.momenta(key))
     u = ops.u1(momenta)
-    conj1 = u @ ops.helicity_operator(momenta).matrix @ np.linalg.inv(u)
-    return [_norm(conj1 - target_half),
-            _norm(mat.matmat(mat.matmat(ops.u3(), conj1), np.linalg.inv(ops.u3()))
-                  - 0.5 * mat.gamma5)], {}
+    conj1 = u @ ops.helicity_operator(momenta).matrix @ mat.adjoint(u)
+    return [mat.rownorm(conj1 - target_half, matrix=True),
+            mat.rownorm(mat.matmat(mat.matmat(ops.u3(), conj1), mat.adjoint(ops.u3()))
+                        - 0.5 * mat.gamma5, matrix=True)], {}
 
 
 @check("symmetry.chain-chiral-helicity", "conjugating the doubled sigma.n by the rotation and "
@@ -521,8 +518,9 @@ def _chain_chiral_helicity(ctx, key):
     momenta = _moving(ctx.momenta(key))
     sn = mat.pauli_dot(momenta.direction())
     u = ops.u1(momenta)
-    conj1 = u @ mat.block_diag2(sn, -sn) @ np.linalg.inv(u)
-    return [_norm(mat.matmat(mat.matmat(ops.u2(), conj1), ops.u2().conj().T) - mat.gamma5)], {}
+    conj1 = u @ mat.block_diag2(sn, -sn) @ mat.adjoint(u)
+    conj2 = mat.matmat(mat.matmat(ops.u2(), conj1), mat.adjoint(ops.u2()))
+    return [mat.rownorm(conj2 - mat.gamma5, matrix=True)], {}
 
 
 @check("symmetry.xi-intertwines", "the 2x2 conjugation intertwiner relates both half boosts to "
@@ -530,7 +528,7 @@ def _chain_chiral_helicity(ctx, key):
 def _xi_intertwines(ctx, key):
     momenta = _moving(ctx.momenta(key))
     xi = ops.xi_matrix(momenta)
-    rows = [np.abs(_norm(xi) - 1.0)]
+    rows = [np.abs(mat.rownorm(xi, matrix=True) - 1.0)]
     for side in ("R", "L"):
         resid, norm = kin._intertwiner_residual(xi, momenta, side)
         rows.append(resid / (2.0 * norm))
@@ -574,7 +572,7 @@ def _lambda_transform_conjugacy(ctx, key):
        "conjugate is the identity")
 def _lambda_transform_involution(ctx, key):
     t1 = ops.lambda_basis_transforms(_moving(ctx.momenta(key)))[0]
-    return [_norm(t1 @ np.conj(t1) - np.eye(4))], {}
+    return [mat.rownorm(t1 @ np.conj(t1) - np.eye(4), matrix=True)], {}
 
 
 @check("symmetry.chiral-gauge-unitary", "the axial phase transforms are unitary and reduce to "
@@ -583,7 +581,7 @@ def _chiral_gauge_unitary(ctx, key):
     alphas = ctx.rng(key).uniform(0, 2 * math.pi, 20)
     gauges = [ops.chiral_gauge_transform(alphas, family) for family in ("lambda", "rho")]
     return [np.linalg.norm(ops.chiral_gauge_transform(0.0, "lambda") - np.eye(4)),
-            *(_norm(g @ mat.adjoint(g) - np.eye(4)) for g in gauges)], {}
+            *(mat.rownorm(g @ mat.adjoint(g) - np.eye(4), matrix=True) for g in gauges)], {}
 
 
 @check("symmetry.chiral-gauge-conjugacy", "axial phase transforms preserve self/anti-self "
@@ -613,7 +611,8 @@ def _su2_closure(ctx, key):
     # generic closure: products stay unitary with unit-modulus determinant
     k = max(10, ctx.samples // 5)
     prod = _su2_elements(rng, k) @ _su2_elements(rng, k)
-    return [_norm(za @ zb - zab), _norm(prod @ mat.adjoint(prod) - np.eye(2)),
+    return [mat.rownorm(za @ zb - zab, matrix=True),
+            mat.rownorm(prod @ mat.adjoint(prod) - np.eye(2), matrix=True),
             np.abs(np.abs(np.linalg.det(prod)) - 1.0)], {}
 
 
@@ -652,7 +651,7 @@ def _cp_elko(ctx, key):
     p = ctx.momenta(key + "-image", n=1)[0]
     if p.p_abs > 0:
         pr = kin.parity_reflect(p)
-        delta = kin.half_angles(pr)[2] - math.pi - kin.half_angles(p)[2]
+        delta = pr.half_angles[2] - math.pi - p.half_angles[2]
         rotation = _Z_HALF_TURNS[int(round(delta / math.pi))]
         for index, coeff in (("up", -1j), ("down", 1j)):
             img = 1j * mat.gamma0 @ (rotation * sp.lambda_spinor(pr, "S", index,
@@ -680,7 +679,7 @@ def _composition_associativity(ctx, key):
         right = a.compose(b.compose(c))
         images = [op.apply_state(state, momenta) for op in (left, right)]
         rows += [np.linalg.norm(left.matrix - right.matrix), abs(left.phase - right.phase),
-                 _norm(images[0] - images[1]),
+                 mat.rownorm(images[0] - images[1]),
                  float(left.antilinear != right.antilinear
                        or left.reflects_momentum != right.reflects_momentum)]
     # antilinear composed with antilinear is linear
@@ -719,7 +718,7 @@ def _clifford_square(ctx, key):
     momenta = ctx.momenta(key)
     gp = dyn.dirac_matrix(momenta)
     m2 = momenta.m ** 2
-    return [_norm(gp @ gp - m2[:, None, None] * np.eye(4)) / m2], {}
+    return [mat.rownorm(gp @ gp - m2[:, None, None] * np.eye(4), matrix=True) / m2], {}
 
 
 @check("dynamics.markov", "sum/difference superpositions of opposite-mass-sign solutions "
@@ -730,16 +729,16 @@ def _markov(ctx, key):
     w = _gaussian(ctx.rng(key + "-weights"), len(momenta), 4).T
     chi, eta = dyn.markov_superposition(momenta, w[:2], w[2:])
     gp, m = dyn.dirac_matrix(momenta), mat.column(momenta.m)
-    scale = np.maximum(np.maximum(_norm(chi), _norm(eta)), 1e-12)
+    scale = np.maximum(np.maximum(mat.rownorm(chi), mat.rownorm(eta)), 1e-12)
     # u/v span and isometry
     basis = np.stack([sp.dirac_components(momenta, s, i)
                       for s in ("particle", "antiparticle") for i in sp.INDICES], axis=-1)
     psi1 = mat.matvec(basis[..., :2], w[:2].T)
     psi2 = mat.matvec(basis[..., 2:], w[2:].T)
-    before = _norm(psi1) ** 2 + _norm(psi2) ** 2
-    after = _norm(chi) ** 2 + _norm(eta) ** 2
-    return [_norm(mat.matvec(gp, chi) - m * eta) / scale,
-            _norm(mat.matvec(gp, eta) - m * chi) / scale,
+    before = mat.rownorm(psi1) ** 2 + mat.rownorm(psi2) ** 2
+    after = mat.rownorm(chi) ** 2 + mat.rownorm(eta) ** 2
+    return [mat.rownorm(mat.matvec(gp, chi) - m * eta) / scale,
+            mat.rownorm(mat.matvec(gp, eta) - m * chi) / scale,
             _span_residual(basis, np.stack([chi, eta])),
             np.abs(before - after) / before], {}
 
@@ -749,7 +748,7 @@ def _markov(ctx, key):
 def _sen_gupta_dirac_limit(ctx, key):
     momenta = ctx.momenta(key, n=min(ctx.samples, 25))
     u = sp.dirac_components(momenta, "particle", "up")
-    return [dyn.sen_gupta_residual(momenta, momenta.m, 0.0, u) / _norm(u)], {}
+    return [dyn.sen_gupta_residual(momenta, momenta.m, 0.0, u) / mat.rownorm(u)], {}
 
 
 @check("dynamics.sen-gupta-null-dim", "on the generalised shell p^2 = m1^2 - m2^2 the two-mass "
@@ -766,7 +765,8 @@ def _sen_gupta_null_dim(ctx, key):
     if dim != 2:
         return [1.0], {"null-dimension": dim}
     op = dyn.sen_gupta_operator(e, *vec.T, m1, m2)
-    return [_norm(mat.matvec(op[:, None], np.array(nulls)))], {"null-dimension": dim}
+    residual = mat.rownorm(mat.matvec(op[:, None], np.array(nulls)), matrix=True)
+    return [residual], {"null-dimension": dim}
 
 
 @check("dynamics.sen-gupta-off-shell", "off the generalised shell the two-mass operator has an "
@@ -811,7 +811,7 @@ def _sen_gupta_massless(ctx, key):
             return [0.0], {"note": "no null vectors found"}
         v = _unit(np.array(null))
         av = mat.matvec(h, v)
-        rows.append(_norm(av - mat.column(mat.vdot(v, av)) * v))
+        rows.append(mat.rownorm(av - mat.column(mat.vdot(v, av)) * v))
     return rows, {}
 
 
@@ -827,7 +827,7 @@ def _eight_component(ctx, key):
     anti = mat.matmat(mat.gamma5, gp) + mat.matmat(gp, mat.gamma5)
     square = math.sqrt(2.0) * float(np.linalg.norm(mat.gamma5 @ mat.gamma5 - np.eye(4)))
     return [square, dyn.eight_component_residual(momenta, conv),
-            math.sqrt(2.0) * _norm(anti) / np.maximum(1.0, momenta.E)], {}
+            math.sqrt(2.0) * mat.rownorm(anti, matrix=True) / np.maximum(1.0, momenta.E)], {}
 
 
 @check("dynamics.eight-gauge", "axial gauge transforms map eight-component solutions to "
@@ -843,7 +843,7 @@ def _eight_gauge(ctx, key):
     states = dyn.physical_states(momenta)[:, None]
     eqs = dyn.coupled_equations(momenta, conv, mat.matvec(gauges, states))
     # rows 0-1 and 2-3 of each (4, 4) block are the two stacks' equations
-    return [_norm(eqs.reshape(-1, 8))], {}
+    return [mat.rownorm(eqs.reshape(-1, 8))], {}
 
 
 @check("dynamics.mass-term-chiral", "the mass pairing is invariant under axial phase "
@@ -888,7 +888,7 @@ def _mass_term_real(ctx, key):
 @check("spin-one.wigner-property", "the 3x3 Wigner matrix is real orthogonal symmetric, squares "
        "to +1 and conjugates every generator to minus its conjugate", "tight")
 def _wigner_one(ctx, key):
-    th = s1.wigner_theta_one()
+    th = mat.theta_one
     return [np.linalg.norm(x) for x in (
         th.imag, th - th.T, th @ th.conj().T - np.eye(3), th @ th - np.eye(3),
         *(th @ j @ np.linalg.inv(th) + np.conj(j) for j in mat.SPIN1_J))], {}
@@ -997,7 +997,7 @@ def _boost_one_closed_form(ctx, key):
         term = term @ arg / (order + 1)
     for k in range(np.max(halvings, initial=0)):
         series = np.where((k < halvings)[:, None, None], series @ series, series)
-    return [_norm(series - kin.boost_one(momenta, "R"))], {}
+    return [mat.rownorm(series - kin.boost_one(momenta, "R"), matrix=True)], {}
 
 
 @check("spin-one.boost-z-eigen", "a z boost with E/m = 2 acts diagonally with factors "

@@ -73,17 +73,24 @@ def test_parity_reflect_definition_and_involution(random_momenta):
         assert (r.px, r.py, r.pz, r.E) == (p.px, p.py, p.pz, p.E)
 
 
-def test_angular_reflection():
-    a = kin.AngularParams(math.pi / 3, math.pi / 4)
-    r = a.reflected()
-    assert r.theta == pytest.approx(2 * math.pi / 3)
-    assert r.phi == pytest.approx(5 * math.pi / 4)
+def test_parity_reflection_maps_the_half_angle_frame():
+    """theta -> pi - theta swaps cos(theta/2) and sin(theta/2), bit for bit,
+    and phi -> phi + pi on [0, 2 pi), one momentum and a batch alike."""
+    p = kin.make_momentum(0.5, 0.5, 1.0 / math.sqrt(2.0), 1.3)   # theta = pi/4, phi = pi/4
+    c, s, phi = kin.parity_reflect(p).half_angles
+    assert (c, s) == p.half_angles[1::-1]
+    assert phi == pytest.approx(5 * math.pi / 4, rel=1e-15)
+    batch = kin.make_momenta(*np.random.default_rng(3).normal(size=(3, 50)), 1.0)
+    c, s, phi = kin.parity_reflect(batch).half_angles
+    assert np.array_equal(c, batch.half_angles[1]) and np.array_equal(s, batch.half_angles[0])
+    turn = (phi - batch.half_angles[2]) % (2 * math.pi)
+    assert np.max(np.abs(turn - math.pi)) <= 4 * np.finfo(float).eps
 
 
 def _polar(p):
     """(theta, phi) of p's direction read off ``half_angles``:
     theta = 2 atan2(sin(theta/2), cos(theta/2))."""
-    cos_half, sin_half, phi = kin.half_angles(p)
+    cos_half, sin_half, phi = p.half_angles
     return 2.0 * np.arctan2(sin_half, cos_half), phi
 
 
@@ -116,9 +123,9 @@ def test_azimuth_that_rounds_to_two_pi_is_zero():
     # atan2 gives -1e-17 here, which folds onto a value that rounds to 2 pi
     p = kin.make_momentum(1.0, -1e-17, 0.0, 1.0)
     assert _polar(p) == (math.pi / 2, 0.0)
-    assert kin.half_angles(p)[2] == 0.0
+    assert p.half_angles[2] == 0.0
     batch = kin.make_momenta([1.0, 1.0], [-1e-17, 1e-17], 0.0, 1.0)
-    assert list(kin.half_angles(batch)[2]) == [0.0, 1e-17]
+    assert list(batch.half_angles[2]) == [0.0, 1e-17]
 
 
 class TestBoostHalf:

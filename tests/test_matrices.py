@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elko import matrices as mat
-from elko.errors import DimensionError
 
 
 def test_mul_identity_and_pauli_involution():
@@ -18,13 +17,6 @@ def test_adjoint_is_an_involution(rng):
     assert np.array_equal(mat.adjoint(mat.adjoint(a)), a)
 
 
-def test_det_examples():
-    assert mat.det(np.eye(4)) == pytest.approx(1.0)
-    assert mat.det(mat.sigma_y) == pytest.approx(-1.0)
-    with pytest.raises(DimensionError):
-        mat.det(np.ones((2, 3)))
-
-
 def _random_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
@@ -32,11 +24,14 @@ def _random_unitary(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_det_multiplicative_on_unitaries(rng, n):
-    u, v = _random_unitary(rng, n), _random_unitary(rng, n)
-    lhs = mat.det(u @ v)
-    rhs = mat.det(u) * mat.det(v)
-    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+def test_adjoint_inverts_unitaries(rng, n):
+    """The adjoint is the inverse of a unitary, one matrix or a stack, to
+    rounding: the chain checks conjugate by it instead of inverting."""
+    u = _random_unitary(rng, n)
+    stack = np.stack([u, _random_unitary(rng, n)])
+    for a in (u, stack):
+        assert np.max(np.abs(mat.adjoint(a) @ a - np.eye(n))) <= 1e-14
+        assert np.max(np.abs(mat.adjoint(a) - np.linalg.inv(a))) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)

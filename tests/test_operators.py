@@ -16,8 +16,8 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import (_sqrt, boost_half, half_angles, make_momenta, make_momentum,
-                             parity_reflect, sample_momenta)
+from elko.kinematics import (_sqrt, boost_half, make_momenta, make_momentum, parity_reflect,
+                             sample_momenta)
 from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot,
                            sigma_z, vdot)
 
@@ -579,7 +579,7 @@ class TestCPClassification:
         half_turns = set()
         for p in momenta:
             pr = parity_reflect(p)
-            phi, phi_r = half_angles(p)[2], half_angles(pr)[2]
+            phi, phi_r = p.half_angles[2], pr.half_angles[2]
             k = round((phi_r - math.pi - phi) / math.pi)
             assert abs(phi_r - math.pi - phi - k * math.pi) <= 1e-14
             assert (k == -1) == (p.px == 0.0 and p.py == 0.0), p   # the half turn: the z axis

@@ -140,7 +140,7 @@ def test_library_pair_and_image_are_the_symbolic_ones(h):
     theta, phi, t1, t2 = sympy.symbols("theta phi theta1 theta2", real=True)
     plus, minus = _helicity_pair(theta, phi)
     p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
-    cos_half, sin_half, azimuth = kin.half_angles(p)
+    cos_half, sin_half, azimuth = p.half_angles
     cfg = sp.PhaseConfig(theta1=0.9, theta2=-2.3)
     point = {theta: 2.0 * math.atan2(sin_half, cos_half), phi: azimuth, t1: cfg.theta1,
              t2: cfg.theta2}
@@ -323,7 +323,7 @@ def test_helicity_family_is_a_charge_conjugation_eigenstate_exactly(family):
     b = sympy.symbols("b", positive=True)
     plus, minus = _helicity_pair(theta, phi)
     p = kin.make_momentum(0.3, -0.4, 0.5, 1.0)
-    cos_half, sin_half, azimuth = kin.half_angles(p)
+    cos_half, sin_half, azimuth = p.half_angles
     cfg = sp.PhaseConfig(theta1=0.9, theta2=-2.3)
     point = {theta: 2.0 * math.atan2(sin_half, cos_half), phi: azimuth, t1: cfg.theta1,
              t2: cfg.theta2, b: 1}

@@ -8,8 +8,7 @@ import pytest
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import (as_batch, boost_one, half_angles, make_momenta, make_momentum,
-                             sample_momenta)
+from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, sample_momenta
 from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
                            theta_one, vdot)
 
@@ -18,23 +17,19 @@ _I3 = np.eye(3, dtype=complex)
 
 class TestWignerMatrix:
     def test_negates_diagonal_generator(self):
-        th = s1.wigner_theta_one()
-        assert np.allclose(th @ spin1_jz @ np.linalg.inv(th), -np.conj(spin1_jz))
+        assert np.allclose(theta_one @ spin1_jz @ np.linalg.inv(theta_one), -np.conj(spin1_jz))
 
     def test_squares_to_identity(self):
-        th = s1.wigner_theta_one()
-        assert np.allclose(th @ th, np.eye(3))
+        assert np.allclose(theta_one @ theta_one, np.eye(3))
 
     def test_conjugation_property_all_generators(self):
-        th = s1.wigner_theta_one()
         for j in SPIN1_J:
-            assert np.linalg.norm(th @ j @ np.linalg.inv(th) + np.conj(j)) <= 1e-14
+            assert np.linalg.norm(theta_one @ j @ np.linalg.inv(theta_one) + np.conj(j)) <= 1e-14
 
     def test_real_orthogonal_symmetric(self):
-        th = s1.wigner_theta_one()
-        assert np.linalg.norm(th.imag) == 0
-        assert np.allclose(th, th.T)
-        assert np.allclose(th @ th.conj().T, np.eye(3))
+        assert np.linalg.norm(theta_one.imag) == 0
+        assert np.allclose(theta_one, theta_one.T)
+        assert np.allclose(theta_one @ theta_one.conj().T, np.eye(3))
 
 
 class TestConjugationOperators:
@@ -95,7 +90,7 @@ class TestHelicityTriplet:
         theta = np.concatenate([rng.uniform(0, math.pi, 1000), [0.0, math.pi, 1e-9, math.pi - 1e-9]])
         phi = np.concatenate([rng.uniform(0, 2 * math.pi, 1000), [0.0, 1.0, 2.0, 6.0]])
         batch = _along(theta, phi)
-        cos_half, sin_half, azimuth = half_angles(batch)
+        cos_half, sin_half, azimuth = batch.half_angles
         rotation = _frozen_rotation(2.0 * np.arctan2(sin_half, cos_half), azimuth)
         for h, column in ((1, 0), (0, 1), (-1, 2)):
             assert np.max(np.abs(s1.spin1_helicity_triplet_at(batch, h)
@@ -153,7 +148,7 @@ class TestSixSpinors:
         assert np.array_equal(f, [1, 0, 0])
         x, y = s1.spin1_pair(p, "lambda", 1)
         assert np.array_equal(x, np.concatenate([np.zeros(3), f]))
-        assert np.array_equal(y, np.concatenate([s1.wigner_theta_one() @ np.conj(f), np.zeros(3)]))
+        assert np.array_equal(y, np.concatenate([theta_one @ np.conj(f), np.zeros(3)]))
 
     @pytest.mark.parametrize("construction", ["lambda", "rho"])
     def test_pair_matches_the_frozen_builders(self, construction):

@@ -345,12 +345,12 @@ def _frozen_components(family, p, kind, index, basis, cfg):
             j = 0 if index == "up" else 1
             right, left = _frozen_boost_half(p, "R")[..., j], _frozen_boost_half(p, "L")[..., j]
             return np.concatenate([col(sm) * right, col(s * sm) * left], axis=-1)
-        f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+        f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
         return np.concatenate([col(sm * kin.boost_eigenvalue(p, h)) * f,
                                col(s * sm * kin.boost_eigenvalue(p, -h)) * f], axis=-1)
     if basis == "spinorial":
         return _frozen_boosted_pattern(p, family, kind, index)
-    f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+    f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
     s = -h if family == "lambda" else h
     return col(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(f, family, kind, p.m)
 
@@ -418,7 +418,7 @@ def _helicity_pieces(p, h, zeta, cfg):
     kind = "S" if zeta == 1j else "A"   # lambda's zeta
     halves = sp._dressed_halves(p.helicity_ring, "lambda", kind, h, cfg)
     live = halves[..., 2:], halves[..., :2]
-    f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+    f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
     return live, (f, zeta * _frozen_wigner_image(f))
 
 
@@ -442,7 +442,7 @@ def test_helicity_pair_and_its_wigner_image(batch, h, zeta):
 def test_helicity_rest_spinor(batch, family, kind):
     for h, cfg in itertools.product((1, -1), (sp.PhaseConfig(), _PHASES)):
         for p in (*batch, batch):
-            f = _frozen_helicity_spinor(*kin.half_angles(p), h, cfg.theta1, cfg.theta2)
+            f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
             got = sp._helicity_rest(p.helicity_ring, family, kind, h, cfg, p.m)
             want = _frozen_helicity_rest(f, family, kind, p.m)
             if cfg == _PHASES:

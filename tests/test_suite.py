@@ -11,6 +11,7 @@ import pytest
 
 from elko import TOLERANCES, make_momentum, suite
 from elko import dynamics as dyn
+from elko import kinematics as kin
 from elko import operators as ops
 from elko import spinors as sp
 from elko.dynamics import FrequencyConvention
@@ -209,6 +210,23 @@ def test_cp_elko_holds_outside_the_sampled_box(row):
     assert len(rows) == 5   # commute residual, the two images, separation, relation
     assert constants["relation"] == "commute"
     assert spec.passes(spec.reduce(rows))
+
+
+@pytest.mark.parametrize("broken", [lambda p: type(p)(-p.px, -p.py, p.pz, p.m, p.E),
+                                    lambda p: type(p)(p.px, p.py, -p.pz, p.m, p.E)],
+                         ids=["keeps-pz", "keeps-px-py"])
+def test_parity_involution_fails_a_wrong_reflection(monkeypatch, broken):
+    """A reflection that keeps some components is still an exact involution,
+    so the involution rows stay 0; the half-angle rows fail it: keeping pz
+    leaves cos(theta/2) and sin(theta/2) unswapped, keeping px and py leaves
+    phi where it was."""
+    spec = next(c for c in suite_checks("symmetry") if c.id == "symmetry.parity-involution")
+    ctx = suite.RunContext(seed=1, samples=100)
+    assert spec.passes(spec.reduce(spec.run(ctx)[0]))
+    monkeypatch.setattr(kin, "parity_reflect", broken)
+    rows, _ = spec.run(ctx)
+    assert spec.reduce(rows[:2]) == 0.0
+    assert not spec.passes(spec.reduce(rows))
 
 
 def test_every_check_returns_its_rows_and_constants():
