@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import DomainError
+from .errors import DomainError, check_label
 from .kinematics import as_batch
 from .matrices import blocks, column, gamma5, matrix2, matvec, rownorm
 from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
@@ -38,8 +38,7 @@ class FrequencyConvention:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError(f"convention sign must be +-1, got {self.sign}")
+        check_label("sign", self.sign, (1, -1))
 
 
 class MarkovPair(NamedTuple):

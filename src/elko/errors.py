@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_label``, the one
+check of a label argument (family, kind, index, basis, side, sign, ...)."""
 
 
 class ElkoError(Exception):
@@ -11,6 +12,14 @@ class DimensionError(ElkoError, ValueError):
 
 class DomainError(ElkoError, ValueError):
     """An argument lies outside the physical domain (e.g. mass <= 0)."""
+
+
+def check_label(name: str, value, allowed):
+    """Raise ``DomainError`` unless ``value`` is one of ``allowed`` (a tuple,
+    or a dict keyed by the allowed values); the message names the argument
+    and lists the allowed values."""
+    if value not in allowed:
+        raise DomainError(f"{name} must be one of {tuple(allowed)}, got {value!r}")
 
 
 class DirectionUndefinedError(DomainError):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import AmbiguousIntertwinerError, DimensionError, DirectionUndefinedError, DomainError
+from .errors import (AmbiguousIntertwinerError, DimensionError, DirectionUndefinedError,
+                     DomainError, check_label)
 from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm, vector
 
 
@@ -46,11 +47,11 @@ def _fold_azimuth(phi):
 
 
 def _light_cone(E, pz, m, pperp2):
-    """(E + pz, E - pz); the cancelling one is formed as (m^2 + p_perp^2) /
-    (E + |pz|), the other one as E + |pz|."""
+    """(E + pz, E - pz), np.float64 scalars for one momentum; the cancelling
+    one is formed as (m^2 + p_perp^2) / (E + |pz|), the other as E + |pz|."""
     far = E + abs(pz)
     near = (m * m + pperp2) / far
-    return np.where(pz < 0, near, far), np.where(pz > 0, near, far)
+    return np.where(pz < 0, near, far)[()], np.where(pz > 0, near, far)[()]
 
 
 def _read_only(*fields):
@@ -151,6 +152,14 @@ class _OnShell:
                           1.0 / (2.0 * _sqrt(self.E + self.m)))
 
     @property
+    def p_plus(self):
+        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[0]
+
+    @property
+    def p_minus(self):
+        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[1]
+
+    @property
     def vec(self) -> np.ndarray:
         return np.array([self.px, self.py, self.pz]).T
 
@@ -167,14 +176,6 @@ class FourMomentum(_OnShell):
     pz: float
     m: float
     E: float
-
-    @property
-    def p_plus(self) -> float:
-        return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[0])
-
-    @property
-    def p_minus(self) -> float:
-        return float(_light_cone(self.E, self.pz, self.m, self.p_perp2)[1])
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,6 @@ class MomentumBatch(_OnShell):
 
     def __post_init__(self):
         _read_only(self.px, self.py, self.pz, self.m, self.E)
-
-    @property
-    def p_plus(self) -> np.ndarray:
-        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[0]
-
-    @property
-    def p_minus(self) -> np.ndarray:
-        return _light_cone(self.E, self.pz, self.m, self.p_perp2)[1]
 
     def __len__(self) -> int:
         return len(self.m)
@@ -345,8 +338,7 @@ def _boost_columns(p, side: str):
     """The two columns of ``boost_half(p, side)``, each as its pair of
     entries (floats and complexes, or (N,) arrays): a spinor that keeps one
     column reads it here, without the 2x2 matrix."""
-    if side not in ("R", "L"):
-        raise DomainError(f"side must be 'R' or 'L', got {side!r}")
+    check_label("side", side, ("R", "L"))
     s = 1.0 if side == "R" else -1.0
     c = 1.0 / p.boost_norm
     em = p.E + p.m
@@ -414,8 +406,7 @@ def boost_one(p, side: str) -> CMatrix:
     with sinh = |p|/m and cosh - 1 = |p|^2/(m (E + m)) that is
     1 +- (J.p)/m + (J.p)^2/(m (E + m)), the identity at rest.
     """
-    if side not in ("R", "L"):
-        raise DomainError(f"side must be 'R' or 'L', got {side!r}")
+    check_label("side", side, ("R", "L"))
     s = 1.0 if side == "R" else -1.0
     k = spin1_dot(p.vec)
     m = np.asarray(p.m)[..., None, None]

@@ -34,10 +34,12 @@ from .errors import (
     CoordinateSingularityError,
     DirectionUndefinedError,
     DomainError,
+    check_label,
 )
 from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
-from .matrices import CMatrix, blocks, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
-from .spinors import PhaseConfig, dirac_components, lambda_components
+from .matrices import (CMatrix, block_diag2, blocks, gamma0, gamma2, gamma5, matvec, pauli_dot,
+                       rownorm)
+from .spinors import BASES, PhaseConfig, dirac_components, lambda_components
 
 
 @dataclass(frozen=True)
@@ -118,19 +120,16 @@ def helicity_operator(p) -> SymmetryOperator:
 
 
 def chiral_helicity_operator(p) -> SymmetryOperator:
-    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n); one gather from the
-    entries of sigma.n and their negatives, then one product with -1/2."""
-    entries = _sigma_n_entries(p)
-    signed = np.concatenate([entries, -entries], axis=-1)
-    return SymmetryOperator(-0.5 * signed.take(_CHIRAL_INDEX, axis=-1))
+    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n)."""
+    sn = pauli_dot(p.direction())
+    return SymmetryOperator(-0.5 * block_diag2(sn, -sn))
 
 
-# Slots 0-3 hold the entries of sigma.n (row-major), 4 a zero, 5-8 the
-# negated entries.  The gathered matrix is scaled by one numpy product, whose
-# fused multiply-add keeps the bits of the old block_diag2 forms, zero signs
-# included; Python's complex product, entry by entry, would not.
+# Slots 0-3 hold the entries of sigma.n (row-major), slot 4 a zero.  The
+# gathered matrix is scaled by one numpy product, whose fused multiply-add
+# keeps the bits of 0.5 * block_diag2(sigma.n, sigma.n), zero signs included;
+# Python's complex product, entry by entry, would not.
 _DOUBLED_INDEX = np.array([[0, 1, 4, 4], [2, 3, 4, 4], [4, 4, 0, 1], [4, 4, 2, 3]])
-_CHIRAL_INDEX = np.array([[0, 1, 4, 4], [2, 3, 4, 4], [4, 4, 5, 6], [4, 4, 7, 8]])
 
 
 def _sigma_n_entries(p):
@@ -244,8 +243,7 @@ def chiral_gauge_transform(alpha, family: str) -> CMatrix:
     """cos(alpha) - i gamma5 sin(alpha) on the lambda family, conjugate sign
     on the rho family; unitary, preserves conjugacy and the mass pairing.
     (4, 4) for a float angle, (..., 4, 4) for an array of angles."""
-    if family not in ("lambda", "rho"):
-        raise DomainError(f"family must be 'lambda' or 'rho', got {family!r}")
+    check_label("family", family, ("lambda", "rho"))
     sign = -1.0 if family == "lambda" else 1.0
     cos, sin = (np.asarray(f(alpha))[..., None, None] for f in (np.cos, np.sin))
     return cos * np.eye(4, dtype=complex) + sign * 1j * sin * gamma5
@@ -301,10 +299,8 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     family, or a momentum count that is not an integer of at least 1,
     raises ``DomainError``.
     """
-    if basis not in ("spinorial", "helicity"):
-        raise DomainError(f"unknown basis {basis!r}")
-    if family not in _INTRINSIC_PARITY:
-        raise DomainError(f"family must be 'dirac' or 'elko', got {family!r}")
+    check_label("basis", basis, BASES)
+    check_label("family", family, _INTRINSIC_PARITY)
     if isinstance(n_momenta, bool) or not isinstance(n_momenta, Integral) or n_momenta < 1:
         raise DomainError(f"n_momenta must be an integer of at least 1, got {n_momenta!r}")
     c_op = charge_conjugation(cfg)

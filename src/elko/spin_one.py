@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import DomainError
+from .errors import check_label
 from .kinematics import FourMomentum, as_batch
 from .matrices import CMatrix, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
@@ -63,8 +63,7 @@ def spin1_helicity_triplet_at(p, h: int) -> np.ndarray:
     s = sin(theta/2), read off the momentum's half-angle frame
     ``half_angles``: the columns of exp(-i phi Jz) exp(-i theta Jy).
     """
-    if h not in (1, 0, -1):
-        raise DomainError(f"spin-1 helicity must be +1, 0 or -1, got {h}")
+    check_label("h", h, (1, 0, -1))
     c, s, phi = p.half_angles
     e = np.exp(1j * np.asarray(phi))
     cs = math.sqrt(2.0) * c * s
@@ -85,8 +84,7 @@ def spin1_pair(p, construction: str, h: int):
     phi and Theta phi* have J.p-hat eigenvalues h and -h, so both boosts act
     on them as the scalar ((E + |p|)/m)^(-+h): - for lambda, + for rho.
     """
-    if construction not in ("lambda", "rho"):
-        raise DomainError(f"construction must be 'lambda' or 'rho', got {construction!r}")
+    check_label("construction", construction, ("lambda", "rho"))
     f = spin1_helicity_triplet_at(p, h)
     flipped = np.conj(f) @ theta_one.T
     k = np.asarray(((p.E + p.p_abs) / p.m) ** (-h if construction == "lambda" else h))[..., None]
@@ -124,11 +122,9 @@ class ConjugacyScan:
 
 
 def _scan_operator(name: str, phase: float) -> SymmetryOperator:
-    if name == "sc":
-        return sc_one(phase)
-    if name == "g5sc":
-        return gamma5_sc_one(phase)
-    raise DomainError(f"operator must be 'sc' or 'g5sc', got {name!r}")
+    # looked up per call: perfbench's tracer rebinds sc_one and gamma5_sc_one
+    check_label("operator", name, ("sc", "g5sc"))
+    return sc_one(phase) if name == "sc" else gamma5_sc_one(phase)
 
 
 _GRID_POINTS = 720   # the unit circle in steps of 0.5 degree

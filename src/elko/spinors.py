@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_label
 from .kinematics import (
     FourMomentum,
     _boost_columns,
@@ -44,7 +44,6 @@ from .kinematics import (
 )
 from .matrices import column, gamma0, matrix2, matvec, vdot, vector
 
-FAMILIES = ("lambda", "rho", "u", "v")
 KINDS_SELF = ("S", "A")
 INDICES = ("up", "down")
 BASES = ("spinorial", "helicity")
@@ -107,14 +106,10 @@ class Bispinor:
     momentum: FourMomentum
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.kind not in _FAMILY_KINDS[self.family]:
-            raise DomainError(f"kind of a {self.family} spinor must be one of "
-                              f"{_FAMILY_KINDS[self.family]}, got {self.kind!r}")
-        _check_basis(self.basis)
-        if self.index not in INDICES:
-            raise DomainError(f"unknown index {self.index!r}")
+        check_label("family", self.family, _FAMILY_KINDS)
+        check_label("kind", self.kind, _FAMILY_KINDS[self.family])
+        check_label("index", self.index, INDICES)
+        check_label("basis", self.basis, BASES)
         components = np.asarray(self.components, dtype=complex)
         shape = np.shape(self.momentum.m) + (4,)
         if components.shape != shape:
@@ -163,24 +158,12 @@ REST_RHO_PATTERNS = {
 _REST_PATTERNS = {"lambda": REST_LAMBDA_PATTERNS, "rho": REST_RHO_PATTERNS}
 
 
-def _check_kind_index(kind: str, index: str):
-    if kind not in KINDS_SELF:
-        raise DomainError(f"kind must be 'S' or 'A', got {kind!r}")
-    if index not in INDICES:
-        raise DomainError(f"index must be 'up' or 'down', got {index!r}")
-
-
-def _check_basis(basis: str):
-    if basis not in BASES:
-        raise DomainError(f"unknown basis {basis!r}")
-
-
 def _rest(family: str, kind: str, index: str, m: float) -> Bispinor:
-    _check_kind_index(kind, index)
-    if not m > 0.0:
-        raise DomainError(f"mass must be positive, got {m}")
+    p = make_momentum(0, 0, 0, m)
+    check_label("kind", kind, KINDS_SELF)
+    check_label("index", index, INDICES)
     comps = math.sqrt(m / 2.0) * _REST_PATTERNS[family][(kind, index)]
-    return Bispinor(comps, family, kind, index, "spinorial", make_momentum(0, 0, 0, m))
+    return Bispinor(comps, family, kind, index, "spinorial", p)
 
 
 def rest_lambda(kind: str, index: str, m: float) -> Bispinor:
@@ -279,8 +262,7 @@ def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarra
     """Unit-norm sigma.n eigen-2-spinor of eigenvalue h = +-1 at arbitrary
     finite angles (half-angle forms) with the finite phases theta1/theta2;
     (2,) for float angles and phases, (N, 2) for (N,) arrays."""
-    if h not in (1, -1):
-        raise DomainError(f"helicity must be +1 or -1, got {h}")
+    check_label("h", h, (1, -1))
     _check_finite(theta=theta, phi=phi, theta1=theta1, theta2=theta2)
     ring = _helicity_ring(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
     return column(np.exp(1j * (theta1 if h > 0 else theta2))) * _ring_window(ring, h, h)[..., :2]
@@ -338,8 +320,9 @@ def _helicity_rest(ring, family, kind, h, cfg, m):
 
 
 def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
-    _check_kind_index(kind, index)
-    _check_basis(basis)
+    check_label("kind", kind, KINDS_SELF)
+    check_label("index", index, INDICES)
+    check_label("basis", basis, BASES)
     if basis == "spinorial":
         return boosted_patterns(p, _GATHER[family, kind, index])
     h = _INDEX_TO_H[index]
@@ -380,11 +363,9 @@ def dirac_components(p, sign: str, index: str, basis: str = "spinorial",
     of the boost) or the sigma.n eigenvector of p's direction (helicity;
     Lambda f is then a multiple of f).
     """
-    if sign not in ("particle", "antiparticle"):
-        raise DomainError(f"sign must be 'particle' or 'antiparticle', got {sign!r}")
-    if index not in INDICES:
-        raise DomainError(f"index must be 'up' or 'down', got {index!r}")
-    _check_basis(basis)
+    check_label("sign", sign, ("particle", "antiparticle"))
+    check_label("index", index, INDICES)
+    check_label("basis", basis, BASES)
     s = 1.0 if sign == "particle" else -1.0
     sm = _sqrt(p.m)
     if basis == "spinorial":
@@ -429,10 +410,8 @@ def chiral_helicity_sign(family: str, index: str) -> int:
     The lambda labels align with the eigenvalue (up -> +1/2); the rho family,
     being +-i times the index-flipped anti-family, anti-aligns (up -> -1/2).
     """
-    if family not in ("lambda", "rho"):
-        raise DomainError(f"family must be 'lambda' or 'rho', got {family!r}")
-    if index not in INDICES:
-        raise DomainError(f"index must be 'up' or 'down', got {index!r}")
+    check_label("family", family, ("lambda", "rho"))
+    check_label("index", index, INDICES)
     sign = 1 if index == "up" else -1
     return sign if family == "lambda" else -sign
 
@@ -443,8 +422,8 @@ def bar_product(a, b):
     av = a.components if isinstance(a, Bispinor) else np.asarray(a, dtype=complex)
     bv = b.components if isinstance(b, Bispinor) else np.asarray(b, dtype=complex)
     if isinstance(a, Bispinor) and isinstance(b, Bispinor):
-        pa, pb = a.momentum, b.momentum
-        if (pa.px, pa.py, pa.pz, pa.m) != (pb.px, pb.py, pb.pz, pb.m):
+        if not all(np.array_equal(getattr(a.momentum, f), getattr(b.momentum, f))
+                   for f in ("px", "py", "pz", "m")):
             raise DomainError("bar_product requires both spinors at the same momentum")
     pairing = vdot(av, matvec(gamma0, bv))
     return complex(pairing) if av.ndim == 1 else pairing

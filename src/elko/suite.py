@@ -1065,11 +1065,11 @@ def diff_reports(a: VerificationReport, b: VerificationReport):
 
 
 def _differ(a, b) -> bool:
-    """Whether two measured values differ: numbers by more than _DRIFT_TOL,
-    lists entry by entry, dicts key by key, anything else (statuses, a
-    check missing from one report) by equality."""
+    """Whether two measured values differ: numbers by more than _DRIFT_TOL or
+    when one of them alone is NaN, lists entry by entry, dicts key by key,
+    anything else (statuses, a check missing from one report) by equality."""
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(a - b) > _DRIFT_TOL
+        return not (abs(a - b) <= _DRIFT_TOL or a == b or (math.isnan(a) and math.isnan(b)))
     if isinstance(a, list) and isinstance(b, list):
         return len(a) != len(b) or any(_differ(x, y) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):

@@ -220,6 +220,18 @@ class TestDiff:
         assert code == 1
         assert out.strip() == "dynamics.convention"
 
+    def test_constant_turned_nan_detected(self, capsys, tmp_path):
+        a = self._write_report(capsys, tmp_path, "a", 1)
+        data = json.loads(a.read_text())
+        for check in data["checks"]:
+            if check["id"] == "dynamics.mass-term-chiral":
+                check["constants"]["physical-value"] = float("nan")
+        b = tmp_path / "nan.json"
+        b.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "diff", str(a), str(b))
+        assert code == 1
+        assert out.strip() == "dynamics.mass-term-chiral"
+
     def test_mismatched_suites_usage_error(self, capsys, tmp_path):
         a = self._write_report(capsys, tmp_path, "a", 1)
         other = tmp_path / "other.json"

@@ -9,6 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elko import dynamics as dyn
+from elko import kinematics as kin
+from elko import operators as ops
+from elko import spin_one as s1
 from elko import spinors as sp
 from elko.config import TOLERANCES
 from elko.errors import DomainError
@@ -376,6 +380,74 @@ class TestBarProducts:
         with pytest.raises(DomainError):
             sp.bar_product(a, b)
 
+    @staticmethod
+    def _quartet(first, second):
+        """(lambda^S, rho^A, lambda^A, rho^S), the rho spinors at ``second``."""
+        return [sp.lambda_spinor(first, "S", "up"), sp.rho_spinor(second, "A", "up"),
+                sp.lambda_spinor(first, "A", "down"), sp.rho_spinor(second, "S", "down")]
+
+    def test_spinors_at_equal_batches_pair_like_their_components(self):
+        """Spinors at two distinct batch objects with equal fields pair as
+        their bare components do, also in the Lagrangian mass term."""
+        batch = sample_momenta(np.random.default_rng(4), 5)
+        copy = make_momenta(batch.px, batch.py, batch.pz, batch.m)
+        quartet = self._quartet(batch, copy)
+        bare = [spinor.components for spinor in quartet]
+        assert np.array_equal(sp.bar_product(*quartet[:2]), sp.bar_product(*bare[:2]))
+        assert np.array_equal(dyn.lagrangian_mass_term(*quartet, batch.m),
+                              dyn.lagrangian_mass_term(*bare, batch.m))
+
+    def test_spinors_at_different_batches_rejected(self):
+        batch = sample_momenta(np.random.default_rng(4), 5)
+        other = make_momenta(batch.px, batch.py, -batch.pz, batch.m)
+        quartet = self._quartet(batch, other)
+        with pytest.raises(DomainError):
+            sp.bar_product(*quartet[:2])
+        with pytest.raises(DomainError):
+            dyn.lagrangian_mass_term(*quartet, batch.m)
+
+    @pytest.mark.parametrize("rows", [5, 1])
+    def test_batch_against_one_row_rejected(self, rows):
+        batch = sample_momenta(np.random.default_rng(4), rows)
+        quartet = self._quartet(batch, batch[0])
+        with pytest.raises(DomainError):
+            sp.bar_product(*quartet[:2])
+        with pytest.raises(DomainError):
+            sp.bar_product(quartet[1], quartet[0])
+
+
+_KINDS, _INDICES, _BASES = ("S", "A"), ("up", "down"), ("spinorial", "helicity")
+_ZEROS = np.zeros(4, dtype=complex)
+# One call per public label argument, each with one bad label, and the
+# argument's name and allowed values that its error states.
+_LABEL_REJECTIONS = {
+    lambda p: sp.lambda_spinor(p, "X", "up"): ("kind", _KINDS),
+    lambda p: sp.rho_spinor(p, "S", "sideways"): ("index", _INDICES),
+    lambda p: sp.lambda_spinor(p, "S", "up", "fixed"): ("basis", _BASES),
+    lambda p: sp.dirac_spinor(p, "S", "up"): ("sign", ("particle", "antiparticle")),
+    lambda p: sp.dirac_spinor(p, "particle", "left"): ("index", _INDICES),
+    lambda p: sp.dirac_spinor(p, "particle", "up", "fixed"): ("basis", _BASES),
+    lambda p: sp.rest_rho("X", "up", 1.0): ("kind", _KINDS),
+    lambda p: sp.rest_lambda("S", "sideways", 1.0): ("index", _INDICES),
+    lambda p: sp.Bispinor(_ZEROS, "w", "S", "up", "spinorial", p): ("family",
+                                                                    ("lambda", "rho", "u", "v")),
+    lambda p: sp.Bispinor(_ZEROS, "u", "particle", "left", "spinorial", p): ("index", _INDICES),
+    lambda p: sp.Bispinor(_ZEROS, "v", "antiparticle", "up", "fixed", p): ("basis", _BASES),
+    lambda p: sp.helicity_components(0.3, 0.2, 0): ("h", (1, -1)),
+    lambda p: sp.chiral_helicity_sign("u", "up"): ("family", ("lambda", "rho")),
+    lambda p: sp.chiral_helicity_sign("rho", "left"): ("index", _INDICES),
+    lambda p: kin.boost_half(p, "X"): ("side", ("R", "L")),
+    lambda p: kin.boost_one(p, "X"): ("side", ("R", "L")),
+    lambda p: ops.chiral_gauge_transform(0.1, "dirac"): ("family", ("lambda", "rho")),
+    lambda p: ops.classify_cp_action("fixed", "elko", n_momenta=2): ("basis", _BASES),
+    lambda p: ops.classify_cp_action("helicity", "lambda", n_momenta=2): ("family",
+                                                                         ("dirac", "elko")),
+    lambda p: s1.spin1_helicity_triplet_at(p, 2): ("h", (1, 0, -1)),
+    lambda p: s1.spin1_pair(p, "sigma", 1): ("construction", ("lambda", "rho")),
+    lambda p: s1.spin1_conjugacy_scan(p, "nope"): ("operator", ("sc", "g5sc")),
+    lambda p: dyn.FrequencyConvention(0): ("sign", (1, -1)),
+}
+
 
 class TestLabelsAndPhases:
     @pytest.mark.parametrize("name", ["theta_c", "theta1", "theta2"])
@@ -431,14 +503,15 @@ class TestLabelsAndPhases:
             for field in dataclasses.fields(sp.Bispinor):
                 assert getattr(public, field.name) is getattr(made, field.name), field.name
 
-    @pytest.mark.parametrize("call", [
-        lambda p: sp.lambda_spinor(p, "X", "up"), lambda p: sp.rho_spinor(p, "S", "sideways"),
-        lambda p: sp.lambda_spinor(p, "S", "up", "fixed"),
-        lambda p: sp.dirac_spinor(p, "S", "up"), lambda p: sp.dirac_spinor(p, "particle", "left"),
-        lambda p: sp.dirac_spinor(p, "particle", "up", "fixed")])
+    @pytest.mark.parametrize("call", list(_LABEL_REJECTIONS))
     def test_factories_check_their_labels(self, call):
-        with pytest.raises(DomainError):
+        """Every public label argument, of the factories and of the other
+        entry points that take one, rejects a bad value with a
+        ``DomainError`` that names the argument and lists its values."""
+        name, allowed = _LABEL_REJECTIONS[call]
+        with pytest.raises(DomainError) as raised:
             call(make_momentum(0.3, -0.4, 1.2, 0.9))
+        assert str(raised.value).startswith(f"{name} must be one of {allowed}, got ")
 
 
 class TestGoldenFile:

@@ -148,6 +148,26 @@ class TestDiffReports:
         check.constants["coefficients"][0][1] = -1.0
         assert diff_reports(a, mutated) == ["spin-half.parity-spinorial"]
 
+    def test_non_finite_constant_drift(self):
+        """A constant that turned NaN drifts from its number, and so does an
+        infinity from any other value; two NaNs and two equal infinities
+        do not drift."""
+        a = run_suite("spin-half", seed=1, samples=3)
+        drift = ["spin-half.boost-consistency"]
+
+        def with_phase(value):
+            mutated = VerificationReport.from_json(a.to_json())
+            check = next(c for c in mutated.checks if c.id == drift[0])
+            check.constants["global-phase"][0] = value
+            return mutated
+
+        for x, y in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (math.inf, -math.inf),
+                     (math.nan, math.inf), (1.0, 1.0 + 2e-6)]:
+            assert diff_reports(with_phase(x), with_phase(y)) == drift, (x, y)
+        for x, y in [(math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+                     (1.0, 1.0 + 1e-7)]:
+            assert diff_reports(with_phase(x), with_phase(y)) == [], (x, y)
+
     def test_status_drift_detected(self):
         a = run_suite("spin-half", seed=1, samples=3)
         mutated = VerificationReport.from_json(a.to_json())
