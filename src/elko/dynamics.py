@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import DomainError, check_label
+from .errors import DomainError, check_finite, check_label
 from .kinematics import as_batch
 from .matrices import blocks, column, gamma5, matrix2, matvec, rownorm
 from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
@@ -242,8 +242,9 @@ def sen_gupta_equivalence(m1, m2) -> np.ndarray:
     through gamma5 flips its sign twice while the mass matrix picks up
     exp(2 b gamma5), which is tuned to cancel the pseudoscalar part.  A
     solution psi of the two-mass equation maps to the Dirac solution
-    E^-1 psi of mass mu.
+    E^-1 psi of mass mu.  Both masses must be finite.
     """
+    check_finite(m1=m1, m2=m2)
     if not np.all(np.abs(m2) < np.abs(m1)):
         raise DomainError(f"equivalence transform needs |m2| < |m1|, got {m1}, {m2}")
     b = -0.5 * np.arctanh(np.asarray(m2 / m1))[..., None, None]

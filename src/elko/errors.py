@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and ``check_label``, the one
-check of a label argument (family, kind, index, basis, side, sign, ...)."""
+"""Exception types shared across the package, ``check_label``, the one
+check of a label argument (family, kind, index, basis, side, sign, ...), and
+``check_finite``, the one check that an angle or a mass is finite."""
+
+import numpy as np
 
 
 class ElkoError(Exception):
@@ -20,6 +23,14 @@ def check_label(name: str, value, allowed):
     and lists the allowed values."""
     if value not in allowed:
         raise DomainError(f"{name} must be one of {tuple(allowed)}, got {value!r}")
+
+
+def check_finite(**values):
+    """Raise ``DomainError`` unless every value, a float or an array, is
+    finite throughout; the message names the first argument that is not."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} must be finite")
 
 
 class DirectionUndefinedError(DomainError):

@@ -144,6 +144,19 @@ class _OnShell:
         return _read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
 
     @_field
+    def boost_off_diagonal(self):
+        """(c p_r, c p_l, -c p_r, -c p_l) with c = 1 / sqrt(2 m (E + m)):
+        the off-diagonal entries of Lambda_R, then of Lambda_L; complex
+        scalars at one momentum, read-only (N,) arrays on a batch.  They
+        are numpy's complex products at one momentum too, because Python's
+        product rounds some zero parts to the other sign, and a row of a
+        batch keeps the bits of its one-momentum call (as in
+        ``operators.u1``)."""
+        c = 1.0 / self.boost_norm
+        pr, pl = self.p_r, self.p_l
+        return tuple(_read_only(np.multiply([c, c, -c, -c], (pr, pl, pr, pl))))
+
+    @_field
     def pattern_diagonal(self):
         """(E + pz + m, E - pz + m, c = 1 / (2 sqrt(E + m))): the diagonal
         of E + m + sigma.p and the scale c with sqrt(m/2) Lambda_{R,L} =
@@ -342,7 +355,9 @@ def _boost_columns(p, side: str):
     s = 1.0 if side == "R" else -1.0
     c = 1.0 / p.boost_norm
     em = p.E + p.m
-    return ((em + s * p.pz) * c, s * c * p.p_r), (s * c * p.p_l, (em - s * p.pz) * c)
+    k = 0 if side == "R" else 2
+    below, above = p.boost_off_diagonal[k:k + 2]
+    return ((em + s * p.pz) * c, below), (above, (em - s * p.pz) * c)
 
 
 # Xi = (FIXED + e^{-2 i phi} TWIST) / sqrt(2)

@@ -34,6 +34,7 @@ from .errors import (
     CoordinateSingularityError,
     DirectionUndefinedError,
     DomainError,
+    check_finite,
     check_label,
 )
 from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
@@ -242,8 +243,10 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
 def chiral_gauge_transform(alpha, family: str) -> CMatrix:
     """cos(alpha) - i gamma5 sin(alpha) on the lambda family, conjugate sign
     on the rho family; unitary, preserves conjugacy and the mass pairing.
-    (4, 4) for a float angle, (..., 4, 4) for an array of angles."""
+    (4, 4) for a float angle, (..., 4, 4) for an array of angles; every
+    angle must be finite."""
     check_label("family", family, ("lambda", "rho"))
+    check_finite(alpha=alpha)
     sign = -1.0 if family == "lambda" else 1.0
     cos, sin = (np.asarray(f(alpha))[..., None, None] for f in (np.cos, np.sin))
     return cos * np.eye(4, dtype=complex) + sign * 1j * sin * gamma5
@@ -296,13 +299,14 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     Uses the family's intrinsic inversion phase; the classification is
     independent of the conjugation phase theta_c.  The momenta come from
     the suite's sampler and are probed as one batch.  An unknown basis or
-    family, or a momentum count that is not an integer of at least 1,
-    raises ``DomainError``.
+    family, a seed that is not an integer of at least 0, or a momentum
+    count that is not an integer of at least 1, raises ``DomainError``.
     """
     check_label("basis", basis, BASES)
     check_label("family", family, _INTRINSIC_PARITY)
-    if isinstance(n_momenta, bool) or not isinstance(n_momenta, Integral) or n_momenta < 1:
-        raise DomainError(f"n_momenta must be an integer of at least 1, got {n_momenta!r}")
+    for name, value, least in (("seed", seed, 0), ("n_momenta", n_momenta, 1)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
     c_op = charge_conjugation(cfg)
     p_op = parity_operator(_INTRINSIC_PARITY[family])
     cp = c_op.compose(p_op)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_label
+from .errors import DomainError, check_finite, check_label
 from .kinematics import (
     FourMomentum,
     _boost_columns,
@@ -252,18 +252,12 @@ def boosted_patterns(p, gather) -> np.ndarray:
 # configuration's ``dressings``.
 
 
-def _check_finite(**angles):
-    for name, value in angles.items():
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"angle {name} must be finite")
-
-
 def helicity_components(theta, phi, h: int, theta1=0.0, theta2=0.0) -> np.ndarray:
     """Unit-norm sigma.n eigen-2-spinor of eigenvalue h = +-1 at arbitrary
     finite angles (half-angle forms) with the finite phases theta1/theta2;
     (2,) for float angles and phases, (N, 2) for (N,) arrays."""
     check_label("h", h, (1, -1))
-    _check_finite(theta=theta, phi=phi, theta1=theta1, theta2=theta2)
+    check_finite(theta=theta, phi=phi, theta1=theta1, theta2=theta2)
     ring = _helicity_ring(np.cos(theta / 2.0), np.sin(theta / 2.0), phi)
     return column(np.exp(1j * (theta1 if h > 0 else theta2))) * _ring_window(ring, h, h)[..., :2]
 
@@ -275,7 +269,7 @@ def index_flip_unitary(phi, alpha, beta) -> np.ndarray:
     U maps the +1 spinor (phase alpha) onto the -1 spinor (phase beta);
     its adjoint maps back.
     """
-    _check_finite(phi=phi, alpha=alpha, beta=beta)
+    check_finite(phi=phi, alpha=alpha, beta=beta)
     zero = np.zeros_like(phi)
     flip = matrix2(zero, np.exp(-1j * phi), -np.exp(1j * phi), zero)
     return np.asarray(np.exp(1j * (beta - alpha)))[..., None, None] * flip

@@ -17,8 +17,8 @@ import pytest
 from elko import kinematics as kin
 from elko.suite import run_suite
 
-FIELDS = ("p_r", "p_l", "p_perp2", "p_abs", "half_angles", "boost_norm", "pattern_diagonal",
-          "helicity_ring")
+FIELDS = ("p_r", "p_l", "p_perp2", "p_abs", "half_angles", "boost_norm", "boost_off_diagonal",
+          "pattern_diagonal", "helicity_ring")
 
 
 def _fresh(p):
@@ -26,6 +26,7 @@ def _fresh(p):
     components (so nothing is read from p's cache)."""
     q = type(p)(p.px, p.py, p.pz, p.m, p.E)
     px, py, pz, m, E = q.px, q.py, q.pz, q.m, q.E
+    c, pr, pl = 1.0 / kin._sqrt(2.0 * m * (E + m)), px + 1j * py, px - 1j * py
     return {
         "p_r": px + 1j * py,
         "p_l": px - 1j * py,
@@ -33,6 +34,7 @@ def _fresh(p):
         "p_abs": kin._sqrt(px * px + py * py + pz * pz),
         "half_angles": kin._half_angles(q),
         "boost_norm": kin._sqrt(2.0 * m * (E + m)),
+        "boost_off_diagonal": tuple(np.multiply([c, c, -c, -c], (pr, pl, pr, pl))),
         "pattern_diagonal": (E + pz + m, E - pz + m, 1.0 / (2.0 * kin._sqrt(E + m))),
         "helicity_ring": kin._helicity_ring(*kin._half_angles(q)),
     }

@@ -248,6 +248,11 @@ class TestSenGupta:
         with pytest.raises(DomainError):
             dyn.sen_gupta_equivalence(1.0, 1.0)
 
+    def test_non_finite_mass_rejected_by_equivalence(self):
+        # |1| < |inf| passed the mass check and gave the identity
+        with pytest.raises(DomainError, match="m1 must be finite"):
+            dyn.sen_gupta_equivalence(math.inf, 1.0)
+
     def test_degenerate_masses_null_structure_reported(self):
         # m1 = +-m2 puts solutions on the light cone; the structure is
         # recorded here without asserting a particular dimension

@@ -1,16 +1,26 @@
-"""The spinor factories and the coupled residuals against frozen copies of
-the forms they replace, bit for bit, zero signs included.
+"""The one bit reference for the 24 spin-1/2 factory outputs, and the coupled
+rows and ``physical_states`` against frozen forms, bit for bit, zero signs
+included.
 
-The frozen forms wrap each spinor through the public ``Bispinor``
-construction, form the Wigner image with the conjugate of a numpy phase
-factor and join the rest spinor's halves with ``np.concatenate``, scale the
-Dirac columns by a separate factor array, and stack the four physical
-states, each from its own factory call, before the coupled rows.  The live
-kernels read windows of the momentum's ``helicity_ring``, the
-configuration's ``dressings`` and one gather of the physical states
-instead.  Every one of the 24 factory outputs is compared at the default
-phases and at others, on the edges of the domain and on rows with
-signed-zero and subnormal components.
+The reference is written out without the kernels that it pins.  Of a
+momentum it reads the components and the fields ``half_angles``,
+``boost_norm``, ``p_abs``, ``p_l`` and ``p_r``; of a ``PhaseConfig`` only
+``factors``:
+
+* lambda and rho in the fixed-axis basis are their closed forms, one
+  written-out branch per family, kind and index;
+* u and v in the fixed-axis basis are columns of the written-out 2x2 boosts;
+* in the helicity basis, the 2-spinor phi_h is formed from its own half-angle
+  cosine and sine, and the Wigner image Theta (e^{i theta_h} phi_h)* as
+  -h e^{-i theta_h} phi_{-h}; the boost acts as its written-out eigenvalue.
+
+Each product keeps the factories' operand order, a table times its scale:
+numpy's complex product fuses a multiply-add, so the order decides the sign
+of a zero part, which ``elko eval`` prints.  One test compares every output
+with the reference under three phase configurations: at one momentum, on
+one batch, and each one-momentum call with its row of the batch.  The rows
+are the edges of the domain, rows with signed-zero and subnormal components,
+generic rows and a 1000-row generic batch.
 """
 
 import itertools
@@ -22,7 +32,7 @@ import pytest
 from elko import dynamics as dyn
 from elko import kinematics as kin
 from elko import spinors as sp
-from elko.matrices import column, rownorm, vector
+from elko.matrices import matrix2, rownorm, vector
 
 from conftest import assert_same_bits
 
@@ -36,56 +46,134 @@ _SPINORS = list(itertools.product(_FACTORIES, sp.INDICES, sp.BASES))
 
 @pytest.fixture(scope="module")
 def rows(edge_rows):
-    """The edge rows, rows with signed zeros and subnormal components, and
-    a few generic rows."""
+    """The edge rows, rows with signed zeros and subnormal components, a few
+    generic rows and single rows at rest, on and near the z axis and at
+    |p| = 1e6 m."""
     signed = [(1.0, -0.0, 0.0, 1.0), (-0.0, 1.0, -0.0, 0.5), (-1.0, 0.0, -0.0, 1e-3),
               (0.0, -0.0, 3.0, 1e-150), (-0.0, 0.0, -2.5, 0.8)]
     subnormal = [(5e-324, 0.0, 1.5, 1.0), (0.0, 5e-324, -1.5, 2.0), (-5e-324, -0.0, 0.0, 1.0),
                  (1e-310, -1e-310, 1e-300, 1.0), (2.0, -3.0, -1e-320, 0.5),
                  (1e-160, 1e-160, -1e-160, 1e-150)]
     generic = kin.sample_momenta(np.random.default_rng(15), 6)
+    single = [(0.0, 0.0, 0.0, 0.7), (0.0, 0.0, 2.5, 0.7), (0.0, -0.0, -2.5, 0.7),
+              (2.5 * math.sin(1e-8), 0.0, -2.5 * math.cos(1e-8), 0.7),
+              (0.6e6, -0.8e6, 0.0, 1.0), (0.0, -1.5, 0.0, 2.0)]
     return [*edge_rows, *signed, *subnormal,
             *zip(generic.px.tolist(), generic.py.tolist(), generic.pz.tolist(),
-                 generic.m.tolist())]
+                 generic.m.tolist()), *single]
+
+
+@pytest.fixture(scope="module")
+def batch(rows):
+    """The rows, then 1000 generic rows, as one batch."""
+    generic = kin.sample_momenta(np.random.default_rng(11), 1000)
+    return kin.make_momenta(*np.concatenate(
+        [np.array(rows).T, [generic.px, generic.py, generic.pz, generic.m]], axis=1))
 
 
 # ---------------------------------------------------------------------------
-# frozen forms
+# the reference
 # ---------------------------------------------------------------------------
 
-def _frozen_pair(p):
-    """(phi_+, phi_-) as the momentum once held them: two views of its
-    ``helicity_ring``."""
-    ring = p.helicity_ring
-    return ring[..., 0:2], ring[..., 4:6]
+def boost_matrix(p, side):
+    """Lambda_R (side "R") or Lambda_L: (E + m +- sigma.p) / sqrt(2 m (E + m)),
+    each off-diagonal entry one numpy product."""
+    s = 1.0 if side == "R" else -1.0
+    c = 1.0 / p.boost_norm
+    em = p.E + p.m
+    return matrix2((em + s * p.pz) * c, np.multiply(s * c, p.p_l),
+                   np.multiply(s * c, p.p_r), (em - s * p.pz) * c)
 
 
-def _frozen_helicity_rest(pair, family, kind, h, cfg, m):
-    e = cfg.factors[h < 0]
-    zeta = sp._ZETA[family][kind]
-    f = e * pair[h < 0]
-    image = (-zeta if h > 0 else zeta) * (e.conjugate() * pair[h > 0])
-    halves = [image, f] if family == "lambda" else [f, image]
-    return column(kin._sqrt(m / 2.0)) * np.concatenate(halves, axis=-1)
+def _eigenvalue_factor(p, s):
+    """Lambda_R on a sigma.p-hat eigen-2-spinor of eigenvalue s = +-1:
+    (E + m + s |p|) / sqrt(2 m (E + m)), with E + m - |p| formed as
+    m + m^2 / (E + |p|)."""
+    num = p.E + p.m + p.p_abs if s > 0 else p.m + p.m * p.m / (p.E + p.p_abs)
+    return num / p.boost_norm
 
 
-def _frozen_components(family, p, kind, index, basis, cfg):
+# lambda and rho in the fixed-axis basis, times c = 1 / (2 sqrt(E + m)), in
+# p_l, p_r, pp = E + pz + m and pm = E - pz + m
+_FIXED_AXIS = {
+    ("lambda", "S", "up"): lambda pl, pr, pp, pm: [1j * pl, 1j * pm, pm, -pr],
+    ("lambda", "S", "down"): lambda pl, pr, pp, pm: [-1j * pp, -1j * pr, -pl, pp],
+    ("lambda", "A", "up"): lambda pl, pr, pp, pm: [-1j * pl, -1j * pm, pm, -pr],
+    ("lambda", "A", "down"): lambda pl, pr, pp, pm: [1j * pp, 1j * pr, -pl, pp],
+    ("rho", "S", "up"): lambda pl, pr, pp, pm: [pp, pr, 1j * pl, -1j * pp],
+    ("rho", "S", "down"): lambda pl, pr, pp, pm: [pl, pm, 1j * pm, -1j * pr],
+    ("rho", "A", "up"): lambda pl, pr, pp, pm: [pp, pr, -1j * pl, 1j * pp],
+    ("rho", "A", "down"): lambda pl, pr, pp, pm: [pl, pm, -1j * pm, 1j * pr],
+}
+
+
+def two_spinor(p, h):
+    """phi_h, the sigma.p-hat eigen-2-spinor of eigenvalue h = +-1 at zero
+    phase, from the half-angle cosine and sine:
+    phi_+ = (cos e^{-i phi/2}, sin e^{i phi/2}),
+    phi_- = (sin e^{-i phi/2}, -cos e^{i phi/2})."""
+    ct, st, phi = p.half_angles
+    ep = np.exp(0.5j * phi)
+    em = np.conj(ep)
+    return vector(ct * em, st * ep) if h > 0 else vector(st * em, -ct * ep)
+
+
+def reference_components(family, p, kind, index, basis, cfg):
+    """The components of a factory output, (4,) or (N, 4)."""
+    col = lambda x: np.asarray(x)[..., None]
     h = 1 if index == "up" else -1
+    e = cfg.factors[h < 0]
     if family in ("u", "v"):
-        s, sm = (1.0 if family == "u" else -1.0), kin._sqrt(p.m)
+        s, sm = (1.0 if family == "u" else -1.0), np.sqrt(p.m)
         if basis == "spinorial":
-            col = 0 if index == "up" else 1
-            right, left = kin._boost_columns(p, "R")[col], kin._boost_columns(p, "L")[col]
-            return vector(*right, *left) * np.array([sm, sm, s * sm, s * sm]).T
-        f = cfg.factors[h < 0] * _frozen_pair(p)[h < 0]
-        upper, lower = sm * kin.boost_eigenvalue(p, h), s * sm * kin.boost_eigenvalue(p, -h)
-        return np.concatenate([f, f], axis=-1) * np.array([upper, upper, lower, lower]).T
+            j = 0 if index == "up" else 1
+            halves = [boost_matrix(p, "R")[..., j], boost_matrix(p, "L")[..., j]]
+            scales = [sm, sm, s * sm, s * sm]
+        else:
+            halves = [e * two_spinor(p, h)] * 2
+            upper, lower = sm * _eigenvalue_factor(p, h), s * sm * _eigenvalue_factor(p, -h)
+            scales = [upper, upper, lower, lower]
+        return np.concatenate(halves, axis=-1) * np.array(scales).T
     if basis == "spinorial":
-        return sp.boosted_patterns(p, sp._GATHER[family, kind, index])
-    s = -h if family == "lambda" else h
-    return column(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(_frozen_pair(p), family,
-                                                                      kind, h, cfg, p.m)
+        table = np.array(_FIXED_AXIS[family, kind, index](
+            p.p_l, p.p_r, p.E + p.pz + p.m, p.E - p.pz + p.m), dtype=complex)
+        return (table * (1.0 / (2.0 * np.sqrt(p.E + p.m)))).T
+    zeta = {"S": 1j, "A": -1j}[kind] if family == "lambda" else {"S": -1j, "A": 1j}[kind]
+    # zeta Theta (e phi_h)* = zeta (-h e* phi_{-h})
+    image = np.conj(e) * two_spinor(p, -h) * (-zeta if h > 0 else zeta)
+    f = e * two_spinor(p, h)
+    rest = np.concatenate([image, f] if family == "lambda" else [f, image], axis=-1)
+    rest = rest * col(np.sqrt(p.m / 2.0))
+    return rest * col(_eigenvalue_factor(p, -h if family == "lambda" else h))
 
+
+@pytest.mark.parametrize("factory,index,basis", _SPINORS,
+                         ids=[f"{f[1]}-{f[2]}-{i}-{b}" for f, i, b in _SPINORS])
+def test_factory_keeps_its_bits(rows, batch, factory, index, basis):
+    """Each factory output against the reference, for every configuration:
+    at one momentum, with the labels of the public construction; on the
+    batch; and each one-momentum call against its row of the batch."""
+    fn, family, kind = factory
+    components = {"lambda": sp.lambda_components, "rho": sp.rho_components}.get(
+        family, sp.dirac_components)
+    for cfg in _CONFIGS:
+        singles = []
+        for row in rows:
+            p = kin.make_momentum(*row)
+            got = fn(p, kind, index, basis, cfg)
+            assert (got.family, got.kind, got.index, got.basis) == (family, kind, index, basis)
+            assert got.momentum is p
+            assert_same_bits(got.components, reference_components(family, p, kind, index,
+                                                                  basis, cfg))
+            singles.append(got.components)
+        got = components(batch, kind, index, basis, cfg)
+        assert_same_bits(got, reference_components(family, batch, kind, index, basis, cfg))
+        assert_same_bits(got[:len(rows)], np.array(singles))
+
+
+# ---------------------------------------------------------------------------
+# the coupled rows and the physical states
+# ---------------------------------------------------------------------------
 
 def _frozen_coupled_equations(p, conv, psi):
     ep, em, pl, pr = (np.asarray(x)[..., None] for x in (p.E + p.pz, p.E - p.pz, p.p_l, p.p_r))
@@ -123,38 +211,6 @@ def _frozen_coupled_residual(p, conv):
 def _frozen_eight_component_residual(p, conv):
     eqs = _frozen_coupled_equations(p, conv, _factory_states(p))
     return np.max(rownorm(eqs.reshape(eqs.shape[:-2] + (2, 8))), axis=(0, -1))
-
-
-# ---------------------------------------------------------------------------
-# the comparisons
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("factory,index,basis", _SPINORS,
-                         ids=[f"{f[1]}-{f[2]}-{i}-{b}" for f, i, b in _SPINORS])
-def test_factory_keeps_its_bits(rows, factory, index, basis):
-    """Each factory output at one momentum: the labels of the public
-    construction and the components bit for bit, for every configuration."""
-    fn, family, kind = factory
-    for cfg, row in itertools.product(_CONFIGS, rows):
-        p = kin.make_momentum(*row)
-        got = fn(p, kind, index, basis, cfg)
-        want = sp.Bispinor(_frozen_components(family, p, kind, index, basis, cfg),
-                           family, kind, index, basis, p)
-        assert (got.family, got.kind, got.index, got.basis) == (family, kind, index, basis)
-        assert got.momentum is p
-        assert_same_bits(got.components, want.components)
-
-
-@pytest.mark.parametrize("factory,index,basis", _SPINORS,
-                         ids=[f"{f[1]}-{f[2]}-{i}-{b}" for f, i, b in _SPINORS])
-def test_components_keep_their_bits_on_a_batch(rows, factory, index, basis):
-    _, family, kind = factory
-    batch = kin.make_momenta(*np.array(rows).T)
-    components = {"lambda": sp.lambda_components, "rho": sp.rho_components}.get(
-        family, sp.dirac_components)
-    for cfg in _CONFIGS:
-        assert_same_bits(components(batch, kind, index, basis, cfg),
-                         _frozen_components(family, batch, kind, index, basis, cfg))
 
 
 @pytest.mark.parametrize("sign", [1, -1])

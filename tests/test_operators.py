@@ -467,6 +467,15 @@ class TestChiralGauge:
             closed = math.cos(alpha) * np.eye(4) + sign * 1j * math.sin(alpha) * gamma5
             assert np.allclose(stacked[i, j], closed, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("alpha,family", [(math.inf, "lambda"),
+                                              (np.array([0.1, math.nan]), "rho")],
+                             ids=["inf", "nan-row"])
+    def test_non_finite_angle_rejected(self, alpha, family):
+        """An infinite angle gave an all-NaN matrix and a NaN angle a NaN
+        row; both are rejected like the other angles' non-finite values."""
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            ops.chiral_gauge_transform(alpha, family)
+
     def test_preserves_conjugacy(self, random_momenta, rng):
         c = ops.charge_conjugation()
         for p in random_momenta(5):
@@ -535,6 +544,12 @@ class TestCPClassification:
         count reached numpy."""
         with pytest.raises(DomainError, match="n_momenta"):
             ops.classify_cp_action("spinorial", family, seed=3, n_momenta=n_momenta)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_negative_or_fractional_seed_rejected(self, seed):
+        """numpy's own ValueError and TypeError no longer reach the caller."""
+        with pytest.raises(DomainError, match="seed must be an integer of at least 0"):
+            ops.classify_cp_action("helicity", "elko", seed=seed, n_momenta=4)
 
     @pytest.mark.parametrize("family", ["lambda", "rho", "u", "", None])
     def test_unknown_family_rejected(self, family):

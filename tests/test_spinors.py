@@ -104,64 +104,6 @@ class TestBoostedClosedForms:
                     - sp.rest_rho(kind, index, m).components) <= 1e-7
 
 
-def _frozen_spinorial(p, family, kind, index):
-    """The fixed-axis closed forms as separate written-out branches per
-    family, kind and index, frozen here to pin the pattern kernel."""
-    c = 1.0 / (2.0 * np.sqrt(p.E + p.m))
-    pl, pr, pp, pm = p.p_l, p.p_r, p.E + p.pz + p.m, p.E - p.pz + p.m
-    v = {
-        ("lambda", "S", "up"): [1j * pl, 1j * pm, pm, -pr],
-        ("lambda", "S", "down"): [-1j * pp, -1j * pr, -pl, pp],
-        ("lambda", "A", "up"): [-1j * pl, -1j * pm, pm, -pr],
-        ("lambda", "A", "down"): [1j * pp, 1j * pr, -pl, pp],
-        ("rho", "S", "up"): [pp, pr, 1j * pl, -1j * pp],
-        ("rho", "S", "down"): [pl, pm, 1j * pm, -1j * pr],
-        ("rho", "A", "up"): [pp, pr, -1j * pl, 1j * pp],
-        ("rho", "A", "down"): [pl, pm, -1j * pm, 1j * pr],
-    }[family, kind, index]
-    return (c * np.array(v, dtype=complex)).T
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class TestPatternKernel:
-    """The kernel reads each spinorial spinor off its rest pattern and
-    reproduces the written-out closed forms bit for bit, signs of zero
-    parts included, at one momentum and on a batch."""
-
-    SINGLE = [
-        (0.0, 0.0, 0.0, 0.7),                                    # rest
-        (0.0, 0.0, 2.5, 0.7),                                    # +z
-        (0.0, -0.0, -2.5, 0.7),                                  # -z
-        (2.5 * math.sin(1e-8), 0.0, -2.5 * math.cos(1e-8), 0.7),  # 1e-8 rad from -z
-        (0.6e6, -0.8e6, 0.0, 1.0),                               # |p| = 1e6 m
-        (0.0, -1.5, 0.0, 2.0),
-    ]
-
-    @pytest.mark.parametrize("family", ["lambda", "rho"])
-    def test_single_momenta(self, family):
-        fn = sp.lambda_components if family == "lambda" else sp.rho_components
-        for row in self.SINGLE:
-            p = make_momentum(*row)
-            for kind in "SA":
-                for index in ("up", "down"):
-                    got = fn(p, kind, index)
-                    frozen = _frozen_spinorial(p, family, kind, index)
-                    assert np.array_equal(got, frozen) and _same_bits(got, frozen)
-
-    @pytest.mark.parametrize("family", ["lambda", "rho"])
-    def test_batch(self, family):
-        fn = sp.lambda_components if family == "lambda" else sp.rho_components
-        batch = sample_momenta(np.random.default_rng(11), 1000)
-        for kind in "SA":
-            for index in ("up", "down"):
-                got = fn(batch, kind, index)
-                frozen = _frozen_spinorial(batch, family, kind, index)
-                assert np.array_equal(got, frozen) and _same_bits(got, frozen)
-
-
 class TestConjugacy:
     @pytest.mark.parametrize("basis", ["spinorial", "helicity"])
     def test_all_families(self, random_momenta, basis):

@@ -3,15 +3,12 @@
 A fixed matrix acts on all rows as one product, the intertwiner residual is
 formed from Xi's diagonal, Xi is built and asserted once per momentum from
 the boost columns and the lambda-basis transforms are one gather from it,
-gamma.p is built from its sigma.p blocks and
-applied by them, the coupled rows of both indices come from one call, the span residual
-projects by Gram-Schmidt and the spin-1 checks scan every (construction,
-h) pair at once.  Every spin-1/2 spinor is read off its momentum's frame:
-the spinorial ones from one table of column entries, the helicity ones from
-the cached pair (phi_+, phi_-), against frozen copies of the boost columns
-and Wigner products they replace.  Each is compared with
-the dense or per-call form on generic rows and on the edges of the domain:
-a rest row, rows along +-z, a row 1e-8 rad off -z and |p|/m up to 1e12.
+gamma.p is built from its sigma.p blocks and applied by them, the coupled
+rows of both indices come from one call, the span residual projects by
+Gram-Schmidt and the spin-1 checks scan every (construction, h) pair at
+once.  Each is compared with the dense or per-call form on generic rows and
+on the edges of the domain: a rest row, rows along +-z, a row 1e-8 rad off
+-z and |p|/m up to 1e12.
 """
 
 import itertools
@@ -32,6 +29,7 @@ from elko.errors import AmbiguousIntertwinerError
 from elko.suite import run_suite
 
 from conftest import assert_same_bits
+from test_factory_forms import boost_matrix, two_spinor
 
 
 @pytest.fixture(scope="module")
@@ -291,166 +289,39 @@ def test_scan_kernel_calls_per_pass_do_not_grow_with_samples(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every spin-1/2 spinor read off the momentum's frame
+# the spinors' frame: boost columns, Wigner image and call counts (the
+# spinors' bits are pinned by the reference in test_factory_forms)
 # ---------------------------------------------------------------------------
-#
-# Frozen copies of the expressions the frame kernels replace: the 2x2 boost
-# of which a Dirac spinor kept one column, the helicity 2-spinor from its own
-# sines and cosines, its Wigner image as the product conj(f) @ Theta^T, the
-# per-state fixed-axis pattern and the quartets stacked state by state.
 
-def _frozen_boost_half(p, side):
-    s = 1.0 if side == "R" else -1.0
-    c = 1.0 / p.boost_norm
-    em = p.E + p.m
-    return mat.matrix2((em + s * p.pz) * c, s * c * p.p_l, s * c * p.p_r, (em - s * p.pz) * c)
-
-
-def _frozen_helicity_spinor(ct, st, phi, h, theta1, theta2):
-    ep = np.exp(0.5j * phi)
-    em = np.conj(ep)
-    if h > 0:
-        e = np.exp(1j * theta1)
-        return mat.vector(e * (ct * em), e * (st * ep))
-    e = np.exp(1j * theta2)
-    return mat.vector(e * (st * em), e * (-ct * ep))
-
-
-def _frozen_wigner_image(f):
-    return np.conj(f) @ mat.theta_half.T
-
-
-def _frozen_helicity_rest(f, family, kind, m):
-    dressed = sp._ZETA[family][kind] * _frozen_wigner_image(f)
-    pair = [dressed, f] if family == "lambda" else [f, dressed]
-    return np.asarray(kin._sqrt(m / 2.0))[..., None] * np.concatenate(pair, axis=-1)
-
-
-def _frozen_boosted_pattern(p, family, kind, index):
-    pattern = sp._REST_PATTERNS[family][kind, index]
-    (j, a), (k, b) = sp._block_axis(pattern[:2]), sp._block_axis(pattern[2:])
-    pp, pm, c = p.pattern_diagonal
-    right = ((pp, p.p_r), (p.p_l, pm))[j]
-    left = ((pm, -p.p_r), (-p.p_l, pp))[k]
-    entries = [x if a == 1 else a * x for x in right] + [x if b == 1 else b * x for x in left]
-    return (c * np.array(entries, dtype=complex)).T
-
-
-def _frozen_components(family, p, kind, index, basis, cfg):
-    col = lambda x: np.asarray(x)[..., None]
-    h = 1 if index == "up" else -1
-    if family in ("u", "v"):
-        s, sm = (1.0 if family == "u" else -1.0), kin._sqrt(p.m)
-        if basis == "spinorial":
-            j = 0 if index == "up" else 1
-            right, left = _frozen_boost_half(p, "R")[..., j], _frozen_boost_half(p, "L")[..., j]
-            return np.concatenate([col(sm) * right, col(s * sm) * left], axis=-1)
-        f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
-        return np.concatenate([col(sm * kin.boost_eigenvalue(p, h)) * f,
-                               col(s * sm * kin.boost_eigenvalue(p, -h)) * f], axis=-1)
-    if basis == "spinorial":
-        return _frozen_boosted_pattern(p, family, kind, index)
-    f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
-    s = -h if family == "lambda" else h
-    return col(kin.boost_eigenvalue(p, s)) * _frozen_helicity_rest(f, family, kind, p.m)
-
-
-def _live_components(family, p, kind, index, basis, cfg):
-    if family == "lambda":
-        return sp.lambda_components(p, kind, index, basis, cfg)
-    if family == "rho":
-        return sp.rho_components(p, kind, index, basis, cfg)
-    return sp.dirac_components(p, kind, index, basis, cfg)
-
-
-_LABELS = [("lambda", "S"), ("lambda", "A"), ("rho", "S"), ("rho", "A"),
-           ("u", "particle"), ("v", "antiparticle")]
-_SPINORS = [(family, kind, index, basis) for (family, kind), index, basis
-            in itertools.product(_LABELS, sp.INDICES, sp.BASES)]
 _PHASES = sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta2=-2.3)
-
-
-def _assert_close(got, want, rel=4e-16):
-    """Per spinor, within rel of the largest component."""
-    scale = np.max(np.abs(want), axis=-1, keepdims=True)
-    assert np.all(np.abs(got - want) <= rel * scale)
-
-
-@pytest.mark.parametrize("family,kind,index,basis", _SPINORS)
-def test_spinor_keeps_its_bits_at_default_phases(batch, family, kind, index, basis):
-    """At N = 1, bit for bit, on every row.  On the batch the values are
-    those of the stacked expression and the zero signs those of its rows:
-    numpy's matmul takes a one-row product for one momentum and a stacked one
-    for a batch, and on the exact z-axis rows these round a zero part of
-    conj(f) @ Theta^T to opposite signs, where the elementwise frame kernel
-    gives the one-row answer for both."""
-    cfg = sp.PhaseConfig()
-    rows = []
-    for row in batch:
-        rows.append(_frozen_components(family, row, kind, index, basis, cfg))
-        assert_same_bits(_live_components(family, row, kind, index, basis, cfg), rows[-1])
-    live = _live_components(family, batch, kind, index, basis, cfg)
-    assert_same_bits(live, np.array(rows))
-    assert np.array_equal(live, _frozen_components(family, batch, kind, index, basis, cfg))
-
-
-@pytest.mark.parametrize("family,kind,index,basis", _SPINORS)
-def test_spinor_agrees_at_other_phases(batch, family, kind, index, basis):
-    """Away from the default phases the phase factors enter as scalars, so
-    the products associate differently: within 4e-16 of the largest
-    component."""
-    for p in (batch, batch[5], batch[-1], batch[len(batch) - 8]):
-        _assert_close(_live_components(family, p, kind, index, basis, _PHASES),
-                      _frozen_components(family, p, kind, index, basis, _PHASES))
 
 
 def test_dirac_columns_are_the_boost_columns(batch):
     for p in (batch, *batch):
         for side in ("R", "L"):
-            frozen = _frozen_boost_half(p, side)
-            assert_same_bits(kin.boost_half(p, side), frozen)
+            reference = boost_matrix(p, side)
+            assert_same_bits(kin.boost_half(p, side), reference)
             for j, column in enumerate(kin._boost_columns(p, side)):
-                assert_same_bits(mat.vector(*column), frozen[..., j])
-
-
-def _helicity_pieces(p, h, zeta, cfg):
-    """(f, zeta Theta f*) from the frame and from the frozen expressions."""
-    kind = "S" if zeta == 1j else "A"   # lambda's zeta
-    halves = sp._dressed_halves(p.helicity_ring, "lambda", kind, h, cfg)
-    live = halves[..., 2:], halves[..., :2]
-    f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
-    return live, (f, zeta * _frozen_wigner_image(f))
+                assert_same_bits(mat.vector(*column), reference[..., j])
 
 
 @pytest.mark.parametrize("h,zeta", itertools.product([1, -1], [1j, -1j]))
 def test_helicity_pair_and_its_wigner_image(batch, h, zeta):
-    """f = e phi_h and zeta Theta f* = -h zeta e* phi_{-h} against the
-    trigonometric 2-spinor and zeta conj(f) @ Theta^T, at N = 1 and on the
-    batch: f bit for bit and the image equal in value at default phases,
-    both within 4e-16 at others.  The signs of the image's zero parts are
-    the matmul's own (its one-row product makes every zero +0); they are
-    compared where they become spinor parts, in the rest spinor below."""
-    for p in (*batch, batch):
-        (f, image), (frozen_f, frozen_image) = _helicity_pieces(p, h, zeta, sp.PhaseConfig())
-        assert_same_bits(f, frozen_f)
-        assert np.array_equal(image, frozen_image)
-        for got, want in zip(*_helicity_pieces(p, h, zeta, _PHASES)):
-            _assert_close(got, want)
-
-
-@pytest.mark.parametrize("family,kind", _LABELS[:4])
-def test_helicity_rest_spinor(batch, family, kind):
-    for h, cfg in itertools.product((1, -1), (sp.PhaseConfig(), _PHASES)):
-        for p in (*batch, batch):
-            f = _frozen_helicity_spinor(*p.half_angles, h, cfg.theta1, cfg.theta2)
-            got = sp._helicity_rest(p.helicity_ring, family, kind, h, cfg, p.m)
-            want = _frozen_helicity_rest(f, family, kind, p.m)
-            if cfg == _PHASES:
-                _assert_close(got, want)
-            elif isinstance(p, kin.FourMomentum):
-                assert_same_bits(got, want)
-            else:
-                assert np.array_equal(got, want)
+    """The image half zeta Theta f* = -h zeta e* phi_{-h} that the helicity
+    spinors read off the frame, against zeta conj(f) @ Theta^T for the
+    reference f = e phi_h, at N = 1 and on the batch: equal in value at
+    default phases, within 4e-16 of the largest component at others.  The
+    signs of the image's zero parts are the matmul's own (its one-row
+    product makes every zero +0); the reference pins them in the spinors."""
+    kind = "S" if zeta == 1j else "A"   # lambda's zeta
+    for cfg, p in itertools.product((sp.PhaseConfig(), _PHASES), (*batch, batch)):
+        image = sp._dressed_halves(p.helicity_ring, "lambda", kind, h, cfg)[..., :2]
+        dense = zeta * (np.conj(cfg.factors[h < 0] * two_spinor(p, h)) @ mat.theta_half.T)
+        if cfg == _PHASES:
+            scale = np.max(np.abs(dense), axis=-1, keepdims=True)
+            assert np.all(np.abs(image - dense) <= 4e-16 * scale)
+        else:
+            assert np.array_equal(image, dense)
 
 
 def test_physical_states_are_one_gather(monkeypatch, batch):
@@ -481,8 +352,11 @@ def test_helicity_frame_is_derived_once_for_every_spinor(monkeypatch, batch):
     monkeypatch.setattr(kin, "_helicity_ring", counted)
     for p in (kin.make_momentum(0.3, -0.4, 0.5, 1.0), batch[2:40]):
         calls.clear()
-        for family, kind, index, basis in _SPINORS:
-            _live_components(family, p, kind, index, "helicity", _PHASES)
+        for kind, index in itertools.product(sp.KINDS_SELF, sp.INDICES):
+            sp.lambda_components(p, kind, index, "helicity", _PHASES)
+            sp.rho_components(p, kind, index, "helicity", _PHASES)
+        for sign, index in itertools.product(("particle", "antiparticle"), sp.INDICES):
+            sp.dirac_components(p, sign, index, "helicity", _PHASES)
         assert calls["ring"] == 1
 
 
