@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from elko import make_momentum
+from elko import kinematics as kin
 from elko import spinors as sp
+
+# the phase configurations under which the spinor factories are pinned
+PHASE_CONFIGS = (sp.PhaseConfig(), sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta2=-2.3),
+                 sp.PhaseConfig(theta1=1e-300, theta2=math.pi))
 
 
 def assert_same_bits(got, want):
@@ -68,3 +73,23 @@ def edge_rows():
     for boost in (1e3, 1e6, 1e9, 1e12):
         rows.append((0.48 * boost, -0.6 * boost, 0.64 * boost, 1.0))
     return rows
+
+
+@pytest.fixture(scope="session")
+def bit_rows(edge_rows):
+    """The rows on which the spinor factories are pinned bit for bit: the
+    edge rows, rows with signed zeros and subnormal components, a few
+    generic rows and single rows at rest, on and near the z axis and at
+    |p| = 1e6 m."""
+    signed = [(1.0, -0.0, 0.0, 1.0), (-0.0, 1.0, -0.0, 0.5), (-1.0, 0.0, -0.0, 1e-3),
+              (0.0, -0.0, 3.0, 1e-150), (-0.0, 0.0, -2.5, 0.8)]
+    subnormal = [(5e-324, 0.0, 1.5, 1.0), (0.0, 5e-324, -1.5, 2.0), (-5e-324, -0.0, 0.0, 1.0),
+                 (1e-310, -1e-310, 1e-300, 1.0), (2.0, -3.0, -1e-320, 0.5),
+                 (1e-160, 1e-160, -1e-160, 1e-150)]
+    generic = kin.sample_momenta(np.random.default_rng(15), 6)
+    single = [(0.0, 0.0, 0.0, 0.7), (0.0, 0.0, 2.5, 0.7), (0.0, -0.0, -2.5, 0.7),
+              (2.5 * math.sin(1e-8), 0.0, -2.5 * math.cos(1e-8), 0.7),
+              (0.6e6, -0.8e6, 0.0, 1.0), (0.0, -1.5, 0.0, 2.0)]
+    return [*edge_rows, *signed, *subnormal,
+            *zip(generic.px.tolist(), generic.py.tolist(), generic.pz.tolist(),
+                 generic.m.tolist()), *single]

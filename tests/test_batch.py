@@ -5,9 +5,10 @@ of N momenta must reproduce the N scalar calls: exactly for the boosts, u1
 and the helicity operators (the same real arithmetic in the same order; the
 operators down to their zero signs), and to 1e-15 relative for Xi and the
 transforms, whose trigonometric and exponential ufuncs may round
-differently on arrays and on scalars.  The spinor factories' rows are
-compared with their one-momentum calls, bit for bit, in
-``test_factory_forms``.
+differently on arrays and on scalars.  The spinor factories are exact
+too: each row is its one-momentum call, under every phase configuration
+of ``PHASE_CONFIGS``, on the rows ``test_factory_forms`` pins and on the
+generic rows.
 """
 
 import math
@@ -25,7 +26,7 @@ from elko.errors import DimensionError, DomainError
 from elko.matrices import theta_half
 from elko.suite import RunContext
 
-from conftest import assert_same_bits
+from conftest import PHASE_CONFIGS, assert_same_bits
 
 N = 1000
 HELICITY_RTOL = 1e-15
@@ -49,7 +50,36 @@ def _rows_close(batched, scalar_rows, rtol):
     assert np.all(err <= rtol * np.linalg.norm(scalar, axis=axes))
 
 
+FACTORIES = [(kernel, factory, kind, index)
+             for kernel, factory, kinds in (
+                 (sp.lambda_components, sp.lambda_spinor, sp.KINDS_SELF),
+                 (sp.rho_components, sp.rho_spinor, sp.KINDS_SELF),
+                 (sp.dirac_components, sp.dirac_spinor, ("particle", "antiparticle")))
+             for kind in kinds for index in sp.INDICES]
+
+
+@pytest.fixture(scope="module")
+def spinor_rows(bit_rows, rows):
+    """The rows of ``test_factory_forms``, then the generic rows."""
+    return [*(kin.make_momentum(*row) for row in bit_rows), *rows]
+
+
+def _rows_are_their_calls(momenta, kernel, factory, kind, index, basis):
+    batch = kin.as_batch(momenta)
+    for cfg in PHASE_CONFIGS:
+        assert_same_bits(kernel(batch, kind, index, basis, cfg),
+                         [factory(p, kind, index, basis, cfg).components for p in momenta])
+
+
 class TestSpinorKernels:
+    @pytest.mark.parametrize("kernel,factory,kind,index", FACTORIES)
+    def test_spinorial_bit_identical(self, spinor_rows, kernel, factory, kind, index):
+        _rows_are_their_calls(spinor_rows, kernel, factory, kind, index, "spinorial")
+
+    @pytest.mark.parametrize("kernel,factory,kind,index", FACTORIES)
+    def test_helicity_rows_match(self, spinor_rows, kernel, factory, kind, index):
+        _rows_are_their_calls(spinor_rows, kernel, factory, kind, index, "helicity")
+
     def test_boosts_bit_identical(self, rows):
         # the last row's off-diagonal entries have subnormal parts whose
         # products round to zero, with a sign that the product form decides

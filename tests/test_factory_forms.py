@@ -16,15 +16,15 @@ momentum it reads the components and the fields ``half_angles``,
 
 Each product keeps the factories' operand order, a table times its scale:
 numpy's complex product fuses a multiply-add, so the order decides the sign
-of a zero part, which ``elko eval`` prints.  One test compares every output
-with the reference under three phase configurations: at one momentum, on
-one batch, and each one-momentum call with its row of the batch.  The rows
-are the edges of the domain, rows with signed-zero and subnormal components,
-generic rows and a 1000-row generic batch.
+of a zero part, which ``elko eval`` prints.  Two tests compare every output
+with the reference under the three ``PHASE_CONFIGS``: at one momentum, and
+on one batch.  The rows are ``bit_rows`` (the edges of the domain, rows with
+signed-zero and subnormal components, generic rows), one at a time and as
+one batch with 1000 generic rows.  ``test_batch`` checks that each
+one-momentum call is its row of the batch.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -34,10 +34,8 @@ from elko import kinematics as kin
 from elko import spinors as sp
 from elko.matrices import matrix2, rownorm, vector
 
-from conftest import assert_same_bits
+from conftest import PHASE_CONFIGS, assert_same_bits
 
-_CONFIGS = (sp.PhaseConfig(), sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta2=-2.3),
-            sp.PhaseConfig(theta1=1e-300, theta2=math.pi))
 _FACTORIES = ([(sp.lambda_spinor, "lambda", kind) for kind in sp.KINDS_SELF]
               + [(sp.rho_spinor, "rho", kind) for kind in sp.KINDS_SELF]
               + [(sp.dirac_spinor, "u", "particle"), (sp.dirac_spinor, "v", "antiparticle")])
@@ -45,30 +43,11 @@ _SPINORS = list(itertools.product(_FACTORIES, sp.INDICES, sp.BASES))
 
 
 @pytest.fixture(scope="module")
-def rows(edge_rows):
-    """The edge rows, rows with signed zeros and subnormal components, a few
-    generic rows and single rows at rest, on and near the z axis and at
-    |p| = 1e6 m."""
-    signed = [(1.0, -0.0, 0.0, 1.0), (-0.0, 1.0, -0.0, 0.5), (-1.0, 0.0, -0.0, 1e-3),
-              (0.0, -0.0, 3.0, 1e-150), (-0.0, 0.0, -2.5, 0.8)]
-    subnormal = [(5e-324, 0.0, 1.5, 1.0), (0.0, 5e-324, -1.5, 2.0), (-5e-324, -0.0, 0.0, 1.0),
-                 (1e-310, -1e-310, 1e-300, 1.0), (2.0, -3.0, -1e-320, 0.5),
-                 (1e-160, 1e-160, -1e-160, 1e-150)]
-    generic = kin.sample_momenta(np.random.default_rng(15), 6)
-    single = [(0.0, 0.0, 0.0, 0.7), (0.0, 0.0, 2.5, 0.7), (0.0, -0.0, -2.5, 0.7),
-              (2.5 * math.sin(1e-8), 0.0, -2.5 * math.cos(1e-8), 0.7),
-              (0.6e6, -0.8e6, 0.0, 1.0), (0.0, -1.5, 0.0, 2.0)]
-    return [*edge_rows, *signed, *subnormal,
-            *zip(generic.px.tolist(), generic.py.tolist(), generic.pz.tolist(),
-                 generic.m.tolist()), *single]
-
-
-@pytest.fixture(scope="module")
-def batch(rows):
-    """The rows, then 1000 generic rows, as one batch."""
+def batch(bit_rows):
+    """The bit rows, then 1000 generic rows, as one batch."""
     generic = kin.sample_momenta(np.random.default_rng(11), 1000)
     return kin.make_momenta(*np.concatenate(
-        [np.array(rows).T, [generic.px, generic.py, generic.pz, generic.m]], axis=1))
+        [np.array(bit_rows).T, [generic.px, generic.py, generic.pz, generic.m]], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +126,35 @@ def reference_components(family, p, kind, index, basis, cfg):
     return rest * col(_eigenvalue_factor(p, -h if family == "lambda" else h))
 
 
-@pytest.mark.parametrize("factory,index,basis", _SPINORS,
-                         ids=[f"{f[1]}-{f[2]}-{i}-{b}" for f, i, b in _SPINORS])
-def test_factory_keeps_its_bits(rows, batch, factory, index, basis):
-    """Each factory output against the reference, for every configuration:
-    at one momentum, with the labels of the public construction; on the
-    batch; and each one-momentum call against its row of the batch."""
+_IDS = [f"{f[1]}-{f[2]}-{i}-{b}" for f, i, b in _SPINORS]
+
+
+@pytest.mark.parametrize("factory,index,basis", _SPINORS, ids=_IDS)
+def test_factory_keeps_its_bits(bit_rows, factory, index, basis):
+    """Each factory output against the reference at one momentum, for every
+    configuration, with the labels of the public construction."""
     fn, family, kind = factory
-    components = {"lambda": sp.lambda_components, "rho": sp.rho_components}.get(
-        family, sp.dirac_components)
-    for cfg in _CONFIGS:
-        singles = []
-        for row in rows:
+    for cfg in PHASE_CONFIGS:
+        for row in bit_rows:
             p = kin.make_momentum(*row)
             got = fn(p, kind, index, basis, cfg)
             assert (got.family, got.kind, got.index, got.basis) == (family, kind, index, basis)
             assert got.momentum is p
             assert_same_bits(got.components, reference_components(family, p, kind, index,
                                                                   basis, cfg))
-            singles.append(got.components)
-        got = components(batch, kind, index, basis, cfg)
-        assert_same_bits(got, reference_components(family, batch, kind, index, basis, cfg))
-        assert_same_bits(got[:len(rows)], np.array(singles))
+
+
+@pytest.mark.parametrize("factory,index,basis", _SPINORS, ids=_IDS)
+def test_components_keep_their_bits_on_a_batch(batch, factory, index, basis):
+    """Each components kernel against the reference on the batch, for every
+    configuration.  That each row is its one-momentum call is checked in
+    ``test_batch``."""
+    _, family, kind = factory
+    components = {"lambda": sp.lambda_components, "rho": sp.rho_components}.get(
+        family, sp.dirac_components)
+    for cfg in PHASE_CONFIGS:
+        assert_same_bits(components(batch, kind, index, basis, cfg),
+                         reference_components(family, batch, kind, index, basis, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +200,10 @@ def _frozen_eight_component_residual(p, conv):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_coupled_residuals_keep_their_bits(rows, sign):
+def test_coupled_residuals_keep_their_bits(bit_rows, sign):
     conv = dyn.FrequencyConvention(sign)
-    batch = kin.make_momenta(*np.array(rows).T)
-    for p in (*(kin.make_momentum(*row) for row in rows), batch):
+    batch = kin.make_momenta(*np.array(bit_rows).T)
+    for p in (*(kin.make_momentum(*row) for row in bit_rows), batch):
         got = dyn.coupled_system_residual(p, conv)
         want = _frozen_coupled_residual(p, conv)
         assert len(got) == len(want) == 4
@@ -227,12 +213,12 @@ def test_coupled_residuals_keep_their_bits(rows, sign):
                          _frozen_eight_component_residual(p, conv))
 
 
-def test_physical_states_and_coupled_rows_keep_their_bits(rows):
+def test_physical_states_and_coupled_rows_keep_their_bits(bit_rows):
     """``physical_states`` is one row-major block of the per-state factory
     outputs, bit for bit, and ``coupled_equations`` on it the frozen rows,
     under both conventions."""
-    batch = kin.make_momenta(*np.array(rows).T)
-    for p in (*(kin.make_momentum(*row) for row in rows), batch):
+    batch = kin.make_momenta(*np.array(bit_rows).T)
+    for p in (*(kin.make_momentum(*row) for row in bit_rows), batch):
         states, want = dyn.physical_states(p), _factory_states(p)
         assert states.flags.c_contiguous
         assert_same_bits(states, want)
