@@ -188,7 +188,9 @@ def markov_superposition(p, particle_weights=(1.0, 0.0),
     where chi and eta are (N, 4) rows.  The pair satisfies the
     cross-coupled system gamma.p chi = m eta, gamma.p eta = m chi, and the
     map (psi1, psi2) -> (chi, eta) is an isometry of the stacked norm.
+    A weight that is not finite raises ``DomainError``.
     """
+    check_finite(particle_weights=particle_weights, antiparticle_weights=antiparticle_weights)
     w1, w2 = (np.asarray(w)[..., None] for w in (particle_weights, antiparticle_weights))
     psi1 = (w1[0] * dirac_components(p, "particle", "up")
             + w1[1] * dirac_components(p, "particle", "down"))
@@ -278,8 +280,10 @@ def lagrangian_mass_term(lambda_s, rho_a, lambda_a, rho_s, m: float) -> complex:
     """-m (lbar^S rho^A + rbar^A lambda^S - lbar^A rho^S - rbar^S lambda^A).
 
     Accepts Bispinors or bare 4-vectors; real whenever the two pairings are
-    mutual conjugates, which they are for any field configuration.
+    mutual conjugates, which they are for any field configuration.  A mass
+    that is not finite raises ``DomainError``.
     """
+    check_finite(m=m)
     return -m * (
         bar_product(lambda_s, rho_a)
         + bar_product(rho_a, lambda_s)
@@ -293,8 +297,10 @@ def doublet_mass_term(d, r, m: float) -> complex:
 
     With d = (lambda^S, lambda^A) and r = (rho^A, -rho^S) this equals the
     Lagrangian mass term; the doublet form is the one left invariant by a
-    common SU(2) phase rotation of d and r.
+    common SU(2) phase rotation of d and r.  A mass that is not finite
+    raises ``DomainError``.
     """
+    check_finite(m=m)
     total = 0.0 + 0.0j
     for di, ri in zip(d, r):
         total += bar_product(di, ri) + bar_product(ri, di)

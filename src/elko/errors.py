@@ -42,7 +42,10 @@ class CoordinateSingularityError(DomainError):
 
 
 class AmbiguousIntertwinerError(ElkoError):
-    """The intertwiner solution space has dimension > 1; the caller must constrain."""
+    """The pinned intertwiner Xi failed its assertion on the R or the L boost
+    pair (``kinematics._xi``).  The intertwiner equation alone leaves a
+    solution family of ``dimension`` 2; Xi is pinned to one member of it,
+    and this is raised when that member does not intertwine the pair."""
 
     def __init__(self, dimension, message=None):
         self.dimension = dimension

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,55 +64,30 @@ def _read_only(*fields):
     return fields[0] if len(fields) == 1 else fields
 
 
-class _field:
-    """A derived field, computed on first read and stored in the instance
-    ``__dict__`` under its own name.  As a non-data descriptor it is found
-    only while that entry is missing, so every later read is a plain
-    attribute lookup.  ``functools.cached_property`` does the same, but up
-    to Python 3.11 it takes a lock on each first read, which costs more than
-    many of the fields themselves.  Without the lock, threads that read a
-    missing field at once may each compute it; the computation is a pure
-    function of the immutable object, so the values stored are equal, bit
-    for bit."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 class _OnShell:
     """Derived fields of (px, py, pz, m, E): floats for one momentum,
-    read-only (N,) arrays for a batch.  Each is a ``_field``: computed on
-    first use and kept in the momentum object's ``__dict__``.  The momentum
-    is immutable, so a field cannot go stale, and a slice, a mask or a
-    reflection (a new object) computes its own."""
+    read-only (N,) arrays for a batch.  Each is a ``cached_property``:
+    computed on first use and kept in the momentum object's ``__dict__``.
+    The momentum is immutable, so a field cannot go stale, and a slice, a
+    mask or a reflection (a new object) computes its own."""
 
-    @_field
+    @cached_property
     def p_r(self):
         return _read_only(self.px + 1j * self.py)
 
-    @_field
+    @cached_property
     def p_l(self):
         return _read_only(self.px - 1j * self.py)
 
-    @_field
+    @cached_property
     def p_perp2(self):
         return _read_only(self.px * self.px + self.py * self.py)
 
-    @_field
+    @cached_property
     def p_abs(self):
         return _read_only(_sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz))
 
-    @_field
+    @cached_property
     def half_angles(self):
         """(cos(theta/2), sin(theta/2), phi) of the direction, phi in
         [0, 2 pi); (1, 0, 0) at rest.
@@ -122,7 +98,7 @@ class _OnShell:
         still be sigma.p-hat eigenvectors to full precision."""
         return _read_only(*_half_angles(self))
 
-    @_field
+    @cached_property
     def helicity_ring(self):
         """(phi_+, phi_+, phi_-, phi_-, phi_+) in one array, (10,) at one
         momentum, (N, 10) on a batch, for the sigma.p-hat eigen-2-spinors
@@ -131,19 +107,19 @@ class _OnShell:
         one window of it (``_ring_window``)."""
         return _read_only(_helicity_ring(*self.half_angles))
 
-    @_field
+    @cached_property
     def xi(self):
         """Xi = diag(1, e^{-2 i phi}) / sqrt(2), asserted against both
         boosts; (2, 2) at one momentum, (N, 2, 2) on a batch.  See
         ``operators.xi_matrix``."""
         return _read_only(_xi(self))
 
-    @_field
+    @cached_property
     def boost_norm(self):
         """sqrt(2 m (E + m)), the denominator of the spin-1/2 boosts."""
         return _read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
 
-    @_field
+    @cached_property
     def boost_off_diagonal(self):
         """(c p_r, c p_l, -c p_r, -c p_l) with c = 1 / sqrt(2 m (E + m)):
         the off-diagonal entries of Lambda_R, then of Lambda_L; complex
@@ -156,7 +132,7 @@ class _OnShell:
         pr, pl = self.p_r, self.p_l
         return tuple(_read_only(np.multiply([c, c, -c, -c], (pr, pl, pr, pl))))
 
-    @_field
+    @cached_property
     def pattern_diagonal(self):
         """(E + pz + m, E - pz + m, c = 1 / (2 sqrt(E + m))): the diagonal
         of E + m + sigma.p and the scale c with sqrt(m/2) Lambda_{R,L} =

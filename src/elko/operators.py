@@ -38,8 +38,8 @@ from .errors import (
     check_label,
 )
 from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
-from .matrices import (CMatrix, block_diag2, blocks, gamma0, gamma2, gamma5, matvec, pauli_dot,
-                       rownorm)
+from .matrices import (CMatrix, block_diag2, blocks, gamma0, gamma2, gamma5, matrix2, matvec,
+                       pauli_dot, rownorm)
 from .spinors import BASES, PhaseConfig, dirac_components, lambda_components
 
 
@@ -144,8 +144,6 @@ def _sigma_n_entries(p):
 # ---------------------------------------------------------------------------
 
 _TINY = np.finfo(float).tiny
-# slots 0-2 hold the block's entries s, r p_l and -r p_r, slot 3 a zero
-_U1_INDEX = np.array([[0, 1, 3, 3], [2, 0, 3, 3], [3, 3, 0, 1], [3, 3, 2, 0]])
 
 
 def u1(p) -> CMatrix:
@@ -157,8 +155,8 @@ def u1(p) -> CMatrix:
     |p| + pz is formed as p_perp^2 / (|p| - pz), which does not cancel.
     Momentum on the -z axis hits the coordinate singularity and is rejected;
     so is momentum where p_perp^2, |p|+pz or cos^2(theta/2) is subnormal.
-    Both guards count elementwise comparisons and the matrix is one gather
-    from (s, r p_l, -r p_r, 0): one body for floats and (N,) arrays.
+    Both guards count elementwise comparisons: one body for floats and (N,)
+    arrays.
     """
     pabs, pz = p.p_abs, p.pz
     if np.count_nonzero(pabs == 0.0):
@@ -173,8 +171,8 @@ def u1(p) -> CMatrix:
     r = s / denom
     # numpy's complex product, which fuses its multiply-add, unlike Python's
     upper, lower = np.multiply((r, -r), (p.p_l, p.p_r))
-    table = np.array([s, upper, lower, 0.0 * s], dtype=complex)   # s >= 0: 0 s = +0
-    return table.T.take(_U1_INDEX, axis=-1)
+    b = matrix2(s, upper, lower, s)
+    return block_diag2(b, b)
 
 
 def u2() -> CMatrix:
@@ -228,8 +226,10 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     of the intertwining relation, but the mapped-family identities fix it).
     The momentum's cached Xi is read, not rebuilt.
     """
-    # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1
-    phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
+    # sqrt(2) e^{i phi} Xi = diag(e^{i phi}, e^{-i phi}) = U* U^dagger: coefficient 1;
+    # px + 0.0 turns -0.0 into +0.0, as the helicity frame does, so that phi
+    # is 0, not +-pi, on the z axis
+    phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px + 0.0)))[..., None, None]
     xu = math.sqrt(2.0) * phase * xi_matrix(p)
     z = np.zeros_like(xu)
     return [blocks(xu, z, z, xu), blocks(1j * xu, z, z, -1j * xu),

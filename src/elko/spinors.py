@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .errors import DomainError, check_finite, check_label
 from .kinematics import (
     FourMomentum,
     _boost_columns,
-    _field,
     _helicity_ring,
     _read_only,
     _ring_window,
@@ -55,8 +55,8 @@ class PhaseConfig:
     be finite (``DomainError`` otherwise).
 
     theta_c is the charge-conjugation phase; theta1/theta2 dress the +/-
-    helicity 2-spinors.  The phase factors are derived fields (like a
-    momentum's, see ``kinematics._field``): computed on first use and kept
+    helicity 2-spinors.  The phase factors are derived fields, like a
+    momentum's: each a ``cached_property``, computed on first use and kept
     with the configuration, which is immutable.
     """
 
@@ -69,12 +69,12 @@ class PhaseConfig:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"phase {name} must be finite, got {getattr(self, name)}")
 
-    @_field
+    @cached_property
     def factors(self):
         """(e^{i theta1}, e^{i theta2})."""
         return np.exp(1j * self.theta1), np.exp(1j * self.theta2)
 
-    @_field
+    @cached_property
     def dressings(self):
         """For h = +1 and -1, the factors of a helicity rest spinor's four
         components with e = e^{i theta_h}: (e*, e*, e, e), the Wigner image

@@ -20,6 +20,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -1016,11 +1017,12 @@ def _boost_one_z_eigen(ctx, key):
 
 def run_suite(name: str, seed: int, samples: int,
               force_convention: str | None = None) -> VerificationReport:
-    """Execute every check of the named suite deterministically."""
-    if samples < 1:
-        raise UsageError("samples must be >= 1")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    """Execute every check of the named suite deterministically.  A seed that
+    is not an integer >= 0, or a sample count that is not an integer >= 1
+    (a bool is neither), raises ``UsageError``."""
+    for label, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise UsageError(f"{label} must be an integer >= {least}, got {value!r}")
     checks = suite_checks(name)
     if force_convention not in (None, "+", "-"):
         raise UsageError("force_convention must be '+' or '-'")

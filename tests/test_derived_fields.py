@@ -132,10 +132,12 @@ def test_new_momentum_objects_get_their_own_fields(batch):
 
 
 def test_concurrent_first_reads_agree(batch):
-    """The fields take no lock: threads that read a missing field at once
-    may each compute it, and each stores an equal value.  Eight threads
-    read every field of fresh momenta, with a short switch interval; every
-    value read is the field's expression, bit for bit."""
+    """Each field is a ``functools.cached_property``.  Up to Python 3.11 a
+    first read takes the property's lock, so other threads wait for it; from
+    3.12 there is no lock, and threads that read a missing field at once may
+    each compute it, each storing an equal value.  Eight threads read every
+    field of fresh momenta, with a short switch interval; every value read
+    is the field's expression, bit for bit."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -128,6 +128,13 @@ class TestMarkov:
         after = np.linalg.norm(pair.chi) ** 2 + np.linalg.norm(pair.eta) ** 2
         assert after == pytest.approx(before, rel=1e-12)
 
+    @pytest.mark.parametrize("weights", [((math.nan, 0.0), (1.0, 0.0)),
+                                         ((1.0, 0.0), (0.0, math.inf))])
+    def test_non_finite_weight_rejected(self, weights):
+        p = make_momentum(0.3, -0.4, 1.2, 1.0)
+        with pytest.raises(DomainError, match="weights must be finite"):
+            dyn.markov_superposition(p, *weights)
+
 
 class TestSenGupta:
     def test_reduces_to_dirac_at_zero_pseudoscalar_mass(self, random_momenta):
@@ -372,6 +379,18 @@ class TestMassTerm:
         # an (N, 2, 2) stack rotates (N, 4) doublets row by row
         batched = dyn.rotate_doublet(np.array(us), tuple(np.array(ds).transpose(1, 0, 2)))
         assert np.array_equal(np.array(batched), np.array(rotated).transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected_by_lagrangian_term(self, m):
+        v = np.ones(4, dtype=complex)
+        with pytest.raises(DomainError, match="m must be finite"):
+            dyn.lagrangian_mass_term(v, v, v, v, m)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected_by_doublet_term(self, m):
+        v = np.ones(4, dtype=complex)
+        with pytest.raises(DomainError, match="m must be finite"):
+            dyn.doublet_mass_term((v, v), (v, v), m)
 
     def test_doublet_form_matches_lagrangian_pairing(self, random_momenta):
         p = random_momenta(1)[0]

@@ -225,10 +225,11 @@ class TestUnitaryChain:
 # the numpy forms of u1, direction() and the helicity operators, frozen
 # ---------------------------------------------------------------------------
 #
-# The operators now build their 4x4 matrices from their entries and guard
-# with np.count_nonzero; these are the np.any guards, matrix2 and
-# block_diag2 they replaced, kept as the reference for which momenta raise
-# and for the bits of what returns.
+# u1 and direction() now guard with np.count_nonzero, direction() divides
+# each component by the cached |p|, and helicity_operator gathers its 4x4
+# matrix from the entries of sigma.n; these are the np.any guards, the
+# vector division and the block_diag2 form they replaced, kept as the
+# reference for which momenta raise and for the bits of what returns.
 
 def _frozen_direction(p):
     pabs = p.p_abs
@@ -404,20 +405,28 @@ class TestLambdaBasisTransforms:
                     assert c == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("row", [
-        (1.0, -1e-300, 0.3),         # phi rounds to 2 pi and folds onto 0
-        (1e-9, 1e-9, 1.0),           # near +z
-        (1e-9, -2e-9, -1.0),         # near -z
-        (3e-8, 1e-9, -1.0),
-        (0.0, 0.0, 1.0),             # on +z
+        (1.0, -1e-300, 0.3, 1.0),    # phi rounds to 2 pi and folds onto 0
+        (1e-9, 1e-9, 1.0, 1.0),      # near +z
+        (1e-9, -2e-9, -1.0, 1.0),    # near -z
+        (3e-8, 1e-9, -1.0, 1.0),
+        (0.0, 0.0, 1.0, 1.0),        # on +z
+        # on the axes, signed zeros among them: a parity-reflected z-axis
+        # momentum has px = -0.0
+        (0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7), (-0.0, -0.0, 3.0, 1.0),
+        (2.0, 0.0, 0.0, 1.0), (-2.0, 0.0, 0.0, 1.0), (0.0, 2.0, 0.0, 1.0),
+        (0.0, -2.0, 0.0, 1.0), (-1.0, -0.0, 0.5, 1.0), (-1.0, 1e-300, 0.0, 1.0),
     ])
     def test_first_coefficient_is_one(self, row):
-        """Xi's phase is e^{i phi} in closed form: the first transform maps
-        lambda_S up onto lambda_A up* with coefficient 1 to rounding."""
-        p = make_momentum(*row, 1.0)
+        """Xi's phase is e^{i phi} in closed form: the four transforms map
+        lambda_S up onto lambda_A up*, lambda_S up*, gamma0 lambda_A up* and
+        gamma0 lambda_S up* with coefficients (c, -i c, i c, c), c = 1 to
+        rounding (the targets carry the -i and i)."""
+        p = make_momentum(*row)
         ls, targets = self._targets(p, 1)
-        img = ops.lambda_basis_transforms(p)[0] @ ls
-        c = np.vdot(targets[0], img) / np.vdot(targets[0], targets[0])
-        assert abs(c - 1.0) <= 1e-15
+        for t, target in zip(ops.lambda_basis_transforms(p), targets):
+            img = t @ ls
+            c = np.vdot(target, img) / np.vdot(target, target)
+            assert abs(c - 1.0) <= 1e-15
 
     def test_first_coefficient_is_one_on_a_batch(self):
         batch = sample_momenta(np.random.default_rng(3), 1000)

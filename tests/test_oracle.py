@@ -167,7 +167,7 @@ def _symbolic_momentum():
     p = SimpleNamespace(E=energy, m=m, pz=pz, p_r=px + I * py, p_l=px - I * py,
                         boost_norm=sympy.sqrt(2 * m * (energy + m)))
     # the library's own expression for the boosts' off-diagonal entries
-    p.boost_off_diagonal = kin._OnShell.boost_off_diagonal.compute(p)
+    p.boost_off_diagonal = kin._OnShell.boost_off_diagonal.func(p)
     boosts = [((energy + m) * EYE2 + sign * _sigma_dot((px, py, pz)))
               / sympy.sqrt(2 * m * (energy + m)) for sign in (1, -1)]
     return p, boosts, (px, py, pz, m)

@@ -2,11 +2,10 @@
 
 A fixed matrix acts on all rows as one product, the intertwiner residual is
 formed from Xi's diagonal, Xi is built and asserted once per momentum from
-the boost columns and the lambda-basis transforms are one gather from it,
-gamma.p is built from its sigma.p blocks and applied by them, the coupled
-rows of both indices come from one call, the span residual projects by
-Gram-Schmidt and the spin-1 checks scan every (construction, h) pair at
-once.  Each is compared with the dense or per-call form on generic rows and
+the boost columns, gamma.p is built from its sigma.p blocks and applied by
+them, the coupled rows of both indices come from one call, the span
+residual projects by Gram-Schmidt and the spin-1 checks scan every
+(construction, h) pair at once.  Each is compared with the dense or per-call form on generic rows and
 on the edges of the domain: a rest row, rows along +-z, a row 1e-8 rad off
 -z and |p|/m up to 1e12.
 """
@@ -459,29 +458,3 @@ def test_slices_masks_and_reflections_assert_their_own_xi(monkeypatch, moving):
     for q in (p[2:9], p[mask], kin.parity_reflect(p)):
         with pytest.raises(AmbiguousIntertwinerError, match="failed the R pair"):
             ops.xi_matrix(q)
-
-
-def _block_transforms(p):
-    """The four transforms as the block forms the gather replaced."""
-    phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px)))[..., None, None]
-    xi = math.sqrt(2.0) * phase * ops.xi_matrix(p)
-    z = np.zeros_like(xi)
-    return [mat.blocks(xi, z, z, xi), mat.blocks(1j * xi, z, z, -1j * xi),
-            mat.blocks(z, 1j * xi, 1j * xi, z), mat.blocks(z, xi, -xi, z)]
-
-
-def test_lambda_basis_transforms_keep_the_block_bits(moving):
-    """One gather gives the bits of the block forms, zero signs included, at
-    one momentum and on a batch with rows on the axes (+-z among them)."""
-    axes = [(0.0, 0.0, 2.0, 0.7), (0.0, 0.0, -2.0, 0.7), (-0.0, -0.0, 3.0, 1.0),
-            (2.0, 0.0, 0.0, 1.0), (-2.0, 0.0, 0.0, 1.0), (0.0, 2.0, 0.0, 1.0),
-            (0.0, -2.0, 0.0, 1.0), (-1.0, -0.0, 0.5, 1.0), (-1.0, 1e-300, 0.0, 1.0)]
-    extra = np.array(axes).T
-    batch = kin.make_momenta(*(np.concatenate([g, e]) for g, e in zip(
-        (moving.px, moving.py, moving.pz, moving.m), extra)))
-    assert np.count_nonzero(batch.p_perp2 == 0.0) >= 4
-    for p in [batch, batch[-len(axes):]] + list(batch[::7]) + list(batch[-len(axes):]):
-        got, want = ops.lambda_basis_transforms(p), _block_transforms(p)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == np.ascontiguousarray(w).tobytes()

@@ -95,6 +95,20 @@ def test_unknown_suite_rejected():
         run_suite("spin-half", seed=1, samples=0)
 
 
+@pytest.mark.parametrize("seed, samples", [(1.5, 10), (1, 10.7), (True, 10), (1, True),
+                                           (-1, 10), (1, 0)])
+def test_seed_and_samples_must_be_integers(seed, samples):
+    """A fractional or bool seed or sample count is rejected, not truncated."""
+    with pytest.raises(UsageError, match="must be an integer"):
+        run_suite("spin-one", seed, samples)
+
+
+def test_numpy_integer_seed_and_samples_are_accepted():
+    report = run_suite("spin-one", np.int64(2), np.int64(3))
+    assert (report.seed, report.samples) == (2, 3)
+    assert report.to_json() == run_suite("spin-one", 2, 3).to_json()
+
+
 def test_reports_are_byte_identical_for_fixed_inputs():
     a = run_suite("spin-half", seed=7, samples=5).to_json()
     b = run_suite("spin-half", seed=7, samples=5).to_json()
