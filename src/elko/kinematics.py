@@ -346,7 +346,7 @@ def _xi(p):
     asserted on every row for both boosts."""
     if np.count_nonzero(p.p_abs == 0.0):
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
-    twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px)))[..., None, None]
+    twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px + 0.0)))[..., None, None]
     xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
     for side in ("R", "L"):
         resid, norm = _intertwiner_residual(xi, p, side)

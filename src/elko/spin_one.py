@@ -131,6 +131,10 @@ _GRID_POINTS = 720   # the unit circle in steps of 0.5 degree
 _REFINE_POINTS = 17   # points per refinement step; the bracket shrinks 8x
 _REFINE_STEPS = 15    # from +-1 grid step (8.7e-3 rad) down to +-2.5e-16 rad
 _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+# step k's bracket half-width h_k, and its weights [1, conj(u), u] at each
+# offset o, u = e^{i h_k o}: (steps,) and (steps, points, 3)
+_HALVES = (2.0 * math.pi / _GRID_POINTS) * (2.0 / (_REFINE_POINTS - 1)) ** np.arange(_REFINE_STEPS)
+_WEIGHTS = np.exp(1j * _HALVES[:, None, None] * _OFFSETS[:, None] * np.array([0.0, -1.0, 1.0]))
 
 
 def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
@@ -180,7 +184,12 @@ def scan_pairs(x, y, op: SymmetryOperator):
     The grid only picks the best sample; the refinement narrows a bracket
     around it by taking the best of evenly spaced points each step, on
     |d(t)|^2 summed from the components of d: the expanded polynomial would
-    cancel there, to ~1e-8 in |d(t)| / |s| at the exact zeros.
+    cancel there, to ~1e-8 in |d(t)| / |s| at the exact zeros.  Step k's
+    bracket half-width h_k is the same on every row, so at t = c + h_k o
+    the factor e^{i h_k o} = u is shared: d = c0 + conj(u) (e^{-ic} c1) +
+    u (e^{ic} c2), and a step is one exponential per row and one product
+    of the step's weights [1, conj(u), u], built at import, with the three
+    terms of all rows.
     """
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
@@ -204,12 +213,17 @@ def scan_pairs(x, y, op: SymmetryOperator):
     best = np.argmin(coeffs @ basis, axis=-1)            # ties resolve to the smaller angle
 
     # refinement on the direct |d|^2; each step keeps the best point and
-    # its two neighbours as the next bracket
-    centre, half = args[best], step
-    for _ in range(_REFINE_STEPS):
-        z = np.exp(1j * (centre[..., None] + half * _OFFSETS))[..., None]   # (2, N, R, 1)
-        d = c0[..., None, :] + np.conj(z) * b[:, None] + z * c2[..., None, :]
-        d2 = sqnorm(d)
-        centre = centre + half * _OFFSETS[np.argmin(d2, axis=-1)]
-        half = half * 2.0 / (_REFINE_POINTS - 1)
-    return np.exp(1j * centre), np.sqrt(np.min(d2, axis=-1)) / norm
+    # its two neighbours as the next bracket; terms holds c0, e^{-ic} b and
+    # e^{ic} c2 for the shared weights
+    terms = np.empty((3,) + c0.shape, dtype=complex)       # (3, 2, N, 6)
+    terms[0] = c0
+    centre = args[best]
+    for half, weights in zip(_HALVES, _WEIGHTS):
+        e = np.exp(1j * centre)[..., None]
+        np.multiply(np.conj(e), b, out=terms[1])
+        np.multiply(e, c2, out=terms[2])
+        d = (weights @ terms.reshape(3, -1)).view(float).reshape(
+            _REFINE_POINTS, *c0.shape[:-1], -1)             # (R, 2, N, 12), re/im interleaved
+        d2 = np.einsum("...i,...i->...", d, d)
+        centre = centre + half * _OFFSETS[np.argmin(d2, axis=0)]
+    return np.exp(1j * centre), np.sqrt(np.min(d2, axis=0)) / norm

@@ -204,8 +204,8 @@ class TestSpinOneKernels:
             rows = [getattr(one, field) for one in singles]
             assert batched.zeta.shape == batched.residual.shape == (len(mixed),)
             assert isinstance(rows[0].zeta, complex) and isinstance(rows[0].residual, float)
-            assert np.all(np.abs(batched.zeta - [r.zeta for r in rows]) <= 1e-15)
-            assert np.all(np.abs(batched.residual - [r.residual for r in rows]) <= 1e-14)
+            assert np.array_equal(batched.zeta, [r.zeta for r in rows])
+            assert np.array_equal(batched.residual, [r.residual for r in rows])
         assert isinstance(singles[0].floor_exceeded, bool)
         assert list(scan.floor_exceeded) == [one.floor_exceeded for one in singles]
         assert all(scan.floor_exceeded) == (op == "sc")

@@ -344,6 +344,23 @@ class TestXiMatrix:
         with pytest.raises(DirectionUndefinedError):
             ops.xi_matrix(make_momentum(0, 0, 0, 1.0))
 
+    @pytest.mark.parametrize("pz", [3.0, -2.0])
+    @pytest.mark.parametrize("py", [0.0, -0.0])
+    def test_signed_zero_z_axis_is_the_z_axis(self, py, pz):
+        """px = -0.0 (a parity-reflected z-axis momentum) reads phi = 0 in
+        Xi's twist as in the transforms' phase, not +-pi: Xi and the four
+        transforms equal their (0, 0, pz) values bit for bit, one momentum
+        and a batch row alike."""
+        axis, signed = make_momentum(0.0, 0.0, pz, 1.0), make_momentum(-0.0, py, pz, 1.0)
+        batch = make_momenta([-0.0, 0.0], [py, 0.0], [pz, pz], [1.0, 1.0])
+        assert_same_bits(ops.xi_matrix(signed), ops.xi_matrix(axis))
+        assert_same_bits(ops.xi_matrix(batch)[0], ops.xi_matrix(axis))
+        for got, row, want in zip(ops.lambda_basis_transforms(signed),
+                                  ops.lambda_basis_transforms(batch),
+                                  ops.lambda_basis_transforms(axis)):
+            assert_same_bits(got, want)
+            assert_same_bits(row[0], want)
+
     @settings(max_examples=100, deadline=None)
     @given(log_m=st.floats(-6.0, 6.0), log_ratio=st.floats(-12.0, 12.0),
            log_angle=st.floats(-8.0, -2.0), azimuth=st.floats(0.0, 2.0 * math.pi),

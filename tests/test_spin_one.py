@@ -229,6 +229,34 @@ class TestZetaScan:
         with pytest.raises(DomainError):
             s1.spin1_conjugacy_scan(make_momentum(0, 0, 0, 1.0), "nope")
 
+    @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("sc", 0.7),
+                                                ("g5sc", 0.0), ("g5sc", 0.7)])
+    def test_scan_of_generic_rows_against_a_dense_direct_scan(self, operator, phase):
+        """On generic complex (x, y) rows, not spin-1 pairs, each minimum
+        is at most the least of ||Op s -+ s|| / ||(x, y)|| evaluated directly,
+        s = x + zeta y, at 7,200 zetas evenly spaced on the circle (the kernel
+        scans 720 and refines), and the residual re-evaluated directly at the
+        returned zeta is the returned residual."""
+        rng = np.random.default_rng(25)
+        x, y = (rng.normal(size=(300, 6)) + 1j * rng.normal(size=(300, 6)) for _ in range(2))
+        op = {"sc": s1.sc_one, "g5sc": s1.gamma5_sc_one}[operator](phase)
+        zeta, residual = s1.scan_pairs(x, y, op)
+        scale = np.sqrt(np.linalg.norm(x, axis=-1) ** 2 + np.linalg.norm(y, axis=-1) ** 2)
+
+        def squares(z):   # z: (..., 300), one zeta per row; |Op s -+ s|^2, self and anti
+            s = x + z[..., None] * y
+            image = op.phase * np.conj(s) @ op.matrix.T
+            return [np.einsum("...i,...i->...", d, d)
+                    for d in ((image - sign * s).view(float) for sign in (1.0, -1.0))]
+
+        least = np.full((2, 300), np.inf)
+        for chunk in np.split(np.exp(2j * np.pi * np.arange(7200) / 7200), 720):
+            least = np.minimum(least, [np.min(d2, axis=0) for d2 in squares(chunk[:, None])])
+        dense = np.sqrt(least) / scale
+        again = np.sqrt([squares(zeta[k])[k] for k in (0, 1)]) / scale
+        assert np.max(residual - dense) <= 1e-15
+        assert np.max(np.abs(again - residual) / residual) <= 1e-15
+
     @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("g5sc", 0.0), ("g5sc", 0.7)])
     def test_grid_minima_are_the_closed_form_zetas(self, operator, phase):
         """x and y sit in opposite chiral blocks, so with a and b the
