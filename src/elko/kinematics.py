@@ -37,6 +37,16 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _where(cond, a, b):
+    # a Python choice keeps one momentum's floats Python floats, not 0-d arrays
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _any(x):
+    # a Python bool for one momentum's comparison, .any() for a batch's
+    return x.any() if isinstance(x, np.ndarray) else bool(x)
+
+
 def _fold_azimuth(phi):
     """An atan2 angle folded onto [0, 2 pi); floats or (N,) arrays.
 
@@ -48,11 +58,11 @@ def _fold_azimuth(phi):
 
 
 def _light_cone(E, pz, m, pperp2):
-    """(E + pz, E - pz), np.float64 scalars for one momentum; the cancelling
-    one is formed as (m^2 + p_perp^2) / (E + |pz|), the other as E + |pz|."""
+    """(E + pz, E - pz), floats for one momentum; the cancelling one is
+    formed as (m^2 + p_perp^2) / (E + |pz|), the other as E + |pz|."""
     far = E + abs(pz)
     near = (m * m + pperp2) / far
-    return np.where(pz < 0, near, far)[()], np.where(pz > 0, near, far)[()]
+    return _where(pz < 0, near, far), _where(pz > 0, near, far)
 
 
 def _read_only(*fields):
@@ -263,7 +273,7 @@ def _unit(p):
     """The components of p's direction, floats or (N,) arrays; raises at
     rest."""
     pabs = p.p_abs
-    if np.count_nonzero(pabs == 0.0):
+    if _any(pabs == 0.0):
         raise DirectionUndefinedError("momentum direction undefined at |p| = 0")
     return p.px / pabs, p.py / pabs, p.pz / pabs
 
@@ -274,8 +284,8 @@ def _half_angles(p):
     far = pabs + abs(p.pz)
     near = p.p_perp2 / (far + at_rest)
     two_p = 2.0 * pabs + at_rest
-    cos_half = _sqrt((np.where(p.pz < 0, near, far) + at_rest) / two_p)
-    sin_half = _sqrt(np.where(p.pz > 0, near, far) / two_p)
+    cos_half = _sqrt((_where(p.pz < 0, near, far) + at_rest) / two_p)
+    sin_half = _sqrt(_where(p.pz > 0, near, far) / two_p)
     # rest rows are moved onto +x so that phi = 0
     return cos_half, sin_half, _fold_azimuth(np.arctan2(p.py, p.px + at_rest))
 
@@ -344,13 +354,13 @@ _XI_TWIST = np.diag([0.0, 1.0]).astype(complex)
 def _xi(p):
     """The pinned intertwiner of ``operators.xi_matrix``, with its residual
     asserted on every row for both boosts."""
-    if np.count_nonzero(p.p_abs == 0.0):
+    if _any(p.p_abs == 0.0):
         raise DirectionUndefinedError("xi_matrix needs a momentum direction")
     twist = np.asarray(np.exp(-2j * np.arctan2(p.py, p.px + 0.0)))[..., None, None]
     xi = math.sqrt(0.5) * (_XI_FIXED + twist * _XI_TWIST)
     for side in ("R", "L"):
         resid, norm = _intertwiner_residual(xi, p, side)
-        if np.count_nonzero(resid > TOLERANCES["intertwiner"] * 2.0 * norm):
+        if _any(resid > TOLERANCES["intertwiner"] * 2.0 * norm):
             raise AmbiguousIntertwinerError(
                 2, f"pinned intertwiner failed the {side} pair at p = {p}")
     return xi

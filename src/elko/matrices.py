@@ -120,7 +120,7 @@ def rownorm(x, matrix: bool = False):
     if r.dtype.kind == "c":
         r = r.view(float)
     if matrix:
-        r = r.reshape(r.shape[:-2] + (-1,))
+        r = r.reshape(r.shape[:-2] + (r.shape[-2] * r.shape[-1],))
     return np.sqrt(np.einsum("...i,...i->...", r, r))
 
 

@@ -37,9 +37,8 @@ from .errors import (
     check_finite,
     check_label,
 )
-from .kinematics import _sqrt, _unit, parity_reflect, sample_momenta
-from .matrices import (CMatrix, block_diag2, blocks, gamma0, gamma2, gamma5, matrix2, matvec,
-                       pauli_dot, rownorm)
+from .kinematics import _any, _sqrt, _unit, _where, parity_reflect, sample_momenta
+from .matrices import CMatrix, block_diag2, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
 from .spinors import BASES, PhaseConfig, dirac_components, lambda_components
 
 
@@ -155,24 +154,29 @@ def u1(p) -> CMatrix:
     |p| + pz is formed as p_perp^2 / (|p| - pz), which does not cancel.
     Momentum on the -z axis hits the coordinate singularity and is rejected;
     so is momentum where p_perp^2, |p|+pz or cos^2(theta/2) is subnormal.
-    Both guards count elementwise comparisons: one body for floats and (N,)
-    arrays.
+    The guards and the pick of |p| + pz are ``_any`` and ``_where``: Python
+    bools and floats for one momentum, numpy's on (N,) arrays.  The matrix
+    is one array of its 16 entries, C-contiguous on a batch too.
     """
     pabs, pz = p.p_abs, p.pz
-    if np.count_nonzero(pabs == 0.0):
+    if _any(pabs == 0.0):
         raise DirectionUndefinedError("u1 needs a momentum direction")
     far, below = pabs + abs(pz), pz < 0
-    denom = np.where(below, p.p_perp2 / far, far)
+    denom = _where(below, p.p_perp2 / far, far)
     cos2 = denom / (2.0 * pabs)
-    if np.count_nonzero(below & ((p.p_perp2 < _TINY) | (denom < _TINY) | (cos2 < _TINY))):
+    if _any(below & ((p.p_perp2 < _TINY) | (denom < _TINY) | (cos2 < _TINY))):
         raise CoordinateSingularityError(
             f"momentum along -z (|p|+pz = {np.min(denom):.3e}); rotate the frame first")
     s = _sqrt(cos2)
     r = s / denom
     # numpy's complex product, which fuses its multiply-add, unlike Python's
     upper, lower = np.multiply((r, -r), (p.p_l, p.p_r))
-    b = matrix2(s, upper, lower, s)
-    return block_diag2(b, b)
+    z = 0.0 * s
+    # listed transposed, as in matrices.matrix2, then copied row-major: on a
+    # batch the chain checks' products and determinants of the transposed
+    # view cost more than the copy
+    return np.array([[s, lower, z, z], [upper, s, z, z], [z, z, s, lower], [z, z, upper, s]],
+                    dtype=complex).T.copy()
 
 
 def u2() -> CMatrix:
@@ -215,11 +219,12 @@ def xi_matrix(p) -> CMatrix:
     return p.xi
 
 
-def lambda_basis_transforms(p) -> list[CMatrix]:
+def lambda_basis_transforms(p) -> np.ndarray:
     """The four 4x4 block matrices built from Xi that map the self-conjugate
     helicity-family lambdas onto {lambda_A*, -i lambda_S*, i gamma0 lambda_A*,
-    gamma0 lambda_S*} without leaving the self/anti-self conjugate spaces;
-    each (N, 4, 4) on a batch.
+    gamma0 lambda_S*} without leaving the self/anti-self conjugate spaces:
+    one (4, 4, 4) array, (4, N, 4, 4) on a batch, whose zero blocks are left
+    as allocated and whose Xi blocks are filled in by slice assignment.
 
     Xi is rescaled to its unitary representative and phase-pinned so the
     first transform's coefficient is real positive (the block scale drops out
@@ -231,9 +236,13 @@ def lambda_basis_transforms(p) -> list[CMatrix]:
     # is 0, not +-pi, on the z axis
     phase = np.asarray(np.exp(1j * np.arctan2(p.py, p.px + 0.0)))[..., None, None]
     xu = math.sqrt(2.0) * phase * xi_matrix(p)
-    z = np.zeros_like(xu)
-    return [blocks(xu, z, z, xu), blocks(1j * xu, z, z, -1j * xu),
-            blocks(z, 1j * xu, 1j * xu, z), blocks(z, xu, -xu, z)]
+    ixu = 1j * xu
+    t = np.zeros((4, *xu.shape[:-2], 4, 4), dtype=complex)
+    t[0, ..., :2, :2] = t[0, ..., 2:, 2:] = xu
+    t[1, ..., :2, :2], t[1, ..., 2:, 2:] = ixu, -1j * xu
+    t[2, ..., :2, 2:] = t[2, ..., 2:, :2] = ixu
+    t[3, ..., :2, 2:], t[3, ..., 2:, :2] = xu, -xu
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,27 @@ def test_boost_one_z_axis_eigenvalues():
     expected = np.diag([2 + math.sqrt(3.0), 1.0, 2 - math.sqrt(3.0)])
     assert np.linalg.norm(kin.boost_one(p, "R") - expected) <= 1e-12
     assert np.linalg.norm(kin.boost_one(p, "L") - np.linalg.inv(expected)) <= 1e-12
+
+
+def test_one_momentum_values_stay_python_floats():
+    """One momentum's derived reals are Python floats, not 0-d arrays or
+    numpy scalars, so that the products read from them stay Python
+    arithmetic; phi is numpy's arctan2, folded."""
+    p = kin.make_momentum(0.3, -1.2, -0.7, 1.1)
+    cos_half, sin_half, phi = p.half_angles
+    for value in (p.p_abs, p.p_perp2, p.boost_norm, *p.pattern_diagonal, cos_half, sin_half,
+                  p.p_plus, p.p_minus):
+        assert type(value) is float
+    assert type(phi) is np.float64
+    assert phi == kin._fold_azimuth(np.arctan2(p.py, p.px))
+
+
+def test_where_and_any_keep_floats_python_values():
+    assert kin._where(1.0 < 2.0, 3.0, 4.0) == 3.0
+    assert type(kin._where(1.0 > 2.0, 3.0, 4.0)) is float
+    assert kin._any(1.0 > 2.0) is False and kin._any(2.0 > 1.0) is True
+    x = np.array([1.0, -2.0])
+    picked = kin._where(x < 0, -x, x)
+    assert type(picked) is np.ndarray and picked.tolist() == [1.0, 2.0]
+    assert kin._any(x < 0) and type(kin._any(x < 0)) is np.bool_
+    assert not kin._any(np.array([], dtype=bool))

@@ -67,3 +67,21 @@ def test_matmat_is_matmul_bit_for_bit(rng, n, lead):
         got, want = mat.matmat(a, b), a @ b
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_rownorm_of_a_matrix_stack_with_no_rows(k):
+    """A (0, k, k) stack has no rows to infer a row size from: its norms are
+    a (0,) array, not a reshape error."""
+    got = mat.rownorm(np.zeros((0, k, k), dtype=complex), matrix=True)
+    assert got.shape == (0,)
+
+
+def test_rownorm_of_a_matrix_stack_keeps_its_bits(rng):
+    """Each matrix's Frobenius norm is the einsum of its interleaved real
+    and imaginary parts read as one row, bit for bit."""
+    x = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    r = x.view(float).reshape(7, 32)
+    want = np.sqrt(np.einsum("...i,...i->...", r, r))
+    assert mat.rownorm(x, matrix=True).tobytes() == want.tobytes()
+    assert mat.rownorm(x[2], matrix=True) == want[2]

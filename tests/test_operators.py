@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elko import dynamics as dyn
 from elko import operators as ops
 from elko import spinors as sp
 from elko.config import TOLERANCES
@@ -16,9 +17,9 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import (_sqrt, boost_half, make_momenta, make_momentum, parity_reflect,
-                             sample_momenta)
-from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot,
+from elko.kinematics import (_sqrt, _unit, boost_half, make_momenta, make_momentum,
+                             parity_reflect, sample_momenta)
+from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot, rownorm,
                            sigma_z, vdot)
 
 from conftest import assert_same_bits
@@ -225,11 +226,13 @@ class TestUnitaryChain:
 # the numpy forms of u1, direction() and the helicity operators, frozen
 # ---------------------------------------------------------------------------
 #
-# u1 and direction() now guard with np.count_nonzero, direction() divides
-# each component by the cached |p|, and helicity_operator gathers its 4x4
-# matrix from the entries of sigma.n; these are the np.any guards, the
-# vector division and the block_diag2 form they replaced, kept as the
-# reference for which momenta raise and for the bits of what returns.
+# u1 and direction() now guard with kinematics._any, u1 picks |p| + pz
+# with kinematics._where and is one array of its 16 entries, direction()
+# divides each component by the cached |p|, and helicity_operator gathers
+# its 4x4 matrix from the entries of sigma.n; these are the np.any guards,
+# the np.where pick, the vector division and the block_diag2 forms they
+# replaced, kept as the reference for which momenta raise and for the bits
+# of what returns.
 
 def _frozen_direction(p):
     pabs = p.p_abs
@@ -319,6 +322,52 @@ def test_guards_and_bits_match_the_frozen_numpy_forms(edge_rows, name):
     assert _outcome(live, everything) is _outcome(frozen, everything)
     moving = make_momenta(*np.array(returned).T)
     assert_same_bits(live(moving), frozen(moving))
+
+
+_MOVING_ROW = (0.3, -1.2, 0.7, 1.1)
+_REST_ROW, _MINUS_Z_ROW = (0.0, 0.0, 0.0, 1.0), (-0.0, 0.0, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("kernel, row, error", [
+    (ops.u1, _REST_ROW, DirectionUndefinedError),
+    (ops.u1, _MINUS_Z_ROW, CoordinateSingularityError),
+    (ops.xi_matrix, _REST_ROW, DirectionUndefinedError),
+    (ops.xi_matrix, _MINUS_Z_ROW, None),
+    (_unit, _REST_ROW, DirectionUndefinedError),
+    (_unit, _MINUS_Z_ROW, None),
+], ids=["u1-rest", "u1-minus-z", "xi-rest", "xi-minus-z", "unit-rest", "unit-minus-z"])
+def test_scalar_guards_raise_as_the_batch_guards(kernel, row, error):
+    """The Python-bool guards of one momentum and the .any() guards of a
+    batch raise the same error type, at rest and on the -z axis, whether
+    the row is one momentum or the second row of a batch."""
+    batch = make_momenta(*np.array([_MOVING_ROW, row]).T)
+    for p in (make_momentum(*row), batch):
+        if error is None:
+            kernel(p)
+        else:
+            with pytest.raises(error):
+                kernel(p)
+
+
+def test_a_batch_with_no_rows_keeps_its_shapes():
+    """Every one-momentum operator, the helicity frame, the coupled
+    residual and the Frobenius row norm run on a 0-row batch and return
+    their shapes with a 0-length batch axis."""
+    empty = make_momenta([], [], [], [])
+    assert [a.shape for a in empty.half_angles] == [(0,)] * 3
+    assert ops.xi_matrix(empty).shape == (0, 2, 2)
+    assert ops.lambda_basis_transforms(empty).shape == (4, 0, 4, 4)
+    assert ops.u1(empty).shape == (0, 4, 4)
+    assert ops.helicity_operator(empty).matrix.shape == (0, 4, 4)
+    residual = dyn.coupled_system_residual(empty, dyn.FrequencyConvention(+1))
+    assert [r.shape for r in residual] == [(0,)] * 4
+    assert rownorm(ops.u1(empty), matrix=True).shape == (0,)
+
+
+def test_u1_on_a_batch_is_row_major():
+    """u1 is built transposed and copied, so a batch's stack is C-ordered,
+    as the chain checks' products read it."""
+    assert ops.u1(sample_momenta(np.random.default_rng(7), 5)).flags.c_contiguous
 
 
 class TestXiMatrix:
