@@ -6,11 +6,11 @@ matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner
 matrices and the spin-1 angular-momentum generators in the spherical basis
 (J_z = diag(1, 0, -1)).
 
-The helpers ``vector``, ``matrix2``, ``column``, ``matvec``, ``matmat``,
-``rownorm``, ``blocks``, ``block_diag2`` and ``adjoint`` (the inverse of a
-unitary) work on one object or on a batch: a leading axis of length N in
-front of the trailing vector/matrix axes, so one kernel body serves a
-single momentum (float entries) and N momenta ((N,) array entries).
+The helpers ``vector``, ``matrix2``, ``pauli_dot`` (of x, y, z), ``column``,
+``matvec``, ``matmat``, ``rownorm``, ``blocks``, ``block_diag2`` and
+``adjoint`` (the inverse of a unitary) work on one object or on a batch: a
+leading axis of length N in front of the trailing vector/matrix axes, so one
+kernel body serves one momentum (float entries) and N ((N,) array entries).
 """
 
 from __future__ import annotations
@@ -124,10 +124,8 @@ def rownorm(x, matrix: bool = False):
     return np.sqrt(np.einsum("...i,...i->...", r, r))
 
 
-def pauli_dot(v) -> CMatrix:
-    """sigma . v for a real or complex 3-vector v, or for (N, 3) rows."""
-    v = np.asarray(v)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+def pauli_dot(x, y, z) -> CMatrix:
+    """sigma . (x, y, z): (2, 2) for scalar components, (N, 2, 2) for (N,) ones."""
     return matrix2(z, x - 1j * y, x + 1j * y, -z)
 
 
@@ -139,10 +137,9 @@ def spin1_dot(v) -> CMatrix:
 
 
 def block_diag2(a: CMatrix, b: CMatrix) -> CMatrix:
-    """diag(a, b) for square blocks, over any leading batch axes."""
+    """diag(a, b) for square blocks with equal leading batch axes."""
     n, k = a.shape[-1], b.shape[-1]
-    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n + k, n + k),
-                   dtype=complex)
+    out = np.zeros(a.shape[:-2] + (n + k, n + k), dtype=complex)
     out[..., :n, :n] = a
     out[..., n:, n:] = b
     return out

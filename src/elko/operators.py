@@ -114,28 +114,15 @@ def chirality() -> SymmetryOperator:
 
 
 def helicity_operator(p) -> SymmetryOperator:
-    """h = (1/2) diag(sigma.n, sigma.n); spectrum {+1/2, +1/2, -1/2, -1/2}.
-    One gather from the entries of sigma.n, then one product with 1/2."""
-    return SymmetryOperator(0.5 * _sigma_n_entries(p).take(_DOUBLED_INDEX, axis=-1))
+    """h = (1/2) diag(sigma.n, sigma.n); spectrum {+1/2, +1/2, -1/2, -1/2}."""
+    sn = pauli_dot(*_unit(p))
+    return SymmetryOperator(0.5 * block_diag2(sn, sn))
 
 
 def chiral_helicity_operator(p) -> SymmetryOperator:
-    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n)."""
-    sn = pauli_dot(p.direction())
+    """eta = -gamma5 h = -(1/2) diag(sigma.n, -sigma.n), from the same sigma.n."""
+    sn = pauli_dot(*_unit(p))
     return SymmetryOperator(-0.5 * block_diag2(sn, -sn))
-
-
-# Slots 0-3 hold the entries of sigma.n (row-major), slot 4 a zero.  The
-# gathered matrix is scaled by one numpy product, whose fused multiply-add
-# keeps the bits of 0.5 * block_diag2(sigma.n, sigma.n), zero signs included;
-# Python's complex product, entry by entry, would not.
-_DOUBLED_INDEX = np.array([[0, 1, 4, 4], [2, 3, 4, 4], [4, 4, 0, 1], [4, 4, 2, 3]])
-
-
-def _sigma_n_entries(p):
-    """(n_z, n_x - i n_y, n_x + i n_y, -n_z, 0): (5,), or (N, 5) on a batch."""
-    x, y, z = _unit(p)
-    return np.array([z, x - 1j * y, x + 1j * y, -z, 0.0 * abs(z)], dtype=complex).T
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +261,7 @@ def su2_phase_transform(c0, c) -> CMatrix:
     off = ~(np.abs(norm - 1.0) <= 1e-12)  # NaN is off the sphere too
     if np.any(off):
         raise DomainError(f"(c0, c) must satisfy c0^2 + |c|^2 = 1, got {np.extract(off, norm)[0]}")
-    return c0[..., None, None] * np.eye(2, dtype=complex) + 1j * pauli_dot(c)
+    return c0[..., None, None] * np.eye(2, dtype=complex) + 1j * pauli_dot(*c.T)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def test_criterion_04_unitary_chain():
         conj_h = u @ ops.helicity_operator(p).matrix @ np.linalg.inv(u)
         chained = ops.u3() @ conj_h @ np.linalg.inv(ops.u3())
         worst = max(worst, float(np.linalg.norm(chained - half_diag)))
-        alpha_n = block_diag2(pauli_dot(p.direction()), -pauli_dot(p.direction()))
+        sn = pauli_dot(*p.direction())
+        alpha_n = block_diag2(sn, -sn)
         conj_a = u @ alpha_n @ np.linalg.inv(u)
         worst = max(worst, float(np.linalg.norm(ops.u2() @ conj_a @ ops.u2().conj().T
                                                 - g5_diag)))

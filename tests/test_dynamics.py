@@ -183,7 +183,8 @@ class TestSenGupta:
         null = dyn.sen_gupta_null_space(e, *vec, 0.0, m2)
         assert len(null) >= 1
         n = vec / np.linalg.norm(vec)
-        doubled = block_diag2(pauli_dot(n), -pauli_dot(n))
+        sn = pauli_dot(*n)
+        doubled = block_diag2(sn, -sn)
         for v in null:
             v = v / np.linalg.norm(v)
             image = doubled @ v

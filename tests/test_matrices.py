@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elko import matrices as mat
+
+from conftest import assert_same_bits
 
 
 def test_mul_identity_and_pauli_involution():
@@ -85,3 +89,46 @@ def test_rownorm_of_a_matrix_stack_keeps_its_bits(rng):
     want = np.sqrt(np.einsum("...i,...i->...", r, r))
     assert mat.rownorm(x, matrix=True).tobytes() == want.tobytes()
     assert mat.rownorm(x[2], matrix=True) == want[2]
+
+
+_COMPONENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 0.6, -1.5)
+_ROWS = np.array(list(itertools.product(_COMPONENTS, repeat=3)))
+
+
+def test_pauli_dot_of_floats_is_its_row_of_the_array_call():
+    """sigma . (x, y, z) of one vector's Python floats has the bits of its
+    row of the (N,)-array call, zero signs and underflowed products
+    included."""
+    stack = mat.pauli_dot(*_ROWS.T)
+    assert stack.shape == (len(_ROWS), 2, 2)
+    for row, want in zip(_ROWS.tolist(), stack):
+        got = mat.pauli_dot(*row)
+        assert got.shape == (2, 2)
+        assert_same_bits(got, want)
+
+
+def test_pauli_dot_squares_to_the_squared_norm(rng):
+    """(sigma . n)^2 = |n|^2 1 for one vector and for rows."""
+    rows = rng.normal(size=(50, 3))
+    want = np.sum(rows * rows, axis=-1)[:, None, None] * np.eye(2)
+    for sn, square in ((mat.pauli_dot(*rows.T), want),
+                       (mat.pauli_dot(*rows[0].tolist()), want[0])):
+        assert np.max(np.abs(sn @ sn - square)) <= 1e-14 * np.max(np.abs(square))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_diag2_of_a_stack_is_its_matrices_bit_for_bit(rng, k):
+    """diag(a, b) of equal-length stacks is diag(a_i, b_i) row by row, bit
+    for bit, and zero off the blocks."""
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = complex_normal(5, 2, 2), complex_normal(5, k, k)
+    stack = mat.block_diag2(a, b)
+    assert stack.shape == (5, 2 + k, 2 + k)
+    for got, a_i, b_i in zip(stack, a, b):
+        assert_same_bits(got, mat.block_diag2(a_i, b_i))
+    assert_same_bits(stack[:, :2, 2:], np.zeros((5, 2, k), dtype=complex))
+    assert_same_bits(stack[:, 2:, :2], np.zeros((5, k, 2), dtype=complex))
+    assert_same_bits(stack[:, :2, :2], a)
+    assert_same_bits(stack[:, 2:, 2:], b)

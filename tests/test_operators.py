@@ -148,8 +148,8 @@ class TestUnitaryChain:
         for p in random_momenta(10):
             if p.p_abs == 0:
                 continue
-            n = p.direction()
-            alpha_n = block_diag2(pauli_dot(n), -pauli_dot(n))
+            sn = pauli_dot(*p.direction())
+            alpha_n = block_diag2(sn, -sn)
             u = ops.u1(p)
             conj = u @ alpha_n @ np.linalg.inv(u)
             assert np.linalg.norm(ops.u2() @ conj @ ops.u2().conj().T - g5_diag) <= 1e-12
@@ -228,11 +228,27 @@ class TestUnitaryChain:
 #
 # u1 and direction() now guard with kinematics._any, u1 picks |p| + pz
 # with kinematics._where and is one array of its 16 entries, direction()
-# divides each component by the cached |p|, and helicity_operator gathers
-# its 4x4 matrix from the entries of sigma.n; these are the np.any guards,
-# the np.where pick, the vector division and the block_diag2 forms they
-# replaced, kept as the reference for which momenta raise and for the bits
-# of what returns.
+# divides each component by the cached |p|, and both helicity operators
+# build sigma.n from the Python-float components of the direction; these
+# are the np.any guards, the np.where pick, the vector division and the
+# vector pauli_dot and broadcasting block_diag2 forms they replaced, kept
+# with local copies of those two helpers as the reference for which
+# momenta raise and for the bits of what returns.
+
+def _frozen_pauli_dot(v):
+    v = np.asarray(v)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return matrix2(z, x - 1j * y, x + 1j * y, -z)
+
+
+def _frozen_block_diag2(a, b):
+    n, k = a.shape[-1], b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (n + k, n + k),
+                   dtype=complex)
+    out[..., :n, :n] = a
+    out[..., n:, n:] = b
+    return out
+
 
 def _frozen_direction(p):
     pabs = p.p_abs
@@ -253,17 +269,17 @@ def _frozen_u1(p):
     s = _sqrt(cos2)
     r = s / denom
     block = matrix2(s, r * p.p_l, -r * p.p_r, s)
-    return block_diag2(block, block)
+    return _frozen_block_diag2(block, block)
 
 
 def _frozen_helicity(p):
-    sn = pauli_dot(_frozen_direction(p))
-    return 0.5 * block_diag2(sn, sn)
+    sn = _frozen_pauli_dot(_frozen_direction(p))
+    return 0.5 * _frozen_block_diag2(sn, sn)
 
 
 def _frozen_chiral_helicity(p):
-    sn = pauli_dot(_frozen_direction(p))
-    return -0.5 * block_diag2(sn, -sn)
+    sn = _frozen_pauli_dot(_frozen_direction(p))
+    return -0.5 * _frozen_block_diag2(sn, -sn)
 
 
 _FROZEN = {

@@ -140,7 +140,7 @@ class TestHelicityTwoSpinors:
             for h in (1, -1):
                 f = sp.helicity_components(th, ph, h, cfg.theta1, cfg.theta2)
                 assert abs(np.linalg.norm(f) - 1) <= 1e-14
-                assert np.linalg.norm(pauli_dot(n) @ f - h * f) <= 1e-13
+                assert np.linalg.norm(pauli_dot(*n) @ f - h * f) <= 1e-13
 
     @pytest.mark.parametrize("h", [2, 0])
     def test_invalid_helicity_rejected(self, h):
@@ -218,7 +218,7 @@ class TestDiracSpinors:
         u = sp.dirac_spinor(p, "particle", "up", "helicity")
         n = p.direction()
         upper = u.components[:2]
-        assert np.linalg.norm(pauli_dot(n) @ upper - upper) <= 1e-12 * np.linalg.norm(upper)
+        assert np.linalg.norm(pauli_dot(*n) @ upper - upper) <= 1e-12 * np.linalg.norm(upper)
 
 
 class TestEigenstructure:

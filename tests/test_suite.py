@@ -286,6 +286,18 @@ def test_reduce_takes_the_largest_entry_or_the_smallest_for_a_floor(expect, empt
         assert not spec.passes(residual)
 
 
+def test_no_moving_rows_give_no_mean_row(monkeypatch):
+    """With every check's moving rows emptied, all 60 checks pass and no
+    residual is NaN: ``symmetry.lambda-transforms`` takes no mean of no
+    coefficients and reports no ``coefficient-k`` constants."""
+    monkeypatch.setattr(suite, "_moving", lambda momenta: momenta[momenta.p_abs < 0.0])
+    report = run_suite("all", seed=1, samples=10)
+    assert report.summary == {"total": 60, "passed": 60, "failed": 0}
+    assert not any(math.isnan(c.residual) for c in report.checks)
+    transforms = next(c for c in report.checks if c.id == "symmetry.lambda-transforms")
+    assert transforms.constants == {}
+
+
 def test_check_rejects_an_unknown_expectation_when_registered():
     with pytest.raises(UsageError, match="unknown expectation 'classify'"):
         suite.check("spin-half.probe", "a probe", expect="classify")
