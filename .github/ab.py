@@ -1,0 +1,93 @@
+"""In-process A/B of this tree's library against another tree's:
+
+    python .github/ab.py <tree>/src/elko <name>
+
+loads that tree's package under another name beside this tree's ``src/elko``
+and times four requests on both, the sides taking turns going first block by
+block: ``run_suite("all", 1, n)`` at n = 1000 and 100, and perfbench's
+``PointEval.call`` and ``SpinOneScan.call`` on its seeded momenta.  Each A/B
+prints each side's median and interquartile range per request, the median
+per-block head - <name> difference and the number of blocks the head won.
+"""
+
+import importlib.util
+import itertools
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import PointEval, SpinOneScan, seeded_momenta  # noqa: E402
+
+SAMPLES = (1000, 100)   # run_suite's sample counts
+BLOCKS = 20             # blocks per A/B; each side is timed once on each
+PER_BLOCK = 400         # point-eval and spin-one-scan requests per block
+WARM_UP = 16            # point-eval and spin-one-scan requests per side first
+
+
+def load(name, path):
+    """Import the package in the directory ``path`` under ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(path) / "__init__.py", submodule_search_locations=[str(path)])
+    sys.modules[name] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+
+def requests(package):
+    """``run_suite("all", 1, samples)``, ``PointEval.call`` and
+    ``SpinOneScan.call``, bound to the package's modules."""
+    kin, ops, sp, dyn, s1, suite = (importlib.import_module(f"{package.__name__}.{m}") for m in (
+        "kinematics", "operators", "spinors", "dynamics", "spin_one", "suite"))
+    state = SimpleNamespace(kin=kin, ops=ops, sp=sp, dyn=dyn, s1=s1,
+                            conjugation=ops.charge_conjugation(),
+                            convention=dyn.FrequencyConvention(+1))
+    return (lambda samples: suite.run_suite("all", 1, samples),
+            lambda x: PointEval.call(state, x), lambda x: SpinOneScan.call(state, x))
+
+
+def compare(title, sides, blocks):
+    """Time each side's call on every input of each block, the sides taking
+    turns going first, and print the A/B; ``sides`` maps the reference's
+    name, then "head", to a call."""
+    ref, head = sides
+    times = {ref: [], head: []}
+    for i, block in enumerate(blocks):
+        for side in (head, ref) if i % 2 else (ref, head):
+            call, start = sides[side], time.perf_counter()
+            for x in block:
+                call(x)
+            times[side].append((time.perf_counter() - start) / len(block))
+    scale, unit = (1e3, "ms") if statistics.median(times[ref]) > 1e-2 else (1e6, "us")
+    print(f"{title}, {len(blocks)} blocks of {len(blocks[0])}:")
+    for side, spans in times.items():
+        q1, _, q3 = statistics.quantiles(spans, n=4)
+        print(f"  {side}: median {scale * statistics.median(spans):.1f} {unit}, "
+              f"IQR {scale * (q3 - q1):.1f} {unit}")
+    diffs = [h - r for r, h in zip(times[ref], times[head])]
+    print(f"  {head} - {ref} per block: median {scale * statistics.median(diffs):+.1f} {unit}, "
+          f"{head} faster in {sum(d < 0 for d in diffs)} of {len(diffs)} blocks")
+
+
+def run(name, other, head):
+    """The four A/Bs of the package ``head`` against ``other``, called ``name``."""
+    run_suite, point_eval, spin_one_scan = (
+        {name: a, "head": b} for a, b in zip(requests(other), requests(head)))
+    cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1)
+             for n in SAMPLES]
+    cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK),
+              ("spin-one-scan requests", spin_one_scan,
+               zip(seeded_momenta(1, 2), itertools.cycle(SpinOneScan.CYCLE)), WARM_UP, PER_BLOCK)]
+    for title, sides, inputs, warm_up, per_block in cases:
+        first = list(itertools.islice(inputs, warm_up))
+        for call in sides.values():
+            for x in first:
+                call(x)
+        compare(title, sides, [list(itertools.islice(inputs, per_block)) for _ in range(BLOCKS)])
+
+
+if __name__ == "__main__":
+    run(sys.argv[2], load("elko_ref", sys.argv[1]), load("elko", ROOT / "src" / "elko"))

@@ -206,8 +206,7 @@ def markov_superposition(p, particle_weights=(1.0, 0.0),
 def sen_gupta_operator(e, px, py, pz, m1, m2) -> np.ndarray:
     """gamma.p - m1 - m2 gamma5 for an arbitrary four-vector, or (N, 4, 4)
     when any argument is an (N,) array; raises on a non-finite argument."""
-    if not all(np.isfinite(x).all() for x in (e, px, py, pz, m1, m2)):
-        raise DomainError("two-mass operator needs a finite four-vector and masses")
+    check_finite(e=e, px=px, py=py, pz=pz, m1=m1, m2=m2)
     m1, m2 = (np.asarray(x)[..., None, None] for x in (m1, m2))
     return slash(e, px, py, pz) - m1 * np.eye(4, dtype=complex) - m2 * gamma5
 

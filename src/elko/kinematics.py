@@ -409,7 +409,7 @@ def boost_one(p, side: str) -> CMatrix:
     """
     check_label("side", side, ("R", "L"))
     s = 1.0 if side == "R" else -1.0
-    k = spin1_dot(p.vec)
+    k = spin1_dot(p.px, p.py, p.pz)
     m = np.asarray(p.m)[..., None, None]
     em = np.asarray(p.E + p.m)[..., None, None]
     return np.eye(3) + k * (s / m) + (k @ k) / (m * em)

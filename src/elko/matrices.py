@@ -6,11 +6,12 @@ matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner
 matrices and the spin-1 angular-momentum generators in the spherical basis
 (J_z = diag(1, 0, -1)).
 
-The helpers ``vector``, ``matrix2``, ``pauli_dot`` (of x, y, z), ``column``,
-``matvec``, ``matmat``, ``rownorm``, ``blocks``, ``block_diag2`` and
-``adjoint`` (the inverse of a unitary) work on one object or on a batch: a
-leading axis of length N in front of the trailing vector/matrix axes, so one
-kernel body serves one momentum (float entries) and N ((N,) array entries).
+The helpers ``vector``, ``matrix2``, ``pauli_dot`` and ``spin1_dot`` (of x,
+y, z), ``column``, ``matvec``, ``matmat``, ``rownorm``, ``blocks``,
+``block_diag2`` and ``adjoint`` (the inverse of a unitary) work on one
+object or on a batch: a leading axis of length N in front of the trailing
+vector/matrix axes, so one kernel body serves one momentum (float entries)
+and N ((N,) array entries).
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ def pauli_dot(x, y, z) -> CMatrix:
     return matrix2(z, x - 1j * y, x + 1j * y, -z)
 
 
-def spin1_dot(v) -> CMatrix:
-    """J . v with the spherical-basis spin-1 generators, for a 3-vector or
-    for (N, 3) rows."""
-    x, y, z = (np.asarray(v)[..., k, None, None] for k in range(3))
+def spin1_dot(x, y, z) -> CMatrix:
+    """J . (x, y, z) with the spherical-basis spin-1 generators: (3, 3) for
+    scalar components, (N, 3, 3) for (N,) ones."""
+    x, y, z = (np.asarray(c)[..., None, None] for c in (x, y, z))
     return x * spin1_jx + y * spin1_jy + z * spin1_jz
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import (
     CoordinateSingularityError,
+    DimensionError,
     DirectionUndefinedError,
     DomainError,
     check_finite,
@@ -254,9 +255,12 @@ def su2_phase_transform(c0, c) -> CMatrix:
 
     Requires c0^2 + |c|^2 = 1 (parametrise c0 = cos(phi), c = n sin(phi))
     on every row; the resulting matrices form the SU(2) phase-transformation
-    group.
+    group.  A ``c`` whose last axis is not of length 3 raises
+    ``DimensionError``.
     """
     c0, c = np.asarray(c0, dtype=float), np.asarray(c, dtype=float)
+    if c.shape[-1:] != (3,):
+        raise DimensionError(f"c needs a last axis of length 3, got shape {c.shape}")
     norm = c0 * c0 + np.sum(c * c, axis=-1)
     off = ~(np.abs(norm - 1.0) <= 1e-12)  # NaN is off the sphere too
     if np.any(off):

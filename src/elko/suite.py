@@ -994,7 +994,7 @@ def _boost_one_closed_form(ctx, key):
     # stays far below tolerance up to E/m ~ 10; each row squares its own
     # number of times
     halvings = np.maximum(0, np.ceil(np.log2(np.maximum(x, 1e-12) / 0.5))).astype(int)
-    arg = mat.spin1_dot(momenta.direction()) * (x / 2.0 ** halvings)[:, None, None]
+    arg = mat.spin1_dot(*momenta.direction().T) * (x / 2.0 ** halvings)[:, None, None]
     series = np.zeros_like(arg)
     term = np.broadcast_to(np.eye(3, dtype=complex), arg.shape)
     for order in range(20):

@@ -240,16 +240,17 @@ class TestSenGupta:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
         row = [2.0, 0.1, 0.2, 0.3, 1.0, 0.5]
-        for k in range(6):
+        for k, name in enumerate(("e", "px", "py", "pz", "m1", "m2")):
             args = row[:k] + [bad] + row[k + 1:]
-            with pytest.raises(DomainError):
+            # the message names the bad argument
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 dyn.sen_gupta_null_space(*args)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 dyn.sen_gupta_operator(*args)
             # a batch with one bad row
             batch = [np.array([x, x, x]) for x in row]
             batch[k][1] = bad
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
                 dyn.sen_gupta_null_space(*batch)
 
     def test_degenerate_masses_rejected_by_equivalence(self):

@@ -161,7 +161,7 @@ class TestBoostOne:
         for p in random_momenta(10):
             if p.p_abs == 0:
                 continue
-            k = spin1_dot(p.vec / p.p_abs)
+            k = spin1_dot(*(p.vec / p.p_abs))
             assert np.linalg.norm(k @ k @ k - k) <= 1e-12
 
     def test_closed_form_matches_series(self, random_momenta):
@@ -170,7 +170,7 @@ class TestBoostOne:
                 continue
             x = math.acosh(p.E / p.m)
             halvings = max(0, math.ceil(math.log2(max(x, 1e-9) / 0.5)))
-            arg = spin1_dot(p.vec / p.p_abs) * (x / 2 ** halvings)
+            arg = spin1_dot(*(p.vec / p.p_abs)) * (x / 2 ** halvings)
             series = np.zeros((3, 3), dtype=complex)
             term = np.eye(3, dtype=complex)
             for order in range(20):

@@ -107,6 +107,20 @@ def test_pauli_dot_of_floats_is_its_row_of_the_array_call():
         assert_same_bits(got, want)
 
 
+def test_spin1_dot_of_floats_is_its_row_of_the_array_call():
+    """J . (x, y, z) of one vector's Python floats has the bits of its row of
+    the (N,)-array call, and the rows have the bits of the generators
+    weighted by the columns of the (N, 3) array, zero signs and underflowed
+    products included."""
+    stack = mat.spin1_dot(*_ROWS.T)
+    x, y, z = (_ROWS[:, k, None, None] for k in range(3))
+    assert_same_bits(stack, x * mat.spin1_jx + y * mat.spin1_jy + z * mat.spin1_jz)
+    for row, want in zip(_ROWS.tolist(), stack):
+        got = mat.spin1_dot(*row)
+        assert got.shape == (3, 3)
+        assert_same_bits(got, want)
+
+
 def test_pauli_dot_squares_to_the_squared_norm(rng):
     """(sigma . n)^2 = |n|^2 1 for one vector and for rows."""
     rows = rng.normal(size=(50, 3))

@@ -14,6 +14,7 @@ from elko import spinors as sp
 from elko.config import TOLERANCES
 from elko.errors import (
     CoordinateSingularityError,
+    DimensionError,
     DirectionUndefinedError,
     DomainError,
 )
@@ -612,6 +613,15 @@ class TestSu2PhaseTransform:
             ops.su2_phase_transform([1.0, 0.6, 1.0], [[0, 0, 0], [0, 0.8, 0], [0.5, 0, 0]])
         with pytest.raises(DomainError):
             ops.su2_phase_transform(math.nan, [0, 0, 0])
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_c_of_another_length_rejected(self, k):
+        # c = (0, ..., 0, 1) with c0 = 0 passes the norm check at every length
+        c = np.eye(k)[-1]
+        with pytest.raises(DimensionError):
+            ops.su2_phase_transform(0.0, c)
+        with pytest.raises(DimensionError):
+            ops.su2_phase_transform(np.zeros(3), np.tile(c, (3, 1)))
 
 
 class TestCPClassification:

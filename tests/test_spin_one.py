@@ -74,7 +74,7 @@ class TestHelicityTriplet:
     def test_eigenrelation_generic_angles(self, rng):
         for _ in range(10):
             p = _along(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            jn = spin1_dot(p.direction())
+            jn = spin1_dot(*p.direction())
             for h in (1, 0, -1):
                 f = s1.spin1_helicity_triplet_at(p, h)
                 assert np.linalg.norm(jn @ f - h * f) <= 1e-13
