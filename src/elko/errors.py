@@ -2,6 +2,8 @@
 check of a label argument (family, kind, index, basis, side, sign, ...), and
 ``check_finite``, the one check that an angle or a mass is finite."""
 
+import math
+
 import numpy as np
 
 
@@ -29,7 +31,7 @@ def check_finite(**values):
     """Raise ``DomainError`` unless every value, a float or an array, is
     finite throughout; the message names the first argument that is not."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))):
             raise DomainError(f"{name} must be finite")
 
 

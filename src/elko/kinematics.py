@@ -26,7 +26,7 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import (AmbiguousIntertwinerError, DimensionError, DirectionUndefinedError,
                      DomainError, check_label)
-from .matrices import CMatrix, block_diag2, matrix2, spin1_dot, sqnorm, vector
+from .matrices import CMatrix, block_diag2, matrix2, read_only, spin1_dot, sqnorm, vector
 
 
 _TWO_PI = 2 * math.pi
@@ -65,15 +65,6 @@ def _light_cone(E, pz, m, pperp2):
     return _where(pz < 0, near, far), _where(pz > 0, near, far)
 
 
-def _read_only(*fields):
-    """The fields with every array among them made read-only, like a
-    batch's own arrays; one field is returned bare."""
-    for x in fields:
-        if isinstance(x, np.ndarray):
-            x.setflags(write=False)
-    return fields[0] if len(fields) == 1 else fields
-
-
 class _OnShell:
     """Derived fields of (px, py, pz, m, E): floats for one momentum,
     read-only (N,) arrays for a batch.  Each is a ``cached_property``:
@@ -83,19 +74,19 @@ class _OnShell:
 
     @cached_property
     def p_r(self):
-        return _read_only(self.px + 1j * self.py)
+        return read_only(self.px + 1j * self.py)
 
     @cached_property
     def p_l(self):
-        return _read_only(self.px - 1j * self.py)
+        return read_only(self.px - 1j * self.py)
 
     @cached_property
     def p_perp2(self):
-        return _read_only(self.px * self.px + self.py * self.py)
+        return read_only(self.px * self.px + self.py * self.py)
 
     @cached_property
     def p_abs(self):
-        return _read_only(_sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz))
+        return read_only(_sqrt(self.px * self.px + self.py * self.py + self.pz * self.pz))
 
     @cached_property
     def half_angles(self):
@@ -106,7 +97,7 @@ class _OnShell:
         cancelling sum formed as p_perp^2 / (|p| + |pz|): arccos(pz/|p|)
         would lose digits near the z axis, where the helicity spinors must
         still be sigma.p-hat eigenvectors to full precision."""
-        return _read_only(*_half_angles(self))
+        return read_only(*_half_angles(self))
 
     @cached_property
     def helicity_ring(self):
@@ -115,19 +106,19 @@ class _OnShell:
         phi_+- of eigenvalue +-1 at zero phases, read off ``half_angles``:
         each concatenation (phi_a, phi_b) that a helicity spinor reads is
         one window of it (``_ring_window``)."""
-        return _read_only(_helicity_ring(*self.half_angles))
+        return read_only(_helicity_ring(*self.half_angles))
 
     @cached_property
     def xi(self):
         """Xi = diag(1, e^{-2 i phi}) / sqrt(2), asserted against both
         boosts; (2, 2) at one momentum, (N, 2, 2) on a batch.  See
         ``operators.xi_matrix``."""
-        return _read_only(_xi(self))
+        return read_only(_xi(self))
 
     @cached_property
     def boost_norm(self):
         """sqrt(2 m (E + m)), the denominator of the spin-1/2 boosts."""
-        return _read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
+        return read_only(_sqrt(2.0 * self.m * (self.E + self.m)))
 
     @cached_property
     def boost_off_diagonal(self):
@@ -140,15 +131,15 @@ class _OnShell:
         ``operators.u1``)."""
         c = 1.0 / self.boost_norm
         pr, pl = self.p_r, self.p_l
-        return tuple(_read_only(np.multiply([c, c, -c, -c], (pr, pl, pr, pl))))
+        return tuple(read_only(np.multiply([c, c, -c, -c], (pr, pl, pr, pl))))
 
     @cached_property
     def pattern_diagonal(self):
         """(E + pz + m, E - pz + m, c = 1 / (2 sqrt(E + m))): the diagonal
         of E + m + sigma.p and the scale c with sqrt(m/2) Lambda_{R,L} =
         c (E + m +- sigma.p), from which the spinorial closed forms are read."""
-        return _read_only(self.E + self.pz + self.m, self.E - self.pz + self.m,
-                          1.0 / (2.0 * _sqrt(self.E + self.m)))
+        return read_only(self.E + self.pz + self.m, self.E - self.pz + self.m,
+                         1.0 / (2.0 * _sqrt(self.E + self.m)))
 
     @property
     def p_plus(self):
@@ -193,7 +184,7 @@ class MomentumBatch(_OnShell):
     E: np.ndarray
 
     def __post_init__(self):
-        _read_only(self.px, self.py, self.pz, self.m, self.E)
+        read_only(self.px, self.py, self.pz, self.m, self.E)
 
     def __len__(self) -> int:
         return len(self.m)

@@ -1,10 +1,10 @@
 """Dense complex matrix arithmetic for the small fixed shapes used everywhere.
 
 A ``CMatrix`` is a 2-d ``numpy.ndarray`` of ``complex128``.  This module
-owns the fixed matrix constants: Pauli matrices, the chiral-basis gamma
-matrices (right-handed block on top), the spin-1/2 and spin-1 Wigner
-matrices and the spin-1 angular-momentum generators in the spherical basis
-(J_z = diag(1, 0, -1)).
+owns ``read_only``, the package's one read-only rule, and the read-only
+constants: Pauli matrices, the chiral-basis gamma matrices (right-handed
+block on top), the spin-1/2 and spin-1 Wigner matrices and the spin-1
+angular-momentum generators in the spherical basis (J_z = diag(1, 0, -1)).
 
 The helpers ``vector``, ``matrix2``, ``pauli_dot`` and ``spin1_dot`` (of x,
 y, z), ``column``, ``matvec``, ``matmat``, ``rownorm``, ``blocks``,
@@ -20,6 +20,15 @@ import numpy as np
 
 CMatrix = np.ndarray
 
+
+def read_only(*arrays):
+    """The arguments, each array among them made read-only; one is returned bare."""
+    for x in arrays:
+        if isinstance(x, np.ndarray):
+            x.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 # ---------------------------------------------------------------------------
 # fixed matrices
 # ---------------------------------------------------------------------------
@@ -28,8 +37,7 @@ sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
 sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_I2 = np.eye(2, dtype=complex)
-_Z2 = np.zeros((2, 2), dtype=complex)
+_I2, _Z2 = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
 
 # Chiral basis with the right-handed 2-spinor in the upper block:
 # gamma5 = diag(I, -I), gamma^i = [[0, -sigma_i], [sigma_i, 0]].
@@ -52,6 +60,7 @@ SPIN1_J = (spin1_jx, spin1_jy, spin1_jz)
 # Spin-1 Wigner matrix: antidiagonal (1, -1, 1) flip, real orthogonal
 # symmetric, squares to +1; Theta J Theta^-1 = -J*.
 theta_one = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+read_only(sigma_x, sigma_y, sigma_z, *GAMMA, gamma5, theta_half, *SPIN1_J, theta_one)
 
 
 def vector(*parts) -> np.ndarray:
@@ -101,12 +110,12 @@ def vdot(a, b):
 
 
 def sqnorm(x):
-    """|x|^2 over the last axis of an array, row by row over any leading
-    axes, as one real dot product per row (of the interleaved real and
-    imaginary parts for a complex x, whose last axis must be contiguous).
-    For a real row that is the dot product under ``np.linalg.norm(row)``,
-    bit for bit, which ``norm(x, axis=-1)`` is not."""
-    r = x.view(float) if x.dtype.kind == "c" else x
+    """|x|^2 over the last axis of an array of any layout, row by row over the
+    leading axes, as one real dot product per row (of the interleaved real and
+    imaginary parts for a complex x): for a real row the dot product under
+    ``np.linalg.norm(row)``, bit for bit, which ``norm(x, axis=-1)`` is not."""
+    r = np.ascontiguousarray(x)
+    r = r.view(float) if r.dtype.kind == "c" else r
     return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
 
@@ -118,8 +127,7 @@ def rownorm(x, matrix: bool = False):
     per-row BLAS dot of ``sqnorm``, which the sampler keeps for its
     bit-exact draws)."""
     r = np.ascontiguousarray(x)
-    if r.dtype.kind == "c":
-        r = r.view(float)
+    r = r.view(float) if r.dtype.kind == "c" else r
     if matrix:
         r = r.reshape(r.shape[:-2] + (r.shape[-2] * r.shape[-1],))
     return np.sqrt(np.einsum("...i,...i->...", r, r))

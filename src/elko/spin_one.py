@@ -22,34 +22,35 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import check_label
 from .kinematics import FourMomentum, as_batch
-from .matrices import CMatrix, sqnorm, theta_one, vdot
+from .matrices import CMatrix, read_only, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
 
-_I3 = np.eye(3, dtype=complex)
-_Z3 = np.zeros((3, 3), dtype=complex)
+_I3, _Z3 = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
 _SC_BLOCK = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
+_SWAP_BLOCK = np.block([[_Z3, _I3], [_I3, _Z3]])
 _G5_ONE = np.block([[_I3, _Z3], [_Z3, -_I3]])
+_G5_SC_BLOCK = _G5_ONE @ _SC_BLOCK
+read_only(_SC_BLOCK, _SWAP_BLOCK, _G5_ONE, _G5_SC_BLOCK)
 
 
 def sc_one(phase: float = 0.0) -> SymmetryOperator:
     """Antilinear spin-1 charge conjugation; squares to -1 for every phase."""
-    return SymmetryOperator(_SC_BLOCK.copy(), antilinear=True, phase=cmath.exp(1j * phase))
+    return SymmetryOperator(_SC_BLOCK, antilinear=True, phase=cmath.exp(1j * phase))
 
 
 def ss_one() -> SymmetryOperator:
     """Linear block-swap [[0, 1], [1, 0]]; squares to +1."""
-    return SymmetryOperator(np.block([[_Z3, _I3], [_I3, _Z3]]))
+    return SymmetryOperator(_SWAP_BLOCK)
 
 
 def gamma5_one() -> CMatrix:
-    """Chirality of the six-component sector: diag(I3, -I3)."""
-    return _G5_ONE.copy()
+    """Chirality of the six-component sector: diag(I3, -I3), read-only."""
+    return _G5_ONE
 
 
 def gamma5_sc_one(phase: float = 0.0) -> SymmetryOperator:
-    """The chirality-twisted conjugation; squares to +1."""
-    base = sc_one(phase)
-    return SymmetryOperator(gamma5_one() @ base.matrix, antilinear=True, phase=base.phase)
+    """The chirality-twisted conjugation Gamma5 Sc; squares to +1."""
+    return SymmetryOperator(_G5_SC_BLOCK, antilinear=True, phase=cmath.exp(1j * phase))
 
 
 # ---------------------------------------------------------------------------

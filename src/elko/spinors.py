@@ -36,13 +36,12 @@ from .kinematics import (
     FourMomentum,
     _boost_columns,
     _helicity_ring,
-    _read_only,
     _ring_window,
     _sqrt,
     boost_eigenvalue,
     make_momentum,
 )
-from .matrices import column, gamma0, matrix2, matvec, vdot, vector
+from .matrices import column, gamma0, matrix2, matvec, read_only, vdot, vector
 
 KINDS_SELF = ("S", "A")
 INDICES = ("up", "down")
@@ -65,9 +64,7 @@ class PhaseConfig:
     theta2: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta_c", "theta1", "theta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"phase {name} must be finite, got {getattr(self, name)}")
+        check_finite(theta_c=self.theta_c, theta1=self.theta1, theta2=self.theta2)
 
     @cached_property
     def factors(self):
@@ -80,7 +77,7 @@ class PhaseConfig:
         components with e = e^{i theta_h}: (e*, e*, e, e), the Wigner image
         on top (lambda), and (e, e, e*, e*), the image below (rho);
         read-only (4,) arrays."""
-        return tuple(_read_only(np.array([c, c, e, e]), np.array([e, e, c, c]))
+        return tuple(read_only(np.array([c, c, e, e]), np.array([e, e, c, c]))
                      for e, c in ((e, np.conj(e)) for e in self.factors))
 
 
@@ -155,6 +152,7 @@ REST_RHO_PATTERNS = {
     ("A", "down"): -1j * REST_LAMBDA_PATTERNS[("S", "up")],
 }
 
+read_only(*REST_LAMBDA_PATTERNS.values(), *REST_RHO_PATTERNS.values())
 _REST_PATTERNS = {"lambda": REST_LAMBDA_PATTERNS, "rho": REST_RHO_PATTERNS}
 
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elko import matrices as mat
+from elko import operators as ops
+from elko import spin_one as s1
+from elko import spinors as sp
 
 from conftest import assert_same_bits
 
@@ -56,6 +59,30 @@ def test_gamma_algebra_signature(seed):
 
 def test_gamma5_product_identity():
     assert np.allclose(1j * mat.gamma0 @ mat.gamma1 @ mat.gamma2 @ mat.gamma3, mat.gamma5)
+
+
+def test_fixed_arrays_and_operator_matrices_are_read_only():
+    """Every public array of ``matrices``, the rest patterns, the matrices of
+    the fixed operators and the spin-1 chirality are read-only: an in-place
+    write raises ``ValueError`` and changes no later result in the process."""
+    exported = {name: value for name, value in vars(mat).items()
+                if not name.startswith("_") and isinstance(value, (np.ndarray, tuple))}
+    assert set(exported) == {"sigma_x", "sigma_y", "sigma_z", "gamma0", "gamma1", "gamma2",
+                             "gamma3", "gamma5", "GAMMA", "theta_half", "theta_one",
+                             "spin1_jx", "spin1_jy", "spin1_jz", "SPIN1_J"}
+    fixed = [a for value in exported.values()
+             for a in (value if isinstance(value, tuple) else (value,))]
+    fixed += [*sp.REST_LAMBDA_PATTERNS.values(), *sp.REST_RHO_PATTERNS.values()]
+    fixed += [op.matrix for op in (ops.parity_operator(), ops.chirality(), s1.sc_one(),
+                                   s1.ss_one(), s1.gamma5_sc_one())]
+    fixed.append(s1.gamma5_one())
+    before = mat.gamma5.copy()
+    for a in fixed:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 7
+    assert_same_bits(mat.gamma5, before)
+    assert_same_bits(ops.chirality().matrix, before)
 
 
 @pytest.mark.parametrize("n", [0, 1, 1000])

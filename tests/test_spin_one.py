@@ -12,6 +12,8 @@ from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, sa
 from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
                            theta_one, vdot)
 
+from conftest import assert_same_bits
+
 _I3 = np.eye(3, dtype=complex)
 
 
@@ -50,6 +52,14 @@ class TestConjugationOperators:
             op = s1.gamma5_sc_one(phase)
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             assert np.linalg.norm(op.apply(op.apply(v)) - v) <= 1e-13 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.9, 2.1])
+    def test_twisted_operator_is_the_chirality_times_the_conjugation(self, phase):
+        """Gamma5 Sc, built once, is the product of the two operators'
+        matrices bit for bit, with the conjugation's phase."""
+        op, sc = s1.gamma5_sc_one(phase), s1.sc_one(phase)
+        assert_same_bits(op.matrix, s1.gamma5_one() @ sc.matrix)
+        assert op.phase == sc.phase and op.antilinear
 
     def test_chirality_anticommutes_with_conjugation_block(self):
         g5 = s1.gamma5_one()
@@ -256,6 +266,23 @@ class TestZetaScan:
         again = np.sqrt([squares(zeta[k])[k] for k in (0, 1)]) / scale
         assert np.max(residual - dense) <= 1e-15
         assert np.max(np.abs(again - residual) / residual) <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["reversed", "fortran"])
+    @pytest.mark.parametrize("operator", ["sc", "g5sc"])
+    def test_scan_of_rows_in_any_layout_is_that_of_their_contiguous_copy(self, layout,
+                                                                         operator):
+        """Rows read through a reversed view or in Fortran order scan to the
+        (zeta, residual) bits of their row-major copy."""
+        rng = np.random.default_rng(29)
+        x, y = (rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)) for _ in range(2))
+        op = {"sc": s1.sc_one, "g5sc": s1.gamma5_sc_one}[operator](0.4)
+        arrange = {"reversed": lambda v: v[:, ::-1], "fortran": np.asfortranarray}[layout]
+        rows = [arrange(v) for v in (x, y)]
+        assert not any(v.flags.c_contiguous for v in rows)
+        got = s1.scan_pairs(*rows, op)
+        want = s1.scan_pairs(*(np.ascontiguousarray(v) for v in rows), op)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
     @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("g5sc", 0.0), ("g5sc", 0.7)])
     def test_grid_minima_are_the_closed_form_zetas(self, operator, phase):

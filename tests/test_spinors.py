@@ -395,7 +395,7 @@ class TestLabelsAndPhases:
     @pytest.mark.parametrize("name", ["theta_c", "theta1", "theta2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_phase_rejected(self, name, value):
-        with pytest.raises(DomainError, match=name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
             sp.PhaseConfig(**{name: value})
 
     def test_finite_phases_accepted(self):
