@@ -22,8 +22,7 @@ from .config import TOLERANCES
 from .errors import DomainError, check_finite, check_label
 from .kinematics import as_batch
 from .matrices import blocks, column, gamma5, matrix2, matvec, rownorm
-from .spinors import (INDICES, REST_LAMBDA_PATTERNS, REST_RHO_PATTERNS, Bispinor, bar_product,
-                      boosted_patterns, dirac_components, pattern_gather)
+from .spinors import _PRODUCTS, INDICES, Bispinor, bar_product, boosted_patterns, dirac_components
 
 
 @dataclass(frozen=True)
@@ -64,27 +63,23 @@ def dirac_matrix(p) -> np.ndarray:
 
 
 # The eight physical states as one (index, state, component) block: for
-# each index, the quartet (lambda^S, rho^A, lambda^A, rho^S) as one row of 16
-# positions among the spinorial pattern table's products.
-_BLOCK_PRODUCTS, _BLOCK_POSITIONS = pattern_gather(
-    [[patterns[kind, index] for patterns, kind in ((REST_LAMBDA_PATTERNS, "S"),
-                                                   (REST_RHO_PATTERNS, "A"),
-                                                   (REST_LAMBDA_PATTERNS, "A"),
-                                                   (REST_RHO_PATTERNS, "S"))]
-     for index in INDICES])
-_BLOCK_GATHER = (_BLOCK_PRODUCTS, _BLOCK_POSITIONS.reshape(len(INDICES), 16))
+# each index, the quartet (lambda^S, rho^A, lambda^A, rho^S), their
+# spinorial products joined in that order.
+_QUARTET = (("lambda", "S"), ("rho", "A"), ("lambda", "A"), ("rho", "S"))
+_BLOCK = sum((_PRODUCTS[family, kind, index] for index in INDICES for family, kind in _QUARTET),
+             ())
 
 
 def physical_states(p):
     """The eight physical states as one (index, state, component) block:
     index up then down, the quartet (lambda^S, rho^A, lambda^A, rho^S), the
     four components; (2, 4, 4) at one momentum and (2, N, 4, 4) on a batch,
-    the states stacked as ``coupled_equations`` takes them.  One gather from
-    the spinorial pattern table, the entries that the spinorial
+    the states stacked as ``coupled_equations`` takes them.  One
+    ``boosted_patterns`` call on the products that the spinorial
     ``lambda_components`` and ``rho_components`` read one state at a time,
     copied row-major (the coupled rows read it faster on a batch)."""
-    rows = boosted_patterns(p, _BLOCK_GATHER)   # (2, 16) or (2, N, 16)
-    return np.ascontiguousarray(rows.reshape(rows.shape[:-1] + (4, 4)))
+    rows = boosted_patterns(p, _BLOCK)   # (32,) or (N, 32)
+    return np.ascontiguousarray(rows.reshape(rows.shape[:-1] + (2, 4, 4)).swapaxes(0, -3))
 
 
 def physical_state_scale(states):

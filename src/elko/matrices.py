@@ -115,7 +115,7 @@ def sqnorm(x):
     imaginary parts for a complex x): for a real row the dot product under
     ``np.linalg.norm(row)``, bit for bit, which ``norm(x, axis=-1)`` is not."""
     r = np.ascontiguousarray(x)
-    r = r.view(float) if r.dtype.kind == "c" else r
+    r = r.view(r.real.dtype) if r.dtype.kind == "c" else r
     return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
 
@@ -127,7 +127,7 @@ def rownorm(x, matrix: bool = False):
     per-row BLAS dot of ``sqnorm``, which the sampler keeps for its
     bit-exact draws)."""
     r = np.ascontiguousarray(x)
-    r = r.view(float) if r.dtype.kind == "c" else r
+    r = r.view(r.real.dtype) if r.dtype.kind == "c" else r
     if matrix:
         r = r.reshape(r.shape[:-2] + (r.shape[-2] * r.shape[-1],))
     return np.sqrt(np.einsum("...i,...i->...", r, r))

@@ -183,8 +183,9 @@ def rest_rho(kind: str, index: str, m: float) -> Bispinor:
 # c = 1/(2 sqrt(E + m)), the boosted spinor is c (a column j of E + m + sigma.p,
 # b column k of E + m - sigma.p).  a and b are exact unit literals and a unit
 # 1 multiplies nothing: a complex product can flip the sign of a zero part,
-# which ``elko eval`` prints.  Any number of spinors is c times one gather
-# from a table of the (unit, column entry) products that they read.
+# which ``elko eval`` prints.  Each spinor is c times its own four
+# (unit, column entry) products, and any number of spinors c times their
+# products joined.
 
 _UNITS = (1, 1j, -1, -1j)
 # The six column entries of E + m +- sigma.p, (pp, p_r, p_l, pm, -p_r, -p_l):
@@ -198,42 +199,28 @@ def _block_axis(block):
     return j, next(unit for unit in _UNITS if unit == block[j])
 
 
-def pattern_gather(patterns):
-    """For rest patterns stacked as (..., 4): the distinct (unit, entry)
-    products that their boosted spinors read, and each spinor's four
-    positions among them, (..., 4), or a full slice where the products are
-    the components in order (one pattern)."""
-    patterns = np.asarray(patterns)
-    products, positions = [], []
-    for pattern in patterns.reshape(-1, 4):
-        (j, a), (k, b) = _block_axis(pattern[:2]), _block_axis(pattern[2:])
-        for product in [(a, e) for e in _COLUMNS[0][j]] + [(b, e) for e in _COLUMNS[1][k]]:
-            if product not in products:
-                products.append(product)
-            positions.append(products.index(product))
-    positions = np.array(positions).reshape(patterns.shape)
-    if np.array_equal(positions, np.arange(len(products))):
-        positions = slice(None)   # the products are the components in order
-    return tuple(products), positions
+def _read_off(pattern):
+    """The four (unit, column entry) products of a rest pattern's boosted
+    spinor, in component order."""
+    (j, a), (k, b) = _block_axis(pattern[:2]), _block_axis(pattern[2:])
+    return tuple((a, e) for e in _COLUMNS[0][j]) + tuple((b, e) for e in _COLUMNS[1][k])
 
 
-_GATHER = {(family, *key): pattern_gather(pattern)
-           for family, patterns in _REST_PATTERNS.items()
-           for key, pattern in patterns.items()}
+_PRODUCTS = {(family, *key): _read_off(pattern)
+             for family, patterns in _REST_PATTERNS.items()
+             for key, pattern in patterns.items()}
 
 
-def boosted_patterns(p, gather) -> np.ndarray:
-    """The boosted spinors of a ``pattern_gather``: c times the gathered
-    products, (..., 4) or (..., N, 4) with the positions' leading axes in
-    front."""
-    products, positions = gather
+def boosted_patterns(p, products) -> np.ndarray:
+    """c times (unit, column entry) products, one spinor's ``_PRODUCTS``
+    tuple or k spinors' tuples joined: (4k,) at one momentum, (N, 4k) on a
+    batch."""
     pp, pm, c = p.pattern_diagonal
     entries = (pp, p.p_r, p.p_l, pm, -p.p_r, -p.p_l)
     table = np.array([entries[e] if unit == 1 else unit * entries[e] for unit, e in products],
                      dtype=complex)
     table *= c
-    spinors = table[positions]
-    return np.swapaxes(spinors, -1, -2) if isinstance(c, np.ndarray) else spinors
+    return table.T
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +289,16 @@ def _dressed_halves(ring, family, kind, h, cfg):
     return halves
 
 
-def _helicity_rest(ring, family, kind, h, cfg, m):
-    """The rest spinor sqrt(m/2) (zeta Theta f*, f) (lambda) or
-    sqrt(m/2) (f, zeta Theta f*) (rho) for f = e^{i theta_h} phi_h, from a
-    ``helicity_ring``."""
-    rest = _dressed_halves(ring, family, kind, h, cfg)
-    rest *= column(_sqrt(m / 2.0))
-    return rest
-
-
 def _components(family, p, kind, index, basis, cfg) -> np.ndarray:
     check_label("kind", kind, KINDS_SELF)
     check_label("index", index, INDICES)
     check_label("basis", basis, BASES)
     if basis == "spinorial":
-        return boosted_patterns(p, _GATHER[family, kind, index])
+        return boosted_patterns(p, _PRODUCTS[family, kind, index])
     h = _INDEX_TO_H[index]
     s = -h if family == "lambda" else h   # the blocks' sigma.p-hat eigenvalue
-    spinor = _helicity_rest(p.helicity_ring, family, kind, h, cfg, p.m)
+    spinor = _dressed_halves(p.helicity_ring, family, kind, h, cfg)   # the rest spinor / sqrt(m/2)
+    spinor *= column(_sqrt(p.m / 2.0))
     spinor *= column(boost_eigenvalue(p, s))
     return spinor
 

@@ -118,6 +118,13 @@ def test_rownorm_of_a_matrix_stack_keeps_its_bits(rng):
     assert mat.rownorm(x[2], matrix=True) == want[2]
 
 
+def test_norms_of_single_precision_rows_read_their_own_parts():
+    """A complex64 row is read as float32 parts, not as float64 words."""
+    assert mat.sqnorm(np.array([[3 + 4j, 0]], dtype=np.complex64))[0] == 25.0
+    assert mat.rownorm(np.array([[3 + 4j, 0]], dtype=np.complex64))[0] == 5.0
+    assert mat.rownorm(np.ones((1, 2, 2), dtype=np.complex64), matrix=True)[0] == 2.0
+
+
 _COMPONENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 0.6, -1.5)
 _ROWS = np.array(list(itertools.product(_COMPONENTS, repeat=3)))
 

@@ -200,19 +200,17 @@ def test_dirac_column_read_off_is_the_boosted_rest_spinor(sign):
 
 
 def _spinorial_read_off(p, key):
-    """The pattern table's gathered products for one (family, kind, index)
+    """The four (unit, column entry) products of one (family, kind, index)
     times c = 1/(2 sqrt(E + m)), at a ``_symbolic_momentum``."""
     entries = (p.E + p.pz + p.m, p.p_r, p.p_l, p.E - p.pz + p.m, -p.p_r, -p.p_l)
     c = 1 / (2 * sympy.sqrt(p.E + p.m))
-    products, positions = sp._GATHER[key]
-    table = [unit * entries[e] for unit, e in products]
-    return sympy.Matrix([c * _exact(x) for x in np.array(table, dtype=object)[positions]])
+    return sympy.Matrix([c * _exact(unit * entries[e]) for unit, e in sp._PRODUCTS[key]])
 
 
 def test_pattern_table_read_off_is_the_boosted_rest_pattern():
     p, (lam_r, lam_l), _ = _symbolic_momentum()
     boost = sympy.diag(lam_r, lam_l)
-    for family, kind, index in sp._GATHER:
+    for family, kind, index in sp._PRODUCTS:
         read_off = _spinorial_read_off(p, (family, kind, index))
         pattern = sympy.Matrix([_exact(complex(z)) for z in sp._REST_PATTERNS[family][kind, index]])
         boosted = sympy.sqrt(p.m / 2) * boost * pattern
@@ -310,7 +308,7 @@ def _charge_conjugate(v):
 
 def test_spinorial_read_offs_are_charge_conjugation_eigenstates_exactly():
     p, _, _ = _symbolic_momentum()
-    for family, kind, index in sp._GATHER:
+    for family, kind, index in sp._PRODUCTS:
         read_off = _spinorial_read_off(p, (family, kind, index))
         defect = _charge_conjugate(read_off) - _C_EIGENVALUE[kind] * read_off
         assert sympy.simplify(defect) == sympy.zeros(4, 1), (family, kind, index)

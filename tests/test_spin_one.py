@@ -284,6 +284,18 @@ class TestZetaScan:
         for g, w in zip(got, want):
             assert_same_bits(g, w)
 
+    def test_scan_of_single_precision_rows_is_that_of_their_double_copy(self):
+        """complex64 rows scan to the residuals of the same rows in
+        complex128, to float32 precision."""
+        rng = np.random.default_rng(30)
+        x, y = (rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)) for _ in range(2))
+        single = [v.astype(np.complex64) for v in (x, y)]
+        op = s1.gamma5_sc_one(0.4)
+        zeta, residual = s1.scan_pairs(*single, op)
+        want_zeta, want_residual = s1.scan_pairs(*(v.astype(complex) for v in single), op)
+        assert np.max(np.abs(residual - want_residual)) <= 1e-6 * np.max(want_residual)
+        assert np.max(np.abs(zeta - want_zeta)) <= 1e-6
+
     @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("g5sc", 0.0), ("g5sc", 0.7)])
     def test_grid_minima_are_the_closed_form_zetas(self, operator, phase):
         """x and y sit in opposite chiral blocks, so with a and b the
