@@ -8,8 +8,12 @@ block: ``run_suite("all", 1, n)`` at n = 1000 and 100, and perfbench's
 ``PointEval.call`` and ``SpinOneScan.call`` on its seeded momenta.  Each A/B
 prints each side's median and interquartile range per request, the median
 per-block head - <name> difference and the number of blocks the head won.
+The point-eval and spin-one-scan A/Bs then call both sides once more on
+each input of their first block and print ``outputs bit-identical`` or the
+first input whose outputs differ in a bit.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import statistics
@@ -17,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -72,21 +78,49 @@ def compare(title, sides, blocks):
           f"{head} faster in {sum(d < 0 for d in diffs)} of {len(diffs)} blocks")
 
 
+def leaves(output):
+    """A request's output as the list its bits are compared by: each array's
+    and scalar's type, dtype, shape and bytes, in order, through tuples,
+    lists and dataclasses."""
+    if dataclasses.is_dataclass(output):
+        return [leaf for f in dataclasses.fields(output) for leaf in leaves(getattr(output, f.name))]
+    if isinstance(output, (tuple, list)):
+        return [leaf for x in output for leaf in leaves(x)]
+    a = np.asarray(output)
+    return [(type(output).__name__, a.dtype.str, a.shape, a.tobytes())]
+
+
+def compare_bits(sides, block):
+    """Call both sides on each input of ``block`` and print whether their
+    outputs are the same bits, or the first input where they are not."""
+    ref, head = sides.values()
+    for x in block:
+        if leaves(ref(x)) != leaves(head(x)):
+            print(f"  outputs differ, first at input {x!r}")
+            return
+    print("  outputs bit-identical")
+
+
 def run(name, other, head):
     """The four A/Bs of the package ``head`` against ``other``, called ``name``."""
     run_suite, point_eval, spin_one_scan = (
         {name: a, "head": b} for a, b in zip(requests(other), requests(head)))
-    cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1)
+    # the reports of run_suite are compared by cmp in CI, not here
+    cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1, False)
              for n in SAMPLES]
-    cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK),
+    cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK, True),
               ("spin-one-scan requests", spin_one_scan,
-               zip(seeded_momenta(1, 2), itertools.cycle(SpinOneScan.CYCLE)), WARM_UP, PER_BLOCK)]
-    for title, sides, inputs, warm_up, per_block in cases:
+               zip(seeded_momenta(1, 2), itertools.cycle(SpinOneScan.CYCLE)), WARM_UP, PER_BLOCK,
+               True)]
+    for title, sides, inputs, warm_up, per_block, bits in cases:
         first = list(itertools.islice(inputs, warm_up))
         for call in sides.values():
             for x in first:
                 call(x)
-        compare(title, sides, [list(itertools.islice(inputs, per_block)) for _ in range(BLOCKS)])
+        blocks = [list(itertools.islice(inputs, per_block)) for _ in range(BLOCKS)]
+        compare(title, sides, blocks)
+        if bits:
+            compare_bits(sides, blocks[0])
 
 
 if __name__ == "__main__":

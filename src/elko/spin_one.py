@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import check_label
-from .kinematics import FourMomentum, as_batch
+from .kinematics import FourMomentum
 from .matrices import CMatrix, read_only, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
 
@@ -83,12 +83,16 @@ def spin1_pair(p, construction: str, h: int):
     lambda is boost((zeta Theta phi*, phi)) built from a left-handed triplet
     phi, rho is boost((phi, zeta Theta phi*)) built from a right-handed one.
     phi and Theta phi* have J.p-hat eigenvalues h and -h, so both boosts act
-    on them as the scalar ((E + |p|)/m)^(-+h): - for lambda, + for rho.
+    on them as the scalar ((E + |p|)/m)^(-+h): - for lambda, + for rho.  It
+    is formed as the ratio, 1 or 1 / ratio, the bits numpy's power gives a
+    batch (C's pow at one momentum can differ in the last bit).
     """
     check_label("construction", construction, ("lambda", "rho"))
     f = spin1_helicity_triplet_at(p, h)
     flipped = np.conj(f) @ theta_one.T
-    k = np.asarray(((p.E + p.p_abs) / p.m) ** (-h if construction == "lambda" else h))[..., None]
+    ratio = (p.E + p.p_abs) / p.m
+    power = -h if construction == "lambda" else h
+    k = np.asarray(ratio if power == 1 else 1.0 / ratio if power == -1 else 1.0)[..., None]
     zero = np.zeros_like(f)
     if construction == "lambda":
         return (np.concatenate([zero, k * f], axis=-1),
@@ -136,6 +140,13 @@ _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 # offset o, u = e^{i h_k o}: (steps,) and (steps, points, 3)
 _HALVES = (2.0 * math.pi / _GRID_POINTS) * (2.0 / (_REFINE_POINTS - 1)) ** np.arange(_REFINE_STEPS)
 _WEIGHTS = np.exp(1j * _HALVES[:, None, None] * _OFFSETS[:, None] * np.array([0.0, -1.0, 1.0]))
+# the grid angles t and their basis (1, cos t, sin t, cos 2t, sin 2t),
+# (720,) and (5, 720), and the signs of the self and anti-self rows, (2, 1, 1)
+_GRID = (2.0 * math.pi / _GRID_POINTS) * np.arange(_GRID_POINTS)
+_GRID_BASIS = np.stack([np.ones(_GRID_POINTS), np.cos(_GRID), np.sin(_GRID),
+                        np.cos(2.0 * _GRID), np.sin(2.0 * _GRID)])
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+read_only(_OFFSETS, _HALVES, _WEIGHTS, _GRID, _GRID_BASIS, _SIGNS)
 
 
 def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
@@ -148,17 +159,19 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     above the nonexistence floor for every zeta.
 
     ``p`` is a FourMomentum or a MomentumBatch; a batch is one call over all
-    rows and gives the fields of the scan as (N,) arrays, one momentum gives
-    Python scalars.  The pair comes from ``spin1_pair`` and the scan itself
-    is ``scan_pairs``.
+    rows and gives the fields of the scan as (N,) arrays (0-length on an
+    empty batch), one momentum gives Python scalars.  The pair comes from
+    ``spin1_pair``, at one momentum on its own floats, and the scan itself
+    is ``scan_pairs``, to which one momentum's pair is one row.
     """
     op = _scan_operator(operator, op_phase)
-    batch = as_batch([p]) if isinstance(p, FourMomentum) else p
-    zeta, residual = scan_pairs(*spin1_pair(batch, construction, h), op)
+    single = isinstance(p, FourMomentum)
+    x, y = spin1_pair(p, construction, h)
+    zeta, residual = scan_pairs(x[None], y[None], op) if single else scan_pairs(x, y, op)
 
     floor = TOLERANCES["floor"]
     exceeded = (residual[0] > floor) & (residual[1] > floor)
-    if isinstance(p, FourMomentum):
+    if single:
         minima = [ZetaMinimum(complex(zeta[k, 0]), float(residual[k, 0])) for k in (0, 1)]
         exceeded = bool(exceeded[0])
     else:
@@ -195,11 +208,10 @@ def scan_pairs(x, y, op: SymmetryOperator):
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
     norm = np.sqrt(sqnorm(x) + sqnorm(y))
-    signs = np.array([1.0, -1.0])[:, None, None]          # (2, 1, 1): self, anti
 
     # grid: |c0 + e^{-it} c1 + e^{it} c2|^2 on (2, N) rows, c1 = b, c2 = -sign y
-    c0 = a - signs * x
-    c2 = -signs * y
+    c0 = a - _SIGNS * x
+    c2 = -_SIGNS * y
     cross1 = vdot(c0, b)                                   # <c0, c1>
     cross2 = vdot(c0, c2)                                  # <c0, c2>
     cross12 = vdot(c2, b)                                  # <c2, c1>
@@ -207,24 +219,20 @@ def scan_pairs(x, y, op: SymmetryOperator):
         sqnorm(c0) + sqnorm(b) + sqnorm(c2),
         2.0 * (cross1.real + cross2.real), 2.0 * (cross1.imag - cross2.imag),
         2.0 * cross12.real, 2.0 * cross12.imag], axis=-1)  # (2, N, 5)
-    step = 2.0 * math.pi / _GRID_POINTS
-    args = step * np.arange(_GRID_POINTS)
-    basis = np.stack([np.ones(_GRID_POINTS), np.cos(args), np.sin(args),
-                      np.cos(2.0 * args), np.sin(2.0 * args)])
-    best = np.argmin(coeffs @ basis, axis=-1)            # ties resolve to the smaller angle
+    best = (coeffs @ _GRID_BASIS).argmin(axis=-1)          # ties resolve to the smaller angle
 
     # refinement on the direct |d|^2; each step keeps the best point and
     # its two neighbours as the next bracket; terms holds c0, e^{-ic} b and
     # e^{ic} c2 for the shared weights
     terms = np.empty((3,) + c0.shape, dtype=complex)       # (3, 2, N, 6)
     terms[0] = c0
-    centre = args[best]
+    centre = _GRID[best]
     for half, weights in zip(_HALVES, _WEIGHTS):
         e = np.exp(1j * centre)[..., None]
         np.multiply(np.conj(e), b, out=terms[1])
         np.multiply(e, c2, out=terms[2])
         d = (weights @ terms.reshape(3, -1)).view(float).reshape(
-            _REFINE_POINTS, *c0.shape[:-1], -1)             # (R, 2, N, 12), re/im interleaved
+            _REFINE_POINTS, *c0.shape[:-1], 2 * c0.shape[-1])  # (R, 2, N, 12), re/im interleaved
         d2 = np.einsum("...i,...i->...", d, d)
-        centre = centre + half * _OFFSETS[np.argmin(d2, axis=0)]
-    return np.exp(1j * centre), np.sqrt(np.min(d2, axis=0)) / norm
+        centre = centre + half * _OFFSETS[d2.argmin(axis=0)]
+    return np.exp(1j * centre), np.sqrt(d2.min(axis=0)) / norm

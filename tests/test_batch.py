@@ -195,20 +195,33 @@ class TestSpinOneKernels:
             assert np.array_equal(kin.boost_one(mixed, side),
                                   [kin.boost_one(p, side) for p in mixed])
 
+    @pytest.fixture(scope="class")
+    def scan_rows(self, mixed, bit_rows):
+        """``mixed``, the rows the spinor factories are pinned on, and a row
+        whose one-momentum boost factor C's pow rounds off numpy's."""
+        return kin.as_batch([*mixed, *(kin.make_momentum(*row) for row in bit_rows),
+                             kin.make_momentum(-2.355316560779121, 2.316522852498883,
+                                               -1.0919545295611417, 1.6781248099405575)])
+
     @pytest.mark.parametrize("op,construction,h", SCANS)
-    def test_scan_rows_match_single_calls(self, mixed, op, construction, h):
-        scan = s1.spin1_conjugacy_scan(mixed, op, construction, h)
-        singles = [s1.spin1_conjugacy_scan(p, op, construction, h) for p in mixed]
-        for field in ("self_minimum", "anti_minimum"):
-            batched = getattr(scan, field)
-            rows = [getattr(one, field) for one in singles]
-            assert batched.zeta.shape == batched.residual.shape == (len(mixed),)
-            assert isinstance(rows[0].zeta, complex) and isinstance(rows[0].residual, float)
-            assert np.array_equal(batched.zeta, [r.zeta for r in rows])
-            assert np.array_equal(batched.residual, [r.residual for r in rows])
-        assert isinstance(singles[0].floor_exceeded, bool)
-        assert list(scan.floor_exceeded) == [one.floor_exceeded for one in singles]
-        assert all(scan.floor_exceeded) == (op == "sc")
+    def test_scan_rows_match_single_calls(self, scan_rows, op, construction, h):
+        """A batch scan's rows are the one-momentum scans bit for bit: one
+        momentum is scanned from its own pair, which must keep its row's
+        bits."""
+        for phase in (0.0, 0.7):
+            scan = s1.spin1_conjugacy_scan(scan_rows, op, construction, h, phase)
+            singles = [s1.spin1_conjugacy_scan(p, op, construction, h, phase) for p in scan_rows]
+            for field in ("self_minimum", "anti_minimum"):
+                batched = getattr(scan, field)
+                rows = [getattr(one, field) for one in singles]
+                assert batched.zeta.shape == batched.residual.shape == (len(scan_rows),)
+                assert all(isinstance(r.zeta, complex) and isinstance(r.residual, float)
+                           for r in rows)
+                assert_same_bits(batched.zeta, [r.zeta for r in rows])
+                assert_same_bits(batched.residual, [r.residual for r in rows])
+            assert all(isinstance(one.floor_exceeded, bool) for one in singles)
+            assert list(scan.floor_exceeded) == [one.floor_exceeded for one in singles]
+            assert all(scan.floor_exceeded) == (op == "sc")
 
     @pytest.mark.parametrize("construction", ["lambda", "rho"])
     def test_scan_where_the_azimuth_rounds_to_two_pi(self, mixed, construction):

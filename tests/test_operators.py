@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from elko import dynamics as dyn
 from elko import operators as ops
+from elko import spin_one as s1
 from elko import spinors as sp
 from elko.config import TOLERANCES
 from elko.errors import (
@@ -368,8 +369,8 @@ def test_scalar_guards_raise_as_the_batch_guards(kernel, row, error):
 
 def test_a_batch_with_no_rows_keeps_its_shapes():
     """Every one-momentum operator, the helicity frame, the coupled
-    residual and the Frobenius row norm run on a 0-row batch and return
-    their shapes with a 0-length batch axis."""
+    residual, the Frobenius row norm and the spin-1 zeta-scan run on a 0-row
+    batch and return their shapes with a 0-length batch axis."""
     empty = make_momenta([], [], [], [])
     assert [a.shape for a in empty.half_angles] == [(0,)] * 3
     assert ops.xi_matrix(empty).shape == (0, 2, 2)
@@ -379,6 +380,12 @@ def test_a_batch_with_no_rows_keeps_its_shapes():
     residual = dyn.coupled_system_residual(empty, dyn.FrequencyConvention(+1))
     assert [r.shape for r in residual] == [(0,)] * 4
     assert rownorm(ops.u1(empty), matrix=True).shape == (0,)
+    scan = s1.spin1_conjugacy_scan(empty, "g5sc")
+    for minimum in (scan.self_minimum, scan.anti_minimum):
+        assert minimum.zeta.shape == minimum.residual.shape == (0,)
+    assert scan.floor_exceeded.dtype == bool and scan.floor_exceeded.shape == (0,)
+    rows = np.zeros((0, 6), dtype=complex)
+    assert [a.shape for a in s1.scan_pairs(rows, rows, s1.sc_one())] == [(2, 0)] * 2
 
 
 def test_u1_on_a_batch_is_row_major():

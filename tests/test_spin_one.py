@@ -176,12 +176,18 @@ class TestSixSpinors:
                 assert np.linalg.norm(x + zeta * y - reference) <= 1e-15 * np.linalg.norm(reference)
 
     def test_batch_rows_match_single_momenta(self, random_momenta):
-        rows = random_momenta(8)
-        x, y = s1.spin1_pair(as_batch(rows), "rho", 0)
-        for k, p in enumerate(rows):
-            xp, yp = s1.spin1_pair(p, "rho", 0)
-            assert np.allclose(x[k], xp, rtol=0, atol=1e-14)
-            assert np.allclose(y[k], yp, rtol=0, atol=1e-14)
+        """Each row of a batch's pair is its momentum's pair bit for bit, for
+        every construction and helicity.  The last row's boost factor
+        ((E + |p|)/m)^-1 rounds differently under C's pow and numpy's
+        reciprocal."""
+        rows = [*random_momenta(8), make_momentum(-2.355316560779121, 2.316522852498883,
+                                                  -1.0919545295611417, 1.6781248099405575)]
+        for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
+            x, y = s1.spin1_pair(as_batch(rows), construction, h)
+            for k, p in enumerate(rows):
+                xp, yp = s1.spin1_pair(p, construction, h)
+                assert_same_bits(x[k], xp)
+                assert_same_bits(y[k], yp)
 
     def test_unknown_construction_rejected(self):
         with pytest.raises(DomainError):

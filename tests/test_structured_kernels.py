@@ -287,6 +287,25 @@ def test_scan_kernel_calls_per_pass_do_not_grow_with_samples(monkeypatch):
     assert counts == [4, 4]
 
 
+def test_scan_at_one_momentum_builds_no_batch(monkeypatch):
+    """One momentum is scanned from its own pair, as one row of
+    ``scan_pairs``: no one-row MomentumBatch is built on the way."""
+    calls = Counter()
+    built = kin.MomentumBatch.__post_init__
+
+    def counted(self):
+        calls["batch"] += 1
+        built(self)
+
+    monkeypatch.setattr(kin.MomentumBatch, "__post_init__", counted)
+    p = kin.make_momentum(0.3, -1.2, 0.8, 1.1)
+    for operator, construction in itertools.product(("sc", "g5sc"), ("lambda", "rho")):
+        s1.spin1_conjugacy_scan(p, operator, construction)
+    assert calls["batch"] == 0
+    s1.spin1_conjugacy_scan(kin.as_batch([p]), "g5sc")
+    assert calls["batch"] == 1
+
+
 # ---------------------------------------------------------------------------
 # the spinors' frame: boost columns, Wigner image and call counts (the
 # spinors' bits are pinned by the reference in test_factory_forms)
