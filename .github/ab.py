@@ -2,10 +2,13 @@
 
     python .github/ab.py <tree>/src/elko <name>
 
-loads that tree's package under another name beside this tree's ``src/elko``
-and times four requests on both, the sides taking turns going first block by
-block: ``run_suite("all", 1, n)`` at n = 1000 and 100, and perfbench's
-``PointEval.call`` and ``SpinOneScan.call`` on its seeded momenta.  Each A/B
+loads that tree's package under another name beside this tree's ``src/elko``.
+It first prints, per seed and sample count of ``REPORTS``, whether the two
+packages' ``run_suite("all", seed, samples)`` reports are the same bytes, the
+bytes ``elko verify --out`` writes.  It then times four requests on both,
+the sides taking turns going first block by block: ``run_suite("all", 1, n)``
+at n = 1000 and 100, and perfbench's ``PointEval.call`` and
+``SpinOneScan.call`` on its seeded momenta.  Each A/B
 prints each side's median and interquartile range per request, the median
 per-block head - <name> difference and the number of blocks the head won.
 The point-eval and spin-one-scan A/Bs then call both sides once more on
@@ -29,6 +32,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import PointEval, SpinOneScan, seeded_momenta  # noqa: E402
 
 SAMPLES = (1000, 100)   # run_suite's sample counts
+# (seed, samples) of the compared reports: the reference report's seeds 1-5,
+# and the run of the golden tests/data/report-all-seed1-n100.json
+REPORTS = ((1, 1000), (2, 1000), (3, 1000), (4, 1000), (5, 1000), (1, 100))
 BLOCKS = 20             # blocks per A/B; each side is timed once on each
 PER_BLOCK = 400         # point-eval and spin-one-scan requests per block
 WARM_UP = 16            # point-eval and spin-one-scan requests per side first
@@ -44,15 +50,17 @@ def load(name, path):
 
 
 def requests(package):
-    """``run_suite("all", 1, samples)``, ``PointEval.call`` and
-    ``SpinOneScan.call``, bound to the package's modules."""
+    """``run_suite("all", 1, samples)``, ``PointEval.call``,
+    ``SpinOneScan.call`` and the JSON text of ``run_suite("all", seed,
+    samples)``, bound to the package's modules."""
     kin, ops, sp, dyn, s1, suite = (importlib.import_module(f"{package.__name__}.{m}") for m in (
         "kinematics", "operators", "spinors", "dynamics", "spin_one", "suite"))
     state = SimpleNamespace(kin=kin, ops=ops, sp=sp, dyn=dyn, s1=s1,
                             conjugation=ops.charge_conjugation(),
                             convention=dyn.FrequencyConvention(+1))
     return (lambda samples: suite.run_suite("all", 1, samples),
-            lambda x: PointEval.call(state, x), lambda x: SpinOneScan.call(state, x))
+            lambda x: PointEval.call(state, x), lambda x: SpinOneScan.call(state, x),
+            lambda seed, samples: suite.run_suite("all", seed, samples).to_json())
 
 
 def compare(title, sides, blocks):
@@ -101,11 +109,21 @@ def compare_bits(sides, block):
     print("  outputs bit-identical")
 
 
+def compare_reports(sides):
+    """Print, per run of ``REPORTS``, whether both sides' reports are the
+    same bytes."""
+    ref, head = sides.values()
+    for seed, samples in REPORTS:
+        same = ref(seed, samples) == head(seed, samples)
+        print(f"seed {seed}, {samples} samples: {'byte-identical' if same else 'reports differ'}")
+
+
 def run(name, other, head):
-    """The four A/Bs of the package ``head`` against ``other``, called ``name``."""
-    run_suite, point_eval, spin_one_scan = (
+    """The report comparison and the four A/Bs of the package ``head``
+    against ``other``, called ``name``."""
+    run_suite, point_eval, spin_one_scan, report = (
         {name: a, "head": b} for a, b in zip(requests(other), requests(head)))
-    # the reports of run_suite are compared by cmp in CI, not here
+    compare_reports(report)
     cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1, False)
              for n in SAMPLES]
     cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK, True),

@@ -22,8 +22,9 @@ class DomainError(ElkoError, ValueError):
 def check_label(name: str, value, allowed):
     """Raise ``DomainError`` unless ``value`` is one of ``allowed`` (a tuple,
     or a dict keyed by the allowed values); the message names the argument
-    and lists the allowed values."""
-    if value not in allowed:
+    and lists the allowed values.  A bool is none of them, though True == 1
+    and False == 0: no allowed set holds a bool."""
+    if value not in allowed or type(value) is bool:
         raise DomainError(f"{name} must be one of {tuple(allowed)}, got {value!r}")
 
 

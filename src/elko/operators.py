@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kinematics import _any, _sqrt, _unit, _where, parity_reflect, sample_momenta
 from .matrices import CMatrix, block_diag2, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
-from .spinors import BASES, PhaseConfig, dirac_components, lambda_components
+from .spinors import BASES, INDICES, PhaseConfig, dirac_components, lambda_components
 
 
 @dataclass(frozen=True)
@@ -278,18 +278,12 @@ def su2_phase_transform(c0, c) -> CMatrix:
 _INTRINSIC_PARITY = {"dirac": 1.0 + 0.0j, "elko": 1.0j}
 
 
-def _family_states(basis: str, family: str, cfg: PhaseConfig):
-    if family == "dirac":
-        return [
-            (lambda q, s=s, i=i: dirac_components(q, s, i, basis, cfg))
-            for s in ("particle", "antiparticle")
-            for i in ("up", "down")
-        ]
-    return [
-        (lambda q, k=k, i=i: lambda_components(q, k, i, basis, cfg))
-        for k in ("S", "A")
-        for i in ("up", "down")
-    ]
+def _family_stack(q, basis: str, family: str, cfg: PhaseConfig) -> np.ndarray:
+    """The family's four states at the momenta q as one (4, N, 4) stack:
+    particle, antiparticle (Dirac) or S, A (elko), each up then down."""
+    components, kinds = ((dirac_components, ("particle", "antiparticle")) if family == "dirac"
+                         else (lambda_components, ("S", "A")))
+    return np.array([components(q, k, i, basis, cfg) for k in kinds for i in INDICES])
 
 
 def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 100,
@@ -298,9 +292,10 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
 
     Uses the family's intrinsic inversion phase; the classification is
     independent of the conjugation phase theta_c.  The momenta come from
-    the suite's sampler and are probed as one batch.  An unknown basis or
-    family, a seed that is not an integer of at least 0, or a momentum
-    count that is not an integer of at least 1, raises ``DomainError``.
+    the suite's sampler, and the family is probed on them as one stack of
+    its states.  An unknown basis or family, a seed that is not an integer
+    of at least 0, or a momentum count that is not an integer of at least
+    1, raises ``DomainError``.
     """
     check_label("basis", basis, BASES)
     check_label("family", family, _INTRINSIC_PARITY)
@@ -313,15 +308,12 @@ def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 
     pc = p_op.compose(c_op)
 
     q = sample_momenta(np.random.default_rng(seed), n_momenta)
-    reflected = parity_reflect(q)   # C P and P C both reflect the momentum once
-    rows = []   # per state: |CP x - PC x| and |CP x + PC x| relative to |x|
-    for state in _family_states(basis, family, cfg):
-        x = state(reflected)
-        a, b = cp.apply(x), pc.apply(x)
-        scale = np.maximum(rownorm(state(q)), 1e-300)
-        rows.append([rownorm(a - b) / scale, rownorm(a + b) / scale])
-    # one reduction over every row: a NaN row gives NaN, which classifies as neither
-    commute, anticommute = np.max(rows, axis=(0, 2)).tolist()
+    # C P and P C both reflect the momentum once
+    x = _family_stack(parity_reflect(q), basis, family, cfg)
+    a, b = cp.apply(x), pc.apply(x)
+    scale = np.maximum(rownorm(_family_stack(q, basis, family, cfg)), 1e-300)
+    # |CP x -+ PC x| / |x|, one reduction over every row: a NaN row reads neither
+    commute, anticommute = (float(np.max(rownorm(d) / scale)) for d in (a - b, a + b))
 
     tol = TOLERANCES["identity"]
     if commute <= tol:

@@ -389,7 +389,8 @@ def chiral_helicity_sign(family: str, index: str) -> int:
 
 def bar_product(a, b):
     """Lorentz-invariant pairing a-bar b = a^dagger gamma0 b; a complex for
-    two spinors, an (N,) array for two (N, 4) batches."""
+    two spinors, an (N,) array when either is (N, 4) rows (one spinor pairs
+    with each row, in either order)."""
     av = a.components if isinstance(a, Bispinor) else np.asarray(a, dtype=complex)
     bv = b.components if isinstance(b, Bispinor) else np.asarray(b, dtype=complex)
     if isinstance(a, Bispinor) and isinstance(b, Bispinor):
@@ -397,4 +398,4 @@ def bar_product(a, b):
                    for f in ("px", "py", "pz", "m")):
             raise DomainError("bar_product requires both spinors at the same momentum")
     pairing = vdot(av, matvec(gamma0, bv))
-    return complex(pairing) if av.ndim == 1 else pairing
+    return complex(pairing) if pairing.ndim == 0 else pairing

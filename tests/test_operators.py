@@ -664,6 +664,46 @@ class TestCPClassification:
         with pytest.raises(DomainError, match="family"):
             ops.classify_cp_action("helicity", family, seed=3, n_momenta=4)
 
+    @staticmethod
+    def _state_by_state(basis, family, seed, n_momenta, cfg):
+        """The probe written one state at a time: each state's C P and P C
+        images at the reflected momenta, over its own rows at the sampled
+        ones, then one reduction over every state's rows."""
+        c_op, p_op = ops.charge_conjugation(cfg), ops.parity_operator(ops._INTRINSIC_PARITY[family])
+        cp, pc = c_op.compose(p_op), p_op.compose(c_op)
+        q = sample_momenta(np.random.default_rng(seed), n_momenta)
+        reflected = parity_reflect(q)
+        components, kinds = ((sp.dirac_components, ("particle", "antiparticle"))
+                             if family == "dirac" else (sp.lambda_components, ("S", "A")))
+        rows = []
+        for kind, index in itertools.product(kinds, sp.INDICES):
+            x = components(reflected, kind, index, basis, cfg)
+            a, b = cp.apply(x), pc.apply(x)
+            scale = np.maximum(rownorm(components(q, kind, index, basis, cfg)), 1e-300)
+            rows.append([rownorm(a - b) / scale, rownorm(a + b) / scale])
+        commute, anticommute = np.max(rows, axis=(0, 2)).tolist()
+        tol = TOLERANCES["identity"]
+        relation = ("commute" if commute <= tol else
+                    "anticommute" if anticommute <= tol else "neither")
+        return relation, commute, anticommute
+
+    @pytest.mark.parametrize("theta_c", [0.0, 1.1])
+    @pytest.mark.parametrize("n_momenta", [1, 7, 100])
+    @pytest.mark.parametrize("basis", sp.BASES)
+    @pytest.mark.parametrize("family", ["dirac", "elko"])
+    def test_the_stacked_probe_is_the_state_by_state_one(self, family, basis, n_momenta,
+                                                         theta_c):
+        """The family's four states probed as one stack give the relation
+        and the bits and Python type of both residuals that the probe
+        written one state at a time gives."""
+        cfg = sp.PhaseConfig(theta_c=theta_c)
+        res = ops.classify_cp_action(basis, family, seed=3, n_momenta=n_momenta, cfg=cfg)
+        relation, commute, anticommute = self._state_by_state(basis, family, 3, n_momenta, cfg)
+        assert res.relation == relation
+        for got, want in ((res.commute_residual, commute),
+                          (res.anticommute_residual, anticommute)):
+            assert type(got) is float and got.hex() == want.hex()
+
     def test_a_nan_row_classifies_as_neither(self, nan_lambda_anti):
         """The residuals are one reduction over every state's rows, so a NaN
         row reads as NaN and classifies as neither; a fold by Python's

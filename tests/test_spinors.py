@@ -322,6 +322,18 @@ class TestBarProducts:
         with pytest.raises(DomainError):
             sp.bar_product(a, b)
 
+    def test_one_spinor_pairs_with_rows_in_either_order(self):
+        """A (4,) spinor and (N, 4) rows pair to (N,), each entry the row's
+        own pairing (to rounding: the sum over a row's four products may
+        associate differently), whichever comes first."""
+        batch = sample_momenta(np.random.default_rng(4), 5)
+        rows = sp.lambda_components(batch, "S", "up")
+        one = sp.rho_components(batch[2], "A", "down")
+        for pairing, single in ((sp.bar_product(rows, one), lambda r: sp.bar_product(r, one)),
+                                (sp.bar_product(one, rows), lambda r: sp.bar_product(one, r))):
+            assert pairing.shape == (5,)
+            np.testing.assert_allclose(pairing, [single(r) for r in rows], rtol=1e-14, atol=1e-12)
+
     @staticmethod
     def _quartet(first, second):
         """(lambda^S, rho^A, lambda^A, rho^S), the rho spinors at ``second``."""
@@ -388,6 +400,10 @@ _LABEL_REJECTIONS = {
     lambda p: s1.spin1_pair(p, "sigma", 1): ("construction", ("lambda", "rho")),
     lambda p: s1.spin1_conjugacy_scan(p, "nope"): ("operator", ("sc", "g5sc")),
     lambda p: dyn.FrequencyConvention(0): ("sign", (1, -1)),
+    # True == 1 and False == 0, but a bool is no integer label
+    lambda p: sp.helicity_components(0.3, 0.2, True): ("h", (1, -1)),
+    lambda p: s1.spin1_helicity_triplet_at(p, False): ("h", (1, 0, -1)),
+    lambda p: dyn.FrequencyConvention(True): ("sign", (1, -1)),
 }
 
 
