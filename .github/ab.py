@@ -14,13 +14,23 @@ per-block head - <name> difference and the number of blocks the head won.
 The point-eval and spin-one-scan A/Bs then call both sides once more on
 each input of their first block and print ``outputs bit-identical`` or the
 first input whose outputs differ in a bit.
+
+Last it times ``python -m elko verify --suite all --seed 1 --samples n``
+at n = 1000 and 100 in fresh processes, each tree's on its own ``src`` as
+``PYTHONPATH``, the sides taking turns process by process, and prints the
+same lines.  Both trees are byte-compiled first, because with
+``PYTHONDONTWRITEBYTECODE`` set every process would compile the package
+again, and each side must import its own tree.
 """
 
 import dataclasses
 import importlib.util
 import itertools
+import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,6 +48,7 @@ REPORTS = ((1, 1000), (2, 1000), (3, 1000), (4, 1000), (5, 1000), (1, 100))
 BLOCKS = 20             # blocks per A/B; each side is timed once on each
 PER_BLOCK = 400         # point-eval and spin-one-scan requests per block
 WARM_UP = 16            # point-eval and spin-one-scan requests per side first
+PROCESSES = 10          # fresh verify processes per side and sample count
 
 
 def load(name, path):
@@ -118,9 +129,33 @@ def compare_reports(sides):
         print(f"seed {seed}, {samples} samples: {'byte-identical' if same else 'reports differ'}")
 
 
+def compare_processes(trees):
+    """Time one fresh ``python -m elko verify`` process per side and block,
+    at each sample count of ``SAMPLES``, and print the A/Bs; ``trees`` maps
+    the reference's name, then "head", to the tree's ``src`` directory."""
+    envs = {side: {**os.environ, "PYTHONPATH": str(src)} for side, src in trees.items()}
+    for side, src in trees.items():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(src / "elko")], check=True)
+        found = subprocess.run([sys.executable, "-c", "import elko; print(elko.__file__)"],
+                               env=envs[side], capture_output=True, text=True, check=True)
+        if not Path(found.stdout.strip()).resolve().is_relative_to(src.resolve()):
+            sys.exit(f"{side} imported elko from {found.stdout.strip()}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        def verify(side):
+            out = str(Path(tmp) / f"{side}.json")
+            return lambda samples: subprocess.run(
+                [sys.executable, "-m", "elko", "verify", "--suite", "all", "--seed", "1",
+                 "--samples", str(samples), "--out", out],
+                env=envs[side], capture_output=True, check=True)
+
+        sides = {side: verify(side) for side in trees}
+        for n in SAMPLES:
+            compare(f"elko verify --samples {n} processes", sides, [[n]] * PROCESSES)
+
+
 def run(name, other, head):
-    """The report comparison and the four A/Bs of the package ``head``
-    against ``other``, called ``name``."""
+    """The report comparison, the four in-process A/Bs and the two process
+    A/Bs of the package ``head`` against ``other``, called ``name``."""
     run_suite, point_eval, spin_one_scan, report = (
         {name: a, "head": b} for a, b in zip(requests(other), requests(head)))
     compare_reports(report)
@@ -139,6 +174,8 @@ def run(name, other, head):
         compare(title, sides, blocks)
         if bits:
             compare_bits(sides, blocks[0])
+    compare_processes({side: Path(package.__file__).parents[1]
+                       for side, package in ((name, other), ("head", head))})
 
 
 if __name__ == "__main__":

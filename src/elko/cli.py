@@ -59,10 +59,6 @@ def _render_matrix_text(mat) -> str:
     return "\n".join(lines)
 
 
-def _complex_json(z) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _array_json(arr) -> list:
     a = np.asarray(arr)
     return np.stack([a.real, a.imag], axis=-1).tolist()
@@ -135,7 +131,7 @@ _OPERATOR_FAMILIES = tuple(_OPERATORS)
 
 def cmd_eval(args) -> int:
     p = make_momentum(*_parse_momentum(args.momentum), args.mass)
-    derived = {"p_r": _complex_json(p.p_r), "p_l": _complex_json(p.p_l),
+    derived = {"p_r": _array_json(p.p_r), "p_l": _array_json(p.p_l),
                "p_plus": p.p_plus, "p_minus": p.p_minus, "E": p.E}
 
     if args.family in _SPINOR_FAMILIES:

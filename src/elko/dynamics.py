@@ -21,7 +21,7 @@ import numpy as np
 from .config import TOLERANCES
 from .errors import DomainError, check_finite, check_label
 from .kinematics import as_batch
-from .matrices import blocks, column, gamma5, matrix2, matvec, rownorm
+from .matrices import blocks, column, gamma5, matrix2, matvec, read_only, rownorm
 from .spinors import _PRODUCTS, INDICES, Bispinor, bar_product, boosted_patterns, dirac_components
 
 
@@ -90,10 +90,10 @@ def physical_state_scale(states):
 
 # The sign columns of the four coupled equations (sectors S, S, A, A): the
 # mass signs, and the kinetic signs under either convention.
-_MASS_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-_KINETIC_SIGNS = {sign: sign * _MASS_SIGNS for sign in (1, -1)}
+_MASS_SIGNS = read_only(np.array([[1.0], [1.0], [-1.0], [-1.0]]))
+_KINETIC_SIGNS = {sign: read_only(sign * _MASS_SIGNS) for sign in (1, -1)}
 # each row's partner among (lambda^S, rho^A, lambda^A, rho^S)
-_PARTNERS = np.array([1, 0, 3, 2])
+_PARTNERS = read_only(np.array([1, 0, 3, 2]))
 
 
 def coupled_equations(p, conv: FrequencyConvention, psi) -> np.ndarray:

@@ -47,12 +47,8 @@ class CoordinateSingularityError(DomainError):
 class AmbiguousIntertwinerError(ElkoError):
     """The pinned intertwiner Xi failed its assertion on the R or the L boost
     pair (``kinematics._xi``).  The intertwiner equation alone leaves a
-    solution family of ``dimension`` 2; Xi is pinned to one member of it,
-    and this is raised when that member does not intertwine the pair."""
-
-    def __init__(self, dimension, message=None):
-        self.dimension = dimension
-        super().__init__(message or f"intertwiner solution space has dimension {dimension}")
+    two-dimensional solution family; Xi is pinned to one member of it, and
+    this is raised when that member does not intertwine the pair."""
 
 
 class UsageError(ElkoError, ValueError):

@@ -338,8 +338,8 @@ def _boost_columns(p, side: str):
 
 
 # Xi = (FIXED + e^{-2 i phi} TWIST) / sqrt(2)
-_XI_FIXED = np.diag([1.0, 0.0]).astype(complex)
-_XI_TWIST = np.diag([0.0, 1.0]).astype(complex)
+_XI_FIXED, _XI_TWIST = read_only(np.diag([1.0, 0.0]).astype(complex),
+                                 np.diag([0.0, 1.0]).astype(complex))
 
 
 def _xi(p):
@@ -352,8 +352,7 @@ def _xi(p):
     for side in ("R", "L"):
         resid, norm = _intertwiner_residual(xi, p, side)
         if _any(resid > TOLERANCES["intertwiner"] * 2.0 * norm):
-            raise AmbiguousIntertwinerError(
-                2, f"pinned intertwiner failed the {side} pair at p = {p}")
+            raise AmbiguousIntertwinerError(f"pinned intertwiner failed the {side} pair at p = {p}")
     return xi
 
 

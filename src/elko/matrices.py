@@ -60,7 +60,7 @@ SPIN1_J = (spin1_jx, spin1_jy, spin1_jz)
 # Spin-1 Wigner matrix: antidiagonal (1, -1, 1) flip, real orthogonal
 # symmetric, squares to +1; Theta J Theta^-1 = -J*.
 theta_one = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
-read_only(sigma_x, sigma_y, sigma_z, *GAMMA, gamma5, theta_half, *SPIN1_J, theta_one)
+read_only(_I2, _Z2, sigma_x, sigma_y, sigma_z, *GAMMA, gamma5, theta_half, *SPIN1_J, theta_one)
 
 
 def vector(*parts) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -38,8 +37,9 @@ from .errors import (
     check_finite,
     check_label,
 )
-from .kinematics import _any, _sqrt, _unit, _where, parity_reflect, sample_momenta
-from .matrices import CMatrix, block_diag2, gamma0, gamma2, gamma5, matvec, pauli_dot, rownorm
+from .kinematics import _any, _sqrt, _unit, _where, parity_reflect
+from .matrices import (CMatrix, block_diag2, gamma0, gamma2, gamma5, matvec, pauli_dot, read_only,
+                       rownorm)
 from .spinors import BASES, INDICES, PhaseConfig, dirac_components, lambda_components
 
 
@@ -95,9 +95,13 @@ class ActionClassification:
 # the basic operators
 # ---------------------------------------------------------------------------
 
+_MINUS_GAMMA2, _U2, _U3 = read_only(-gamma2, np.eye(4, dtype=complex)[[0, 3, 2, 1]],
+                                    np.eye(4, dtype=complex)[[0, 2, 1, 3]])
+
+
 def charge_conjugation(cfg: PhaseConfig = PhaseConfig()) -> SymmetryOperator:
-    """Antilinear charge conjugation: -e^{i theta_c} gamma2 K."""
-    return SymmetryOperator(-gamma2, antilinear=True, phase=cmath.exp(1j * cfg.theta_c))
+    """Antilinear charge conjugation: -e^{i theta_c} gamma2 K (read-only matrix)."""
+    return SymmetryOperator(_MINUS_GAMMA2, antilinear=True, phase=cmath.exp(1j * cfg.theta_c))
 
 
 def parity_operator(intrinsic_phase: complex = 1.0) -> SymmetryOperator:
@@ -168,17 +172,13 @@ def u1(p) -> CMatrix:
 
 
 def u2() -> CMatrix:
-    """Permutation exchanging components 1 and 3 (det = -1)."""
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-    )
+    """Permutation exchanging components 1 and 3 (det = -1), read-only."""
+    return _U2
 
 
 def u3() -> CMatrix:
-    """Permutation exchanging components 1 and 2 (det = -1)."""
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    """Permutation exchanging components 1 and 2 (det = -1), read-only."""
+    return _U3
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +286,22 @@ def _family_stack(q, basis: str, family: str, cfg: PhaseConfig) -> np.ndarray:
     return np.array([components(q, k, i, basis, cfg) for k in kinds for i in INDICES])
 
 
-def classify_cp_action(basis: str, family: str, seed: int = 1, n_momenta: int = 100,
+def classify_cp_action(q, basis: str, family: str,
                        cfg: PhaseConfig = PhaseConfig()) -> ActionClassification:
-    """Probe C P +- P C on every member of the family over random momenta.
-
-    Uses the family's intrinsic inversion phase; the classification is
-    independent of the conjugation phase theta_c.  The momenta come from
-    the suite's sampler, and the family is probed on them as one stack of
-    its states.  An unknown basis or family, a seed that is not an integer
-    of at least 0, or a momentum count that is not an integer of at least
-    1, raises ``DomainError``.
-    """
+    """Probe C P +- P C on every member of the family at the momenta q (a
+    FourMomentum or a MomentumBatch), as one stack of its states, with the
+    family's intrinsic inversion phase; the classification is independent
+    of the conjugation phase theta_c.  An unknown basis or family, or a
+    batch with no rows, raises ``DomainError``."""
     check_label("basis", basis, BASES)
     check_label("family", family, _INTRINSIC_PARITY)
-    for name, value, least in (("seed", seed, 0), ("n_momenta", n_momenta, 1)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-            raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if np.size(q.m) == 0:
+        raise DomainError("classify_cp_action needs at least one momentum")
     c_op = charge_conjugation(cfg)
     p_op = parity_operator(_INTRINSIC_PARITY[family])
     cp = c_op.compose(p_op)
     pc = p_op.compose(c_op)
 
-    q = sample_momenta(np.random.default_rng(seed), n_momenta)
     # C P and P C both reflect the momentum once
     x = _family_stack(parity_reflect(q), basis, family, cfg)
     a, b = cp.apply(x), pc.apply(x)

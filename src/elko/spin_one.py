@@ -30,7 +30,7 @@ _SC_BLOCK = np.block([[_Z3, theta_one], [-theta_one, _Z3]])
 _SWAP_BLOCK = np.block([[_Z3, _I3], [_I3, _Z3]])
 _G5_ONE = np.block([[_I3, _Z3], [_Z3, -_I3]])
 _G5_SC_BLOCK = _G5_ONE @ _SC_BLOCK
-read_only(_SC_BLOCK, _SWAP_BLOCK, _G5_ONE, _G5_SC_BLOCK)
+read_only(_I3, _Z3, _SC_BLOCK, _SWAP_BLOCK, _G5_ONE, _G5_SC_BLOCK)
 
 
 def sc_one(phase: float = 0.0) -> SymmetryOperator:
@@ -126,12 +126,6 @@ class ConjugacyScan:
     floor_exceeded: bool           # True when neither sign admits a solution
 
 
-def _scan_operator(name: str, phase: float) -> SymmetryOperator:
-    # looked up per call: perfbench's tracer rebinds sc_one and gamma5_sc_one
-    check_label("operator", name, ("sc", "g5sc"))
-    return sc_one(phase) if name == "sc" else gamma5_sc_one(phase)
-
-
 _GRID_POINTS = 720   # the unit circle in steps of 0.5 degree
 _REFINE_POINTS = 17   # points per refinement step; the bracket shrinks 8x
 _REFINE_STEPS = 15    # from +-1 grid step (8.7e-3 rad) down to +-2.5e-16 rad
@@ -164,7 +158,9 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
     ``spin1_pair``, at one momentum on its own floats, and the scan itself
     is ``scan_pairs``, to which one momentum's pair is one row.
     """
-    op = _scan_operator(operator, op_phase)
+    check_label("operator", operator, ("sc", "g5sc"))
+    # looked up per call: perfbench's tracer rebinds sc_one and gamma5_sc_one
+    op = sc_one(op_phase) if operator == "sc" else gamma5_sc_one(op_phase)
     single = isinstance(p, FourMomentum)
     x, y = spin1_pair(p, construction, h)
     zeta, residual = scan_pairs(x[None], y[None], op) if single else scan_pairs(x, y, op)

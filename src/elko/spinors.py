@@ -391,7 +391,9 @@ def bar_product(a, b):
     """Lorentz-invariant pairing a-bar b = a^dagger gamma0 b; a complex for
     two spinors, an (N,) array when either is (N, 4) rows (one spinor pairs
     with each row, in either order)."""
-    av = a.components if isinstance(a, Bispinor) else np.asarray(a, dtype=complex)
+    # a's rows in C order (a batch's rows are column-major views): each row's
+    # four products are then summed as that row's own call sums them
+    av = np.ascontiguousarray(a.components if isinstance(a, Bispinor) else a, dtype=complex)
     bv = b.components if isinstance(b, Bispinor) else np.asarray(b, dtype=complex)
     if isinstance(a, Bispinor) and isinstance(b, Bispinor):
         if not all(np.array_equal(getattr(a.momentum, f), getattr(b.momentum, f))

@@ -624,7 +624,9 @@ def _su2_closure(ctx, key):
 @check("symmetry.cp-dirac", "conjugation and inversion anticommute on particle/antiparticle "
        "states (real intrinsic inversion phase)")
 def _cp_dirac(ctx, key):
-    res = ops.classify_cp_action("spinorial", "dirac", seed=ctx.seed, n_momenta=ctx.samples)
+    # both cp checks probe the run seed's own stream, not one keyed by their id
+    res = ops.classify_cp_action(kin.sample_momenta(np.random.default_rng(ctx.seed), ctx.samples),
+                                 "spinorial", "dirac")
     constants = {"relation": res.relation,
                  "commute-residual": round(res.commute_residual, 6),
                  "anticommute-residual": round(res.anticommute_residual, 9)}
@@ -641,13 +643,15 @@ def _cp_dirac(ctx, key):
 # factory's times diag(e^{i delta/2}, e^{-i delta/2}) on both chiral
 # blocks, here in exact units keyed by k.
 _Z_HALF_TURNS = {0: np.ones(4), -1: np.array([-1j, 1j, -1j, 1j]), -2: -np.ones(4)}
+mat.read_only(*_Z_HALF_TURNS.values())
 
 
 @check("symmetry.cp-elko", "conjugation and inversion commute on the self/anti-self conjugate "
        "states (imaginary intrinsic inversion phase; inversion image is -+i times the opposite "
        "kind)")
 def _cp_elko(ctx, key):
-    res = ops.classify_cp_action("helicity", "elko", seed=ctx.seed, n_momenta=ctx.samples)
+    res = ops.classify_cp_action(kin.sample_momenta(np.random.default_rng(ctx.seed), ctx.samples),
+                                 "helicity", "elko")
     constants = {"relation": res.relation,
                  "commute-residual": round(res.commute_residual, 9),
                  "anticommute-residual": round(res.anticommute_residual, 6)}

@@ -1,12 +1,15 @@
-"""The in-process A/B script of the pull-request workflow (``.github/ab.py``),
-run on tiny blocks so that a break in it shows here and not only as missing
-output of an informational step."""
+"""The A/B script of the pull-request workflow (``.github/ab.py``), run on
+tiny blocks so that a break in it shows here and not only as missing output
+of an informational step.  Its process runner is stubbed: no test here
+starts a process."""
 
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import elko
 
@@ -20,12 +23,25 @@ def _load_ab():
     return ab
 
 
+def _process_stub(calls, found=None):
+    """A stand-in for the ``subprocess`` module that records each command
+    (without the interpreter) and its ``PYTHONPATH``, and starts nothing.
+    The import check reads ``found``, or the package under ``PYTHONPATH``."""
+    def run(command, env=None, **kwargs):
+        src = env and env["PYTHONPATH"]
+        calls.append((command[1:], src))
+        return SimpleNamespace(stdout=found or f"{src}/elko/__init__.py\n")
+
+    return SimpleNamespace(run=run)
+
+
 def test_ab_script_compares_a_second_copy_on_each_request(capsys):
     path = list(sys.path)
     try:
         ab = _load_ab()
-        ab.SAMPLES, ab.BLOCKS, ab.PER_BLOCK, ab.WARM_UP = (1,), 2, 2, 2
+        ab.SAMPLES, ab.BLOCKS, ab.PER_BLOCK, ab.WARM_UP, ab.PROCESSES = (1,), 2, 2, 2, 3
         ab.REPORTS = ((1, 1),)
+        ab.subprocess = _process_stub(calls := [])
         copy = ab.load("elko_ab_copy", Path(elko.__file__).parent)
         assert copy is not elko and copy.suite is not elko.suite
         ab.run("copy", copy, elko)
@@ -39,13 +55,21 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
     assert titles == ["seed 1, 1 samples: byte-identical",
                       "run_suite('all', 1, 1) passes, 2 blocks of 1:",
                       "point-eval requests, 2 blocks of 2:",
-                      "spin-one-scan requests, 2 blocks of 2:"]
-    assert out.count("  copy: median ") == out.count("  head: median ") == 3
-    assert out.count("  head - copy per block: median ") == 3
+                      "spin-one-scan requests, 2 blocks of 2:",
+                      "elko verify --samples 1 processes, 3 blocks of 1:"]
+    assert out.count("  copy: median ") == out.count("  head: median ") == 4
+    assert out.count("  head - copy per block: median ") == 4
+    # both sides are the one tree of elko: 2 compiles, 2 import checks and
+    # 2 x 3 verify runs
+    src = str(Path(elko.__file__).parents[1])
+    assert [command[:2] for command, _ in calls] == (
+        [["-m", "compileall"], ["-c", "import elko; print(elko.__file__)"]] * 2
+        + [["-m", "elko"]] * 6)
+    assert [env for _, env in calls] == [None, src] * 2 + [src] * 6
     # a copy of the same library returns the same bits on point-eval and
     # spin-one-scan, each line under its A/B
     lines = out.splitlines()
-    for title in titles[2:]:
+    for title in titles[2:4]:
         assert lines[lines.index(title) + 4] == "  outputs bit-identical"
     assert out.count("  outputs ") == 2
 
@@ -78,3 +102,45 @@ def test_ab_script_says_which_reports_differ(capsys):
                         "head": lambda seed, samples: f"{seed ** 2} {samples}"})
     assert capsys.readouterr().out.splitlines() == [
         "seed 1, 10 samples: byte-identical", "seed 2, 10 samples: reports differ"]
+
+
+def test_ab_script_times_fresh_verify_processes_side_by_side(capsys, tmp_path):
+    """Each side compiles and checks its own tree, then both run ``python -m
+    elko verify`` on their own ``src``, taking turns going first."""
+    path = list(sys.path)
+    try:
+        ab = _load_ab()
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
+    trees = {"base": tmp_path / "base" / "src", "head": tmp_path / "head" / "src"}
+    ab.SAMPLES, ab.PROCESSES = (1000, 100), 2
+    ab.subprocess = _process_stub(calls := [])
+    ab.compare_processes(trees)
+    base, head = str(trees["base"]), str(trees["head"])
+    checks = [(["-m", "compileall", "-q", f"{base}/elko"], None),
+              (["-c", "import elko; print(elko.__file__)"], base),
+              (["-m", "compileall", "-q", f"{head}/elko"], None),
+              (["-c", "import elko; print(elko.__file__)"], head)]
+    assert calls[:4] == checks
+    runs = [(command[command.index("--samples") + 1], env) for command, env in calls[4:]]
+    assert runs == [("1000", base), ("1000", head), ("1000", head), ("1000", base),
+                    ("100", base), ("100", head), ("100", head), ("100", base)]
+    assert all(command[:8] == ["-m", "elko", "verify", "--suite", "all", "--seed", "1",
+                               "--samples"] and command[9] == "--out" for command, _ in calls[4:])
+    titles = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert titles == ["elko verify --samples 1000 processes, 2 blocks of 1:",
+                      "elko verify --samples 100 processes, 2 blocks of 1:"]
+
+
+def test_ab_script_stops_when_a_side_imports_another_tree(tmp_path):
+    path = list(sys.path)
+    try:
+        ab = _load_ab()
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
+    ab.subprocess = _process_stub(calls := [], found=f"{tmp_path}/installed/elko/__init__.py")
+    with pytest.raises(SystemExit, match="base imported elko from .*installed"):
+        ab.compare_processes({"base": tmp_path / "base" / "src", "head": tmp_path / "src"})
+    assert not any(command[:2] == ["-m", "elko"] for command, _ in calls)

@@ -18,7 +18,7 @@ from elko import operators as ops
 from elko import spin_one as s1
 from elko import spinors as sp
 from elko.cli import main as cli_main
-from elko.kinematics import make_momentum, parity_reflect
+from elko.kinematics import make_momentum, parity_reflect, sample_momenta
 from elko.matrices import block_diag2, gamma0, pauli_dot
 from elko.suite import run_suite
 
@@ -182,8 +182,9 @@ def test_criterion_06_parity_phases():
 
 
 def test_criterion_07_cp_dichotomy():
-    dirac = ops.classify_cp_action("spinorial", "dirac", seed=SEED, n_momenta=SAMPLES)
-    elko = ops.classify_cp_action("helicity", "elko", seed=SEED, n_momenta=SAMPLES)
+    q = sample_momenta(np.random.default_rng(SEED), SAMPLES)
+    dirac = ops.classify_cp_action(q, "spinorial", "dirac")
+    elko = ops.classify_cp_action(q, "helicity", "elko")
     assert dirac.relation == "anticommute"
     assert dirac.anticommute_residual <= 1e-12
     assert dirac.commute_residual > 0.1

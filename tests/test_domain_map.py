@@ -3,9 +3,8 @@
 The suite draws m log-uniform in [0.1, 10] and |p| uniform in [0, 10 m].
 Here the sampler is patched to draw m and |p|/m log-uniform over five
 regions, with the direction uniform over the sphere, and all 60 checks run
-at seeds 1-3 with 1000 samples in each region.  The checks and
-``classify_cp_action`` read ``sample_momenta`` from ``kinematics``, and
-``operators`` imports the name, so both are patched.
+at seeds 1-3 with 1000 samples in each region.  The checks read
+``sample_momenta`` from ``kinematics``, where it is patched.
 
 Every check off ``OUT_OF_BOX`` passes in every region.  The eleven on it
 fail in at least one region: their residuals carry mass dimension against
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from elko import kinematics as kin
-from elko import operators as ops
 from elko.suite import run_suite, suite_checks
 
 # (m range, |p|/m range), each drawn log-uniform
@@ -60,7 +58,6 @@ def domain_map():
     with pytest.MonkeyPatch.context() as patch:
         for region, (mass, ratio) in REGIONS.items():
             patch.setattr(kin, "sample_momenta", _sampler(mass, ratio))
-            patch.setattr(ops, "sample_momenta", kin.sample_momenta)
             runs = [run_suite("all", seed, 1000).checks for seed in (1, 2, 3)]
             out[region] = {
                 c.id: ((min if c.id in floors else max)(r.residual for r in rows),

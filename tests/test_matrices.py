@@ -1,10 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elko
 from elko import matrices as mat
 from elko import operators as ops
 from elko import spin_one as s1
@@ -83,6 +86,36 @@ def test_fixed_arrays_and_operator_matrices_are_read_only():
             a[(0,) * a.ndim] = 7
     assert_same_bits(mat.gamma5, before)
     assert_same_bits(ops.chirality().matrix, before)
+
+
+def _arrays(value):
+    """The arrays in a module global: the value itself, or those among the
+    values of a dict and the items of a tuple or list, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(elko.__path__)
+                                        if m.name != "__main__"))
+def test_no_module_global_array_is_writable(name):
+    """Every array a module keeps from import, bare or inside a module-level
+    dict or tuple, is read-only: a write would change every later call."""
+    module = importlib.import_module(f"elko.{name}")
+    writable = [key for key, value in vars(module).items()
+                if any(a.flags.writeable for a in _arrays(value))]
+    assert writable == []
+
+
+def test_fixed_operator_calls_return_one_read_only_array():
+    """``u2()``, ``u3()`` and the matrix of ``charge_conjugation`` are built
+    once: every call returns the same read-only array."""
+    for call in (ops.u2, ops.u3, lambda: ops.charge_conjugation().matrix,
+                 lambda: ops.charge_conjugation(sp.PhaseConfig(theta_c=1.1)).matrix):
+        a = call()
+        assert call() is a and not a.flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, 1, 1000])

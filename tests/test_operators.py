@@ -19,7 +19,7 @@ from elko.errors import (
     DirectionUndefinedError,
     DomainError,
 )
-from elko.kinematics import (_sqrt, _unit, boost_half, make_momenta, make_momentum,
+from elko.kinematics import (_sqrt, _unit, as_batch, boost_half, make_momenta, make_momentum,
                              parity_reflect, sample_momenta)
 from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot, rownorm,
                            sigma_z, vdot)
@@ -631,47 +631,43 @@ class TestSu2PhaseTransform:
             ops.su2_phase_transform(np.zeros(3), np.tile(c, (3, 1)))
 
 
+def _draw(seed, n):
+    """The momenta the suite's cp checks probe at a run's seed and sample count."""
+    return sample_momenta(np.random.default_rng(seed), n)
+
+
 class TestCPClassification:
     def test_dirac_anticommutes(self):
-        res = ops.classify_cp_action("spinorial", "dirac", seed=3, n_momenta=40)
+        res = ops.classify_cp_action(_draw(3, 40), "spinorial", "dirac")
         assert res.relation == "anticommute"
         assert res.anticommute_residual <= 1e-12
         assert res.commute_residual > 0.1
 
     def test_elko_commutes(self):
-        res = ops.classify_cp_action("helicity", "elko", seed=3, n_momenta=40)
+        res = ops.classify_cp_action(_draw(3, 40), "helicity", "elko")
         assert res.relation == "commute"
         assert res.commute_residual <= 1e-12
         assert res.anticommute_residual > 0.1
 
     @pytest.mark.parametrize("family", ["dirac", "elko"])
-    @pytest.mark.parametrize("n_momenta", [0, -1, 2.5, True])
-    def test_fewer_than_one_momentum_rejected(self, family, n_momenta):
-        """With no momenta both residuals would read 0.0, and ``dirac``
-        would classify as commuting; a negative, fractional or boolean
-        count reached numpy."""
-        with pytest.raises(DomainError, match="n_momenta"):
-            ops.classify_cp_action("spinorial", family, seed=3, n_momenta=n_momenta)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_negative_or_fractional_seed_rejected(self, seed):
-        """numpy's own ValueError and TypeError no longer reach the caller."""
-        with pytest.raises(DomainError, match="seed must be an integer of at least 0"):
-            ops.classify_cp_action("helicity", "elko", seed=seed, n_momenta=4)
+    def test_a_batch_with_no_rows_rejected(self, family):
+        """With no rows there is no residual to reduce: a ``DomainError``,
+        not numpy's zero-size reduction error."""
+        with pytest.raises(DomainError, match="at least one momentum"):
+            ops.classify_cp_action(_draw(3, 0), "spinorial", family)
 
     @pytest.mark.parametrize("family", ["lambda", "rho", "u", "", None])
     def test_unknown_family_rejected(self, family):
         with pytest.raises(DomainError, match="family"):
-            ops.classify_cp_action("helicity", family, seed=3, n_momenta=4)
+            ops.classify_cp_action(_draw(3, 4), "helicity", family)
 
     @staticmethod
-    def _state_by_state(basis, family, seed, n_momenta, cfg):
+    def _state_by_state(q, basis, family, cfg):
         """The probe written one state at a time: each state's C P and P C
-        images at the reflected momenta, over its own rows at the sampled
-        ones, then one reduction over every state's rows."""
+        images at the reflected momenta, over its own rows at q, then one
+        reduction over every state's rows."""
         c_op, p_op = ops.charge_conjugation(cfg), ops.parity_operator(ops._INTRINSIC_PARITY[family])
         cp, pc = c_op.compose(p_op), p_op.compose(c_op)
-        q = sample_momenta(np.random.default_rng(seed), n_momenta)
         reflected = parity_reflect(q)
         components, kinds = ((sp.dirac_components, ("particle", "antiparticle"))
                              if family == "dirac" else (sp.lambda_components, ("S", "A")))
@@ -687,40 +683,54 @@ class TestCPClassification:
                     "anticommute" if anticommute <= tol else "neither")
         return relation, commute, anticommute
 
-    @pytest.mark.parametrize("theta_c", [0.0, 1.1])
-    @pytest.mark.parametrize("n_momenta", [1, 7, 100])
-    @pytest.mark.parametrize("basis", sp.BASES)
-    @pytest.mark.parametrize("family", ["dirac", "elko"])
-    def test_the_stacked_probe_is_the_state_by_state_one(self, family, basis, n_momenta,
-                                                         theta_c):
-        """The family's four states probed as one stack give the relation
-        and the bits and Python type of both residuals that the probe
-        written one state at a time gives."""
-        cfg = sp.PhaseConfig(theta_c=theta_c)
-        res = ops.classify_cp_action(basis, family, seed=3, n_momenta=n_momenta, cfg=cfg)
-        relation, commute, anticommute = self._state_by_state(basis, family, 3, n_momenta, cfg)
+    @staticmethod
+    def _assert_same_classification(res, relation, commute, anticommute):
+        """The relation, and the bits and Python type of both residuals."""
         assert res.relation == relation
         for got, want in ((res.commute_residual, commute),
                           (res.anticommute_residual, anticommute)):
             assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("theta_c", [0.0, 1.1])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    @pytest.mark.parametrize("basis", sp.BASES)
+    @pytest.mark.parametrize("family", ["dirac", "elko"])
+    def test_the_stacked_probe_is_the_state_by_state_one(self, family, basis, rows,
+                                                         theta_c):
+        """The family's four states probed as one stack give the relation
+        and the bits and Python type of both residuals that the probe
+        written one state at a time gives."""
+        cfg, q = sp.PhaseConfig(theta_c=theta_c), _draw(3, rows)
+        self._assert_same_classification(ops.classify_cp_action(q, basis, family, cfg),
+                                         *self._state_by_state(q, basis, family, cfg))
+
+    @pytest.mark.parametrize("basis", sp.BASES)
+    @pytest.mark.parametrize("family", ["dirac", "elko"])
+    def test_one_momentum_is_its_one_row_batch(self, family, basis, bit_rows):
+        """A FourMomentum is probed as its one-row batch is: the same
+        relation, and the same bits and Python type of both residuals."""
+        for p in [*_draw(5, 20), *(make_momentum(*row) for row in bit_rows)]:
+            res = ops.classify_cp_action(as_batch([p]), basis, family)
+            self._assert_same_classification(ops.classify_cp_action(p, basis, family),
+                                             res.relation, res.commute_residual,
+                                             res.anticommute_residual)
 
     def test_a_nan_row_classifies_as_neither(self, nan_lambda_anti):
         """The residuals are one reduction over every state's rows, so a NaN
         row reads as NaN and classifies as neither; a fold by Python's
         ``max`` dropped it (``max(0.0, nan)`` is 0.0) and read commute."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            res = ops.classify_cp_action("helicity", "elko", seed=3, n_momenta=40)
+            res = ops.classify_cp_action(_draw(3, 40), "helicity", "elko")
         assert res.relation == "neither"
         assert math.isnan(res.commute_residual)
         assert math.isnan(res.anticommute_residual)
 
     def test_classification_is_phase_independent(self):
+        q = _draw(5, 10)
         for theta in (0.0, math.pi / 2, 2.1):
             cfg = sp.PhaseConfig(theta_c=theta)
-            assert ops.classify_cp_action("spinorial", "dirac", seed=5, n_momenta=10,
-                                          cfg=cfg).relation == "anticommute"
-            assert ops.classify_cp_action("helicity", "elko", seed=5, n_momenta=10,
-                                          cfg=cfg).relation == "commute"
+            assert ops.classify_cp_action(q, "spinorial", "dirac", cfg).relation == "anticommute"
+            assert ops.classify_cp_action(q, "helicity", "elko", cfg).relation == "commute"
 
     def test_elko_inversion_images(self, random_momenta, edge_rows, rng):
         """With the imaginary intrinsic phase the inversion image of the self

@@ -3,7 +3,7 @@ array arithmetic against a row-by-row loop over the same draws.
 
 ``kinematics.sample_momenta`` draws n rows as ``random(n)``,
 ``normal(size=(n, 3))`` and ``random(n)`` and keeps every row, along -z too;
-``RunContext.momenta`` and ``classify_cp_action`` both sample through it.  A
+``RunContext.momenta`` and the suite's two cp checks both sample through it.  A
 suite run makes the same number of generator calls at any sample count.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from elko import kinematics as kin
 from elko import operators as ops
 from elko.kinematics import make_momenta
-from elko.suite import RunContext, run_suite
+from elko.suite import RunContext, run_suite, suite_checks
 
 
 def _loop_momenta(rng, count, max_beta_scale=10.0):
@@ -107,7 +107,6 @@ def test_suite_passes_with_rows_next_to_minus_z(monkeypatch, tilt):
         return batch
 
     monkeypatch.setattr(kin, "sample_momenta", near_minus_z)
-    monkeypatch.setattr(ops, "sample_momenta", near_minus_z)
     report = run_suite("all", 1, 100)
     assert report.summary == {"total": 60, "passed": 60, "failed": 0}, [
         (c.id, c.status, c.residual) for c in report.checks if c.status != "passed"]
@@ -115,20 +114,26 @@ def test_suite_passes_with_rows_next_to_minus_z(monkeypatch, tilt):
     assert sum(found for found, _ in kept) > 0
 
 
-@pytest.mark.parametrize("seed,n_momenta", [(1, 1000), (3, 40), (5, 10)])
-def test_cp_classification_probes_the_loop_momenta(monkeypatch, seed, n_momenta):
+@pytest.mark.parametrize("seed,samples", [(1, 1000), (3, 40), (5, 10)])
+def test_cp_classification_probes_the_loop_momenta(monkeypatch, seed, samples):
+    """The suite's two cp checks each hand ``classify_cp_action`` the rows
+    the loop draws from the run seed's own generator."""
     probed = []
+    classify = ops.classify_cp_action
 
-    def recording(rng, n):
-        batch = kin.sample_momenta(rng, n)
-        probed.append(batch)
-        return batch
+    def recording(q, *args, **kwargs):
+        probed.append(q)
+        return classify(q, *args, **kwargs)
 
-    monkeypatch.setattr(ops, "sample_momenta", recording)
-    ops.classify_cp_action("helicity", "elko", seed=seed, n_momenta=n_momenta)
-    assert len(probed) == 1
-    expected = _loop_momenta(np.random.default_rng(seed), n_momenta)
-    _assert_bit_identical(probed[0], expected)
+    monkeypatch.setattr(ops, "classify_cp_action", recording)
+    ctx = RunContext(seed, samples)
+    for spec in suite_checks("symmetry"):
+        if spec.id in ("symmetry.cp-dirac", "symmetry.cp-elko"):
+            spec.run(ctx)
+    assert len(probed) == 2
+    expected = _loop_momenta(np.random.default_rng(seed), samples)
+    for q in probed:
+        _assert_bit_identical(q, expected)
 
 
 # (px, py, pz, m) of the first three rows of sample_momenta(default_rng(seed), 5)

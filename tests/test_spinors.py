@@ -21,6 +21,7 @@ from elko.kinematics import (boost_half_pair, make_momenta, make_momentum, parit
 from elko.matrices import gamma0, theta_half
 from elko.operators import charge_conjugation, chiral_helicity_operator, helicity_operator
 
+from conftest import assert_same_bits
 import golden
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -322,17 +323,19 @@ class TestBarProducts:
         with pytest.raises(DomainError):
             sp.bar_product(a, b)
 
-    def test_one_spinor_pairs_with_rows_in_either_order(self):
+    @pytest.mark.parametrize("basis", ["spinorial", "helicity"])
+    def test_one_spinor_pairs_with_rows_in_either_order(self, basis):
         """A (4,) spinor and (N, 4) rows pair to (N,), each entry the row's
-        own pairing (to rounding: the sum over a row's four products may
-        associate differently), whichever comes first."""
+        own pairing bit for bit, whichever comes first: spinorial rows are
+        column-major views, and their four products are summed in each
+        row's own order all the same."""
         batch = sample_momenta(np.random.default_rng(4), 5)
-        rows = sp.lambda_components(batch, "S", "up")
-        one = sp.rho_components(batch[2], "A", "down")
+        rows = sp.lambda_components(batch, "S", "up", basis)
+        one = sp.rho_components(batch[2], "A", "down", basis)
         for pairing, single in ((sp.bar_product(rows, one), lambda r: sp.bar_product(r, one)),
                                 (sp.bar_product(one, rows), lambda r: sp.bar_product(one, r))):
             assert pairing.shape == (5,)
-            np.testing.assert_allclose(pairing, [single(r) for r in rows], rtol=1e-14, atol=1e-12)
+            assert_same_bits(pairing, [single(r) for r in rows])
 
     @staticmethod
     def _quartet(first, second):
@@ -393,9 +396,8 @@ _LABEL_REJECTIONS = {
     lambda p: kin.boost_half(p, "X"): ("side", ("R", "L")),
     lambda p: kin.boost_one(p, "X"): ("side", ("R", "L")),
     lambda p: ops.chiral_gauge_transform(0.1, "dirac"): ("family", ("lambda", "rho")),
-    lambda p: ops.classify_cp_action("fixed", "elko", n_momenta=2): ("basis", _BASES),
-    lambda p: ops.classify_cp_action("helicity", "lambda", n_momenta=2): ("family",
-                                                                         ("dirac", "elko")),
+    lambda p: ops.classify_cp_action(p, "fixed", "elko"): ("basis", _BASES),
+    lambda p: ops.classify_cp_action(p, "helicity", "lambda"): ("family", ("dirac", "elko")),
     lambda p: s1.spin1_helicity_triplet_at(p, 2): ("h", (1, 0, -1)),
     lambda p: s1.spin1_pair(p, "sigma", 1): ("construction", ("lambda", "rho")),
     lambda p: s1.spin1_conjugacy_scan(p, "nope"): ("operator", ("sc", "g5sc")),

@@ -199,7 +199,7 @@ def test_forced_wrong_convention_fails_dynamics():
 
 class _OneMomentum:
     """A run context that draws the one given momentum for every stream;
-    a check that samples on its own (``classify_cp_action``) draws 10."""
+    the cp checks, which draw from the run seed's own generator, draw 10."""
 
     seed, samples = 1, 10
 
