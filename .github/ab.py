@@ -18,9 +18,11 @@ first input whose outputs differ in a bit.
 Last it times ``python -m elko verify --suite all --seed 1 --samples n``
 at n = 1000 and 100 in fresh processes, each tree's on its own ``src`` as
 ``PYTHONPATH``, the sides taking turns process by process, and prints the
-same lines.  Both trees are byte-compiled first, because with
-``PYTHONDONTWRITEBYTECODE`` set every process would compile the package
-again, and each side must import its own tree.
+same lines.  It then times ``python -c "import elko, elko.cli"`` the same
+way, and prints each side's median ``-X importtime`` self time per ``elko``
+module, from as many more processes.  Both trees are byte-compiled first,
+because with ``PYTHONDONTWRITEBYTECODE`` set every process would compile the
+package again, and each side must import its own tree.
 """
 
 import dataclasses
@@ -48,7 +50,8 @@ REPORTS = ((1, 1000), (2, 1000), (3, 1000), (4, 1000), (5, 1000), (1, 100))
 BLOCKS = 20             # blocks per A/B; each side is timed once on each
 PER_BLOCK = 400         # point-eval and spin-one-scan requests per block
 WARM_UP = 16            # point-eval and spin-one-scan requests per side first
-PROCESSES = 10          # fresh verify processes per side and sample count
+PROCESSES = 10          # fresh processes per side and A/B
+IMPORT = "import elko, elko.cli"   # the import of the import A/B
 
 
 def load(name, path):
@@ -129,9 +132,23 @@ def compare_reports(sides):
         print(f"seed {seed}, {samples} samples: {'byte-identical' if same else 'reports differ'}")
 
 
+def import_self_us(log):
+    """Each ``elko`` module's self time in µs, from one ``-X importtime``
+    log."""
+    times = {}
+    for line in log.splitlines():
+        if line.startswith("import time:"):
+            self_us, _, name = (f.strip() for f in line.removeprefix("import time:").split("|"))
+            if name.partition(".")[0] == "elko":
+                times[name] = int(self_us)
+    return times
+
+
 def compare_processes(trees):
     """Time one fresh ``python -m elko verify`` process per side and block,
-    at each sample count of ``SAMPLES``, and print the A/Bs; ``trees`` maps
+    at each sample count of ``SAMPLES``, then one fresh ``IMPORT`` process,
+    and print the A/Bs and the import's ``elko`` self times (0 for a module
+    a side does not load); ``trees`` maps
     the reference's name, then "head", to the tree's ``src`` directory."""
     envs = {side: {**os.environ, "PYTHONPATH": str(src)} for side, src in trees.items()}
     for side, src in trees.items():
@@ -152,9 +169,27 @@ def compare_processes(trees):
         for n in SAMPLES:
             compare(f"elko verify --samples {n} processes", sides, [[n]] * PROCESSES)
 
+    def start(side, *flags):
+        return subprocess.run([sys.executable, *flags, "-c", IMPORT], env=envs[side],
+                              capture_output=True, text=True, check=True)
+
+    sides = {side: lambda _, side=side: start(side) for side in trees}
+    compare(f'python -c "{IMPORT}" processes', sides, [[None]] * PROCESSES)
+    logs = {side: [] for side in trees}
+    for i in range(PROCESSES):
+        for side in reversed(trees) if i % 2 else trees:
+            logs[side].append(import_self_us(start(side, "-X", "importtime").stderr))
+    print(f"elko's -X importtime self times, median of {PROCESSES} processes:")
+    names = sorted({name for runs in logs.values() for run in runs for name in run})
+    for name in [*names, "total"]:
+        medians = (statistics.median(sum(run.values()) if name == "total" else run.get(name, 0)
+                                     for run in runs) for runs in logs.values())
+        print(f"  {name:<16}"
+              + "".join(f"  {side} {us:>6.0f} us" for side, us in zip(logs, medians)))
+
 
 def run(name, other, head):
-    """The report comparison, the four in-process A/Bs and the two process
+    """The report comparison, the four in-process A/Bs and the three process
     A/Bs of the package ``head`` against ``other``, called ``name``."""
     run_suite, point_eval, spin_one_scan, report = (
         {name: a, "head": b} for a, b in zip(requests(other), requests(head)))

@@ -1,6 +1,10 @@
 """Command-line front end: evaluate spinors and operators at a momentum, run
 verification suites, print the rest-frame table, and diff reports.
 
+Importing this module loads what ``eval`` and ``table`` use (kinematics,
+matrices, spinors and operators); ``verify`` and ``diff`` import the suite
+when they run.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
@@ -15,6 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .config import SUITE_NAMES
 from .errors import ElkoError, UsageError
 from .kinematics import _intertwiner_residual, boost_half, make_momentum
 from .operators import (
@@ -35,7 +40,6 @@ from .spinors import (
     lambda_spinor,
     rho_spinor,
 )
-from .suite import SUITE_NAMES, VerificationReport, diff_reports, run_suite
 
 _DIGITS = 12
 
@@ -191,6 +195,8 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .suite import run_suite
+
     report = run_suite(args.suite, args.seed, args.samples,
                        force_convention=args.force_convention)
     text = report.to_json()
@@ -209,7 +215,9 @@ def cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _read_report(path) -> VerificationReport:
+def _read_report(path):
+    from .suite import VerificationReport
+
     try:
         with open(path) as fh:
             return VerificationReport.from_json(fh.read())
@@ -221,6 +229,8 @@ def _read_report(path) -> VerificationReport:
 
 
 def cmd_diff(args) -> int:
+    from .suite import diff_reports
+
     drifted = diff_reports(_read_report(args.report_a), _read_report(args.report_b))
     if args.format == "json":
         print(json.dumps({"drifted": drifted}))

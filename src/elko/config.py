@@ -1,8 +1,12 @@
-"""Single table of numerical tolerances used across the library and the suite.
+"""Single table of numerical tolerances used across the library and the suite,
+and the names of the verification suites.
 
 All residual checks are double precision; defaults leave >= 10 orders of
 magnitude between "vanishes" and the floors used for nonexistence claims.
 """
+
+# the suites of ``elko verify --suite``, in report order ("all" runs them all)
+SUITE_NAMES = ("spin-half", "symmetry", "dynamics", "spin-one")
 
 TOLERANCES = {
     # generic algebraic identities on unit-normalised operands

@@ -173,8 +173,10 @@ class MomentumBatch(_OnShell):
     """N on-shell momenta as read-only (N,) float arrays.
 
     ``len`` is N; iterating or indexing with an integer yields
-    ``FourMomentum`` rows, indexing with a slice or a mask yields a smaller
-    batch.  Every batch makes its five arrays read-only when it is built.
+    ``FourMomentum`` rows, indexing with a slice, a mask or an integer array
+    yields a smaller batch; an index that adds an axis (a bool or None)
+    raises ``DimensionError``.  Every batch makes its five arrays read-only
+    when it is built.
     """
 
     px: np.ndarray
@@ -195,8 +197,12 @@ class MomentumBatch(_OnShell):
 
     def __getitem__(self, i):
         fields = (self.px[i], self.py[i], self.pz[i], self.m[i], self.E[i])
-        if np.ndim(fields[0]) == 0:
+        ndim = np.ndim(fields[0])
+        if ndim == 0:
             return FourMomentum(*(float(x) for x in fields))
+        if ndim != 1:  # a bool or None index adds an axis
+            raise DimensionError(f"a batch takes an integer, slice, mask or integer-array "
+                                 f"index, got {i!r}")
         return MomentumBatch(*fields)
 
 
@@ -216,8 +222,11 @@ def make_momenta(px, py, pz, m) -> MomentumBatch:
     """N on-shell momenta from (N,) component and mass arrays (scalars
     broadcast); the same rules and the same E, row by row, as
     ``make_momentum``."""
-    px, py, pz, m = (np.array(x, dtype=float)
-                     for x in np.broadcast_arrays(px, py, pz, m))
+    try:
+        arrays = np.broadcast_arrays(px, py, pz, m)
+    except ValueError:
+        raise DimensionError("momentum batch needs arrays of one length") from None
+    px, py, pz, m = (np.array(x, dtype=float) for x in arrays)
     if px.ndim != 1:
         raise DimensionError(f"momentum batch needs 1-d arrays, got shape {px.shape}")
     return _validated(px, py, pz, m)

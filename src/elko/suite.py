@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import SUITE_NAMES, TOLERANCES
 from .errors import ElkoError, UsageError
 from . import dynamics as dyn
 from . import kinematics as kin
@@ -34,7 +34,6 @@ from . import operators as ops
 from . import spin_one as s1
 from . import spinors as sp
 
-SUITE_NAMES = ("spin-half", "symmetry", "dynamics", "spin-one")
 
 # The convention check's id: the run's convention probe draws from this
 # stream, and a changed convention shows up in a diff under this id.

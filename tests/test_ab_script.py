@@ -23,14 +23,26 @@ def _load_ab():
     return ab
 
 
+# what ``python -X importtime`` writes to standard error, in part
+IMPORT_LOG = """\
+import time: self [us] | cumulative | imported package
+import time:      2000 |      60000 | numpy
+import time:       400 |        400 |     elko.config
+import time:      9000 |       9400 |   elko.kinematics
+import time:       900 |      10300 | elko
+import time:      4000 |       4000 | elko.cli
+"""
+
+
 def _process_stub(calls, found=None):
     """A stand-in for the ``subprocess`` module that records each command
     (without the interpreter) and its ``PYTHONPATH``, and starts nothing.
-    The import check reads ``found``, or the package under ``PYTHONPATH``."""
+    The import check reads ``found``, or the package under ``PYTHONPATH``;
+    every process writes ``IMPORT_LOG`` to standard error."""
     def run(command, env=None, **kwargs):
         src = env and env["PYTHONPATH"]
         calls.append((command[1:], src))
-        return SimpleNamespace(stdout=found or f"{src}/elko/__init__.py\n")
+        return SimpleNamespace(stdout=found or f"{src}/elko/__init__.py\n", stderr=IMPORT_LOG)
 
     return SimpleNamespace(run=run)
 
@@ -56,16 +68,19 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
                       "run_suite('all', 1, 1) passes, 2 blocks of 1:",
                       "point-eval requests, 2 blocks of 2:",
                       "spin-one-scan requests, 2 blocks of 2:",
-                      "elko verify --samples 1 processes, 3 blocks of 1:"]
-    assert out.count("  copy: median ") == out.count("  head: median ") == 4
-    assert out.count("  head - copy per block: median ") == 4
-    # both sides are the one tree of elko: 2 compiles, 2 import checks and
-    # 2 x 3 verify runs
+                      "elko verify --samples 1 processes, 3 blocks of 1:",
+                      'python -c "import elko, elko.cli" processes, 3 blocks of 1:',
+                      "elko's -X importtime self times, median of 3 processes:"]
+    assert out.count("  copy: median ") == out.count("  head: median ") == 5
+    assert out.count("  head - copy per block: median ") == 5
+    # both sides are the one tree of elko: 2 compiles, 2 import checks,
+    # 2 x 3 verify runs, 2 x 3 timed imports and 2 x 3 imports under -X importtime
     src = str(Path(elko.__file__).parents[1])
     assert [command[:2] for command, _ in calls] == (
         [["-m", "compileall"], ["-c", "import elko; print(elko.__file__)"]] * 2
-        + [["-m", "elko"]] * 6)
-    assert [env for _, env in calls] == [None, src] * 2 + [src] * 6
+        + [["-m", "elko"]] * 6 + [["-c", "import elko, elko.cli"]] * 6
+        + [["-X", "importtime"]] * 6)
+    assert [env for _, env in calls] == [None, src] * 2 + [src] * 18
     # a copy of the same library returns the same bits on point-eval and
     # spin-one-scan, each line under its A/B
     lines = out.splitlines()
@@ -123,14 +138,36 @@ def test_ab_script_times_fresh_verify_processes_side_by_side(capsys, tmp_path):
               (["-m", "compileall", "-q", f"{head}/elko"], None),
               (["-c", "import elko; print(elko.__file__)"], head)]
     assert calls[:4] == checks
-    runs = [(command[command.index("--samples") + 1], env) for command, env in calls[4:]]
+    runs = [(command[command.index("--samples") + 1], env) for command, env in calls[4:12]]
     assert runs == [("1000", base), ("1000", head), ("1000", head), ("1000", base),
                     ("100", base), ("100", head), ("100", head), ("100", base)]
     assert all(command[:8] == ["-m", "elko", "verify", "--suite", "all", "--seed", "1",
-                               "--samples"] and command[9] == "--out" for command, _ in calls[4:])
-    titles = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+                               "--samples"] and command[9] == "--out" for command, _ in calls[4:12])
+    # then the bare import, timed and under -X importtime, taking turns too
+    imports = [(["-c", "import elko, elko.cli"], side) for side in (base, head, head, base)]
+    assert calls[12:] == imports + [(["-X", "importtime", *command], side)
+                                    for command, side in imports]
+    lines = capsys.readouterr().out.splitlines()
+    titles = [line for line in lines if not line.startswith(" ")]
     assert titles == ["elko verify --samples 1000 processes, 2 blocks of 1:",
-                      "elko verify --samples 100 processes, 2 blocks of 1:"]
+                      "elko verify --samples 100 processes, 2 blocks of 1:",
+                      'python -c "import elko, elko.cli" processes, 2 blocks of 1:',
+                      "elko's -X importtime self times, median of 2 processes:"]
+    # one row per elko module in the log, then their sum; numpy is not elko's
+    assert lines[-5:] == [f"  {name:<16}  base {us:>6} us  head {us:>6} us" for name, us in (
+        ("elko", 900), ("elko.cli", 4000), ("elko.config", 400), ("elko.kinematics", 9000),
+        ("total", 14300))]
+
+
+def test_import_self_times_read_elko_modules_alone():
+    path = list(sys.path)
+    try:
+        ab = _load_ab()
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
+    assert ab.import_self_us(IMPORT_LOG + "elkology\nimport time: 7 | 7 | elkotools\n") == {
+        "elko": 900, "elko.cli": 4000, "elko.config": 400, "elko.kinematics": 9000}
 
 
 def test_ab_script_stops_when_a_side_imports_another_tree(tmp_path):

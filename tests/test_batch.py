@@ -242,8 +242,9 @@ class TestMomentumBatch:
         assert len(batch) == len(rows) == N
         for p in rows[:50]:
             assert p == kin.make_momentum(p.px, p.py, p.pz, p.m)
-        assert batch[3] == rows[3]
+        assert batch[3] == batch[np.int64(3)] == rows[3]
         assert list(batch[10:13]) == rows[10:13]
+        assert list(batch[np.array([12, 10])]) == [rows[12], rows[10]]
         mask = batch.pz > 0
         assert list(batch[mask]) == [p for p in rows if p.pz > 0]
 
@@ -251,6 +252,14 @@ class TestMomentumBatch:
         for name in ("p_r", "p_l", "p_plus", "p_minus", "p_abs"):
             assert np.array_equal(getattr(batch, name), [getattr(p, name) for p in rows])
         assert np.array_equal(batch.direction(), [p.direction() for p in rows])
+
+    @pytest.mark.parametrize("index", [True, np.True_, False, np.False_, None, (None,),
+                                       np.array([[0, 1]])])
+    def test_index_that_adds_an_axis_rejected(self, index):
+        # numpy reads a bool or None index as a new axis: (1, 2) fields
+        two = kin.make_momenta([1.0, 2.0], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0])
+        with pytest.raises(DimensionError, match="index"):
+            two[index]
 
     def test_read_only(self, batch):
         with pytest.raises(ValueError):
@@ -266,5 +275,7 @@ class TestMomentumBatch:
     def test_shape_and_mass_rejected(self):
         with pytest.raises(DimensionError):
             kin.make_momenta([[1.0]], [[0.0]], [[0.0]], 1.0)
+        with pytest.raises(DimensionError, match="one length"):
+            kin.make_momenta([1.0, 2.0], [0.0, 1.0, 2.0], 0.0, 1.0)
         with pytest.raises(DomainError):
             kin.make_momenta([1.0, 2.0], 0.0, 0.0, [1.0, 0.0])
