@@ -13,7 +13,8 @@ prints each side's median and interquartile range per request, the median
 per-block head - <name> difference and the number of blocks the head won.
 The point-eval and spin-one-scan A/Bs then call both sides once more on
 each input of their first block and print ``outputs bit-identical`` or the
-first input whose outputs differ in a bit.
+first input whose outputs differ in a bit, by the rule of ``tests/bits.py``
+that the tests use.
 
 Last it times ``python -m elko verify --suite all --seed 1 --samples n``
 at n = 1000 and 100 in fresh processes, each tree's on its own ``src`` as
@@ -25,7 +26,6 @@ because with ``PYTHONDONTWRITEBYTECODE`` set every process would compile the
 package again, and each side must import its own tree.
 """
 
-import dataclasses
 import importlib.util
 import itertools
 import os
@@ -37,10 +37,10 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
+from bits import leaves  # noqa: E402
 from workloads import PointEval, SpinOneScan, seeded_momenta  # noqa: E402
 
 SAMPLES = (1000, 100)   # run_suite's sample counts
@@ -98,18 +98,6 @@ def compare(title, sides, blocks):
     diffs = [h - r for r, h in zip(times[ref], times[head])]
     print(f"  {head} - {ref} per block: median {scale * statistics.median(diffs):+.1f} {unit}, "
           f"{head} faster in {sum(d < 0 for d in diffs)} of {len(diffs)} blocks")
-
-
-def leaves(output):
-    """A request's output as the list its bits are compared by: each array's
-    and scalar's type, dtype, shape and bytes, in order, through tuples,
-    lists and dataclasses."""
-    if dataclasses.is_dataclass(output):
-        return [leaf for f in dataclasses.fields(output) for leaf in leaves(getattr(output, f.name))]
-    if isinstance(output, (tuple, list)):
-        return [leaf for x in output for leaf in leaves(x)]
-    a = np.asarray(output)
-    return [(type(output).__name__, a.dtype.str, a.shape, a.tobytes())]
 
 
 def compare_bits(sides, block):

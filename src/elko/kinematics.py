@@ -196,14 +196,22 @@ class MomentumBatch(_OnShell):
             yield FourMomentum(*row)
 
     def __getitem__(self, i):
-        fields = (self.px[i], self.py[i], self.pz[i], self.m[i], self.E[i])
-        ndim = np.ndim(fields[0])
-        if ndim == 0:
-            return FourMomentum(*(float(x) for x in fields))
-        if ndim != 1:  # a bool or None index adds an axis
-            raise DimensionError(f"a batch takes an integer, slice, mask or integer-array "
-                                 f"index, got {i!r}")
-        return MomentumBatch(*fields)
+        # numpy reads a tuple as one index per axis and a bool or None as a
+        # new axis, so the index is checked before any field is indexed
+        if isinstance(i, tuple) and len(i) == 1:
+            i = i[0]
+        arrays = (self.px, self.py, self.pz, self.m, self.E)
+        if isinstance(i, slice):
+            return MomentumBatch(*(x[i] for x in arrays))
+        index = np.asarray(None if isinstance(i, tuple) else i)
+        if index.shape == (0,):   # [] reads as a float array
+            index = index.astype(np.intp)
+        if index.ndim == 0 and index.dtype.kind in "iu":
+            return FourMomentum(*(float(x[index]) for x in arrays))
+        if index.ndim == 1 and index.dtype.kind in "biu":
+            return MomentumBatch(*(x[index] for x in arrays))
+        raise DimensionError(f"a batch takes an integer, slice, mask or integer-array "
+                             f"index, got {i!r}")
 
 
 def make_momentum(px: float, py: float, pz: float, m: float) -> FourMomentum:

@@ -12,15 +12,17 @@ PHASE_CONFIGS = (sp.PhaseConfig(), sp.PhaseConfig(theta_c=0.4, theta1=0.9, theta
                  sp.PhaseConfig(theta1=1e-300, theta2=math.pi))
 
 
-def assert_same_bits(got, want):
-    """Equal shapes, equal values and equal signs of every real and
-    imaginary part, zeros included: ``elko eval`` prints a negative zero.
-    Test modules import it from here."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+def record_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to append each call's positional arguments to
+    the list it returns, then run the original."""
+    calls, body = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 @pytest.fixture

@@ -13,13 +13,22 @@ import pytest
 
 import elko
 
+import bits
+
 AB_SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "ab.py"
 
 
 def _load_ab():
-    spec = importlib.util.spec_from_file_location("ab", AB_SCRIPT)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    """The script as a module, with the path entries and the ``workloads``
+    module that its imports add taken out again."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("ab", AB_SCRIPT)
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
     return ab
 
 
@@ -48,9 +57,8 @@ def _process_stub(calls, found=None):
 
 
 def test_ab_script_compares_a_second_copy_on_each_request(capsys):
-    path = list(sys.path)
+    ab = _load_ab()
     try:
-        ab = _load_ab()
         ab.SAMPLES, ab.BLOCKS, ab.PER_BLOCK, ab.WARM_UP, ab.PROCESSES = (1,), 2, 2, 2, 3
         ab.REPORTS = ((1, 1),)
         ab.subprocess = _process_stub(calls := [])
@@ -58,8 +66,7 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
         assert copy is not elko and copy.suite is not elko.suite
         ab.run("copy", copy, elko)
     finally:
-        sys.path[:] = path
-        for name in [n for n in sys.modules if n.partition(".")[0] in ("elko_ab_copy", "workloads")]:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "elko_ab_copy"]:
             del sys.modules[name]
     out = capsys.readouterr().out
     titles = [line for line in out.splitlines() if not line.startswith(" ")]
@@ -90,15 +97,11 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
 
 
 def test_ab_script_names_the_first_input_whose_outputs_differ(capsys):
-    path = list(sys.path)
-    try:
-        ab = _load_ab()
-    finally:
-        sys.path[:] = path
-        sys.modules.pop("workloads", None)
+    ab = _load_ab()
     same = (lambda x: (x, [np.zeros(2)]), lambda x: (x, [np.zeros(2)]))
     # -0.0 == 0.0 as a value, but not as bits
     signed = (lambda x: (x, [np.zeros(2)]), lambda x: (x, [np.zeros(2) * (-1.0 if x > 1 else 1.0)]))
+    assert ab.leaves is bits.leaves   # the tests' rule
     ab.compare_bits(dict(zip(("ref", "head"), same)), [1, 2, 3])
     ab.compare_bits(dict(zip(("ref", "head"), signed)), [1, 2, 3])
     assert capsys.readouterr().out.splitlines() == [
@@ -106,12 +109,7 @@ def test_ab_script_names_the_first_input_whose_outputs_differ(capsys):
 
 
 def test_ab_script_says_which_reports_differ(capsys):
-    path = list(sys.path)
-    try:
-        ab = _load_ab()
-    finally:
-        sys.path[:] = path
-        sys.modules.pop("workloads", None)
+    ab = _load_ab()
     ab.REPORTS = ((1, 10), (2, 10))
     ab.compare_reports({"ref": lambda seed, samples: f"{seed} {samples}",
                         "head": lambda seed, samples: f"{seed ** 2} {samples}"})
@@ -122,12 +120,7 @@ def test_ab_script_says_which_reports_differ(capsys):
 def test_ab_script_times_fresh_verify_processes_side_by_side(capsys, tmp_path):
     """Each side compiles and checks its own tree, then both run ``python -m
     elko verify`` on their own ``src``, taking turns going first."""
-    path = list(sys.path)
-    try:
-        ab = _load_ab()
-    finally:
-        sys.path[:] = path
-        sys.modules.pop("workloads", None)
+    ab = _load_ab()
     trees = {"base": tmp_path / "base" / "src", "head": tmp_path / "head" / "src"}
     ab.SAMPLES, ab.PROCESSES = (1000, 100), 2
     ab.subprocess = _process_stub(calls := [])
@@ -160,23 +153,13 @@ def test_ab_script_times_fresh_verify_processes_side_by_side(capsys, tmp_path):
 
 
 def test_import_self_times_read_elko_modules_alone():
-    path = list(sys.path)
-    try:
-        ab = _load_ab()
-    finally:
-        sys.path[:] = path
-        sys.modules.pop("workloads", None)
+    ab = _load_ab()
     assert ab.import_self_us(IMPORT_LOG + "elkology\nimport time: 7 | 7 | elkotools\n") == {
         "elko": 900, "elko.cli": 4000, "elko.config": 400, "elko.kinematics": 9000}
 
 
 def test_ab_script_stops_when_a_side_imports_another_tree(tmp_path):
-    path = list(sys.path)
-    try:
-        ab = _load_ab()
-    finally:
-        sys.path[:] = path
-        sys.modules.pop("workloads", None)
+    ab = _load_ab()
     ab.subprocess = _process_stub(calls := [], found=f"{tmp_path}/installed/elko/__init__.py")
     with pytest.raises(SystemExit, match="base imported elko from .*installed"):
         ab.compare_processes({"base": tmp_path / "base" / "src", "head": tmp_path / "src"})

@@ -12,6 +12,7 @@ generic rows.
 """
 
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from elko.errors import DimensionError, DomainError
 from elko.matrices import theta_half
 from elko.suite import RunContext
 
-from conftest import PHASE_CONFIGS, assert_same_bits
+from bits import assert_rows_same_bits
+from conftest import PHASE_CONFIGS
 
 N = 1000
 HELICITY_RTOL = 1e-15
@@ -67,8 +69,8 @@ def spinor_rows(bit_rows, rows):
 def _rows_are_their_calls(momenta, kernel, factory, kind, index, basis):
     batch = kin.as_batch(momenta)
     for cfg in PHASE_CONFIGS:
-        assert_same_bits(kernel(batch, kind, index, basis, cfg),
-                         [factory(p, kind, index, basis, cfg).components for p in momenta])
+        assert_rows_same_bits(kernel(batch, kind, index, basis, cfg),
+                              [factory(p, kind, index, basis, cfg).components for p in momenta])
 
 
 class TestSpinorKernels:
@@ -85,9 +87,10 @@ class TestSpinorKernels:
         # products round to zero, with a sign that the product form decides
         momenta = kin.as_batch([*rows, kin.make_momentum(0.0, 5e-324, -1.5, 2.0)])
         for side in ("R", "L"):
-            assert_same_bits(kin.boost_half(momenta, side),
-                             [kin.boost_half(p, side) for p in momenta])
-        assert_same_bits(kin.boost_half_pair(momenta), [kin.boost_half_pair(p) for p in momenta])
+            assert_rows_same_bits(kin.boost_half(momenta, side),
+                                  [kin.boost_half(p, side) for p in momenta])
+        assert_rows_same_bits(kin.boost_half_pair(momenta),
+                              [kin.boost_half_pair(p) for p in momenta])
 
     def test_bar_product_rows(self, batch, rows):
         lu = sp.lambda_components(batch, "S", "up")
@@ -104,7 +107,7 @@ class TestOperatorKernels:
     def test_square_root_operators_bit_identical(self, batch, rows, kernel):
         """Square roots, divisions and numpy products only, no exp or trig:
         each row is its N = 1 call, values and zero signs."""
-        assert_same_bits(kernel(batch), [kernel(p) for p in rows])
+        assert_rows_same_bits(kernel(batch), [kernel(p) for p in rows])
 
     def test_momentum_dependent_operators(self, batch, rows):
         _rows_close(ops.xi_matrix(batch), [ops.xi_matrix(p) for p in rows], HELICITY_RTOL)
@@ -192,7 +195,7 @@ class TestSpinOneKernels:
 
     def test_boost_one_rows(self, mixed):
         for side in "RL":
-            assert np.array_equal(kin.boost_one(mixed, side),
+            assert_rows_same_bits(kin.boost_one(mixed, side),
                                   [kin.boost_one(p, side) for p in mixed])
 
     @pytest.fixture(scope="class")
@@ -211,16 +214,12 @@ class TestSpinOneKernels:
         for phase in (0.0, 0.7):
             scan = s1.spin1_conjugacy_scan(scan_rows, op, construction, h, phase)
             singles = [s1.spin1_conjugacy_scan(p, op, construction, h, phase) for p in scan_rows]
-            for field in ("self_minimum", "anti_minimum"):
-                batched = getattr(scan, field)
-                rows = [getattr(one, field) for one in singles]
-                assert batched.zeta.shape == batched.residual.shape == (len(scan_rows),)
-                assert all(isinstance(r.zeta, complex) and isinstance(r.residual, float)
-                           for r in rows)
-                assert_same_bits(batched.zeta, [r.zeta for r in rows])
-                assert_same_bits(batched.residual, [r.residual for r in rows])
+            assert all(isinstance(best.zeta, complex) and isinstance(best.residual, float)
+                       for one in singles for best in (one.self_minimum, one.anti_minimum))
             assert all(isinstance(one.floor_exceeded, bool) for one in singles)
-            assert list(scan.floor_exceeded) == [one.floor_exceeded for one in singles]
+            # (N,) arrays of the rows' values, zero signs included
+            results = attrgetter("self_minimum", "anti_minimum", "floor_exceeded")
+            assert_rows_same_bits(results(scan), [results(one) for one in singles])
             assert all(scan.floor_exceeded) == (op == "sc")
 
     @pytest.mark.parametrize("construction", ["lambda", "rho"])
@@ -249,14 +248,17 @@ class TestMomentumBatch:
         assert list(batch[mask]) == [p for p in rows if p.pz > 0]
 
     def test_derived_fields_match_rows(self, batch, rows):
-        for name in ("p_r", "p_l", "p_plus", "p_minus", "p_abs"):
-            assert np.array_equal(getattr(batch, name), [getattr(p, name) for p in rows])
-        assert np.array_equal(batch.direction(), [p.direction() for p in rows])
+        names = ("p_r", "p_l", "p_plus", "p_minus", "p_abs")
+        assert_rows_same_bits([*(getattr(batch, name) for name in names), batch.direction()],
+                              [[*(getattr(p, name) for name in names), p.direction()]
+                               for p in rows])
 
     @pytest.mark.parametrize("index", [True, np.True_, False, np.False_, None, (None,),
-                                       np.array([[0, 1]])])
+                                       np.array([[0, 1]]), (True, 0), (0, None),
+                                       (np.True_, 0)])
     def test_index_that_adds_an_axis_rejected(self, index):
-        # numpy reads a bool or None index as a new axis: (1, 2) fields
+        # numpy reads a bool or None index as a new axis: (1, 2) fields, or
+        # (1,) fields in a tuple that also picks a row
         two = kin.make_momenta([1.0, 2.0], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0])
         with pytest.raises(DimensionError, match="index"):
             two[index]

@@ -17,6 +17,9 @@ import pytest
 from elko import kinematics as kin
 from elko.suite import run_suite
 
+from bits import assert_rows_same_bits, assert_same_bits, walk
+from conftest import record_calls
+
 FIELDS = ("p_r", "p_l", "p_perp2", "p_abs", "half_angles", "boost_norm", "boost_off_diagonal",
           "pattern_diagonal", "helicity_ring")
 
@@ -40,15 +43,6 @@ def _fresh(p):
     }
 
 
-def _parts(value):
-    return value if isinstance(value, tuple) else (value,)
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.fixture(scope="module")
 def batch(edge_rows):
     generic = kin.sample_momenta(np.random.default_rng(11), 100)
@@ -68,29 +62,25 @@ def test_each_field_is_its_expression_bit_for_bit(batch):
         for name in FIELDS:
             cached = getattr(p, name)
             assert getattr(p, name) is cached, name
-            assert len(_parts(cached)) == len(_parts(fresh[name])), name
-            for got, want in zip(_parts(cached), _parts(fresh[name])):
-                assert _same_bits(got, want), (name, p)
+            assert_same_bits(cached, fresh[name])
 
 
 def test_batch_rows_are_the_one_momentum_fields(batch):
-    for k in (0, 7, *range(100, len(batch))):
-        row = batch[k]
-        for name in FIELDS:
-            for column, value in zip(_parts(getattr(batch, name)), _parts(getattr(row, name))):
-                assert _same_bits(column[k], value), (name, k)
+    rows = [batch[k] for k in range(len(batch))]
+    for name in FIELDS:
+        assert_rows_same_bits(getattr(batch, name), [getattr(row, name) for row in rows])
 
 
 def test_fields_are_read_only(batch):
     for name in FIELDS:
-        for x in _parts(getattr(batch, name)):
+        for x in walk(getattr(batch, name)):
             assert isinstance(x, np.ndarray) and not x.flags.writeable, name
             with pytest.raises(ValueError):
                 x[0] = 0.0
     row = batch[100]
     for name in FIELDS:
         assert not any(isinstance(x, np.ndarray) and x.flags.writeable
-                       for x in _parts(getattr(row, name))), name
+                       for x in walk(getattr(row, name))), name
     for p in (batch, row):
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.p_abs = 1.0
@@ -123,8 +113,7 @@ def test_new_momentum_objects_get_their_own_fields(batch):
     for p in derived:
         fresh = _fresh(p)
         for name in FIELDS:
-            for got, want in zip(_parts(getattr(p, name)), _parts(fresh[name])):
-                assert _same_bits(got, want), (name, p)
+            assert_same_bits(getattr(p, name), fresh[name])
     reflected = kin.parity_reflect(batch)
     assert np.array_equal(reflected.p_r, -batch.p_r)
     assert np.array_equal(reflected.p_abs, batch.p_abs)
@@ -154,22 +143,14 @@ def test_concurrent_first_reads_agree(batch):
             assert len(reads) == len(threads)
             fresh = _fresh(p)
             for values in reads:
-                for name, value in zip(FIELDS, values):
-                    for got, want in zip(_parts(value), _parts(fresh[name])):
-                        assert _same_bits(got, want), (name, k)
+                assert_same_bits(values, [fresh[name] for name in FIELDS])
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_half_angle_frame_is_computed_once_per_momentum_in_a_suite_pass(monkeypatch):
-    seen = []   # keeps every momentum alive, so no two share an id
-    body = kin._half_angles
-
-    def counted(p):
-        seen.append(p)
-        return body(p)
-
-    monkeypatch.setattr(kin, "_half_angles", counted)
+    # the record keeps every momentum alive, so no two share an id
+    seen = record_calls(monkeypatch, kin, "_half_angles")
     assert run_suite("all", 1, 100).all_passed
     assert seen
-    assert max(Counter(map(id, seen)).values()) == 1
+    assert max(Counter(id(args[0]) for args in seen).values()) == 1

@@ -11,6 +11,8 @@ from elko.kinematics import as_batch, make_momentum, sample_momenta
 from elko.matrices import block_diag2, gamma0, gamma5, matvec, pauli_dot, rownorm
 from elko.operators import chiral_gauge_transform, su2_phase_transform
 
+from bits import assert_rows_same_bits, assert_same_bits
+
 
 class TestDiracMatrix:
     def test_clifford_square(self, random_momenta):
@@ -102,8 +104,7 @@ class TestMarkov:
         # a batch with (N,) weights is its rows' single calls
         w = np.array(weights).T
         batched = dyn.markov_superposition(as_batch(momenta), w[:2], w[2:])
-        assert np.array_equal(batched.chi, [pair.chi for pair in pairs])
-        assert np.array_equal(batched.eta, [pair.eta for pair in pairs])
+        assert_rows_same_bits(batched, pairs)
 
     def test_solutions_lie_in_uv_span(self, random_momenta, rng):
         p = random_momenta(1)[0]
@@ -205,13 +206,6 @@ class TestSenGupta:
             e *= rng.uniform(1.1, 2.0, n)
         return e, *vec.T, m1, m2
 
-    @staticmethod
-    def _same_bits(batch, single):
-        return (len(batch) == len(single)
-                and all(len(a) == len(b) and all(x.tobytes() == y.tobytes()
-                                                  for x, y in zip(a, b))
-                        for a, b in zip(batch, single)))
-
     def test_null_space_batch_rows_are_the_single_calls(self):
         """One basis list per row, bit for bit the list of the row's own
         call: on-shell rows (two vectors), off-shell rows (none), rows with
@@ -223,15 +217,15 @@ class TestSenGupta:
         for args in rows + [mixed]:
             batch = dyn.sen_gupta_null_space(*args)
             single = [dyn.sen_gupta_null_space(*row) for row in zip(*args)]
-            assert self._same_bits(batch, single)
+            assert_same_bits(batch, single)
         dims = [len(null) for null in dyn.sen_gupta_null_space(*mixed)]
         assert dims == [2] * 7 + [0] * 7 + [2] * 7
         px, py, pz = rng.normal(size=(3, 10))
         shell = np.sqrt(3.0 + px * px + py * py + pz * pz)   # m1^2 - m2^2 = 3
         e = np.where(np.arange(10) < 3, shell, shell * rng.uniform(0.5, 2.0, 10))
         batch = dyn.sen_gupta_null_space(e, px, py, pz, 2.0, 1.0)
-        assert self._same_bits(batch, [dyn.sen_gupta_null_space(*row, 2.0, 1.0)
-                                       for row in zip(e, px, py, pz)])
+        assert_same_bits(batch, [dyn.sen_gupta_null_space(*row, 2.0, 1.0)
+                                 for row in zip(e, px, py, pz)])
         assert [len(null) for null in batch[:3]] == [2, 2, 2]
         # one momentum still gives a list of (4,) rows
         single = dyn.sen_gupta_null_space(*(x[0] for x in rows[0]))

@@ -34,7 +34,8 @@ from elko import kinematics as kin
 from elko import spinors as sp
 from elko.matrices import matrix2, rownorm, vector
 
-from conftest import PHASE_CONFIGS, assert_same_bits
+from bits import assert_same_bits
+from conftest import PHASE_CONFIGS
 
 _FACTORIES = ([(sp.lambda_spinor, "lambda", kind) for kind in sp.KINDS_SELF]
               + [(sp.rho_spinor, "rho", kind) for kind in sp.KINDS_SELF]
@@ -207,8 +208,7 @@ def test_coupled_residuals_keep_their_bits(bit_rows, sign):
         got = dyn.coupled_system_residual(p, conv)
         want = _frozen_coupled_residual(p, conv)
         assert len(got) == len(want) == 4
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
+        assert_same_bits(got, want)
         assert_same_bits(dyn.eight_component_residual(p, conv),
                          _frozen_eight_component_residual(p, conv))
 

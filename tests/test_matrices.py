@@ -13,7 +13,7 @@ from elko import operators as ops
 from elko import spin_one as s1
 from elko import spinors as sp
 
-from conftest import assert_same_bits
+from bits import assert_rows_same_bits, assert_same_bits
 
 
 def test_mul_identity_and_pauli_involution():
@@ -128,9 +128,7 @@ def test_matmat_is_matmul_bit_for_bit(rng, n, lead):
     stack, stack2 = complex_normal(*lead, n, 4, 4), complex_normal(*lead, n, 4, 4)
     for a, b in ((fixed, stack), (stack, fixed), (stack, stack2), (fixed, other),
                  (fixed.conj().T, stack), (stack, fixed.conj().T), (mat.gamma5, stack)):
-        got, want = mat.matmat(a, b), a @ b
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert_same_bits(mat.matmat(a, b), a @ b)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -147,7 +145,7 @@ def test_rownorm_of_a_matrix_stack_keeps_its_bits(rng):
     x = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
     r = x.view(float).reshape(7, 32)
     want = np.sqrt(np.einsum("...i,...i->...", r, r))
-    assert mat.rownorm(x, matrix=True).tobytes() == want.tobytes()
+    assert_same_bits(mat.rownorm(x, matrix=True), want)
     assert mat.rownorm(x[2], matrix=True) == want[2]
 
 
@@ -168,10 +166,7 @@ def test_pauli_dot_of_floats_is_its_row_of_the_array_call():
     included."""
     stack = mat.pauli_dot(*_ROWS.T)
     assert stack.shape == (len(_ROWS), 2, 2)
-    for row, want in zip(_ROWS.tolist(), stack):
-        got = mat.pauli_dot(*row)
-        assert got.shape == (2, 2)
-        assert_same_bits(got, want)
+    assert_rows_same_bits(stack, [mat.pauli_dot(*row) for row in _ROWS.tolist()])
 
 
 def test_spin1_dot_of_floats_is_its_row_of_the_array_call():
@@ -182,10 +177,7 @@ def test_spin1_dot_of_floats_is_its_row_of_the_array_call():
     stack = mat.spin1_dot(*_ROWS.T)
     x, y, z = (_ROWS[:, k, None, None] for k in range(3))
     assert_same_bits(stack, x * mat.spin1_jx + y * mat.spin1_jy + z * mat.spin1_jz)
-    for row, want in zip(_ROWS.tolist(), stack):
-        got = mat.spin1_dot(*row)
-        assert got.shape == (3, 3)
-        assert_same_bits(got, want)
+    assert_rows_same_bits(stack, [mat.spin1_dot(*row) for row in _ROWS.tolist()])
 
 
 def test_pauli_dot_squares_to_the_squared_norm(rng):
@@ -207,8 +199,7 @@ def test_block_diag2_of_a_stack_is_its_matrices_bit_for_bit(rng, k):
     a, b = complex_normal(5, 2, 2), complex_normal(5, k, k)
     stack = mat.block_diag2(a, b)
     assert stack.shape == (5, 2 + k, 2 + k)
-    for got, a_i, b_i in zip(stack, a, b):
-        assert_same_bits(got, mat.block_diag2(a_i, b_i))
+    assert_rows_same_bits(stack, [mat.block_diag2(a_i, b_i) for a_i, b_i in zip(a, b)])
     assert_same_bits(stack[:, :2, 2:], np.zeros((5, 2, k), dtype=complex))
     assert_same_bits(stack[:, 2:, :2], np.zeros((5, k, 2), dtype=complex))
     assert_same_bits(stack[:, :2, :2], a)

@@ -24,7 +24,7 @@ from elko.kinematics import (_sqrt, _unit, as_batch, boost_half, make_momenta, m
 from elko.matrices import (block_diag2, gamma0, gamma5, matrix2, matvec, pauli_dot, rownorm,
                            sigma_z, vdot)
 
-from conftest import assert_same_bits
+from bits import assert_rows_same_bits, assert_same_bits
 
 
 @pytest.mark.parametrize("phase", [complex("nan"), complex(1.0, float("nan")),
@@ -426,13 +426,10 @@ class TestXiMatrix:
         and a batch row alike."""
         axis, signed = make_momentum(0.0, 0.0, pz, 1.0), make_momentum(-0.0, py, pz, 1.0)
         batch = make_momenta([-0.0, 0.0], [py, 0.0], [pz, pz], [1.0, 1.0])
-        assert_same_bits(ops.xi_matrix(signed), ops.xi_matrix(axis))
-        assert_same_bits(ops.xi_matrix(batch)[0], ops.xi_matrix(axis))
-        for got, row, want in zip(ops.lambda_basis_transforms(signed),
-                                  ops.lambda_basis_transforms(batch),
-                                  ops.lambda_basis_transforms(axis)):
-            assert_same_bits(got, want)
-            assert_same_bits(row[0], want)
+        want = (ops.xi_matrix(axis), *ops.lambda_basis_transforms(axis))
+        assert_same_bits((ops.xi_matrix(signed), *ops.lambda_basis_transforms(signed)), want)
+        assert_rows_same_bits((ops.xi_matrix(batch), *ops.lambda_basis_transforms(batch)),
+                              [want, want])
 
     @settings(max_examples=100, deadline=None)
     @given(log_m=st.floats(-6.0, 6.0), log_ratio=st.floats(-12.0, 12.0),
@@ -686,10 +683,9 @@ class TestCPClassification:
     @staticmethod
     def _assert_same_classification(res, relation, commute, anticommute):
         """The relation, and the bits and Python type of both residuals."""
-        assert res.relation == relation
-        for got, want in ((res.commute_residual, commute),
-                          (res.anticommute_residual, anticommute)):
-            assert type(got) is float and got.hex() == want.hex()
+        assert type(res.commute_residual) is type(res.anticommute_residual) is float
+        assert_same_bits((res.relation, res.commute_residual, res.anticommute_residual),
+                         (relation, commute, anticommute))
 
     @pytest.mark.parametrize("theta_c", [0.0, 1.1])
     @pytest.mark.parametrize("rows", [1, 7, 100])

@@ -17,6 +17,9 @@ from elko import operators as ops
 from elko.kinematics import make_momenta
 from elko.suite import RunContext, run_suite, suite_checks
 
+from bits import assert_same_bits
+from conftest import record_calls
+
 
 def _loop_momenta(rng, count, max_beta_scale=10.0):
     """The sampler row by row over one block drawn as the sampler draws it."""
@@ -54,12 +57,6 @@ class _MinusZ:
         return g
 
 
-def _assert_bit_identical(a, b):
-    assert len(a) == len(b)
-    for field in ("px", "py", "pz", "m", "E"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-
-
 @pytest.mark.parametrize("seed,check_id,n", [
     (1, "spin-half.conjugacy-lambda-self", 1000),
     (2, "spin-one.bare-conjugacy", 20),
@@ -70,7 +67,7 @@ def _assert_bit_identical(a, b):
 def test_suite_sampler_matches_the_loop(seed, check_id, n):
     ctx = RunContext(seed=seed, samples=1000)
     expected = _loop_momenta(ctx.rng(check_id), n)
-    _assert_bit_identical(ctx.momenta(check_id, n=n), expected)
+    assert_same_bits(ctx.momenta(check_id, n=n), expected)
     assert ctx.resamples == 0
 
 
@@ -83,7 +80,7 @@ def test_suite_sampler_keeps_minus_z_rows_like_the_loop(monkeypatch, n, chosen):
     expected = _loop_momenta(_MinusZ(np.random.default_rng(123), chosen), n)
     monkeypatch.setattr(ctx, "rng", lambda check_id: _MinusZ(np.random.default_rng(123), chosen))
     batch = ctx.momenta("any")
-    _assert_bit_identical(batch, expected)
+    assert_same_bits(batch, expected)
     assert ctx.resamples == 0
     rows = sorted(chosen)
     off_axis = np.arctan2(np.hypot(batch.px, batch.py), -batch.pz)[rows]
@@ -118,22 +115,15 @@ def test_suite_passes_with_rows_next_to_minus_z(monkeypatch, tilt):
 def test_cp_classification_probes_the_loop_momenta(monkeypatch, seed, samples):
     """The suite's two cp checks each hand ``classify_cp_action`` the rows
     the loop draws from the run seed's own generator."""
-    probed = []
-    classify = ops.classify_cp_action
-
-    def recording(q, *args, **kwargs):
-        probed.append(q)
-        return classify(q, *args, **kwargs)
-
-    monkeypatch.setattr(ops, "classify_cp_action", recording)
+    probed = record_calls(monkeypatch, ops, "classify_cp_action")
     ctx = RunContext(seed, samples)
     for spec in suite_checks("symmetry"):
         if spec.id in ("symmetry.cp-dirac", "symmetry.cp-elko"):
             spec.run(ctx)
     assert len(probed) == 2
     expected = _loop_momenta(np.random.default_rng(seed), samples)
-    for q in probed:
-        _assert_bit_identical(q, expected)
+    for q, *_ in probed:
+        assert_same_bits(q, expected)
 
 
 # (px, py, pz, m) of the first three rows of sample_momenta(default_rng(seed), 5)
@@ -158,8 +148,8 @@ def test_block_layout_is_frozen(seed):
     """Changing how the sampler draws changes every suite residual; this
     pins the layout so that such a change is made on purpose."""
     batch = kin.sample_momenta(np.random.default_rng(seed), 5)
-    rows = [tuple(float(x).hex() for x in (p.px, p.py, p.pz, p.m)) for p in batch[:3]]
-    assert rows == _FROZEN_ROWS[seed]
+    assert_same_bits([(p.px, p.py, p.pz, p.m) for p in batch[:3]],
+                     [tuple(map(float.fromhex, row)) for row in _FROZEN_ROWS[seed]])
 
 
 def test_suite_generator_calls_do_not_grow_with_samples(monkeypatch):

@@ -12,7 +12,7 @@ from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, sa
 from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
                            theta_one, vdot)
 
-from conftest import assert_same_bits
+from bits import assert_rows_same_bits, assert_same_bits
 
 _I3 = np.eye(3, dtype=complex)
 
@@ -183,11 +183,8 @@ class TestSixSpinors:
         rows = [*random_momenta(8), make_momentum(-2.355316560779121, 2.316522852498883,
                                                   -1.0919545295611417, 1.6781248099405575)]
         for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
-            x, y = s1.spin1_pair(as_batch(rows), construction, h)
-            for k, p in enumerate(rows):
-                xp, yp = s1.spin1_pair(p, construction, h)
-                assert_same_bits(x[k], xp)
-                assert_same_bits(y[k], yp)
+            assert_rows_same_bits(s1.spin1_pair(as_batch(rows), construction, h),
+                                  [s1.spin1_pair(p, construction, h) for p in rows])
 
     def test_unknown_construction_rejected(self):
         with pytest.raises(DomainError):
@@ -287,8 +284,7 @@ class TestZetaScan:
         assert not any(v.flags.c_contiguous for v in rows)
         got = s1.scan_pairs(*rows, op)
         want = s1.scan_pairs(*(np.ascontiguousarray(v) for v in rows), op)
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
+        assert_same_bits(got, want)
 
     def test_scan_of_single_precision_rows_is_that_of_their_double_copy(self):
         """complex64 rows scan to the residuals of the same rows in
