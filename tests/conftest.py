@@ -65,8 +65,7 @@ def nan_lambda_anti(monkeypatch):
     monkeypatch.setattr(sp, "_components", nan_row)
 
 
-@pytest.fixture(scope="session")
-def edge_rows():
+def make_edge_rows():
     """(px, py, pz, m) rows at the edges of the domain: a rest row, rows
     along +-z, a row 1e-8 rad off -z and |p|/m from 1e3 to 1e12."""
     off = 1e-8   # rad off -z
@@ -77,12 +76,11 @@ def edge_rows():
     return rows
 
 
-@pytest.fixture(scope="session")
-def bit_rows(edge_rows):
-    """The rows on which the spinor factories are pinned bit for bit: the
-    edge rows, rows with signed zeros and subnormal components, a few
-    generic rows and single rows at rest, on and near the z axis and at
-    |p| = 1e6 m."""
+def make_bit_rows():
+    """The rows on which the spinor factories and the spin-1 kernels are
+    pinned bit for bit: the edge rows, rows with signed zeros and subnormal
+    components, a few generic rows and single rows at rest, on and near the
+    z axis and at |p| = 1e6 m."""
     signed = [(1.0, -0.0, 0.0, 1.0), (-0.0, 1.0, -0.0, 0.5), (-1.0, 0.0, -0.0, 1e-3),
               (0.0, -0.0, 3.0, 1e-150), (-0.0, 0.0, -2.5, 0.8)]
     subnormal = [(5e-324, 0.0, 1.5, 1.0), (0.0, 5e-324, -1.5, 2.0), (-5e-324, -0.0, 0.0, 1.0),
@@ -92,6 +90,16 @@ def bit_rows(edge_rows):
     single = [(0.0, 0.0, 0.0, 0.7), (0.0, 0.0, 2.5, 0.7), (0.0, -0.0, -2.5, 0.7),
               (2.5 * math.sin(1e-8), 0.0, -2.5 * math.cos(1e-8), 0.7),
               (0.6e6, -0.8e6, 0.0, 1.0), (0.0, -1.5, 0.0, 2.0)]
-    return [*edge_rows, *signed, *subnormal,
+    return [*make_edge_rows(), *signed, *subnormal,
             *zip(generic.px.tolist(), generic.py.tolist(), generic.pz.tolist(),
                  generic.m.tolist()), *single]
+
+
+@pytest.fixture(scope="session")
+def edge_rows():
+    return make_edge_rows()
+
+
+@pytest.fixture(scope="session")
+def bit_rows():
+    return make_bit_rows()

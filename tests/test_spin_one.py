@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,9 +13,11 @@ from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, sa
 from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
                            theta_one, vdot)
 
+import bit_fixture
 from bits import assert_rows_same_bits, assert_same_bits
 
 _I3 = np.eye(3, dtype=complex)
+FIXTURE = Path(__file__).parent / "data" / "spin1-bits.jsonl"
 
 
 class TestWignerMatrix:
@@ -330,6 +333,23 @@ class TestZetaScan:
             assert np.max(np.abs(direct - residual)) <= 1e-14, (construction, h)
             if operator == "g5sc":
                 assert np.max(np.abs(closed[..., 0] - zeta)) <= 1e-14, (construction, h)
+
+
+def test_spin1_outputs_keep_their_recorded_bits(bit_rows):
+    """The triplets, pairs, ``scan_pairs`` minima and scan fields on the bit
+    rows, as one batch and one momentum at a time, against the bits
+    recorded in ``data/spin1-bits.jsonl`` (see ``tests/bit_fixture.py``).
+    One momentum's values are the batch's rows except where the fixture
+    records them apart: at present the equator row's h = 0 pairs, whose
+    y holds a +0.0 where the batch row holds -0.0."""
+    rows, batch, one = bit_fixture.read(FIXTURE)
+    assert_same_bits(rows, bit_rows)
+    assert_same_bits(list(bit_fixture.spin1_records(bit_fixture.rows_batch(rows)).items()),
+                     list(batch.items()))
+    assert list(one) == ["pair lambda h=0", "pair rho h=0"]
+    assert_rows_same_bits([one.get(name, value) for name, value in batch.items()],
+                          [list(bit_fixture.spin1_records(make_momentum(*row)).values())
+                           for row in rows])
 
 
 class TestBoostInteraction:
