@@ -14,7 +14,10 @@ per-block head - <name> difference and the number of blocks the head won.
 The point-eval and spin-one-scan A/Bs then call both sides once more on
 each input of their first block and print ``outputs bit-identical`` or the
 first input whose outputs differ in a bit, by the rule of ``tests/bits.py``
-that the tests use.
+that the tests use.  Under the spin-one-scan A/B it also prints, for each
+of perfbench's four configurations, the calls each side's ``elko`` issues
+for one request at a fixed momentum, counted as the tier-1 call ceilings
+count them (``tests/calls.py``).
 
 Last it times ``python -m elko verify --suite all --seed 1 --samples n``
 at n = 1000 and 100 in fresh processes, each tree's on its own ``src`` as
@@ -41,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 from bits import leaves  # noqa: E402
+from calls import CONFIGS, MOMENTUM, count_calls  # noqa: E402
 from workloads import PointEval, SpinOneScan, seeded_momenta  # noqa: E402
 
 SAMPLES = (1000, 100)   # run_suite's sample counts
@@ -109,6 +113,18 @@ def compare_bits(sides, block):
             print(f"  outputs differ, first at input {x!r}")
             return
     print("  outputs bit-identical")
+
+
+def compare_calls(sides, packages):
+    """Print, per configuration of ``CONFIGS``, the Python and C calls each
+    side's package issues for one spin-one-scan request at ``MOMENTUM``;
+    ``packages`` maps each side to its package directory."""
+    print(f"  calls from elko per request at {MOMENTUM}, Python + C:")
+    for config in CONFIGS:
+        counts = {side: count_calls(packages[side], lambda: call((MOMENTUM, config)))
+                  for side, call in sides.items()}
+        print(f"    {' '.join(config):<12}" + "".join(
+            f"  {side} {python} + {c} = {python + c}" for side, (python, c) in counts.items()))
 
 
 def compare_reports(sides):
@@ -188,6 +204,7 @@ def run(name, other, head):
               ("spin-one-scan requests", spin_one_scan,
                zip(seeded_momenta(1, 2), itertools.cycle(SpinOneScan.CYCLE)), WARM_UP, PER_BLOCK,
                True)]
+    packages = {name: Path(other.__file__).parent, "head": Path(head.__file__).parent}
     for title, sides, inputs, warm_up, per_block, bits in cases:
         first = list(itertools.islice(inputs, warm_up))
         for call in sides.values():
@@ -197,6 +214,8 @@ def run(name, other, head):
         compare(title, sides, blocks)
         if bits:
             compare_bits(sides, blocks[0])
+        if sides is spin_one_scan:
+            compare_calls(sides, packages)
     compare_processes({side: Path(package.__file__).parents[1]
                        for side, package in ((name, other), ("head", head))})
 

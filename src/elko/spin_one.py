@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .errors import check_label
+from .errors import DimensionError, check_label
 from .kinematics import FourMomentum
 from .matrices import CMatrix, read_only, sqnorm, theta_one, vdot
 from .operators import SymmetryOperator
@@ -62,16 +62,21 @@ def spin1_helicity_triplet_at(p, h: int) -> np.ndarray:
     direction; (3,) at one momentum, (N, 3) on a batch.  The symmetric
     products of the spin-1/2 helicity 2-spinors in c = cos(theta/2) and
     s = sin(theta/2), read off the momentum's half-angle frame
-    ``half_angles``: the columns of exp(-i phi Jz) exp(-i theta Jy).
+    ``half_angles``: the columns of exp(-i phi Jz) exp(-i theta Jy).  Only
+    the requested triplet's three components are formed.
     """
     check_label("h", h, (1, 0, -1))
     c, s, phi = p.half_angles
     e = np.exp(1j * np.asarray(phi))
     cs = math.sqrt(2.0) * c * s
-    components = {1: (np.conj(e) * (c * c), cs, e * (s * s)),
-                  0: (-np.conj(e) * cs, c * c - s * s, e * cs),
-                  -1: (np.conj(e) * (s * s), -cs, e * (c * c))}[h]
-    return np.stack(np.broadcast_arrays(*components), axis=-1)
+    out = np.empty(e.shape + (3,), dtype=complex)
+    if h == 1:
+        out[..., 0], out[..., 1], out[..., 2] = np.conj(e) * (c * c), cs, e * (s * s)
+    elif h == 0:
+        out[..., 0], out[..., 1], out[..., 2] = -np.conj(e) * cs, c * c - s * s, e * cs
+    else:
+        out[..., 0], out[..., 1], out[..., 2] = np.conj(e) * (s * s), -cs, e * (c * c)
+    return out
 
 
 def spin1_pair(p, construction: str, h: int):
@@ -134,13 +139,15 @@ _OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 # offset o, u = e^{i h_k o}: (steps,) and (steps, points, 3)
 _HALVES = (2.0 * math.pi / _GRID_POINTS) * (2.0 / (_REFINE_POINTS - 1)) ** np.arange(_REFINE_STEPS)
 _WEIGHTS = np.exp(1j * _HALVES[:, None, None] * _OFFSETS[:, None] * np.array([0.0, -1.0, 1.0]))
+# step k's moves h_k o to each offset o, the products the bracket takes: (steps, points)
+_MOVES = _HALVES[:, None] * _OFFSETS
 # the grid angles t and their basis (1, cos t, sin t, cos 2t, sin 2t),
 # (720,) and (5, 720), and the signs of the self and anti-self rows, (2, 1, 1)
 _GRID = (2.0 * math.pi / _GRID_POINTS) * np.arange(_GRID_POINTS)
 _GRID_BASIS = np.stack([np.ones(_GRID_POINTS), np.cos(_GRID), np.sin(_GRID),
                         np.cos(2.0 * _GRID), np.sin(2.0 * _GRID)])
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
-read_only(_OFFSETS, _HALVES, _WEIGHTS, _GRID, _GRID_BASIS, _SIGNS)
+read_only(_OFFSETS, _HALVES, _WEIGHTS, _MOVES, _GRID, _GRID_BASIS, _SIGNS)
 
 
 def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
@@ -186,7 +193,8 @@ def scan_pairs(x, y, op: SymmetryOperator):
     and y, each row on its own: (zeta, residual), each (2, N), row 0 the
     self and row 1 the anti-self minimum, the residual relative to
     sqrt(|x|^2 + |y|^2).  Rows from any mix of momenta, constructions and
-    helicities scan together in one call.
+    helicities scan together in one call; x and y of any other shape, or of
+    two shapes, raise ``DimensionError``.
 
     With zeta = e^{i t} the difference d(t) = Op s - sign s is
     c0 + e^{-i t} c1 + e^{i t} c2 and |d(t)|^2 is a degree-2 trigonometric
@@ -199,8 +207,14 @@ def scan_pairs(x, y, op: SymmetryOperator):
     the factor e^{i h_k o} = u is shared: d = c0 + conj(u) (e^{-ic} c1) +
     u (e^{ic} c2), and a step is one exponential per row and one product
     of the step's weights [1, conj(u), u], built at import, with the three
-    terms of all rows.
+    terms of all rows.  That product is written into one buffer made before
+    the loop and read through a float view as d, and the step's move h_k o
+    to the best point is read off a (steps, points) table built at import
+    beside the weights, the same products as h_k times the offset.
     """
+    if x.ndim != 2 or x.shape[1] != 6 or y.shape != x.shape:
+        raise DimensionError(f"scan_pairs takes x and y as (N, 6) rows of one shape, "
+                             f"got {x.shape} and {y.shape}")
     a = op.phase * (np.conj(x) @ op.matrix.T)
     b = op.phase * (np.conj(y) @ op.matrix.T)
     norm = np.sqrt(sqnorm(x) + sqnorm(y))
@@ -219,16 +233,19 @@ def scan_pairs(x, y, op: SymmetryOperator):
 
     # refinement on the direct |d|^2; each step keeps the best point and
     # its two neighbours as the next bracket; terms holds c0, e^{-ic} b and
-    # e^{ic} c2 for the shared weights
+    # e^{ic} c2 for the shared weights, and each step's product with them
+    # goes to one buffer, read as d with re/im interleaved
     terms = np.empty((3,) + c0.shape, dtype=complex)       # (3, 2, N, 6)
     terms[0] = c0
+    flat, rotated_b, rotated_c2 = terms.reshape(3, -1), terms[1], terms[2]
+    step = np.empty((_REFINE_POINTS, flat.shape[1]), dtype=complex)
+    d = step.view(float).reshape(_REFINE_POINTS, *c0.shape[:-1], 12)   # (R, 2, N, 12)
     centre = _GRID[best]
-    for half, weights in zip(_HALVES, _WEIGHTS):
+    for moves, weights in zip(_MOVES, _WEIGHTS):
         e = np.exp(1j * centre)[..., None]
-        np.multiply(np.conj(e), b, out=terms[1])
-        np.multiply(e, c2, out=terms[2])
-        d = (weights @ terms.reshape(3, -1)).view(float).reshape(
-            _REFINE_POINTS, *c0.shape[:-1], 2 * c0.shape[-1])  # (R, 2, N, 12), re/im interleaved
+        np.multiply(np.conj(e), b, out=rotated_b)
+        np.multiply(e, c2, out=rotated_c2)
+        np.matmul(weights, flat, out=step)
         d2 = np.einsum("...i,...i->...", d, d)
-        centre = centre + half * _OFFSETS[d2.argmin(axis=0)]
+        centre += moves[d2.argmin(axis=0)]
     return np.exp(1j * centre), np.sqrt(d2.min(axis=0)) / norm

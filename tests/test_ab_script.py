@@ -14,6 +14,7 @@ import pytest
 import elko
 
 import bits
+from calls import CONFIGS, MOMENTUM
 
 AB_SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "ab.py"
 
@@ -94,6 +95,12 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
     for title in titles[2:4]:
         assert lines[lines.index(title) + 4] == "  outputs bit-identical"
     assert out.count("  outputs ") == 2
+    # and, under spin-one-scan, the same calls per request on both sides
+    start = lines.index(titles[3]) + 5
+    assert lines[start] == f"  calls from elko per request at {MOMENTUM}, Python + C:"
+    for line, config in zip(lines[start + 1:start + 5], CONFIGS):
+        copy_side, head_side = line[16:].split("  head ")
+        assert line[:16].split() == list(config) and copy_side == "  copy " + head_side
 
 
 def test_ab_script_names_the_first_input_whose_outputs_differ(capsys):

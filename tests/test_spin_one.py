@@ -6,9 +6,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elko import TOLERANCES
 from elko import spin_one as s1
-from elko.errors import DomainError
+from elko.errors import DimensionError, DomainError
 from elko.kinematics import as_batch, boost_one, make_momenta, make_momentum, sample_momenta
 from elko.matrices import (SPIN1_J, rownorm, spin1_dot, spin1_jy, spin1_jz, sqnorm,
                            theta_one, vdot)
@@ -244,6 +247,45 @@ class TestZetaScan:
     def test_unknown_operator_rejected(self):
         with pytest.raises(DomainError):
             s1.spin1_conjugacy_scan(make_momentum(0, 0, 0, 1.0), "nope")
+
+    @settings(max_examples=50, deadline=None)
+    @given(log_m=st.floats(-6.0, 6.0), at_rest=st.booleans(), log_ratio=st.floats(-12.0, 12.0),
+           near_axis=st.booleans(), log_angle=st.floats(-8.0, -2.0), south=st.booleans(),
+           cos_polar=st.floats(-1.0, 1.0), azimuth=st.floats(0.0, 2.0 * math.pi))
+    def test_minima_over_the_whole_domain(self, log_m, at_rest, log_ratio, near_axis,
+                                          log_angle, south, cos_polar, azimuth):
+        """m in [1e-6, 1e6], |p|/m 0 or from 1e-12 to 1e12, directions
+        generic or 1e-8 to 1e-2 rad from +z or -z, on a batch of the
+        momentum and its mirror: for every (construction, h) the twisted
+        minima sit at zeta = +-1 and vanish, both within the zeta-minimum
+        tolerance, and both bare minima stay above the floor."""
+        m = 10.0 ** log_m
+        pabs = 0.0 if at_rest else m * 10.0 ** log_ratio
+        angle = 10.0 ** log_angle
+        polar = (math.pi - angle if south else angle) if near_axis else math.acos(cos_polar)
+        vec = np.array([math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+                        math.cos(polar)]) * pabs
+        batch = make_momenta(*np.stack([vec, -vec], axis=-1), m)
+        tol, floor = TOLERANCES["zeta_minimum"], TOLERANCES["floor"]
+        for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
+            twisted = s1.spin1_conjugacy_scan(batch, "g5sc", construction, h)
+            for best, zeta in ((twisted.self_minimum, 1.0), (twisted.anti_minimum, -1.0)):
+                assert np.max(best.residual) <= tol, (construction, h)
+                assert np.max(np.abs(best.zeta - zeta)) <= tol, (construction, h)
+            bare = s1.spin1_conjugacy_scan(batch, "sc", construction, h)
+            for best in (bare.self_minimum, bare.anti_minimum):
+                assert np.min(best.residual) > floor, (construction, h)
+
+    @pytest.mark.parametrize("x,y", [
+        (np.ones((3, 6), complex), np.ones((2, 6), complex)),
+        (np.ones((3, 5), complex), np.ones((3, 5), complex)),
+        (np.ones(6, complex), np.ones(6, complex)),
+    ], ids=["unequal-rows", "five-columns", "one-vector"])
+    def test_scan_rejects_malformed_rows(self, x, y):
+        """x and y must both be (N, 6) rows of one shape: unequal row
+        counts, five columns and bare (6,) vectors raise DimensionError."""
+        with pytest.raises(DimensionError, match=r"\(N, 6\) rows of one shape"):
+            s1.scan_pairs(x, y, s1.gamma5_sc_one())
 
     @pytest.mark.parametrize("operator,phase", [("sc", 0.0), ("sc", 0.7),
                                                 ("g5sc", 0.0), ("g5sc", 0.7)])
