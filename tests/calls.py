@@ -58,9 +58,3 @@ def count_calls(package_dir, call):
     finally:
         sys.setprofile(None)
     return tuple(counts)
-
-
-def scan_request(kinematics, spin_one, operator, construction):
-    """One spin-one-scan request at ``MOMENTUM``, as perfbench makes it."""
-    return lambda: spin_one.spin1_conjugacy_scan(kinematics.make_momentum(*MOMENTUM),
-                                                 operator, construction)

@@ -25,7 +25,9 @@ def test_spin_one_scan_request_is_within_its_ceiling(operator, construction):
     """One spin1_conjugacy_scan request, perfbench's, at a fixed momentum:
     the count is the same on a second request, and its total of Python and
     C calls is at most the ceiling."""
-    request = calls.scan_request(kin, s1, operator, construction)
+    def request():
+        s1.spin1_conjugacy_scan(kin.make_momentum(*calls.MOMENTUM), operator, construction)
+
     request()   # the first request loads what loads on first use
     python, c = calls.count_calls(PACKAGE, request)
     assert calls.count_calls(PACKAGE, request) == (python, c)
