@@ -14,10 +14,10 @@ per-block head - <name> difference and the number of blocks the head won.
 The point-eval and spin-one-scan A/Bs then call both sides once more on
 each input of their first block and print ``outputs bit-identical`` or the
 first input whose outputs differ in a bit, by the rule of ``tests/bits.py``
-that the tests use.  Under the spin-one-scan A/B it also prints, for each
-of perfbench's four configurations, the calls each side's ``elko`` issues
-for one request at a fixed momentum, counted as the tier-1 call ceilings
-count them (``tests/calls.py``).
+that the tests use.  Under each of the two it also prints the calls each
+side's ``elko`` issues for one request at a fixed momentum, for
+spin-one-scan once per perfbench configuration, counted as the tier-1
+call ceilings count them (``tests/calls.py``).
 
 Last it times ``python -m elko verify --suite all --seed 1 --samples n``
 at n = 1000 and 100 in fresh processes, each tree's on its own ``src`` as
@@ -115,15 +115,15 @@ def compare_bits(sides, block):
     print("  outputs bit-identical")
 
 
-def compare_calls(sides, packages):
-    """Print, per configuration of ``CONFIGS``, the Python and C calls each
-    side's package issues for one spin-one-scan request at ``MOMENTUM``;
+def compare_calls(sides, packages, inputs):
+    """Print, per label of ``inputs``, the Python and C calls each side's
+    package issues for one request on the label's input at ``MOMENTUM``;
     ``packages`` maps each side to its package directory."""
     print(f"  calls from elko per request at {MOMENTUM}, Python + C:")
-    for config in CONFIGS:
-        counts = {side: count_calls(packages[side], lambda: call((MOMENTUM, config)))
+    for label, x in inputs.items():
+        counts = {side: count_calls(packages[side], lambda: call(x))
                   for side, call in sides.items()}
-        print(f"    {' '.join(config):<12}" + "".join(
+        print(f"    {label:<12}" + "".join(
             f"  {side} {python} + {c} = {python + c}" for side, (python, c) in counts.items()))
 
 
@@ -198,24 +198,26 @@ def run(name, other, head):
     run_suite, point_eval, spin_one_scan, report = (
         {name: a, "head": b} for a, b in zip(requests(other), requests(head)))
     compare_reports(report)
-    cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1, False)
+    # the last field of a case is None, or the inputs, by label, whose calls
+    # are counted after the A/B and its bit comparison
+    cases = [(f"run_suite('all', 1, {n}) passes", run_suite, itertools.repeat(n), 1, 1, None)
              for n in SAMPLES]
-    cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK, True),
+    cases += [("point-eval requests", point_eval, seeded_momenta(1, 1), WARM_UP, PER_BLOCK,
+               {"point-eval": MOMENTUM}),
               ("spin-one-scan requests", spin_one_scan,
                zip(seeded_momenta(1, 2), itertools.cycle(SpinOneScan.CYCLE)), WARM_UP, PER_BLOCK,
-               True)]
+               {" ".join(config): (MOMENTUM, config) for config in CONFIGS})]
     packages = {name: Path(other.__file__).parent, "head": Path(head.__file__).parent}
-    for title, sides, inputs, warm_up, per_block, bits in cases:
+    for title, sides, inputs, warm_up, per_block, counted in cases:
         first = list(itertools.islice(inputs, warm_up))
         for call in sides.values():
             for x in first:
                 call(x)
         blocks = [list(itertools.islice(inputs, per_block)) for _ in range(BLOCKS)]
         compare(title, sides, blocks)
-        if bits:
+        if counted:
             compare_bits(sides, blocks[0])
-        if sides is spin_one_scan:
-            compare_calls(sides, packages)
+            compare_calls(sides, packages, counted)
     compare_processes({side: Path(package.__file__).parents[1]
                        for side, package in ((name, other), ("head", head))})
 

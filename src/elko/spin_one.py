@@ -83,7 +83,7 @@ def spin1_pair(p, construction: str, h: int):
     """(x, y) with psi(zeta) = x + zeta y the six-spinor of the construction
     at helicity h along p's direction: (6,) each at one momentum, (N, 6)
     rows on a batch; the upper three components are right-handed, the lower
-    three left-handed.
+    three left-handed.  One momentum's pair is its batch row, bit for bit.
 
     lambda is boost((zeta Theta phi*, phi)) built from a left-handed triplet
     phi, rho is boost((phi, zeta Theta phi*)) built from a right-handed one.
@@ -94,16 +94,22 @@ def spin1_pair(p, construction: str, h: int):
     """
     check_label("construction", construction, ("lambda", "rho"))
     f = spin1_helicity_triplet_at(p, h)
-    flipped = np.conj(f) @ theta_one.T
     ratio = (p.E + p.p_abs) / p.m
     power = -h if construction == "lambda" else h
     k = np.asarray(ratio if power == 1 else 1.0 / ratio if power == -1 else 1.0)[..., None]
-    zero = np.zeros_like(f)
-    if construction == "lambda":
-        return (np.concatenate([zero, k * f], axis=-1),
-                np.concatenate([k * flipped, zero], axis=-1))
-    return (np.concatenate([k * f, zero], axis=-1),
-            np.concatenate([zero, k * flipped], axis=-1))
+    return _blocks(k * f, construction)
+
+
+def _blocks(phi, construction: str):
+    """(x, y): phi, left-handed for lambda and right-handed for rho, and
+    Theta phi* = (phi_2*, -phi_1*, phi_0*) in their chiral halves of one
+    zeroed buffer; entry by entry, so a batch row keeps its triplet's bits."""
+    x, y = np.zeros((2,) + phi.shape[:-1] + (6,), dtype=complex)
+    at = 3 if construction == "lambda" else 0
+    x[..., at:at + 3] = phi
+    y[..., 3 - at:6 - at] = np.conj(phi[..., ::-1])
+    y[..., 4 - at] = -y[..., 4 - at]
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +185,7 @@ def spin1_conjugacy_scan(p, operator: str, construction: str = "lambda",
         exceeded = bool(exceeded[0])
     else:
         minima = [ZetaMinimum(zeta[k], residual[k]) for k in (0, 1)]
-    return ConjugacyScan(
-        operator=operator,
-        construction=construction,
-        self_minimum=minima[0],
-        anti_minimum=minima[1],
-        floor_exceeded=exceeded,
-    )
+    return ConjugacyScan(operator, construction, *minima, exceeded)
 
 
 def scan_pairs(x, y, op: SymmetryOperator):

@@ -970,10 +970,8 @@ def _zeta_boost_persistence(ctx, key):
     rows = []
     for h in (1, 0, -1):
         # the rest-frame lambda pair along each momentum's direction, boosted
-        f = s1.spin1_helicity_triplet_at(momenta, h)
-        zero = np.zeros_like(f)
-        x = mat.matvec(boost, np.concatenate([zero, f], axis=-1))
-        y = mat.matvec(boost, np.concatenate([np.conj(f) @ mat.theta_one.T, zero], axis=-1))
+        pair = s1._blocks(s1.spin1_helicity_triplet_at(momenta, h), "lambda")
+        x, y = (mat.matvec(boost, v) for v in pair)
         rows += [_rel(op.apply(v) - zeta * v, v) for zeta, v in ((1.0, x + y), (-1.0, x - y))]
     return rows, {}
 

@@ -8,9 +8,8 @@ Each line is one JSON array.  The first is the format tag and the rows
 the leaves of the value ``spin1_records`` gives the whole batch under that
 name, in the order of ``bits.walk``: each leaf its type name, dtype, shape
 and values, a float in ``float.hex`` and a complex one as its real and
-imaginary parts in turn.  Where the one-momentum values of a name are not
-the batch's rows, bit for bit, a record named ``ONE + name`` holds them,
-stacked row by row.  Regenerate it from the repository root with
+imaginary parts in turn.  One momentum's values are the batch's rows, so
+the batch's records pin both.  Regenerate it from the repository root with
 
     PYTHONPATH=src python tests/bit_fixture.py tests/data/spin1-bits.jsonl
 
@@ -26,12 +25,11 @@ import numpy as np
 
 from elko import spin_one as s1
 from elko.errors import DomainError
-from elko.kinematics import FourMomentum, make_momenta, make_momentum
+from elko.kinematics import FourMomentum, make_momenta
 
 from bits import walk
 
 FORMAT = "spin1-bits v1"
-ONE = "one-momentum "   # the name prefix of the one-momentum records
 # the (operator, op_phase) of the scan_pairs records
 OPERATORS = (("sc", 0.0), ("sc", 0.7), ("g5sc", 0.0), ("g5sc", 0.7))
 PAIRS = tuple(itertools.product(("lambda", "rho"), (1, 0, -1)))
@@ -72,46 +70,30 @@ def _encode(leaf):
     return [type(leaf).__name__, a.dtype.str, list(a.shape), values]
 
 
-def _decode(name, dtype, shape, values):
+def _decode(dtype, shape, values):
     dtype = np.dtype(dtype)
     a = (np.array(values, dtype=dtype) if dtype.kind == "b" else
          np.array([float.fromhex(v) for v in values], dtype=np.finfo(dtype).dtype).view(dtype))
-    a = a.reshape(shape)
-    if name == "ndarray":
-        return a
-    return {"complex": complex, "float": float, "bool": bool}.get(name, lambda v: v)(a[()])
+    return a.reshape(shape)
 
 
 def write(path, rows):
-    """Record ``spin1_records`` of the rows, as one batch and, where they
-    differ from its rows, one momentum at a time, at ``path``."""
+    """Record ``spin1_records`` of the rows, as one batch, at ``path``."""
     hexed = [[float.hex(float(v)) for v in row] for row in rows]
-    batch = {name: [_encode(leaf) for leaf in walk(value)]
-             for name, value in spin1_records(rows_batch(rows)).items()}
-    singles = [spin1_records(make_momentum(*row)) for row in rows]
-    lines = [[FORMAT, hexed], *batch.items()]
-    for name, leaves in batch.items():
-        columns = zip(*(walk(single[name]) for single in singles))
-        stacked = [_encode(np.stack(column)) for column in columns]
-        if [leaf[1:] for leaf in stacked] != [leaf[1:] for leaf in leaves]:
-            lines.append([ONE + name, stacked])
+    lines = [[FORMAT, hexed]] + [[name, [_encode(leaf) for leaf in walk(value)]]
+                                 for name, value in spin1_records(rows_batch(rows)).items()]
     with open(path, "w") as fh:
         fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
 def read(path):
-    """The rows, the batch's records and the one-momentum records, each
-    name -> list of leaf values (the ``ONE`` prefix dropped)."""
+    """The rows and the batch's records, name -> list of leaf values."""
     with open(path) as fh:
         (tag, hexed), *records = (json.loads(line) for line in fh)
     if tag != FORMAT:
         raise DomainError(f"unsupported bit fixture format {tag!r}")
     rows = [tuple(float.fromhex(v) for v in row) for row in hexed]
-    batch, one = {}, {}
-    for name, leaves in records:
-        (one if name.startswith(ONE) else batch)[name.removeprefix(ONE)] = [
-            _decode(*leaf) for leaf in leaves]
-    return rows, batch, one
+    return rows, {name: [_decode(*leaf[1:]) for leaf in leaves] for name, leaves in records}
 
 
 if __name__ == "__main__":

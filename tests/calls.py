@@ -20,8 +20,9 @@ A call into numpy counts once, however numpy implements it:
 import os
 import sys
 
-# the momentum (px, py, pz, m) and the (operator, construction) requests of
-# the spin-one-scan ceilings: perfbench's four configurations
+# the momentum (px, py, pz, m) of the point-eval and spin-one-scan ceilings,
+# and the (operator, construction) of the spin-one-scan requests: perfbench's
+# four configurations
 MOMENTUM = (0.4, -0.2, 0.7, 1.3)
 CONFIGS = (("sc", "lambda"), ("sc", "rho"), ("g5sc", "lambda"), ("g5sc", "rho"))
 

@@ -13,10 +13,7 @@ Regenerate it from the repository root with
 
 import sys
 
-import numpy as np
-
 from elko import spinors as sp
-from elko.errors import DomainError
 from elko.kinematics import make_momentum
 
 GOLDEN_HEADER = "spinor-golden v1"
@@ -52,24 +49,6 @@ def write_golden(path, momenta):
         fh.write(GOLDEN_HEADER + "\n")
         for line in golden_records(momenta):
             fh.write(line + "\n")
-
-
-def read_golden(path):
-    """Yields (family, kind, index, momentum, components) tuples."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != GOLDEN_HEADER:
-            raise DomainError(f"unsupported golden file header {header!r}")
-        out = []
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split()
-            family, kind, index = parts[0], parts[1], parts[2]
-            px, py, pz, m = (float(x) for x in parts[3:7])
-            comps = np.array([float(x) for x in parts[7:15]]).view(complex)
-            out.append((family, kind, index, make_momentum(px, py, pz, m), comps))
-        return out
 
 
 if __name__ == "__main__":

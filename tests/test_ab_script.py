@@ -95,12 +95,15 @@ def test_ab_script_compares_a_second_copy_on_each_request(capsys):
     for title in titles[2:4]:
         assert lines[lines.index(title) + 4] == "  outputs bit-identical"
     assert out.count("  outputs ") == 2
-    # and, under spin-one-scan, the same calls per request on both sides
-    start = lines.index(titles[3]) + 5
-    assert lines[start] == f"  calls from elko per request at {MOMENTUM}, Python + C:"
-    for line, config in zip(lines[start + 1:start + 5], CONFIGS):
-        copy_side, head_side = line[16:].split("  head ")
-        assert line[:16].split() == list(config) and copy_side == "  copy " + head_side
+    # and, under each, the same calls per request on both sides: one line
+    # for point-eval, one per configuration for spin-one-scan
+    for title, labels in zip(titles[2:4], [[["point-eval"]], [list(c) for c in CONFIGS]]):
+        start = lines.index(title) + 5
+        assert lines[start] == f"  calls from elko per request at {MOMENTUM}, Python + C:"
+        assert not lines[start + 1 + len(labels)].startswith(" ")   # the next A/B's title
+        for line, label in zip(lines[start + 1:], labels):
+            copy_side, head_side = line[16:].split("  head ")
+            assert line[:16].split() == label and copy_side == "  copy " + head_side
 
 
 def test_ab_script_names_the_first_input_whose_outputs_differ(capsys):

@@ -183,11 +183,13 @@ class TestSixSpinors:
 
     def test_batch_rows_match_single_momenta(self, random_momenta):
         """Each row of a batch's pair is its momentum's pair bit for bit, for
-        every construction and helicity.  The last row's boost factor
+        every construction and helicity.  The ninth row's boost factor
         ((E + |p|)/m)^-1 rounds differently under C's pow and numpy's
-        reciprocal."""
+        reciprocal; on the equator row a matrix product forming Theta phi*
+        would sign a zero of the h = 0 pair differently."""
         rows = [*random_momenta(8), make_momentum(-2.355316560779121, 2.316522852498883,
-                                                  -1.0919545295611417, 1.6781248099405575)]
+                                                  -1.0919545295611417, 1.6781248099405575),
+                make_momentum(0.0, -1.5, 0.0, 2.0)]
         for construction, h in itertools.product(("lambda", "rho"), (1, 0, -1)):
             assert_rows_same_bits(s1.spin1_pair(as_batch(rows), construction, h),
                                   [s1.spin1_pair(p, construction, h) for p in rows])
@@ -381,15 +383,12 @@ def test_spin1_outputs_keep_their_recorded_bits(bit_rows):
     """The triplets, pairs, ``scan_pairs`` minima and scan fields on the bit
     rows, as one batch and one momentum at a time, against the bits
     recorded in ``data/spin1-bits.jsonl`` (see ``tests/bit_fixture.py``).
-    One momentum's values are the batch's rows except where the fixture
-    records them apart: at present the equator row's h = 0 pairs, whose
-    y holds a +0.0 where the batch row holds -0.0."""
-    rows, batch, one = bit_fixture.read(FIXTURE)
+    One momentum's values are the batch's rows."""
+    rows, batch = bit_fixture.read(FIXTURE)
     assert_same_bits(rows, bit_rows)
     assert_same_bits(list(bit_fixture.spin1_records(bit_fixture.rows_batch(rows)).items()),
                      list(batch.items()))
-    assert list(one) == ["pair lambda h=0", "pair rho h=0"]
-    assert_rows_same_bits([one.get(name, value) for name, value in batch.items()],
+    assert_rows_same_bits(list(batch.values()),
                           [list(bit_fixture.spin1_records(make_momentum(*row)).values())
                            for row in rows])
 

@@ -474,16 +474,6 @@ class TestLabelsAndPhases:
 
 
 class TestGoldenFile:
-    def test_round_trip(self, tmp_path):
-        momenta = [make_momentum(*m) for m in golden.MOMENTA]
-        path = tmp_path / "golden.txt"
-        golden.write_golden(path, momenta)
-        records = golden.read_golden(path)
-        assert len(records) == len(momenta) * 8
-        for family, kind, index, p, comps in records:
-            fn = sp.lambda_spinor if family == "lambda" else sp.rho_spinor
-            assert np.allclose(fn(p, kind, index).components, comps, atol=1e-15)
-
     def test_checked_in_regression(self):
         # text against text, so a last bit or the sign of a zero part shows
         lines = (DATA / "spinors_golden.txt").read_text().splitlines()
@@ -492,9 +482,3 @@ class TestGoldenFile:
         assert len(records) == len(golden.MOMENTA) * 8
         for line, record in zip(lines[1:], records, strict=True):
             assert line == record
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not-a-golden-file\n")
-        with pytest.raises(DomainError):
-            golden.read_golden(path)
