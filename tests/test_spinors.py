@@ -482,3 +482,10 @@ class TestGoldenFile:
         assert len(records) == len(golden.MOMENTA) * 8
         for line, record in zip(lines[1:], records, strict=True):
             assert line == record
+
+    def test_writer_reproduces_checked_in_file(self, tmp_path):
+        # the regeneration command's writer, byte for byte: header, records
+        # and line endings
+        path = tmp_path / "golden.txt"
+        golden.write_golden(path, [make_momentum(*m) for m in golden.MOMENTA])
+        assert path.read_bytes() == (DATA / "spinors_golden.txt").read_bytes()
